@@ -130,7 +130,7 @@ def potential_from_file(path):
     r_s, v_s = samples[:, 0], samples[:, 1]
 
     def v_of_r(r):
-        return float(np.interp(r, r_s, v_s))
+        return np.interp(r, r_s, v_s)
 
     return RadialPotential(v_of_r=v_of_r, radius=radius, dim=dim,
                            regularity="sampled")
@@ -170,7 +170,6 @@ def _build_parser():
     common.add_argument("--config", default=None,
                         help="JSON file whose entries override flags")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--tol", type=float, default=1e-9,
                         help="quadrature absolute tolerance")
 
@@ -214,8 +213,7 @@ def _build_parser():
                    "depth=..,radius=..")
     p.add_argument("--potential", default=None, help="potential file")
     p.add_argument("--grid", type=int, default=None,
-                   help="wavenumber nodes for the sweep (d=3)")
-    p.add_argument("--lmax", type=int, default=None)
+                   help="wavenumber nodes for the sweep (d=3 only)")
     p.add_argument("--csv", default=None,
                    help="export the phase-shift table here (d=3)")
 
@@ -321,8 +319,7 @@ def _cmd_levinson(args):
         V = _well_potential(args.dim, args.well)
     else:
         raise SpecflowError("need --well or --potential")
-    grid = args.grid if args.grid is not None else None
-    report = levinson_verify(V, args.dim, grid=grid)
+    report = levinson_verify(V, args.dim, grid=args.grid)
     if args.csv and args.dim == 3 and report.data is not None:
         data = report.data
         PhaseShiftTable(data.ks ** 2, data.deltas, 0.0).to_csv(args.csv)

@@ -87,3 +87,11 @@ class OracleDisagreement(SpecflowError):
 
 class Inconclusive(SpecflowError):
     """A detector landed in its dead band and refuses to answer."""
+
+
+class DecompositionFailure(SpecflowError):
+    """A matrix factorization did not converge with any available driver."""
+
+
+class InvalidGrid(SpecflowError):
+    """A grid option is unknown or not used by the requested route."""

@@ -11,10 +11,10 @@ Conventions fixed here once and for all:
 """
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import schur, svd
 from scipy.special import gammaln
 
-from .errors import InvalidOrder, NonUnitary
+from .errors import DecompositionFailure, InvalidOrder, NonUnitary
 
 UNITARY_TOL = 1e-10
 
@@ -82,12 +82,23 @@ def abs_power(A, x):
     """|A|^{2x} = (A*A)^x as a Hermitian PSD matrix, via singular values.
 
     x may be fractional; x = 1/2 gives |A| itself.  Computed from the SVD
-    A = U s V*: |A|^2 = V s^2 V*, so |A|^{2x} = V s^{2x} V*.
+    A = U s V*: |A|^2 = V s^2 V*, so |A|^{2x} = V s^{2x} V*.  LAPACK's
+    divide-and-conquer driver (gesdd) can fail to converge, e.g. on U - Id
+    with several eigenvalues of U at 1; the QR-iteration driver (gesvd) is
+    then tried, and DecompositionFailure raised if it fails too.
     """
     A = np.asarray(A, dtype=complex)
     if x < 0:
         raise InvalidOrder(f"negative power {x} not supported (singular A)")
-    _, s, Vh = np.linalg.svd(A)
+    try:
+        _, s, Vh = np.linalg.svd(A)
+    except np.linalg.LinAlgError:
+        try:
+            _, s, Vh = svd(A, lapack_driver="gesvd")
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionFailure(
+                f"SVD of a {A.shape[0]}x{A.shape[1]} matrix did not converge "
+                f"with gesdd or gesvd") from exc
     return (Vh.conj().T * s ** (2.0 * x)) @ Vh
 
 

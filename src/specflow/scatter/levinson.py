@@ -32,6 +32,7 @@ from scipy.interpolate import CubicSpline
 from ..errors import (
     Inconclusive,
     IntegrationFailure,
+    InvalidGrid,
     RouteDisagreement,
     TailNotConverged,
     UnsupportedDimension,
@@ -44,7 +45,7 @@ from .onedim import bound_states_1d, resonance_statistic_1d, smatrix_1d
 from .radial import (
     bound_state_channels,
     choose_lmax,
-    phase_shifts_3d,
+    phase_shift_rows,
     threshold_statistics_radial,
 )
 
@@ -297,23 +298,21 @@ def _levinson_1d(V, k_min, k_max, tol_residual):
 
 class ChannelData:
     """Phase-shift ladder cache over a refined geometric wavenumber grid,
-    with a log-k cubic spline per channel."""
+    with a log-k cubic spline per channel.  Each refinement round sweeps
+    only its new wavenumbers, all in one batched radial recursion."""
 
     def __init__(self, V, k_min, k_max, points, lmax=None):
         self.V = V
         self.lmax = choose_lmax(V, k_max * k_max) if lmax is None else lmax
         self.weights = 2.0 * np.arange(self.lmax + 1) + 1.0
         cache = {}
-
-        def row(k):
-            if k not in cache:
-                cache[k] = phase_shifts_3d(V, k * k, self.lmax)
-            return cache[k]
-
         ks = list(np.geomspace(k_min, k_max, points))
         for _ in range(12):
             ks.sort()
-            rows = np.array([row(k) for k in ks])
+            new = [k for k in ks if k not in cache]
+            cache.update(zip(new, phase_shift_rows(V, np.square(new),
+                                                   self.lmax)))
+            rows = np.array([cache[k] for k in ks])
             unwound = np.unwrap(rows[::-1], axis=0, period=np.pi)[::-1]
             jumps = np.max(np.abs(np.diff(unwound, axis=0)), axis=1)
             bad = np.where(jumps > 0.2)[0]
@@ -506,17 +505,27 @@ def _assemble(dimension, N, classification, phillips, routes, raw_integral,
 def levinson_verify(V, d, grid=None, tol_residual=RESIDUAL_TOL):
     """Verify the bound-state/spectral-flow relation for -Delta + V.
 
-    grid may be None (defaults), an integer (number of wavenumber nodes,
-    d = 3 only), or a dict with any of k_min, k_max, points.
+    grid may be None (defaults), an integer (number of wavenumber nodes),
+    or a dict with any of k_min, k_max, points.  The d = 1 route integrates
+    adaptively and has no node count, so a number of points (as an integer
+    or a dict entry) raises InvalidGrid there, as does an unknown key.
     """
     opts = {"k_min": DEFAULT_K_MIN, "k_max": DEFAULT_K_MAX,
             "points": DEFAULT_POINTS}
     if isinstance(grid, int):
-        opts["points"] = grid
-    elif isinstance(grid, dict):
-        opts.update(grid)
-    elif grid is not None:
+        grid = {"points": grid}
+    elif grid is None:
+        grid = {}
+    elif not isinstance(grid, dict):
         raise TypeError(f"grid must be None, int, or dict, got {grid!r}")
+    unknown = sorted(set(grid) - set(opts))
+    if unknown:
+        raise InvalidGrid(f"unknown grid keys {unknown}; expected any of "
+                          f"{sorted(opts)}")
+    if d == 1 and "points" in grid:
+        raise InvalidGrid("the d = 1 route integrates adaptively and takes "
+                          "no number of grid points; pass k_min or k_max")
+    opts.update(grid)
     if d == 1:
         return _levinson_1d(V, opts["k_min"], opts["k_max"], tol_residual)
     if d == 3:
@@ -587,9 +596,8 @@ def schatten_decay_exponent(V, d, lams=None):
     elif d == 3:
         lmax = choose_lmax(V, float(np.max(lams)))
         w = 2.0 * np.arange(lmax + 1) + 1.0
-        for i, lam in enumerate(lams):
-            delta = phase_shifts_3d(V, lam, lmax)
-            norms[i] = np.sum(w * np.abs(np.exp(2j * delta) - 1.0))
+        delta = phase_shift_rows(V, lams, lmax)
+        norms[:] = np.sum(w * np.abs(np.exp(2j * delta) - 1.0), axis=1)
     else:
         raise UnsupportedDimension(f"trace-norm sweep needs d in (1, 3), "
                                    f"got {d}")

@@ -82,7 +82,14 @@ class Potential1D:
 @dataclass(frozen=True)
 class RadialPotential:
     """Real radial potential, zero outside r > radius.  Dimension 3 is the
-    computable case; 2 and 4 are accepted for moment bookkeeping only."""
+    computable case; 2 and 4 are accepted for moment bookkeeping only.
+
+    v_of_r : callable evaluated on a whole array of radii at once, all in
+        [0, radius), returning an array of the same shape (or a scalar for a
+        constant potential); the moment quadratures also call it with a
+        single float.  Write it with numpy operations (np.where, np.interp,
+        ...) rather than Python conditionals.
+    """
 
     v_of_r: object
     radius: float
@@ -101,16 +108,17 @@ class RadialPotential:
     def square_well(cls, depth, radius=1.0, dim=3):
         d = float(depth)
         R = float(radius)
-        return cls(v_of_r=lambda r: -d if r < R else 0.0, radius=R, dim=dim,
-                   label=f"square_well(depth={d}, radius={R})")
+        return cls(v_of_r=lambda r: np.where(r < R, -d, 0.0), radius=R,
+                   dim=dim, label=f"square_well(depth={d}, radius={R})")
 
     def __call__(self, r):
+        """V at r (a float or an array of radii), with one call of v_of_r
+        on the radii inside the support; zero from the radius on."""
         r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return float(self.v_of_r(float(r))) if r < self.radius else 0.0
-        out = np.array([self.v_of_r(float(x)) if x < self.radius else 0.0
-                        for x in r])
-        return out
+        out = np.zeros(r.shape)
+        inside = r < self.radius
+        out[inside] = self.v_of_r(r[inside])
+        return float(out) if out.ndim == 0 else out
 
     def integral(self):
         """Integral of V over R^d (surface measure times radial moment)."""

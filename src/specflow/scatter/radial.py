@@ -2,14 +2,21 @@
 
 Partial-wave phase shifts come from Numerov integration of the reduced
 radial equation u'' = (l(l+1)/r^2 + V - lam) u.  The recursion is
-sequential in r but elementwise over l, so one ladder sweep produces every
-angular momentum channel at once.  Matching uses the solution at two radii
-in the force-free region against Riccati-Bessel functions, which needs no
-normalization of u and no derivative estimate.
+sequential in r but elementwise over energies and channels, so one sweep,
+`_numerov`, advances an energies x channels array node by node: each energy
+keeps its own step, grid length, renormalization cut-off and recorded
+nodes, and a whole phase-shift table comes out of a single recursion.  A
+single energy (`phase_shifts_3d`) and the zero-energy solution are
+one-energy calls of the same sweep.  Matching uses the solution at two
+radii in the force-free region against Riccati-Bessel functions, which
+needs no normalization of u and no derivative estimate.
 
-Potential values at grid nodes straddling a discontinuity are averaged over
-the two sides; for step potentials this restores the accuracy that a naive
-node sample loses at the interface.
+Each node takes the mean of V at the two half-step points beside it.  For a
+step potential this is the node value away from a jump and the two-sided
+average at one, which restores the accuracy that a naive node sample loses
+at the interface.  V vanishes beyond the support radius, so only half-step
+points inside it are evaluated, once per distinct step and in one call of V
+per sweep.
 
 Each channel's phase shift is defined modulo pi by the matching; tables
 over an energy grid are unwound downward from the highest energy, where
@@ -29,79 +36,156 @@ from ..errors import (
 RENORM_EVERY = 100
 
 
-def _grid(V, lam):
-    """Step size and node count: the grid hits the support radius exactly
-    and continues half a wavelength (capped) into the free region."""
-    k = np.sqrt(lam)
-    h_target = min(1e-3, 1.0 / (50.0 * k))
-    n_in = int(np.ceil(V.radius / h_target))
+def _grid(V, lams):
+    """Step sizes and node counts per energy: (h, n_in, n_tot).
+
+    Each grid hits the support radius exactly at node n_in and continues
+    half a wavelength (capped) into the free region, to node n_tot.
+    """
+    k = np.sqrt(lams)
+    h_target = np.minimum(1e-3, 1.0 / (50.0 * k))
+    n_in = np.ceil(V.radius / h_target).astype(int)
     h = V.radius / n_in
-    margin = max(10 * h, min(1.0, np.pi / (2.0 * k)))
-    n_out = int(np.ceil(margin / h))
+    margin = np.maximum(10 * h, np.minimum(1.0, np.pi / (2.0 * k)))
+    n_out = np.ceil(margin / h).astype(int)
     return h, n_in, n_in + n_out
 
 
-def _potential_on_grid(V, r, h):
-    """Node samples of V with two-sided averaging at jump nodes."""
-    v = V(r)
-    vl = V(np.maximum(r - h / 2.0, 0.0))
-    vr = V(r + h / 2.0)
-    scale = 1.0 + np.max(np.abs(v)) if v.size else 1.0
-    jump = np.abs(vl - vr) > 1e-8 * scale
-    v = np.where(jump, 0.5 * (vl + vr), v)
+def _node_potential(V, steps, n_in):
+    """Node samples v[i, g] of V at r = i steps[g], i = 0..max(n_in).
+
+    Node i takes 0.5 (V((i - 1/2) h) + V((i + 1/2) h)).  The half-step
+    points (j + 1/2) h with j >= n_in[g] lie beyond the support radius,
+    where V is zero, and are not evaluated; rows past a step's own radius
+    node hold zeros.  All steps share one call of V.
+    """
+    v = np.zeros((int(np.max(n_in)) + 1, len(steps)))
+    vals = V(np.concatenate([(np.arange(n) + 0.5) * h
+                             for h, n in zip(steps, n_in)]))
+    start = 0
+    for g, n in enumerate(n_in):
+        mids = np.append(vals[start:start + n], 0.0)
+        v[1:n + 1, g] = 0.5 * (mids[:-1] + mids[1:])
+        start += n
     return v
 
 
-def _numerov_sweep(f, h, ells, record_last=0, sign_rows=False,
-                   no_renorm_from=None):
-    """Run the Numerov recursion u_{i+1} from rows of f = u''/u.
+def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
+             count_nodes=False):
+    """Numerov recursion for an (energies x channels) array of solutions.
 
-    f has shape (n+1, L) over nodes r_i = i h, i = 0..n; row 0 is unused
-    (the centrifugal term is singular at the origin).  Starting values
-    implement u ~ r^{l+1} (1 + c r^2) with c from the leading Taylor
-    correction.  Columns are renormalized periodically so steep centrifugal
-    growth cannot overflow; renormalization stops before the nodes whose
-    ratios the caller will use.
+    Energy e runs on nodes r_i = i hs[e], i = 0..ns[e], with node
+    potential v_nodes[i, group[e]] (zero past the last row of v_nodes), so
+    f = u''/u = l(l+1)/r^2 + v - lams[e] is formed one node row at a time
+    from per-energy and per-channel vectors.  Node 0 is unused (the
+    centrifugal term is singular at the origin).  Starting values implement
+    u ~ r^{l+1} (1 + c r^2) with c from the leading Taylor correction.
+    Columns are renormalized periodically so steep centrifugal growth
+    cannot overflow; renormalization stops before the first recorded node
+    of each energy, so ratios of recorded values are exact.  Energies drop
+    out of the sweep at their own last node.
 
-    Returns (u_prev, u_cur) at the final two nodes, the list of recorded
-    trailing rows (last `record_last` of them, renormalization-free), and
-    the sign matrix of u over all nodes if sign_rows is set.
+    records[e] lists the nodes (>= 3) whose solution rows are returned as
+    out[e, j] = u(records[e, j]) over channels 0..lmax.  With count_nodes
+    the sign changes of u over nodes 1..ns[e] are counted per channel.
+    Returns (out, changes), changes None unless counted.
     """
-    n = f.shape[0] - 1
-    L = f.shape[1]
-    if no_renorm_from is None:
-        no_renorm_from = n - max(record_last, 8) - 2
-    A = 1.0 - (h * h / 12.0) * f
-    B = 2.0 + (5.0 * h * h / 6.0) * f
+    E = len(lams)
+    ells = np.arange(lmax + 1)
+    cent = ells * (ells + 1.0)
+    records = np.asarray(records)
+    first = records.min(axis=1)
+    if np.any(first < 3):
+        raise IntegrationFailure("recorded tail longer than the grid")
 
+    # sorted by grid length, the energies still running form a prefix
+    order = np.argsort(-np.asarray(ns), kind="stable")
+    lam, h, n, grp = lams[order], hs[order], ns[order], group[order]
+    records = records[order]
+    no_renorm_from = n - np.maximum(n - first[order] + 1, 8) - 2
+    hh12 = (h * h / 12.0)[:, None]
+    hh56 = (5.0 * h * h / 6.0)[:, None]
+    last_v = v_nodes.shape[0] - 1
+
+    def w_row(i, m):
+        return (v_nodes[i, grp[:m]] if i <= last_v else 0.0) - lam[:m]
+
+    hc = h[:, None]
+    cent_1 = cent / (hc * hc)
+    f1 = cent_1 + w_row(1, E)[:, None]
     # Taylor start u ~ r^{l+1}(1 + c r^2): c uses the potential part of f
     # only, not the centrifugal term already accounted for by the power law
-    c = (f[1] - ells * (ells + 1.0) / (h * h)) / (4.0 * ells + 6.0)
-    u_prev = (1.0 + c * h * h) * np.exp(-(ells + 1.0) * np.log(2.0))
-    u_cur = np.ones(L) * (1.0 + 4.0 * c * h * h)
+    c = (f1 - cent_1) / (4.0 * ells + 6.0)
+    u_prev = (1.0 + c * hc * hc) * np.exp(-(ells + 1.0) * np.log(2.0))
+    u_cur = 1.0 + 4.0 * c * hc * hc
+    f = cent / ((2 * hc) * (2 * hc)) + w_row(2, E)[:, None]
+    # rotating (energies x channels) buffers for consecutive nodes; only
+    # the leading m rows, the energies still running, are touched
+    u_next = np.empty_like(u_cur)
+    A_prev, A_cur, A_next = 1.0 - hh12 * f1, 1.0 - hh12 * f, np.empty_like(f)
+    B_cur, B_next = 2.0 + hh56 * f, np.empty_like(f)
+    tmp = np.empty_like(f)
 
-    signs = np.zeros((n + 1, L), dtype=np.int8) if sign_rows else None
-    if sign_rows:
-        signs[1] = np.sign(u_prev)
-        signs[2] = np.sign(u_cur)
-    tail = []
-    if record_last >= n - 1:
-        raise IntegrationFailure("recorded tail longer than the grid")
-    for i in range(2, n):
-        u_next = (B[i] * u_cur - A[i - 1] * u_prev) / A[i + 1]
-        u_prev, u_cur = u_cur, u_next
-        if sign_rows:
-            signs[i + 1] = np.sign(u_cur)
-        if i + 1 >= n - record_last + 1:
-            tail.append(u_cur.copy())
-        if i < no_renorm_from and i % RENORM_EVERY == 0:
-            scale = np.maximum(np.maximum(np.abs(u_prev), np.abs(u_cur)),
-                               1e-280)
-            u_prev = u_prev / scale
-            u_cur = u_cur / scale
-    if not (np.all(np.isfinite(u_prev)) and np.all(np.isfinite(u_cur))):
-        raise IntegrationFailure("radial recursion produced non-finite values")
-    return u_prev, u_cur, tail, signs
+    changes = None
+    if count_nodes:
+        changes = (np.sign(u_prev) * np.sign(u_cur) < 0).astype(int)
+    # node -> (energies, slots) recorded there
+    by_node = {}
+    for (e, j), node in np.ndenumerate(records):
+        es, js = by_node.setdefault(int(node), ([], []))
+        es.append(e)
+        js.append(j)
+    out = np.empty((E, records.shape[1], lmax + 1))
+
+    def check_finite(rows):
+        if not (np.all(np.isfinite(u_prev[rows]))
+                and np.all(np.isfinite(u_cur[rows]))):
+            raise IntegrationFailure(
+                "radial recursion produced non-finite values")
+
+    m = E
+    for i in range(2, int(n[0])):
+        # energies whose last node is i are complete
+        m_run = m
+        while n[m_run - 1] <= i:
+            m_run -= 1
+        if m_run < m:
+            check_finite(slice(m_run, m))
+            m = m_run
+        # f, A and B at node i + 1, then u_{i+1} from nodes i - 1 and i
+        r = h[:m] * (i + 1)
+        fm, an, bn, un, t = f[:m], A_next[:m], B_next[:m], u_next[:m], tmp[:m]
+        np.divide(cent, (r * r)[:, None], out=fm)
+        fm += w_row(i + 1, m)[:, None]
+        np.multiply(hh12[:m], fm, out=an)
+        np.subtract(1.0, an, out=an)
+        np.multiply(B_cur[:m], u_cur[:m], out=un)
+        np.multiply(A_prev[:m], u_prev[:m], out=t)
+        un -= t
+        un /= an
+        np.multiply(hh56[:m], fm, out=bn)
+        bn += 2.0
+        if count_nodes:
+            changes[:m] += np.sign(un) * np.sign(u_cur[:m]) < 0
+        u_prev, u_cur, u_next = u_cur, u_next, u_prev
+        A_prev, A_cur, A_next = A_cur, A_next, A_prev
+        B_cur, B_next = B_next, B_cur
+        hit = by_node.get(i + 1)
+        if hit is not None:
+            out[hit] = u_cur[hit[0]]
+        if i % RENORM_EVERY == 0:
+            renorm = i < no_renorm_from[:m]
+            if np.any(renorm):
+                scale = np.maximum(np.maximum(np.abs(u_prev[:m]),
+                                              np.abs(u_cur[:m])), 1e-280)
+                scale[~renorm] = 1.0
+                u_prev[:m] /= scale
+                u_cur[:m] /= scale
+    check_finite(slice(0, m))
+
+    back = np.empty_like(order)
+    back[order] = np.arange(E)
+    return out[back], (None if changes is None else changes[back])
 
 
 def _riccati(ells, x):
@@ -109,33 +193,30 @@ def _riccati(ells, x):
     return x * spherical_jn(ells, x), -x * spherical_yn(ells, x)
 
 
-def phase_shifts_3d(V, lam, lmax):
-    """Phase shifts delta_l, l = 0..lmax, at energy lam > 0 (principal
-    branch, each in (-pi/2, pi/2])."""
-    if lam <= 0:
+def phase_shift_rows(V, lams, lmax):
+    """Phase shifts delta_l(lam), l = 0..lmax, for every energy in lams
+    from one batched sweep: row e is the principal branch at lams[e], each
+    shift in (-pi/2, pi/2]."""
+    lams = np.asarray(lams, dtype=float)
+    bad = lams[~(lams > 0)]
+    if bad.size:
         raise EnergyNonpositive(f"scattering energy must be positive, "
-                                f"got {lam}")
-    k = np.sqrt(lam)
+                                f"got {bad[0]}")
     ells = np.arange(lmax + 1)
-    h, n_in, n_tot = _grid(V, lam)
-    r = h * np.arange(n_tot + 1)
-    v = _potential_on_grid(V, r, h)
-
-    f = np.empty((n_tot + 1, lmax + 1))
-    f[0] = 0.0
-    f[1:] = (ells * (ells + 1.0))[None, :] / (r[1:] ** 2)[None, :].T \
-        + (v[1:] - lam)[:, None]
+    h, n_in, n_tot = _grid(V, lams)
+    steps, first, group = np.unique(h, return_index=True,
+                                    return_inverse=True)
+    v_nodes = _node_potential(V, steps, n_in[first])
 
     # the two matching nodes: midway through the free margin, and the end
-    idx_a = n_in + (n_tot - n_in) // 2
-    if idx_a < n_in + 2:
-        idx_a = n_in + 2
-    keep = n_tot - idx_a + 1
-    _, _, tail, _ = _numerov_sweep(f, h, ells, record_last=keep)
-    u_a, u_b = tail[0], tail[-1]
+    idx_a = np.maximum(n_in + (n_tot - n_in) // 2, n_in + 2)
+    rows, _ = _numerov(lams, h, n_tot, v_nodes, group, lmax,
+                       np.stack([idx_a, n_tot], axis=1))
+    u_a, u_b = rows[:, 0], rows[:, 1]
 
-    sa, ca = _riccati(ells, k * r[idx_a])
-    sb, cb = _riccati(ells, k * r[n_tot])
+    k = np.sqrt(lams)[:, None]
+    sa, ca = _riccati(ells, k * (h * idx_a)[:, None])
+    sb, cb = _riccati(ells, k * (h * n_tot)[:, None])
     with np.errstate(over="ignore", invalid="ignore"):
         num = u_b * sa - u_a * sb
         den = u_a * cb - u_b * ca
@@ -147,6 +228,12 @@ def phase_shifts_3d(V, lam, lmax):
     # representable size
     delta = np.where(np.isfinite(delta), delta, 0.0)
     return delta
+
+
+def phase_shifts_3d(V, lam, lmax):
+    """Phase shifts delta_l, l = 0..lmax, at energy lam > 0 (principal
+    branch, each in (-pi/2, pi/2])."""
+    return phase_shift_rows(V, [lam], lmax)[0]
 
 
 class PhaseShiftTable:
@@ -175,7 +262,7 @@ class PhaseShiftTable:
 
 def build_phase_table(V, energies, lmax):
     energies = np.sort(np.asarray(energies, dtype=float))
-    rows = np.array([phase_shifts_3d(V, lam, lmax) for lam in energies])
+    rows = phase_shift_rows(V, energies, lmax)
     unwound = np.unwrap(rows[::-1], axis=0, period=np.pi)[::-1]
     return PhaseShiftTable(energies, unwound,
                            truncation=np.max(np.abs(unwound[:, -1])))
@@ -208,30 +295,22 @@ def _zero_energy_radial(V, lmax):
     h_target = 1e-3
     n_in = int(np.ceil(V.radius / h_target))
     h = V.radius / n_in
-    r = h * np.arange(n_in + 1)
-    v = _potential_on_grid(V, r, h)
+    v = _node_potential(V, [h], [n_in])
     # the sweep ends exactly at the support edge, so the final node takes
     # the one-sided interior limit, not the jump average; the averaged
     # value perturbs u(R) by O(h^2 v0) and the one-sided derivative
     # stencil amplifies that by 1/h
     v[-1] = V(V.radius * (1.0 - 1e-12))
-    ells = np.arange(lmax + 1)
 
-    f = np.empty((n_in + 1, lmax + 1))
-    f[0] = 0.0
-    f[1:] = (ells * (ells + 1.0))[None, :] / (r[1:] ** 2)[None, :].T \
-        + v[1:, None]
-
-    _, _, tail, signs = _numerov_sweep(f, h, ells, record_last=5,
-                                       sign_rows=True)
-    rows = np.stack(tail)
+    out, changes = _numerov(np.zeros(1), np.array([h]), np.array([n_in]), v,
+                            np.zeros(1, dtype=int), lmax,
+                            np.arange(n_in - 4, n_in + 1)[None, :],
+                            count_nodes=True)
+    rows = out[0]
     u_R = rows[-1]
     du_R = (25.0 * rows[-1] - 48.0 * rows[-2] + 36.0 * rows[-3]
             - 16.0 * rows[-4] + 3.0 * rows[-5]) / (12.0 * h)
-
-    s = signs[1:]
-    changes = np.sum((s[:-1] * s[1:]) < 0, axis=0)
-    return u_R, du_R, changes
+    return u_R, du_R, changes[0]
 
 
 def _tail_zero_radial(ells, u, du, R):
@@ -311,6 +390,7 @@ __all__ = [
     "bound_states_radial",
     "build_phase_table",
     "choose_lmax",
+    "phase_shift_rows",
     "phase_shifts_3d",
     "smatrix_diag_radial",
     "smatrix_radial",

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from specflow.cli import main
+from specflow.cli import main, potential_from_file
 
 
 def run_lines(argv, capsys):
@@ -106,6 +106,19 @@ def test_levinson_1d(capsys):
     assert res["classification"] == "none"
 
 
+def test_levinson_1d_rejects_grid(capsys):
+    rc, recs = run_lines(["levinson", "--dim", "1", "--well",
+                          "depth=20,halfwidth=1", "--grid", "50"], capsys)
+    assert rc == 2
+    assert recs[-1]["result"]["error"]["type"] == "InvalidGrid"
+
+
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--lmax", "4"]])
+def test_unused_flags_are_gone(flag):
+    with pytest.raises(SystemExit):
+        main(["levinson", "--dim", "1", "--well", "depth=2"] + flag)
+
+
 def test_levinson_potential_file(tmp_path, capsys):
     pot = tmp_path / "well.json"
     pot.write_text(json.dumps({"dimension": 1,
@@ -115,6 +128,17 @@ def test_levinson_potential_file(tmp_path, capsys):
     assert rc == 0
     assert recs[-1]["result"]["N"] == 2
     assert recs[-1]["result"]["verdict"] == "pass"
+
+
+def test_sampled_radial_potential_file(tmp_path):
+    pot = tmp_path / "radial.json"
+    pot.write_text(json.dumps({"dimension": 3, "radius": 1.0,
+                               "samples": [[0.0, -4.0], [0.5, -2.0],
+                                           [1.0, 0.0]]}))
+    V = potential_from_file(str(pot))
+    r = np.array([0.0, 0.25, 0.75, 1.0, 2.0])
+    assert np.allclose(V(r), [-4.0, -3.0, -1.0, 0.0, 0.0], atol=1e-15)
+    assert V(0.25) == -3.0
 
 
 def test_levinson_requires_potential(capsys):

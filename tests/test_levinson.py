@@ -5,6 +5,7 @@ import pytest
 
 from specflow.errors import (
     Inconclusive,
+    InvalidGrid,
     OracleDisagreement,
     TailNotConverged,
     UnsupportedDimension,
@@ -161,6 +162,13 @@ def test_levinson_grid_and_dimension_validation():
         levinson_verify(WELL3, 5)
     with pytest.raises(TypeError):
         levinson_verify(WELL1, 1, grid="fine")
+    # the adaptive d = 1 route has no node count to set
+    with pytest.raises(InvalidGrid):
+        levinson_verify(WELL1, 1, grid=200)
+    with pytest.raises(InvalidGrid):
+        levinson_verify(WELL1, 1, grid={"points": 200})
+    with pytest.raises(InvalidGrid):
+        levinson_verify(WELL3, 3, grid={"kmax": 50.0})
     rep = levinson_verify(Potential1D.square_well(2.0), 1,
                           grid={"k_max": 80.0})
     assert rep.verdict == "pass"

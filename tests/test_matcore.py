@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from specflow.errors import InvalidOrder, NonUnitary
+from specflow import matcore
+from specflow.errors import DecompositionFailure, InvalidOrder, NonUnitary
 from specflow.matcore import (
     abs_power,
     check_unitary,
@@ -85,6 +86,34 @@ def test_abs_power_semigroup(rng):
     A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     prod = abs_power(A, 0.4) @ abs_power(A, 0.85)
     assert np.linalg.norm(prod - abs_power(A, 1.25)) < 1e-10
+
+
+def _gesdd_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def test_abs_power_falls_back_to_gesvd(rng, monkeypatch):
+    A = haar_unitary(6, rng) - np.eye(6)
+    want = abs_power(A, 0.75)
+    calls = []
+
+    def gesvd_only(M, lapack_driver):
+        calls.append(lapack_driver)
+        return matcore_svd(M, lapack_driver=lapack_driver)
+
+    matcore_svd = matcore.svd
+    monkeypatch.setattr(np.linalg, "svd", _gesdd_fails)
+    monkeypatch.setattr(matcore, "svd", gesvd_only)
+    got = abs_power(A, 0.75)
+    assert calls == ["gesvd"]
+    assert np.linalg.norm(got - want, ord=2) < 1e-12
+
+
+def test_abs_power_raises_when_both_drivers_fail(rng, monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", _gesdd_fails)
+    monkeypatch.setattr(matcore, "svd", _gesdd_fails)
+    with pytest.raises(DecompositionFailure):
+        abs_power(haar_unitary(3, rng) - np.eye(3), 1.0)
 
 
 def test_abs_power_integral_representation(rng):

@@ -20,6 +20,7 @@ from specflow.scatter import (
     threshold_statistics_radial,
 )
 from specflow.scatter.potentials import SPHERE_VOLUMES
+from specflow.scatter.radial import _grid, phase_shift_rows
 
 WELL3 = RadialPotential.square_well(3.0)
 
@@ -173,3 +174,83 @@ def test_choose_lmax_scales_with_energy():
     assert low == 20
     assert high == 116
     assert np.abs(phase_shifts_3d(WELL3, 1e4, high)[-1]) < 1e-8
+
+
+# Phase shifts of channels 0..3 frozen from the per-energy Numerov solver
+# that preceded the batched sweep.  The energies straddle k = 20, below
+# which every grid shares the step 1e-3 and above which the step shrinks
+# like 1/(50 k).
+FROZEN_SHIFTS = {
+    3.0: {
+        0.04: [-0.7815187342766238, 0.0007511631729175683,
+               7.018430596694714e-07, 4.1855541255131357e-10],
+        2.0: [1.0489292728355109, 0.2284112621814569,
+              0.01036466026037619, 0.00031244820114206817],
+        60.0: [0.19333376841981442, 0.1831793802467523,
+               0.1924934863066925, 0.15692965857301244],
+        400.0: [0.07366788178200911, 0.07571876357528984,
+                0.07357208325521203, 0.07391455863135121],
+        1600.0: [0.0379504116552698, 0.036990258360846795,
+                 0.037879116612847596, 0.03688631097404382],
+        6400.0: [0.018726426802873952, 0.018763421889345544,
+                 0.01872631229081989, 0.018734211254067823],
+    },
+    np.pi ** 2 / 4.0: {
+        0.04: [1.4708683045912254, 0.0005747432358553795,
+               5.61482790040202e-07, 3.3906610852341146e-10],
+        2.0: [0.8902994489464193, 0.1696884534534835,
+              0.008225231551692858, 0.000252613707524052],
+        60.0: [0.158674334425831, 0.15158819654522349,
+               0.15818224047342566, 0.12920646721422546],
+        400.0: [0.0605783004127467, 0.06233085584084197,
+                0.06049252868726329, 0.06085302503330059],
+        1600.0: [0.03121537547319031, 0.030425727049383955,
+                 0.031157495017894554, 0.030338948148373124],
+        6400.0: [0.015401563803314922, 0.01543325500890047,
+                 0.015401461358294899, 0.01540923680149886],
+    },
+}
+
+
+@pytest.mark.parametrize("depth", sorted(FROZEN_SHIFTS))
+def test_phase_shifts_frozen_values(depth):
+    V = RadialPotential.square_well(depth)
+    for lam, want in FROZEN_SHIFTS[depth].items():
+        got = phase_shifts_3d(V, lam, 3)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+
+def test_batched_sweep_matches_single_energies():
+    # a mixed batch: energies sharing the step 1e-3 (k <= 20), energies
+    # with their own finer steps (k > 20), grids of different lengths, and
+    # one energy repeated
+    lams = np.array([3.0e3, 0.05, 900.0, 2.5, 0.05, 9.0e3, 120.0])
+    steps = _grid(WELL3, lams)[0]
+    assert len(np.unique(steps)) == 4
+    batch = phase_shift_rows(WELL3, lams, 12)
+    assert batch.shape == (len(lams), 13)
+    for lam, row in zip(lams, batch):
+        np.testing.assert_allclose(row, phase_shifts_3d(WELL3, lam, 12),
+                                   rtol=0.0, atol=1e-13)
+    with pytest.raises(EnergyNonpositive):
+        phase_shift_rows(WELL3, [1.0, 0.0], 2)
+
+
+def test_radial_potential_array_call_matches_scalar_calls():
+    R = 1.5
+    radii = np.array([0.0, 0.3, R - 1e-12, R, R + 1e-12, 4.0])
+    # the square root is undefined beyond the radius, where V must still
+    # read zero: v_of_r only ever sees radii inside the support
+    smooth = RadialPotential(v_of_r=lambda r: -np.sqrt(R - r), radius=R)
+    for V in (RadialPotential.square_well(2.0, radius=R), smooth):
+        vals = V(radii)
+        assert vals.shape == radii.shape
+        scalars = [V(float(x)) for x in radii]
+        assert all(isinstance(x, float) for x in scalars)
+        assert np.array_equal(vals, scalars)
+        assert vals[3] == 0.0 and V(R) == 0.0
+        assert np.array_equal(V(radii.reshape(2, 3)), vals.reshape(2, 3))
+    assert RadialPotential.square_well(2.0, radius=R)(0.3) == -2.0
+    # a constant callable is broadcast over the radii inside the support
+    flat = RadialPotential(v_of_r=lambda r: 5.0, radius=1.0)
+    assert np.array_equal(flat(np.array([0.5, 0.9, 1.0])), [5.0, 5.0, 0.0])
