@@ -1,9 +1,11 @@
 """specflow: spectral flow of identity-plus-Schatten unitary paths.
 
-Four independent engines compute the flow of eigenvalues through -1 along
+Three independent routes compute the flow of eigenvalues through -1 along
 a path of unitaries: an eigenvalue-crossing count with a certified
-partition, two regularized winding one-form integrals, and the
-log-derivative of a regularized Fredholm determinant.  On top of these sit
+partition and two regularized winding one-form integrals (the alpha and
+beta forms).  The log-derivative of a regularized Fredholm determinant,
+`sf_det`, is the alpha integral at order n = p - 1 written as the paper
+states it, not a further cross-check.  On top of these sit
 geodesically capped open paths, the Cayley correspondence with self-adjoint
 operators on subspaces, and a scattering-theory application verifying
 Levinson's theorem in one and three dimensions.

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOrder, SpecflowError
-from .matcore import abs_power, check_unitary, eig_unitary, herm_power, schatten_norm
+from .matcore import (check_order, check_unitary, eig_unitary, form_trace,
+                      gamma_constant, herm_power, schatten_norm)
 
 ANGLE_TOL = 1e-9
 
@@ -156,19 +157,14 @@ def cayley_form_identity(U, X, n):
     They agree because (C(U) - i)^{-1} = (1/2i)(U - Id) on V and the powers
     vanish on the complement.
     """
-    from .matcore import gamma_constant
-
-    if n != int(n) or n < 1:
-        raise InvalidOrder(f"n must be a positive integer, got {n}")
-    n = int(n)
+    n = check_order("n", n, 1, integer=True)
     U = check_unitary(U)
     X = np.asarray(X, dtype=complex)
     op = cayley(U)
     const = gamma_constant(n / 2.0)
     half_i = 1.0 / 2j
     lhs = const * half_i * np.trace(X @ np.linalg.matrix_power(op.resolvent, n))
-    rhs = const * half_i ** (n + 1) * np.trace(
-        X @ np.linalg.matrix_power(U - np.eye(U.shape[0]), n))
+    rhs = const * half_i ** (n + 1) * form_trace(X, U, "n", n)
     return complex(lhs), complex(rhs)
 
 
@@ -179,19 +175,14 @@ def cayley_form_identity_beta(U, X, r):
       -C_r (1/2) Tr_V(X |C(U) - i|^{-2r})  and
       -C_r (1/2)^{2r+1} Tr(X |U - Id|^{2r}).
     """
-    from .matcore import gamma_constant
-
-    if r < 0:
-        raise InvalidOrder(f"r must be >= 0, got {r}")
-    r = float(r)
+    r = check_order("r", r, 0)
     U = check_unitary(U)
     X = np.asarray(X, dtype=complex)
     op = cayley(U)
     const = -gamma_constant(r)
     R = op.resolvent
     lhs = const * 0.5 * np.trace(X @ herm_power(R.conj().T @ R, r))
-    rhs = const * 0.5 ** (2 * r + 1) * np.trace(
-        X @ abs_power(U - np.eye(U.shape[0]), r))
+    rhs = const * 0.5 ** (2 * r + 1) * form_trace(X, U, "r", r)
     return complex(lhs), complex(rhs)
 
 

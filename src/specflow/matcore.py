@@ -102,6 +102,33 @@ def abs_power(A, x):
     return (Vh.conj().T * s ** (2.0 * x)) @ Vh
 
 
+def check_order(name, order, least, integer=False):
+    """Return a regularisation order checked to be >= `least` (and >= 0).
+
+    With `integer` the order must also be a whole number and is returned
+    as an int, else as a float.  This is the one order check behind the
+    winding forms, endpoint integrals, determinants and Cayley identities;
+    `least` is compared with a 1e-12 allowance for rounding in
+    Schatten-derived bounds such as (p - 1)/2.
+    """
+    if order < 0 or order < least - 1e-12 or (integer and order != int(order)):
+        kind = "an integer >= " if integer else ">= "
+        raise InvalidOrder(f"{name} must be {kind}{least}, got {order}")
+    return int(order) if integer else float(order)
+
+
+def form_trace(X, U, kind, order):
+    """Tr(X g(U - Id)) with g(A) = A^n (kind "n") or |A|^{2r} (kind "r").
+
+    The one trace kernel of the regularised winding forms: with X = U* U'
+    it is the un-normalised alpha (kind "n") or beta (kind "r") integrand.
+    """
+    A = U - np.eye(U.shape[0])
+    if kind == "n":
+        return np.trace(X @ np.linalg.matrix_power(A, order))
+    return np.trace(X @ abs_power(A, order))
+
+
 def gamma_constant(x):
     """The normalization constant Gamma(x+1) / (sqrt(pi) * Gamma(x+1/2)).
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidOrder, OutsideInterval
-from .matcore import check_unitary, eig_unitary
+from .errors import OutsideInterval
+from .matcore import check_order, check_unitary, eig_unitary, form_trace
 
 
 @dataclass
@@ -39,6 +39,20 @@ def _pack(factors):
     return DetValue(value=complex(value), log_value=log_value, conditioning=cond)
 
 
+def counterterm_series(x, p):
+    """sum_{l=1}^{p-1} ((-1)^l / l) x^l, elementwise over the array x.
+
+    The per-eigenvalue exponent of the order-p counterterm: x = z - 1 for
+    an eigenvalue z of a unitary, x = lam for an eigenvalue of a
+    perturbation A.
+    """
+    x = np.asarray(x, dtype=complex)
+    w = np.zeros_like(x)
+    for ell in range(1, p):
+        w = w + (-1) ** ell / ell * x ** ell
+    return w
+
+
 def fredholm_det(A):
     """Det(Id + A) as the product of (1 + eigenvalues of A)."""
     A = np.asarray(A, dtype=complex)
@@ -54,23 +68,20 @@ def det_p_perturbation(A, p):
     determinant.  This is the form used for discretized integral operators,
     where A is a quadrature matrix rather than a unitary defect.
     """
-    if p != int(p) or p < 1:
-        raise InvalidOrder(f"p must be a positive integer, got {p}")
-    p = int(p)
-    A = np.asarray(A, dtype=complex)
-    lam = np.linalg.eigvals(A)
-    w = np.zeros_like(lam)
-    for ell in range(1, p):
-        w = w + (-1) ** ell / ell * lam ** ell
-    return _pack((1.0 + lam) * np.exp(w))
+    p = check_order("p", p, 1, integer=True)
+    lam = np.linalg.eigvals(np.asarray(A, dtype=complex))
+    return _pack((1.0 + lam) * np.exp(counterterm_series(lam, p)))
 
 
 def counterterm_exponent(U, p):
-    """sum_{l=1}^{p-1} ((-1)^l / l) Tr((U - Id)^l)."""
+    """sum_{l=1}^{p-1} ((-1)^l / l) Tr((U - Id)^l).
+
+    Formed from matrix powers rather than eigenvalues, so the reduced
+    formula Det(U) exp(counterterm_exponent(U, p)) checks `det_p`
+    independently of its per-eigenvalue `counterterm_series`.
+    """
     U = np.asarray(U, dtype=complex)
-    if p != int(p) or p < 1:
-        raise InvalidOrder(f"p must be a positive integer, got {p}")
-    p = int(p)
+    p = check_order("p", p, 1, integer=True)
     eye = np.eye(U.shape[0])
     B = U - eye
     total = 0.0 + 0j
@@ -89,34 +100,26 @@ def det_p(U, p):
     and the determinant is a product over eigenangles.
     """
     U = check_unitary(U)
-    if p != int(p) or p < 1:
-        raise InvalidOrder(f"p must be a positive integer, got {p}")
-    p = int(p)
+    p = check_order("p", p, 1, integer=True)
     angles, _ = eig_unitary(U)
     z = np.exp(1j * angles)
-    w = np.zeros_like(z)
-    for ell in range(1, p):
-        w = w + (-1) ** ell / ell * (z - 1.0) ** ell
-    return _pack(z * np.exp(w))
+    return _pack(z * np.exp(counterterm_series(z - 1.0, p)))
 
 
 def logderiv_det_p(path, t, p):
     """d/dt Log Det_p(U_t) evaluated through the trace identity.
 
-    Equals Tr(U* U' (Id - U)^{p-1}); for p = 1 this is the classical winding
-    integrand Tr(U* U').
+    Equals Tr(U* U' (Id - U)^{p-1}) = (-1)^{p-1} Tr(U* U' (U - Id)^{p-1}),
+    the alpha winding integrand at n = p - 1; for p = 1 this is the
+    classical winding integrand Tr(U* U').
     """
-    if p != int(p) or p < 1:
-        raise InvalidOrder(f"p must be a positive integer, got {p}")
+    p = check_order("p", p, 1, integer=True)
     a, b = path.interval
     if not (a <= t <= b):
         raise OutsideInterval(f"parameter {t} outside {path.interval}")
-    p = int(p)
     U = path(t)
-    Ud = path.derivative(t)
-    eye = np.eye(U.shape[0])
-    return complex(np.trace(U.conj().T @ Ud
-                            @ np.linalg.matrix_power(eye - U, p - 1)))
+    X = U.conj().T @ path.derivative(t)
+    return complex((-1) ** (p - 1) * form_trace(X, U, "n", p - 1))
 
 
 def logdet_p_vs_logdet(path, t, p):

@@ -37,7 +37,7 @@ from ..errors import (
     TailNotConverged,
     UnsupportedDimension,
 )
-from ..rdet import counterterm_exponent
+from ..rdet import counterterm_exponent, counterterm_series
 from ..sflow import SpectralFlowReport, sf_phillips
 from ..upath import UnitaryPath, concatenate_many, generator_path, \
     geodesic_between
@@ -384,7 +384,7 @@ def _levinson_3d(V, k_min, k_max, points, tol_residual):
     S0_diag = np.ones(lmax + 1, dtype=complex)
     if s_rank:
         S0_diag[0] = -1.0
-    H0 = complex(np.sum(w * _h_terms(S0_diag, 3)))
+    H0 = complex(np.sum(w * counterterm_series(S0_diag - 1.0, 3)))
     correction = 0.5 * s_rank
 
     sf_reg = I_reg + H0 / (2j * np.pi) + correction
@@ -416,14 +416,6 @@ def _levinson_3d(V, k_min, k_max, points, tol_residual):
         poly=poly, correction=correction, tol_residual=tol_residual,
         alt_convention_sf=None, per_wave=per_wave, data=data,
     )
-
-
-def _h_terms(diag, d):
-    z = np.asarray(diag, dtype=complex)
-    out = np.zeros_like(z)
-    for ell in range(1, d):
-        out += (-1) ** ell / ell * (z - 1.0) ** ell
-    return out
 
 
 def _phillips_3d(data, classification, k_min, k_max, margin=0.5):

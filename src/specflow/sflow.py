@@ -1,6 +1,6 @@
-"""Spectral flow of unitary paths through the point -1, by four routes.
+"""Spectral flow of unitary paths through -1.
 
-The four engines are deliberately independent:
+Three independent routes compute the flow:
 
 * `sf_phillips` tracks eigenvalues and counts signed crossings of -1 using
   arc counts k(t, eps) at partition breakpoints; exact integer output with a
@@ -9,8 +9,12 @@ The four engines are deliberately independent:
   Tr(U* U' (U - Id)^n), admissible for n >= p - 1.
 * `sf_beta` integrates the absolute-value form with integrand
   Tr(U* U' |U - Id|^{2r}), admissible for r >= (p - 1)/2.
-* `sf_det` integrates the log-derivative of the regularized determinant,
-  with integrand Tr(U* U' (Id - U)^{p-1}).
+
+Both integral routes go through `_winding`, which evaluates the trace form
+with `matcore.form_trace`.  `sf_det` states the paper's determinant form:
+the log-derivative of Det_p is Tr(U* U' (Id - U)^{p-1}), which is the alpha
+integrand at n = p - 1, so `sf_det` is that alpha integral and not a
+cross-check.
 
 For open paths, geodesic endpoint caps e^{tY} (principal log generators)
 close the path, and the Theta/Xi endpoint integrals express the capped flow
@@ -31,8 +35,9 @@ from .errors import (
     PartitionFailure,
     RouteDisagreement,
 )
-from .matcore import abs_power, eig_unitary, gamma_constant, principal_log_unitary
-from .upath import UnitaryPath, cap_into, cap_outof, concatenate_many
+from .matcore import (check_order, eig_unitary, form_trace, gamma_constant,
+                      principal_log_unitary)
+from .upath import cap_into, cap_outof, concatenate_many
 
 DEFAULT_EPSABS = 1e-9
 DEFAULT_LIMIT = 10000
@@ -100,18 +105,35 @@ def _integrate_path(f, path, epsabs=DEFAULT_EPSABS, limit=DEFAULT_LIMIT):
     return val, float(np.real(err)), warns
 
 
-def _validate_order(path, kind, order):
+def _form(path, kind, order):
+    """The checked order of a winding form and its normalisation.
+
+    Kind "n" is the alpha form, admissible for integer n >= p - 1 and
+    normalised by (-1)^n / (2 pi i); kind "r" is the beta form, admissible
+    for real r >= (p - 1)/2 and normalised by -i C_r (1/2)^{2r+1}.
+    """
     p = path.schatten_order
     if kind == "n":
-        if order < p - 1 - 1e-12 or order != int(order) or order < 0:
-            raise InvalidOrder(
-                f"n must be an integer >= p-1 = {p - 1}, got {order}")
-    elif kind == "r":
-        if order < (p - 1) / 2.0 - 1e-12 or order < 0:
-            raise InvalidOrder(f"r must be >= (p-1)/2 = {(p - 1) / 2}, got {order}")
-    elif kind == "p":
-        if order != int(order) or order < 1:
-            raise InvalidOrder(f"p must be a positive integer, got {order}")
+        n = check_order("n", order, p - 1, integer=True)
+        return n, lambda val: (-1) ** n * val / (2j * np.pi)
+    r = check_order("r", order, (p - 1) / 2.0)
+    const = -1j * gamma_constant(r) * 0.5 ** (2 * r + 1)
+    return r, lambda val: const * val
+
+
+def _winding(path, kind, order, epsabs, limit):
+    """Normalised integral of Tr(U* U' g(U - Id)) over the path.
+
+    Returns (value, checked order, quadrature error, warnings).
+    """
+    order, normalise = _form(path, kind, order)
+
+    def integrand(t):
+        U = path(t)
+        return form_trace(U.conj().T @ path.derivative(t), U, kind, order)
+
+    val, err, warns = _integrate_path(integrand, path, epsabs, limit)
+    return normalise(val), order, err, warns
 
 
 # ---------------------------------------------------------------------------
@@ -121,62 +143,55 @@ def _validate_order(path, kind, order):
 def sf_alpha(path, n, epsabs=DEFAULT_EPSABS, limit=DEFAULT_LIMIT, closed_tol=1e-8):
     """Winding via (-1)^n (1/2 pi i) Integral Tr(U* U' (U - Id)^n) dt."""
     path.check_closed(tol=closed_tol)
-    _validate_order(path, "n", n)
-    n = int(n)
-    eye = np.eye(path.dim)
-
-    def integrand(t):
-        U = path(t)
-        Ud = path.derivative(t)
-        return np.trace(U.conj().T @ Ud @ np.linalg.matrix_power(U - eye, n))
-
-    val, err, warns = _integrate_path(integrand, path, epsabs, limit)
-    raw = (-1) ** n * val / (2j * np.pi)
+    raw, n, err, warns = _winding(path, "n", n, epsabs, limit)
     return _finish(raw, "alpha", {"n": n, "quad_error": err}, warns)
 
 
 def sf_beta(path, r, epsabs=DEFAULT_EPSABS, limit=DEFAULT_LIMIT, closed_tol=1e-8):
     """Winding via -i C_r (1/2)^{2r+1} Integral Tr(U* U' |U - Id|^{2r}) dt."""
     path.check_closed(tol=closed_tol)
-    _validate_order(path, "r", r)
-    r = float(r)
-    eye = np.eye(path.dim)
-    const = -1j * gamma_constant(r) * 0.5 ** (2 * r + 1)
-
-    def integrand(t):
-        U = path(t)
-        Ud = path.derivative(t)
-        return np.trace(U.conj().T @ Ud @ abs_power(U - eye, r))
-
-    val, err, warns = _integrate_path(integrand, path, epsabs, limit)
-    raw = const * val
+    raw, r, err, warns = _winding(path, "r", r, epsabs, limit)
     return _finish(raw, "beta", {"r": r, "quad_error": err}, warns)
 
 
 def sf_det(path, p, epsabs=DEFAULT_EPSABS, limit=DEFAULT_LIMIT, closed_tol=1e-8):
     """Winding of the regularized determinant Det_p along the loop.
 
-    The integrand is the log-derivative d/dt Log Det_p(U_t), which for the
-    order-p counterterm reduces to the trace form Tr(U* U' (Id - U)^{p-1});
-    the winding is its integral divided by 2 pi i.
+    The integrand is the log-derivative d/dt Log Det_p(U_t) =
+    Tr(U* U' (Id - U)^{p-1}) = (-1)^{p-1} Tr(U* U' (U - Id)^{p-1}), so the
+    winding is the alpha integral at n = p - 1; p must be an integer no
+    smaller than the path's Schatten order.  This is the paper's
+    determinant statement, not a route independent of `sf_alpha`.
     """
     path.check_closed(tol=closed_tol)
-    _validate_order(path, "p", p)
-    p = int(p)
-    eye = np.eye(path.dim)
-
-    def integrand(t):
-        U = path(t)
-        Ud = path.derivative(t)
-        return np.trace(U.conj().T @ Ud @ np.linalg.matrix_power(eye - U, p - 1))
-
-    val, err, warns = _integrate_path(integrand, path, epsabs, limit)
-    raw = val / (2j * np.pi)
+    p = check_order("p", p, path.schatten_order, integer=True)
+    raw, _, err, warns = _winding(path, "n", p - 1, epsabs, limit)
     return _finish(raw, "det", {"p": p, "quad_error": err}, warns)
 
 
 # ---------------------------------------------------------------------------
 # endpoint corrections for open paths
+
+
+def _cap_integral(U, kind, order, epsabs):
+    """Integral_0^1 Tr(Y g(e^{tY} - Id)) dt along the geodesic cap Id -> U.
+
+    Y is the principal logarithm of U and g(x) = x^n (kind "n") or |x|^{2r}
+    (kind "r"); on the eigenangles theta of U the trace is a sum over
+    i theta g(e^{i t theta} - 1), with |e^{is} - 1|^2 = 4 sin^2(s/2).
+    """
+    order = check_order(kind, order, 0, integer=kind == "n")
+    angles, _ = eig_unitary(U)
+    iang = 1j * angles
+
+    def integrand(t):
+        if kind == "n":
+            return np.sum(iang * (np.exp(t * iang) - 1.0) ** order)
+        return np.sum(iang * (4.0 * np.sin(t * angles / 2.0) ** 2) ** order)
+
+    val, _ = quad(integrand, 0.0, 1.0, complex_func=True, epsabs=epsabs,
+                  limit=DEFAULT_LIMIT)
+    return order, val
 
 
 def theta_endpoint(U, n, epsabs=DEFAULT_EPSABS):
@@ -185,15 +200,7 @@ def theta_endpoint(U, n, epsabs=DEFAULT_EPSABS):
     where Y is the principal logarithm of U.  This is the alpha-integral of
     the geodesic cap from Id to U; Theta(Id) = 0.
     """
-    n = int(n)
-    angles, _ = eig_unitary(U)
-    iang = 1j * angles
-
-    def integrand(t):
-        return np.sum(iang * (np.exp(t * iang) - 1.0) ** n)
-
-    val, _ = quad(integrand, 0.0, 1.0, complex_func=True, epsabs=epsabs,
-                  limit=DEFAULT_LIMIT)
+    n, val = _cap_integral(U, "n", n, epsabs)
     return (-1) ** n * val / (2j * np.pi)
 
 
@@ -203,16 +210,7 @@ def xi_endpoint(U, r, epsabs=DEFAULT_EPSABS):
     The caller applies the beta normalization -i C_r (1/2)^{2r+1}; this keeps
     the two endpoint integrals structurally parallel.
     """
-    r = float(r)
-    angles, _ = eig_unitary(U)
-    iang = 1j * angles
-
-    def integrand(t):
-        return np.sum(iang * (4.0 * np.sin(t * angles / 2.0) ** 2) ** r)
-
-    val, _ = quad(integrand, 0.0, 1.0, complex_func=True, epsabs=epsabs,
-                  limit=DEFAULT_LIMIT)
-    return val
+    return _cap_integral(U, "r", r, epsabs)[1]
 
 
 def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS,
@@ -233,6 +231,8 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS,
     """
     if (n is None) == (r is None):
         raise InvalidOrder("pass exactly one of n (alpha form) or r (beta form)")
+    kind, order = ("n", n) if r is None else ("r", r)
+    order, normalise = _form(path, kind, order)
     a, b = path.interval
     U0, U1 = path(a), path(b)
     Y = principal_log_unitary(U0)
@@ -245,38 +245,15 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS,
     closed = concatenate_many([cap_into(U0), path, cap_outof(U1)])
     phillips = sf_phillips(closed, **(phillips_kwargs or {}))
 
-    if n is not None:
-        _validate_order(path, "n", n)
-        nn = int(n)
-        eye = np.eye(path.dim)
-
-        def integrand(t):
-            U = path(t)
-            Ud = path.derivative(t)
-            return np.trace(U.conj().T @ Ud
-                            @ np.linalg.matrix_power(U - eye, nn))
-
-        val, err, warns = _integrate_path(integrand, path, epsabs, limit)
-        body = (-1) ** nn * val / (2j * np.pi)
-        correction = theta_endpoint(U0, nn, epsabs) - theta_endpoint(U1, nn, epsabs)
-        params = {"n": nn, "quad_error": err}
+    body, _, err, warns = _winding(path, kind, order, epsabs, limit)
+    if kind == "n":
+        correction = (theta_endpoint(U0, order, epsabs)
+                      - theta_endpoint(U1, order, epsabs))
     else:
-        _validate_order(path, "r", r)
-        rr = float(r)
-        eye = np.eye(path.dim)
-        const = -1j * gamma_constant(rr) * 0.5 ** (2 * rr + 1)
-
-        def integrand(t):
-            U = path(t)
-            Ud = path.derivative(t)
-            return np.trace(U.conj().T @ Ud @ abs_power(U - eye, rr))
-
-        val, err, warns = _integrate_path(integrand, path, epsabs, limit)
-        body = const * val
-        correction = const * (xi_endpoint(U0, rr, epsabs)
-                              - xi_endpoint(U1, rr, epsabs))
-        params = {"r": rr, "quad_error": err}
-
+        correction = normalise(xi_endpoint(U0, order, epsabs)
+                               - xi_endpoint(U1, order, epsabs))
+    params = {kind: order, "quad_error": err, "body": body,
+              "endpoint_correction": correction}
     raw = body + correction
     residual = abs(raw - phillips.value)
     if int(np.round(raw.real)) != phillips.value:
@@ -284,8 +261,6 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS,
             f"crossing count {phillips.value} vs corrected integral {raw:.6g}")
     if residual >= 0.1:
         warns.append(f"open-path residual {residual:.3f}")
-    params["body"] = body
-    params["endpoint_correction"] = correction
     return SpectralFlowReport(value=phillips.value, raw=raw, residual=residual,
                               method="open_path", parameters=params,
                               warnings=warns, certificate=phillips.certificate)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from specflow import sflow
 from specflow.errors import InvalidOrder, NotClosed
 from specflow.matcore import abs_power, gamma_constant
+from specflow.rdet import logderiv_det_p
 from specflow.sflow import (
     sf_alpha,
     sf_beta,
@@ -39,6 +41,15 @@ def test_model_loops_all_engines(k, dim):
         report = engine(loop)
         assert report.value == k
         assert report.residual < 1e-6
+    # Det_p's log-derivative is the alpha integrand at n = p - 1 up to the
+    # sign (-1)^{p-1}, so sf_det is the alpha integral bit for bit
+    for p in (1, 2, 3):
+        assert sf_det(loop, p=p).raw == sf_alpha(loop, n=p - 1).raw
+        for t in (0.3, 0.77):
+            U = loop(t)
+            alpha = np.trace(U.conj().T @ loop.derivative(t)
+                             @ np.linalg.matrix_power(U - np.eye(dim), p - 1))
+            assert logderiv_det_p(loop, t, p) == (-1) ** (p - 1) * alpha
 
 
 def test_constant_loop_is_zero():
@@ -103,6 +114,26 @@ def test_inadmissible_orders_raise():
         sf_alpha(loop, n=1.5)
     with pytest.raises(InvalidOrder):
         sf_det(loop, p=0)
+    # Det_1 is the alpha integral at n = 0, inadmissible for Schatten order 2
+    with pytest.raises(InvalidOrder):
+        sf_det(loop2, p=1)
+    U = np.diag([np.exp(0.4j), np.exp(-2.0j)])
+    for bad in (1.5, -1):
+        with pytest.raises(InvalidOrder):
+            theta_endpoint(U, bad)
+    with pytest.raises(InvalidOrder):
+        xi_endpoint(U, -0.5)
+
+
+def test_open_path_checks_order_before_counting(monkeypatch):
+    def no_count(*args, **kwargs):
+        raise AssertionError("sf_phillips ran before the order check")
+
+    monkeypatch.setattr(sflow, "sf_phillips", no_count)
+    half = geodesic_between(np.eye(2), np.diag([1j, 1.0]))
+    for kwargs in ({"n": 1.5}, {"n": -1}, {"r": -0.5}):
+        with pytest.raises(InvalidOrder):
+            sf_open_path(half, **kwargs)
 
 
 def test_phillips_certificate_structure():
