@@ -24,7 +24,6 @@ from .errors import SpecflowError
 from .matcore import gamma_constant, schatten_norm
 from .rdet import det_p, logdet_p_vs_logdet, unwind_log
 from .scatter import (
-    PhaseShiftTable,
     Potential1D,
     RadialPotential,
     levinson_verify,
@@ -120,8 +119,7 @@ def potential_from_file(path):
     if dim == 1:
         segs = tuple((float(a), float(b), float(v))
                      for a, b, v in doc["segments"])
-        return Potential1D(segments=segs,
-                           regularity=doc.get("regularity", "piecewise"))
+        return Potential1D(segments=segs)
     radius = float(doc["radius"])
     if "depth" in doc:
         return RadialPotential.square_well(depth=float(doc["depth"]),
@@ -132,8 +130,7 @@ def potential_from_file(path):
     def v_of_r(r):
         return np.interp(r, r_s, v_s)
 
-    return RadialPotential(v_of_r=v_of_r, radius=radius, dim=dim,
-                           regularity="sampled")
+    return RadialPotential(v_of_r=v_of_r, radius=radius, dim=dim)
 
 
 def path_from_spec(spec):
@@ -169,13 +166,13 @@ def _build_parser():
                         help="append JSON records here instead of stdout")
     common.add_argument("--config", default=None,
                         help="JSON file whose entries override flags")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="quadrature absolute tolerance")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-9,
+                     help="quadrature absolute tolerance")
 
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sf-loop", parents=[common],
+    p = sub.add_parser("sf-loop", parents=[common, tol],
                        help="spectral flow of a closed path")
     p.add_argument("--model", default=None, help="k=K,dim=D model loop")
     p.add_argument("--path", default=None, help="path spec (see path-from-spec)")
@@ -185,7 +182,7 @@ def _build_parser():
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--p", type=int, default=1)
 
-    p = sub.add_parser("sf-path", parents=[common],
+    p = sub.add_parser("sf-path", parents=[common, tol],
                        help="spectral flow of an open path with caps")
     p.add_argument("--path", required=True)
     p.add_argument("--n", type=int, default=None)
@@ -215,10 +212,12 @@ def _build_parser():
     p.add_argument("--grid", type=int, default=None,
                    help="wavenumber nodes for the sweep (d=3 only)")
     p.add_argument("--csv", default=None,
-                   help="export the phase-shift table here (d=3)")
+                   help="export the phase-shift table here (d=3 only)")
 
-    sub.add_parser("selftest", parents=[common],
-                   help="run the built-in invariant suite")
+    p = sub.add_parser("selftest", parents=[common],
+                       help="run the built-in invariant suite")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random unitary checks")
     return top
 
 
@@ -319,10 +318,12 @@ def _cmd_levinson(args):
         V = _well_potential(args.dim, args.well)
     else:
         raise SpecflowError("need --well or --potential")
+    if args.csv and args.dim != 3:
+        raise SpecflowError("--csv exports the radial phase-shift table "
+                            "and needs --dim 3")
     report = levinson_verify(V, args.dim, grid=args.grid)
-    if args.csv and args.dim == 3 and report.data is not None:
-        data = report.data
-        PhaseShiftTable(data.ks ** 2, data.deltas, 0.0).to_csv(args.csv)
+    if args.csv:
+        report.data.to_csv(args.csv)
         log.info("phase table written to %s", args.csv)
     return report.to_dict()
 

@@ -20,10 +20,8 @@ from .onedim import (
 )
 from .potentials import Potential1D, RadialPotential
 from .radial import (
-    PhaseShiftTable,
     bound_state_channels,
     bound_states_radial,
-    build_phase_table,
     choose_lmax,
     phase_shifts_3d,
     smatrix_diag_radial,
@@ -35,14 +33,12 @@ __all__ = [
     "ChannelData",
     "HighEnergyPoly",
     "LevinsonReport",
-    "PhaseShiftTable",
     "Potential1D",
     "RadialPotential",
     "birman_schwinger_det_1d",
     "bound_state_channels",
     "bound_states_1d",
     "bound_states_radial",
-    "build_phase_table",
     "choose_lmax",
     "h_correction",
     "high_energy_poly",

@@ -227,9 +227,42 @@ def _tail_estimate(ks, values, max_misfit=0.2, min_exponent=1.2):
     return phase * mag_tail, q
 
 
+def _octave_tail(F, k_end):
+    """_tail_estimate of F sampled on the top octave [k_end / 2, k_end]."""
+    ks = np.geomspace(k_end / 2.0, k_end, 25)
+    return _tail_estimate(ks, np.array([F(k) for k in ks]))
+
+
+def _k_integral(F, k_min, k_max, complex_func=False):
+    """Integral of F over k > 0: adaptive quadrature on [k_min, k_max], a
+    rectangle estimate of the head below k_min and the fitted power-law
+    tail beyond k_max.  Returns (integral, quad_error, tail_exponent)."""
+    body, err = quad(F, k_min, k_max, complex_func=complex_func,
+                     epsabs=1e-9, limit=500)
+    tail, q = _octave_tail(F, k_max)
+    return body + F(k_min) * k_min + tail, err, q
+
+
 def _geom(k_min, k_max):
     ratio = np.log(k_max / k_min)
     return lambda t: k_min * np.exp(ratio * t)
+
+
+def _capped_flow(S_of_t, name, zero_cap=None):
+    """Crossing count of the sweep t -> S_of_t(t), t in [0, 1], closed into
+    a loop: a geodesic from Id (or, with zero_cap = (Y, S0), the path
+    exp(tY) from Id to the zero-energy matrix S0 and a geodesic from S0)
+    into S_of_t(0), the sweep, and a geodesic from S_of_t(1) back to Id."""
+    start = S_of_t(0.0)
+    eye = np.eye(start.shape[0], dtype=complex)
+    if zero_cap is None:
+        segs = [geodesic_between(eye, start)]
+    else:
+        Y, S0 = zero_cap
+        segs = [generator_path(Y), geodesic_between(S0, start)]
+    segs.append(UnitaryPath(S_of_t, name=name))
+    segs.append(geodesic_between(S_of_t(1.0), eye))
+    return sf_phillips(concatenate_many(segs))
 
 
 # ---------------------------------------------------------------------------
@@ -250,37 +283,26 @@ def _levinson_1d(V, k_min, k_max, tol_residual):
         dS = (S_at(k + hk) - S_at(k - hk)) / (2.0 * hk)
         return np.trace(S_at(k).conj().T @ dS) / (2j * np.pi)
 
-    body, err = quad(F, k_min, k_max, complex_func=True, epsabs=1e-9,
-                     limit=500)
-    head = F(k_min) * k_min
-    oct_ks = np.geomspace(k_max / 2.0, k_max, 25)
-    tail, tail_q = _tail_estimate(oct_ks, np.array([F(k) for k in oct_ks]))
-    integral = body + head + tail
-
+    integral, err, tail_q = _k_integral(F, k_min, k_max, complex_func=True)
     correction = -0.5 if classification == "none" else 0.0
     sf_int = integral + correction
 
     # crossing-count route on the capped path
     kfun = _geom(k_min, k_max)
-    eye = np.eye(2, dtype=complex)
-    segs = []
+    zero_cap = None
     if classification == "none":
         Q = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-        segs.append(generator_path(-1j * np.pi * Q))
-        segs.append(geodesic_between(S0, S_at(k_min)))
-    else:
-        segs.append(geodesic_between(eye, S_at(k_min)))
-    segs.append(UnitaryPath(lambda t: S_at(kfun(t)), name="smatrix-sweep"))
-    segs.append(geodesic_between(S_at(k_max), eye))
-    phillips = sf_phillips(concatenate_many(segs))
+        zero_cap = (-1j * np.pi * Q, S0)
+    phillips = _capped_flow(lambda t: S_at(kfun(t)), "smatrix-sweep",
+                            zero_cap)
 
     routes = {
         "phillips": complex(phillips.value),
         "regularized": sf_int,
         "subtracted": sf_int - poly.P0 / (2j * np.pi),
     }
-    report = _assemble(
+    return _assemble(
         dimension=1, N=N, classification=classification,
         phillips=phillips, routes=routes, raw_integral=float(integral.real),
         poly=poly, correction=correction, tol_residual=tol_residual,
@@ -289,7 +311,6 @@ def _levinson_1d(V, k_min, k_max, tol_residual):
         per_wave=None,
         data={"tail_exponent": tail_q, "quad_error": err},
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +318,13 @@ def _levinson_1d(V, k_min, k_max, tol_residual):
 
 
 class ChannelData:
-    """Phase-shift ladder cache over a refined geometric wavenumber grid,
-    with a log-k cubic spline per channel.  Each refinement round sweeps
-    only its new wavenumbers, all in one batched radial recursion."""
+    """The phase-shift table: shifts delta_l(k), l = 0..lmax, on a refined
+    geometric wavenumber grid, with a log-k cubic spline per channel.
+
+    Each refinement round sweeps only its new wavenumbers, all in one
+    batched radial recursion.  deltas[i, l] is unwound in energy, anchored
+    at the top of the grid where the principal branch is correct.
+    """
 
     def __init__(self, V, k_min, k_max, points, lmax=None):
         self.V = V
@@ -339,6 +364,13 @@ class ChannelData:
     def weighted_dsum(self, k):
         return float(self.weights @ self.ddelta_dk(k))
 
+    def to_csv(self, path):
+        """Write the table as CSV: lambda = k^2, then delta_0..delta_lmax."""
+        header = "lambda," + ",".join(f"delta_{l}" for l in
+                                      range(self.lmax + 1))
+        np.savetxt(path, np.column_stack([self.ks ** 2, self.deltas]),
+                   delimiter=",", header=header, comments="")
+
 
 def _levinson_3d(V, k_min, k_max, points, tol_residual):
     counts = bound_state_channels(V)
@@ -361,23 +393,14 @@ def _levinson_3d(V, k_min, k_max, points, tol_residual):
         ph = np.exp(2j * data.delta(k))
         return (w @ (d * (ph - 1.0) ** 2)) / np.pi
 
-    oct_ks = np.geomspace(k_max / 2.0, k_max, 25)
-
     # Spline-based integrands have tiny derivative kinks at the table
     # nodes; quad then reports roundoff-limited accuracy.  The returned
     # error estimates are kept in the report instead.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        body_c, err_c = quad(F_sub, k_min, k_max, epsabs=1e-9, limit=500)
-        body_b, err_b = quad(F_reg, k_min, k_max, complex_func=True,
-                             epsabs=1e-9, limit=500)
-    tail_c, q_c = _tail_estimate(oct_ks, np.array([F_sub(k)
-                                                   for k in oct_ks]))
-    I_sub = body_c + F_sub(k_min) * k_min + tail_c
-
-    tail_b, q_b = _tail_estimate(oct_ks, np.array([F_reg(k)
-                                                   for k in oct_ks]))
-    I_reg = body_b + F_reg(k_min) * k_min + tail_b
+        I_sub, err_c, q_c = _k_integral(F_sub, k_min, k_max)
+        I_reg, err_b, q_b = _k_integral(F_reg, k_min, k_max,
+                                        complex_func=True)
 
     # zero-energy scattering matrix on the channel diagonal
     s_rank = 1 if classification == "s_resonance" else 0
@@ -439,17 +462,11 @@ def _phillips_3d(data, classification, k_min, k_max, margin=0.5):
             z = np.exp(2j * float(data.delta(kfun(t))[_l]))
             return np.array([[z]], dtype=complex)
 
-        one = np.eye(1, dtype=complex)
-        segs = []
+        zero_cap = None
         if classification == "s_resonance" and ell == 0:
-            minus = -one
-            segs.append(generator_path(1j * np.pi * one))
-            segs.append(geodesic_between(minus, sampler(0.0)))
-        else:
-            segs.append(geodesic_between(one, sampler(0.0)))
-        segs.append(UnitaryPath(sampler, name=f"channel-{ell}"))
-        segs.append(geodesic_between(sampler(1.0), one))
-        rep = sf_phillips(concatenate_many(segs))
+            one = np.eye(1, dtype=complex)
+            zero_cap = (1j * np.pi * one, -one)
+        rep = _capped_flow(sampler, f"channel-{ell}", zero_cap)
         channels[ell] = rep.value
         total += (2 * ell + 1) * rep.value
 
@@ -556,11 +573,9 @@ def regularization_necessity(V, data=None, Lambda=1e3, k_min=DEFAULT_K_MIN,
     k_cut = np.sqrt(Lambda)
     mask = ks >= k_cut
     tail_grid = np.trapezoid(sub[mask], ks[mask])
-    oct_ks = np.geomspace(ks[-1] / 2.0, ks[-1], 25)
-    oct_vals = np.array([data.weighted_dsum(k) / np.pi + moment
-                         for k in oct_ks])
     try:
-        tail_fit, _ = _tail_estimate(oct_ks, oct_vals)
+        tail_fit, _ = _octave_tail(
+            lambda k: data.weighted_dsum(k) / np.pi + moment, ks[-1])
         tail_beyond = 2.0 * np.pi * abs(tail_fit)
     except TailNotConverged:
         tail_beyond = 0.0

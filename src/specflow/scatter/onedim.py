@@ -21,6 +21,7 @@ from ..errors import (
     OracleDisagreement,
     QuadratureNotConverged,
 )
+from ..matcore import check_order
 from ..rdet import DetValue
 
 
@@ -213,8 +214,9 @@ def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, tol=1e-6,
     the leading term, and convergence is judged on successive extrapolants
     (the raw h^2 differences overestimate the extrapolated error by orders
     of magnitude).  Raises QuadratureNotConverged when doubling does not
-    stabilize to `tol`.
+    stabilize to `tol`; the order p must be an integer >= 1.
     """
+    p = check_order("p", p, 1, integer=True)
     if lam <= 0:
         raise EnergyNonpositive(f"need lam > 0, got {lam}")
 

@@ -22,12 +22,9 @@ class Potential1D:
     """Real potential on the line, zero outside [x_left, x_right].
 
     segments : tuple of (x0, x1, v) with x0 < x1, contiguous and sorted.
-    regularity : "piecewise" for native step potentials, "sampled" when the
-        segments discretize a smooth callable.
     """
 
     segments: tuple
-    regularity: str = "piecewise"
 
     def __post_init__(self):
         if not self.segments:
@@ -53,7 +50,7 @@ class Potential1D:
         vals = np.asarray([float(f(x)) for x in mids])
         segs = tuple((float(x0), float(x1), float(v))
                      for x0, x1, v in zip(edges[:-1], edges[1:], vals))
-        return cls(segments=segs, regularity="sampled")
+        return cls(segments=segs)
 
     @property
     def support(self):
@@ -94,7 +91,6 @@ class RadialPotential:
     v_of_r: object
     radius: float
     dim: int = 3
-    regularity: str = "piecewise"
     label: str = field(default="", compare=False)
 
     def __post_init__(self):

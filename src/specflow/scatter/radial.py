@@ -236,38 +236,6 @@ def phase_shifts_3d(V, lam, lmax):
     return phase_shift_rows(V, [lam], lmax)[0]
 
 
-class PhaseShiftTable:
-    """Phase shifts on an ascending energy grid, branch-unwound in energy.
-
-    deltas[i, l] is the shift of channel l at energies[i].  Unwinding is
-    anchored at the top energy, where the principal branch is correct, and
-    proceeds downward in multiples of pi.
-    """
-
-    def __init__(self, energies, deltas, truncation):
-        self.energies = np.asarray(energies, dtype=float)
-        self.deltas = np.asarray(deltas, dtype=float)
-        self.truncation = float(truncation)
-
-    @property
-    def lmax(self):
-        return self.deltas.shape[1] - 1
-
-    def to_csv(self, path):
-        header = "lambda," + ",".join(f"delta_{l}" for l in
-                                      range(self.deltas.shape[1]))
-        data = np.column_stack([self.energies, self.deltas])
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-def build_phase_table(V, energies, lmax):
-    energies = np.sort(np.asarray(energies, dtype=float))
-    rows = phase_shift_rows(V, energies, lmax)
-    unwound = np.unwrap(rows[::-1], axis=0, period=np.pi)[::-1]
-    return PhaseShiftTable(energies, unwound,
-                           truncation=np.max(np.abs(unwound[:, -1])))
-
-
 def smatrix_diag_radial(V, lam, lmax):
     """Diagonal of S(lam) on the harmonics of order <= lmax: e^{2 i
     delta_l} repeated with multiplicity 2l + 1."""
@@ -385,10 +353,8 @@ def bound_states_radial(V, lmax=None):
 
 
 __all__ = [
-    "PhaseShiftTable",
     "bound_state_channels",
     "bound_states_radial",
-    "build_phase_table",
     "choose_lmax",
     "phase_shift_rows",
     "phase_shifts_3d",

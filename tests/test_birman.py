@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from specflow.errors import EnergyNonpositive, QuadratureNotConverged
+from specflow.errors import (
+    EnergyNonpositive,
+    InvalidOrder,
+    QuadratureNotConverged,
+)
 from specflow.rdet import det_p_perturbation
 from specflow.scatter import Potential1D, birman_schwinger_det_1d, smatrix_1d
 from specflow.scatter.onedim import _bs_matrix, _det_p_lu
@@ -61,3 +65,9 @@ def test_unconverged_quadrature_raises():
 def test_energy_validation():
     with pytest.raises(EnergyNonpositive):
         birman_schwinger_det_1d(WELL, -2.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 0, -3])
+def test_order_validation(p):
+    with pytest.raises(InvalidOrder):
+        birman_schwinger_det_1d(WELL, 1.0, p=p)

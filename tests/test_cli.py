@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specflow.cli import main, potential_from_file
+from specflow.scatter import ChannelData, RadialPotential
 
 
 def run_lines(argv, capsys):
@@ -113,10 +114,36 @@ def test_levinson_1d_rejects_grid(capsys):
     assert recs[-1]["result"]["error"]["type"] == "InvalidGrid"
 
 
-@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--lmax", "4"]])
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--lmax", "4"],
+                                  ["--seed", "3"], ["--tol", "1e-6"]])
 def test_unused_flags_are_gone(flag):
     with pytest.raises(SystemExit):
         main(["levinson", "--dim", "1", "--well", "depth=2"] + flag)
+
+
+def test_levinson_3d_csv_export(tmp_path, capsys):
+    csv = tmp_path / "phases.csv"
+    rc, recs = run_lines(["levinson", "--dim", "3", "--well",
+                          "depth=3,radius=1", "--grid", "200", "--csv",
+                          str(csv)], capsys)
+    assert rc == 0
+    assert recs[-1]["result"]["verdict"] == "pass"
+    data = ChannelData(RadialPotential.square_well(3.0), 1e-2, 100.0, 200)
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "lambda," + ",".join(
+        f"delta_{l}" for l in range(data.lmax + 1))
+    back = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert np.array_equal(back[:, 0], data.ks ** 2)
+    assert np.array_equal(back[:, 1:], data.deltas)
+
+
+def test_levinson_1d_rejects_csv(tmp_path, capsys):
+    csv = tmp_path / "phases.csv"
+    rc, recs = run_lines(["levinson", "--dim", "1", "--well", "depth=2",
+                          "--csv", str(csv)], capsys)
+    assert rc == 2
+    assert recs[-1]["result"]["error"]["type"] == "SpecflowError"
+    assert not csv.exists()
 
 
 def test_levinson_potential_file(tmp_path, capsys):
@@ -183,3 +210,8 @@ def test_selftest_passes(capsys):
     assert res["ok"] is True
     assert len(res["checks"]) >= 8
     assert all(c["ok"] for c in res["checks"])
+    # --seed belongs to selftest (other subcommands reject it)
+    rc, recs = run_lines(["selftest", "--seed", "3"], capsys)
+    assert rc == 0
+    assert recs[-1]["result"]["ok"] is True
+    assert recs[-1]["config"]["seed"] == 3

@@ -133,6 +133,12 @@ def test_levinson_1d_single_well():
     # half-bound convention: the bare integral rounds to -(N - 1)
     assert abs(rep.alt_convention_sf - 0.0) < 1e-3
     assert 1.5 < rep.data["tail_exponent"] < 2.5
+    # routes pinned at 1e-12: restructuring the pipeline must not move them
+    pinned = {"phillips": -1.0,
+              "regularized": -1.00001720759502 + 1.472737148906818e-11j,
+              "subtracted": -1.00001720759502 + 1.472737148906818e-11j}
+    for name, want in pinned.items():
+        assert abs(rep.routes[name] - want) < 1e-12
     json.dumps(rep.to_dict())
 
 
@@ -196,6 +202,12 @@ def test_levinson_3d_single_well():
     assert pw["channel_counts"][0] == 1
     assert sum(pw["channel_counts"][1:]) == 0
     assert set(rep.data.tail_exponents) == {"subtracted", "regularized"}
+    # routes pinned at 1e-12: restructuring the pipeline must not move them
+    pinned = {"phillips": -1.0,
+              "regularized": -1.000197824822272 + 9.209059970059973e-05j,
+              "subtracted": -0.9999425334793297}
+    for name, want in pinned.items():
+        assert abs(rep.routes[name] - want) < 1e-12
     json.dumps(rep.to_dict())
 
 

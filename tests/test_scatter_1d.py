@@ -35,7 +35,6 @@ def test_potential_1d_basics():
 def test_potential_1d_from_callable():
     V = Potential1D.from_callable(lambda x: -np.exp(-x * x), (-4.0, 4.0),
                                   n_segments=4000)
-    assert V.regularity == "sampled"
     assert abs(V.integral() + np.sqrt(np.pi)) < 1e-5
     assert V(0.0) < -0.99
 

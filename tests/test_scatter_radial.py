@@ -9,10 +9,10 @@ from specflow.errors import (
     UnsupportedDimension,
 )
 from specflow.scatter import (
+    ChannelData,
     RadialPotential,
     bound_state_channels,
     bound_states_radial,
-    build_phase_table,
     choose_lmax,
     phase_shifts_3d,
     smatrix_diag_radial,
@@ -103,8 +103,7 @@ def test_phase_shifts_validation():
 def test_phase_table_unwinding_and_csv(tmp_path):
     # the grid top must reach energies where every shift is far inside the
     # principal branch, since that is where the unwinding is anchored
-    energies = np.geomspace(1e-3, 1e4, 200)
-    table = build_phase_table(WELL3, energies, lmax=4)
+    table = ChannelData(WELL3, np.sqrt(1e-3), 100.0, 200, lmax=4)
     assert table.lmax == 4
     assert table.deltas.shape == (200, 5)
     # unwound shifts move continuously even where the principal branch jumps
@@ -112,7 +111,6 @@ def test_phase_table_unwinding_and_csv(tmp_path):
     # one s-state: the shift climbs to ~pi at the bottom of the grid
     assert abs(table.deltas[0, 0] - np.pi) < 0.2
     assert abs(table.deltas[-1, 0]) < 0.05
-    assert table.truncation == np.max(np.abs(table.deltas[:, -1]))
 
     out = tmp_path / "table.csv"
     table.to_csv(out)
