@@ -20,6 +20,7 @@ from .matcore import (check_order, check_unitary, eig_unitary, form_trace,
                       gamma_constant, herm_power, schatten_norm)
 
 ANGLE_TOL = 1e-9
+RESOLVENT_TOL = 1e-10
 
 
 @dataclass
@@ -35,7 +36,7 @@ class SubspaceOperator:
     projection: np.ndarray
     resolvent: np.ndarray
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         P, R = self.projection, self.resolvent
         if P.shape != (self.ambient_dim, self.ambient_dim) or P.shape != R.shape:
             raise DimensionMismatch(f"shapes {P.shape}, {R.shape} vs ambient "
@@ -43,11 +44,12 @@ class SubspaceOperator:
         if np.linalg.norm(P @ P - P, ord=2) > 1e-12 \
                 or np.linalg.norm(P - P.conj().T, ord=2) > 1e-12:
             raise SpecflowError("projection is not an orthogonal projection")
-        if np.linalg.norm(R @ P - R, ord=2) > tol \
-                or np.linalg.norm(P @ R - R, ord=2) > tol:
+        if np.linalg.norm(R @ P - R, ord=2) > RESOLVENT_TOL \
+                or np.linalg.norm(P @ R - R, ord=2) > RESOLVENT_TOL:
             raise SpecflowError("resolvent not supported on the subspace")
         # (T - i)^{-1} of a self-adjoint T satisfies R - R* = 2i R* R
-        if np.linalg.norm(R - R.conj().T - 2j * R.conj().T @ R, ord=2) > tol:
+        defect = R - R.conj().T - 2j * R.conj().T @ R
+        if np.linalg.norm(defect, ord=2) > RESOLVENT_TOL:
             raise SpecflowError("resolvent does not come from a self-adjoint "
                                 "operator")
         return self
@@ -72,17 +74,17 @@ class SubspaceOperator:
         return np.sort(vals)
 
 
-def cayley(U, angle_tol=ANGLE_TOL):
+def cayley(U):
     """The self-adjoint operator on range(U - Id) corresponding to U.
 
-    Eigenvectors of U with angle within `angle_tol` of zero span the
+    Eigenvectors of U with angle within ANGLE_TOL of zero span the
     excluded kernel; the remaining eigenvectors span V.  U = Id gives the
     zero operator on the zero subspace.
     """
     U = check_unitary(U)
     n = U.shape[0]
     angles, vecs = eig_unitary(U)
-    active = np.abs(angles) > angle_tol
+    active = np.abs(angles) > ANGLE_TOL
     Va = vecs[:, active]
     P = Va @ Va.conj().T
     # R = -(i/2)(U - Id) compressed to V; eigenvalue sin(theta/2) e^{i theta/2}
@@ -186,8 +188,9 @@ def cayley_form_identity_beta(U, X, r):
     return complex(lhs), complex(rhs)
 
 
-def sf_fp_path(op_sampler, interval=(0.0, 1.0), method="phillips", **kwargs):
-    """Spectral flow of a family of SubspaceOperators.
+def sf_fp_path(op_sampler, method="phillips", **kwargs):
+    """Spectral flow of a family t -> op_sampler(t), t in [0, 1], of
+    SubspaceOperators.
 
     The family is pushed through the inverse transform to a unitary path and
     handed to the requested flow engine.  Moving domains are allowed; the
@@ -199,13 +202,9 @@ def sf_fp_path(op_sampler, interval=(0.0, 1.0), method="phillips", **kwargs):
     def sampler(t):
         return inv_cayley(op_sampler(t))
 
-    path = UnitaryPath(sampler, interval=interval, check=False)
-    if method == "phillips":
-        return sflow.sf_phillips(path, **kwargs)
-    if method == "alpha":
-        return sflow.sf_alpha(path, **kwargs)
-    if method == "beta":
-        return sflow.sf_beta(path, **kwargs)
-    if method == "det":
-        return sflow.sf_det(path, **kwargs)
-    raise InvalidOrder(f"unknown method {method!r}")
+    engines = {"phillips": sflow.sf_phillips, "alpha": sflow.sf_alpha,
+               "beta": sflow.sf_beta, "det": sflow.sf_det}
+    if method not in engines:
+        raise InvalidOrder(f"unknown method {method!r}")
+    path = UnitaryPath(sampler, check=False)
+    return engines[method](path, **kwargs)

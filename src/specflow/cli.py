@@ -4,10 +4,14 @@ Subcommands map one-to-one onto the engines: `sf-loop` and `sf-path` for
 closed and open spectral-flow computations, `det` for regularized
 determinants along a path, `cayley` for the self-adjoint correspondence,
 `levinson` for the scattering verification, and `selftest` for a built-in
-invariant suite.  Every run emits line-delimited JSON records with a
-version field; energy sweeps can additionally be exported as CSV.  A JSON
-config file (--config) overrides command-line flags, and SPECFLOW_LOG
-controls verbosity.
+invariant suite.  `sf-loop` takes its route from its order flag: none runs
+the crossing count, --n the alpha form, --r the beta form and --p the
+determinant form; two order flags, or --tol without one, are errors.
+Every run emits line-delimited JSON records with a version field; energy
+sweeps can additionally be exported as CSV.  A JSON config file (--config)
+sets flags of the running subcommand and wins over the command line; any
+other key is an error.  Input errors are error records with exit code 2,
+and SPECFLOW_LOG controls verbosity.
 """
 
 import argparse
@@ -30,7 +34,8 @@ from .scatter import (
     phase_shifts_3d,
     smatrix_1d,
 )
-from .sflow import sf_alpha, sf_beta, sf_det, sf_open_path, sf_phillips
+from .sflow import (DEFAULT_EPSABS, sf_alpha, sf_beta, sf_det, sf_open_path,
+                    sf_phillips)
 from .upath import UnitaryPath, geodesic_between, model_loop
 
 log = logging.getLogger("specflow")
@@ -43,20 +48,14 @@ RECORD_VERSION = 1
 
 
 def _jsonable(x):
+    if isinstance(x, (np.ndarray, np.generic)):
+        x = x.tolist()
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (complex, np.complexfloating)):
-        return {"re": float(x.real), "im": float(x.imag)}
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
+    if isinstance(x, complex):
+        return {"re": x.real, "im": x.imag}
     return x
 
 
@@ -67,11 +66,6 @@ def _emit(record, out):
     else:
         with open(out, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
-
-
-def _record(command, config, result):
-    return {"record_version": RECORD_VERSION, "command": command,
-            "config": config, "result": result}
 
 
 def _sf_report_dict(rep):
@@ -88,33 +82,50 @@ def _sf_report_dict(rep):
 # Argument parsing
 
 
-def _parse_kv(text):
-    """'k=2,dim=4' -> {'k': 2.0, 'dim': 4.0} (values as floats)."""
+def _parse_kv(text, keys):
+    """'k=2,dim=4' -> {'k': 2.0, 'dim': 4.0}: numbers under the given keys."""
     out = {}
     for part in text.split(","):
         if not part:
             continue
         key, _, val = part.partition("=")
-        if not val:
-            raise SpecflowError(f"expected key=value, got {part!r}")
-        out[key.strip()] = float(val)
+        if key.strip() not in keys:
+            raise SpecflowError(f"unknown key in {part!r}; expected any of "
+                                f"{', '.join(keys)}")
+        try:
+            out[key.strip()] = float(val)
+        except ValueError:
+            raise SpecflowError(f"expected key=number, got {part!r}") from None
     return out
 
 
+def _load(path, what, parse):
+    """parse(fh) of an input file opened for binary reading; a file that
+    cannot be opened or parsed is a SpecflowError."""
+    try:
+        with open(path, "rb") as fh:
+            return parse(fh)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise SpecflowError(f"cannot read {what} {path}: {exc!r}") from None
+
+
 def _well_potential(dim, spec):
-    kv = _parse_kv(spec)
-    if dim == 1:
-        return Potential1D.square_well(depth=kv.get("depth", 1.0),
-                                       halfwidth=kv.get("halfwidth", 1.0))
-    return RadialPotential.square_well(depth=kv.get("depth", 1.0),
-                                       radius=kv.get("radius", 1.0))
+    """Square well of a 'depth=..,halfwidth=..' (d = 1) or
+    'depth=..,radius=..' (d = 3) spec; each size defaults to 1."""
+    cls, size = ((Potential1D, "halfwidth") if dim == 1
+                 else (RadialPotential, "radius"))
+    kv = _parse_kv(spec, ("depth", size))
+    return cls.square_well(kv.get("depth", 1.0), kv.get(size, 1.0))
 
 
 def potential_from_file(path):
     """Structured potential file: JSON with either 1D segments or a radial
     description (constant depth or sampled (r, v) grid)."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    return _load(path, "potential file", _potential)
+
+
+def _potential(fh):
+    doc = json.load(fh)
     dim = int(doc.get("dimension", 1))
     if dim == 1:
         segs = tuple((float(a), float(b), float(v))
@@ -139,11 +150,14 @@ def path_from_spec(spec):
     sweep over a geometric wavenumber grid)."""
     kind, _, rest = spec.partition(":")
     if kind == "model":
-        k_str, _, dim_str = rest.partition(":")
-        return model_loop(int(k_str), int(dim_str))
+        try:
+            k, dim = (float(x) for x in rest.split(":"))
+        except ValueError:
+            raise SpecflowError(f"model spec needs integer k and dim as "
+                                f"model:K:D, got {spec!r}") from None
+        return model_loop(k, dim)
     if kind == "geodesic":
-        with np.load(rest) as data:
-            return geodesic_between(data["U0"], data["U1"])
+        return geodesic_between(*_load(rest, "endpoint file", _endpoints))
     if kind == "scattering":
         V = potential_from_file(rest)
         k_lo, k_hi = 1e-2, 100.0
@@ -153,52 +167,61 @@ def path_from_spec(spec):
             k = k_lo * np.exp(ratio * t)
             return smatrix_1d(V, k * k)
 
-        return UnitaryPath(sampler, name=f"scattering:{rest}")
+        return UnitaryPath(sampler)
     raise SpecflowError(f"unknown path spec {spec!r}")
 
 
-def _build_parser():
-    top = argparse.ArgumentParser(
+def _endpoints(fh):
+    with np.load(fh) as data:
+        return data["U0"], data["U1"]
+
+
+class _ConfigParser(argparse.ArgumentParser):
+    """Parser of the flags merged in from --config: a bad entry is a
+    SpecflowError, reported as a record, not a usage exit."""
+
+    def error(self, message):
+        raise SpecflowError(f"config: {message}")
+
+
+def _build_parser(parser_class=argparse.ArgumentParser):
+    top = parser_class(
         prog="specflow",
         description="Spectral flow of identity-plus-Schatten unitary paths.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None,
+    common.add_argument("--out",
                         help="append JSON records here instead of stdout")
-    common.add_argument("--config", default=None,
-                        help="JSON file whose entries override flags")
+    common.add_argument("--config", help="JSON file of flags of this "
+                        "subcommand; its entries override the command line")
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-9,
-                     help="quadrature absolute tolerance")
+    tol.add_argument("--tol", type=float, help="quadrature absolute "
+                     f"tolerance, positive (default {DEFAULT_EPSABS:g})")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--model", help="k=K,dim=D model loop")
+    source.add_argument("--path", help="path spec (see path_from_spec)")
 
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sf-loop", parents=[common, tol],
-                       help="spectral flow of a closed path")
-    p.add_argument("--model", default=None, help="k=K,dim=D model loop")
-    p.add_argument("--path", default=None, help="path spec (see path-from-spec)")
-    p.add_argument("--method", default="phillips",
-                   choices=["phillips", "alpha", "beta", "det"])
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--p", type=int, default=1)
+    p = sub.add_parser("sf-loop", parents=[common, tol, source],
+                       help="spectral flow of a closed path",
+                       description="No order flag runs the crossing count.")
+    p.add_argument("--n", type=int, help="alpha form of order n")
+    p.add_argument("--r", type=float, help="beta form of order r")
+    p.add_argument("--p", type=int, help="determinant form of order p")
 
     p = sub.add_parser("sf-path", parents=[common, tol],
                        help="spectral flow of an open path with caps")
     p.add_argument("--path", required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=float, default=None)
+    p.add_argument("--n", type=int)
+    p.add_argument("--r", type=float)
 
-    p = sub.add_parser("det", parents=[common],
+    p = sub.add_parser("det", parents=[common, source],
                        help="regularized determinant along a path")
-    p.add_argument("--model", default=None)
-    p.add_argument("--path", default=None)
     p.add_argument("--p", type=int, default=1)
     p.add_argument("--samples", type=int, default=9)
 
-    p = sub.add_parser("cayley", parents=[common],
+    p = sub.add_parser("cayley", parents=[common, source],
                        help="self-adjoint correspondence at one parameter")
-    p.add_argument("--model", default=None)
-    p.add_argument("--path", default=None)
     p.add_argument("--t", type=float, default=0.25)
     p.add_argument("--p", type=float, default=2.0,
                    help="Schatten order for the fixed-point distance")
@@ -206,13 +229,10 @@ def _build_parser():
     p = sub.add_parser("levinson", parents=[common],
                        help="scattering verification of the flow-count law")
     p.add_argument("--dim", type=int, required=True, choices=[1, 3])
-    p.add_argument("--well", default=None, help="depth=..,halfwidth=.. or "
-                   "depth=..,radius=..")
-    p.add_argument("--potential", default=None, help="potential file")
-    p.add_argument("--grid", type=int, default=None,
-                   help="wavenumber nodes for the sweep (d=3 only)")
-    p.add_argument("--csv", default=None,
-                   help="export the phase-shift table here (d=3 only)")
+    p.add_argument("--well", help="depth=D,halfwidth=H or depth=D,radius=R")
+    p.add_argument("--potential", help="potential file")
+    p.add_argument("--grid", type=int, help="wavenumber nodes (d=3 only)")
+    p.add_argument("--csv", help="export the phase-shift table (d=3 only)")
 
     p = sub.add_parser("selftest", parents=[common],
                        help="run the built-in invariant suite")
@@ -221,13 +241,25 @@ def _build_parser():
     return top
 
 
-def _apply_config(args):
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        for key, val in doc.items():
-            setattr(args, key.replace("-", "_"), val)
-    return args
+def _apply_config(args, argv):
+    """Parse argv again with the entries of the --config file appended as
+    flags, so that each is checked and converted by its own flag and wins
+    over the command line.  A key must be a flag of the subcommand, other
+    than --config itself, and a value a string or a number."""
+    doc = _load(args.config, "config", json.load)
+    if not isinstance(doc, dict):
+        raise SpecflowError(f"config {args.config} must hold a JSON object")
+    flags = set(vars(args)) - {"command", "config"}
+    extra = []
+    for key, val in doc.items():
+        if key not in flags:
+            raise SpecflowError(f"config key {key!r} is not a flag of "
+                                f"{args.command}")
+        if isinstance(val, bool) or not isinstance(val, (str, int, float)):
+            raise SpecflowError(f"config value of {key!r} must be a string "
+                                f"or a number, got {val!r}")
+        extra.append(f"--{key}={val}")
+    return _build_parser(_ConfigParser).parse_args(argv + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -235,35 +267,43 @@ def _apply_config(args):
 
 
 def _resolve_path(args):
-    if getattr(args, "model", None):
-        kv = _parse_kv(args.model)
-        if "k" not in kv or "dim" not in kv:
+    if bool(args.model) == bool(args.path):
+        raise SpecflowError("need exactly one of --model or --path")
+    if args.model:
+        kv = _parse_kv(args.model, ("k", "dim"))
+        if len(kv) != 2:
             raise SpecflowError("model spec needs k=...,dim=...")
-        return model_loop(int(kv["k"]), int(kv["dim"]))
-    if getattr(args, "path", None):
-        return path_from_spec(args.path)
-    raise SpecflowError("need --model or --path")
+        return model_loop(kv["k"], kv["dim"])
+    return path_from_spec(args.path)
+
+
+def _epsabs(args):
+    if args.tol is not None and not args.tol > 0:
+        raise SpecflowError(f"--tol must be positive, got {args.tol}")
+    return {} if args.tol is None else {"epsabs": args.tol}
 
 
 def _cmd_sf_loop(args):
+    orders = {flag: engine for flag, engine in
+              (("n", sf_alpha), ("r", sf_beta), ("p", sf_det))
+              if getattr(args, flag) is not None}
+    if len(orders) > 1:
+        raise SpecflowError("pass at most one order flag: --n (alpha), "
+                            "--r (beta) or --p (det)")
+    if not orders and args.tol is not None:
+        raise SpecflowError("--tol needs an order flag (no quadrature in "
+                            "a crossing count)")
     path = _resolve_path(args)
-    if args.method == "phillips":
-        rep = sf_phillips(path)
-    elif args.method == "alpha":
-        rep = sf_alpha(path, n=args.n, epsabs=args.tol)
-    elif args.method == "beta":
-        rep = sf_beta(path, r=args.r, epsabs=args.tol)
-    else:
-        rep = sf_det(path, p=args.p, epsabs=args.tol)
-    return _sf_report_dict(rep)
+    if not orders:
+        return _sf_report_dict(sf_phillips(path))
+    (flag, engine), = orders.items()
+    return _sf_report_dict(engine(path, getattr(args, flag), **_epsabs(args)))
 
 
 def _cmd_sf_path(args):
     path = path_from_spec(args.path)
-    n, r = args.n, args.r
-    if n is None and r is None:
-        n = 1
-    rep = sf_open_path(path, n=n, r=r, epsabs=args.tol)
+    n = 1 if args.n is None and args.r is None else args.n
+    rep = sf_open_path(path, n=n, r=args.r, **_epsabs(args))
     out = _sf_report_dict(rep)
     out["body_integral"] = rep.parameters.get("body")
     out["endpoint_correction"] = rep.parameters.get("endpoint_correction")
@@ -271,6 +311,8 @@ def _cmd_sf_path(args):
 
 
 def _cmd_det(args):
+    if args.samples < 2:
+        raise SpecflowError(f"--samples must be >= 2, got {args.samples}")
     path = _resolve_path(args)
     a, b = path.interval
     ts = np.linspace(a, b, args.samples)
@@ -312,12 +354,12 @@ def _cmd_cayley(args):
 
 
 def _cmd_levinson(args):
+    if bool(args.potential) == bool(args.well):
+        raise SpecflowError("need exactly one of --well or --potential")
     if args.potential:
         V = potential_from_file(args.potential)
-    elif args.well:
-        V = _well_potential(args.dim, args.well)
     else:
-        raise SpecflowError("need --well or --potential")
+        V = _well_potential(args.dim, args.well)
     if args.csv and args.dim != 3:
         raise SpecflowError("--csv exports the radial phase-shift table "
                             "and needs --dim 3")
@@ -387,21 +429,23 @@ _COMMANDS = {
 def main(argv=None):
     level = os.environ.get("SPECFLOW_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
-    args = _apply_config(args)
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("command",) and v is not None}
+    code = 0
     try:
+        if args.config:
+            args = _apply_config(args, argv)
         result = _COMMANDS[args.command](args)
     except SpecflowError as exc:
-        _emit(_record(args.command, config,
-                      {"error": {"type": type(exc).__name__,
-                                 "message": str(exc)}}), args.out)
-        return 2
-    _emit(_record(args.command, config, result), args.out)
-    if args.command == "selftest" and not result["ok"]:
-        return 1
-    return 0
+        result = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = 2
+    config = {k: v for k, v in vars(args).items()
+              if k != "command" and v is not None}
+    _emit({"record_version": RECORD_VERSION, "command": args.command,
+           "config": config, "result": result}, args.out)
+    if code == 0 and args.command == "selftest" and not result["ok"]:
+        code = 1
+    return code
 
 
 if __name__ == "__main__":

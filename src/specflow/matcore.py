@@ -5,7 +5,7 @@ Conventions fixed here once and for all:
 * Eigenvalue branch.  Angles of unitary eigenvalues live in (-pi, pi], so the
   crossing point -1 is always represented by the angle +pi.  This is the
   matrix version of the principal logarithm Log(r e^{it}) = ln r + it with
-  -pi < t <= pi.  Eigenvalues that sit on the cut within `snap_tol` are
+  -pi < t <= pi.  Eigenvalues that sit on the cut within SNAP_TOL are
   snapped to +pi rather than being allowed to flip to -pi through rounding.
 * Unitarity is checked in operator norm with tolerance 1e-10 by default.
 """
@@ -17,6 +17,7 @@ from scipy.special import gammaln
 from .errors import DecompositionFailure, InvalidOrder, NonUnitary
 
 UNITARY_TOL = 1e-10
+SNAP_TOL = 1e-12
 
 
 def check_unitary(U, tol=UNITARY_TOL):
@@ -33,34 +34,34 @@ def check_unitary(U, tol=UNITARY_TOL):
     return U
 
 
-def eig_unitary(U, tol=UNITARY_TOL, snap_tol=1e-12):
+def eig_unitary(U):
     """Eigen-decompose a unitary matrix into angles and orthonormal vectors.
 
     Returns (angles, vectors) with angles in (-pi, pi] sorted increasingly and
-    vectors[:, j] the eigenvector for angles[j].  Angles within snap_tol of
+    vectors[:, j] the eigenvector for angles[j].  Angles within SNAP_TOL of
     the cut are snapped to +pi (the branch convention for the crossing point).
 
     Uses the Schur decomposition, which is exactly unitary for normal
     matrices, so the returned vectors are orthonormal even at degeneracies.
     """
-    U = check_unitary(U, tol=tol)
+    U = check_unitary(U)
     # np.linalg.eig does not guarantee orthonormal vectors at degeneracies;
     # use Schur instead (unitary U is normal, so T is diagonal).
     T, Z = schur(U, output="complex")
     vals = np.diag(T)
     angles = np.angle(vals)
-    angles[np.abs(angles + np.pi) <= snap_tol] = np.pi
+    angles[np.abs(angles + np.pi) <= SNAP_TOL] = np.pi
     order = np.argsort(angles, kind="stable")
     return angles[order], Z[:, order]
 
 
-def principal_log_unitary(U, tol=UNITARY_TOL, snap_tol=1e-12):
+def principal_log_unitary(U):
     """Skew-Hermitian principal logarithm Y of a unitary U, with e^Y = U.
 
     Eigenvalue e^{i theta} maps to i*theta with theta in (-pi, pi]; the
     eigenvalue -1 maps to +i*pi (cut-locus convention).
     """
-    angles, vecs = eig_unitary(U, tol=tol, snap_tol=snap_tol)
+    angles, vecs = eig_unitary(U)
     Y = (vecs * (1j * angles)) @ vecs.conj().T
     return Y
 
@@ -103,7 +104,8 @@ def abs_power(A, x):
 
 
 def check_order(name, order, least, integer=False):
-    """Return a regularisation order checked to be >= `least` (and >= 0).
+    """Return a regularisation order checked to be finite and >= `least`
+    (and >= 0).
 
     With `integer` the order must also be a whole number and is returned
     as an int, else as a float.  This is the one order check behind the
@@ -111,7 +113,8 @@ def check_order(name, order, least, integer=False):
     `least` is compared with a 1e-12 allowance for rounding in
     Schatten-derived bounds such as (p - 1)/2.
     """
-    if order < 0 or order < least - 1e-12 or (integer and order != int(order)):
+    if not np.isfinite(order) or order < 0 or order < least - 1e-12 \
+            or (integer and order != int(order)):
         kind = "an integer >= " if integer else ">= "
         raise InvalidOrder(f"{name} must be {kind}{least}, got {order}")
     return int(order) if integer else float(order)
@@ -140,12 +143,12 @@ def gamma_constant(x):
     return float(np.exp(gammaln(x + 1.0) - gammaln(x + 0.5)) / np.sqrt(np.pi))
 
 
-def herm_power(H, x, floor=0.0):
+def herm_power(H, x):
     """Real power of a Hermitian PSD matrix via eigen-decomposition.
 
-    Small negative eigenvalues from rounding are clipped at `floor`.
+    Small negative eigenvalues from rounding are clipped at zero.
     """
     H = np.asarray(H, dtype=complex)
     w, V = np.linalg.eigh(H)
-    w = np.clip(w, floor, None)
+    w = np.clip(w, 0.0, None)
     return (V * w**x) @ V.conj().T

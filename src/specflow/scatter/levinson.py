@@ -54,6 +54,12 @@ DEFAULT_K_MIN = 1e-2
 DEFAULT_K_MAX = 100.0
 DEFAULT_POINTS = 400
 RESIDUAL_TOL = 0.05
+# a power-law tail fit is rejected above this log-misfit or at or below
+# this decay exponent
+MAX_MISFIT = 0.2
+MIN_EXPONENT = 1.2
+# channels whose doubled phase comes this close to pi get a crossing count
+SPECTATOR_MARGIN = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +170,6 @@ class LevinsonReport:
     threshold_correction: float
     alt_convention_sf: float = None
     per_wave: dict = None
-    tolerances: dict = field(default_factory=lambda: {
-        "residual": RESIDUAL_TOL})
     data: object = field(default=None, repr=False)
 
     @property
@@ -196,7 +200,7 @@ class LevinsonReport:
 # Tail extrapolation
 
 
-def _tail_estimate(ks, values, max_misfit=0.2, min_exponent=1.2):
+def _tail_estimate(ks, values):
     """Power-law tail of a complex integrand sampled on the last octave.
 
     Fits |f| ~ c k^{-q} in log-log; the tail integral beyond ks[-1] is
@@ -215,12 +219,12 @@ def _tail_estimate(ks, values, max_misfit=0.2, min_exponent=1.2):
     slope, intercept = np.polyfit(x, y, 1)
     misfit = np.max(np.abs(np.polyval([slope, intercept], x) - y))
     q = -slope
-    if misfit > max_misfit:
+    if misfit > MAX_MISFIT:
         raise TailNotConverged(
             f"tail is not a clean power law (log-misfit {misfit:.2f})")
-    if q <= min_exponent:
+    if q <= MIN_EXPONENT:
         raise TailNotConverged(
-            f"tail decays like k^-{q:.2f}, too slowly to extrapolate")
+            f"tail decays like k^{slope:.2f}, too slowly to extrapolate")
     k_end = ks[-1]
     mag_tail = np.exp(intercept) * k_end ** (1.0 - q) / (q - 1.0)
     phase = values[-1] / abs(values[-1])
@@ -248,7 +252,7 @@ def _geom(k_min, k_max):
     return lambda t: k_min * np.exp(ratio * t)
 
 
-def _capped_flow(S_of_t, name, zero_cap=None):
+def _capped_flow(S_of_t, zero_cap=None):
     """Crossing count of the sweep t -> S_of_t(t), t in [0, 1], closed into
     a loop: a geodesic from Id (or, with zero_cap = (Y, S0), the path
     exp(tY) from Id to the zero-energy matrix S0 and a geodesic from S0)
@@ -260,7 +264,7 @@ def _capped_flow(S_of_t, name, zero_cap=None):
     else:
         Y, S0 = zero_cap
         segs = [generator_path(Y), geodesic_between(S0, start)]
-    segs.append(UnitaryPath(S_of_t, name=name))
+    segs.append(UnitaryPath(S_of_t))
     segs.append(geodesic_between(S_of_t(1.0), eye))
     return sf_phillips(concatenate_many(segs))
 
@@ -269,7 +273,7 @@ def _capped_flow(S_of_t, name, zero_cap=None):
 # d = 1
 
 
-def _levinson_1d(V, k_min, k_max, tol_residual):
+def _levinson_1d(V, k_min, k_max):
     N = bound_states_1d(V)
     classification = resonance_detect(V, 1)
     poly = high_energy_poly(1, V)
@@ -294,8 +298,7 @@ def _levinson_1d(V, k_min, k_max, tol_residual):
         Q = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
         zero_cap = (-1j * np.pi * Q, S0)
-    phillips = _capped_flow(lambda t: S_at(kfun(t)), "smatrix-sweep",
-                            zero_cap)
+    phillips = _capped_flow(lambda t: S_at(kfun(t)), zero_cap)
 
     routes = {
         "phillips": complex(phillips.value),
@@ -305,10 +308,9 @@ def _levinson_1d(V, k_min, k_max, tol_residual):
     return _assemble(
         dimension=1, N=N, classification=classification,
         phillips=phillips, routes=routes, raw_integral=float(integral.real),
-        poly=poly, correction=correction, tol_residual=tol_residual,
+        poly=poly, correction=correction,
         alt_convention_sf=float((integral + 0.5).real)
         if classification == "none" else None,
-        per_wave=None,
         data={"tail_exponent": tail_q, "quad_error": err},
     )
 
@@ -372,7 +374,7 @@ class ChannelData:
                    delimiter=",", header=header, comments="")
 
 
-def _levinson_3d(V, k_min, k_max, points, tol_residual):
+def _levinson_3d(V, k_min, k_max, points):
     counts = bound_state_channels(V)
     mult = 2 * np.arange(len(counts)) + 1
     N = int(np.sum(mult * counts))
@@ -436,20 +438,19 @@ def _levinson_3d(V, k_min, k_max, points, tol_residual):
     return _assemble(
         dimension=3, N=N, classification=classification,
         phillips=phillips, routes=routes, raw_integral=float(np.real(I_reg)),
-        poly=poly, correction=correction, tol_residual=tol_residual,
-        alt_convention_sf=None, per_wave=per_wave, data=data,
+        poly=poly, correction=correction, per_wave=per_wave, data=data,
     )
 
 
-def _phillips_3d(data, classification, k_min, k_max, margin=0.5):
+def _phillips_3d(data, classification, k_min, k_max):
     """Per-channel crossing counts: channels whose doubled phase ever comes
-    within `margin` of pi (mod 2 pi) get a capped scalar crossing count;
-    the rest are certified spectators and contribute zero."""
+    within SPECTATOR_MARGIN of pi (mod 2 pi) get a capped scalar crossing
+    count; the rest are certified spectators and contribute zero."""
     kfun = _geom(k_min, k_max)
     two_delta = 2.0 * data.deltas
     dist = np.abs(np.angle(np.exp(1j * (two_delta - np.pi))))
     min_dist = np.min(dist, axis=0)
-    active = np.where(min_dist <= margin)[0]
+    active = np.where(min_dist <= SPECTATOR_MARGIN)[0]
     spectators = {int(l): float(min_dist[l]) for l in
                   range(data.lmax + 1) if l not in set(active.tolist())}
 
@@ -466,7 +467,7 @@ def _phillips_3d(data, classification, k_min, k_max, margin=0.5):
         if classification == "s_resonance" and ell == 0:
             one = np.eye(1, dtype=complex)
             zero_cap = (1j * np.pi * one, -one)
-        rep = _capped_flow(sampler, f"channel-{ell}", zero_cap)
+        rep = _capped_flow(sampler, zero_cap)
         channels[ell] = rep.value
         total += (2 * ell + 1) * rep.value
 
@@ -482,8 +483,7 @@ def _phillips_3d(data, classification, k_min, k_max, margin=0.5):
 
 
 def _assemble(dimension, N, classification, phillips, routes, raw_integral,
-              poly, correction, tol_residual, alt_convention_sf, per_wave,
-              data):
+              poly, correction, data, alt_convention_sf=None, per_wave=None):
     resid = 0.0
     rounded = {}
     for name, val in routes.items():
@@ -495,9 +495,9 @@ def _assemble(dimension, N, classification, phillips, routes, raw_integral,
         raise RouteDisagreement(
             f"routes disagree after rounding: " +
             ", ".join(f"{n}={np.real(v):+.6f}" for n, v in routes.items()))
-    if resid > tol_residual:
+    if resid > RESIDUAL_TOL:
         raise RouteDisagreement(
-            f"route residual {resid:.3f} exceeds {tol_residual}")
+            f"route residual {resid:.3f} exceeds {RESIDUAL_TOL}")
     sf = rounded["phillips"]
     n_res = 0.5 if (dimension == 1 and classification == "none") else 0.0
     verdict = "pass" if sf + N == 0 else "fail"
@@ -507,11 +507,10 @@ def _assemble(dimension, N, classification, phillips, routes, raw_integral,
         polynomial_terms={**poly.coefficients, "P0": poly.P0},
         verdict=verdict, routes=routes, residual=resid,
         classification=classification, threshold_correction=correction,
-        alt_convention_sf=alt_convention_sf, per_wave=per_wave,
-        tolerances={"residual": tol_residual}, data=data)
+        alt_convention_sf=alt_convention_sf, per_wave=per_wave, data=data)
 
 
-def levinson_verify(V, d, grid=None, tol_residual=RESIDUAL_TOL):
+def levinson_verify(V, d, grid=None):
     """Verify the bound-state/spectral-flow relation for -Delta + V.
 
     grid may be None (defaults), an integer (number of wavenumber nodes),
@@ -536,10 +535,9 @@ def levinson_verify(V, d, grid=None, tol_residual=RESIDUAL_TOL):
                           "no number of grid points; pass k_min or k_max")
     opts.update(grid)
     if d == 1:
-        return _levinson_1d(V, opts["k_min"], opts["k_max"], tol_residual)
+        return _levinson_1d(V, opts["k_min"], opts["k_max"])
     if d == 3:
-        return _levinson_3d(V, opts["k_min"], opts["k_max"], opts["points"],
-                            tol_residual)
+        return _levinson_3d(V, opts["k_min"], opts["k_max"], opts["points"])
     raise UnsupportedDimension(
         f"end-to-end verification covers d in (1, 3), got {d}")
 
@@ -548,17 +546,17 @@ def levinson_verify(V, d, grid=None, tol_residual=RESIDUAL_TOL):
 # Property studies
 
 
-def regularization_necessity(V, data=None, Lambda=1e3, k_min=DEFAULT_K_MIN,
-                             k_max=DEFAULT_K_MAX, points=DEFAULT_POINTS):
+def regularization_necessity(V, data=None, Lambda=1e3):
     """Quantifies why the plain winding integrand needs subtraction (d=3).
 
     Returns the fitted growth exponent of the partial integrals of
     |Tr(S* S')| in the upper energy decades (ideally 1/2) and the ratio of
     the subtracted integrand's tail beyond `Lambda` to the unsubtracted
-    partial integral over the whole grid.
+    partial integral over the whole grid.  Without `data` the phase table
+    is built on the default grid of `levinson_verify`.
     """
     if data is None:
-        data = ChannelData(V, k_min, k_max, points)
+        data = ChannelData(V, DEFAULT_K_MIN, DEFAULT_K_MAX, DEFAULT_POINTS)
     ks = np.geomspace(data.ks[0], data.ks[-1], 2000)
     dsum = np.array([data.weighted_dsum(k) for k in ks])
     unreg = 2.0 * np.abs(dsum)                       # |Tr(S*S')| d lambda
@@ -589,12 +587,10 @@ def regularization_necessity(V, data=None, Lambda=1e3, k_min=DEFAULT_K_MIN,
     }
 
 
-def schatten_decay_exponent(V, d, lams=None):
-    """Fitted log-log slope of ||S(lambda) - Id||_1 at high energy, to be
-    compared with -1/2 + (d - 1)/2."""
-    if lams is None:
-        lams = np.geomspace(1e2, 1e4, 25)
-    lams = np.asarray(lams, dtype=float)
+def schatten_decay_exponent(V, d):
+    """Fitted log-log slope of ||S(lambda) - Id||_1 over 25 energies from
+    1e2 to 1e4, to be compared with -1/2 + (d - 1)/2."""
+    lams = np.geomspace(1e2, 1e4, 25)
     norms = np.empty_like(lams)
     if d == 1:
         for i, lam in enumerate(lams):

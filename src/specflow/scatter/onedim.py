@@ -24,6 +24,14 @@ from ..errors import (
 from ..matcore import check_order
 from ..rdet import DetValue
 
+# finite-difference bound-state counts (1D and radial): box half-width or
+# radius, widened to three support widths when needed, and grid points;
+# zero-energy substep
+FD_BOX = 40.0
+FD_POINTS = 4096
+SUBSTEP = 0.005
+NYSTROM_TOL = 1e-6
+
 
 def _seg_transfer(length, v, lam):
     """Exact transfer matrix for (psi, psi') across a constant segment.
@@ -84,14 +92,14 @@ def smatrix_1d(V, lam):
     return np.array([[t_right, r_plus], [r_minus, t_left]], dtype=complex)
 
 
-def bound_states_1d(V, box_halfwidth=40.0, grid_points=4096):
+def bound_states_1d(V):
     """Number of negative eigenvalues of -d^2/dx^2 + V, by two methods.
 
     (i) dense finite-difference diagonalization in a large box, and
     (ii) node counting of the zero-energy solution (Sturm oscillation).
     The two counts must agree, else OracleDisagreement.
     """
-    count_fd = _bound_states_fd(V, box_halfwidth, grid_points)
+    count_fd = _bound_states_fd(V)
     count_nodes = _bound_states_nodes(V)
     if count_fd != count_nodes:
         raise OracleDisagreement(
@@ -100,40 +108,38 @@ def bound_states_1d(V, box_halfwidth=40.0, grid_points=4096):
     return count_fd
 
 
-def _bound_states_fd(V, L, n):
-    L = max(L, 3.0 * V.halfwidth)
-    x = np.linspace(-L, L, n)
+def _bound_states_fd(V):
+    L = max(FD_BOX, 3.0 * V.halfwidth)
+    x = np.linspace(-L, L, FD_POINTS)
     h = x[1] - x[0]
     diag = 2.0 / h ** 2 + V(x)
-    off = np.full(n - 1, -1.0 / h ** 2)
+    off = np.full(FD_POINTS - 1, -1.0 / h ** 2)
     vals = eigvalsh_tridiagonal(diag, off, select="v",
                                 select_range=(-1e8, -1e-8))
     return int(len(vals))
 
 
-def _zero_energy_left_solution(V, substep=0.005):
+def _zero_energy_left_solution(V):
     """Propagate u'' = V u from u = 1, u' = 0 left of the support.
 
-    Returns sampled (x, u) plus the final (u, u') at the right edge.  The
-    per-substep propagation uses the exact constant-coefficient solution, so
-    the only approximation is the sampling density of the returned trace.
+    Returns u sampled every SUBSTEP (at most) plus the final (u, u') at the
+    right edge.  The per-substep propagation uses the exact
+    constant-coefficient solution, so the only approximation is the
+    sampling density of the returned trace.
     """
     state = np.array([1.0, 0.0], dtype=complex)
-    xs = [V.support[0]]
     us = [1.0]
     for x0, x1, v in V.segments:
-        nsub = max(1, int(np.ceil((x1 - x0) / substep)))
-        d = (x1 - x0) / nsub
-        step = _seg_transfer(d, v, 0.0)
-        for j in range(nsub):
+        nsub = max(1, int(np.ceil((x1 - x0) / SUBSTEP)))
+        step = _seg_transfer((x1 - x0) / nsub, v, 0.0)
+        for _ in range(nsub):
             state = step @ state
-            xs.append(x0 + (j + 1) * d)
             us.append(np.real(state[0]))
-    return np.array(xs), np.array(us), np.real(state)
+    return np.array(us), np.real(state)
 
 
 def _bound_states_nodes(V):
-    _, us, (u_end, du_end) = _zero_energy_left_solution(V)
+    us, (u_end, du_end) = _zero_energy_left_solution(V)
     signs = np.sign(us[np.abs(us) > 1e-13])
     interior = int(np.sum(signs[:-1] != signs[1:]))
     # one more zero in the free region x > x_right iff u and u' oppose there
@@ -144,7 +150,7 @@ def _bound_states_nodes(V):
 def resonance_statistic_1d(V):
     """Scale-free size of the derivative of the zero-energy solution at the
     right edge; zero iff the solution stays bounded (a resonance)."""
-    _, _, (u_end, du_end) = _zero_energy_left_solution(V)
+    _, (u_end, du_end) = _zero_energy_left_solution(V)
     span = (V.support[1] - V.support[0]) + 1.0
     return abs(du_end) * span / (abs(u_end) + span * abs(du_end) + 1e-300)
 
@@ -205,8 +211,7 @@ def _det_p_lu(K, p):
                     conditioning=float(np.linalg.norm(K, 2)))
 
 
-def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, tol=1e-6,
-                            n_max=4800):
+def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, n_max=4800):
     """Det_p(Id + q1 R0(lam +/- i0) q2) by Nystrom discretization.
 
     The quadrature error is O(n^-2) because of the |x - y| kink on the
@@ -214,7 +219,7 @@ def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, tol=1e-6,
     the leading term, and convergence is judged on successive extrapolants
     (the raw h^2 differences overestimate the extrapolated error by orders
     of magnitude).  Raises QuadratureNotConverged when doubling does not
-    stabilize to `tol`; the order p must be an integer >= 1.
+    stabilize to NYSTROM_TOL; the order p must be an integer >= 1.
     """
     p = check_order("p", p, 1, integer=True)
     if lam <= 0:
@@ -231,7 +236,7 @@ def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, tol=1e-6,
         cur = det_at(m)
         rich = cur.value + (cur.value - prev.value) / 3.0
         if prev_rich is not None and \
-                abs(rich - prev_rich) < tol * (1.0 + abs(rich)):
+                abs(rich - prev_rich) < NYSTROM_TOL * (1.0 + abs(rich)):
             return DetValue(value=rich,
                             log_value=complex(np.log(abs(rich)),
                                               np.angle(rich)),
@@ -239,4 +244,5 @@ def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, tol=1e-6,
         prev, prev_rich = cur, rich
         m *= 2
     raise QuadratureNotConverged(
-        f"Nystrom determinant did not stabilize to {tol:.1e} by n = {n_max}")
+        f"Nystrom determinant did not stabilize to {NYSTROM_TOL:.1e} by "
+        f"n = {n_max}")

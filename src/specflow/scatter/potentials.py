@@ -6,7 +6,7 @@ Radial potentials keep their callable plus support radius; moments over
 R^d are taken with the surface measure of the (d-1)-sphere.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -91,7 +91,6 @@ class RadialPotential:
     v_of_r: object
     radius: float
     dim: int = 3
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.dim not in (2, 3, 4):
@@ -105,7 +104,7 @@ class RadialPotential:
         d = float(depth)
         R = float(radius)
         return cls(v_of_r=lambda r: np.where(r < R, -d, 0.0), radius=R,
-                   dim=dim, label=f"square_well(depth={d}, radius={R})")
+                   dim=dim)
 
     def __call__(self, r):
         """V at r (a float or an array of radii), with one call of v_of_r

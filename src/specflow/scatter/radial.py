@@ -32,6 +32,7 @@ from ..errors import (
     IntegrationFailure,
     OracleDisagreement,
 )
+from .onedim import FD_BOX, FD_POINTS
 
 RENORM_EVERY = 100
 
@@ -305,12 +306,12 @@ def threshold_statistics_radial(V, lmax=3):
     return aa / (aa + bb + 1e-300)
 
 
-def _bound_states_fd_radial(V, ell, box=40.0, grid_points=4096):
-    L = max(box, 3.0 * V.radius)
-    h = L / (grid_points + 1)
-    r = h * np.arange(1, grid_points + 1)
+def _bound_states_fd_radial(V, ell):
+    L = max(FD_BOX, 3.0 * V.radius)
+    h = L / (FD_POINTS + 1)
+    r = h * np.arange(1, FD_POINTS + 1)
     diag = 2.0 / h ** 2 + ell * (ell + 1.0) / r ** 2 + V(r)
-    off = np.full(grid_points - 1, -1.0 / h ** 2)
+    off = np.full(FD_POINTS - 1, -1.0 / h ** 2)
     vals = eigvalsh_tridiagonal(diag, off, select="v",
                                 select_range=(-1e8, -1e-8))
     return int(len(vals))

@@ -37,10 +37,18 @@ from .errors import (
 )
 from .matcore import (check_order, eig_unitary, form_trace, gamma_constant,
                       principal_log_unitary)
-from .upath import cap_into, cap_outof, concatenate_many
+from .upath import ENDPOINT_TOL, cap_into, cap_outof, concatenate_many
 
 DEFAULT_EPSABS = 1e-9
-DEFAULT_LIMIT = 10000
+QUAD_LIMIT = 10000
+# sf_phillips: initial uniform samples, largest matched eigenangle motion
+# per step, sample budget, bisection depth of the ray certification, and
+# least angular clearance of a certified arc
+INITIAL_SAMPLES = 33
+MOTION_BOUND = np.pi / 6
+MAX_SAMPLES = 20000
+CERTIFY_DEPTH = 28
+MARGIN_MIN = 1e-9
 
 
 @dataclass
@@ -90,7 +98,7 @@ def _finish(raw, method, parameters, warns):
                               warnings=warns)
 
 
-def _integrate_path(f, path, epsabs=DEFAULT_EPSABS, limit=DEFAULT_LIMIT):
+def _integrate_path(f, path, epsabs):
     """Adaptive Gauss-Kronrod over the path interval, split at breakpoints."""
     a, b = path.interval
     pts = list(path.breakpoints) or None
@@ -98,7 +106,7 @@ def _integrate_path(f, path, epsabs=DEFAULT_EPSABS, limit=DEFAULT_LIMIT):
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always", IntegrationWarning)
         val, err = quad(f, a, b, complex_func=True, epsabs=epsabs,
-                        limit=limit, points=pts)
+                        limit=QUAD_LIMIT, points=pts)
     for w in caught:
         if issubclass(w.category, IntegrationWarning):
             warns.append(f"quadrature: {w.message}")
@@ -121,7 +129,7 @@ def _form(path, kind, order):
     return r, lambda val: const * val
 
 
-def _winding(path, kind, order, epsabs, limit):
+def _winding(path, kind, order, epsabs):
     """Normalised integral of Tr(U* U' g(U - Id)) over the path.
 
     Returns (value, checked order, quadrature error, warnings).
@@ -132,7 +140,7 @@ def _winding(path, kind, order, epsabs, limit):
         U = path(t)
         return form_trace(U.conj().T @ path.derivative(t), U, kind, order)
 
-    val, err, warns = _integrate_path(integrand, path, epsabs, limit)
+    val, err, warns = _integrate_path(integrand, path, epsabs)
     return normalise(val), order, err, warns
 
 
@@ -140,21 +148,21 @@ def _winding(path, kind, order, epsabs, limit):
 # integral engines
 
 
-def sf_alpha(path, n, epsabs=DEFAULT_EPSABS, limit=DEFAULT_LIMIT, closed_tol=1e-8):
+def sf_alpha(path, n, epsabs=DEFAULT_EPSABS):
     """Winding via (-1)^n (1/2 pi i) Integral Tr(U* U' (U - Id)^n) dt."""
-    path.check_closed(tol=closed_tol)
-    raw, n, err, warns = _winding(path, "n", n, epsabs, limit)
+    path.check_closed()
+    raw, n, err, warns = _winding(path, "n", n, epsabs)
     return _finish(raw, "alpha", {"n": n, "quad_error": err}, warns)
 
 
-def sf_beta(path, r, epsabs=DEFAULT_EPSABS, limit=DEFAULT_LIMIT, closed_tol=1e-8):
+def sf_beta(path, r, epsabs=DEFAULT_EPSABS):
     """Winding via -i C_r (1/2)^{2r+1} Integral Tr(U* U' |U - Id|^{2r}) dt."""
-    path.check_closed(tol=closed_tol)
-    raw, r, err, warns = _winding(path, "r", r, epsabs, limit)
+    path.check_closed()
+    raw, r, err, warns = _winding(path, "r", r, epsabs)
     return _finish(raw, "beta", {"r": r, "quad_error": err}, warns)
 
 
-def sf_det(path, p, epsabs=DEFAULT_EPSABS, limit=DEFAULT_LIMIT, closed_tol=1e-8):
+def sf_det(path, p, epsabs=DEFAULT_EPSABS):
     """Winding of the regularized determinant Det_p along the loop.
 
     The integrand is the log-derivative d/dt Log Det_p(U_t) =
@@ -163,9 +171,9 @@ def sf_det(path, p, epsabs=DEFAULT_EPSABS, limit=DEFAULT_LIMIT, closed_tol=1e-8)
     smaller than the path's Schatten order.  This is the paper's
     determinant statement, not a route independent of `sf_alpha`.
     """
-    path.check_closed(tol=closed_tol)
+    path.check_closed()
     p = check_order("p", p, path.schatten_order, integer=True)
-    raw, _, err, warns = _winding(path, "n", p - 1, epsabs, limit)
+    raw, _, err, warns = _winding(path, "n", p - 1, epsabs)
     return _finish(raw, "det", {"p": p, "quad_error": err}, warns)
 
 
@@ -190,7 +198,7 @@ def _cap_integral(U, kind, order, epsabs):
         return np.sum(iang * (4.0 * np.sin(t * angles / 2.0) ** 2) ** order)
 
     val, _ = quad(integrand, 0.0, 1.0, complex_func=True, epsabs=epsabs,
-                  limit=DEFAULT_LIMIT)
+                  limit=QUAD_LIMIT)
     return order, val
 
 
@@ -213,8 +221,7 @@ def xi_endpoint(U, r, epsabs=DEFAULT_EPSABS):
     return _cap_integral(U, "r", r, epsabs)[1]
 
 
-def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS,
-                 limit=DEFAULT_LIMIT, cap_tol=1e-8, phillips_kwargs=None):
+def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
     """Spectral flow of an open path closed by geodesic endpoint caps.
 
     The caps are e^{tY} from Id to U_start and e^{(1-t)Z} from U_end to Id,
@@ -235,17 +242,15 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS,
     order, normalise = _form(path, kind, order)
     a, b = path.interval
     U0, U1 = path(a), path(b)
-    Y = principal_log_unitary(U0)
-    Z = principal_log_unitary(U1)
-    for G, U, which in ((Y, U0, "start"), (Z, U1, "end")):
-        gap = np.linalg.norm(expm(G) - U, ord=2)
-        if gap > cap_tol:
+    for U, which in ((U0, "start"), (U1, "end")):
+        gap = np.linalg.norm(expm(principal_log_unitary(U)) - U, ord=2)
+        if gap > ENDPOINT_TOL:
             raise CapMismatch(f"{which} cap misses endpoint by {gap:.3e}")
 
     closed = concatenate_many([cap_into(U0), path, cap_outof(U1)])
-    phillips = sf_phillips(closed, **(phillips_kwargs or {}))
+    phillips = sf_phillips(closed)
 
-    body, _, err, warns = _winding(path, kind, order, epsabs, limit)
+    body, _, err, warns = _winding(path, kind, order, epsabs)
     if kind == "n":
         correction = (theta_endpoint(U0, order, epsabs)
                       - theta_endpoint(U1, order, epsabs))
@@ -273,8 +278,6 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS,
 def _wrap(x):
     """Wrap to (-pi, pi]."""
     y = np.mod(x + np.pi, 2.0 * np.pi) - np.pi
-    if np.isscalar(y):
-        return np.pi if y == -np.pi else y
     y[y == -np.pi] = np.pi
     return y
 
@@ -309,23 +312,11 @@ def _match_motion(a0, v0, a1, v1):
     return _wrap(a1[perm] - a0), perm
 
 
-class _EigCache:
-    def __init__(self, path):
-        self.path = path
-        self.data = {}
-
-    def __call__(self, t):
-        if t not in self.data:
-            self.data[t] = eig_unitary(self.path(t))
-        return self.data[t]
-
-
-def sf_phillips(path, initial_samples=33, motion_bound=np.pi / 6,
-                max_samples=20000, certify_depth=28, margin_min=1e-9):
+def sf_phillips(path):
     """Spectral flow by eigenvalue-crossing counting.
 
     The interval is refined until the matched eigenangle motion between
-    neighboring samples is below `motion_bound`.  On each subinterval an arc
+    neighboring samples is below MOTION_BOUND.  On each subinterval an arc
     half-width eps_j is chosen in the largest sampled gap of eigenvalue
     distances from -1, and certified: every sample keeps both rays
     pi +/- eps_j clear, and per-step motion is too small for any eigenvalue
@@ -336,9 +327,14 @@ def sf_phillips(path, initial_samples=33, motion_bound=np.pi / 6,
     if not path.finite:
         raise PartitionFailure("compactify the path to a finite interval first")
     a, b = path.interval
-    eig = _EigCache(path)
+    cache = {}
 
-    grid = set(np.linspace(a, b, max(int(initial_samples), 3)))
+    def eig(t):
+        if t not in cache:
+            cache[t] = eig_unitary(path(t))
+        return cache[t]
+
+    grid = set(np.linspace(a, b, INITIAL_SAMPLES))
     grid.update(path.breakpoints)
     grid = sorted(grid)
 
@@ -350,20 +346,20 @@ def sf_phillips(path, initial_samples=33, motion_bound=np.pi / 6,
         a0, v0 = eig(t0)
         a1, v1 = eig(t1)
         motion, _ = _match_motion(a0, v0, a1, v1)
-        if np.max(np.abs(motion)) > motion_bound and len(eig.data) < max_samples:
-            tm = 0.5 * (t0 + t1)
-            if tm <= t0 or tm >= t1:
-                raise PartitionFailure(
-                    f"cannot refine below floating-point resolution at {t0}")
-            work.append((t0, tm))
-            work.append((tm, t1))
-        else:
-            if np.max(np.abs(motion)) > motion_bound:
-                raise PartitionFailure(
-                    f"sample budget {max_samples} exhausted with eigenvalue "
-                    f"motion {np.max(np.abs(motion)):.3f} > {motion_bound:.3f}; "
-                    "increase resolution")
+        step = np.max(np.abs(motion))
+        if step <= MOTION_BOUND:
             accepted.append((t0, t1))
+            continue
+        if len(cache) >= MAX_SAMPLES:
+            raise PartitionFailure(
+                f"sample budget {MAX_SAMPLES} exhausted with eigenvalue "
+                f"motion {step:.3f} > {MOTION_BOUND:.3f}")
+        tm = 0.5 * (t0 + t1)
+        if tm <= t0 or tm >= t1:
+            raise PartitionFailure(
+                f"cannot refine below floating-point resolution at {t0}")
+        work.append((t0, tm))
+        work.append((tm, t1))
     accepted.sort()
     breakpoints = [accepted[0][0]] + [seg[1] for seg in accepted]
 
@@ -381,21 +377,17 @@ def sf_phillips(path, initial_samples=33, motion_bound=np.pi / 6,
         u1 = _around_minus_one(a1)[perm]
         margin = min(np.min(np.abs(np.abs(u0) - eps)),
                      np.min(np.abs(np.abs(u1) - eps)))
-        ok = True
-        for uu0, uu1, mv in zip(u0, u1, motion):
-            for ray in (eps, -eps):
-                # circular clearances: a step displacement |mv| can only
-                # cross the ray if it exceeds the clearance sum
-                c0 = np.abs(_wrap(uu0 - ray))
-                c1 = np.abs(_wrap(uu1 - ray))
-                if np.abs(mv) >= c0 + c1 - 1e-12:
-                    ok = False
-        if ok:
+        # circular clearances from both rays: a step displacement |motion|
+        # can only cross a ray if it exceeds the clearance sum
+        rays = np.array([eps, -eps])
+        c0 = np.abs(_wrap(u0[:, None] - rays))
+        c1 = np.abs(_wrap(u1[:, None] - rays))
+        if not np.any(np.abs(motion)[:, None] >= c0 + c1 - 1e-12):
             return margin
-        if depth <= 0 or len(eig.data) >= max_samples:
+        if depth <= 0 or len(cache) >= MAX_SAMPLES:
             raise PartitionFailure(
                 f"cannot certify rays pi +/- {eps:.4f} free on "
-                f"[{t0:.6g}, {t1:.6g}]; increase resolution")
+                f"[{t0:.6g}, {t1:.6g}]")
         tm = 0.5 * (t0 + t1)
         if tm <= t0 or tm >= t1:
             raise PartitionFailure("refinement hit floating-point resolution")
@@ -407,19 +399,19 @@ def sf_phillips(path, initial_samples=33, motion_bound=np.pi / 6,
     margins = []
     for t0, t1 in accepted:
         # distances from -1 seen anywhere on the subinterval samples
-        seen = [t for t in (t0, t1)]
-        dists = np.concatenate([np.abs(_around_minus_one(eig(t)[0])) for t in seen])
+        dists = np.concatenate([np.abs(_around_minus_one(eig(t)[0]))
+                                for t in (t0, t1)])
         dists = np.unique(np.concatenate([[0.0], np.sort(dists), [np.pi]]))
         gaps = np.diff(dists)
         gi = int(np.argmax(gaps))
         eps = 0.5 * (dists[gi] + dists[gi + 1])
-        if gaps[gi] / 2.0 < margin_min or not (0.0 < eps < np.pi):
+        if gaps[gi] / 2.0 < MARGIN_MIN or not (0.0 < eps < np.pi):
             raise PartitionFailure(
                 f"no eigenvalue-free arc around -1 on [{t0:.6g}, {t1:.6g}]")
-        margin = certify(t0, t1, eps, certify_depth)
-        if margin < margin_min:
+        margin = certify(t0, t1, eps, CERTIFY_DEPTH)
+        if margin < MARGIN_MIN:
             raise PartitionFailure(
-                f"arc margin {margin:.2e} below {margin_min:.0e} on "
+                f"arc margin {margin:.2e} below {MARGIN_MIN:.0e} on "
                 f"[{t0:.6g}, {t1:.6g}]")
         total += count(t1, eps) - count(t0, eps)
         epsilons.append(eps)
@@ -429,5 +421,5 @@ def sf_phillips(path, initial_samples=33, motion_bound=np.pi / 6,
                                 margins=margins)
     return SpectralFlowReport(value=int(total), raw=complex(total),
                               residual=0.0, method="phillips",
-                              parameters={"samples": len(eig.data)},
+                              parameters={"samples": len(cache)},
                               warnings=[], certificate=cert)

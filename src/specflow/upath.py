@@ -17,10 +17,12 @@ from .errors import (
     NoLimitAtInfinity,
     NotClosed,
     OutsideInterval,
+    SpecflowError,
 )
 from .matcore import check_unitary, principal_log_unitary, schatten_norm
 
 ENDPOINT_TOL = 1e-8
+TAIL_TOL = 0.5
 
 
 class UnitaryPath:
@@ -43,7 +45,7 @@ class UnitaryPath:
 
     def __init__(self, sampler, interval=(0.0, 1.0), derivative=None,
                  schatten_order=1.0, closed=False, breakpoints=(),
-                 dim=None, check=True, name=None):
+                 dim=None, check=True):
         self._sampler = sampler
         self.interval = (float(interval[0]), float(interval[1]))
         if not self.interval[0] < self.interval[1]:
@@ -56,7 +58,6 @@ class UnitaryPath:
             if not (self.interval[0] < b < self.interval[1]):
                 raise OutsideInterval(f"breakpoint {b} outside {interval}")
         self._check = bool(check)
-        self.name = name
         if dim is None:
             probe = np.asarray(sampler(self._probe_point()), dtype=complex)
             dim = probe.shape[0]
@@ -87,7 +88,7 @@ class UnitaryPath:
             U = check_unitary(U)
         return U
 
-    def derivative(self, t, h=None):
+    def derivative(self, t):
         """U'_t: analytic when available, else 4th-order central difference.
 
         Near the interval ends the stencil degrades to a 2nd-order one-sided
@@ -99,9 +100,7 @@ class UnitaryPath:
         if self._derivative is not None:
             return np.asarray(self._derivative(t), dtype=complex)
         a, b = self.interval
-        if h is None:
-            scale = (b - a) if self.finite else 1.0
-            h = 1e-5 * scale
+        h = 1e-5 * ((b - a) if self.finite else 1.0)
         if t - 2 * h >= a and t + 2 * h <= b:
             return (-self(t + 2 * h) + 8 * self(t + h)
                     - 8 * self(t - h) + self(t - 2 * h)) / (12 * h)
@@ -111,14 +110,15 @@ class UnitaryPath:
             return (self(t + h) - self(t)) / h
         return (self(t + h) - self(t - h)) / (2 * h)
 
-    def check_closed(self, tol=ENDPOINT_TOL):
-        """Raise NotClosed unless U_a = U_b within tol (operator norm)."""
+    def check_closed(self):
+        """Raise NotClosed unless U_a = U_b within ENDPOINT_TOL (operator
+        norm)."""
         if not self.finite:
             raise NotClosed("unbounded interval; compactify first")
         a, b = self.interval
         gap = np.linalg.norm(self(a) - self(b), ord=2)
-        if gap > tol:
-            raise NotClosed(f"endpoint gap {gap:.3e} exceeds tol {tol:.1e}")
+        if gap > ENDPOINT_TOL:
+            raise NotClosed(f"endpoint gap {gap:.3e} exceeds {ENDPOINT_TOL}")
 
     def reversed(self):
         """The same trace traversed backwards (finite intervals only)."""
@@ -135,10 +135,10 @@ class UnitaryPath:
         )
 
 
-def constant_path(U, interval=(0.0, 1.0)):
+def constant_path(U):
     U = check_unitary(U)
     dim = U.shape[0]
-    return UnitaryPath(lambda t: U, interval=interval,
+    return UnitaryPath(lambda t: U,
                        derivative=lambda t: np.zeros((dim, dim), dtype=complex),
                        schatten_order=1.0, closed=True, dim=dim)
 
@@ -148,7 +148,12 @@ def model_loop(k, dim):
 
     P projects onto the first k coordinates; the loop winds each of the k
     active eigenvalues once around the circle, so its spectral flow is k.
+    k and dim must be integers (integer-valued floats are accepted).
     """
+    if not (float(k).is_integer() and float(dim).is_integer()):
+        raise SpecflowError(f"model loop needs integer k and dim, got "
+                            f"k={k}, dim={dim}")
+    k, dim = int(k), int(dim)
     if k < 1:
         raise DimensionTooSmall(f"rank k must be >= 1, got {k}")
     if dim < k:
@@ -164,8 +169,7 @@ def model_loop(k, dim):
         return np.diag(d)
 
     return UnitaryPath(sampler, interval=(0.0, 1.0), derivative=deriv,
-                       schatten_order=1.0, closed=True, dim=dim, check=False,
-                       name=f"model_loop(k={k}, dim={dim})")
+                       schatten_order=1.0, closed=True, dim=dim, check=False)
 
 
 def geodesic_between(U0, U1):
@@ -182,8 +186,9 @@ def geodesic_between(U0, U1):
     return generator_path(Y, base=U0)
 
 
-def generator_path(Y, base=None, interval=(0.0, 1.0)):
-    """The path base * e^{tY} for a fixed skew-Hermitian generator Y."""
+def generator_path(Y, base=None):
+    """The path base * e^{tY}, t in [0, 1], for a fixed skew-Hermitian
+    generator Y."""
     Y = np.asarray(Y, dtype=complex)
     dim = Y.shape[0]
     if base is None:
@@ -195,8 +200,8 @@ def generator_path(Y, base=None, interval=(0.0, 1.0)):
     def deriv(t):
         return base @ Y @ expm(t * Y)
 
-    return UnitaryPath(sampler, interval=interval, derivative=deriv,
-                       schatten_order=1.0, closed=False, dim=dim, check=False)
+    return UnitaryPath(sampler, derivative=deriv, schatten_order=1.0,
+                       closed=False, dim=dim, check=False)
 
 
 def cap_into(U):
@@ -219,7 +224,7 @@ def cap_outof(U):
                        check=False)
 
 
-def concatenate(a, b, tol=ENDPOINT_TOL):
+def concatenate(a, b):
     """Traverse a then b at double speed on [0, 1].
 
     Requires a's end value to match b's start value; the joint at t = 1/2
@@ -230,8 +235,8 @@ def concatenate(a, b, tol=ENDPOINT_TOL):
     if a.dim != b.dim:
         raise EndpointMismatch(f"dims {a.dim} vs {b.dim}")
     gap = np.linalg.norm(a(a.interval[1]) - b(b.interval[0]), ord=2)
-    if gap > tol:
-        raise EndpointMismatch(f"joint gap {gap:.3e} exceeds tol {tol:.1e}")
+    if gap > ENDPOINT_TOL:
+        raise EndpointMismatch(f"joint gap {gap:.3e} exceeds {ENDPOINT_TOL}")
     a0, a1 = a.interval
     b0, b1 = b.interval
     la, lb = a1 - a0, b1 - b0
@@ -249,7 +254,7 @@ def concatenate(a, b, tol=ENDPOINT_TOL):
     joints = [0.5]
     joints += [(c - a0) / la / 2.0 for c in a.breakpoints]
     joints += [0.5 + (c - b0) / lb / 2.0 for c in b.breakpoints]
-    closed = np.linalg.norm(a(a0) - b(b1), ord=2) <= tol
+    closed = np.linalg.norm(a(a0) - b(b1), ord=2) <= ENDPOINT_TOL
 
     return UnitaryPath(sampler, interval=(0.0, 1.0), derivative=deriv,
                        schatten_order=max(a.schatten_order, b.schatten_order),
@@ -257,28 +262,29 @@ def concatenate(a, b, tol=ENDPOINT_TOL):
                        check=False)
 
 
-def concatenate_many(paths, tol=ENDPOINT_TOL):
+def concatenate_many(paths):
     out = paths[0]
     for nxt in paths[1:]:
-        out = concatenate(out, nxt, tol=tol)
+        out = concatenate(out, nxt)
     return out
 
 
-def _tail_check(path, probes, tol):
-    """Verify ||U_s - Id||_p decreases monotonically along the probes."""
+def _tail_check(path, probes):
+    """Verify ||U_s - Id||_p decreases monotonically along the probes and
+    ends below TAIL_TOL."""
     p = path.schatten_order
     eye = np.eye(path.dim)
     dists = [schatten_norm(path(s) - eye, max(p, 1.0)) for s in probes]
     drops = all(d2 <= d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
-    if not (drops and dists[-1] < tol):
+    if not (drops and dists[-1] < TAIL_TOL):
         raise NoLimitAtInfinity(
             f"tail distances {dists} at probes {probes} do not settle to Id")
 
 
-def compactify(path, alpha=1.0, tail_tol=0.5, probes=(1e2, 1e3, 1e4)):
+def compactify(path, probes=(1e2, 1e3, 1e4)):
     """Reparameterize a path on [0, inf) (or R) to [0, 1].
 
-    For [0, inf) the substitution is t = 1 - (1 + s)^(-alpha/2); for R it is
+    For [0, inf) the substitution is t = 1 - (1 + s)^(-1/2); for R it is
     the logistic t = 1/(1 + e^{-s}).  The integrands of the winding integrals
     transform with the Jacobian, so all spectral-flow values are unchanged.
     The path must approach Id at infinity; probe samples must show monotone
@@ -291,29 +297,21 @@ def compactify(path, alpha=1.0, tail_tol=0.5, probes=(1e2, 1e3, 1e4)):
     eye = np.eye(dim)
 
     if a == 0.0 and b == np.inf:
-        _tail_check(path, probes, tail_tol)
-        expo = -2.0 / alpha
+        _tail_check(path, probes)
 
         def g(t):
-            return (1.0 - t) ** expo - 1.0
+            return (1.0 - t) ** -2.0 - 1.0
 
         def gprime(t):
-            return -expo * (1.0 - t) ** (expo - 1.0)
+            return 2.0 * (1.0 - t) ** -3.0
 
-        def sampler(t):
-            if t >= 1.0:
-                return eye
-            return path(g(t))
+        def at_infinity(t):
+            return t >= 1.0
 
-        def deriv(t):
-            if t >= 1.0:
-                return np.zeros((dim, dim), dtype=complex)
-            return gprime(t) * path.derivative(g(t))
-
-        bps = tuple(1.0 - (1.0 + c) ** (-alpha / 2.0) for c in path.breakpoints)
+        bps = tuple(1.0 - (1.0 + c) ** -0.5 for c in path.breakpoints)
     elif a == -np.inf and b == np.inf:
-        _tail_check(path, probes, tail_tol)
-        _tail_check(path, tuple(-s for s in probes), tail_tol)
+        _tail_check(path, probes)
+        _tail_check(path, tuple(-s for s in probes))
 
         def g(t):
             return np.log(t / (1.0 - t))
@@ -321,23 +319,23 @@ def compactify(path, alpha=1.0, tail_tol=0.5, probes=(1e2, 1e3, 1e4)):
         def gprime(t):
             return 1.0 / (t * (1.0 - t))
 
-        def sampler(t):
-            if t <= 0.0 or t >= 1.0:
-                return eye
-            return path(g(t))
-
-        def deriv(t):
-            if t <= 0.0 or t >= 1.0:
-                return np.zeros((dim, dim), dtype=complex)
-            return gprime(t) * path.derivative(g(t))
+        def at_infinity(t):
+            return t <= 0.0 or t >= 1.0
 
         bps = tuple(1.0 / (1.0 + np.exp(-c)) for c in path.breakpoints)
     else:
         raise OutsideInterval(f"cannot compactify interval {path.interval}")
 
+    def sampler(t):
+        return eye if at_infinity(t) else path(g(t))
+
+    def deriv(t):
+        if at_infinity(t):
+            return np.zeros((dim, dim), dtype=complex)
+        return gprime(t) * path.derivative(g(t))
+
     start_gap = np.linalg.norm(sampler(0.0) - eye, ord=2)
     return UnitaryPath(sampler, interval=(0.0, 1.0), derivative=deriv,
                        schatten_order=path.schatten_order,
                        closed=start_gap <= ENDPOINT_TOL,
-                       breakpoints=bps, dim=dim, check=False,
-                       name=f"compactified({path.name})")
+                       breakpoints=bps, dim=dim, check=False)

@@ -25,12 +25,14 @@ def test_sf_loop_model(capsys):
 
 
 def test_sf_loop_integral_methods(capsys):
+    # the order flag picks the route
     for method, extra in (("alpha", ["--n", "2"]), ("beta", ["--r", "0.5"]),
                           ("det", ["--p", "2"])):
-        rc, recs = run_lines(["sf-loop", "--model", "k=1,dim=3",
-                              "--method", method] + extra, capsys)
+        rc, recs = run_lines(["sf-loop", "--model", "k=1,dim=3"] + extra,
+                             capsys)
         assert rc == 0
         assert recs[-1]["result"]["value"] == 1
+        assert recs[-1]["result"]["method"] == method
 
 
 def test_sf_loop_error_record(capsys):
@@ -42,8 +44,8 @@ def test_sf_loop_error_record(capsys):
 
 
 def test_sf_loop_invalid_order(capsys):
-    rc, recs = run_lines(["sf-loop", "--model", "k=1,dim=2",
-                          "--method", "beta", "--r", "-1"], capsys)
+    rc, recs = run_lines(["sf-loop", "--model", "k=1,dim=2", "--r", "-1"],
+                         capsys)
     assert rc == 2
     assert recs[-1]["result"]["error"]["type"] == "InvalidOrder"
 
@@ -114,11 +116,114 @@ def test_levinson_1d_rejects_grid(capsys):
     assert recs[-1]["result"]["error"]["type"] == "InvalidGrid"
 
 
-@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--lmax", "4"],
-                                  ["--seed", "3"], ["--tol", "1e-6"]])
+LEVINSON_1D = ["levinson", "--dim", "1", "--well", "depth=2"]
+SF_LOOP = ["sf-loop", "--model", "k=1,dim=2"]
+
+
+@pytest.mark.parametrize("flag", [LEVINSON_1D + ["--jobs", "2"],
+                                  LEVINSON_1D + ["--lmax", "4"],
+                                  LEVINSON_1D + ["--seed", "3"],
+                                  LEVINSON_1D + ["--tol", "1e-6"],
+                                  SF_LOOP + ["--method", "alpha"]])
 def test_unused_flags_are_gone(flag):
     with pytest.raises(SystemExit):
-        main(["levinson", "--dim", "1", "--well", "depth=2"] + flag)
+        main(flag)
+
+
+def error_record(argv, capsys):
+    rc, recs = run_lines(argv, capsys)
+    assert rc == 2
+    return recs[-1]["result"]["error"]
+
+
+@pytest.mark.parametrize("orders", [["--n", "1", "--r", "1"],
+                                    ["--n", "1", "--p", "2"],
+                                    ["--r", "1", "--p", "2"]])
+def test_sf_loop_rejects_two_orders(orders, capsys):
+    err = error_record(SF_LOOP + orders, capsys)
+    assert err["type"] == "SpecflowError"
+    assert "at most one order flag" in err["message"]
+
+
+def test_sf_loop_tol_needs_an_order(capsys):
+    err = error_record(SF_LOOP + ["--tol", "1e-6"], capsys)
+    assert err["type"] == "SpecflowError"
+    assert "--tol needs an order flag" in err["message"]
+    # with an order flag --tol is accepted
+    rc, recs = run_lines(SF_LOOP + ["--n", "1", "--tol", "1e-6"], capsys)
+    assert rc == 0
+    assert recs[-1]["config"]["tol"] == 1e-6
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (SF_LOOP + ["--n", "1", "--tol", "-1"], "SpecflowError"),
+    (SF_LOOP + ["--n", "1", "--tol", "nan"], "SpecflowError"),
+    (["sf-path", "--path", "model:1:2", "--tol", "0"], "SpecflowError"),
+    (SF_LOOP + ["--r", "nan"], "InvalidOrder"),
+    (SF_LOOP + ["--r", "inf"], "InvalidOrder"),
+    (["sf-path", "--path", "model:1:2", "--r", "nan"], "InvalidOrder"),
+    (["det", "--model", "k=1,dim=2", "--samples", "0"], "SpecflowError"),
+    (SF_LOOP + ["--path", "model:1:2"], "SpecflowError"),
+    (LEVINSON_1D + ["--potential", "well.json"], "SpecflowError"),
+    (["levinson", "--dim", "1", "--well", "depth=2,radius=1"],
+     "SpecflowError"),
+])
+def test_bad_values_are_error_records(argv, kind, capsys):
+    assert error_record(argv, capsys)["type"] == kind
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (LEVINSON_1D, {"seed": 3}),
+    (LEVINSON_1D, {"tol": 1e-3}),
+    (SF_LOOP, {"command": "det"}),
+    (SF_LOOP, {"config": "other.json"}),
+    (SF_LOOP, {"method": "alpha"}),
+    (SF_LOOP, {"n": 1.5}),
+    (SF_LOOP, {"n": 1, "r": 1}),
+    (SF_LOOP, {"out": None}),
+    (SF_LOOP, {"n": True}),
+    (SF_LOOP, {"model": ["k=1,dim=2"]}),
+    (LEVINSON_1D, {"dim": 2}),
+    (SF_LOOP, [1, 2]),
+    (SF_LOOP, None),
+    (SF_LOOP, "{not json"),
+])
+def test_bad_config_is_an_error_record(argv, doc, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    if doc is not None:
+        cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    err = error_record(argv + ["--config", str(cfg)], capsys)
+    assert err["type"] == "SpecflowError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sf-loop", "--model", "k=1.5,dim=2.7"],
+    ["sf-loop", "--model", "k=1,dim=2.5"],
+    ["sf-loop", "--model", "k=x,dim=2"],
+    ["sf-loop", "--model", "k=1,dim="],
+    ["sf-loop", "--path", "model:1.5:2"],
+    ["sf-loop", "--path", "model:x:2"],
+    ["sf-loop", "--path", "model:1"],
+    ["det", "--model", "k=1.5,dim=2"],
+    ["cayley", "--path", "model:1:2.5"],
+])
+def test_bad_model_spec_is_an_error_record(argv, capsys):
+    err = error_record(argv, capsys)
+    assert err["type"] == "SpecflowError"
+    assert "integer k and dim" in err["message"] \
+        or "key=number" in err["message"]
+
+
+@pytest.mark.parametrize("spec", ["geodesic:{tmp}/missing.npz",
+                                  "geodesic:{tmp}/u0_only.npz",
+                                  "scattering:{tmp}/missing.json",
+                                  "scattering:{tmp}/bad.json"])
+def test_bad_path_file_is_an_error_record(spec, tmp_path, capsys):
+    (tmp_path / "bad.json").write_text(json.dumps({"segments": [[0, 1]]}))
+    np.savez(tmp_path / "u0_only.npz", U0=np.eye(2, dtype=complex))
+    err = error_record(["sf-path", "--path", spec.format(tmp=tmp_path)],
+                       capsys)
+    assert err["type"] == "SpecflowError"
 
 
 def test_levinson_3d_csv_export(tmp_path, capsys):
@@ -176,19 +281,19 @@ def test_levinson_requires_potential(capsys):
 
 def test_config_overrides_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"method": "alpha", "n": 1}))
-    rc, recs = run_lines(["sf-loop", "--model", "k=1,dim=2",
-                          "--method", "phillips", "--config", str(cfg)],
-                         capsys)
+    cfg.write_text(json.dumps({"n": 1}))
+    rc, recs = run_lines(["sf-loop", "--model", "k=1,dim=2", "--n", "3",
+                          "--config", str(cfg)], capsys)
     assert rc == 0
     assert recs[-1]["result"]["method"] == "alpha"
     assert recs[-1]["result"]["value"] == 1
+    assert recs[-1]["config"]["n"] == 1
 
 
 def test_out_file_appends_and_reproduces(tmp_path, capsys):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"
-    argv = ["sf-loop", "--model", "k=1,dim=2", "--method", "alpha"]
+    argv = ["sf-loop", "--model", "k=1,dim=2", "--n", "1"]
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0

@@ -123,6 +123,12 @@ def test_inadmissible_orders_raise():
             theta_endpoint(U, bad)
     with pytest.raises(InvalidOrder):
         xi_endpoint(U, -0.5)
+    # non-finite orders are rejected before any integral is formed
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidOrder):
+            sf_beta(loop, r=bad)
+        with pytest.raises(InvalidOrder):
+            xi_endpoint(U, bad)
 
 
 def test_open_path_checks_order_before_counting(monkeypatch):

@@ -10,6 +10,7 @@ from specflow.errors import (
     NonUnitary,
     NotClosed,
     OutsideInterval,
+    SpecflowError,
 )
 from specflow.matcore import eig_unitary
 from specflow.sflow import sf_phillips
@@ -42,6 +43,11 @@ def test_model_loop_validation():
         model_loop(0, 2)
     with pytest.raises(DimensionTooSmall):
         model_loop(3, 2)
+    # a fractional rank or dimension used to build a mismatched loop
+    for k, dim in ((1.5, 3), (1, 2.7), (np.nan, 2), (1, np.inf)):
+        with pytest.raises(SpecflowError):
+            model_loop(k, dim)
+    assert model_loop(2.0, 3.0).dim == 3
 
 
 def test_model_loop_derivative_analytic():
@@ -144,7 +150,7 @@ def test_compactify_identity_and_flow_preservation():
     loop = model_loop(1, 2)
     stretched = UnitaryPath(lambda s: loop(s / (1.0 + s)),
                             interval=(0.0, np.inf), check=False)
-    back = compactify(stretched, alpha=1.0)
+    back = compactify(stretched)
     assert sf_phillips(back).value == 1
 
     # logistic substitution for paths over the whole line
