@@ -7,7 +7,8 @@ Conventions fixed here once and for all:
   matrix version of the principal logarithm Log(r e^{it}) = ln r + it with
   -pi < t <= pi.  Eigenvalues that sit on the cut within SNAP_TOL are
   snapped to +pi rather than being allowed to flip to -pi through rounding.
-* Unitarity is checked in operator norm with tolerance 1e-10 by default.
+* Unitarity is checked in Frobenius norm, never looser than the operator
+  norm, with tolerance 1e-10 by default.
 """
 
 import numpy as np
@@ -23,12 +24,14 @@ SNAP_TOL = 1e-12
 def check_unitary(U, tol=UNITARY_TOL):
     """Return U as a complex ndarray, raising NonUnitary if U*U != Id.
 
-    The defect is measured in operator norm; `tol` defaults to 1e-10.
+    The defect ||U*U - Id|| is measured in Frobenius norm, never looser
+    than the operator norm, so it costs one matmul rather than an SVD;
+    `tol` defaults to 1e-10.
     """
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise NonUnitary(f"expected a square matrix, got shape {U.shape}")
-    defect = np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), ord=2)
+    defect = np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]))
     if defect > tol:
         raise NonUnitary(f"unitarity defect {defect:.3e} exceeds tol {tol:.1e}")
     return U

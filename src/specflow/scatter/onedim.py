@@ -219,9 +219,11 @@ def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, n_max=4800):
     the leading term, and convergence is judged on successive extrapolants
     (the raw h^2 differences overestimate the extrapolated error by orders
     of magnitude).  Raises QuadratureNotConverged when doubling does not
-    stabilize to NYSTROM_TOL; the order p must be an integer >= 1.
+    stabilize to NYSTROM_TOL; the order p and the starting node count n
+    must be integers >= 1.
     """
     p = check_order("p", p, 1, integer=True)
+    n = check_order("n", n, 1, integer=True)
     if lam <= 0:
         raise EnergyNonpositive(f"need lam > 0, got {lam}")
 

@@ -30,6 +30,7 @@ from scipy.linalg import expm
 
 from .errors import (
     CapMismatch,
+    IntegrationFailure,
     InvalidOrder,
     NonConvergent,
     PartitionFailure,
@@ -98,6 +99,29 @@ def _finish(raw, method, parameters, warns):
                               warnings=warns)
 
 
+def _quad_once(f, a, b, epsabs, points=None):
+    """quad(complex_func=True) of f over [a, b], one evaluation per node.
+
+    quad integrates the real and the imaginary part in two passes over the
+    same Gauss-Kronrod nodes; f is memoised by node for this call, so the
+    second pass reuses the first pass's values and the nodes, sums and
+    error estimate are those of quad itself.  epsabs must be finite and
+    > 0, else IntegrationFailure.
+    """
+    if not (np.isfinite(epsabs) and epsabs > 0):
+        raise IntegrationFailure(
+            f"epsabs must be finite and > 0, got {epsabs}")
+    values = {}
+
+    def once(t):
+        if t not in values:
+            values[t] = f(t)
+        return values[t]
+
+    return quad(once, a, b, complex_func=True, epsabs=epsabs,
+                limit=QUAD_LIMIT, points=points)
+
+
 def _integrate_path(f, path, epsabs):
     """Adaptive Gauss-Kronrod over the path interval, split at breakpoints."""
     a, b = path.interval
@@ -105,8 +129,7 @@ def _integrate_path(f, path, epsabs):
     warns = []
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always", IntegrationWarning)
-        val, err = quad(f, a, b, complex_func=True, epsabs=epsabs,
-                        limit=QUAD_LIMIT, points=pts)
+        val, err = _quad_once(f, a, b, epsabs, pts)
     for w in caught:
         if issubclass(w.category, IntegrationWarning):
             warns.append(f"quadrature: {w.message}")
@@ -197,8 +220,7 @@ def _cap_integral(U, kind, order, epsabs):
             return np.sum(iang * (np.exp(t * iang) - 1.0) ** order)
         return np.sum(iang * (4.0 * np.sin(t * angles / 2.0) ** 2) ** order)
 
-    val, _ = quad(integrand, 0.0, 1.0, complex_func=True, epsabs=epsabs,
-                  limit=QUAD_LIMIT)
+    val, _ = _quad_once(integrand, 0.0, 1.0, epsabs)
     return order, val
 
 
@@ -312,6 +334,47 @@ def _match_motion(a0, v0, a1, v1):
     return _wrap(a1[perm] - a0), perm
 
 
+class _Samples(dict):
+    """eig_unitary of the path's samples, keyed by parameter and computed
+    on first lookup."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+
+    def __missing__(self, t):
+        self[t] = eig_unitary(self.path(t))
+        return self[t]
+
+
+def _certify(samples, t0, t1, eps, depth):
+    """Check no eigenvalue can touch a ray pi +/- eps on [t0, t1]; return
+    the least angular clearance seen, bisecting up to `depth` times."""
+    a0, v0 = samples[t0]
+    a1, v1 = samples[t1]
+    u0 = _around_minus_one(a0)
+    motion, perm = _match_motion(a0, v0, a1, v1)
+    u1 = _around_minus_one(a1)[perm]
+    margin = min(np.min(np.abs(np.abs(u0) - eps)),
+                 np.min(np.abs(np.abs(u1) - eps)))
+    # circular clearances from both rays: a step displacement |motion|
+    # can only cross a ray if it exceeds the clearance sum
+    rays = np.array([eps, -eps])
+    c0 = np.abs(_wrap(u0[:, None] - rays))
+    c1 = np.abs(_wrap(u1[:, None] - rays))
+    if not np.any(np.abs(motion)[:, None] >= c0 + c1 - 1e-12):
+        return margin
+    if depth <= 0 or len(samples) >= MAX_SAMPLES:
+        raise PartitionFailure(
+            f"cannot certify rays pi +/- {eps:.4f} free on "
+            f"[{t0:.6g}, {t1:.6g}]")
+    tm = 0.5 * (t0 + t1)
+    if tm <= t0 or tm >= t1:
+        raise PartitionFailure("refinement hit floating-point resolution")
+    return min(_certify(samples, t0, tm, eps, depth - 1),
+               _certify(samples, tm, t1, eps, depth - 1))
+
+
 def sf_phillips(path):
     """Spectral flow by eigenvalue-crossing counting.
 
@@ -322,17 +385,13 @@ def sf_phillips(path):
     pi +/- eps_j clear, and per-step motion is too small for any eigenvalue
     to reach a ray between samples (else the step is bisected).  The flow is
     the telescoped sum of arc-count differences k(t_j, eps_j) - k(t_{j-1},
-    eps_j); `raw` equals the integer exactly, so residual is 0.
+    eps_j); `raw` equals the integer exactly, so residual is 0.  The
+    sample cache holds no reference cycle and is released on return.
     """
     if not path.finite:
         raise PartitionFailure("compactify the path to a finite interval first")
     a, b = path.interval
-    cache = {}
-
-    def eig(t):
-        if t not in cache:
-            cache[t] = eig_unitary(path(t))
-        return cache[t]
+    samples = _Samples(path)
 
     grid = set(np.linspace(a, b, INITIAL_SAMPLES))
     grid.update(path.breakpoints)
@@ -343,14 +402,14 @@ def sf_phillips(path):
     accepted = []
     while work:
         t0, t1 = work.pop()
-        a0, v0 = eig(t0)
-        a1, v1 = eig(t1)
+        a0, v0 = samples[t0]
+        a1, v1 = samples[t1]
         motion, _ = _match_motion(a0, v0, a1, v1)
         step = np.max(np.abs(motion))
         if step <= MOTION_BOUND:
             accepted.append((t0, t1))
             continue
-        if len(cache) >= MAX_SAMPLES:
+        if len(samples) >= MAX_SAMPLES:
             raise PartitionFailure(
                 f"sample budget {MAX_SAMPLES} exhausted with eigenvalue "
                 f"motion {step:.3f} > {MOTION_BOUND:.3f}")
@@ -364,42 +423,16 @@ def sf_phillips(path):
     breakpoints = [accepted[0][0]] + [seg[1] for seg in accepted]
 
     def count(t, eps):
-        angles, _ = eig(t)
+        angles, _ = samples[t]
         u = _around_minus_one(angles)
         return int(np.sum((u >= 0.0) & (u < eps)))
-
-    def certify(t0, t1, eps, depth):
-        """Check no eigenvalue can touch a ray on [t0, t1]; return margin."""
-        a0, v0 = eig(t0)
-        a1, v1 = eig(t1)
-        u0 = _around_minus_one(a0)
-        motion, perm = _match_motion(a0, v0, a1, v1)
-        u1 = _around_minus_one(a1)[perm]
-        margin = min(np.min(np.abs(np.abs(u0) - eps)),
-                     np.min(np.abs(np.abs(u1) - eps)))
-        # circular clearances from both rays: a step displacement |motion|
-        # can only cross a ray if it exceeds the clearance sum
-        rays = np.array([eps, -eps])
-        c0 = np.abs(_wrap(u0[:, None] - rays))
-        c1 = np.abs(_wrap(u1[:, None] - rays))
-        if not np.any(np.abs(motion)[:, None] >= c0 + c1 - 1e-12):
-            return margin
-        if depth <= 0 or len(cache) >= MAX_SAMPLES:
-            raise PartitionFailure(
-                f"cannot certify rays pi +/- {eps:.4f} free on "
-                f"[{t0:.6g}, {t1:.6g}]")
-        tm = 0.5 * (t0 + t1)
-        if tm <= t0 or tm >= t1:
-            raise PartitionFailure("refinement hit floating-point resolution")
-        return min(certify(t0, tm, eps, depth - 1),
-                   certify(tm, t1, eps, depth - 1))
 
     total = 0
     epsilons = []
     margins = []
     for t0, t1 in accepted:
         # distances from -1 seen anywhere on the subinterval samples
-        dists = np.concatenate([np.abs(_around_minus_one(eig(t)[0]))
+        dists = np.concatenate([np.abs(_around_minus_one(samples[t][0]))
                                 for t in (t0, t1)])
         dists = np.unique(np.concatenate([[0.0], np.sort(dists), [np.pi]]))
         gaps = np.diff(dists)
@@ -408,7 +441,7 @@ def sf_phillips(path):
         if gaps[gi] / 2.0 < MARGIN_MIN or not (0.0 < eps < np.pi):
             raise PartitionFailure(
                 f"no eigenvalue-free arc around -1 on [{t0:.6g}, {t1:.6g}]")
-        margin = certify(t0, t1, eps, CERTIFY_DEPTH)
+        margin = _certify(samples, t0, t1, eps, CERTIFY_DEPTH)
         if margin < MARGIN_MIN:
             raise PartitionFailure(
                 f"arc margin {margin:.2e} below {MARGIN_MIN:.0e} on "
@@ -421,5 +454,5 @@ def sf_phillips(path):
                                 margins=margins)
     return SpectralFlowReport(value=int(total), raw=complex(total),
                               residual=0.0, method="phillips",
-                              parameters={"samples": len(cache)},
+                              parameters={"samples": len(samples)},
                               warnings=[], certificate=cert)

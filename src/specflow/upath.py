@@ -39,8 +39,9 @@ class UnitaryPath:
         engines validate their regularization order against it.
     closed : asserts U_a = U_b (loops).  Verified lazily by `check_closed`.
     breakpoints : interior parameters where smoothness may fail.
-    check : validate unitarity of every sample (disable only in hot loops
-        where the sampler is trusted by construction).
+    check : validate unitarity of every sample; a checked sample costs one
+        extra matmul (a Frobenius-norm defect), not an SVD.  Disable only
+        where the sampler is unitary by construction.
     """
 
     def __init__(self, sampler, interval=(0.0, 1.0), derivative=None,

@@ -71,3 +71,10 @@ def test_energy_validation():
 def test_order_validation(p):
     with pytest.raises(InvalidOrder):
         birman_schwinger_det_1d(WELL, 1.0, p=p)
+
+
+@pytest.mark.parametrize("n", [0, -5, 2.5])
+def test_node_count_validation(n):
+    # a non-positive or fractional starting node count has no Nystrom rule
+    with pytest.raises(InvalidOrder):
+        birman_schwinger_det_1d(WELL, 1.0, n=n)

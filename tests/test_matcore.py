@@ -23,6 +23,11 @@ def test_check_unitary_rejects_nonunitary():
         check_unitary(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(NonUnitary):
         check_unitary(np.ones((2, 3)))
+    # the defect is a Frobenius norm: 8e-11 in operator norm, under the
+    # 1e-10 tolerance, is sqrt(16) * 8e-11 = 3.2e-10 here
+    with pytest.raises(NonUnitary):
+        check_unitary(np.diag([1 + 4e-11] * 16))
+    check_unitary(np.diag([1 + 4e-11] + [1.0] * 15))
 
 
 def test_eig_unitary_identity():

@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from specflow import sflow
-from specflow.errors import InvalidOrder, NotClosed
+from specflow.errors import IntegrationFailure, InvalidOrder, NotClosed
 from specflow.matcore import abs_power, gamma_constant
 from specflow.rdet import logderiv_det_p
 from specflow.sflow import (
@@ -242,3 +244,76 @@ def test_generator_path_flow():
     path = generator_path(Y)
     assert sf_phillips(path).value == 1
     assert sf_alpha(path, n=1).value == 1
+
+
+def _generic_loop(dim, seed):
+    """A loop with no analytic derivative, U(t) = V(t) diag(e^{2 pi i m t})
+    V(t)* with V(t) = e^{i sin(2 pi t) H} W; returns (sampler, flow)."""
+    rng = np.random.default_rng(seed)
+    W = haar_unitary(dim, rng)
+    H = random_hermitian(dim, rng)
+    H /= np.max(np.abs(np.linalg.eigvalsh(H)))
+    m = rng.integers(-1, 2, size=dim)
+
+    def sampler(t):
+        V = expm(1j * np.sin(2 * np.pi * t) * H) @ W
+        return (V * np.exp(2j * np.pi * m * t)) @ V.conj().T
+
+    return sampler, int(np.sum(m))
+
+
+def test_generic_loop_values_pinned():
+    # bit-for-bit values of the winding engines on a seeded dim-16 loop;
+    # evaluation-saving changes to the quadrature must keep them exactly.
+    # Captured with numpy 2.4 / scipy 1.17 on OpenBLAS 0.3.31: another
+    # BLAS or LAPACK build may round differently and need a re-capture
+    sampler, flow = _generic_loop(16, 4)
+    loop = UnitaryPath(sampler, closed=True, dim=16)
+    alpha_raw = 1.999999999995056 - 1.479135983183939e-11j
+    alpha_err = 2.639933557062685e-13
+    pins = [(sf_alpha(loop, n=1), alpha_raw, alpha_err),
+            (sf_beta(loop, r=1), 1.9999999999949245 - 2.7168145537786314e-13j,
+             3.233973135982706e-11),
+            (sf_det(loop, p=2), alpha_raw, alpha_err)]
+    for report, raw, err in pins:
+        assert report.value == flow == 2
+        assert report.raw == raw
+        assert report.parameters["quad_error"] == err
+
+
+def test_winding_evaluates_each_node_once():
+    # quad integrates the real and imaginary parts in two passes; the
+    # integrand must be evaluated once per node, so no sample repeats
+    sampler, flow = _generic_loop(8, 4)
+    seen = []
+
+    def counting(t):
+        seen.append(t)
+        return sampler(t)
+
+    loop = UnitaryPath(counting, closed=True, dim=8)
+    assert sf_alpha(loop, n=1).value == flow
+    assert len(seen) > 2
+    assert len(seen) == len(set(seen))
+
+
+def test_phillips_leaves_no_reference_cycle():
+    # the eigen-decomposition cache must be freed by reference counting
+    # alone when sf_phillips returns
+    sf_phillips(model_loop(2, 5))
+    gc.collect()
+    gc.disable()
+    try:
+        sf_phillips(model_loop(2, 5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("epsabs", [-1.0, 0.0, np.nan, np.inf])
+def test_invalid_epsabs_raises(epsabs):
+    with pytest.raises(IntegrationFailure):
+        sf_alpha(model_loop(1, 2), 1, epsabs=epsabs)
+    with pytest.raises(IntegrationFailure):
+        theta_endpoint(np.diag([np.exp(0.4j), np.exp(-2.0j)]), 1,
+                       epsabs=epsabs)
