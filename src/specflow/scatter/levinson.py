@@ -11,8 +11,22 @@ scattering-matrix path are computed and compared:
 
 All three must agree with -N, the bound-state count, after the appropriate
 threshold corrections.  Route integrals run in the wavenumber variable
-k = sqrt(lambda) on a geometric grid; the head below k_min is a rectangle
-estimate and the tail beyond k_max is a fitted power law.
+k = sqrt(lambda); the head below k_min is a rectangle estimate.  In d = 1
+the body on [k_min, k_max] is adaptive quadrature and the tail beyond k_max
+a fitted power law.
+
+In d = 3 the S-matrix is diagonal in the partial waves and both integrands
+are exact k-derivatives of functions of the phase table: the subtracted one
+of sum_l w_l delta_l / pi + moment k, the regularized one of
+sum_l w_l G(delta_l) / pi with G(x) = e^{4ix}/(4i) - e^{2ix}/i + x.  Both
+bodies are therefore differences of table values at the grid ends.  The
+table's branch is anchored at the top of the grid, so delta_l(inf) = 0 and
+the regularized tail is exact as well; the subtracted route keeps a fitted
+tail, which tests the high-energy polynomial against the table.  This
+leaves less independence in d = 3 than the three routes suggest: the
+regularized route and the crossing count are both functions of the unwound
+table.  The independent checks are the table's endpoints against the
+zero-energy bound-state count, and the subtracted route's high-energy tail.
 
 The d = 1 zero-energy cap: without a resonance the scattering matrix tends
 to [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging projection,
@@ -22,11 +36,10 @@ cap's winding.  The opposite orientation (+1/2) is also reported, as
 alt_convention_sf, since both bookkeepings appear in the literature.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.interpolate import CubicSpline
 
 from ..errors import (
@@ -43,6 +56,7 @@ from ..upath import UnitaryPath, concatenate_many, generator_path, \
     geodesic_between
 from .onedim import bound_states_1d, resonance_statistic_1d, smatrix_1d
 from .radial import (
+    CHANNEL_TOL,
     bound_state_channels,
     choose_lmax,
     phase_shift_rows,
@@ -60,6 +74,11 @@ MAX_MISFIT = 0.2
 MIN_EXPONENT = 1.2
 # channels whose doubled phase comes this close to pi get a crossing count
 SPECTATOR_MARGIN = 0.5
+# upper wavenumber edges of the bands of a phase table that share one
+# angular cutoff (the top of the grid closes the last band); each band
+# costs a choose_lmax sweep and a radial recursion per refinement round,
+# whose per-node overhead outweighs the cut beyond a few bands
+K_BANDS = (2.0, 20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +256,12 @@ def _octave_tail(F, k_end):
     return _tail_estimate(ks, np.array([F(k) for k in ks]))
 
 
-def _k_integral(F, k_min, k_max, complex_func=False):
-    """Integral of F over k > 0: adaptive quadrature on [k_min, k_max], a
-    rectangle estimate of the head below k_min and the fitted power-law
-    tail beyond k_max.  Returns (integral, quad_error, tail_exponent)."""
-    body, err = quad(F, k_min, k_max, complex_func=complex_func,
+def _k_integral(F, k_min, k_max):
+    """Integral of the complex F over k > 0: adaptive quadrature on
+    [k_min, k_max], a rectangle estimate of the head below k_min and the
+    fitted power-law tail beyond k_max.  Returns (integral, quad_error,
+    tail_exponent)."""
+    body, err = quad(F, k_min, k_max, complex_func=True,
                      epsabs=1e-9, limit=500)
     tail, q = _octave_tail(F, k_max)
     return body + F(k_min) * k_min + tail, err, q
@@ -287,7 +307,7 @@ def _levinson_1d(V, k_min, k_max):
         dS = (S_at(k + hk) - S_at(k - hk)) / (2.0 * hk)
         return np.trace(S_at(k).conj().T @ dS) / (2j * np.pi)
 
-    integral, err, tail_q = _k_integral(F, k_min, k_max, complex_func=True)
+    integral, err, tail_q = _k_integral(F, k_min, k_max)
     correction = -0.5 if classification == "none" else 0.0
     sf_int = integral + correction
 
@@ -319,26 +339,53 @@ def _levinson_1d(V, k_min, k_max):
 # d = 3
 
 
+def _band_rows(V, ks, cutoff, lmax):
+    """Phase-shift rows over channels 0..lmax at the wavenumbers ks, swept
+    over channels 0..cutoff only and 0.0 above.  A top swept channel that
+    reaches CHANNEL_TOL at any of the ks shows the cutoff too low, and the
+    sweep is redone over all channels.  Returns (rows, cutoff used)."""
+    lams = np.square(ks)
+    if cutoff < lmax:
+        kept = phase_shift_rows(V, lams, cutoff)
+        if np.all(np.abs(kept[:, -1]) < CHANNEL_TOL):
+            rows = np.zeros((len(ks), lmax + 1))
+            rows[:, :cutoff + 1] = kept
+            return rows, cutoff
+    return phase_shift_rows(V, lams, lmax), lmax
+
+
 class ChannelData:
     """The phase-shift table: shifts delta_l(k), l = 0..lmax, on a refined
     geometric wavenumber grid, with a log-k cubic spline per channel.
 
-    Each refinement round sweeps only its new wavenumbers, all in one
-    batched radial recursion.  deltas[i, l] is unwound in energy, anchored
-    at the top of the grid where the principal branch is correct.
+    Each refinement round sweeps only its new wavenumbers.  They are split
+    into the wavenumber bands closed by K_BANDS, and each band is swept in
+    one batched radial recursion over the channels up to its own cutoff,
+    choose_lmax at the band's top energy (at most lmax); the table holds
+    0.0 above it.  deltas[i, l] is unwound in energy, anchored at the top
+    of the grid where the principal branch is correct.
     """
 
     def __init__(self, V, k_min, k_max, points, lmax=None):
         self.V = V
         self.lmax = choose_lmax(V, k_max * k_max) if lmax is None else lmax
         self.weights = 2.0 * np.arange(self.lmax + 1) + 1.0
+        tops = [k for k in K_BANDS if k < k_max] + [k_max]
+        # the band closed by the top of the grid runs over all channels
+        cutoffs = {len(tops) - 1: self.lmax}
         cache = {}
         ks = list(np.geomspace(k_min, k_max, points))
         for _ in range(12):
             ks.sort()
-            new = [k for k in ks if k not in cache]
-            cache.update(zip(new, phase_shift_rows(V, np.square(new),
-                                                   self.lmax)))
+            new = np.array([k for k in ks if k not in cache])
+            band = np.searchsorted(tops, new)
+            for b in np.unique(band).tolist():
+                if b not in cutoffs:
+                    cutoffs[b] = min(choose_lmax(V, tops[b] ** 2),
+                                     self.lmax)
+                sel = new[band == b]
+                rows, cutoffs[b] = _band_rows(V, sel, cutoffs[b], self.lmax)
+                cache.update(zip(sel, rows))
             rows = np.array([cache[k] for k in ks])
             unwound = np.unwrap(rows[::-1], axis=0, period=np.pi)[::-1]
             jumps = np.max(np.abs(np.diff(unwound, axis=0)), axis=1)
@@ -361,7 +408,8 @@ class ChannelData:
         return self._spline(np.log(k))
 
     def ddelta_dk(self, k):
-        return self._dspline(np.log(k)) / k
+        """d delta_l / dk at k: one row per wavenumber for an array k."""
+        return self._dspline(np.log(k)) / np.asarray(k)[..., None]
 
     def weighted_dsum(self, k):
         return float(self.weights @ self.ddelta_dk(k))
@@ -372,6 +420,40 @@ class ChannelData:
                                       range(self.lmax + 1))
         np.savetxt(path, np.column_stack([self.ks ** 2, self.deltas]),
                    delimiter=",", header=header, comments="")
+
+
+def _reg_primitive(x):
+    """G(x) = e^{4ix}/(4i) - e^{2ix}/i + x, so that d G(delta) / dk =
+    delta' (e^{2i delta} - 1)^2."""
+    return np.exp(4j * x) / 4j - np.exp(2j * x) / 1j + x
+
+
+def _route_integrands(data, moment):
+    """The two 3D winding integrands in k, F_sub (minus the polynomial
+    derivative) and F_reg (with the (S - Id)^2 insertion)."""
+    w = data.weights
+
+    def F_sub(k):
+        return data.weighted_dsum(k) / np.pi + moment
+
+    def F_reg(k):
+        d = data.ddelta_dk(k)
+        ph = np.exp(2j * data.delta(k))
+        return (w @ (d * (ph - 1.0) ** 2)) / np.pi
+
+    return F_sub, F_reg
+
+
+def _route_bodies(data, moment):
+    """The integrals of F_sub and F_reg over the table's wavenumber range,
+    as differences of their primitives sum_l w_l delta_l / pi + moment k
+    and sum_l w_l G(delta_l) / pi at the grid ends."""
+    lo, hi = data.deltas[0], data.deltas[-1]
+    w = data.weights
+    body_sub = (float(w @ (hi - lo)) / np.pi
+                + moment * (data.ks[-1] - data.ks[0]))
+    body_reg = complex(w @ (_reg_primitive(hi) - _reg_primitive(lo))) / np.pi
+    return body_sub, body_reg
 
 
 def _levinson_3d(V, k_min, k_max, points):
@@ -385,24 +467,14 @@ def _levinson_3d(V, k_min, k_max, points):
     lmax = data.lmax
 
     moment = V.integral() / (4.0 * np.pi ** 2)
-
-    def F_sub(k):
-        # winding integrand minus the polynomial derivative, in k
-        return data.weighted_dsum(k) / np.pi + moment
-
-    def F_reg(k):
-        d = data.ddelta_dk(k)
-        ph = np.exp(2j * data.delta(k))
-        return (w @ (d * (ph - 1.0) ** 2)) / np.pi
-
-    # Spline-based integrands have tiny derivative kinks at the table
-    # nodes; quad then reports roundoff-limited accuracy.  The returned
-    # error estimates are kept in the report instead.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        I_sub, err_c, q_c = _k_integral(F_sub, k_min, k_max)
-        I_reg, err_b, q_b = _k_integral(F_reg, k_min, k_max,
-                                        complex_func=True)
+    F_sub, F_reg = _route_integrands(data, moment)
+    body_sub, body_reg = _route_bodies(data, moment)
+    tail_sub, q_sub = _octave_tail(F_sub, k_max)
+    I_sub = F_sub(k_min) * k_min + body_sub + tail_sub
+    # delta_l(inf) = 0 on the branch anchored at the top of the grid
+    tail_reg = complex(w @ (_reg_primitive(0.0)
+                            - _reg_primitive(data.deltas[-1]))) / np.pi
+    I_reg = F_reg(k_min) * k_min + body_reg + tail_reg
 
     # zero-energy scattering matrix on the channel diagonal
     s_rank = 1 if classification == "s_resonance" else 0
@@ -416,8 +488,8 @@ def _levinson_3d(V, k_min, k_max, points):
     sf_sub = I_sub - poly.P(0.0) / (2j * np.pi) + correction
 
     phillips = _phillips_3d(data, classification, k_min, k_max)
-    data.tail_exponents = {"subtracted": q_c, "regularized": q_b}
-    data.quad_errors = {"subtracted": err_c, "regularized": err_b}
+    # the regularized tail is exact: no fit, no exponent
+    data.tail_exponents = {"subtracted": q_sub, "regularized": None}
 
     # Per-wave statement compares the zero- and infinite-energy limits.
     # delta_0(0+) comes from linear extrapolation in k (the shift is
@@ -558,7 +630,7 @@ def regularization_necessity(V, data=None, Lambda=1e3):
     if data is None:
         data = ChannelData(V, DEFAULT_K_MIN, DEFAULT_K_MAX, DEFAULT_POINTS)
     ks = np.geomspace(data.ks[0], data.ks[-1], 2000)
-    dsum = np.array([data.weighted_dsum(k) for k in ks])
+    dsum = data.ddelta_dk(ks) @ data.weights
     unreg = 2.0 * np.abs(dsum)                       # |Tr(S*S')| d lambda
     partial = cumulative_trapezoid(unreg, ks, initial=0.0)
     lam = ks ** 2

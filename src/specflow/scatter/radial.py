@@ -35,6 +35,8 @@ from ..errors import (
 from .onedim import FD_BOX, FD_POINTS
 
 RENORM_EVERY = 100
+# a channel whose phase shift stays below this is negligible
+CHANNEL_TOL = 1e-8
 
 
 def _grid(V, lams):
@@ -366,12 +368,12 @@ __all__ = [
 
 
 def choose_lmax(V, lam_max):
-    """Smallest l with |delta_l(lam_max)| < 1e-8 for it and everything
-    above, plus a safety margin of 2."""
+    """Smallest l with |delta_l(lam_max)| < CHANNEL_TOL for it and
+    everything above, plus a safety margin of 2."""
     guess = int(np.ceil(np.sqrt(lam_max) * V.radius)) + 40
     for trial in (guess, 4 * guess):
         delta = np.abs(phase_shifts_3d(V, lam_max, trial))
-        small = delta < 1e-8
+        small = delta < CHANNEL_TOL
         # suffix of channels that are all below tolerance
         idx = np.where(~small)[0]
         if small[-1] and (len(idx) == 0 or idx[-1] < trial):

@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from specflow.errors import (
     Inconclusive,
@@ -22,8 +24,18 @@ from specflow.scatter import (
     resonance_statistic_1d,
     schatten_decay_exponent,
 )
-from specflow.scatter.levinson import _tail_estimate
-from specflow.scatter.radial import threshold_statistics_radial
+from specflow.scatter import levinson
+from specflow.scatter.levinson import (
+    _band_rows,
+    _route_bodies,
+    _route_integrands,
+    _tail_estimate,
+)
+from specflow.scatter.radial import (
+    CHANNEL_TOL,
+    phase_shift_rows,
+    threshold_statistics_radial,
+)
 
 WELL1 = Potential1D.square_well(5.0)
 WELL3 = RadialPotential.square_well(3.0)
@@ -202,13 +214,46 @@ def test_levinson_3d_single_well():
     assert pw["channel_counts"][0] == 1
     assert sum(pw["channel_counts"][1:]) == 0
     assert set(rep.data.tail_exponents) == {"subtracted", "regularized"}
+    # the regularized route's tail is exact, not fitted
+    assert rep.data.tail_exponents["regularized"] is None
     # routes pinned at 1e-12: restructuring the pipeline must not move them
     pinned = {"phillips": -1.0,
-              "regularized": -1.000197824822272 + 9.209059970059973e-05j,
-              "subtracted": -0.9999425334793297}
+              "regularized": -0.9999207730483154 - 8.135406400662623e-06j,
+              "subtracted": -0.9999423305181321}
     for name, want in pinned.items():
         assert abs(rep.routes[name] - want) < 1e-12
     json.dumps(rep.to_dict())
+
+
+@pytest.mark.parametrize("depth", [3.0, 12.0])
+def test_route_bodies_match_quadrature(depth):
+    # quad gets the table's knots as breakpoints: the spline is smooth only
+    # between them, and without them quad's error estimate on the depth-12
+    # regularized body (3.3e-5) falls short of its actual error (3.6e-5)
+    V = RadialPotential.square_well(depth)
+    data = ChannelData(V, 1e-2, 100.0, 400)
+    moment = V.integral() / (4.0 * np.pi ** 2)
+    F_sub, F_reg = _route_integrands(data, moment)
+    body_sub, body_reg = _route_bodies(data, moment)
+    opts = {"points": data.ks[1:-1], "limit": 2000, "epsabs": 1e-12}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        q_sub, err_sub = quad(F_sub, 1e-2, 100.0, **opts)
+        q_reg, err_reg = quad(F_reg, 1e-2, 100.0, complex_func=True, **opts)
+    # quad's estimate covers its own discretisation; 1e-13 allows for the
+    # rounding of the closed forms, sums of ~117 terms of order one
+    assert abs(body_sub - q_sub) <= err_sub + 1e-13
+    assert abs(body_reg.real - q_reg.real) <= err_reg.real + 1e-13
+    assert abs(body_reg.imag - q_reg.imag) <= err_reg.imag + 1e-13
+
+
+def test_levinson_3d_runs_no_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 3D routes must not call quad")
+
+    monkeypatch.setattr(levinson, "quad", refuse)
+    rep = levinson_verify(WELL3, 3, grid=200)
+    assert rep.verdict == "pass"
 
 
 def test_levinson_3d_resonant_well():
@@ -247,6 +292,68 @@ def test_channel_data_spline_consistency(well3_data):
     assert np.allclose(data.ddelta_dk(k), fd, atol=1e-6)
     w = 2.0 * np.arange(data.lmax + 1) + 1.0
     assert abs(data.weighted_dsum(k) - float(w @ data.ddelta_dk(k))) < 1e-12
+
+
+@pytest.mark.parametrize("depth", [3.0, 12.0, 30.0])
+def test_channel_cut_keeps_grid_and_entries(depth, monkeypatch):
+    # every row the table is built from, by wavenumber (the last sweep of
+    # a wavenumber wins, as in the table)
+    rows = {}
+
+    def recording(V, lams, lmax):
+        out = phase_shift_rows(V, lams, lmax)
+        rows.update(zip(np.sqrt(lams), out))
+        return out
+
+    V = RadialPotential.square_well(depth)
+    monkeypatch.setattr(levinson, "phase_shift_rows", recording)
+    cut = ChannelData(V, 1e-2, 100.0, 400)
+    cut_rows = dict(rows)
+    rows.clear()
+    monkeypatch.setattr(levinson, "K_BANDS", ())
+    full = ChannelData(V, 1e-2, 100.0, 400)
+    assert full.lmax == cut.lmax
+    assert np.array_equal(cut.ks, full.ks)
+    dropped = 0
+    for k in cut.ks:
+        kept, whole = cut_rows[k], rows[k]
+        assert len(whole) == full.lmax + 1
+        assert np.array_equal(kept, whole[:len(kept)])
+        assert np.all(np.abs(whole[len(kept):]) < CHANNEL_TOL)
+        dropped += len(whole) - len(kept)
+    # most of the low-energy channels are cut
+    assert dropped > 0.5 * len(cut.ks) * (cut.lmax + 1)
+    assert np.all(cut.deltas[0, 20:] == 0.0)
+
+
+def test_channel_cut_guard_falls_back(monkeypatch):
+    ks = np.geomspace(0.5, 1.5, 7)
+    full = phase_shift_rows(WELL3, ks ** 2, 8)
+    # channel 0 is far above the threshold: the sweep reruns at lmax
+    rows, cutoff = _band_rows(WELL3, ks, 0, 8)
+    assert cutoff == 8
+    assert np.array_equal(rows, full)
+    # a cutoff with its top channel below the threshold is kept
+    rows, cutoff = _band_rows(WELL3, ks, 6, 8)
+    assert cutoff == 6
+    assert np.array_equal(rows[:, :7], full[:, :7])
+    assert np.all(rows[:, 7:] == 0.0)
+    # every band cutoff too low: each band falls back to the full lmax and
+    # the table is the uncut one
+    monkeypatch.setattr(levinson, "choose_lmax", lambda V, lam: 0)
+    low = ChannelData(WELL3, 1e-2, 30.0, 100, lmax=12)
+    monkeypatch.setattr(levinson, "K_BANDS", ())
+    full = ChannelData(WELL3, 1e-2, 30.0, 100, lmax=12)
+    assert np.array_equal(low.ks, full.ks)
+    assert np.array_equal(low.deltas, full.deltas)
+
+
+def test_ddelta_dk_rows(well3_data):
+    data = well3_data
+    ks = np.geomspace(data.ks[0], data.ks[-1], 2000)
+    vec = data.ddelta_dk(ks) @ data.weights
+    one = np.array([data.weighted_dsum(k) for k in ks])
+    assert np.all(np.abs(vec - one) <= 1e-12 * np.abs(one))
 
 
 def test_regularization_necessity(well3_data):
