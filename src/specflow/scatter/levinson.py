@@ -36,6 +36,7 @@ cap's winding.  The opposite orientation (+1/2) is also reported, as
 alt_convention_sf, since both bookkeepings appear in the literature.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -302,10 +303,13 @@ def _levinson_1d(V, k_min, k_max):
         return smatrix_1d(V, k * k)
 
     def F(k):
-        # (1/2 pi i) Tr(S* dS/dk), the winding integrand in k
+        # (1/2 pi i) Tr(S* dS/dk), the winding integrand in k; S at the
+        # three stencil wavenumbers comes from one stacked call
         hk = 1e-6 * (1.0 + k)
-        dS = (S_at(k + hk) - S_at(k - hk)) / (2.0 * hk)
-        return np.trace(S_at(k).conj().T @ dS) / (2j * np.pi)
+        ks = np.array([k - hk, k, k + hk])
+        S_lo, S, S_hi = smatrix_1d(V, ks * ks)
+        dS = (S_hi - S_lo) / (2.0 * hk)
+        return np.trace(S.conj().T @ dS) / (2j * np.pi)
 
     integral, err, tail_q = _k_integral(F, k_min, k_max)
     correction = -0.5 if classification == "none" else 0.0
@@ -582,6 +586,21 @@ def _assemble(dimension, N, classification, phillips, routes, raw_integral,
         alt_convention_sf=alt_convention_sf, per_wave=per_wave, data=data)
 
 
+def _check_grid(k_min, k_max, points):
+    """InvalidGrid unless k_min and k_max are finite with 0 < k_min < k_max
+    and points is an integer >= 2."""
+    for name, k in (("k_min", k_min), ("k_max", k_max)):
+        if isinstance(k, bool) or not isinstance(k, numbers.Real) \
+                or not np.isfinite(k):
+            raise InvalidGrid(f"{name} must be a finite number, got {k!r}")
+    if not 0.0 < k_min < k_max:
+        raise InvalidGrid(f"need 0 < k_min < k_max, got k_min = {k_min!r} "
+                          f"and k_max = {k_max!r}")
+    if isinstance(points, bool) or not isinstance(points, numbers.Integral) \
+            or points < 2:
+        raise InvalidGrid(f"points must be an integer >= 2, got {points!r}")
+
+
 def levinson_verify(V, d, grid=None):
     """Verify the bound-state/spectral-flow relation for -Delta + V.
 
@@ -589,6 +608,8 @@ def levinson_verify(V, d, grid=None):
     or a dict with any of k_min, k_max, points.  The d = 1 route integrates
     adaptively and has no node count, so a number of points (as an integer
     or a dict entry) raises InvalidGrid there, as does an unknown key.
+    So do wavenumber bounds that are not finite with 0 < k_min < k_max,
+    and a number of points that is not an integer >= 2.
     """
     opts = {"k_min": DEFAULT_K_MIN, "k_max": DEFAULT_K_MAX,
             "points": DEFAULT_POINTS}
@@ -606,6 +627,7 @@ def levinson_verify(V, d, grid=None):
         raise InvalidGrid("the d = 1 route integrates adaptively and takes "
                           "no number of grid points; pass k_min or k_max")
     opts.update(grid)
+    _check_grid(**opts)
     if d == 1:
         return _levinson_1d(V, opts["k_min"], opts["k_max"])
     if d == 3:
@@ -665,9 +687,9 @@ def schatten_decay_exponent(V, d):
     lams = np.geomspace(1e2, 1e4, 25)
     norms = np.empty_like(lams)
     if d == 1:
-        for i, lam in enumerate(lams):
-            S = smatrix_1d(V, lam)
-            norms[i] = np.sum(np.linalg.svd(S - np.eye(2), compute_uv=False))
+        S = smatrix_1d(V, lams)
+        norms[:] = np.sum(np.linalg.svd(S - np.eye(2), compute_uv=False),
+                          axis=1)
     elif d == 3:
         lmax = choose_lmax(V, float(np.max(lams)))
         w = 2.0 * np.arange(lmax + 1) + 1.0

@@ -2,7 +2,11 @@
 
 Transfer matrices propagate (psi, psi') exactly across constant segments
 using branch-free even functions of the local momentum, so tunneling and
-oscillatory regimes need no case split.  The S-matrix convention is
+oscillatory regimes need no case split.  `transfer_matrix` and `smatrix_1d`
+take one energy or a 1-D array of energies: every segment's matrix at every
+energy comes from one array pass, and the segments are folded left to right
+with one stacked product over the energies per segment.  The S-matrix
+convention is
 
     S(lambda) = [[t, r_plus], [r_minus, t]]
 
@@ -33,63 +37,91 @@ SUBSTEP = 0.005
 NYSTROM_TOL = 1e-6
 
 
-def _seg_transfer(length, v, lam):
-    """Exact transfer matrix for (psi, psi') across a constant segment.
+def _seg_transfer(lengths, values, lams):
+    """Exact transfer matrices for (psi, psi') across constant segments.
 
-    Entries are even functions of q = sqrt(lam - v), so the branch of the
-    square root never matters; cos(q d) and sin(q d)/q are evaluated through
-    complex exponentials with a Taylor fallback near q = 0.
+    lengths and values hold one entry per segment and lams one per energy;
+    the result has shape (energies, segments, 2, 2).  Entries are even
+    functions of q = sqrt(lam - v), so the branch of the square root never
+    matters; cos(q d) and sin(q d)/q are evaluated through complex
+    exponentials, with a Taylor fallback where |q d| < 1e-6.
     """
-    q2 = complex(lam - v)
+    lengths = np.asarray(lengths, dtype=float)
+    q2 = (np.asarray(lams, dtype=float)[:, None]
+          - np.asarray(values, dtype=float)).astype(complex)
     q = np.sqrt(q2)
-    z = q * length
-    if abs(z) < 1e-6:
-        c = 1.0 - z * z / 2.0 + z ** 4 / 24.0
-        s_over_q = length * (1.0 - z * z / 6.0 + z ** 4 / 120.0)
-    else:
-        c = np.cos(z)
-        s_over_q = np.sin(z) / q
-    return np.array([[c, s_over_q], [-q2 * s_over_q, c]], dtype=complex)
+    z = q * lengths
+    small = np.abs(z) < 1e-6
+    c = np.cos(z)
+    s_over_q = np.divide(np.sin(z), q, out=np.empty_like(z), where=~small)
+    if small.any():
+        zs = z[small]
+        c[small] = 1.0 - zs * zs / 2.0 + zs ** 4 / 24.0
+        s_over_q[small] = np.broadcast_to(lengths, z.shape)[small] * (
+            1.0 - zs * zs / 6.0 + zs ** 4 / 120.0)
+    T = np.empty(z.shape + (2, 2), dtype=complex)
+    T[..., 0, 0] = c
+    T[..., 0, 1] = s_over_q
+    T[..., 1, 0] = -q2 * s_over_q
+    T[..., 1, 1] = c
+    return T
+
+
+def _segments(V):
+    """Lengths and values of the segments of V, as float arrays."""
+    x0, x1, v = np.array(V.segments, dtype=float).T
+    return x1 - x0, v
 
 
 def transfer_matrix(V, lam):
-    """Product of segment transfer matrices across the support of V."""
+    """Product of segment transfer matrices across the support of V: a 2x2
+    matrix for a scalar energy lam, one per energy for a 1-D array.
+
+    The segments are folded left to right, one stacked product over the
+    energies per segment."""
+    lams = np.asarray(lam, dtype=float)
     M = np.eye(2, dtype=complex)
-    for x0, x1, v in V.segments:
-        M = _seg_transfer(x1 - x0, v, lam) @ M
-    return M
+    for T in _seg_transfer(*_segments(V), lams.reshape(-1)).swapaxes(0, 1):
+        M = T @ M
+    return M.reshape(lams.shape + (2, 2))
 
 
 def smatrix_1d(V, lam):
-    """The 2x2 scattering matrix [[t, r+], [r-, t]] at energy lam > 0.
+    """The 2x2 scattering matrix [[t, r+], [r-, t]] at energy lam > 0, or
+    one per energy for a 1-D array of energies.
 
     Computed by matching plane waves across the support with the exact
     transfer matrix; unitarity is inherited from the real potential and is
     checked by the caller's tolerance when the matrix enters a path.
     """
-    if lam <= 0:
-        raise EnergyNonpositive(f"scattering energy must be positive, got {lam}")
-    k = np.sqrt(lam)
+    lams = np.asarray(lam, dtype=float)
+    if np.any(lams <= 0):
+        raise EnergyNonpositive(
+            f"scattering energies must be positive, got {lam}")
+    flat = lams.reshape(-1)
+    M = transfer_matrix(V, flat)
+    ik = np.array([-1j, 1j]) * np.sqrt(flat)[:, None]
+
+    def waves(x):
+        # columns (psi, psi') of e^{-ikx} and e^{ikx} at x, per energy
+        e = np.exp(ik * x)
+        return np.stack([e, ik * e], axis=-2)
+
+    # One matching matrix A serves both incoming directions.  Left-incoming:
+    # e^{ikx} + r- e^{-ikx} on the left, t e^{ikx} on the right, unknowns
+    # (r-, t).  Right-incoming: t e^{-ikx} on the left, e^{-ikx} + r+ e^{ikx}
+    # on the right, unknowns (t, r+).  M takes one left wave per product:
+    # BLAS rounds a two-column product differently, and the caller's 1e-6
+    # central difference amplifies the last bit a million-fold.
     xL, xR = V.support
-    M = transfer_matrix(V, lam)
-
-    def wave(sign, x):
-        # column (psi, psi') of e^{sign * i k x}
-        return np.array([np.exp(sign * 1j * k * x),
-                         sign * 1j * k * np.exp(sign * 1j * k * x)])
-
-    A = np.column_stack([M @ wave(-1, xL), -wave(+1, xR)])
-
-    # left-incoming: e^{ikx} + r- e^{-ikx} on the left, t e^{ikx} on the right
-    rhs = -(M @ wave(+1, xL))
-    r_minus, t_left = np.linalg.solve(A, rhs)
-
-    # right-incoming: t e^{-ikx} on the left, e^{-ikx} + r+ e^{ikx} right;
-    # the same matching matrix A carries the unknowns (t, r+) directly
-    rhs = wave(-1, xR)
-    t_right, r_plus = np.linalg.solve(A, rhs)
-
-    return np.array([[t_right, r_plus], [r_minus, t_left]], dtype=complex)
+    left, right = waves(xL), waves(xR)
+    A = np.concatenate([M @ left[..., :1], -right[..., 1:]], axis=-1)
+    rhs = np.concatenate([-(M @ left[..., 1:]), right[..., :1]], axis=-1)
+    X = np.linalg.solve(A, rhs)
+    S = np.empty_like(X)
+    S[:, 0] = X[..., 1]
+    S[:, 1] = X[..., 0]
+    return S.reshape(lams.shape + (2, 2))
 
 
 def bound_states_1d(V):
@@ -127,11 +159,12 @@ def _zero_energy_left_solution(V):
     constant-coefficient solution, so the only approximation is the
     sampling density of the returned trace.
     """
+    lengths, values = _segments(V)
+    nsubs = np.maximum(1, np.ceil(lengths / SUBSTEP).astype(int))
+    steps = _seg_transfer(lengths / nsubs, values, [0.0])[0]
     state = np.array([1.0, 0.0], dtype=complex)
     us = [1.0]
-    for x0, x1, v in V.segments:
-        nsub = max(1, int(np.ceil((x1 - x0) / SUBSTEP)))
-        step = _seg_transfer((x1 - x0) / nsub, v, 0.0)
+    for step, nsub in zip(steps, nsubs):
         for _ in range(nsub):
             state = step @ state
             us.append(np.real(state[0]))

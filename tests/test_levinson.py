@@ -39,6 +39,10 @@ from specflow.scatter.radial import (
 
 WELL1 = Potential1D.square_well(5.0)
 WELL3 = RadialPotential.square_well(3.0)
+DOUBLE_WELL = Potential1D(segments=((-3.0, -1.0, -6.0), (-1.0, 1.0, 2.0),
+                                    (1.0, 3.0, -6.0)))
+GAUSSIAN_WELL = Potential1D.from_callable(lambda x: -8.0 * np.exp(-x * x),
+                                          (-4.0, 4.0), n_segments=200)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +158,31 @@ def test_levinson_1d_single_well():
     json.dumps(rep.to_dict())
 
 
+@pytest.mark.parametrize("V, pinned, tail_exponent, quad_error", [
+    (DOUBLE_WELL,
+     {"phillips": -4.0,
+      "regularized": -4.000151807084181 - 9.603321177584209e-11j,
+      "subtracted": -4.000151807084181 - 9.603321177584209e-11j},
+     1.9954303061408674, 2.2596644973533618e-08 + 2.4538632878066847e-10j),
+    (GAUSSIAN_WELL,
+     {"phillips": -2.0,
+      "regularized": -2.000096744944356 - 2.1625647498911316e-11j,
+      "subtracted": -2.000096744944356 - 2.1625647498911316e-11j},
+     1.9982031377935747, 1.8140165793850917e-09 + 4.8541876716746526e-11j),
+], ids=["double_well", "gaussian_200_segments"])
+def test_levinson_1d_multi_segment_pins(V, pinned, tail_exponent,
+                                        quad_error):
+    # several segments, so the order in which the transfer matrices are
+    # folded could move the last bits of S, which the central difference
+    # of the winding integrand amplifies about a million-fold
+    rep = levinson_verify(V, 1)
+    assert rep.verdict == "pass"
+    for name, want in pinned.items():
+        assert abs(rep.routes[name] - want) < 1e-12
+    assert abs(rep.data["tail_exponent"] - tail_exponent) < 1e-12
+    assert abs(rep.data["quad_error"] - quad_error) < 1e-12
+
+
 def test_levinson_1d_free_resonant():
     zero = Potential1D(segments=((-1.0, 1.0, 0.0),))
     rep = levinson_verify(zero, 1)
@@ -190,6 +219,26 @@ def test_levinson_grid_and_dimension_validation():
     rep = levinson_verify(Potential1D.square_well(2.0), 1,
                           grid={"k_max": 80.0})
     assert rep.verdict == "pass"
+
+
+@pytest.mark.parametrize("V, d, grid", [
+    (WELL1, 1, {"k_min": -1}),
+    (WELL1, 1, {"k_min": float("nan")}),
+    (WELL1, 1, {"k_max": float("inf")}),
+    (WELL1, 1, {"k_max": 0.005}),
+    (WELL1, 1, {"k_min": 0.0}),
+    (WELL1, 1, {"k_min": "0.1"}),
+    (WELL3, 3, {"k_min": -1}),
+    (WELL3, 3, 1),
+    (WELL3, 3, True),
+    (WELL3, 3, {"points": 2.5}),
+    (WELL3, 3, {"k_min": 2.0, "k_max": 2.0}),
+])
+def test_levinson_invalid_grid(V, d, grid, capfd):
+    with pytest.raises(InvalidGrid):
+        levinson_verify(V, d, grid=grid)
+    # refused before any solver runs: LAPACK prints nothing
+    assert capfd.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

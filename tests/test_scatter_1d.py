@@ -11,6 +11,10 @@ from specflow.scatter import (
 )
 
 WELL = Potential1D.square_well(5.0, halfwidth=1.0)
+DOUBLE_WELL = Potential1D(segments=((-3.0, -1.0, -6.0), (-1.0, 1.0, 2.0),
+                                    (1.0, 3.0, -6.0)))
+GAUSSIAN_WELL = Potential1D.from_callable(lambda x: -8.0 * np.exp(-x * x),
+                                          (-4.0, 4.0), n_segments=200)
 
 
 def analytic_square_well_smatrix(depth, a, lam):
@@ -106,6 +110,42 @@ def test_smatrix_rejects_nonpositive_energy():
         smatrix_1d(WELL, 0.0)
     with pytest.raises(EnergyNonpositive):
         smatrix_1d(WELL, -1.0)
+
+
+@pytest.mark.parametrize("V, lams", [
+    (Potential1D.square_well(2.0), [1e-10, 0.3, 1.0, 8.0, 50.0, 1e4]),
+    (DOUBLE_WELL, [1e-6, 0.5, 3.0, 6.0, 40.0]),
+    (GAUSSIAN_WELL, [1e-4, 0.7, 2.5, 9.0, 200.0]),
+    # lam equals the barrier's value 2: q = 0 on that segment, the Taylor
+    # branch of the segment kernel
+    (DOUBLE_WELL, [2.0, 1.0, 2.0 + 1e-13]),
+], ids=["square_well", "double_well", "gaussian_200_segments",
+        "taylor_branch"])
+def test_array_energies_match_scalar_calls(V, lams):
+    lams = np.array(lams)
+    S = smatrix_1d(V, lams)
+    M = transfer_matrix(V, lams)
+    assert S.shape == M.shape == (len(lams), 2, 2)
+    assert np.array_equal(S, np.array([smatrix_1d(V, lam) for lam in lams]))
+    assert np.array_equal(M, np.array([transfer_matrix(V, lam)
+                                       for lam in lams]))
+    assert smatrix_1d(V, lams[0]).shape == (2, 2)
+
+
+def test_taylor_branch_continuous():
+    # at lam = v the segment's q vanishes and the Taylor form takes over
+    lams = 2.0 + np.array([-1e-9, 0.0, 1e-9])
+    M = transfer_matrix(DOUBLE_WELL, lams)
+    assert np.all(np.isfinite(M))
+    assert np.max(np.abs(M[0] - M[1])) < 1e-6
+    assert np.max(np.abs(M[2] - M[1])) < 1e-6
+
+
+def test_array_energies_reject_nonpositive():
+    with pytest.raises(EnergyNonpositive):
+        smatrix_1d(WELL, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(EnergyNonpositive):
+        smatrix_1d(GAUSSIAN_WELL, np.array([-1.0]))
 
 
 def test_bound_state_counts():
