@@ -9,6 +9,16 @@ Conventions fixed here once and for all:
   snapped to +pi rather than being allowed to flip to -pi through rounding.
 * Unitarity is checked in Frobenius norm, never looser than the operator
   norm, with tolerance 1e-10 by default.
+
+Decompose only what is read.  A caller that reads only the eigenangles of a
+unitary (a determinant, a geodesic cap) checks it once with `check_unitary`
+and takes the angles from `_unitary_angles`: LAPACK eigenvalues without
+vectors, the same snapping and the same order as `eig_unitary`.  A caller
+that reads the eigenvectors too (Phillips' eigenvalue tracking, the
+principal logarithm) uses `eig_unitary`, whose Schur vectors are
+orthonormal even at degeneracies.  The winding-form trace kernel takes
+whole powers of A*A with matrix products and reserves the SVD of
+`abs_power` for fractional orders.
 """
 
 import numpy as np
@@ -37,6 +47,14 @@ def check_unitary(U, tol=UNITARY_TOL):
     return U
 
 
+def _branch_angles(vals):
+    """Angles of unit eigenvalues in (-pi, pi], those within SNAP_TOL of
+    the cut snapped to +pi, and their stable increasing order."""
+    angles = np.angle(vals)
+    angles[np.abs(angles + np.pi) <= SNAP_TOL] = np.pi
+    return angles, np.argsort(angles, kind="stable")
+
+
 def eig_unitary(U):
     """Eigen-decompose a unitary matrix into angles and orthonormal vectors.
 
@@ -51,11 +69,19 @@ def eig_unitary(U):
     # np.linalg.eig does not guarantee orthonormal vectors at degeneracies;
     # use Schur instead (unitary U is normal, so T is diagonal).
     T, Z = schur(U, output="complex")
-    vals = np.diag(T)
-    angles = np.angle(vals)
-    angles[np.abs(angles + np.pi) <= SNAP_TOL] = np.pi
-    order = np.argsort(angles, kind="stable")
+    angles, order = _branch_angles(np.diag(T))
     return angles[order], Z[:, order]
+
+
+def _unitary_angles(U):
+    """The sorted eigenangles of `eig_unitary`, without eigenvectors.
+
+    U must already have passed `check_unitary`; no check is made here.
+    The eigenvalues come from LAPACK's vector-free driver and are snapped
+    and sorted exactly as in `eig_unitary`, so the two agree to rounding.
+    """
+    angles, order = _branch_angles(np.linalg.eigvals(U))
+    return angles[order]
 
 
 def principal_log_unitary(U):
@@ -128,10 +154,15 @@ def form_trace(X, U, kind, order):
 
     The one trace kernel of the regularised winding forms: with X = U* U'
     it is the un-normalised alpha (kind "n") or beta (kind "r") integrand.
+    A whole order r takes |A|^{2r} = (A*A)^r from matrix products, as kind
+    "n" takes A^n; only a fractional r needs the SVD of `abs_power`.
     """
     A = U - np.eye(U.shape[0])
     if kind == "n":
         return np.trace(X @ np.linalg.matrix_power(A, order))
+    if order == int(order):
+        return np.trace(X @ np.linalg.matrix_power(A.conj().T @ A,
+                                                   int(order)))
     return np.trace(X @ abs_power(A, order))
 
 

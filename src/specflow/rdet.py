@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideInterval
-from .matcore import check_order, check_unitary, eig_unitary, form_trace
+from .matcore import _unitary_angles, check_order, check_unitary, form_trace
 
 
 @dataclass
@@ -97,12 +97,15 @@ def det_p(U, p):
 
     Det_p(U) = Det(U exp(sum_{l=1}^{p-1} ((-1)^l / l)(U - Id)^l)).  Since the
     counterterm is a function of U itself, both factors diagonalize together
-    and the determinant is a product over eigenangles.
+    and the determinant is a product over eigenangles.  U is checked once;
+    the angles come from `matcore._unitary_angles` (eigenvalues only, no
+    Schur vectors), and the counterterm is the per-eigenvalue
+    `counterterm_series`, so the matrix-power `counterterm_exponent` stays
+    an independent check of the product.
     """
     U = check_unitary(U)
     p = check_order("p", p, 1, integer=True)
-    angles, _ = eig_unitary(U)
-    z = np.exp(1j * angles)
+    z = np.exp(1j * _unitary_angles(U))
     return _pack(z * np.exp(counterterm_series(z - 1.0, p)))
 
 

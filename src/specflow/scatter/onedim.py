@@ -67,12 +67,6 @@ def _seg_transfer(lengths, values, lams):
     return T
 
 
-def _segments(V):
-    """Lengths and values of the segments of V, as float arrays."""
-    x0, x1, v = np.array(V.segments, dtype=float).T
-    return x1 - x0, v
-
-
 def transfer_matrix(V, lam):
     """Product of segment transfer matrices across the support of V: a 2x2
     matrix for a scalar energy lam, one per energy for a 1-D array.
@@ -81,7 +75,7 @@ def transfer_matrix(V, lam):
     energies per segment."""
     lams = np.asarray(lam, dtype=float)
     M = np.eye(2, dtype=complex)
-    for T in _seg_transfer(*_segments(V), lams.reshape(-1)).swapaxes(0, 1):
+    for T in _seg_transfer(*V.segment_arrays, lams.reshape(-1)).swapaxes(0, 1):
         M = T @ M
     return M.reshape(lams.shape + (2, 2))
 
@@ -159,7 +153,7 @@ def _zero_energy_left_solution(V):
     constant-coefficient solution, so the only approximation is the
     sampling density of the returned trace.
     """
-    lengths, values = _segments(V)
+    lengths, values = V.segment_arrays
     nsubs = np.maximum(1, np.ceil(lengths / SUBSTEP).astype(int))
     steps = _seg_transfer(lengths / nsubs, values, [0.0])[0]
     state = np.array([1.0, 0.0], dtype=complex)

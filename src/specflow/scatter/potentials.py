@@ -7,6 +7,7 @@ R^d are taken with the surface measure of the (d-1)-sphere.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -55,6 +56,16 @@ class Potential1D:
     @property
     def support(self):
         return (self.segments[0][0], self.segments[-1][1])
+
+    @cached_property
+    def segment_arrays(self):
+        """Lengths and values of the segments as read-only float arrays,
+        built on first use and kept for the potential's lifetime."""
+        x0, x1, v = np.array(self.segments, dtype=float).T
+        lengths = x1 - x0
+        for a in (lengths, v):
+            a.flags.writeable = False
+        return lengths, v
 
     @property
     def halfwidth(self):

@@ -36,7 +36,8 @@ from .errors import (
     PartitionFailure,
     RouteDisagreement,
 )
-from .matcore import (check_order, eig_unitary, form_trace, gamma_constant,
+from .matcore import (_unitary_angles, check_order, check_unitary,
+                      eig_unitary, form_trace, gamma_constant,
                       principal_log_unitary)
 from .upath import ENDPOINT_TOL, cap_into, cap_outof, concatenate_many
 
@@ -212,7 +213,7 @@ def _cap_integral(U, kind, order, epsabs):
     i theta g(e^{i t theta} - 1), with |e^{is} - 1|^2 = 4 sin^2(s/2).
     """
     order = check_order(kind, order, 0, integer=kind == "n")
-    angles, _ = eig_unitary(U)
+    angles = _unitary_angles(check_unitary(U))
     iang = 1j * angles
 
     def integrand(t):
@@ -312,26 +313,43 @@ def _around_minus_one(angles):
     return _wrap(np.asarray(angles) - np.pi)
 
 
+def _motion_key(a0, v0, a1, v1):
+    """Cost of pairing eigenangle a0[i] with a1[j]: their circular
+    distance, nudged by eigenvector overlap so that near-degenerate angles
+    follow their own eigenvectors."""
+    d = np.abs(_wrap(a1[None, :] - a0[:, None]))
+    return d - 1e-6 * np.abs(v0.conj().T @ v1) ** 2
+
+
 def _match_motion(a0, v0, a1, v1):
     """Greedy pairing of eigenangle sets at neighboring parameters.
 
-    Pairs by circular distance, nudged by eigenvector overlap so that
-    near-degenerate angles follow their own eigenvectors.  Returns the
-    signed motions u1[perm] - u0 wrapped to (-pi, pi].
+    Pairs a0[i] with a1[perm[i]] by taking the smallest remaining
+    `_motion_key` entry, then the next among the rows and columns still
+    free, and so on; ties go to the first entry in row-major order.  Each
+    round pairs at once every entry that is the least of both its row and
+    its column, which greedy would take anyway, so a dim-64 step takes a
+    few array passes instead of 64 scans of the whole key.  Returns the
+    signed motions a1[perm] - a0 wrapped to (-pi, pi], and perm.
+
+    Greedy is kept over the assignment that minimises the summed key: when
+    most eigenvalues turn the same way by more than their spacing, that
+    optimum pairs each with the neighbour behind its true partner, its
+    motions look small, and a step that should be refined is certified.
     """
-    m = len(a0)
-    d = np.abs(_wrap(a1[None, :] - a0[:, None]))
-    overlap = np.abs(v0.conj().T @ v1) ** 2
-    key = d - 1e-6 * overlap
-    perm = np.full(m, -1)
-    used = np.zeros(m, dtype=bool)
-    for _ in range(m):
-        i, j = np.unravel_index(np.argmin(key), key.shape)
-        perm[i] = j
-        used[j] = True
-        key[i, :] = np.inf
-        key[:, j] = np.inf
-    return _wrap(a1[perm] - a0), perm
+    key = _motion_key(a0, v0, a1, v1)
+    perm = np.empty(len(a0), dtype=int)
+    rows = cols = np.arange(len(a0))
+    while True:
+        best = key.argmin(axis=1)
+        mutual = key.argmin(axis=0)[best] == np.arange(len(rows))
+        perm[rows[mutual]] = cols[best[mutual]]
+        if mutual.all():
+            return _wrap(a1[perm] - a0), perm
+        free = np.ones(len(cols), dtype=bool)
+        free[best[mutual]] = False
+        rows, cols = rows[~mutual], cols[free]
+        key = key[~mutual][:, free]
 
 
 class _Samples(dict):
@@ -375,18 +393,39 @@ def _certify(samples, t0, t1, eps, depth):
                _certify(samples, tm, t1, eps, depth - 1))
 
 
+def _free_arc(u0, u1, motion):
+    """Half-width eps of the counting arc for one step, and its clearance.
+
+    u0 and u1 are the offsets from -1 of matched eigenvalues at the ends
+    of the step and motion = u1 - u0 wrapped.  Each eigenvalue sweeps the
+    distances from -1 between |u0| and |u1|, widened to 0 if it passes -1
+    and to pi if it passes +1.  eps is the midpoint of the widest gap of
+    (0, pi) that no swept interval covers, so neither ray pi +/- eps lies
+    between an eigenvalue's positions at the two ends of the step.
+    """
+    d0, d1 = np.abs(u0), np.abs(u1)
+    lo = np.where(u0 * (u0 + motion) <= 0.0, 0.0, np.minimum(d0, d1))
+    hi = np.where(np.abs(u0 + motion) >= np.pi, np.pi, np.maximum(d0, d1))
+    order = np.argsort(lo, kind="stable")
+    starts = np.concatenate([[0.0], np.maximum.accumulate(hi[order])])
+    ends = np.concatenate([lo[order], [np.pi]])
+    gi = int(np.argmax(ends - starts))
+    return 0.5 * (starts[gi] + ends[gi]), 0.5 * (ends[gi] - starts[gi])
+
+
 def sf_phillips(path):
     """Spectral flow by eigenvalue-crossing counting.
 
     The interval is refined until the matched eigenangle motion between
-    neighboring samples is below MOTION_BOUND.  On each subinterval an arc
-    half-width eps_j is chosen in the largest sampled gap of eigenvalue
-    distances from -1, and certified: every sample keeps both rays
-    pi +/- eps_j clear, and per-step motion is too small for any eigenvalue
-    to reach a ray between samples (else the step is bisected).  The flow is
-    the telescoped sum of arc-count differences k(t_j, eps_j) - k(t_{j-1},
-    eps_j); `raw` equals the integer exactly, so residual is 0.  The
-    sample cache holds no reference cycle and is released on return.
+    neighboring samples is below MOTION_BOUND and an arc half-width eps_j
+    is found that no eigenvalue's matched motion sweeps across
+    (`_free_arc`).  Each such arc is certified: every sample keeps both
+    rays pi +/- eps_j clear, and per-step motion is too small for any
+    eigenvalue to reach a ray between samples (else the step is bisected).
+    The flow is the telescoped sum of arc-count differences
+    k(t_j, eps_j) - k(t_{j-1}, eps_j); `raw` equals the integer exactly, so
+    residual is 0.  The sample cache holds no reference cycle and is
+    released on return.
     """
     if not path.finite:
         raise PartitionFailure("compactify the path to a finite interval first")
@@ -397,61 +436,48 @@ def sf_phillips(path):
     grid.update(path.breakpoints)
     grid = sorted(grid)
 
-    # refine until matched motion per step is small
+    def count(t, eps):
+        angles, _ = samples[t]
+        u = _around_minus_one(angles)
+        return int(np.sum((u >= 0.0) & (u < eps)))
+
+    # refine until each step moves little and leaves an arc free
     work = list(zip(grid[:-1], grid[1:]))
-    accepted = []
+    panels = []
     while work:
         t0, t1 = work.pop()
         a0, v0 = samples[t0]
         a1, v1 = samples[t1]
-        motion, _ = _match_motion(a0, v0, a1, v1)
+        motion, perm = _match_motion(a0, v0, a1, v1)
         step = np.max(np.abs(motion))
         if step <= MOTION_BOUND:
-            accepted.append((t0, t1))
-            continue
+            eps, clearance = _free_arc(_around_minus_one(a0),
+                                       _around_minus_one(a1)[perm], motion)
+            if clearance >= MARGIN_MIN:
+                margin = _certify(samples, t0, t1, eps, CERTIFY_DEPTH)
+                if margin < MARGIN_MIN:
+                    raise PartitionFailure(
+                        f"arc margin {margin:.2e} below {MARGIN_MIN:.0e} on "
+                        f"[{t0:.6g}, {t1:.6g}]")
+                panels.append((t0, t1, eps, float(margin)))
+                continue
         if len(samples) >= MAX_SAMPLES:
             raise PartitionFailure(
                 f"sample budget {MAX_SAMPLES} exhausted with eigenvalue "
-                f"motion {step:.3f} > {MOTION_BOUND:.3f}")
+                f"motion {step:.3f} on [{t0:.6g}, {t1:.6g}]")
         tm = 0.5 * (t0 + t1)
         if tm <= t0 or tm >= t1:
             raise PartitionFailure(
                 f"cannot refine below floating-point resolution at {t0}")
         work.append((t0, tm))
         work.append((tm, t1))
-    accepted.sort()
-    breakpoints = [accepted[0][0]] + [seg[1] for seg in accepted]
+    panels.sort()
 
-    def count(t, eps):
-        angles, _ = samples[t]
-        u = _around_minus_one(angles)
-        return int(np.sum((u >= 0.0) & (u < eps)))
-
-    total = 0
-    epsilons = []
-    margins = []
-    for t0, t1 in accepted:
-        # distances from -1 seen anywhere on the subinterval samples
-        dists = np.concatenate([np.abs(_around_minus_one(samples[t][0]))
-                                for t in (t0, t1)])
-        dists = np.unique(np.concatenate([[0.0], np.sort(dists), [np.pi]]))
-        gaps = np.diff(dists)
-        gi = int(np.argmax(gaps))
-        eps = 0.5 * (dists[gi] + dists[gi + 1])
-        if gaps[gi] / 2.0 < MARGIN_MIN or not (0.0 < eps < np.pi):
-            raise PartitionFailure(
-                f"no eigenvalue-free arc around -1 on [{t0:.6g}, {t1:.6g}]")
-        margin = _certify(samples, t0, t1, eps, CERTIFY_DEPTH)
-        if margin < MARGIN_MIN:
-            raise PartitionFailure(
-                f"arc margin {margin:.2e} below {MARGIN_MIN:.0e} on "
-                f"[{t0:.6g}, {t1:.6g}]")
-        total += count(t1, eps) - count(t0, eps)
-        epsilons.append(eps)
-        margins.append(float(margin))
-
-    cert = PartitionCertificate(breakpoints=breakpoints, epsilons=epsilons,
-                                margins=margins)
+    total = sum(count(t1, eps) - count(t0, eps) for t0, t1, eps, _ in panels)
+    cert = PartitionCertificate(
+        breakpoints=[panels[0][0]] + [panel[1] for panel in panels],
+        epsilons=[panel[2] for panel in panels],
+        margins=[panel[3] for panel in panels])
     return SpectralFlowReport(value=int(total), raw=complex(total),
                               residual=0.0, method="phillips",
                               parameters={"samples": len(samples)},

@@ -6,16 +6,18 @@ from scipy.integrate import simpson
 from specflow import matcore
 from specflow.errors import DecompositionFailure, InvalidOrder, NonUnitary
 from specflow.matcore import (
+    _unitary_angles,
     abs_power,
     check_unitary,
     eig_unitary,
+    form_trace,
     gamma_constant,
     herm_power,
     principal_log_unitary,
     schatten_norm,
 )
 
-from conftest import haar_unitary
+from conftest import haar_unitary, random_hermitian
 
 
 def test_check_unitary_rejects_nonunitary():
@@ -52,6 +54,56 @@ def test_eig_unitary_reconstruction(rng):
     R = (vecs * np.exp(1j * angles)) @ vecs.conj().T
     assert np.linalg.norm(R - U, ord=2) < 1e-12
     assert np.all(np.diff(angles) >= 0)
+
+
+def test_angles_kernel_matches_eig_unitary(rng):
+    # the vector-free kernel reads the Schur kernel's angles at every dim
+    # 1-64; the angles live on the scale pi, so 1e-12 relative to pi
+    for dim in range(1, 65):
+        U = haar_unitary(dim, rng)
+        want, _ = eig_unitary(U)
+        got = _unitary_angles(U)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.pi
+
+
+def test_angles_kernel_snaps_the_cut_to_plus_pi(rng):
+    # -1 and an angle 1e-13 above -pi are both reported at +pi, exactly on
+    # diagonal input and without a flip to -pi after a change of basis
+    cases = [(np.diag([-1.0, 1.0]), [0.0, np.pi]),
+             (np.diag([np.exp(1j * (-np.pi + 1e-13)), 1j]),
+              [np.pi / 2, np.pi])]
+    for D, want in cases:
+        D = D.astype(complex)
+        assert np.array_equal(_unitary_angles(D), want)
+        assert np.array_equal(eig_unitary(D)[0], want)
+        W = haar_unitary(2, rng)
+        U = W @ D @ W.conj().T
+        for angles in (_unitary_angles(U), eig_unitary(U)[0]):
+            assert np.max(np.abs(angles - want)) <= 1e-12 * np.pi
+
+
+@pytest.mark.parametrize("r", [1, 2.0, 3])
+def test_whole_beta_order_needs_no_svd(r, rng, monkeypatch):
+    # a whole order r takes |U - Id|^{2r} = (A*A)^r from matrix products;
+    # it must match the SVD route to 1e-12 relative and never call it
+    for dim in (1, 2, 3, 8, 16, 64):
+        U = haar_unitary(dim, rng)
+        X = 1j * random_hermitian(dim, rng)
+        A = U - np.eye(dim)
+        want = np.trace(X @ abs_power(A, r))
+        with monkeypatch.context() as m:
+            m.setattr(matcore, "abs_power", _no_svd)
+            got = form_trace(X, U, "r", r)
+        assert abs(got - want) <= 1e-12 * abs(want)
+    # a fractional order still goes through abs_power
+    monkeypatch.setattr(matcore, "abs_power", _no_svd)
+    with pytest.raises(AssertionError, match="abs_power"):
+        form_trace(X, U, "r", r + 0.5)
+
+
+def _no_svd(A, x):
+    raise AssertionError("abs_power called")
 
 
 def test_schatten_norm_anchors():

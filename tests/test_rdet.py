@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from specflow.errors import InvalidOrder, OutsideInterval
+from specflow import matcore, rdet
+from specflow.errors import InvalidOrder, NonUnitary, OutsideInterval
+from specflow.matcore import eig_unitary
 from specflow.rdet import (
     counterterm_exponent,
+    counterterm_series,
     det_p,
     det_p_perturbation,
     fredholm_det,
@@ -38,6 +41,37 @@ def test_det_2_single_rotated_mode():
     # at the half turn the value is -e^2
     U = np.diag([-1.0, 1.0])
     assert abs(det_p(U, 2).value - (-np.exp(2.0))) < 1e-12
+
+
+def test_det_p_matches_schur_product(rng):
+    # the eigenvalue-only det_p against the product over the Schur
+    # kernel's eigenangles, value and conditioning at 1e-12 relative
+    for dim in (1, 2, 3, 5, 8, 16, 32, 64):
+        U = haar_unitary(dim, rng)
+        z = np.exp(1j * eig_unitary(U)[0])
+        for p in (1, 2, 3):
+            factors = z * np.exp(counterterm_series(z - 1.0, p))
+            value = np.prod(factors)
+            cond = np.min(np.abs(factors))
+            got = det_p(U, p)
+            assert abs(got.value - value) <= 1e-12 * abs(value)
+            assert abs(got.conditioning - cond) <= 1e-12 * cond
+
+
+def test_det_p_checks_unitarity_once(rng, monkeypatch):
+    calls = []
+    check = matcore.check_unitary
+
+    def counting(U, *args, **kwargs):
+        calls.append(1)
+        return check(U, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "check_unitary", counting)
+    monkeypatch.setattr(rdet, "check_unitary", counting)
+    det_p(haar_unitary(8, rng), 2)
+    assert len(calls) == 1
+    with pytest.raises(NonUnitary):
+        det_p(np.array([[1.0, 0.5], [0.0, 1.0]]), 2)
 
 
 def test_det_1_is_plain_determinant(rng):

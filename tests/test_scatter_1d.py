@@ -36,6 +36,15 @@ def test_potential_1d_basics():
     assert abs(WELL.integral_sq() - 50.0) < 1e-12
 
 
+def test_segment_arrays_built_once():
+    lengths, values = DOUBLE_WELL.segment_arrays
+    assert DOUBLE_WELL.segment_arrays[0] is lengths
+    assert np.array_equal(lengths, [2.0, 2.0, 2.0])
+    assert np.array_equal(values, [-6.0, 2.0, -6.0])
+    with pytest.raises(ValueError):
+        lengths[0] = 1.0
+
+
 def test_potential_1d_from_callable():
     V = Potential1D.from_callable(lambda x: -np.exp(-x * x), (-4.0, 4.0),
                                   n_segments=4000)

@@ -2,6 +2,7 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from specflow import sflow
@@ -157,6 +158,98 @@ def test_phillips_certificate_structure():
     assert report.residual == 0.0
 
 
+def _block_loop(dim, seed, spread, mmax, centers):
+    """W diag(e^{i(phi_j + 2 pi m_j t)}) W*, a closed loop of flow sum(m).
+
+    |m_j| <= mmax, and each phase phi_j lies within `spread` of one of
+    `centers` random cluster centres, so every cluster starts out
+    near-degenerate and splits by winding number.
+    """
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-mmax, mmax + 1, size=dim)
+    c = rng.uniform(-np.pi, np.pi, size=centers)
+    phases = (c[rng.integers(centers, size=dim)]
+              + spread * rng.uniform(-1.0, 1.0, size=dim))
+    W = haar_unitary(dim, rng)
+
+    def sampler(t):
+        return (W * np.exp(1j * (phases + 2.0 * np.pi * m * t))) @ W.conj().T
+
+    return UnitaryPath(sampler, closed=True, dim=dim), int(np.sum(m))
+
+
+@pytest.mark.parametrize("m", range(-8, 9))
+def test_phillips_scalar_loops(m):
+    loop = UnitaryPath(lambda t: np.array([[np.exp(2j * np.pi * m * t)]]),
+                       closed=True, dim=1)
+    assert sf_phillips(loop).value == m
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.0, 1e-10, 1e-7, 1e-4]), st.integers(1, 16))
+def test_phillips_block_loops(dim, seed, spread, centers):
+    loop, flow = _block_loop(dim, seed, spread, 3, centers)
+    assert sf_phillips(loop).value == flow
+
+
+def test_phillips_counts_a_spectrum_turning_one_way():
+    # 47 eigenvalues in 11 clusters, 26 net turns.  The pairing of least
+    # summed motion hands each eigenvalue the neighbour behind its true
+    # partner on some steps, certifies them and counts 24; an arc chosen
+    # only among the sampled distances, not the swept ones, falls between
+    # an eigenvalue's two positions and cannot be certified
+    loop, flow = _block_loop(47, 9, 1e-10, 2, 11)
+    assert flow == 26
+    assert sf_phillips(loop).value == flow
+
+
+def _greedy_reference(key):
+    # the plain greedy loop: smallest remaining entry, first in row-major
+    # order among ties, then strike its row and column
+    key = key.copy()
+    perm = np.full(len(key), -1)
+    for _ in range(len(key)):
+        i, j = np.unravel_index(np.argmin(key), key.shape)
+        perm[i] = j
+        key[i, :] = np.inf
+        key[:, j] = np.inf
+    return perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_match_motion_is_the_greedy_pairing(dim, seed, tied):
+    # the round-wise matching returns the greedy loop's permutation, ties
+    # included (integer angles make many keys equal)
+    rng = np.random.default_rng(seed)
+    if tied:
+        a0 = rng.integers(-3, 4, size=dim).astype(float)
+        a1 = rng.integers(-3, 4, size=dim).astype(float)
+        v0 = v1 = np.eye(dim)
+    else:
+        a0 = np.sort(rng.uniform(-np.pi, np.pi, size=dim))
+        a1 = np.sort(sflow._wrap(a0 + rng.normal(scale=0.5, size=dim)))
+        v0, v1 = haar_unitary(dim, rng), haar_unitary(dim, rng)
+    motion, perm = sflow._match_motion(a0, v0, a1, v1)
+    assert np.array_equal(perm, _greedy_reference(
+        sflow._motion_key(a0, v0, a1, v1)))
+    assert np.array_equal(np.sort(perm), np.arange(dim))
+    assert np.all(np.abs(motion) <= np.pi)
+
+
+def test_match_motion_greedy_is_not_least_total_motion():
+    # greedy pairs the closest angles 1 -> 0.6 first, leaving 0 -> 1.7: a
+    # total motion of 2.1 against 1.3 for 0 -> 0.6, 1 -> 1.7, but a step
+    # larger than MOTION_BOUND, which sf_phillips refines
+    eye = np.eye(2)
+    motion, perm = sflow._match_motion(np.array([0.0, 1.0]), eye,
+                                       np.array([0.6, 1.7]), eye)
+    assert list(perm) == [1, 0]
+    assert np.allclose(motion, [1.7, -0.4])
+    assert np.max(np.abs(motion)) > sflow.MOTION_BOUND
+
+
 def test_theta_identity_is_zero():
     for n in (1, 2, 3):
         assert abs(theta_endpoint(np.eye(3), n)) < 1e-12
@@ -272,8 +365,9 @@ def test_generic_loop_values_pinned():
     alpha_raw = 1.999999999995056 - 1.479135983183939e-11j
     alpha_err = 2.639933557062685e-13
     pins = [(sf_alpha(loop, n=1), alpha_raw, alpha_err),
-            (sf_beta(loop, r=1), 1.9999999999949245 - 2.7168145537786314e-13j,
-             3.233973135982706e-11),
+            # beta takes |U - Id|^2 as the product A*A, not from an SVD
+            (sf_beta(loop, r=1), 1.9999999999949245 - 2.7170225946366346e-13j,
+             3.2339764540372764e-11),
             (sf_det(loop, p=2), alpha_raw, alpha_err)]
     for report, raw, err in pins:
         assert report.value == flow == 2
