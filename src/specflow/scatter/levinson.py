@@ -1,6 +1,6 @@
 """Levinson-theorem verification: scattering data versus bound-state counts.
 
-Three independent routes to the spectral flow of the energy-parametrized
+Three routes to the spectral flow of the energy-parametrized
 scattering-matrix path are computed and compared:
 
   (a) the eigenvalue-crossing count on the compactified path, with the
@@ -13,7 +13,9 @@ All three must agree with -N, the bound-state count, after the appropriate
 threshold corrections.  Route integrals run in the wavenumber variable
 k = sqrt(lambda); the head below k_min is a rectangle estimate.  In d = 1
 the body on [k_min, k_max] is adaptive quadrature and the tail beyond k_max
-a fitted power law.
+a fitted power law, and the crossing count is `sf_phillips` on the capped
+path.  The d = 1 polynomial is zero (P_1 = 0, so P0 = 0), which makes the
+subtracted route the regularized value: d = 1 has two routes, not three.
 
 In d = 3 the S-matrix is diagonal in the partial waves and both integrands
 are exact k-derivatives of functions of the phase table: the subtracted one
@@ -22,11 +24,14 @@ sum_l w_l G(delta_l) / pi with G(x) = e^{4ix}/(4i) - e^{2ix}/i + x.  Both
 bodies are therefore differences of table values at the grid ends.  The
 table's branch is anchored at the top of the grid, so delta_l(inf) = 0 and
 the regularized tail is exact as well; the subtracted route keeps a fitted
-tail, which tests the high-energy polynomial against the table.  This
-leaves less independence in d = 3 than the three routes suggest: the
-regularized route and the crossing count are both functions of the unwound
-table.  The independent checks are the table's endpoints against the
-zero-energy bound-state count, and the subtracted route's high-energy tail.
+tail, which tests the high-energy polynomial against the table.  The
+crossing count is a closed form too: each channel's capped loop is a scalar
+loop, whose flow through -1 is its winding number, fixed by the table's
+first and last rows and the principal angles of the two caps.  This leaves
+less independence in d = 3 than the three routes suggest: the regularized
+route and the crossing count are both functions of the table's end rows.
+The independent checks are the table's endpoints against the zero-energy
+bound-state count, and the subtracted route's high-energy tail.
 
 The d = 1 zero-energy cap: without a resonance the scattering matrix tends
 to [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging projection,
@@ -51,6 +56,7 @@ from ..errors import (
     TailNotConverged,
     UnsupportedDimension,
 )
+from ..matcore import _branch_angles
 from ..rdet import counterterm_exponent, counterterm_series
 from ..sflow import SpectralFlowReport, sf_phillips
 from ..upath import UnitaryPath, concatenate_many, generator_path, \
@@ -73,8 +79,6 @@ RESIDUAL_TOL = 0.05
 # this decay exponent
 MAX_MISFIT = 0.2
 MIN_EXPONENT = 1.2
-# channels whose doubled phase comes this close to pi get a crossing count
-SPECTATOR_MARGIN = 0.5
 # upper wavenumber edges of the bands of a phase table that share one
 # angular cutoff (the top of the grid closes the last band); each band
 # costs a choose_lmax sweep and a radial recursion per refinement round,
@@ -491,7 +495,7 @@ def _levinson_3d(V, k_min, k_max, points):
     sf_reg = I_reg + H0 / (2j * np.pi) + correction
     sf_sub = I_sub - poly.P(0.0) / (2j * np.pi) + correction
 
-    phillips = _phillips_3d(data, classification, k_min, k_max)
+    phillips = _phillips_3d(data, classification)
     # the regularized tail is exact: no fit, no exponent
     data.tail_exponents = {"subtracted": q_sub, "regularized": None}
 
@@ -518,39 +522,32 @@ def _levinson_3d(V, k_min, k_max, points):
     )
 
 
-def _phillips_3d(data, classification, k_min, k_max):
-    """Per-channel crossing counts: channels whose doubled phase ever comes
-    within SPECTATOR_MARGIN of pi (mod 2 pi) get a capped scalar crossing
-    count; the rest are certified spectators and contribute zero."""
-    kfun = _geom(k_min, k_max)
-    two_delta = 2.0 * data.deltas
-    dist = np.abs(np.angle(np.exp(1j * (two_delta - np.pi))))
-    min_dist = np.min(dist, axis=0)
-    active = np.where(min_dist <= SPECTATOR_MARGIN)[0]
-    spectators = {int(l): float(min_dist[l]) for l in
-                  range(data.lmax + 1) if l not in set(active.tolist())}
+def _phillips_3d(data, classification):
+    """Per-channel crossing counts, read off the table's end rows.
 
-    total = 0
-    channels = {}
-    for ell in active:
-        ell = int(ell)
-
-        def sampler(t, _l=ell):
-            z = np.exp(2j * float(data.delta(kfun(t))[_l]))
-            return np.array([[z]], dtype=complex)
-
-        zero_cap = None
-        if classification == "s_resonance" and ell == 0:
-            one = np.eye(1, dtype=complex)
-            zero_cap = (1j * np.pi * one, -one)
-        rep = _capped_flow(sampler, zero_cap)
-        channels[ell] = rep.value
-        total += (2 * ell + 1) * rep.value
-
+    Channel l's capped loop runs from 1 to e^{2i delta_l(k_min)} along the
+    principal geodesic (through -1 first for the l = 0 s-resonance), along
+    the sweep e^{2i delta_l(k)}, and back to 1 along the principal geodesic.
+    A scalar loop's flow through -1 is its winding number, so the flow of
+    channel l is (theta_start + 2 (delta_l(k_max) - delta_l(k_min))
+    + theta_close) / 2 pi, with the principal angles on the branch of
+    principal_log_unitary (-1 maps to +pi).  The sum is a multiple of 2 pi
+    by construction, and no channel needs sampling.
+    """
+    lo, hi = data.deltas[0], data.deltas[-1]
+    start = np.exp(2j * lo)
+    angle = 2.0 * (hi - lo) + _branch_angles(np.exp(-2j * hi))[0]
+    if classification == "s_resonance":
+        # exp(i pi t) turns channel 0 from 1 to -1 before its geodesic
+        start[0] = -start[0]
+        angle[0] += np.pi
+    angle += _branch_angles(start)[0]
+    flows = np.round(angle / (2.0 * np.pi)).astype(int)
+    channels = {l: int(f) for l, f in enumerate(flows) if f}
+    total = int(data.weights @ flows)
     return SpectralFlowReport(
         value=total, raw=float(total), residual=0.0, method="phillips",
-        parameters={"channels": channels, "spectator_margins": spectators,
-                    "weights": "2l+1"},
+        parameters={"channels": channels, "weights": "2l+1"},
         warnings=[], certificate=None)
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.linalg import expm
 
 from .errors import (
     CapMismatch,
@@ -37,19 +36,16 @@ from .errors import (
     RouteDisagreement,
 )
 from .matcore import (_unitary_angles, check_order, check_unitary,
-                      eig_unitary, form_trace, gamma_constant,
-                      principal_log_unitary)
+                      eig_unitary, form_trace, gamma_constant)
 from .upath import ENDPOINT_TOL, cap_into, cap_outof, concatenate_many
 
 DEFAULT_EPSABS = 1e-9
 QUAD_LIMIT = 10000
 # sf_phillips: initial uniform samples, largest matched eigenangle motion
-# per step, sample budget, bisection depth of the ray certification, and
-# least angular clearance of a certified arc
+# per step, sample budget, and least angular clearance of a counting arc
 INITIAL_SAMPLES = 33
 MOTION_BOUND = np.pi / 6
 MAX_SAMPLES = 20000
-CERTIFY_DEPTH = 28
 MARGIN_MIN = 1e-9
 
 
@@ -57,10 +53,14 @@ MARGIN_MIN = 1e-9
 class PartitionCertificate:
     """Evidence that the Phillips arc counts were well defined.
 
-    For each subinterval [t_{j-1}, t_j] the rays at angles pi +/- eps_j were
-    observed eigenvalue-free at every certification sample, with at least
-    `margins[j]` angular clearance, and the sampled eigenvalue motion was too
-    small to cross a ray between samples.
+    On each subinterval [t_{j-1}, t_j] the eigenvalues at the two ends are
+    paired by `_match_motion`, no pair moves more than MOTION_BOUND, and
+    the rays at angles pi +/- eps_j lie outside every distance from -1 that
+    a pair sweeps on its short arc, with clearance at least MARGIN_MIN.
+    `margins[j]` is the least ||u| - eps_j| over the end eigenvalues, with
+    u an eigenvalue's angular offset from -1; it is never below that
+    clearance.  The evidence is the sampled, matched motion: an eigenvalue
+    that leaves its short arc between two samples and returns is not seen.
     """
 
     breakpoints: list
@@ -265,12 +265,13 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
     order, normalise = _form(path, kind, order)
     a, b = path.interval
     U0, U1 = path(a), path(b)
-    for U, which in ((U0, "start"), (U1, "end")):
-        gap = np.linalg.norm(expm(principal_log_unitary(U)) - U, ord=2)
+    into, outof = cap_into(U0), cap_outof(U1)
+    for end, U, which in ((into(1.0), U0, "start"), (outof(0.0), U1, "end")):
+        gap = np.linalg.norm(end - U, ord=2)
         if gap > ENDPOINT_TOL:
             raise CapMismatch(f"{which} cap misses endpoint by {gap:.3e}")
 
-    closed = concatenate_many([cap_into(U0), path, cap_outof(U1)])
+    closed = concatenate_many([into, path, outof])
     phillips = sf_phillips(closed)
 
     body, _, err, warns = _winding(path, kind, order, epsabs)
@@ -365,34 +366,6 @@ class _Samples(dict):
         return self[t]
 
 
-def _certify(samples, t0, t1, eps, depth):
-    """Check no eigenvalue can touch a ray pi +/- eps on [t0, t1]; return
-    the least angular clearance seen, bisecting up to `depth` times."""
-    a0, v0 = samples[t0]
-    a1, v1 = samples[t1]
-    u0 = _around_minus_one(a0)
-    motion, perm = _match_motion(a0, v0, a1, v1)
-    u1 = _around_minus_one(a1)[perm]
-    margin = min(np.min(np.abs(np.abs(u0) - eps)),
-                 np.min(np.abs(np.abs(u1) - eps)))
-    # circular clearances from both rays: a step displacement |motion|
-    # can only cross a ray if it exceeds the clearance sum
-    rays = np.array([eps, -eps])
-    c0 = np.abs(_wrap(u0[:, None] - rays))
-    c1 = np.abs(_wrap(u1[:, None] - rays))
-    if not np.any(np.abs(motion)[:, None] >= c0 + c1 - 1e-12):
-        return margin
-    if depth <= 0 or len(samples) >= MAX_SAMPLES:
-        raise PartitionFailure(
-            f"cannot certify rays pi +/- {eps:.4f} free on "
-            f"[{t0:.6g}, {t1:.6g}]")
-    tm = 0.5 * (t0 + t1)
-    if tm <= t0 or tm >= t1:
-        raise PartitionFailure("refinement hit floating-point resolution")
-    return min(_certify(samples, t0, tm, eps, depth - 1),
-               _certify(samples, tm, t1, eps, depth - 1))
-
-
 def _free_arc(u0, u1, motion):
     """Half-width eps of the counting arc for one step, and its clearance.
 
@@ -417,12 +390,12 @@ def sf_phillips(path):
     """Spectral flow by eigenvalue-crossing counting.
 
     The interval is refined until the matched eigenangle motion between
-    neighboring samples is below MOTION_BOUND and an arc half-width eps_j
-    is found that no eigenvalue's matched motion sweeps across
-    (`_free_arc`).  Each such arc is certified: every sample keeps both
-    rays pi +/- eps_j clear, and per-step motion is too small for any
-    eigenvalue to reach a ray between samples (else the step is bisected).
-    The flow is the telescoped sum of arc-count differences
+    neighboring samples is at most MOTION_BOUND and an arc half-width
+    eps_j is found that no eigenvalue's matched motion sweeps across with
+    clearance MARGIN_MIN or more (`_free_arc`).  No matched eigenvalue then
+    touches a ray pi +/- eps_j inside the step, so the step's arc counts
+    need no further samples (see `PartitionCertificate` for what this
+    rests on).  The flow is the telescoped sum of arc-count differences
     k(t_j, eps_j) - k(t_{j-1}, eps_j); `raw` equals the integer exactly, so
     residual is 0.  The sample cache holds no reference cycle and is
     released on return.
@@ -436,11 +409,6 @@ def sf_phillips(path):
     grid.update(path.breakpoints)
     grid = sorted(grid)
 
-    def count(t, eps):
-        angles, _ = samples[t]
-        u = _around_minus_one(angles)
-        return int(np.sum((u >= 0.0) & (u < eps)))
-
     # refine until each step moves little and leaves an arc free
     work = list(zip(grid[:-1], grid[1:]))
     panels = []
@@ -451,15 +419,15 @@ def sf_phillips(path):
         motion, perm = _match_motion(a0, v0, a1, v1)
         step = np.max(np.abs(motion))
         if step <= MOTION_BOUND:
-            eps, clearance = _free_arc(_around_minus_one(a0),
-                                       _around_minus_one(a1)[perm], motion)
+            u0 = _around_minus_one(a0)
+            u1 = _around_minus_one(a1)[perm]
+            eps, clearance = _free_arc(u0, u1, motion)
             if clearance >= MARGIN_MIN:
-                margin = _certify(samples, t0, t1, eps, CERTIFY_DEPTH)
-                if margin < MARGIN_MIN:
-                    raise PartitionFailure(
-                        f"arc margin {margin:.2e} below {MARGIN_MIN:.0e} on "
-                        f"[{t0:.6g}, {t1:.6g}]")
-                panels.append((t0, t1, eps, float(margin)))
+                margin = min(np.min(np.abs(np.abs(u0) - eps)),
+                             np.min(np.abs(np.abs(u1) - eps)))
+                arcs = (int(np.sum((u1 >= 0.0) & (u1 < eps)))
+                        - int(np.sum((u0 >= 0.0) & (u0 < eps))))
+                panels.append((t0, t1, eps, float(margin), arcs))
                 continue
         if len(samples) >= MAX_SAMPLES:
             raise PartitionFailure(
@@ -473,7 +441,7 @@ def sf_phillips(path):
         work.append((tm, t1))
     panels.sort()
 
-    total = sum(count(t1, eps) - count(t0, eps) for t0, t1, eps, _ in panels)
+    total = sum(panel[4] for panel in panels)
     cert = PartitionCertificate(
         breakpoints=[panels[0][0]] + [panel[1] for panel in panels],
         epsilons=[panel[2] for panel in panels],

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.interpolate import CubicSpline
 
 from specflow.errors import (
     Inconclusive,
@@ -317,6 +318,46 @@ def test_levinson_3d_resonant_well():
     pw = rep.per_wave
     assert pw["expected_drop"] == np.pi / 2.0
     assert abs(pw["delta0_drop"] - np.pi / 2.0) < 1e-2 * np.pi
+
+
+@pytest.mark.parametrize("depth,N,channels", [
+    (20.0, 4, {0: -1, 1: -1}),
+    (30.0, 10, {0: -2, 1: -1, 2: -1}),
+])
+def test_levinson_3d_resonance_leaving_and_returning(depth, N, channels):
+    # a near-threshold resonance (l = 2 at depth 20, l = 3 at depth 30)
+    # brings e^{2i delta_l} close to -1 and back without crossing; a
+    # sampled crossing count read it as crossings and disagreed with the
+    # integral routes
+    rep = levinson_verify(RadialPotential.square_well(depth), 3)
+    assert rep.N == N
+    assert rep.sf == -N
+    assert rep.verdict == "pass"
+    assert rep.sf_regularized.parameters["channels"] == channels
+
+
+@pytest.mark.parametrize("depth", [3.0, 12.0, np.pi ** 2 / 4.0])
+def test_channel_flows_match_capped_phillips(depth):
+    # reference: sf_phillips on each channel's capped loop, the sweep
+    # e^{2i delta_l(k)} sampled from a spline of the channel's column
+    rep = levinson_verify(RadialPotential.square_well(depth), 3)
+    data = rep.data
+    kfun = levinson._geom(data.ks[0], data.ks[-1])
+    flows = rep.sf_regularized.parameters["channels"]
+    total = 0
+    for ell in range(data.lmax + 1):
+        spline = CubicSpline(np.log(data.ks), data.deltas[:, ell])
+
+        def sampler(t):
+            return np.array([[np.exp(2j * float(spline(np.log(kfun(t)))))]])
+
+        zero_cap = None
+        if rep.classification == "s_resonance" and ell == 0:
+            zero_cap = (1j * np.pi * np.eye(1), -np.eye(1, dtype=complex))
+        want = levinson._capped_flow(sampler, zero_cap).value
+        assert flows.get(ell, 0) == want, ell
+        total += (2 * ell + 1) * want
+    assert rep.sf == total
 
 
 # ---------------------------------------------------------------------------

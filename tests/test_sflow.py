@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from specflow import sflow
-from specflow.errors import IntegrationFailure, InvalidOrder, NotClosed
+from specflow.errors import (IntegrationFailure, InvalidOrder, NotClosed,
+                             PartitionFailure)
 from specflow.matcore import abs_power, gamma_constant
 from specflow.rdet import logderiv_det_p
 from specflow.sflow import (
@@ -202,6 +203,85 @@ def test_phillips_counts_a_spectrum_turning_one_way():
     loop, flow = _block_loop(47, 9, 1e-10, 2, 11)
     assert flow == 26
     assert sf_phillips(loop).value == flow
+
+
+def _old_ray_test(u0, u1, motion, eps):
+    # the removed bisecting certification: a step can carry an eigenvalue
+    # across a ray pi +/- eps only if its displacement reaches the sum of
+    # its circular clearances from the ray at the two ends
+    rays = np.array([eps, -eps])
+    c0 = np.abs(sflow._wrap(u0[:, None] - rays))
+    c1 = np.abs(sflow._wrap(u1[:, None] - rays))
+    return np.any(np.abs(motion)[:, None] >= c0 + c1 - 1e-12)
+
+
+_OFFSETS = st.one_of(
+    st.floats(-np.pi, np.pi),
+    # at -1 (the crossing point) and at +1 (the wrap of the offset)
+    st.floats(-1e-9, 1e-9),
+    st.floats(np.pi - 1e-9, np.pi),
+    st.floats(-np.pi, -np.pi + 1e-9),
+)
+
+
+def _check_free_arc(u0, motion):
+    u1 = sflow._wrap(u0 + motion)
+    eps, clearance = sflow._free_arc(u0, u1, motion)
+    if clearance >= sflow.MARGIN_MIN:
+        assert not _old_ray_test(u0, u1, motion, eps)
+        margin = min(np.min(np.abs(np.abs(u0) - eps)),
+                     np.min(np.abs(np.abs(u1) - eps)))
+        # the margin is at least the clearance, up to rounding of eps
+        assert margin >= clearance - 1e-15
+    return clearance
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_OFFSETS,
+                          st.floats(-sflow.MOTION_BOUND, sflow.MOTION_BOUND)),
+                min_size=1, max_size=64))
+def test_free_arc_needs_no_ray_certification(steps):
+    _check_free_arc(np.array([u for u, _ in steps]),
+                    np.array([m for _, m in steps]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.05, np.pi - 0.05),
+       st.sampled_from([3e-9, 1e-8, 1e-6, 1e-3]),
+       st.lists(st.booleans(), min_size=16, max_size=16),
+       st.lists(st.booleans(), min_size=16, max_size=16))
+def test_free_arc_clears_a_narrow_gap(centre, width, flips, turns):
+    # steps that sweep every distance from -1 except (centre -/+ width/2):
+    # the only free arc puts the rays that close to the eigenvalues
+    edges = [np.linspace(lo, hi, int(np.ceil((hi - lo) / 0.5)) + 1)
+             for lo, hi in ((0.0, centre - width / 2.0),
+                            (centre + width / 2.0, np.pi))]
+    pieces = [(lo, hi) for e in edges for lo, hi in zip(e[:-1], e[1:])]
+    u0, motion = [], []
+    for (lo, hi), flip, turn in zip(pieces, flips, turns):
+        sign = -1.0 if flip else 1.0
+        start, end = (lo, hi) if turn else (hi, lo)
+        u0.append(sign * start)
+        motion.append(sign * (end - start))
+    clearance = _check_free_arc(sflow._wrap(np.array(u0)), np.array(motion))
+    assert clearance == pytest.approx(width / 2.0, rel=1e-6)
+
+
+def test_phillips_refuses_unbounded_interval():
+    path = UnitaryPath(lambda s: np.array([[np.exp(1j / (1.0 + s))]]),
+                       interval=(0.0, np.inf), dim=1)
+    with pytest.raises(PartitionFailure, match="compactify"):
+        sf_phillips(path)
+
+
+def test_phillips_refuses_a_jump():
+    # the eigenvalue jumps by 2 rad at t = 0.3: every step across the jump
+    # moves more than MOTION_BOUND, down to floating-point resolution
+    jump = np.exp(2j)
+    path = UnitaryPath(lambda t: np.array([[1.0 if t < 0.3 else jump]]),
+                       dim=1)
+    with pytest.raises(PartitionFailure, match="floating-point resolution"):
+        sf_phillips(path)
 
 
 def _greedy_reference(key):
