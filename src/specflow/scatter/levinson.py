@@ -52,6 +52,7 @@ from ..errors import (
     Inconclusive,
     IntegrationFailure,
     InvalidGrid,
+    OracleDisagreement,
     RouteDisagreement,
     TailNotConverged,
     UnsupportedDimension,
@@ -64,7 +65,9 @@ from ..upath import UnitaryPath, concatenate_many, generator_path, \
 from .onedim import bound_states_1d, resonance_statistic_1d, smatrix_1d
 from .radial import (
     CHANNEL_TOL,
-    bound_state_channels,
+    _channel_counts,
+    _threshold_statistics,
+    _zero_energy_radial,
     choose_lmax,
     phase_shift_rows,
     threshold_statistics_radial,
@@ -81,8 +84,8 @@ MAX_MISFIT = 0.2
 MIN_EXPONENT = 1.2
 # upper wavenumber edges of the bands of a phase table that share one
 # angular cutoff (the top of the grid closes the last band); each band
-# costs a choose_lmax sweep and a radial recursion per refinement round,
-# whose per-node overhead outweighs the cut beyond a few bands
+# costs a radial recursion per refinement round, whose per-node overhead
+# outweighs the cut beyond a few bands
 K_BANDS = (2.0, 20.0)
 
 
@@ -160,19 +163,24 @@ def resonance_detect(V, d, tol=RES_TOL):
                 f"[{tol / 2:.1e}, {2 * tol:.1e}]")
         return "s_resonance" if s < tol / 2.0 else "none"
     if d == 3:
-        sig = threshold_statistics_radial(V, lmax=3)
-        in_band = (sig >= tol / 2.0) & (sig <= 2.0 * tol)
-        if np.any(in_band):
-            ls = np.where(in_band)[0].tolist()
-            raise Inconclusive(
-                f"threshold statistic in the band for l = {ls}")
-        if sig[0] < tol / 2.0:
-            return "s_resonance"
-        if np.any(sig[1:] < tol / 2.0):
-            return "threshold_eigenvalue"
-        return "none"
+        return _classify_3d(threshold_statistics_radial(V, lmax=3), tol)
     raise UnsupportedDimension(f"resonance detection needs d in (1, 3), "
                                f"got {d}")
+
+
+def _classify_3d(sig, tol):
+    """resonance_detect's d = 3 verdict from the threshold statistics of
+    channels 0..3."""
+    in_band = (sig >= tol / 2.0) & (sig <= 2.0 * tol)
+    if np.any(in_band):
+        ls = np.where(in_band)[0].tolist()
+        raise Inconclusive(
+            f"threshold statistic in the band for l = {ls}")
+    if sig[0] < tol / 2.0:
+        return "s_resonance"
+    if np.any(sig[1:] < tol / 2.0):
+        return "threshold_eigenvalue"
+    return "none"
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +378,21 @@ class ChannelData:
     into the wavenumber bands closed by K_BANDS, and each band is swept in
     one batched radial recursion over the channels up to its own cutoff,
     choose_lmax at the band's top energy (at most lmax); the table holds
-    0.0 above it.  deltas[i, l] is unwound in energy, anchored at the top
+    0.0 above it.  One choose_lmax sweep over the top energies of the
+    bands that meet the grid gives every cutoff, and lmax itself when it
+    is not given.  deltas[i, l] is unwound in energy, anchored at the top
     of the grid where the principal branch is correct.
     """
 
     def __init__(self, V, k_min, k_max, points, lmax=None):
         self.V = V
-        self.lmax = choose_lmax(V, k_max * k_max) if lmax is None else lmax
+        tops = [k for k in K_BANDS if k_min <= k < k_max] + [k_max]
+        cuts = choose_lmax(V, np.square(tops if lmax is None else tops[:-1]))
+        self.lmax = int(cuts[-1]) if lmax is None else lmax
         self.weights = 2.0 * np.arange(self.lmax + 1) + 1.0
-        tops = [k for k in K_BANDS if k < k_max] + [k_max]
         # the band closed by the top of the grid runs over all channels
-        cutoffs = {len(tops) - 1: self.lmax}
+        cutoffs = np.minimum(cuts[:len(tops) - 1], self.lmax).tolist()
+        cutoffs.append(self.lmax)
         cache = {}
         ks = list(np.geomspace(k_min, k_max, points))
         for _ in range(12):
@@ -388,9 +400,6 @@ class ChannelData:
             new = np.array([k for k in ks if k not in cache])
             band = np.searchsorted(tops, new)
             for b in np.unique(band).tolist():
-                if b not in cutoffs:
-                    cutoffs[b] = min(choose_lmax(V, tops[b] ** 2),
-                                     self.lmax)
                 sel = new[band == b]
                 rows, cutoffs[b] = _band_rows(V, sel, cutoffs[b], self.lmax)
                 cache.update(zip(sel, rows))
@@ -465,14 +474,22 @@ def _route_bodies(data, moment):
 
 
 def _levinson_3d(V, k_min, k_max, points):
-    counts = bound_state_channels(V)
-    mult = 2 * np.arange(len(counts)) + 1
-    N = int(np.sum(mult * counts))
-    classification = resonance_detect(V, 3)
-    poly = high_energy_poly(3, V)
     data = ChannelData(V, k_min, k_max, points)
     w = data.weights
     lmax = data.lmax
+    # one zero-energy sweep serves the bound-state count, over every
+    # channel of the table, and the threshold statistics of channels 0..3
+    zero = _zero_energy_radial(V, max(lmax, 3))
+    counts = _channel_counts(V, zero)
+    if counts[-1]:
+        raise OracleDisagreement(
+            f"bound states persist beyond the table's cutoff l = "
+            f"{len(counts) - 1}")
+    mult = 2 * np.arange(len(counts)) + 1
+    N = int(np.sum(mult * counts))
+    classification = _classify_3d(_threshold_statistics(V, zero)[:4],
+                                  RES_TOL)
+    poly = high_energy_poly(3, V)
 
     moment = V.integral() / (4.0 * np.pi ** 2)
     F_sub, F_reg = _route_integrands(data, moment)
@@ -508,7 +525,10 @@ def _levinson_3d(V, k_min, k_max, points):
                 "delta0_at_grid_edges": [float(data.deltas[0, 0]),
                                          float(data.deltas[-1, 0])],
                 "expected_drop": float(np.pi * (counts[0] + 0.5 * s_rank)),
-                "channel_counts": counts.tolist()}
+                # N_l through l = 8, bound_state_channels' default, and on
+                # to the first empty channel
+                "channel_counts":
+                    counts[:max(9, np.count_nonzero(counts) + 1)].tolist()}
 
     routes = {
         "phillips": complex(phillips.value),

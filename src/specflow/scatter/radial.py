@@ -5,9 +5,12 @@ radial equation u'' = (l(l+1)/r^2 + V - lam) u.  The recursion is
 sequential in r but elementwise over energies and channels, so one sweep,
 `_numerov`, advances an energies x channels array node by node: each energy
 keeps its own step, grid length, renormalization cut-off and recorded
-nodes, and a whole phase-shift table comes out of a single recursion.  A
-single energy (`phase_shifts_3d`) and the zero-energy solution are
-one-energy calls of the same sweep.  Matching uses the solution at two
+nodes, and a whole phase-shift table comes out of a single recursion.  The
+sweep takes its nodes in blocks: the Numerov coefficients of a whole block
+come from one array pass, capped at BLOCK_ELEMENTS entries per array, and
+only the three-term update of u, the one step that depends on the previous
+node, runs once per node.  A single energy (`phase_shifts_3d`) and the
+zero-energy solution are one-energy calls of the same sweep.  Matching uses the solution at two
 radii in the force-free region against Riccati-Bessel functions, which
 needs no normalization of u and no derivative estimate.
 
@@ -35,6 +38,8 @@ from ..errors import (
 from .onedim import FD_BOX, FD_POINTS
 
 RENORM_EVERY = 100
+# entries per array of f, A and B formed for one block of nodes
+BLOCK_ELEMENTS = 65536
 # a channel whose phase shift stays below this is negligible
 CHANNEL_TOL = 1e-8
 
@@ -79,8 +84,7 @@ def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
 
     Energy e runs on nodes r_i = i hs[e], i = 0..ns[e], with node
     potential v_nodes[i, group[e]] (zero past the last row of v_nodes), so
-    f = u''/u = l(l+1)/r^2 + v - lams[e] is formed one node row at a time
-    from per-energy and per-channel vectors.  Node 0 is unused (the
+    f = u''/u = l(l+1)/r^2 + v - lams[e].  Node 0 is unused (the
     centrifugal term is singular at the origin).  Starting values implement
     u ~ r^{l+1} (1 + c r^2) with c from the leading Taylor correction.
     Columns are renormalized periodically so steep centrifugal growth
@@ -88,9 +92,22 @@ def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
     of each energy, so ratios of recorded values are exact.  Energies drop
     out of the sweep at their own last node.
 
+    The nodes are taken in blocks.  For each block, f and the Numerov
+    coefficients A = 1 - h^2 f / 12 and B = 2 + 5 h^2 f / 6 of every node
+    are formed in one pass over a (nodes, energies, channels) array; only
+    the three-term update u_{i+1} = (B_i u_i - A_{i-1} u_{i-1}) / A_{i+1}
+    then runs node by node.  A block holds at most BLOCK_ELEMENTS entries
+    per array, so memory stays flat in the batch size, and ends after a
+    renormalization node or at the last node of the next energy to finish,
+    so the set of running energies is fixed inside it.  Every entry is the
+    same floating-point operation on the same operands as in a node-by-node
+    sweep, so the blocking does not change any result.
+
     records[e] lists the nodes (>= 3) whose solution rows are returned as
     out[e, j] = u(records[e, j]) over channels 0..lmax.  With count_nodes
-    the sign changes of u over nodes 1..ns[e] are counted per channel.
+    the sign changes of u over nodes 1..ns[e] are counted per channel,
+    except those into a node where A <= 0: there the recursion, not the
+    solution, flips the sign (at node 3 for l >= 10).
     Returns (out, changes), changes None unless counted.
     """
     E = len(lams)
@@ -110,28 +127,34 @@ def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
     hh56 = (5.0 * h * h / 6.0)[:, None]
     last_v = v_nodes.shape[0] - 1
 
-    def w_row(i, m):
-        return (v_nodes[i, grp[:m]] if i <= last_v else 0.0) - lam[:m]
+    def w_rows(nodes, m):
+        # v - lam at the given nodes, for the first m energies
+        v = np.zeros((len(nodes), m))
+        inside = nodes <= last_v
+        v[inside] = v_nodes[nodes[inside][:, None], grp[:m]]
+        return v - lam[:m]
 
     hc = h[:, None]
     cent_1 = cent / (hc * hc)
-    f1 = cent_1 + w_row(1, E)[:, None]
+    f1 = cent_1 + w_rows(np.array([1]), E)[0][:, None]
     # Taylor start u ~ r^{l+1}(1 + c r^2): c uses the potential part of f
     # only, not the centrifugal term already accounted for by the power law
     c = (f1 - cent_1) / (4.0 * ells + 6.0)
     u_prev = (1.0 + c * hc * hc) * np.exp(-(ells + 1.0) * np.log(2.0))
     u_cur = 1.0 + 4.0 * c * hc * hc
-    f = cent / ((2 * hc) * (2 * hc)) + w_row(2, E)[:, None]
-    # rotating (energies x channels) buffers for consecutive nodes; only
-    # the leading m rows, the energies still running, are touched
-    u_next = np.empty_like(u_cur)
-    A_prev, A_cur, A_next = 1.0 - hh12 * f1, 1.0 - hh12 * f, np.empty_like(f)
-    B_cur, B_next = 2.0 + hh56 * f, np.empty_like(f)
-    tmp = np.empty_like(f)
+    f2 = cent / ((2 * hc) * (2 * hc)) + w_rows(np.array([2]), E)[0][:, None]
+    # (energies x channels) rows: u at three consecutive nodes, and the A
+    # and B rows a block carries over from the one before it
+    u_next, tmp = np.empty_like(u_cur), np.empty_like(u_cur)
+    A_prev, A_cur, B_cur = 1.0 - hh12 * f1, 1.0 - hh12 * f2, 2.0 + hh56 * f2
+    # block arrays: at least one node row
+    buf_a = np.empty(max(BLOCK_ELEMENTS, u_cur.size))
+    buf_b = np.empty_like(buf_a)
 
     changes = None
     if count_nodes:
-        changes = (np.sign(u_prev) * np.sign(u_cur) < 0).astype(int)
+        changes = ((np.sign(u_prev) * np.sign(u_cur) < 0)
+                   & (A_cur > 0)).astype(int)
     # node -> (energies, slots) recorded there
     by_node = {}
     for (e, j), node in np.ndenumerate(records):
@@ -147,7 +170,8 @@ def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
                 "radial recursion produced non-finite values")
 
     m = E
-    for i in range(2, int(n[0])):
+    i = 2
+    while i < n[0]:
         # energies whose last node is i are complete
         m_run = m
         while n[m_run - 1] <= i:
@@ -155,29 +179,51 @@ def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
         if m_run < m:
             check_finite(slice(m_run, m))
             m = m_run
-        # f, A and B at node i + 1, then u_{i+1} from nodes i - 1 and i
-        r = h[:m] * (i + 1)
-        fm, an, bn, un, t = f[:m], A_next[:m], B_next[:m], u_next[:m], tmp[:m]
-        np.divide(cent, (r * r)[:, None], out=fm)
-        fm += w_row(i + 1, m)[:, None]
-        np.multiply(hh12[:m], fm, out=an)
-        np.subtract(1.0, an, out=an)
-        np.multiply(B_cur[:m], u_cur[:m], out=un)
-        np.multiply(A_prev[:m], u_prev[:m], out=t)
-        un -= t
-        un /= an
-        np.multiply(hh56[:m], fm, out=bn)
-        bn += 2.0
-        if count_nodes:
-            changes[:m] += np.sign(un) * np.sign(u_cur[:m]) < 0
-        u_prev, u_cur, u_next = u_cur, u_next, u_prev
-        A_prev, A_cur, A_next = A_cur, A_next, A_prev
-        B_cur, B_next = B_next, B_cur
-        hit = by_node.get(i + 1)
-        if hit is not None:
-            out[hit] = u_cur[hit[0]]
-        if i % RENORM_EVERY == 0:
-            renorm = i < no_renorm_from[:m]
+        # the block: iterations i..end - 1, which advance u to nodes
+        # i + 1..end; it stops after a renormalization iteration and at
+        # the last node of the shortest running grid
+        renorm_at = -(-i // RENORM_EVERY) * RENORM_EVERY
+        end = min(i + max(1, BLOCK_ELEMENTS // (m * (lmax + 1))),
+                  int(n[m - 1]), renorm_at + 1)
+        nodes = np.arange(i + 1, end + 1)
+        # f, A and B at every node of the block, as (nodes, energies,
+        # channels) arrays; f is formed in B
+        shape = (len(nodes), m, lmax + 1)
+        A = buf_a[:len(nodes) * m * (lmax + 1)].reshape(shape)
+        B = buf_b[:A.size].reshape(shape)
+        r = h[:m] * nodes[:, None]
+        np.divide(cent, (r * r)[:, :, None], out=B)
+        B += w_rows(nodes, m)[:, :, None]
+        np.multiply(hh12[:m], B, out=A)
+        np.subtract(1.0, A, out=A)
+        np.multiply(hh56[:m], B, out=B)
+        B += 2.0
+
+        up, uc, un, t = u_prev[:m], u_cur[:m], u_next[:m], tmp[:m]
+        a_prev, a_cur, b_cur = A_prev[:m], A_cur[:m], B_cur[:m]
+        for node, a_next, b_next in zip(nodes.tolist(), A, B):
+            np.multiply(b_cur, uc, out=un)
+            np.multiply(a_prev, up, out=t)
+            un -= t
+            un /= a_next
+            if count_nodes:
+                changes[:m] += ((np.sign(un) * np.sign(uc) < 0)
+                                & (a_next > 0))
+            up, uc, un = uc, un, up
+            a_prev, a_cur, b_cur = a_cur, a_next, b_next
+            hit = by_node.get(node)
+            if hit is not None:
+                out[hit] = uc[hit[0]]
+        for _ in range(len(nodes) % 3):
+            u_prev, u_cur, u_next = u_cur, u_next, u_prev
+        # a_prev is A_cur's rows when the block is one node long
+        A_prev[:m] = a_prev
+        A_cur[:m] = a_cur
+        B_cur[:m] = b_cur
+
+        i = end
+        if (i - 1) % RENORM_EVERY == 0:
+            renorm = i - 1 < no_renorm_from[:m]
             if np.any(renorm):
                 scale = np.maximum(np.maximum(np.abs(u_prev[:m]),
                                               np.abs(u_cur[:m])), 1e-280)
@@ -297,15 +343,21 @@ def _tail_zero_radial(ells, u, du, R):
     return np.where(aa != 0.0, cond, False)
 
 
+def _threshold_statistics(V, zero):
+    """threshold_statistics_radial over the channels of one zero-energy
+    sweep, zero = _zero_energy_radial(V, lmax)."""
+    u, du, _ = zero
+    ells = np.arange(len(u))
+    aa = np.abs(ells * u + V.radius * du)
+    bb = np.abs((ells + 1.0) * u - V.radius * du)
+    return aa / (aa + bb + 1e-300)
+
+
 def threshold_statistics_radial(V, lmax=3):
     """sigma_l = |growing coefficient| / (|growing| + |decaying|) of the
     zero-energy solution at the support radius; zero iff the channel is
     exactly at a threshold (s-resonance for l = 0, eigenvalue for l >= 1)."""
-    ells = np.arange(lmax + 1)
-    u, du, _ = _zero_energy_radial(V, lmax)
-    aa = np.abs(ells * u + V.radius * du)
-    bb = np.abs((ells + 1.0) * u - V.radius * du)
-    return aa / (aa + bb + 1e-300)
+    return _threshold_statistics(V, _zero_energy_radial(V, lmax))
 
 
 def _bound_states_fd_radial(V, ell):
@@ -319,19 +371,15 @@ def _bound_states_fd_radial(V, ell):
     return int(len(vals))
 
 
-def bound_state_channels(V, lmax=8):
-    """Per-channel bound-state counts N_l, l = 0..lmax, each obtained from
-    zero-energy node counting (including the possible zero beyond the
-    support) and cross-checked against a radial finite-difference
-    diagonalization.  The scan stops at the first empty channel, since N_l
-    is nonincreasing in l; later entries are zero by interlacing.
-    """
-    u, du, changes = _zero_energy_radial(V, lmax)
-    ells = np.arange(lmax + 1)
+def _channel_counts(V, zero):
+    """bound_state_channels over the channels of one zero-energy sweep,
+    zero = _zero_energy_radial(V, lmax)."""
+    u, du, changes = zero
+    ells = np.arange(len(u))
     node_counts = changes + _tail_zero_radial(ells, u, du, V.radius)
 
-    out = np.zeros(lmax + 1, dtype=int)
-    for ell in range(lmax + 1):
+    out = np.zeros(len(u), dtype=int)
+    for ell in ells.tolist():
         n_nodes = int(node_counts[ell])
         n_fd = _bound_states_fd_radial(V, ell)
         if n_fd != n_nodes:
@@ -342,6 +390,16 @@ def bound_state_channels(V, lmax=8):
             break
         out[ell] = n_nodes
     return out
+
+
+def bound_state_channels(V, lmax=8):
+    """Per-channel bound-state counts N_l, l = 0..lmax, each obtained from
+    zero-energy node counting (including the possible zero beyond the
+    support) and cross-checked against a radial finite-difference
+    diagonalization.  The scan stops at the first empty channel, since N_l
+    is nonincreasing in l; later entries are zero by interlacing.
+    """
+    return _channel_counts(V, _zero_energy_radial(V, lmax))
 
 
 def bound_states_radial(V, lmax=None):
@@ -369,15 +427,29 @@ __all__ = [
 
 def choose_lmax(V, lam_max):
     """Smallest l with |delta_l(lam_max)| < CHANNEL_TOL for it and
-    everything above, plus a safety margin of 2."""
-    guess = int(np.ceil(np.sqrt(lam_max) * V.radius)) + 40
+    everything above, plus a safety margin of 2.
+
+    lam_max may also be an array of energies: all of them are swept in one
+    batched recursion and the cutoffs come back as an int array.  Each
+    energy reads only its own channels 0..trial, which the sweep computes
+    exactly as a sweep over those channels alone would.
+    """
+    lams = np.atleast_1d(np.asarray(lam_max, dtype=float))
+    guess = np.ceil(np.sqrt(lams) * V.radius).astype(int) + 40
+    cut = np.full(len(lams), -1)
     for trial in (guess, 4 * guess):
-        delta = np.abs(phase_shifts_3d(V, lam_max, trial))
-        small = delta < CHANNEL_TOL
-        # suffix of channels that are all below tolerance
-        idx = np.where(~small)[0]
-        if small[-1] and (len(idx) == 0 or idx[-1] < trial):
-            first = 0 if len(idx) == 0 else int(idx[-1]) + 1
-            return first + 2
-    raise IntegrationFailure(
-        f"no angular cutoff found below l = {4 * guess}")
+        todo = np.where(cut < 0)[0]
+        if len(todo) == 0:
+            break
+        rows = phase_shift_rows(V, lams[todo], int(np.max(trial[todo])))
+        for e, row in zip(todo.tolist(), rows):
+            # the cutoff lies past the last channel at or above tolerance,
+            # which must not be the top channel swept for this energy
+            large = np.where(np.abs(row[:trial[e] + 1]) >= CHANNEL_TOL)[0]
+            if len(large) == 0 or large[-1] < trial[e]:
+                cut[e] = (0 if len(large) == 0 else int(large[-1]) + 1) + 2
+    if np.any(cut < 0):
+        raise IntegrationFailure(
+            f"no angular cutoff found below l = "
+            f"{4 * int(guess[cut < 0][0])}")
+    return int(cut[0]) if np.ndim(lam_max) == 0 else cut

@@ -34,6 +34,8 @@ from specflow.scatter.levinson import (
 )
 from specflow.scatter.radial import (
     CHANNEL_TOL,
+    _zero_energy_radial,
+    choose_lmax,
     phase_shift_rows,
     threshold_statistics_radial,
 )
@@ -306,6 +308,46 @@ def test_levinson_3d_runs_no_quadrature(monkeypatch):
     assert rep.verdict == "pass"
 
 
+def test_levinson_3d_one_zero_energy_sweep(monkeypatch):
+    # the bound-state count and the threshold statistics read one sweep
+    calls = []
+
+    def counting(V, lmax):
+        calls.append(lmax)
+        return _zero_energy_radial(V, lmax)
+
+    monkeypatch.setattr(levinson, "_zero_energy_radial", counting)
+    rep = levinson_verify(WELL3, 3, grid=200)
+    assert calls == [rep.data.lmax]
+    assert rep.classification == "none"
+    # the statistics of channels 0..3 do not depend on the sweep's cutoff
+    assert np.array_equal(
+        levinson._threshold_statistics(WELL3, _zero_energy_radial(
+            WELL3, rep.data.lmax))[:4],
+        threshold_statistics_radial(WELL3))
+
+
+def test_levinson_3d_counts_every_bound_channel(monkeypatch):
+    # 205 states at depth 200, 40 of them in channels 9..10, beyond the old
+    # fixed cutoff l = 8; the routes may still disagree on this well, so
+    # the count is read where the report is assembled
+    seen = {}
+
+    class Assembled(Exception):
+        pass
+
+    def assemble(**kwargs):
+        seen.update(kwargs)
+        raise Assembled
+
+    monkeypatch.setattr(levinson, "_assemble", assemble)
+    with pytest.raises(Assembled):
+        levinson_verify(RadialPotential.square_well(200.0), 3)
+    assert seen["N"] == 205
+    assert seen["per_wave"]["channel_counts"] == [5, 4, 4, 3, 3, 2, 2, 1, 1,
+                                                  1, 1, 0]
+
+
 def test_levinson_3d_resonant_well():
     rep = levinson_verify(RadialPotential.square_well(np.pi ** 2 / 4.0), 3)
     assert rep.N == 0
@@ -430,12 +472,31 @@ def test_channel_cut_guard_falls_back(monkeypatch):
     assert np.all(rows[:, 7:] == 0.0)
     # every band cutoff too low: each band falls back to the full lmax and
     # the table is the uncut one
-    monkeypatch.setattr(levinson, "choose_lmax", lambda V, lam: 0)
+    monkeypatch.setattr(levinson, "choose_lmax",
+                        lambda V, lams: np.zeros(len(lams), dtype=int))
     low = ChannelData(WELL3, 1e-2, 30.0, 100, lmax=12)
     monkeypatch.setattr(levinson, "K_BANDS", ())
     full = ChannelData(WELL3, 1e-2, 30.0, 100, lmax=12)
     assert np.array_equal(low.ks, full.ks)
     assert np.array_equal(low.deltas, full.deltas)
+
+
+def test_channel_cutoffs_from_one_sweep(monkeypatch):
+    # lmax and every band cutoff come from one choose_lmax call at the
+    # bands' top energies
+    calls = []
+
+    def recording(V, lams):
+        calls.append(np.sqrt(lams).tolist())
+        return choose_lmax(V, lams)
+
+    monkeypatch.setattr(levinson, "choose_lmax", recording)
+    data = ChannelData(WELL3, 1e-2, 30.0, 60)
+    assert calls == [[2.0, 20.0, 30.0]]
+    assert data.lmax == choose_lmax(WELL3, 900.0)
+    calls.clear()
+    ChannelData(WELL3, 5.0, 30.0, 60, lmax=12)
+    assert calls == [[20.0]]
 
 
 def test_ddelta_dk_rows(well3_data):

@@ -19,8 +19,18 @@ from specflow.scatter import (
     smatrix_radial,
     threshold_statistics_radial,
 )
+from specflow.scatter import radial
 from specflow.scatter.potentials import SPHERE_VOLUMES
-from specflow.scatter.radial import _grid, phase_shift_rows
+from specflow.scatter.radial import (
+    RENORM_EVERY,
+    _bound_states_fd_radial,
+    _grid,
+    _node_potential,
+    _numerov,
+    _tail_zero_radial,
+    _zero_energy_radial,
+    phase_shift_rows,
+)
 
 WELL3 = RadialPotential.square_well(3.0)
 
@@ -146,6 +156,23 @@ def test_bound_state_counts():
     assert bound_states_radial(barrier) == 0
 
 
+def test_deep_well_counts_past_l_8():
+    # for l >= 10 the Numerov coefficient A is negative at node 3 and the
+    # recursion flips u there; that flip is not a node of the solution
+    deep = RadialPotential.square_well(200.0)
+    counts = bound_state_channels(deep, 12)
+    assert np.array_equal(counts, [5, 4, 4, 3, 3, 2, 2, 1, 1, 1, 1, 0, 0])
+    # the Bessel-zero count of the well
+    assert int((2 * np.arange(13) + 1) @ counts) == 205
+    # far above the last bound channel the node counts stay at the
+    # diagonalization's zero, though A <= 0 on ever more nodes
+    u, du, changes = _zero_energy_radial(deep, 60)
+    nodes = changes + _tail_zero_radial(np.arange(61), u, du, deep.radius)
+    assert np.all(nodes[11:] == 0)
+    for ell in (10, 11, 13, 30, 60):
+        assert nodes[ell] == _bound_states_fd_radial(deep, ell)
+
+
 def test_very_deep_well_demands_explicit_cutoff():
     deep = RadialPotential.square_well(200.0)
     with pytest.raises(OracleDisagreement):
@@ -172,6 +199,9 @@ def test_choose_lmax_scales_with_energy():
     assert low == 20
     assert high == 116
     assert np.abs(phase_shifts_3d(WELL3, 1e4, high)[-1]) < 1e-8
+    # an array of energies: one batched sweep, the same cutoffs
+    both = choose_lmax(WELL3, np.array([100.0, 1e4, 4.0]))
+    assert both.tolist() == [20, 116, choose_lmax(WELL3, 4.0)]
 
 
 # Phase shifts of channels 0..3 frozen from the per-energy Numerov solver
@@ -252,3 +282,70 @@ def test_radial_potential_array_call_matches_scalar_calls():
     # a constant callable is broadcast over the radii inside the support
     flat = RadialPotential(v_of_r=lambda r: 5.0, radius=1.0)
     assert np.array_equal(flat(np.array([0.5, 0.9, 1.0])), [5.0, 5.0, 0.0])
+
+
+def _per_node_numerov(lam, h, n, v, lmax, record):
+    """One energy of radial._numerov as a plain node-by-node recursion:
+    the same floating-point operations in the same order, and the same
+    renormalization and node-counting rules.  Returns (rows, changes)."""
+    ells = np.arange(lmax + 1)
+    cent = ells * (ells + 1.0)
+
+    def f_at(i):
+        return cent / ((h * i) * (h * i)) + ((v[i] if i < len(v) else 0.0)
+                                             - lam)
+
+    def A(i):
+        return 1.0 - (h * h / 12.0) * f_at(i)
+
+    def B(i):
+        return (5.0 * h * h / 6.0) * f_at(i) + 2.0
+
+    c = (f_at(1) - cent / (h * h)) / (4.0 * ells + 6.0)
+    u_prev = (1.0 + c * h * h) * np.exp(-(ells + 1.0) * np.log(2.0))
+    u_cur = 1.0 + 4.0 * c * h * h
+    changes = ((np.sign(u_prev) * np.sign(u_cur) < 0) & (A(2) > 0)).astype(int)
+    no_renorm_from = n - max(n - min(record) + 1, 8) - 2
+    rows = {}
+    for i in range(2, n):
+        u_next = (B(i) * u_cur - A(i - 1) * u_prev) / A(i + 1)
+        changes += (np.sign(u_next) * np.sign(u_cur) < 0) & (A(i + 1) > 0)
+        u_prev, u_cur = u_cur, u_next
+        rows[i + 1] = u_cur.copy()
+        if i % RENORM_EVERY == 0 and i < no_renorm_from:
+            scale = np.maximum(np.maximum(np.abs(u_prev), np.abs(u_cur)),
+                               1e-280)
+            u_prev, u_cur = u_prev / scale, u_cur / scale
+    return np.array([rows[node] for node in record]), changes
+
+
+@pytest.mark.parametrize("block", [radial.BLOCK_ELEMENTS, 1, 3 * 8 * 15 + 5])
+def test_blocked_kernel_matches_per_node_recursion(block, monkeypatch):
+    # the default budget, one node per block, and blocks of three nodes
+    # while all eight energies run
+    monkeypatch.setattr(radial, "BLOCK_ELEMENTS", block)
+    V = RadialPotential.square_well(30.0)
+    steps = np.array([1e-3, 7e-4])
+    v_nodes = _node_potential(V, steps, np.ceil(V.radius / steps).astype(int))
+    lams = np.array([0.5, 2.0, 0.0, 30.0, 0.5, 7.0, 1e-2, 30.0])
+    group = np.array([0, 1, 0, 0, 1, 1, 0, 0])
+    # grids of different lengths, four of them ending on renormalization
+    # nodes and one just past one, the longest crossing twelve of them; the
+    # last ends two nodes before the s-wave's first node at r = pi/sqrt(60),
+    # which it must not count
+    ns = np.array([1300, 700, 701, 1200, 450, 1300, 1000, 403])
+    # records beside renormalization nodes, where blocks end, and at the
+    # grid ends
+    records = np.array([[101, 102], [699, 700], [600, 701], [1101, 1200],
+                        [300, 450], [1299, 1300], [3, 1000], [5, 403]])
+    lmax = 14
+    out, changes = _numerov(lams, steps[group], ns, v_nodes, group, lmax,
+                            records, count_nodes=True)
+    for e in range(len(lams)):
+        rows, want = _per_node_numerov(lams[e], steps[group[e]], ns[e],
+                                       v_nodes[:, group[e]], lmax,
+                                       records[e])
+        assert np.array_equal(out[e], rows)
+        assert np.array_equal(changes[e], want)
+    # the well is deep enough for interior nodes to be counted
+    assert np.any(changes > 0)
