@@ -11,9 +11,10 @@ Conventions fixed here once and for all:
   norm, with tolerance 1e-10 by default.
 
 Decompose only what is read.  A caller that reads only the eigenangles of a
-unitary (a determinant, a geodesic cap) checks it once with `check_unitary`
-and takes the angles from `_unitary_angles`: LAPACK eigenvalues without
-vectors, the same snapping and the same order as `eig_unitary`.  A caller
+unitary (a geodesic cap) checks it once with `check_unitary` and takes
+the angles from `_unitary_angles`: LAPACK eigenvalues without vectors, the
+same snapping and the same order as `eig_unitary`.  Determinants read no
+spectrum: `rdet` takes them from an LU factorization.  A caller
 that reads the eigenvectors too (Phillips' eigenvalue tracking, the
 principal logarithm) uses `eig_unitary`, whose Schur vectors are
 orthonormal even at degeneracies.  The winding-form trace kernel takes

@@ -8,21 +8,28 @@ first p-1 terms of the log expansion and keeps the product convergent for
 p-summable perturbations; at finite dimension the counterterm is what makes
 the p-determinant's winding match the order-(p-1) regularized winding
 integrals.  All logs use the principal branch (imaginary part in (-pi, pi]).
+
+Since Det(e^X) = e^{Tr X}, Det_p(Id + K) = Det(Id + K) exp(sum_{l<p}
+((-1)^l / l) Tr K^l): one LU factorization and p - 2 matrix products, no
+spectrum.  `_det_p_lu` is that kernel; `det_p` (K = U - Id) and the
+Birman-Schwinger determinant of `scatter.onedim` both call it.
+`fredholm_det` and `det_p_perturbation` stay products over eigenvalues, so
+they are the references the LU kernel is tested against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutsideInterval
-from .matcore import _unitary_angles, check_order, check_unitary, form_trace
+from .matcore import check_order, check_unitary, form_trace
 
 
 @dataclass
 class DetValue:
     value: complex
     log_value: complex  # principal branch: Im in (-pi, pi]
-    conditioning: float  # smallest |eigenvalue| of the determinant argument
 
     def __complex__(self):
         return complex(self.value)
@@ -35,8 +42,7 @@ def _pack(factors):
     mag = abs(value)
     log_value = complex(np.log(mag), np.angle(value)) if mag > 0 else complex(
         -np.inf, 0.0)
-    cond = float(np.min(np.abs(factors))) if len(factors) else 1.0
-    return DetValue(value=complex(value), log_value=log_value, conditioning=cond)
+    return DetValue(value=complex(value), log_value=log_value)
 
 
 def counterterm_series(x, p):
@@ -73,40 +79,70 @@ def det_p_perturbation(A, p):
     return _pack((1.0 + lam) * np.exp(counterterm_series(lam, p)))
 
 
+def _trace_series(K, p):
+    """sum_{l=1}^{p-1} ((-1)^l / l) Tr K^l from p - 2 matrix products."""
+    total = 0.0 + 0j
+    power = K
+    for ell in range(1, p):
+        if ell > 1:
+            power = power @ K
+        total += (-1) ** ell / ell * np.trace(power)
+    return total
+
+
 def counterterm_exponent(U, p):
     """sum_{l=1}^{p-1} ((-1)^l / l) Tr((U - Id)^l).
 
     Formed from matrix powers rather than eigenvalues, so the reduced
-    formula Det(U) exp(counterterm_exponent(U, p)) checks `det_p`
-    independently of its per-eigenvalue `counterterm_series`.
+    formula Det(U) exp(counterterm_exponent(U, p)) with an eigenvalue
+    `fredholm_det` checks `det_p` independently of its LU determinant.
     """
     U = np.asarray(U, dtype=complex)
     p = check_order("p", p, 1, integer=True)
-    eye = np.eye(U.shape[0])
-    B = U - eye
-    total = 0.0 + 0j
-    M = np.eye(U.shape[0], dtype=complex)
-    for ell in range(1, p):
-        M = M @ B
-        total += (-1) ** ell / ell * np.trace(M)
-    return total
+    return _trace_series(U - np.eye(U.shape[0]), p)
+
+
+def _det_p_lu(K, p):
+    """Det_p(Id + K) from one LU factorization and the trace powers of K.
+
+    Log Det_p(Id + K) = log Det(Id + K) + sum_{l<p} ((-1)^l / l) Tr K^l, the
+    first term from `np.linalg.slogdet`.  The imaginary part of the sum is
+    wrapped into (-pi, pi] and the value is its exponential.  The caller
+    has checked the integer order p >= 1.
+    """
+    sign, logabs = np.linalg.slogdet(np.eye(K.shape[0]) + K)
+    log_value = complex(logabs, np.angle(sign)) + _trace_series(K, p)
+    phase = math.remainder(log_value.imag, 2.0 * np.pi)
+    if phase <= -np.pi:
+        phase += 2.0 * np.pi
+    log_value = complex(log_value.real, phase)
+    return DetValue(value=complex(np.exp(log_value)), log_value=log_value)
 
 
 def det_p(U, p):
     """The order-p regularized determinant of a unitary U.
 
-    Det_p(U) = Det(U exp(sum_{l=1}^{p-1} ((-1)^l / l)(U - Id)^l)).  Since the
-    counterterm is a function of U itself, both factors diagonalize together
-    and the determinant is a product over eigenangles.  U is checked once;
-    the angles come from `matcore._unitary_angles` (eigenvalues only, no
-    Schur vectors), and the counterterm is the per-eigenvalue
-    `counterterm_series`, so the matrix-power `counterterm_exponent` stays
-    an independent check of the product.
+    Det_p(U) = Det(U exp(sum_{l=1}^{p-1} ((-1)^l / l)(U - Id)^l))
+             = Det(U) exp(sum_{l=1}^{p-1} ((-1)^l / l) Tr (U - Id)^l),
+    since Det(e^X) = e^{Tr X}.  U is checked once and `_det_p_lu` takes
+    Det(U) from an LU factorization, so no eigenvalues are computed.  The
+    eigenvalue products `fredholm_det` and `det_p_perturbation` are the
+    references it is tested against.
     """
     U = check_unitary(U)
     p = check_order("p", p, 1, integer=True)
-    z = np.exp(1j * _unitary_angles(U))
-    return _pack(z * np.exp(counterterm_series(z - 1.0, p)))
+    return _det_p_lu(U - np.eye(U.shape[0]), p)
+
+
+def _logderiv_sampled(path, t, p):
+    """d/dt Log Det_p(U_t), with the samples U_t and U'_t it is formed from."""
+    a, b = path.interval
+    if not (a <= t <= b):
+        raise OutsideInterval(f"parameter {t} outside {path.interval}")
+    U = path(t)
+    Ud = path.derivative(t)
+    X = U.conj().T @ Ud
+    return complex((-1) ** (p - 1) * form_trace(X, U, "n", p - 1)), U, Ud
 
 
 def logderiv_det_p(path, t, p):
@@ -117,12 +153,7 @@ def logderiv_det_p(path, t, p):
     classical winding integrand Tr(U* U').
     """
     p = check_order("p", p, 1, integer=True)
-    a, b = path.interval
-    if not (a <= t <= b):
-        raise OutsideInterval(f"parameter {t} outside {path.interval}")
-    U = path(t)
-    X = U.conj().T @ path.derivative(t)
-    return complex((-1) ** (p - 1) * form_trace(X, U, "n", p - 1))
+    return _logderiv_sampled(path, t, p)[0]
 
 
 def logdet_p_vs_logdet(path, t, p):
@@ -132,12 +163,11 @@ def logdet_p_vs_logdet(path, t, p):
       lhs = d/dt Log Det_p(U_t)  (trace identity),
       rhs = d/dt Log Det(U_t) + d/dt [counterterm exponent]
           = Tr(U* U') + sum_{l=1}^{p-1} (-1)^l Tr(U' (U - Id)^{l-1}).
-    The caller asserts lhs == rhs.
+    Both sides are formed from one sample of U_t and U'_t.  The caller
+    asserts lhs == rhs.
     """
-    lhs = logderiv_det_p(path, t, p)
-    p = int(p)
-    U = path(t)
-    Ud = path.derivative(t)
+    p = check_order("p", p, 1, integer=True)
+    lhs, U, Ud = _logderiv_sampled(path, t, p)
     eye = np.eye(U.shape[0])
     rhs = complex(np.trace(U.conj().T @ Ud))
     B = U - eye

@@ -26,7 +26,7 @@ from ..errors import (
     QuadratureNotConverged,
 )
 from ..matcore import check_order
-from ..rdet import DetValue
+from ..rdet import DetValue, _det_p_lu
 
 # finite-difference bound-state counts (1D and radial): box half-width or
 # radius, widened to three support widths when needed, and grid points;
@@ -217,27 +217,6 @@ def _bs_matrix(V, lam, branch, n):
     return (sw * q1)[:, None] * G * (q2 * sw)[None, :]
 
 
-def _det_p_lu(K, p):
-    """Perturbation determinant Det_p(Id + K) via LU, avoiding eigenvalues.
-
-    Det_p = Det(Id + K) exp(sum_{l<p} (-1)^l Tr K^l / l); the plain
-    determinant comes from an LU factorization and the trace powers from
-    matrix products, which is much cheaper than a full spectrum for the
-    dense Nystrom matrices used here.
-    """
-    n = K.shape[0]
-    sign, logabs = np.linalg.slogdet(np.eye(n) + K)
-    log_value = complex(logabs, np.angle(sign))
-    power = K
-    for ell in range(1, int(p)):
-        if ell > 1:
-            power = power @ K
-        log_value += (-1) ** ell * np.trace(power) / ell
-    value = np.exp(log_value)
-    return DetValue(value=value, log_value=log_value,
-                    conditioning=float(np.linalg.norm(K, 2)))
-
-
 def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, n_max=4800):
     """Det_p(Id + q1 R0(lam +/- i0) q2) by Nystrom discretization.
 
@@ -268,8 +247,7 @@ def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, n_max=4800):
                 abs(rich - prev_rich) < NYSTROM_TOL * (1.0 + abs(rich)):
             return DetValue(value=rich,
                             log_value=complex(np.log(abs(rich)),
-                                              np.angle(rich)),
-                            conditioning=cur.conditioning)
+                                              np.angle(rich)))
         prev, prev_rich = cur, rich
         m *= 2
     raise QuadratureNotConverged(

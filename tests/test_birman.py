@@ -6,9 +6,9 @@ from specflow.errors import (
     InvalidOrder,
     QuadratureNotConverged,
 )
-from specflow.rdet import det_p_perturbation
+from specflow.rdet import _det_p_lu, det_p_perturbation
 from specflow.scatter import Potential1D, birman_schwinger_det_1d, smatrix_1d
-from specflow.scatter.onedim import _bs_matrix, _det_p_lu
+from specflow.scatter.onedim import _bs_matrix
 
 WELL = Potential1D.square_well(3.0, halfwidth=1.0)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from specflow import matcore, rdet
 from specflow.errors import InvalidOrder, NonUnitary, OutsideInterval
@@ -14,7 +15,12 @@ from specflow.rdet import (
     logdet_p_vs_logdet,
     unwind_log,
 )
-from specflow.upath import constant_path, generator_path, model_loop
+from specflow.upath import (
+    UnitaryPath,
+    constant_path,
+    generator_path,
+    model_loop,
+)
 
 from conftest import haar_unitary, random_hermitian
 
@@ -23,7 +29,6 @@ def test_fredholm_anchors():
     assert fredholm_det(np.zeros((3, 3))).value == 1.0
     d = fredholm_det(np.diag([1.0, 2.0]))
     assert abs(d.value - 6.0) < 1e-12
-    assert abs(d.conditioning - 2.0) < 1e-12
 
 
 def test_det_p_identity():
@@ -44,18 +49,24 @@ def test_det_2_single_rotated_mode():
 
 
 def test_det_p_matches_schur_product(rng):
-    # the eigenvalue-only det_p against the product over the Schur
-    # kernel's eigenangles, value and conditioning at 1e-12 relative
-    for dim in (1, 2, 3, 5, 8, 16, 32, 64):
-        U = haar_unitary(dim, rng)
+    # the LU det_p against the product over the Schur kernel's eigenangles,
+    # at 1e-12 relative: Haar unitaries, an eigenvalue -1 of multiplicity 3,
+    # and diagonal unitaries whose counterterm exponent at p = 2 has
+    # imaginary part -/+8, which the LU log must wrap into (-pi, pi]
+    unitaries = [haar_unitary(dim, rng)
+                 for dim in (1, 2, 3, 5, 8, 16, 32, 64)]
+    unitaries.append(block_diag(-np.eye(3), haar_unitary(5, rng)))
+    unitaries += [np.diag(np.full(8, np.exp(s * 0.5j * np.pi)))
+                  for s in (1, -1)]
+    for U in unitaries:
         z = np.exp(1j * eig_unitary(U)[0])
-        for p in (1, 2, 3):
-            factors = z * np.exp(counterterm_series(z - 1.0, p))
-            value = np.prod(factors)
-            cond = np.min(np.abs(factors))
+        for p in (1, 2, 3, 5):
+            value = np.prod(z * np.exp(counterterm_series(z - 1.0, p)))
             got = det_p(U, p)
             assert abs(got.value - value) <= 1e-12 * abs(value)
-            assert abs(got.conditioning - cond) <= 1e-12 * cond
+            assert -np.pi < got.log_value.imag <= np.pi
+            assert abs(np.exp(got.log_value) - got.value) \
+                <= 1e-12 * abs(got.value)
 
 
 def test_det_p_checks_unitarity_once(rng, monkeypatch):
@@ -180,6 +191,23 @@ def test_logdet_p_vs_logdet(rng):
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
     lhs, rhs = logdet_p_vs_logdet(model_loop(1, 3), 0.3, 2)
     assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+
+def test_logdet_p_vs_logdet_samples_once():
+    # one U_t and one stencil U'_t (4 samples) feed both sides
+    loop = model_loop(1, 3)
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return loop(t)
+
+    path = UnitaryPath(counting, dim=3)
+    for p in (1, 3):
+        calls.clear()
+        lhs, rhs = logdet_p_vs_logdet(path, 0.3, p)
+        assert len(calls) == 5
+        assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs))
 
 
 def test_unwind_log_tracks_winding():
