@@ -26,7 +26,7 @@ from .cayley import cayley, fp_distance, graph_projection, inv_cayley, \
     resolvent_bound_constant
 from .errors import SpecflowError
 from .matcore import gamma_constant, schatten_norm
-from .rdet import det_p, logdet_p_vs_logdet, unwind_log
+from .rdet import _logdet_sides, det_p, unwind_log
 from .scatter import (
     Potential1D,
     RadialPotential,
@@ -318,8 +318,9 @@ def _cmd_det(args):
     ts = np.linspace(a, b, args.samples)
     dets, rows = [], []
     for t in ts:
-        d = det_p(path(t), args.p)
-        lhs, rhs = logdet_p_vs_logdet(path, t, args.p)
+        # one U_t feeds Det_p and both log-derivative sides
+        lhs, rhs, U = _logdet_sides(path, t, args.p)
+        d = det_p(U, args.p)
         dets.append(d)
         rows.append({
             "t": float(t),

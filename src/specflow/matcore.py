@@ -17,13 +17,15 @@ same snapping and the same order as `eig_unitary`.  Determinants read no
 spectrum: `rdet` takes them from an LU factorization.  A caller
 that reads the eigenvectors too (Phillips' eigenvalue tracking, the
 principal logarithm) uses `eig_unitary`, whose Schur vectors are
-orthonormal even at degeneracies.  The winding-form trace kernel takes
-whole powers of A*A with matrix products and reserves the SVD of
-`abs_power` for fractional orders.
+orthonormal even at degeneracies; it calls LAPACK's zgees directly, as
+`scipy.linalg.schur` would, without that wrapper's per-call overhead.
+The winding-form trace kernel takes whole powers of A*A with matrix
+products and reserves the SVD of `abs_power` for fractional orders.
 """
 
 import numpy as np
-from scipy.linalg import schur, svd
+from scipy.linalg import svd
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.special import gammaln
 
 from .errors import DecompositionFailure, InvalidOrder, NonUnitary
@@ -31,19 +33,25 @@ from .errors import DecompositionFailure, InvalidOrder, NonUnitary
 UNITARY_TOL = 1e-10
 SNAP_TOL = 1e-12
 
+# complex Schur decomposition, and the workspace size that
+# scipy.linalg.schur queries, kept per dimension
+_ZGEES, = get_lapack_funcs(("gees",), (np.zeros((1, 1), dtype=complex),))
+_ZGEES_LWORK = {}
+
 
 def check_unitary(U, tol=UNITARY_TOL):
     """Return U as a complex ndarray, raising NonUnitary if U*U != Id.
 
     The defect ||U*U - Id|| is measured in Frobenius norm, never looser
     than the operator norm, so it costs one matmul rather than an SVD;
-    `tol` defaults to 1e-10.
+    `tol` defaults to 1e-10.  A NaN or infinite entry makes the defect
+    non-finite, and that is rejected too.
     """
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise NonUnitary(f"expected a square matrix, got shape {U.shape}")
     defect = np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]))
-    if defect > tol:
+    if not defect <= tol:
         raise NonUnitary(f"unitarity defect {defect:.3e} exceeds tol {tol:.1e}")
     return U
 
@@ -65,12 +73,26 @@ def eig_unitary(U):
 
     Uses the Schur decomposition, which is exactly unitary for normal
     matrices, so the returned vectors are orthonormal even at degeneracies.
+    zgees is called as `scipy.linalg.schur(U, output="complex")` calls it,
+    with the same workspace, so the output is bit-identical; the finite
+    check that schur makes is the one `check_unitary` makes here.
+    Raises DecompositionFailure if LAPACK reports an error.
     """
     U = check_unitary(U)
     # np.linalg.eig does not guarantee orthonormal vectors at degeneracies;
-    # use Schur instead (unitary U is normal, so T is diagonal).
-    T, Z = schur(U, output="complex")
-    angles, order = _branch_angles(np.diag(T))
+    # use Schur instead (unitary U is normal, so T is diagonal and its
+    # diagonal is the eigenvalue vector w).
+    n = U.shape[0]
+    lwork = _ZGEES_LWORK.get(n)
+    if lwork is None:
+        query = _ZGEES(lambda x: None, U, lwork=-1)
+        lwork = _ZGEES_LWORK[n] = int(query[-2][0].real)
+    _, _, w, Z, _, info = _ZGEES(lambda x: None, U, lwork=lwork)
+    if info != 0:
+        raise DecompositionFailure(
+            f"Schur decomposition of a {n}x{n} unitary failed (zgees info "
+            f"{info})")
+    angles, order = _branch_angles(w)
     return angles[order], Z[:, order]
 
 

@@ -156,6 +156,21 @@ def logderiv_det_p(path, t, p):
     return _logderiv_sampled(path, t, p)[0]
 
 
+def _logdet_sides(path, t, p):
+    """`logdet_p_vs_logdet`'s (lhs, rhs) and the sample U_t they are
+    formed from, so a caller can take Det_p(U_t) without sampling again."""
+    p = check_order("p", p, 1, integer=True)
+    lhs, U, Ud = _logderiv_sampled(path, t, p)
+    eye = np.eye(U.shape[0])
+    rhs = complex(np.trace(U.conj().T @ Ud))
+    B = U - eye
+    M = np.eye(U.shape[0], dtype=complex)
+    for ell in range(1, p):
+        rhs += (-1) ** ell * complex(np.trace(Ud @ M))
+        M = M @ B
+    return lhs, rhs, U
+
+
 def logdet_p_vs_logdet(path, t, p):
     """Both sides of the relation between the Det_p and Det log-derivatives.
 
@@ -166,16 +181,7 @@ def logdet_p_vs_logdet(path, t, p):
     Both sides are formed from one sample of U_t and U'_t.  The caller
     asserts lhs == rhs.
     """
-    p = check_order("p", p, 1, integer=True)
-    lhs, U, Ud = _logderiv_sampled(path, t, p)
-    eye = np.eye(U.shape[0])
-    rhs = complex(np.trace(U.conj().T @ Ud))
-    B = U - eye
-    M = np.eye(U.shape[0], dtype=complex)
-    for ell in range(1, p):
-        rhs += (-1) ** ell * complex(np.trace(Ud @ M))
-        M = M @ B
-    return lhs, rhs
+    return _logdet_sides(path, t, p)[:2]
 
 
 def unwind_log(values):

@@ -13,9 +13,10 @@ All three must agree with -N, the bound-state count, after the appropriate
 threshold corrections.  Route integrals run in the wavenumber variable
 k = sqrt(lambda); the head below k_min is a rectangle estimate.  In d = 1
 the body on [k_min, k_max] is adaptive quadrature and the tail beyond k_max
-a fitted power law, and the crossing count is `sf_phillips` on the capped
-path.  The d = 1 polynomial is zero (P_1 = 0, so P0 = 0), which makes the
-subtracted route the regularized value: d = 1 has two routes, not three.
+a fitted power law, and the crossing count is `sf_phillips` on the sweep
+plus the closed-form counts of the caps that close it.  The d = 1
+polynomial is zero (P_1 = 0, so P0 = 0), which makes the subtracted route
+the regularized value: d = 1 has two routes, not three.
 
 In d = 3 the S-matrix is diagonal in the partial waves and both integrands
 are exact k-derivatives of functions of the phase table: the subtracted one
@@ -42,7 +43,7 @@ alt_convention_sf, since both bookkeepings appear in the literature.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
@@ -57,11 +58,10 @@ from ..errors import (
     TailNotConverged,
     UnsupportedDimension,
 )
-from ..matcore import _branch_angles
+from ..matcore import _branch_angles, eig_unitary
 from ..rdet import counterterm_exponent, counterterm_series
-from ..sflow import SpectralFlowReport, sf_phillips
-from ..upath import UnitaryPath, concatenate_many, generator_path, \
-    geodesic_between
+from ..sflow import SpectralFlowReport, _generator_flow, sf_phillips
+from ..upath import UnitaryPath, concatenate, geodesic_between
 from .onedim import bound_states_1d, resonance_statistic_1d, smatrix_1d
 from .radial import (
     CHANNEL_TOL,
@@ -289,17 +289,30 @@ def _capped_flow(S_of_t, zero_cap=None):
     """Crossing count of the sweep t -> S_of_t(t), t in [0, 1], closed into
     a loop: a geodesic from Id (or, with zero_cap = (Y, S0), the path
     exp(tY) from Id to the zero-energy matrix S0 and a geodesic from S0)
-    into S_of_t(0), the sweep, and a geodesic from S_of_t(1) back to Id."""
-    start = S_of_t(0.0)
-    eye = np.eye(start.shape[0], dtype=complex)
+    into S_of_t(0), the sweep, and the principal cap exp((1 - t) Z),
+    Z = Log S_of_t(1), back to Id.  That cap is the geodesic from S_of_t(1)
+    to Id unless S_of_t(1) has an eigenvalue at -1, which it takes back
+    clockwise, as `sf_open_path`'s end cap does.
+
+    The caps from and back to Id are counted in closed form
+    (`_generator_flow`) against the first and last samples of what
+    `sf_phillips` counts: the sweep, preceded by the geodesic from S0
+    when there is a zero-energy cap."""
+    sweep = UnitaryPath(S_of_t)
     if zero_cap is None:
-        segs = [geodesic_between(eye, start)]
+        body = sweep
+        start = eig_unitary(sweep(0.0))[0]
+        caps = _generator_flow(np.sum(start), start)
     else:
         Y, S0 = zero_cap
-        segs = [generator_path(Y), geodesic_between(S0, start)]
-    segs.append(UnitaryPath(S_of_t))
-    segs.append(geodesic_between(S_of_t(1.0), eye))
-    return sf_phillips(concatenate_many(segs))
+        body = concatenate(geodesic_between(S0, sweep(0.0)), sweep)
+        caps = _generator_flow(np.trace(-1j * Y).real,
+                               eig_unitary(body(0.0))[0])
+    end = eig_unitary(sweep(1.0))[0]
+    caps -= _generator_flow(np.sum(end), end)
+    report = sf_phillips(body)
+    value = report.value + caps
+    return replace(report, value=value, raw=complex(value))
 
 
 # ---------------------------------------------------------------------------

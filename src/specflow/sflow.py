@@ -18,7 +18,10 @@ cross-check.
 
 For open paths, geodesic endpoint caps e^{tY} (principal log generators)
 close the path, and the Theta/Xi endpoint integrals express the capped flow
-as integral-over-the-path plus endpoint corrections.
+as integral-over-the-path plus endpoint corrections.  A cap's crossing
+count has a closed form in its generator's spectrum (`_generator_flow`);
+Phillips' count is additive under concatenation, so the caps are added to
+the count of the sampled path instead of being sampled themselves.
 """
 
 import warnings as _warnings
@@ -37,7 +40,7 @@ from .errors import (
 )
 from .matcore import (_unitary_angles, check_order, check_unitary,
                       eig_unitary, form_trace, gamma_constant)
-from .upath import ENDPOINT_TOL, cap_into, cap_outof, concatenate_many
+from .upath import ENDPOINT_TOL, _spectral_path
 
 DEFAULT_EPSABS = 1e-9
 QUAD_LIMIT = 10000
@@ -244,6 +247,26 @@ def xi_endpoint(U, r, epsabs=DEFAULT_EPSABS):
     return _cap_integral(U, "r", r, epsabs)[1]
 
 
+def _generator_flow(trace, end_angles):
+    """Crossing count of t -> e^{tY}, t in [0, 1], from Id to E = e^Y, in
+    closed form.
+
+    `trace` is Tr(-iY), the sum of the angles phi_j of Y's eigenvalues
+    i phi_j, and `end_angles` are the snapped `eig_unitary` angles a_j of
+    the matrix E.  Eigenvalue j turns from angle 0 to phi_j: it passes -1
+    (phi_j - a_j) / 2 pi times net, and under `sf_phillips`' arc convention
+    it ends inside the counting arc exactly when a_j = pi.  The count is
+    round((Tr(-iY) - sum_j a_j) / 2 pi) + #{a_j = pi}; the cap e^{(1-t)Y}
+    out of E counts minus that.  Phillips' count is additive under
+    concatenation, so with E the exact matrix on which an adjacent sampled
+    segment starts (or ends), this count adds to `sf_phillips` on that
+    segment as if the cap had been sampled with it.
+    """
+    end_angles = np.asarray(end_angles)
+    winds = np.round((trace - np.sum(end_angles)) / (2.0 * np.pi))
+    return int(winds) + int(np.count_nonzero(end_angles == np.pi))
+
+
 def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
     """Spectral flow of an open path closed by geodesic endpoint caps.
 
@@ -251,13 +274,16 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
     with Y, Z the principal logarithms (an endpoint eigenvalue -1 is
     represented as e^{i pi}).  Two routes are computed and required to agree:
 
-    * crossing counting (`sf_phillips`) on the concatenated closed path;
+    * crossing counting: `sf_phillips` on the path itself, always sampled
+      (also when the path is a generator path), plus the closed-form counts
+      of the two caps (`_generator_flow`), read off the eigenangles of the
+      path's end samples; each cap must end on its sample (CapMismatch);
     * the winding integral over the open path plus endpoint corrections,
       Theta(U_start) - Theta(U_end) for the alpha form (n given), or the
       normalized Xi difference for the beta form (r given).
 
-    The report carries the Phillips integer as `value` and the corrected
-    integral as `raw`.
+    The report carries the crossing count as `value`, the corrected
+    integral as `raw`, and the certificate of the path's own partition.
     """
     if (n is None) == (r is None):
         raise InvalidOrder("pass exactly one of n (alpha form) or r (beta form)")
@@ -265,14 +291,16 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
     order, normalise = _form(path, kind, order)
     a, b = path.interval
     U0, U1 = path(a), path(b)
-    into, outof = cap_into(U0), cap_outof(U1)
-    for end, U, which in ((into(1.0), U0, "start"), (outof(0.0), U1, "end")):
-        gap = np.linalg.norm(end - U, ord=2)
+    caps = 0
+    for U, sign, which in ((U0, 1, "start"), (U1, -1, "end")):
+        angles, vecs = eig_unitary(U)
+        gap = np.linalg.norm(_spectral_path(angles, vecs)(1.0) - U, ord=2)
         if gap > ENDPOINT_TOL:
             raise CapMismatch(f"{which} cap misses endpoint by {gap:.3e}")
+        caps += sign * _generator_flow(np.sum(angles), angles)
 
-    closed = concatenate_many([into, path, outof])
-    phillips = sf_phillips(closed)
+    phillips = sf_phillips(path)
+    value = phillips.value + caps
 
     body, _, err, warns = _winding(path, kind, order, epsabs)
     if kind == "n":
@@ -284,13 +312,13 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
     params = {kind: order, "quad_error": err, "body": body,
               "endpoint_correction": correction}
     raw = body + correction
-    residual = abs(raw - phillips.value)
-    if int(np.round(raw.real)) != phillips.value:
+    residual = abs(raw - value)
+    if int(np.round(raw.real)) != value:
         raise RouteDisagreement(
-            f"crossing count {phillips.value} vs corrected integral {raw:.6g}")
+            f"crossing count {value} vs corrected integral {raw:.6g}")
     if residual >= 0.1:
         warns.append(f"open-path residual {residual:.3f}")
-    return SpectralFlowReport(value=phillips.value, raw=raw, residual=residual,
+    return SpectralFlowReport(value=value, raw=raw, residual=residual,
                               method="open_path", parameters=params,
                               warnings=warns, certificate=phillips.certificate)
 

@@ -6,20 +6,29 @@ resolution.  Paths carry their interval, an optional analytic derivative,
 a Schatten-order tag used to validate regularization orders, a closed flag,
 and the interior parameters where the path is only C^0 (concatenation
 joints); integrators split panels there.
+
+Generator paths know their spectrum: `generator_path`, `geodesic_between`
+and the caps `cap_into` / `cap_outof` diagonalise their generator once
+(`eigh` of -iY, or for a principal logarithm Y = Log U the `eig_unitary`
+pair of U itself) and sample e^{tY} = W e^{it theta} W* and its
+derivative W i theta e^{it theta} W* from that eigenpair, with no matrix
+exponential.
 """
 
 import numpy as np
-from scipy.linalg import expm
+# not called here; kept importable for code that traces or patches it
+from scipy.linalg import expm  # noqa: F401
 
 from .errors import (
     DimensionTooSmall,
     EndpointMismatch,
     NoLimitAtInfinity,
+    NonUnitary,
     NotClosed,
     OutsideInterval,
     SpecflowError,
 )
-from .matcore import check_unitary, principal_log_unitary, schatten_norm
+from .matcore import UNITARY_TOL, check_unitary, eig_unitary, schatten_norm
 
 ENDPOINT_TOL = 1e-8
 TAIL_TOL = 0.5
@@ -183,46 +192,59 @@ def geodesic_between(U0, U1):
     U1 = check_unitary(U1)
     if U0.shape != U1.shape:
         raise EndpointMismatch(f"shapes {U0.shape} vs {U1.shape}")
-    Y = principal_log_unitary(U0.conj().T @ U1)
-    return generator_path(Y, base=U0)
+    return _spectral_path(*eig_unitary(U0.conj().T @ U1), base=U0)
 
 
-def generator_path(Y, base=None):
-    """The path base * e^{tY}, t in [0, 1], for a fixed skew-Hermitian
-    generator Y."""
-    Y = np.asarray(Y, dtype=complex)
-    dim = Y.shape[0]
-    if base is None:
-        base = np.eye(dim)
+def _spectral_path(theta, W, base=None):
+    """The path base * e^{tY}, t in [0, 1], for Y = W diag(i theta) W* with
+    W unitary and theta real: each sample is base * W e^{it theta} W* and
+    each derivative base * W i theta e^{it theta} W*."""
+    Wh = W.conj().T
+    itheta = 1j * np.asarray(theta, dtype=float)
+    if base is not None:
+        base = np.asarray(base, dtype=complex)
+    dim = W.shape[0]
 
     def sampler(t):
-        return base @ expm(t * Y)
+        U = (W * np.exp(t * itheta)) @ Wh
+        return U if base is None else base @ U
 
     def deriv(t):
-        return base @ Y @ expm(t * Y)
+        dU = (W * (itheta * np.exp(t * itheta))) @ Wh
+        return dU if base is None else base @ dU
 
     return UnitaryPath(sampler, derivative=deriv, schatten_order=1.0,
                        closed=False, dim=dim, check=False)
 
 
+def generator_path(Y, base=None):
+    """The path base * e^{tY}, t in [0, 1], for a fixed skew-Hermitian
+    generator Y.
+
+    Y is diagonalised once (`eigh` of the Hermitian -iY) and every sample
+    is read from that eigenpair.  Raises NonUnitary unless
+    ||Y + Y*|| <= UNITARY_TOL * max(1, ||Y||) in Frobenius norm.
+    """
+    Y = np.asarray(Y, dtype=complex)
+    if Y.ndim != 2 or Y.shape[0] != Y.shape[1]:
+        raise NonUnitary(f"generator must be square, got shape {Y.shape}")
+    defect = np.linalg.norm(Y + Y.conj().T)
+    if not defect <= UNITARY_TOL * max(1.0, np.linalg.norm(Y)):
+        raise NonUnitary(f"generator is not skew-Hermitian: ||Y + Y*|| = "
+                         f"{defect:.3e}")
+    theta, W = np.linalg.eigh(-1j * Y)
+    return _spectral_path(theta, W, base=base)
+
+
 def cap_into(U):
     """Geodesic cap Id -> U along e^{tY}, Y the principal log of U."""
-    return generator_path(principal_log_unitary(U))
+    return _spectral_path(*eig_unitary(U))
 
 
 def cap_outof(U):
-    """Geodesic cap U -> Id along e^{(1-t)Y}, Y the principal log of U."""
-    Y = principal_log_unitary(U)
-
-    def sampler(t):
-        return expm((1.0 - t) * Y)
-
-    def deriv(t):
-        return -Y @ expm((1.0 - t) * Y)
-
-    return UnitaryPath(sampler, interval=(0.0, 1.0), derivative=deriv,
-                       schatten_order=1.0, closed=False, dim=U.shape[0],
-                       check=False)
+    """Geodesic cap U -> Id along e^{(1-t)Y}, Y the principal log of U:
+    `cap_into(U)` run backwards."""
+    return cap_into(U).reversed()
 
 
 def concatenate(a, b):

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from specflow import cli
 from specflow.cli import main, potential_from_file
+from specflow.rdet import logdet_p_vs_logdet
+from specflow.upath import UnitaryPath, model_loop
 from specflow.scatter import ChannelData, RadialPotential
 
 
@@ -83,6 +86,34 @@ def test_det_winding(capsys):
     assert len(res["samples"]) == 21
     row = res["samples"][0]
     assert set(row) >= {"t", "det_p", "log_det_p", "logderiv"}
+
+
+def test_det_samples_each_row_once(capsys, monkeypatch):
+    # Det_p and both log-derivative sides share one U_t, so a row takes
+    # the samples of the log-derivative sides and no more: five inside
+    # the interval (U_t and a four-point stencil), three at its ends
+    calls = []
+
+    def counting_loop(k, dim):
+        loop = model_loop(k, dim)
+
+        def sampler(t):
+            calls.append(t)
+            return loop(t)
+
+        return UnitaryPath(sampler, closed=True, dim=loop.dim)
+
+    monkeypatch.setattr(cli, "model_loop", counting_loop)
+    rc, recs = run_lines(["det", "--model", "k=1,dim=2", "--p", "2",
+                          "--samples", "5"], capsys)
+    assert rc == 0
+    assert len(recs[-1]["result"]["samples"]) == 5
+    assert len(calls) == 3 + 5 * 3 + 3
+    calls.clear()
+    path = counting_loop(1, 2)
+    for t in np.linspace(0.0, 1.0, 5):
+        logdet_p_vs_logdet(path, t, 2)
+    assert len(calls) == 3 + 5 * 3 + 3
 
 
 def test_cayley_record(capsys):

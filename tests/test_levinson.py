@@ -32,6 +32,14 @@ from specflow.scatter.levinson import (
     _route_integrands,
     _tail_estimate,
 )
+from specflow.sflow import sf_phillips
+from specflow.upath import (
+    UnitaryPath,
+    cap_outof,
+    concatenate_many,
+    generator_path,
+    geodesic_between,
+)
 from specflow.scatter.radial import (
     CHANNEL_TOL,
     _zero_energy_radial,
@@ -400,6 +408,49 @@ def test_channel_flows_match_capped_phillips(depth):
         assert flows.get(ell, 0) == want, ell
         total += (2 * ell + 1) * want
     assert rep.sf == total
+
+
+def _sampled_capped_flow(S_of_t, zero_cap=None):
+    # every cap sampled: sf_phillips on the whole closed loop
+    start = S_of_t(0.0)
+    eye = np.eye(start.shape[0], dtype=complex)
+    if zero_cap is None:
+        segs = [geodesic_between(eye, start)]
+    else:
+        Y, S0 = zero_cap
+        segs = [generator_path(Y), geodesic_between(S0, start)]
+    segs += [UnitaryPath(S_of_t), cap_outof(S_of_t(1.0))]
+    return sf_phillips(concatenate_many(segs)).value
+
+
+def test_capped_flow_closed_form_caps_match_sampled_caps():
+    # sweeps S(t) = B W diag(e^{i phi(t)}) W* over 2x2 unitaries, some
+    # starting or ending with an eigenvalue at -1, against the loop with
+    # every cap sampled; the 1D zero-energy cap closes those from S0
+    rng = np.random.default_rng(11)
+    S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
+    Q = 0.5 * np.ones((2, 2), dtype=complex)
+    zero_cap = (-1j * np.pi * Q, S0)
+    cases = []
+    for i in range(12):
+        W = np.linalg.qr(rng.normal(size=(2, 2))
+                         + 1j * rng.normal(size=(2, 2)))[0]
+        phi0 = rng.uniform(-np.pi, np.pi, size=2)
+        dphi = rng.uniform(-9.0, 9.0, size=2)
+        if i % 3 == 0:
+            phi0[0] = np.pi
+        if i % 3 == 1:
+            dphi[1] = np.pi * rng.choice([-3, -1, 1, 3]) - phi0[1]
+        cases.append((W, phi0, dphi, None))
+        cases.append((W, np.zeros(2), dphi, zero_cap))
+    for W, phi0, dphi, cap in cases:
+        B = np.eye(2) if cap is None else S0
+
+        def S_of_t(t, W=W, phi0=phi0, dphi=dphi, B=B):
+            return B @ (W * np.exp(1j * (phi0 + dphi * t))) @ W.conj().T
+
+        want = _sampled_capped_flow(S_of_t, cap)
+        assert levinson._capped_flow(S_of_t, cap).value == want
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
+from scipy.linalg import schur
 
 from specflow import matcore
 from specflow.errors import DecompositionFailure, InvalidOrder, NonUnitary
@@ -30,6 +31,42 @@ def test_check_unitary_rejects_nonunitary():
     with pytest.raises(NonUnitary):
         check_unitary(np.diag([1 + 4e-11] * 16))
     check_unitary(np.diag([1 + 4e-11] + [1.0] * 15))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_unitary_rejects_non_finite_entries(bad):
+    # a NaN defect compares False against the tolerance; it must not pass
+    U = np.eye(3, dtype=complex)
+    U[0, 0] = bad
+    with pytest.raises(NonUnitary):
+        check_unitary(U)
+    with pytest.raises(NonUnitary):
+        eig_unitary(U)
+
+
+def test_eig_unitary_matches_scipy_schur_bitwise(rng):
+    # the direct zgees call reproduces schur(U, output="complex") exactly
+    for dim in range(2, 65):
+        U = haar_unitary(dim, rng)
+        T, Z = schur(U, output="complex")
+        angles, order = matcore._branch_angles(np.diag(T))
+        got_angles, got_vecs = eig_unitary(U)
+        assert np.array_equal(got_angles, angles[order]), dim
+        assert np.array_equal(got_vecs, Z[:, order]), dim
+
+
+def test_eig_unitary_raises_on_lapack_failure(rng, monkeypatch):
+    U = haar_unitary(3, rng)
+    real = matcore._ZGEES
+
+    def failing(select, a, lwork):
+        out = real(select, a, lwork=lwork)
+        return out[:-1] + (1,)
+
+    monkeypatch.setattr(matcore, "_ZGEES", failing)
+    with pytest.raises(DecompositionFailure):
+        eig_unitary(U)
 
 
 def test_eig_unitary_identity():

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from specflow import sflow
 from specflow.errors import (IntegrationFailure, InvalidOrder, NotClosed,
                              PartitionFailure)
-from specflow.matcore import abs_power, gamma_constant
+from specflow.matcore import abs_power, eig_unitary, gamma_constant
 from specflow.rdet import logderiv_det_p
 from specflow.sflow import (
     sf_alpha,
@@ -21,6 +21,9 @@ from specflow.sflow import (
 )
 from specflow.upath import (
     UnitaryPath,
+    cap_into,
+    cap_outof,
+    concatenate_many,
     constant_path,
     generator_path,
     geodesic_between,
@@ -409,6 +412,103 @@ def test_open_path_requires_exactly_one_order():
         sf_open_path(half)
     with pytest.raises(InvalidOrder):
         sf_open_path(half, n=1, r=1.0)
+
+
+_CAP_ANGLES = [s * a for s in (1.0, -1.0) for a in (
+    np.pi, 3 * np.pi, 5 * np.pi, np.pi + 1e-13, np.pi - 1e-13,
+    np.pi + 1e-6, np.pi - 1e-6, 7.0)] + [2.5, -4.0]
+
+
+def _closed_form_matches_phillips(Y):
+    # the count of e^{tY} read off Tr(-iY) and the end sample's angles,
+    # against sampled crossing counting on the path and on its reverse
+    path = generator_path(Y)
+    end = eig_unitary(path(1.0))[0]
+    count = sflow._generator_flow(np.trace(-1j * Y).real, end)
+    assert sf_phillips(path).value == count
+    assert sf_phillips(path.reversed()).value == -count
+    return count
+
+
+@pytest.mark.parametrize("theta", _CAP_ANGLES)
+def test_generator_flow_closed_form_on_boundary_angles(theta):
+    # at an odd multiple of pi the end sample sits at -1 to rounding, and
+    # the side of -1 it falls on decides the count; there the closed form
+    # must follow the sample, as floor((theta + pi) / 2 pi) does not
+    count = _closed_form_matches_phillips(np.diag([1j * theta, 0.4j]))
+    if abs(np.remainder(theta, 2 * np.pi) - np.pi) > 1e-3:
+        assert count == np.floor((theta + np.pi) / (2 * np.pi))
+
+
+def test_generator_flow_closed_form_on_random_generators():
+    rng = np.random.default_rng(7)
+    counts = set()
+    for i in range(200):
+        dim = 2 + i % 3
+        W = haar_unitary(dim, rng)
+        phis = rng.uniform(-12.0, 12.0, size=dim)
+        if i % 4 == 0:
+            phis[0] = np.pi * rng.choice([-5, -3, -1, 1, 3, 5])
+        counts.add(_closed_form_matches_phillips(
+            (W * 1j * phis) @ W.conj().T))
+    assert len(counts) > 3
+
+
+def _capped_reference(path):
+    # the crossing count of the path closed by sampled geodesic caps
+    a, b = path.interval
+    return sf_phillips(concatenate_many(
+        [cap_into(path(a)), path, cap_outof(path(b))])).value
+
+
+def test_open_path_matches_sampled_caps(rng):
+    paths = []
+    for i in range(18):
+        dim = 2 + i % 3
+        if i % 3 == 0:
+            paths.append(generator_path(
+                1j * rng.uniform(0.5, 6.0) * random_hermitian(dim, rng)))
+        elif i % 3 == 1:
+            paths.append(geodesic_between(haar_unitary(dim, rng),
+                                          haar_unitary(dim, rng)))
+        else:
+            sampler, _ = _generic_loop(dim, i)
+            base = haar_unitary(dim, rng)
+            paths.append(UnitaryPath(lambda t, f=sampler, B=base:
+                                     B @ f(0.6 * t), dim=dim))
+    # endpoints with an eigenvalue at -1 exactly or to rounding
+    minus = np.diag([-1.0, 1j])
+    paths += [geodesic_between(np.eye(2), minus),
+              geodesic_between(minus, np.eye(2)),
+              geodesic_between(minus, np.diag([1j, -1.0])),
+              generator_path(np.diag([1j * np.pi, -3j * np.pi])),
+              generator_path(np.diag([-1j * np.pi, 0.5j])),
+              UnitaryPath(lambda t: np.diag([np.exp(1j * np.pi * t), 1.0]),
+                          check=False)]
+    for path in paths:
+        want = _capped_reference(path)
+        for kwargs in ({"n": 1}, {"r": 1}):
+            assert sf_open_path(path, **kwargs).value == want
+
+
+def test_open_path_samples_the_path_only(monkeypatch):
+    # the Phillips route runs on the path itself, generator paths too
+    path = generator_path(np.diag([3j * np.pi, -0.5j]))
+    seen = []
+    real = sflow.sf_phillips
+
+    def recording(p):
+        seen.append(p)
+        return real(p)
+
+    monkeypatch.setattr(sflow, "sf_phillips", recording)
+    report = sf_open_path(path, n=1)
+    assert seen == [path]
+    # one and a half counterclockwise turns, closed by the principal cap:
+    # one crossing of -1
+    assert report.value == 1
+    assert report.certificate.breakpoints[0] == 0.0
+    assert report.certificate.breakpoints[-1] == 1.0
 
 
 def test_generator_path_flow():

@@ -107,6 +107,36 @@ def test_caps_end_at_their_unitary(rng):
     assert np.linalg.norm(outof(1.0) - np.eye(3), ord=2) < 1e-12
 
 
+def test_generator_path_samples_match_expm(rng):
+    # samples and derivatives come from one eigh of -iY, not expm
+    H = random_hermitian(4, rng, scale=3.0)
+    base = haar_unitary(4, rng)
+    path = generator_path(1j * H, base=base)
+    for t in (0.0, 0.3, 1.0):
+        E = expm(1j * t * H)
+        assert np.linalg.norm(path(t) - base @ E, ord=2) < 1e-12
+        assert np.linalg.norm(path.derivative(t) - base @ (1j * H) @ E,
+                              ord=2) < 1e-11
+
+
+def test_generator_path_rejects_non_skew_hermitian():
+    for Y in ([[0.5, 0.0], [0.0, 2j]], [[0.0, 1.0], [0.0, 0.0]],
+              [[np.nan, 0.0], [0.0, 1j]], np.ones((2, 3))):
+        with pytest.raises(NonUnitary):
+            generator_path(Y)
+    # rounding-level asymmetry is accepted
+    Y = 1j * np.diag([1.0, -2.0]) + 1e-14 * np.array([[0.0, 1.0], [0.0, 0.0]])
+    generator_path(Y)
+
+
+def test_cap_outof_is_cap_into_reversed(rng):
+    U = haar_unitary(3, rng)
+    into, outof = cap_into(U), cap_outof(U)
+    for t in (0.0, 0.25, 0.7, 1.0):
+        assert np.array_equal(outof(t), into(1.0 - t))
+        assert np.array_equal(outof.derivative(t), -into.derivative(1.0 - t))
+
+
 def test_concatenate_requires_matching_joint():
     a = constant_path(np.eye(2))
     b = constant_path(np.diag([1j, 1.0]))
