@@ -167,7 +167,12 @@ def path_from_spec(spec):
             k = k_lo * np.exp(ratio * t)
             return smatrix_1d(V, k * k)
 
-        return UnitaryPath(sampler)
+        def derivative(t):
+            # dS/dt = S'(k) dk/dt, with dk/dt = k ln(k_hi / k_lo)
+            k = k_lo * np.exp(ratio * t)
+            return smatrix_1d(V, k * k, derivative=True)[1] * (k * ratio)
+
+        return UnitaryPath(sampler, derivative=derivative)
     raise SpecflowError(f"unknown path spec {spec!r}")
 
 

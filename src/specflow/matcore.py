@@ -45,12 +45,15 @@ def check_unitary(U, tol=UNITARY_TOL):
     The defect ||U*U - Id|| is measured in Frobenius norm, never looser
     than the operator norm, so it costs one matmul rather than an SVD;
     `tol` defaults to 1e-10.  A NaN or infinite entry makes the defect
-    non-finite, and that is rejected too.
+    non-finite, and that is rejected too, with no floating-point warning
+    from the product on the way.
     """
     U = np.asarray(U, dtype=complex)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise NonUnitary(f"expected a square matrix, got shape {U.shape}")
-    defect = np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        D = U.conj().T @ U - np.eye(U.shape[0])
+        defect = np.sqrt(np.vdot(D, D).real)
     if not defect <= tol:
         raise NonUnitary(f"unitarity defect {defect:.3e} exceeds tol {tol:.1e}")
     return U

@@ -12,9 +12,13 @@ scattering-matrix path are computed and compared:
 All three must agree with -N, the bound-state count, after the appropriate
 threshold corrections.  Route integrals run in the wavenumber variable
 k = sqrt(lambda); the head below k_min is a rectangle estimate.  In d = 1
-the body on [k_min, k_max] is adaptive quadrature and the tail beyond k_max
-a fitted power law, and the crossing count is `sf_phillips` on the sweep
-plus the closed-form counts of the caps that close it.  The d = 1
+the integrand (1/2 pi i) Tr(S* S') takes the exact k-derivative of S, and
+the body on [k_min, k_max] is adaptive Gauss-Kronrod-21 quadrature with
+QUADPACK's qk21 error estimate, evaluated in rounds: each round calls the
+integrand once on every node of every interval it refines.  The tail
+beyond k_max is a fitted power law, and the crossing count is
+`sf_phillips` on the sweep plus the closed-form counts of the caps that
+close it.  The d = 1
 polynomial is zero (P_1 = 0, so P0 = 0), which makes the subtracted route
 the regularized value: d = 1 has two routes, not three.
 
@@ -46,7 +50,7 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
 from ..errors import (
@@ -264,20 +268,110 @@ def _tail_estimate(ks, values):
 
 
 def _octave_tail(F, k_end):
-    """_tail_estimate of F sampled on the top octave [k_end / 2, k_end]."""
+    """_tail_estimate of the vectorized F on 25 nodes of the top octave
+    [k_end / 2, k_end]."""
     ks = np.geomspace(k_end / 2.0, k_end, 25)
-    return _tail_estimate(ks, np.array([F(k) for k in ks]))
+    return _tail_estimate(ks, F(ks))
+
+
+# QUADPACK's qk21 rule: the 21-point Kronrod nodes on [0, 1] (the centre
+# last), their weights, and the weights of the embedded 10-point Gauss
+# rule, whose nodes are the Kronrod nodes of odd index
+_GK_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_GK_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525478226, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GK_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# all 21 nodes on [-1, 1], with their Kronrod and Gauss weights
+GK21_NODES = np.concatenate([-_GK_X[:-1], _GK_X[::-1]])
+GK21_KRONROD = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
+GK21_GAUSS = np.zeros(21)
+GK21_GAUSS[1:10:2] = _GK_WG
+GK21_GAUSS[11:20:2] = _GK_WG[::-1]
+# the body's absolute tolerance on the summed error estimates, and the
+# number of subintervals at which it gives up
+K_QUAD_TOL = 1e-9
+K_QUAD_LIMIT = 500
+
+
+def _gk21(F, a, b):
+    """QUADPACK's qk21 on each interval [a_i, b_i], with one call of the
+    vectorized F on all 21 nodes of every interval.  Returns the Kronrod
+    values and qk21's error estimates, with moduli of the complex values
+    where QUADPACK takes absolute values."""
+    half = 0.5 * (b - a)
+    centre = 0.5 * (a + b)
+    f = F((centre[:, None] + half[:, None] * GK21_NODES).ravel())
+    f = f.reshape(len(a), 21)
+    kronrod = f @ GK21_KRONROD
+    gauss = f @ GK21_GAUSS
+    mean = 0.5 * kronrod
+    res_abs = np.abs(f) @ GK21_KRONROD * np.abs(half)
+    res_asc = np.abs(f - mean[:, None]) @ GK21_KRONROD * np.abs(half)
+    err = np.abs((kronrod - gauss) * half)
+    scaled = (res_asc != 0.0) & (err != 0.0)
+    err[scaled] = res_asc[scaled] * np.minimum(
+        1.0, (200.0 * err[scaled] / res_asc[scaled]) ** 1.5)
+    eps = np.finfo(float).eps
+    err = np.maximum(50.0 * eps * res_abs, err)
+    return kronrod * half, err
+
+
+def _adaptive_gk21(F, a, b):
+    """Integral of the vectorized complex F over [a, b] by adaptive
+    Gauss-Kronrod-21 bisection.  Each round splits the intervals of largest
+    error until those left unsplit carry at most half the tolerance, and
+    evaluates F once on every node of the new halves.  It stops when the
+    summed error estimate is at most K_QUAD_TOL, and raises
+    IntegrationFailure past K_QUAD_LIMIT intervals.  Returns (integral,
+    error estimate)."""
+    lo, hi = np.array([a]), np.array([b])
+    val, err = _gk21(F, lo, hi)
+    # a NaN estimate fails this test too: it refines to the limit and
+    # raises instead of returning a NaN integral
+    while not err.sum() <= K_QUAD_TOL:
+        worst = np.argsort(err)[::-1]
+        left = err.sum() - np.cumsum(err[worst])
+        split = worst[:np.argmax(left <= 0.5 * K_QUAD_TOL) + 1]
+        if len(lo) + len(split) > K_QUAD_LIMIT:
+            raise IntegrationFailure(
+                f"k-quadrature needs more than {K_QUAD_LIMIT} intervals; "
+                f"error estimate {err.sum():.2e} > {K_QUAD_TOL:.0e}")
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = _gk21(F, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
+    return complex(val.sum()), float(err.sum())
 
 
 def _k_integral(F, k_min, k_max):
-    """Integral of the complex F over k > 0: adaptive quadrature on
-    [k_min, k_max], a rectangle estimate of the head below k_min and the
-    fitted power-law tail beyond k_max.  Returns (integral, quad_error,
-    tail_exponent)."""
-    body, err = quad(F, k_min, k_max, complex_func=True,
-                     epsabs=1e-9, limit=500)
+    """Integral of the complex, vectorized F over k > 0: adaptive
+    Gauss-Kronrod quadrature on [k_min, k_max], a rectangle estimate of
+    the head below k_min and the fitted power-law tail beyond k_max.
+    Returns (integral, quad_error, tail_exponent)."""
+    body, err = _adaptive_gk21(F, k_min, k_max)
     tail, q = _octave_tail(F, k_max)
-    return body + F(k_min) * k_min + tail, err, q
+    head = F(np.array([k_min]))[0] * k_min
+    return body + head + tail, err, q
 
 
 def _geom(k_min, k_max):
@@ -319,6 +413,16 @@ def _capped_flow(S_of_t, zero_cap=None):
 # d = 1
 
 
+def _winding_1d(V):
+    """The d = 1 winding integrand in k, (1/2 pi i) Tr(S* dS/dk), as a
+    function of an array of wavenumbers: one kernel call with the exact
+    dS/dk serves them all."""
+    def F(ks):
+        S, dS = smatrix_1d(V, ks * ks, derivative=True)
+        return np.sum(S.conj() * dS, axis=(1, 2)) / (2j * np.pi)
+    return F
+
+
 def _levinson_1d(V, k_min, k_max):
     N = bound_states_1d(V)
     classification = resonance_detect(V, 1)
@@ -327,16 +431,7 @@ def _levinson_1d(V, k_min, k_max):
     def S_at(k):
         return smatrix_1d(V, k * k)
 
-    def F(k):
-        # (1/2 pi i) Tr(S* dS/dk), the winding integrand in k; S at the
-        # three stencil wavenumbers comes from one stacked call
-        hk = 1e-6 * (1.0 + k)
-        ks = np.array([k - hk, k, k + hk])
-        S_lo, S, S_hi = smatrix_1d(V, ks * ks)
-        dS = (S_hi - S_lo) / (2.0 * hk)
-        return np.trace(S.conj().T @ dS) / (2j * np.pi)
-
-    integral, err, tail_q = _k_integral(F, k_min, k_max)
+    integral, err, tail_q = _k_integral(_winding_1d(V), k_min, k_max)
     correction = -0.5 if classification == "none" else 0.0
     sf_int = integral + correction
 
@@ -441,9 +536,6 @@ class ChannelData:
         """d delta_l / dk at k: one row per wavenumber for an array k."""
         return self._dspline(np.log(k)) / np.asarray(k)[..., None]
 
-    def weighted_dsum(self, k):
-        return float(self.weights @ self.ddelta_dk(k))
-
     def to_csv(self, path):
         """Write the table as CSV: lambda = k^2, then delta_0..delta_lmax."""
         header = "lambda," + ",".join(f"delta_{l}" for l in
@@ -460,11 +552,12 @@ def _reg_primitive(x):
 
 def _route_integrands(data, moment):
     """The two 3D winding integrands in k, F_sub (minus the polynomial
-    derivative) and F_reg (with the (S - Id)^2 insertion)."""
+    derivative) and F_reg (with the (S - Id)^2 insertion).  F_sub also
+    takes an array of wavenumbers, as `_octave_tail` passes them."""
     w = data.weights
 
     def F_sub(k):
-        return data.weighted_dsum(k) / np.pi + moment
+        return data.ddelta_dk(k) @ w / np.pi + moment
 
     def F_reg(k):
         d = data.ddelta_dk(k)
@@ -696,8 +789,8 @@ def regularization_necessity(V, data=None, Lambda=1e3):
     mask = ks >= k_cut
     tail_grid = np.trapezoid(sub[mask], ks[mask])
     try:
-        tail_fit, _ = _octave_tail(
-            lambda k: data.weighted_dsum(k) / np.pi + moment, ks[-1])
+        tail_fit, _ = _octave_tail(_route_integrands(data, moment)[0],
+                                   ks[-1])
         tail_beyond = 2.0 * np.pi * abs(tail_fit)
     except TailNotConverged:
         tail_beyond = 0.0

@@ -2,11 +2,14 @@
 
 Transfer matrices propagate (psi, psi') exactly across constant segments
 using branch-free even functions of the local momentum, so tunneling and
-oscillatory regimes need no case split.  `transfer_matrix` and `smatrix_1d`
-take one energy or a 1-D array of energies: every segment's matrix at every
-energy comes from one array pass, and the segments are folded left to right
-with one stacked product over the energies per segment.  The S-matrix
-convention is
+oscillatory regimes need no case split.  One kernel, `_smatrix_dk`, gives S
+and its exact k-derivative at an array of wavenumbers: it folds the pairs
+(T, dT/dlam) of the segments left to right with elementwise 2x2
+arithmetic, using closed-form lambda-derivatives of the entries, and
+differentiates the plane-wave matching, S' = A^{-1}(B' - A' X).
+`transfer_matrix` and `smatrix_1d` take one energy or a 1-D array of
+energies and read the kernel's value part; `smatrix_1d(V, lam,
+derivative=True)` also returns dS/dk.  The S-matrix convention is
 
     S(lambda) = [[t, r_plus], [r_minus, t]]
 
@@ -35,87 +38,178 @@ FD_BOX = 40.0
 FD_POINTS = 4096
 SUBSTEP = 0.005
 NYSTROM_TOL = 1e-6
+# |qd| below which a segment's transfer entries come from their power
+# series in (qd)^2: the closed form of d(sin(qd)/q)/dlam cancels to about
+# 3 eps/(qd)^2 relative, 3e-10 at the switch, where the series truncated
+# after (qd)^4 is exact to rounding.  The coefficients are those of
+# cos(qd), sin(qd)/(qd) and d(sin(qd)/q)/dlam / d^3.
+SERIES_QD = 1e-3
+# segment-energy pairs whose transfer entries are formed in one array pass
+ENTRY_BLOCK = 4096
+_COS_SERIES = (1.0, -1 / 2, 1 / 24)
+_SINC_SERIES = (1.0, -1 / 6, 1 / 120)
+_DSINC_SERIES = (-1 / 6, 1 / 60, -1 / 1680)
 
 
-def _seg_transfer(lengths, values, lams):
-    """Exact transfer matrices for (psi, psi') across constant segments.
+def _seg_entries(d, v, lams, derivative=False):
+    """Entries of the transfer matrix [[c, s], [g, c]] of (psi, psi')
+    across constant segments of lengths d and values v, at the energies
+    lams (broadcast together): c = cos(qd), s = sin(qd)/q and g = -q^2 s
+    with q^2 = lam - v.
 
-    lengths and values hold one entry per segment and lams one per energy;
-    the result has shape (energies, segments, 2, 2).  Entries are even
-    functions of q = sqrt(lam - v), so the branch of the square root never
-    matters; cos(q d) and sin(q d)/q are evaluated through complex
-    exponentials, with a Taylor fallback where |q d| < 1e-6.
+    With derivative, also their lam-derivatives in closed form,
+    dc = -d s/2, ds = (d c - s)/(2q^2) and dg = -(s + d c)/2.  All six are
+    even in q, hence real; q is taken complex, so tunneling and
+    oscillatory energies need no case split.  Where |qd| < SERIES_QD they
+    come from their power series in (qd)^2.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    q2 = (np.asarray(lams, dtype=float)[:, None]
-          - np.asarray(values, dtype=float)).astype(complex)
-    q = np.sqrt(q2)
-    z = q * lengths
-    small = np.abs(z) < 1e-6
-    c = np.cos(z)
-    s_over_q = np.divide(np.sin(z), q, out=np.empty_like(z), where=~small)
-    if small.any():
-        zs = z[small]
-        c[small] = 1.0 - zs * zs / 2.0 + zs ** 4 / 24.0
-        s_over_q[small] = np.broadcast_to(lengths, z.shape)[small] * (
-            1.0 - zs * zs / 6.0 + zs ** 4 / 120.0)
-    T = np.empty(z.shape + (2, 2), dtype=complex)
-    T[..., 0, 0] = c
-    T[..., 0, 1] = s_over_q
-    T[..., 1, 0] = -q2 * s_over_q
-    T[..., 1, 1] = c
-    return T
+    nq2 = v - lams
+    near = np.abs(nq2 * (d * d)) < SERIES_QD ** 2
+    series = near.any()
+    if series:
+        # a stand-in q^2 = 1 keeps the closed forms finite there; the
+        # series overwrite those entries below
+        nq2 = np.where(near, -1.0, nq2)
+    q = np.sqrt(-nq2 + 0j)
+    z = q * d
+    c = np.cos(z).real
+    s = (np.sin(z) / q).real
+    if derivative:
+        ds = (s - d * c) / (2.0 * nq2)
+    if series:
+        nq2 = v - lams
+        z2 = -(nq2 * (d * d))[near]
+        dn = np.broadcast_to(d, near.shape)[near]
+        c[near] = np.polynomial.polynomial.polyval(z2, _COS_SERIES)
+        s[near] = dn * np.polynomial.polynomial.polyval(z2, _SINC_SERIES)
+        if derivative:
+            ds[near] = dn ** 3 * np.polynomial.polynomial.polyval(
+                z2, _DSINC_SERIES)
+    g = nq2 * s
+    if not derivative:
+        return c, s, g
+    return c, s, g, -0.5 * d * s, ds, -0.5 * (s + d * c)
+
+
+def _transfer_dlam(V, lams, derivative=False):
+    """Transfer matrix M across the support of V at the energies lams, and
+    with derivative dM/dlam: P = [M, M'] (just [M] without derivative), a
+    real array of shape (2 or 1, 2, 2, energies).
+
+    The segments are folded left to right with elementwise 2x2 arithmetic,
+    so every energy's product is computed the same way however many
+    energies share the call.  The entries are formed inside the fold, for
+    blocks of segments of at most ENTRY_BLOCK segment-energy pairs.  Row i
+    of the pair is R[i] = [M[i], M'[i]], and (T, T')(M, M') =
+    (TM, T'M + TM') updates both rows in one product per column of T:
+    R <- T[:, 0] R[0] + T[:, 1] R[1], then the M' half of R gains
+    T'[:, 0] M[0] + T'[:, 1] M[1].
+    """
+    lengths, values = V.segment_arrays
+    n = len(lams)
+    w = 2 if derivative else 1
+    R = np.zeros((2, 2 * w, n))
+    R[0, 0] = R[1, 1] = 1.0
+    step = max(1, ENTRY_BLOCK // max(n, 1))
+    for lo in range(0, len(lengths), step):
+        block = slice(lo, lo + step)
+        e = _seg_entries(lengths[block, None], values[block, None], lams,
+                         derivative)
+        # each segment's columns of T (and T'), shaped (2, 1, n) to scale
+        # the rows R[0] and R[1]
+        c, s, g = e[:3]
+        T0 = np.stack([c, g], axis=1)[:, :, None]
+        T1 = np.stack([s, c], axis=1)[:, :, None]
+        if not derivative:
+            for t0, t1 in zip(T0, T1):
+                R = t0 * R[0] + t1 * R[1]
+            continue
+        dc, ds, dg = e[3:]
+        dT0 = np.stack([dc, dg], axis=1)[:, :, None]
+        dT1 = np.stack([ds, dc], axis=1)[:, :, None]
+        for t0, t1, dt0, dt1 in zip(T0, T1, dT0, dT1):
+            M0, M1 = R[0, :2], R[1, :2]
+            R = t0 * R[0] + t1 * R[1]
+            R[:, 2:] += dt0 * M0 + dt1 * M1
+    return R.reshape(2, w, 2, n).swapaxes(0, 1)
+
+
+def _mul(A, B):
+    """Elementwise 2x2 products A B over a trailing axis: A has shape
+    (2, 2, n) and B (..., 2, 2, n)."""
+    return A[:, :1] * B[..., :1, :, :] + A[:, 1:] * B[..., 1:, :, :]
+
+
+def _waves(x, ks):
+    """Columns (psi, psi') of e^{-ikx} and e^{ikx} at x, and their
+    k-derivatives, each of shape (2, 2, n)."""
+    sig = np.array([-1j, 1j])[:, None]
+    e = np.exp(sig * ks * x)
+    W = np.stack([e, sig * ks * e])
+    dW = np.stack([sig * x * e, (sig - ks * x) * e])
+    return W, dW
+
+
+def _smatrix_dk(V, ks, derivative=True):
+    """S = [[t, r+], [r-, t]] at the wavenumbers ks > 0 (a 1-D array), and
+    with derivative its exact k-derivative; each of shape (n, 2, 2), and
+    None for the derivative without it.
+
+    One matching matrix A serves both incoming directions.  Left-incoming:
+    e^{ikx} + r- e^{-ikx} on the left, t e^{ikx} on the right, unknowns
+    (r-, t).  Right-incoming: t e^{-ikx} on the left, e^{-ikx} + r+ e^{ikx}
+    on the right, unknowns (t, r+).  So A X = B with A = [M w-(xL),
+    -w+(xR)] and B = [-M w+(xL), w-(xR)], solved with the explicit 2x2
+    inverse, and X' = A^{-1}(B' - A' X) with M' = 2k dM/dlam.
+    """
+    P = _transfer_dlam(V, ks * ks, derivative)
+    xL, xR = V.support
+    WL, dWL = _waves(xL, ks)
+    WR, dWR = _waves(xR, ks)
+    MW = _mul(P[0], WL)
+    A = np.stack([MW[:, 0], -WR[:, 1]], axis=1)
+    B = np.stack([-MW[:, 1], WR[:, 0]], axis=1)
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    inv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]]) / det
+    X = _mul(inv, B)
+    # X's columns are the incoming directions and its rows the unknowns,
+    # X = [[r-, t], [t, r+]]: S swaps X's rows
+    S = np.moveaxis(X[::-1], -1, 0)
+    if not derivative:
+        return S, None
+    dMW = _mul(2.0 * ks * P[1], WL) + _mul(P[0], dWL)
+    dA = np.stack([dMW[:, 0], -dWR[:, 1]], axis=1)
+    dB = np.stack([-dMW[:, 1], dWR[:, 0]], axis=1)
+    dX = _mul(inv, dB - _mul(dA, X))
+    return S, np.moveaxis(dX[::-1], -1, 0)
 
 
 def transfer_matrix(V, lam):
     """Product of segment transfer matrices across the support of V: a 2x2
-    matrix for a scalar energy lam, one per energy for a 1-D array.
-
-    The segments are folded left to right, one stacked product over the
-    energies per segment."""
+    matrix for a scalar energy lam, one per energy for a 1-D array."""
     lams = np.asarray(lam, dtype=float)
-    M = np.eye(2, dtype=complex)
-    for T in _seg_transfer(*V.segment_arrays, lams.reshape(-1)).swapaxes(0, 1):
-        M = T @ M
-    return M.reshape(lams.shape + (2, 2))
+    M = _transfer_dlam(V, lams.reshape(-1))[0]
+    return np.moveaxis(M, -1, 0).reshape(lams.shape + (2, 2)).astype(complex)
 
 
-def smatrix_1d(V, lam):
+def smatrix_1d(V, lam, derivative=False):
     """The 2x2 scattering matrix [[t, r+], [r-, t]] at energy lam > 0, or
-    one per energy for a 1-D array of energies.
+    one per energy for a 1-D array of energies: the value part of
+    `_smatrix_dk` at k = sqrt(lam).  With derivative, the pair (S, dS/dk),
+    the exact k-derivative in the same shape as S.
 
-    Computed by matching plane waves across the support with the exact
-    transfer matrix; unitarity is inherited from the real potential and is
-    checked by the caller's tolerance when the matrix enters a path.
+    Unitarity is inherited from the real potential and is checked by the
+    caller's tolerance when the matrix enters a path.
     """
     lams = np.asarray(lam, dtype=float)
     if np.any(lams <= 0):
         raise EnergyNonpositive(
             f"scattering energies must be positive, got {lam}")
-    flat = lams.reshape(-1)
-    M = transfer_matrix(V, flat)
-    ik = np.array([-1j, 1j]) * np.sqrt(flat)[:, None]
-
-    def waves(x):
-        # columns (psi, psi') of e^{-ikx} and e^{ikx} at x, per energy
-        e = np.exp(ik * x)
-        return np.stack([e, ik * e], axis=-2)
-
-    # One matching matrix A serves both incoming directions.  Left-incoming:
-    # e^{ikx} + r- e^{-ikx} on the left, t e^{ikx} on the right, unknowns
-    # (r-, t).  Right-incoming: t e^{-ikx} on the left, e^{-ikx} + r+ e^{ikx}
-    # on the right, unknowns (t, r+).  M takes one left wave per product:
-    # BLAS rounds a two-column product differently, and the caller's 1e-6
-    # central difference amplifies the last bit a million-fold.
-    xL, xR = V.support
-    left, right = waves(xL), waves(xR)
-    A = np.concatenate([M @ left[..., :1], -right[..., 1:]], axis=-1)
-    rhs = np.concatenate([-(M @ left[..., 1:]), right[..., :1]], axis=-1)
-    X = np.linalg.solve(A, rhs)
-    S = np.empty_like(X)
-    S[:, 0] = X[..., 1]
-    S[:, 1] = X[..., 0]
-    return S.reshape(lams.shape + (2, 2))
+    shape = lams.shape + (2, 2)
+    S, dS = _smatrix_dk(V, np.sqrt(lams.reshape(-1)), derivative)
+    if not derivative:
+        return S.reshape(shape)
+    return S.reshape(shape), dS.reshape(shape)
 
 
 def bound_states_1d(V):
@@ -155,14 +249,15 @@ def _zero_energy_left_solution(V):
     """
     lengths, values = V.segment_arrays
     nsubs = np.maximum(1, np.ceil(lengths / SUBSTEP).astype(int))
-    steps = _seg_transfer(lengths / nsubs, values, [0.0])[0]
-    state = np.array([1.0, 0.0], dtype=complex)
+    c, s, g = _seg_entries(lengths / nsubs, values, 0.0)
+    steps = np.array([[c, s], [g, c]]).transpose(2, 0, 1)
+    state = np.array([1.0, 0.0])
     us = [1.0]
     for step, nsub in zip(steps, nsubs):
         for _ in range(nsub):
             state = step @ state
-            us.append(np.real(state[0]))
-    return np.array(us), np.real(state)
+            us.append(state[0])
+    return np.array(us), state
 
 
 def _bound_states_nodes(V):

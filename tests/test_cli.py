@@ -77,6 +77,27 @@ def test_sf_path_scattering_sweep(tmp_path, capsys):
     assert abs(res["body_integral"]["re"] - (-2.5)) < 0.05
 
 
+def test_scattering_path_has_exact_derivative(tmp_path, monkeypatch):
+    # dS/dt comes from the kernel's exact S'(k), never from the path's
+    # central-difference fallback
+    pot = tmp_path / "well20.json"
+    pot.write_text(json.dumps({"dimension": 1,
+                               "segments": [[-1.0, 1.0, -20.0]]}))
+    path = cli.path_from_spec(f"scattering:{pot}")
+    h = 1e-4
+    for t in (0.1, 0.5, 0.9):
+        fd = (8.0 * (path(t + h) - path(t - h))
+              - (path(t + 2 * h) - path(t - 2 * h))) / (12.0 * h)
+        assert np.max(np.abs(path.derivative(t) - fd)) \
+            < 1e-7 * np.max(np.abs(fd))
+
+    def refuse(t):
+        raise AssertionError("the derivative sampled the path")
+
+    monkeypatch.setattr(path, "_sampler", refuse)
+    assert path.derivative(0.3).shape == (2, 2)
+
+
 def test_det_winding(capsys):
     rc, recs = run_lines(["det", "--model", "k=1,dim=2", "--p", "1",
                           "--samples", "21"], capsys)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,16 +35,18 @@ def test_check_unitary_rejects_nonunitary():
     check_unitary(np.diag([1 + 4e-11] + [1.0] * 15))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_check_unitary_rejects_non_finite_entries(bad):
-    # a NaN defect compares False against the tolerance; it must not pass
+    # a NaN defect compares False against the tolerance; it must not pass,
+    # and it raises the typed error with no floating-point warning first
     U = np.eye(3, dtype=complex)
     U[0, 0] = bad
-    with pytest.raises(NonUnitary):
-        check_unitary(U)
-    with pytest.raises(NonUnitary):
-        eig_unitary(U)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonUnitary):
+            check_unitary(U)
+        with pytest.raises(NonUnitary):
+            eig_unitary(U)
 
 
 def test_eig_unitary_matches_scipy_schur_bitwise(rng):

@@ -98,6 +98,43 @@ def test_smatrix_matches_square_well_formula():
             assert abs(S[0, 1] - r) < 1e-12
 
 
+def test_smatrix_shifted_well_tells_reflections_apart():
+    # shifting a symmetric well by s multiplies the right-incoming
+    # reflection r+ by e^{-2iks} and the left-incoming r- by e^{2iks}
+    depth, s = 5.0, 0.7
+    V = Potential1D(segments=((s - 1.0, s + 1.0, -depth),))
+    for lam in (0.2, 1.7, 12.0):
+        k = np.sqrt(lam)
+        t, r = analytic_square_well_smatrix(depth, 1.0, lam)
+        S = smatrix_1d(V, lam)
+        assert abs(S[0, 0] - t) < 1e-12 and abs(S[1, 1] - t) < 1e-12
+        assert abs(S[0, 1] - r * np.exp(-2j * k * s)) < 1e-12
+        assert abs(S[1, 0] - r * np.exp(2j * k * s)) < 1e-12
+
+
+def test_smatrix_asymmetric_matches_linear_solve():
+    # plane-wave matching by a linear solve on the transfer matrix:
+    # unknowns (r-, t) for the left-incoming and (t, r+) for the
+    # right-incoming wave
+    V = Potential1D(segments=((-1.0, 0.0, -3.0), (0.0, 2.0, 1.5)))
+    xL, xR = V.support
+    for lam in (0.3, 1.0, 8.0, 50.0):
+        k = np.sqrt(lam)
+
+        def wave(x, sign):
+            e = np.exp(sign * 1j * k * x)
+            return np.array([e, sign * 1j * k * e])
+
+        M = transfer_matrix(V, lam)
+        A = np.column_stack([M @ wave(xL, -1), -wave(xR, 1)])
+        rhs = np.column_stack([-(M @ wave(xL, 1)), wave(xR, -1)])
+        (r_minus, t), (t2, r_plus) = np.linalg.solve(A, rhs).T
+        S = smatrix_1d(V, lam)
+        want = np.array([[t, r_plus], [r_minus, t2]])
+        assert np.max(np.abs(S - want)) < 1e-12
+        assert abs(r_plus - r_minus) > 1e-3
+
+
 def test_barrier_tunneling_transmission():
     # rectangular barrier below the top: |t|^2 from the sinh formula
     v0, lam = 4.0, 1.5
@@ -141,6 +178,11 @@ def test_array_energies_match_scalar_calls(V, lams):
     assert smatrix_1d(V, lams[0]).shape == (2, 2)
 
 
+def test_empty_energy_array():
+    for f in (smatrix_1d, transfer_matrix):
+        assert f(GAUSSIAN_WELL, np.array([])).shape == (0, 2, 2)
+
+
 def test_taylor_branch_continuous():
     # at lam = v the segment's q vanishes and the Taylor form takes over
     lams = 2.0 + np.array([-1e-9, 0.0, 1e-9])
@@ -181,3 +223,66 @@ def test_resonance_statistic():
     # width 2, where the zero-energy solution leaves the well flat
     thresh = Potential1D.square_well((np.pi / 2.0) ** 2 / 4.0 * 4.0)
     assert resonance_statistic_1d(thresh) < 1e-12
+
+
+def _central_dk(V, ks, h=1e-4):
+    """Five-point central difference of S in k, error O(h^4)."""
+    S = [smatrix_1d(V, (ks + j * h) ** 2) for j in (-2, -1, 1, 2)]
+    return (8.0 * (S[2] - S[1]) - (S[3] - S[0])) / (12.0 * h)
+
+
+def _random_potential(rng):
+    n = int(rng.integers(2, 7))
+    edges = np.concatenate([[-2.0], -2.0 + np.cumsum(rng.uniform(0.1, 2.0,
+                                                                  n))])
+    values = rng.uniform(-10.0, 10.0, n)
+    return Potential1D(segments=tuple(zip(edges[:-1].tolist(),
+                                          edges[1:].tolist(),
+                                          values.tolist())))
+
+
+@pytest.mark.parametrize("V, ks", [
+    (DOUBLE_WELL, [0.05, 1.0, 3.0, 30.0]),
+    (GAUSSIAN_WELL, [0.02, 0.7, 2.5, 9.0]),
+    # k^2 equals the barrier's value 2: q = 0 on that segment, where the
+    # entries come from their series; then just inside and just outside
+    # the series region, where the closed form of d(sin(qd)/q)/dlam cancels
+    (DOUBLE_WELL, [np.sqrt(2.0), np.sqrt(2.0) + 1e-13,
+                   np.sqrt(2.0) + 1e-7]),
+], ids=["double_well", "gaussian_200_segments", "series_branch"])
+def test_exact_derivative_matches_central_difference(V, ks):
+    ks = np.array(ks)
+    S, dS = smatrix_1d(V, ks * ks, derivative=True)
+    fd = _central_dk(V, ks)
+    scale = np.max(np.abs(dS), axis=(1, 2))
+    assert np.all(np.max(np.abs(dS - fd), axis=(1, 2)) <= 1e-7 * scale)
+    assert np.array_equal(S, smatrix_1d(V, ks * ks))
+
+
+def test_exact_derivative_random_potentials(rng):
+    for _ in range(20):
+        V = _random_potential(rng)
+        ks = rng.uniform(0.05, 6.0, 5)
+        _, dS = smatrix_1d(V, ks * ks, derivative=True)
+        fd = _central_dk(V, ks)
+        scale = np.max(np.abs(dS), axis=(1, 2))
+        assert np.all(np.max(np.abs(dS - fd), axis=(1, 2)) <= 1e-7 * scale)
+
+
+def test_exact_derivative_batched_matches_single():
+    ks = np.array([0.01, 0.5, np.sqrt(2.0), 4.0, 70.0])
+    S, dS = smatrix_1d(DOUBLE_WELL, ks * ks, derivative=True)
+    for i, k in enumerate(ks):
+        S1, dS1 = smatrix_1d(DOUBLE_WELL, k * k, derivative=True)
+        assert np.array_equal(S1, S[i])
+        assert np.array_equal(dS1, dS[i])
+    assert np.array_equal(S, smatrix_1d(DOUBLE_WELL, ks * ks))
+
+
+def test_derivative_keeps_unitarity_constraint():
+    # S*S = Id, so S*S' is skew-Hermitian
+    ks = np.geomspace(0.01, 100.0, 9)
+    S, dS = smatrix_1d(GAUSSIAN_WELL, ks * ks, derivative=True)
+    X = np.conj(np.swapaxes(S, 1, 2)) @ dS
+    skew = X + np.conj(np.swapaxes(X, 1, 2))
+    assert np.max(np.abs(skew)) < 1e-10 * np.max(np.abs(X))
