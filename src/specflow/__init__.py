@@ -61,7 +61,6 @@ from .upath import (
     cap_outof,
     compactify,
     concatenate,
-    concatenate_many,
     constant_path,
     generator_path,
     geodesic_between,
@@ -87,7 +86,6 @@ __all__ = [
     "check_unitary",
     "compactify",
     "concatenate",
-    "concatenate_many",
     "constant_path",
     "counterterm_exponent",
     "det_p",

@@ -34,8 +34,8 @@ from .scatter import (
     phase_shifts_3d,
     smatrix_1d,
 )
-from .sflow import (DEFAULT_EPSABS, sf_alpha, sf_beta, sf_det, sf_open_path,
-                    sf_phillips)
+from .sflow import (DEFAULT_EPSABS, QUAD_EPSREL, sf_alpha, sf_beta, sf_det,
+                    sf_open_path, sf_phillips)
 from .upath import UnitaryPath, geodesic_between, model_loop
 
 log = logging.getLogger("specflow")
@@ -200,7 +200,9 @@ def _build_parser(parser_class=argparse.ArgumentParser):
                         "subcommand; its entries override the command line")
     tol = argparse.ArgumentParser(add_help=False)
     tol.add_argument("--tol", type=float, help="quadrature absolute "
-                     f"tolerance, positive (default {DEFAULT_EPSABS:g})")
+                     f"tolerance, positive (default {DEFAULT_EPSABS:g}); "
+                     f"the relative floor {QUAD_EPSREL:g}*|integral| "
+                     "still applies")
     source = argparse.ArgumentParser(add_help=False)
     source.add_argument("--model", help="k=K,dim=D model loop")
     source.add_argument("--path", help="path spec (see path_from_spec)")

@@ -13,14 +13,15 @@ All three must agree with -N, the bound-state count, after the appropriate
 threshold corrections.  Route integrals run in the wavenumber variable
 k = sqrt(lambda); the head below k_min is a rectangle estimate.  In d = 1
 the integrand (1/2 pi i) Tr(S* S') takes the exact k-derivative of S, and
-the body on [k_min, k_max] is adaptive Gauss-Kronrod-21 quadrature with
-QUADPACK's qk21 error estimate, evaluated in rounds: each round calls the
-integrand once on every node of every interval it refines.  The tail
-beyond k_max is a fitted power law, and the crossing count is
-`sf_phillips` on the sweep plus the closed-form counts of the caps that
-close it.  The d = 1
-polynomial is zero (P_1 = 0, so P0 = 0), which makes the subtracted route
-the regularized value: d = 1 has two routes, not three.
+the body on [k_min, k_max] runs the one winding quadrature of the package,
+`sflow._adaptive_gk21` (adaptive Gauss-Kronrod-21 with QUADPACK's qk21
+error estimate), to an absolute K_QUAD_TOL with no relative floor; it
+calls the vectorized integrand once per round, on every node of every
+interval the round refines.  The tail beyond k_max is a fitted power
+law, and the crossing count is `sf_phillips` on the sweep plus the
+closed-form counts of the caps that close it.  The d = 1 polynomial is
+zero (P_1 = 0, so P0 = 0), which makes the subtracted route the
+regularized value: d = 1 has two routes, not three.
 
 In d = 3 the S-matrix is diagonal in the partial waves and both integrands
 are exact k-derivatives of functions of the phase table: the subtracted one
@@ -64,7 +65,8 @@ from ..errors import (
 )
 from ..matcore import _branch_angles, eig_unitary
 from ..rdet import counterterm_exponent, counterterm_series
-from ..sflow import SpectralFlowReport, _generator_flow, sf_phillips
+from ..sflow import (SpectralFlowReport, _adaptive_gk21, _generator_flow,
+                     sf_phillips)
 from ..upath import UnitaryPath, concatenate, geodesic_between
 from .onedim import bound_states_1d, resonance_statistic_1d, smatrix_1d
 from .radial import (
@@ -274,93 +276,10 @@ def _octave_tail(F, k_end):
     return _tail_estimate(ks, F(ks))
 
 
-# QUADPACK's qk21 rule: the 21-point Kronrod nodes on [0, 1] (the centre
-# last), their weights, and the weights of the embedded 10-point Gauss
-# rule, whose nodes are the Kronrod nodes of odd index
-_GK_X = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0])
-_GK_WK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077600525478226, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821])
-_GK_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338])
-# all 21 nodes on [-1, 1], with their Kronrod and Gauss weights
-GK21_NODES = np.concatenate([-_GK_X[:-1], _GK_X[::-1]])
-GK21_KRONROD = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
-GK21_GAUSS = np.zeros(21)
-GK21_GAUSS[1:10:2] = _GK_WG
-GK21_GAUSS[11:20:2] = _GK_WG[::-1]
 # the body's absolute tolerance on the summed error estimates, and the
 # number of subintervals at which it gives up
 K_QUAD_TOL = 1e-9
 K_QUAD_LIMIT = 500
-
-
-def _gk21(F, a, b):
-    """QUADPACK's qk21 on each interval [a_i, b_i], with one call of the
-    vectorized F on all 21 nodes of every interval.  Returns the Kronrod
-    values and qk21's error estimates, with moduli of the complex values
-    where QUADPACK takes absolute values."""
-    half = 0.5 * (b - a)
-    centre = 0.5 * (a + b)
-    f = F((centre[:, None] + half[:, None] * GK21_NODES).ravel())
-    f = f.reshape(len(a), 21)
-    kronrod = f @ GK21_KRONROD
-    gauss = f @ GK21_GAUSS
-    mean = 0.5 * kronrod
-    res_abs = np.abs(f) @ GK21_KRONROD * np.abs(half)
-    res_asc = np.abs(f - mean[:, None]) @ GK21_KRONROD * np.abs(half)
-    err = np.abs((kronrod - gauss) * half)
-    scaled = (res_asc != 0.0) & (err != 0.0)
-    err[scaled] = res_asc[scaled] * np.minimum(
-        1.0, (200.0 * err[scaled] / res_asc[scaled]) ** 1.5)
-    eps = np.finfo(float).eps
-    err = np.maximum(50.0 * eps * res_abs, err)
-    return kronrod * half, err
-
-
-def _adaptive_gk21(F, a, b):
-    """Integral of the vectorized complex F over [a, b] by adaptive
-    Gauss-Kronrod-21 bisection.  Each round splits the intervals of largest
-    error until those left unsplit carry at most half the tolerance, and
-    evaluates F once on every node of the new halves.  It stops when the
-    summed error estimate is at most K_QUAD_TOL, and raises
-    IntegrationFailure past K_QUAD_LIMIT intervals.  Returns (integral,
-    error estimate)."""
-    lo, hi = np.array([a]), np.array([b])
-    val, err = _gk21(F, lo, hi)
-    # a NaN estimate fails this test too: it refines to the limit and
-    # raises instead of returning a NaN integral
-    while not err.sum() <= K_QUAD_TOL:
-        worst = np.argsort(err)[::-1]
-        left = err.sum() - np.cumsum(err[worst])
-        split = worst[:np.argmax(left <= 0.5 * K_QUAD_TOL) + 1]
-        if len(lo) + len(split) > K_QUAD_LIMIT:
-            raise IntegrationFailure(
-                f"k-quadrature needs more than {K_QUAD_LIMIT} intervals; "
-                f"error estimate {err.sum():.2e} > {K_QUAD_TOL:.0e}")
-        keep = np.ones(len(lo), dtype=bool)
-        keep[split] = False
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_val, new_err = _gk21(F, new_lo, new_hi)
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
-    return complex(val.sum()), float(err.sum())
 
 
 def _k_integral(F, k_min, k_max):
@@ -368,7 +287,8 @@ def _k_integral(F, k_min, k_max):
     Gauss-Kronrod quadrature on [k_min, k_max], a rectangle estimate of
     the head below k_min and the fitted power-law tail beyond k_max.
     Returns (integral, quad_error, tail_exponent)."""
-    body, err = _adaptive_gk21(F, k_min, k_max)
+    body, err = _adaptive_gk21(F, (k_min, k_max), K_QUAD_TOL, 0.0,
+                               K_QUAD_LIMIT)
     tail, q = _octave_tail(F, k_max)
     head = F(np.array([k_min]))[0] * k_min
     return body + head + tail, err, q

@@ -16,6 +16,16 @@ the log-derivative of Det_p is Tr(U* U' (Id - U)^{p-1}), which is the alpha
 integrand at n = p - 1, so `sf_det` is that alpha integral and not a
 cross-check.
 
+Every winding integral, here and in `scatter.levinson`, runs one
+quadrature, `_adaptive_gk21`: adaptive Gauss-Kronrod-21 bisection with
+QUADPACK's qk21 error estimate, which evaluates the complex integrand once
+per node and refines on the modulus of its error.  The winding engines stop
+at a summed estimate of max(epsabs, 1.49e-8 |I|), I the un-normalised
+integral, and report that estimate as `quad_error`: it bounds the error of
+the real and of the imaginary part alike.  The flow is read off Im I, and
+|I| is close to |Im I|; Re I, zero in theory, only feeds the report's
+imaginary-part warning.
+
 For open paths, geodesic endpoint caps e^{tY} (principal log generators)
 close the path, and the Theta/Xi endpoint integrals express the capped flow
 as integral-over-the-path plus endpoint corrections.  A cap's crossing
@@ -24,11 +34,9 @@ Phillips' count is additive under concatenation, so the caps are added to
 the count of the sampled path instead of being sampled themselves.
 """
 
-import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import (
     CapMismatch,
@@ -42,7 +50,10 @@ from .matcore import (_unitary_angles, check_order, check_unitary,
                       eig_unitary, form_trace, gamma_constant)
 from .upath import ENDPOINT_TOL, _spectral_path
 
+# winding quadrature: the caller's absolute tolerance (default below),
+# quad's default relative floor on |integral|, and the interval limit
 DEFAULT_EPSABS = 1e-9
+QUAD_EPSREL = 1.49e-8
 QUAD_LIMIT = 10000
 # sf_phillips: initial uniform samples, largest matched eigenangle motion
 # per step, sample budget, and least angular clearance of a counting arc
@@ -86,7 +97,8 @@ class SpectralFlowReport:
                 f"residual={self.residual:.2e}, method={self.method!r})")
 
 
-def _finish(raw, method, parameters, warns):
+def _finish(raw, method, parameters):
+    warns = []
     raw = complex(raw)
     value = int(np.round(raw.real))
     residual = abs(raw - value)
@@ -103,41 +115,116 @@ def _finish(raw, method, parameters, warns):
                               warnings=warns)
 
 
-def _quad_once(f, a, b, epsabs, points=None):
-    """quad(complex_func=True) of f over [a, b], one evaluation per node.
+# QUADPACK's qk21 rule: the 21-point Kronrod nodes on [0, 1] (the centre
+# last), their weights, and the weights of the embedded 10-point Gauss
+# rule, whose nodes are the Kronrod nodes of odd index
+_GK_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_GK_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077600525478226, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_GK_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+# all 21 nodes on [-1, 1], with their Kronrod and Gauss weights
+GK21_NODES = np.concatenate([-_GK_X[:-1], _GK_X[::-1]])
+GK21_KRONROD = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
+GK21_GAUSS = np.zeros(21)
+GK21_GAUSS[1:10:2] = _GK_WG
+GK21_GAUSS[11:20:2] = _GK_WG[::-1]
 
-    quad integrates the real and the imaginary part in two passes over the
-    same Gauss-Kronrod nodes; f is memoised by node for this call, so the
-    second pass reuses the first pass's values and the nodes, sums and
-    error estimate are those of quad itself.  epsabs must be finite and
-    > 0, else IntegrationFailure.
+
+def _gk21(F, a, b):
+    """QUADPACK's qk21 on each interval [a_i, b_i], with one call of the
+    vectorized F on all 21 nodes of every interval.  Returns the Kronrod
+    values and qk21's error estimates, with moduli of the complex values
+    where QUADPACK takes absolute values."""
+    half = 0.5 * (b - a)
+    centre = 0.5 * (a + b)
+    f = F((centre[:, None] + half[:, None] * GK21_NODES).ravel())
+    f = f.reshape(len(a), 21)
+    kronrod = f @ GK21_KRONROD
+    gauss = f @ GK21_GAUSS
+    mean = 0.5 * kronrod
+    res_abs = np.abs(f) @ GK21_KRONROD * np.abs(half)
+    res_asc = np.abs(f - mean[:, None]) @ GK21_KRONROD * np.abs(half)
+    err = np.abs((kronrod - gauss) * half)
+    scaled = (res_asc != 0.0) & (err != 0.0)
+    err[scaled] = res_asc[scaled] * np.minimum(
+        1.0, (200.0 * err[scaled] / res_asc[scaled]) ** 1.5)
+    eps = np.finfo(float).eps
+    err = np.maximum(50.0 * eps * res_abs, err)
+    return kronrod * half, err
+
+
+def _adaptive_gk21(F, edges, epsabs, epsrel, limit):
+    """Integral of the vectorized complex F over [edges[0], edges[-1]] by
+    adaptive Gauss-Kronrod-21 bisection, the one quadrature of every
+    winding integral.
+
+    The initial intervals run between consecutive edges (the interval and
+    the breakpoints inside it), so no node falls on an edge.  Each round
+    splits the intervals of largest error until those left unsplit carry
+    at most half the tolerance max(epsabs, epsrel |I|), I the current
+    integral, and evaluates F once on every node of the new halves; the
+    error estimates are qk21's on the complex values, so one estimate, a
+    bound on the error of the real and of the imaginary part, refines both.
+    It stops when the summed estimate is at most the tolerance.  Raises
+    IntegrationFailure unless epsabs is finite and > 0, on a non-finite
+    estimate, and past `limit` intervals.  Returns (integral, error
+    estimate).
     """
     if not (np.isfinite(epsabs) and epsabs > 0):
         raise IntegrationFailure(
             f"epsabs must be finite and > 0, got {epsabs}")
-    values = {}
-
-    def once(t):
-        if t not in values:
-            values[t] = f(t)
-        return values[t]
-
-    return quad(once, a, b, complex_func=True, epsabs=epsabs,
-                limit=QUAD_LIMIT, points=points)
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _gk21(F, lo, hi)
+    while True:
+        total = err.sum()
+        tol = max(epsabs, epsrel * abs(val.sum()))
+        if total <= tol:
+            return complex(val.sum()), float(total)
+        if not np.isfinite(total):
+            raise IntegrationFailure(
+                f"quadrature error estimate is {total}")
+        worst = np.argsort(err)[::-1]
+        left = total - np.cumsum(err[worst])
+        split = worst[:np.argmax(left <= 0.5 * tol) + 1]
+        if len(lo) + len(split) > limit:
+            raise IntegrationFailure(
+                f"quadrature needs more than {limit} intervals; error "
+                f"estimate {total:.2e} > {tol:.1e}")
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err = _gk21(F, new_lo, new_hi)
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
 
 
 def _integrate_path(f, path, epsabs):
-    """Adaptive Gauss-Kronrod over the path interval, split at breakpoints."""
+    """Integral of the scalar complex f over the path interval, split at
+    its breakpoints: `_adaptive_gk21` with f evaluated once per node.
+    Returns (integral, error estimate)."""
     a, b = path.interval
-    pts = list(path.breakpoints) or None
-    warns = []
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always", IntegrationWarning)
-        val, err = _quad_once(f, a, b, epsabs, pts)
-    for w in caught:
-        if issubclass(w.category, IntegrationWarning):
-            warns.append(f"quadrature: {w.message}")
-    return val, float(np.real(err)), warns
+    return _adaptive_gk21(
+        lambda ts: np.array([f(t) for t in ts], dtype=complex),
+        (a, *path.breakpoints, b), epsabs, QUAD_EPSREL, QUAD_LIMIT)
 
 
 def _form(path, kind, order):
@@ -159,7 +246,7 @@ def _form(path, kind, order):
 def _winding(path, kind, order, epsabs):
     """Normalised integral of Tr(U* U' g(U - Id)) over the path.
 
-    Returns (value, checked order, quadrature error, warnings).
+    Returns (value, checked order, quadrature error estimate).
     """
     order, normalise = _form(path, kind, order)
 
@@ -167,8 +254,8 @@ def _winding(path, kind, order, epsabs):
         U = path(t)
         return form_trace(U.conj().T @ path.derivative(t), U, kind, order)
 
-    val, err, warns = _integrate_path(integrand, path, epsabs)
-    return normalise(val), order, err, warns
+    val, err = _integrate_path(integrand, path, epsabs)
+    return normalise(val), order, err
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +265,15 @@ def _winding(path, kind, order, epsabs):
 def sf_alpha(path, n, epsabs=DEFAULT_EPSABS):
     """Winding via (-1)^n (1/2 pi i) Integral Tr(U* U' (U - Id)^n) dt."""
     path.check_closed()
-    raw, n, err, warns = _winding(path, "n", n, epsabs)
-    return _finish(raw, "alpha", {"n": n, "quad_error": err}, warns)
+    raw, n, err = _winding(path, "n", n, epsabs)
+    return _finish(raw, "alpha", {"n": n, "quad_error": err})
 
 
 def sf_beta(path, r, epsabs=DEFAULT_EPSABS):
     """Winding via -i C_r (1/2)^{2r+1} Integral Tr(U* U' |U - Id|^{2r}) dt."""
     path.check_closed()
-    raw, r, err, warns = _winding(path, "r", r, epsabs)
-    return _finish(raw, "beta", {"r": r, "quad_error": err}, warns)
+    raw, r, err = _winding(path, "r", r, epsabs)
+    return _finish(raw, "beta", {"r": r, "quad_error": err})
 
 
 def sf_det(path, p, epsabs=DEFAULT_EPSABS):
@@ -200,32 +287,35 @@ def sf_det(path, p, epsabs=DEFAULT_EPSABS):
     """
     path.check_closed()
     p = check_order("p", p, path.schatten_order, integer=True)
-    raw, _, err, warns = _winding(path, "n", p - 1, epsabs)
-    return _finish(raw, "det", {"p": p, "quad_error": err}, warns)
+    raw, _, err = _winding(path, "n", p - 1, epsabs)
+    return _finish(raw, "det", {"p": p, "quad_error": err})
 
 
 # ---------------------------------------------------------------------------
 # endpoint corrections for open paths
 
 
-def _cap_integral(U, kind, order, epsabs):
+def _cap_integral(angles, kind, order, epsabs):
     """Integral_0^1 Tr(Y g(e^{tY} - Id)) dt along the geodesic cap Id -> U.
 
-    Y is the principal logarithm of U and g(x) = x^n (kind "n") or |x|^{2r}
-    (kind "r"); on the eigenangles theta of U the trace is a sum over
-    i theta g(e^{i t theta} - 1), with |e^{is} - 1|^2 = 4 sin^2(s/2).
+    Y is the principal logarithm of U, whose snapped eigenangles theta are
+    `angles`, and g(x) = x^n (kind "n") or |x|^{2r} (kind "r") with the
+    order already checked; the trace is a sum over i theta
+    g(e^{i t theta} - 1), with |e^{is} - 1|^2 = 4 sin^2(s/2), evaluated on
+    all quadrature nodes at once as an outer product of t and theta.
     """
-    order = check_order(kind, order, 0, integer=kind == "n")
-    angles = _unitary_angles(check_unitary(U))
     iang = 1j * angles
 
-    def integrand(t):
+    def integrand(ts):
         if kind == "n":
-            return np.sum(iang * (np.exp(t * iang) - 1.0) ** order)
-        return np.sum(iang * (4.0 * np.sin(t * angles / 2.0) ** 2) ** order)
+            return np.sum(iang * (np.exp(np.outer(ts, iang)) - 1.0) ** order,
+                          axis=1)
+        return np.sum(
+            iang * (4.0 * np.sin(np.outer(ts, angles) / 2.0) ** 2) ** order,
+            axis=1)
 
-    val, _ = _quad_once(integrand, 0.0, 1.0, epsabs)
-    return order, val
+    return _adaptive_gk21(integrand, (0.0, 1.0), epsabs, QUAD_EPSREL,
+                          QUAD_LIMIT)[0]
 
 
 def theta_endpoint(U, n, epsabs=DEFAULT_EPSABS):
@@ -234,8 +324,9 @@ def theta_endpoint(U, n, epsabs=DEFAULT_EPSABS):
     where Y is the principal logarithm of U.  This is the alpha-integral of
     the geodesic cap from Id to U; Theta(Id) = 0.
     """
-    n, val = _cap_integral(U, "n", n, epsabs)
-    return (-1) ** n * val / (2j * np.pi)
+    n = check_order("n", n, 0, integer=True)
+    angles = _unitary_angles(check_unitary(U))
+    return (-1) ** n * _cap_integral(angles, "n", n, epsabs) / (2j * np.pi)
 
 
 def xi_endpoint(U, r, epsabs=DEFAULT_EPSABS):
@@ -244,7 +335,8 @@ def xi_endpoint(U, r, epsabs=DEFAULT_EPSABS):
     The caller applies the beta normalization -i C_r (1/2)^{2r+1}; this keeps
     the two endpoint integrals structurally parallel.
     """
-    return _cap_integral(U, "r", r, epsabs)[1]
+    r = check_order("r", r, 0)
+    return _cap_integral(_unitary_angles(check_unitary(U)), "r", r, epsabs)
 
 
 def _generator_flow(trace, end_angles):
@@ -290,25 +382,25 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
     kind, order = ("n", n) if r is None else ("r", r)
     order, normalise = _form(path, kind, order)
     a, b = path.interval
-    U0, U1 = path(a), path(b)
     caps = 0
-    for U, sign, which in ((U0, 1, "start"), (U1, -1, "end")):
+    ends = []
+    for t, sign, which in ((a, 1, "start"), (b, -1, "end")):
+        U = path(t)
         angles, vecs = eig_unitary(U)
         gap = np.linalg.norm(_spectral_path(angles, vecs)(1.0) - U, ord=2)
         if gap > ENDPOINT_TOL:
             raise CapMismatch(f"{which} cap misses endpoint by {gap:.3e}")
         caps += sign * _generator_flow(np.sum(angles), angles)
+        ends.append(angles)
 
     phillips = sf_phillips(path)
     value = phillips.value + caps
 
-    body, _, err, warns = _winding(path, kind, order, epsabs)
-    if kind == "n":
-        correction = (theta_endpoint(U0, order, epsabs)
-                      - theta_endpoint(U1, order, epsabs))
-    else:
-        correction = normalise(xi_endpoint(U0, order, epsabs)
-                               - xi_endpoint(U1, order, epsabs))
+    body, _, err = _winding(path, kind, order, epsabs)
+    # the endpoint integrals, Theta or the normalised Xi, on the angles
+    # just decomposed
+    correction = normalise(_cap_integral(ends[0], kind, order, epsabs)
+                           - _cap_integral(ends[1], kind, order, epsabs))
     params = {kind: order, "quad_error": err, "body": body,
               "endpoint_correction": correction}
     raw = body + correction
@@ -316,8 +408,7 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
     if int(np.round(raw.real)) != value:
         raise RouteDisagreement(
             f"crossing count {value} vs corrected integral {raw:.6g}")
-    if residual >= 0.1:
-        warns.append(f"open-path residual {residual:.3f}")
+    warns = [f"open-path residual {residual:.3f}"] if residual >= 0.1 else []
     return SpectralFlowReport(value=value, raw=raw, residual=residual,
                               method="open_path", parameters=params,
                               warnings=warns, certificate=phillips.certificate)

@@ -34,6 +34,7 @@ from specflow.scatter.levinson import (
     _route_integrands,
     _tail_estimate,
 )
+from specflow import sflow
 from specflow.sflow import sf_phillips
 from specflow.upath import (
     UnitaryPath,
@@ -230,20 +231,28 @@ def test_levinson_1d_deep_wells(depth, count):
     assert rep.N == count and rep.sf == -count
 
 
+def _k_quad(F, a, b):
+    # the shared winding quadrature as the d = 1 body runs it
+    return sflow._adaptive_gk21(F, (a, b), levinson.K_QUAD_TOL, 0.0,
+                                levinson.K_QUAD_LIMIT)
+
+
 def test_gk21_rule():
     # the embedded Gauss rule is the 10-point Gauss-Legendre rule, and the
     # Kronrod rule integrates polynomials of degree 31 exactly
     x, w = np.polynomial.legendre.leggauss(10)
-    gauss = levinson.GK21_GAUSS > 0
-    assert np.allclose(levinson.GK21_NODES[gauss], x, rtol=0, atol=1e-15)
-    assert np.allclose(levinson.GK21_GAUSS[gauss], w, rtol=0, atol=1e-15)
+    gauss = sflow.GK21_GAUSS > 0
+    assert np.allclose(sflow.GK21_NODES[gauss], x, rtol=0, atol=1e-15)
+    assert np.allclose(sflow.GK21_GAUSS[gauss], w, rtol=0, atol=1e-15)
     for degree in range(32):
         exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
-        got = levinson.GK21_KRONROD @ levinson.GK21_NODES ** degree
+        got = sflow.GK21_KRONROD @ sflow.GK21_NODES ** degree
         assert abs(got - exact) < 1e-14
 
 
 def test_adaptive_gk21():
+    # levinson's body quadrature is the shared one
+    assert levinson._adaptive_gk21 is sflow._adaptive_gk21
     calls = []
 
     def f(k):
@@ -253,7 +262,7 @@ def test_adaptive_gk21():
         calls.append(len(ks))
         return f(ks)
 
-    body, err = levinson._adaptive_gk21(F, 1e-2, 10.0)
+    body, err = _k_quad(F, 1e-2, 10.0)
     exact, _ = quad(f, 1e-2, 10.0, complex_func=True, epsabs=1e-13,
                     epsrel=1e-13, limit=1000)
     assert err <= levinson.K_QUAD_TOL
@@ -264,16 +273,13 @@ def test_adaptive_gk21():
 def test_adaptive_gk21_gives_up():
     rng = np.random.default_rng(3)
     with pytest.raises(IntegrationFailure):
-        levinson._adaptive_gk21(lambda ks: rng.normal(size=ks.shape),
-                                0.0, 1.0)
+        _k_quad(lambda ks: rng.normal(size=ks.shape), 0.0, 1.0)
 
 
 def test_adaptive_gk21_rejects_nan():
-    # a NaN error estimate refines to the interval limit and raises
-    # instead of returning a NaN integral
+    # a NaN error estimate raises instead of returning a NaN integral
     with pytest.raises(IntegrationFailure):
-        levinson._adaptive_gk21(lambda ks: np.full(ks.shape, np.nan),
-                                0.0, 1.0)
+        _k_quad(lambda ks: np.full(ks.shape, np.nan), 0.0, 1.0)
 
 
 def test_levinson_1d_free_resonant():

@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 from specflow import sflow
@@ -23,6 +24,7 @@ from specflow.upath import (
     UnitaryPath,
     cap_into,
     cap_outof,
+    concatenate,
     concatenate_many,
     constant_path,
     generator_path,
@@ -538,26 +540,48 @@ def _generic_loop(dim, seed):
 def test_generic_loop_values_pinned():
     # bit-for-bit values of the winding engines on a seeded dim-16 loop;
     # evaluation-saving changes to the quadrature must keep them exactly.
-    # Captured with numpy 2.4 / scipy 1.17 on OpenBLAS 0.3.31: another
-    # BLAS or LAPACK build may round differently and need a re-capture
+    # The complex integrand is integrated in one adaptive GK21 pass, and
+    # quad_error is qk21's estimate on its modulus, which bounds the error
+    # of both parts.  Captured with numpy 2.4 / scipy 1.17 on OpenBLAS
+    # 0.3.31: another BLAS or LAPACK build may round differently and need
+    # a re-capture
     sampler, flow = _generic_loop(16, 4)
     loop = UnitaryPath(sampler, closed=True, dim=16)
-    alpha_raw = 1.999999999995056 - 1.479135983183939e-11j
-    alpha_err = 2.639933557062685e-13
+    alpha_raw = 1.9999999999950555 - 1.479135323289289e-11j
+    alpha_err = 3.218063727460293e-13
     pins = [(sf_alpha(loop, n=1), alpha_raw, alpha_err),
             # beta takes |U - Id|^2 as the product A*A, not from an SVD
-            (sf_beta(loop, r=1), 1.9999999999949245 - 2.7170225946366346e-13j,
-             3.2339764540372764e-11),
+            (sf_beta(loop, r=1), 1.9999999999949245 - 2.4332208202584914e-12j,
+             2.790294798399824e-13),
             (sf_det(loop, p=2), alpha_raw, alpha_err)]
     for report, raw, err in pins:
         assert report.value == flow == 2
         assert report.raw == raw
+        assert abs(report.raw - flow) < 1e-10
         assert report.parameters["quad_error"] == err
 
 
+def test_beta_takes_as_many_nodes_as_alpha(monkeypatch):
+    # the beta integrand is imaginary up to rounding; refining on the
+    # modulus of the complex error spends no nodes on its zero real part
+    sampler, _ = _generic_loop(16, 4)
+    loop = UnitaryPath(sampler, closed=True, dim=16)
+    calls = []
+    form_trace = sflow.form_trace
+
+    def counting(*args):
+        calls.append(args[2])
+        return form_trace(*args)
+
+    monkeypatch.setattr(sflow, "form_trace", counting)
+    sf_alpha(loop, n=1)
+    sf_beta(loop, r=1)
+    assert calls.count("n") == calls.count("r") == 21
+
+
 def test_winding_evaluates_each_node_once():
-    # quad integrates the real and imaginary parts in two passes; the
-    # integrand must be evaluated once per node, so no sample repeats
+    # the complex integrand is evaluated once per quadrature node, so no
+    # sample repeats across the refinement rounds
     sampler, flow = _generic_loop(8, 4)
     seen = []
 
@@ -569,6 +593,51 @@ def test_winding_evaluates_each_node_once():
     assert sf_alpha(loop, n=1).value == flow
     assert len(seen) > 2
     assert len(seen) == len(set(seen))
+
+
+def test_winding_splits_at_breakpoints():
+    # a concatenated loop's joint is an edge of the initial panels: no
+    # node falls on it, and the value is quad's with the joint as a point
+    joined = concatenate(model_loop(1, 2),
+                         generator_path(np.diag([2j * np.pi, 0.0])))
+    seen = []
+
+    def recording(t):
+        seen.append(t)
+        return joined(t)
+
+    loop = UnitaryPath(recording, derivative=joined.derivative, closed=True,
+                       breakpoints=joined.breakpoints, dim=2)
+    report = sf_alpha(loop, n=1)
+    assert joined.breakpoints == (0.5,)
+    assert 0.5 not in seen
+
+    def integrand(t):
+        U = joined(t)
+        return np.trace(U.conj().T @ joined.derivative(t) @ (U - np.eye(2)))
+
+    want, _ = quad(integrand, 0.0, 1.0, complex_func=True, points=[0.5])
+    assert report.value == 2
+    assert abs(report.raw - (-want / (2j * np.pi))) < 1e-9
+
+
+def _scalar_loop(derivative):
+    return UnitaryPath(lambda t: np.array([[np.exp(2j * np.pi * t)]]),
+                       derivative=derivative, closed=True, dim=1)
+
+
+def test_winding_raises_when_quadrature_cannot_converge(monkeypatch):
+    # a noise derivative never converges: past the interval limit the
+    # quadrature raises instead of returning its best guess
+    monkeypatch.setattr(sflow, "QUAD_LIMIT", 64)
+    rng = np.random.default_rng(5)
+    with pytest.raises(IntegrationFailure, match="more than 64 intervals"):
+        sf_alpha(_scalar_loop(lambda t: rng.normal(size=(1, 1))), n=1)
+
+
+def test_winding_raises_on_nan_estimate():
+    with pytest.raises(IntegrationFailure, match="error estimate is nan"):
+        sf_alpha(_scalar_loop(lambda t: np.full((1, 1), np.nan)), n=1)
 
 
 def test_phillips_leaves_no_reference_cycle():
