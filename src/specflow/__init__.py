@@ -30,7 +30,6 @@ from .matcore import (
     check_unitary,
     eig_unitary,
     gamma_constant,
-    herm_power,
     principal_log_unitary,
     schatten_norm,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "generator_path",
     "geodesic_between",
     "graph_projection",
-    "herm_power",
     "inv_cayley",
     "logderiv_det_p",
     "logdet_p_vs_logdet",

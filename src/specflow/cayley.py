@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidOrder, SpecflowError
-from .matcore import (check_order, check_unitary, eig_unitary, form_trace,
-                      gamma_constant, herm_power, schatten_norm)
+from .matcore import (abs_power, check_order, check_unitary, eig_unitary,
+                      form_trace, gamma_constant, schatten_norm)
 
 ANGLE_TOL = 1e-9
 RESOLVENT_TOL = 1e-10
@@ -182,8 +182,7 @@ def cayley_form_identity_beta(U, X, r):
     X = np.asarray(X, dtype=complex)
     op = cayley(U)
     const = -gamma_constant(r)
-    R = op.resolvent
-    lhs = const * 0.5 * np.trace(X @ herm_power(R.conj().T @ R, r))
+    lhs = const * 0.5 * np.trace(X @ abs_power(op.resolvent, r))
     rhs = const * 0.5 ** (2 * r + 1) * form_trace(X, U, "r", r)
     return complex(lhs), complex(rhs)
 

@@ -10,17 +10,15 @@ Conventions fixed here once and for all:
 * Unitarity is checked in Frobenius norm, never looser than the operator
   norm, with tolerance 1e-10 by default.
 
-Decompose only what is read.  A caller that reads only the eigenangles of a
-unitary (a geodesic cap) checks it once with `check_unitary` and takes
-the angles from `_unitary_angles`: LAPACK eigenvalues without vectors, the
-same snapping and the same order as `eig_unitary`.  Determinants read no
-spectrum: `rdet` takes them from an LU factorization.  A caller
-that reads the eigenvectors too (Phillips' eigenvalue tracking, the
-principal logarithm) uses `eig_unitary`, whose Schur vectors are
+Decompose only what is read.  Determinants read no spectrum: `rdet` takes
+them from an LU factorization.  Every reader of a unitary's spectrum
+(Phillips' eigenvalue tracking, the principal logarithm, the geodesic
+caps and endpoint integrals) uses `eig_unitary`, whose Schur vectors are
 orthonormal even at degeneracies; it calls LAPACK's zgees directly, as
 `scipy.linalg.schur` would, without that wrapper's per-call overhead.
-The winding-form trace kernel takes whole powers of A*A with matrix
-products and reserves the SVD of `abs_power` for fractional orders.
+`abs_power` is the one kernel of |A|^{2x} = (A*A)^x: the winding-form
+trace kernel takes whole powers of A*A with matrix products and reserves
+its SVD for fractional orders.
 """
 
 import numpy as np
@@ -97,17 +95,6 @@ def eig_unitary(U):
             f"{info})")
     angles, order = _branch_angles(w)
     return angles[order], Z[:, order]
-
-
-def _unitary_angles(U):
-    """The sorted eigenangles of `eig_unitary`, without eigenvectors.
-
-    U must already have passed `check_unitary`; no check is made here.
-    The eigenvalues come from LAPACK's vector-free driver and are snapped
-    and sorted exactly as in `eig_unitary`, so the two agree to rounding.
-    """
-    angles, order = _branch_angles(np.linalg.eigvals(U))
-    return angles[order]
 
 
 def principal_log_unitary(U):
@@ -201,14 +188,3 @@ def gamma_constant(x):
     if x < 0:
         raise InvalidOrder(f"constant defined for x >= 0, got {x}")
     return float(np.exp(gammaln(x + 1.0) - gammaln(x + 0.5)) / np.sqrt(np.pi))
-
-
-def herm_power(H, x):
-    """Real power of a Hermitian PSD matrix via eigen-decomposition.
-
-    Small negative eigenvalues from rounding are clipped at zero.
-    """
-    H = np.asarray(H, dtype=complex)
-    w, V = np.linalg.eigh(H)
-    w = np.clip(w, 0.0, None)
-    return (V * w**x) @ V.conj().T

@@ -4,7 +4,6 @@ from .levinson import (
     ChannelData,
     HighEnergyPoly,
     LevinsonReport,
-    h_correction,
     high_energy_poly,
     levinson_verify,
     regularization_necessity,
@@ -25,7 +24,6 @@ from .radial import (
     choose_lmax,
     phase_shifts_3d,
     smatrix_diag_radial,
-    smatrix_radial,
     threshold_statistics_radial,
 )
 
@@ -40,7 +38,6 @@ __all__ = [
     "bound_states_1d",
     "bound_states_radial",
     "choose_lmax",
-    "h_correction",
     "high_energy_poly",
     "levinson_verify",
     "phase_shifts_3d",
@@ -50,7 +47,6 @@ __all__ = [
     "schatten_decay_exponent",
     "smatrix_1d",
     "smatrix_diag_radial",
-    "smatrix_radial",
     "threshold_statistics_radial",
     "transfer_matrix",
 ]

@@ -1,27 +1,30 @@
 """Levinson-theorem verification: scattering data versus bound-state counts.
 
-Three routes to the spectral flow of the energy-parametrized
-scattering-matrix path are computed and compared:
+Routes to the spectral flow of the energy-parametrized scattering-matrix
+path are computed and compared:
 
   (a) the eigenvalue-crossing count on the compactified path, with the
       geodesic cap fixed by the zero-energy scattering matrix;
   (b) the regularized winding integral with the (S - Id)^{d-1} insertion;
-  (c) the plain winding integral with the high-energy polynomial derivative
-      subtracted, plus the endpoint corrections that relate it to (b).
+  (c) in d = 3, the plain winding integral with the high-energy polynomial
+      derivative subtracted, plus the endpoint corrections that relate it
+      to (b).
 
-All three must agree with -N, the bound-state count, after the appropriate
+All must agree with -N, the bound-state count, after the appropriate
 threshold corrections.  Route integrals run in the wavenumber variable
 k = sqrt(lambda); the head below k_min is a rectangle estimate.  In d = 1
-the integrand (1/2 pi i) Tr(S* S') takes the exact k-derivative of S, and
-the body on [k_min, k_max] runs the one winding quadrature of the package,
-`sflow._adaptive_gk21` (adaptive Gauss-Kronrod-21 with QUADPACK's qk21
-error estimate), to an absolute K_QUAD_TOL with no relative floor; it
-calls the vectorized integrand once per round, on every node of every
-interval the round refines.  The tail beyond k_max is a fitted power
-law, and the crossing count is `sf_phillips` on the sweep plus the
-closed-form counts of the caps that close it.  The d = 1 polynomial is
-zero (P_1 = 0, so P0 = 0), which makes the subtracted route the
-regularized value: d = 1 has two routes, not three.
+the sweep is `_sweep_1d`, t -> S(k(t)) on a geometric wavenumber range
+with the exact derivative S'(k) dk/dt.  The integrand (1/2 pi i) Tr(S* S')
+takes the exact k-derivative of S, and the body on [k_min, k_max] runs
+the one winding quadrature of the package, `sflow._adaptive_gk21`
+(adaptive Gauss-Kronrod-21 with QUADPACK's qk21 error estimate), to an
+absolute K_QUAD_TOL with no relative floor; it calls the vectorized
+integrand once per round, on every node of every interval the round
+refines.  The tail beyond k_max is a fitted power law, and the crossing
+count is `sf_phillips` on the sweep plus the closed-form counts of the
+caps that close it.  The d = 1 polynomial is zero (P_1 = 0, so P0 = 0),
+so the subtracted route would equal the regularized value exactly: d = 1
+reports two routes, the crossing count and the regularized integral.
 
 In d = 3 the S-matrix is diagonal in the partial waves and both integrands
 are exact k-derivatives of functions of the phase table: the subtracted one
@@ -64,7 +67,7 @@ from ..errors import (
     UnsupportedDimension,
 )
 from ..matcore import _branch_angles, eig_unitary
-from ..rdet import counterterm_exponent, counterterm_series
+from ..rdet import counterterm_series
 from ..sflow import (SpectralFlowReport, _adaptive_gk21, _generator_flow,
                      sf_phillips)
 from ..upath import UnitaryPath, concatenate, geodesic_between
@@ -141,12 +144,6 @@ def high_energy_poly(d, V):
     m2 = V.integral_sq()
     return HighEnergyPoly(4, {"lin": -0.125j * m1 / np.pi,
                               "const": 0.0625j * m2 / np.pi})
-
-
-def h_correction(S, d):
-    """sum_{l=1}^{d-1} ((-1)^l / l) Tr((S - Id)^l), the endpoint sum that
-    converts between the regularized and subtracted winding integrals."""
-    return counterterm_exponent(np.asarray(S, dtype=complex), int(d))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +273,8 @@ def _octave_tail(F, k_end):
     return _tail_estimate(ks, F(ks))
 
 
-# the body's absolute tolerance on the summed error estimates, and the
-# number of subintervals at which it gives up
+# the body's absolute tolerance on the summed error estimates
 K_QUAD_TOL = 1e-9
-K_QUAD_LIMIT = 500
 
 
 def _k_integral(F, k_min, k_max):
@@ -287,32 +282,25 @@ def _k_integral(F, k_min, k_max):
     Gauss-Kronrod quadrature on [k_min, k_max], a rectangle estimate of
     the head below k_min and the fitted power-law tail beyond k_max.
     Returns (integral, quad_error, tail_exponent)."""
-    body, err = _adaptive_gk21(F, (k_min, k_max), K_QUAD_TOL, 0.0,
-                               K_QUAD_LIMIT)
+    body, err = _adaptive_gk21(F, (k_min, k_max), K_QUAD_TOL, 0.0)
     tail, q = _octave_tail(F, k_max)
     head = F(np.array([k_min]))[0] * k_min
     return body + head + tail, err, q
 
 
-def _geom(k_min, k_max):
-    ratio = np.log(k_max / k_min)
-    return lambda t: k_min * np.exp(ratio * t)
-
-
-def _capped_flow(S_of_t, zero_cap=None):
-    """Crossing count of the sweep t -> S_of_t(t), t in [0, 1], closed into
-    a loop: a geodesic from Id (or, with zero_cap = (Y, S0), the path
-    exp(tY) from Id to the zero-energy matrix S0 and a geodesic from S0)
-    into S_of_t(0), the sweep, and the principal cap exp((1 - t) Z),
-    Z = Log S_of_t(1), back to Id.  That cap is the geodesic from S_of_t(1)
-    to Id unless S_of_t(1) has an eigenvalue at -1, which it takes back
-    clockwise, as `sf_open_path`'s end cap does.
+def _capped_flow(sweep, zero_cap=None):
+    """Crossing count of the path `sweep` on [0, 1] closed into a loop: a
+    geodesic from Id (or, with zero_cap = (Y, S0), the path exp(tY) from
+    Id to the zero-energy matrix S0 and a geodesic from S0) into sweep(0),
+    the sweep, and the principal cap exp((1 - t) Z), Z = Log sweep(1),
+    back to Id.  That cap is the geodesic from sweep(1) to Id unless
+    sweep(1) has an eigenvalue at -1, which it takes back clockwise, as
+    `sf_open_path`'s end cap does.
 
     The caps from and back to Id are counted in closed form
     (`_generator_flow`) against the first and last samples of what
     `sf_phillips` counts: the sweep, preceded by the geodesic from S0
     when there is a zero-energy cap."""
-    sweep = UnitaryPath(S_of_t)
     if zero_cap is None:
         body = sweep
         start = eig_unitary(sweep(0.0))[0]
@@ -343,31 +331,43 @@ def _winding_1d(V):
     return F
 
 
+def _sweep_1d(V, k_min=DEFAULT_K_MIN, k_max=DEFAULT_K_MAX):
+    """The 1D scattering sweep t -> S(k(t)), t in [0, 1], over the
+    geometric wavenumbers k(t) = k_min (k_max / k_min)^t, with the exact
+    derivative S'(k) dk/dt, dk/dt = k ln(k_max / k_min)."""
+    ratio = np.log(k_max / k_min)
+
+    def sampler(t):
+        k = k_min * np.exp(ratio * t)
+        return smatrix_1d(V, k * k)
+
+    def derivative(t):
+        k = k_min * np.exp(ratio * t)
+        return smatrix_1d(V, k * k, derivative=True)[1] * (k * ratio)
+
+    return UnitaryPath(sampler, derivative=derivative, dim=2)
+
+
 def _levinson_1d(V, k_min, k_max):
     N = bound_states_1d(V)
     classification = resonance_detect(V, 1)
     poly = high_energy_poly(1, V)
 
-    def S_at(k):
-        return smatrix_1d(V, k * k)
-
     integral, err, tail_q = _k_integral(_winding_1d(V), k_min, k_max)
     correction = -0.5 if classification == "none" else 0.0
-    sf_int = integral + correction
 
     # crossing-count route on the capped path
-    kfun = _geom(k_min, k_max)
     zero_cap = None
     if classification == "none":
         Q = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
         zero_cap = (-1j * np.pi * Q, S0)
-    phillips = _capped_flow(lambda t: S_at(kfun(t)), zero_cap)
+    phillips = _capped_flow(_sweep_1d(V, k_min, k_max), zero_cap)
 
+    # P_1 = 0, so a subtracted route would repeat the regularized one
     routes = {
         "phillips": complex(phillips.value),
-        "regularized": sf_int,
-        "subtracted": sf_int - poly.P0 / (2j * np.pi),
+        "regularized": integral + correction,
     }
     return _assemble(
         dimension=1, N=N, classification=classification,
@@ -751,7 +751,6 @@ __all__ = [
     "ChannelData",
     "HighEnergyPoly",
     "LevinsonReport",
-    "h_correction",
     "high_energy_poly",
     "levinson_verify",
     "regularization_necessity",

@@ -293,12 +293,6 @@ def smatrix_diag_radial(V, lam, lmax):
     return np.repeat(np.exp(2j * delta), mult)
 
 
-def smatrix_radial(V, lam, lmax):
-    """S(lam) as a diagonal matrix on the truncated harmonics space (of
-    dimension (lmax+1)^2); use smatrix_diag_radial for trace sums."""
-    return np.diag(smatrix_diag_radial(V, lam, lmax))
-
-
 # ---------------------------------------------------------------------------
 # Zero-energy solutions: bound-state counts and threshold statistics
 
@@ -420,7 +414,6 @@ __all__ = [
     "phase_shift_rows",
     "phase_shifts_3d",
     "smatrix_diag_radial",
-    "smatrix_radial",
     "threshold_statistics_radial",
 ]
 

@@ -24,7 +24,8 @@ at a summed estimate of max(epsabs, 1.49e-8 |I|), I the un-normalised
 integral, and report that estimate as `quad_error`: it bounds the error of
 the real and of the imaginary part alike.  The flow is read off Im I, and
 |I| is close to |Im I|; Re I, zero in theory, only feeds the report's
-imaginary-part warning.
+imaginary-part warning.  Past QUAD_LIMIT intervals, the one limit of every
+winding integral, the quadrature raises IntegrationFailure.
 
 For open paths, geodesic endpoint caps e^{tY} (principal log generators)
 close the path, and the Theta/Xi endpoint integrals express the capped flow
@@ -46,15 +47,15 @@ from .errors import (
     PartitionFailure,
     RouteDisagreement,
 )
-from .matcore import (_unitary_angles, check_order, check_unitary,
-                      eig_unitary, form_trace, gamma_constant)
+from .matcore import check_order, eig_unitary, form_trace, gamma_constant
 from .upath import ENDPOINT_TOL, _spectral_path
 
 # winding quadrature: the caller's absolute tolerance (default below),
-# quad's default relative floor on |integral|, and the interval limit
+# quad's default relative floor on |integral|, and the number of intervals
+# past which an integral that does not converge raises
 DEFAULT_EPSABS = 1e-9
 QUAD_EPSREL = 1.49e-8
-QUAD_LIMIT = 10000
+QUAD_LIMIT = 500
 # sf_phillips: initial uniform samples, largest matched eigenangle motion
 # per step, sample budget, and least angular clearance of a counting arc
 INITIAL_SAMPLES = 33
@@ -167,7 +168,7 @@ def _gk21(F, a, b):
     return kronrod * half, err
 
 
-def _adaptive_gk21(F, edges, epsabs, epsrel, limit):
+def _adaptive_gk21(F, edges, epsabs, epsrel):
     """Integral of the vectorized complex F over [edges[0], edges[-1]] by
     adaptive Gauss-Kronrod-21 bisection, the one quadrature of every
     winding integral.
@@ -181,7 +182,7 @@ def _adaptive_gk21(F, edges, epsabs, epsrel, limit):
     bound on the error of the real and of the imaginary part, refines both.
     It stops when the summed estimate is at most the tolerance.  Raises
     IntegrationFailure unless epsabs is finite and > 0, on a non-finite
-    estimate, and past `limit` intervals.  Returns (integral, error
+    estimate, and past QUAD_LIMIT intervals.  Returns (integral, error
     estimate).
     """
     if not (np.isfinite(epsabs) and epsabs > 0):
@@ -201,9 +202,9 @@ def _adaptive_gk21(F, edges, epsabs, epsrel, limit):
         worst = np.argsort(err)[::-1]
         left = total - np.cumsum(err[worst])
         split = worst[:np.argmax(left <= 0.5 * tol) + 1]
-        if len(lo) + len(split) > limit:
+        if len(lo) + len(split) > QUAD_LIMIT:
             raise IntegrationFailure(
-                f"quadrature needs more than {limit} intervals; error "
+                f"quadrature needs more than {QUAD_LIMIT} intervals; error "
                 f"estimate {total:.2e} > {tol:.1e}")
         keep = np.ones(len(lo), dtype=bool)
         keep[split] = False
@@ -224,7 +225,7 @@ def _integrate_path(f, path, epsabs):
     a, b = path.interval
     return _adaptive_gk21(
         lambda ts: np.array([f(t) for t in ts], dtype=complex),
-        (a, *path.breakpoints, b), epsabs, QUAD_EPSREL, QUAD_LIMIT)
+        (a, *path.breakpoints, b), epsabs, QUAD_EPSREL)
 
 
 def _form(path, kind, order):
@@ -314,8 +315,7 @@ def _cap_integral(angles, kind, order, epsabs):
             iang * (4.0 * np.sin(np.outer(ts, angles) / 2.0) ** 2) ** order,
             axis=1)
 
-    return _adaptive_gk21(integrand, (0.0, 1.0), epsabs, QUAD_EPSREL,
-                          QUAD_LIMIT)[0]
+    return _adaptive_gk21(integrand, (0.0, 1.0), epsabs, QUAD_EPSREL)[0]
 
 
 def theta_endpoint(U, n, epsabs=DEFAULT_EPSABS):
@@ -325,7 +325,7 @@ def theta_endpoint(U, n, epsabs=DEFAULT_EPSABS):
     the geodesic cap from Id to U; Theta(Id) = 0.
     """
     n = check_order("n", n, 0, integer=True)
-    angles = _unitary_angles(check_unitary(U))
+    angles = eig_unitary(U)[0]
     return (-1) ** n * _cap_integral(angles, "n", n, epsabs) / (2j * np.pi)
 
 
@@ -336,7 +336,7 @@ def xi_endpoint(U, r, epsabs=DEFAULT_EPSABS):
     the two endpoint integrals structurally parallel.
     """
     r = check_order("r", r, 0)
-    return _cap_integral(_unitary_angles(check_unitary(U)), "r", r, epsabs)
+    return _cap_integral(eig_unitary(U)[0], "r", r, epsabs)
 
 
 def _generator_flow(trace, end_angles):

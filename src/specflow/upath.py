@@ -285,13 +285,6 @@ def concatenate(a, b):
                        check=False)
 
 
-def concatenate_many(paths):
-    out = paths[0]
-    for nxt in paths[1:]:
-        out = concatenate(out, nxt)
-    return out
-
-
 def _tail_check(path, probes):
     """Verify ||U_s - Id||_p decreases monotonically along the probes and
     ends below TAIL_TOL."""

@@ -7,7 +7,7 @@ from specflow import cli
 from specflow.cli import main, potential_from_file
 from specflow.rdet import logdet_p_vs_logdet
 from specflow.upath import UnitaryPath, model_loop
-from specflow.scatter import ChannelData, RadialPotential
+from specflow.scatter import ChannelData, RadialPotential, levinson
 
 
 def run_lines(argv, capsys):
@@ -96,6 +96,11 @@ def test_scattering_path_has_exact_derivative(tmp_path, monkeypatch):
 
     monkeypatch.setattr(path, "_sampler", refuse)
     assert path.derivative(0.3).shape == (2, 2)
+    # the sweep is the one that levinson_verify counts on, over its
+    # default wavenumbers
+    same = levinson._sweep_1d(potential_from_file(pot))
+    for t in (0.0, 0.37, 1.0):
+        assert np.array_equal(path.derivative(t), same.derivative(t))
 
 
 def test_det_winding(capsys):
@@ -176,10 +181,12 @@ SF_LOOP = ["sf-loop", "--model", "k=1,dim=2"]
                                   LEVINSON_1D + ["--lmax", "4"],
                                   LEVINSON_1D + ["--seed", "3"],
                                   LEVINSON_1D + ["--tol", "1e-6"],
-                                  SF_LOOP + ["--method", "alpha"]])
+                                  SF_LOOP + ["--method", "alpha"],
+                                  ["selftest", "--seed", "3"]])
 def test_unused_flags_are_gone(flag):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(flag)
+    assert exc.value.code == 2
 
 
 def error_record(argv, capsys):
@@ -361,14 +368,18 @@ def test_out_file_appends_and_reproduces(tmp_path, capsys):
 
 
 def test_selftest_passes(capsys):
+    # one check per family, on fixed inputs: no seed, no quadrature
     rc, recs = run_lines(["selftest"], capsys)
     assert rc == 0
     res = recs[-1]["result"]
     assert res["ok"] is True
-    assert len(res["checks"]) >= 8
-    assert all(c["ok"] for c in res["checks"])
-    # --seed belongs to selftest (other subcommands reject it)
-    rc, recs = run_lines(["selftest", "--seed", "3"], capsys)
-    assert rc == 0
-    assert recs[-1]["result"]["ok"] is True
-    assert recs[-1]["config"]["seed"] == 3
+    assert [c["name"] for c in res["checks"]] == [
+        "model-loop-phillips", "model-loop-alpha", "model-loop-beta",
+        "model-loop-det", "gamma-anchors", "cayley-roundtrip",
+        "det-recursion", "free-smatrix", "free-phase-shifts"]
+    assert all(c["ok"] is True for c in res["checks"])
+    # a second run reports the same checks
+    assert run_lines(["selftest"], capsys)[1][-1]["result"] == res
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--seed", "3"])
+    assert exc.value.code == 2

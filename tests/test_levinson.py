@@ -19,7 +19,6 @@ from specflow.scatter import (
     ChannelData,
     Potential1D,
     RadialPotential,
-    h_correction,
     high_energy_poly,
     levinson_verify,
     regularization_necessity,
@@ -39,7 +38,7 @@ from specflow.sflow import sf_phillips
 from specflow.upath import (
     UnitaryPath,
     cap_outof,
-    concatenate_many,
+    concatenate,
     generator_path,
     geodesic_between,
 )
@@ -85,12 +84,6 @@ def test_high_energy_poly_coefficients():
     assert abs(p4.P0 - 0.75j) < 1e-12
     with pytest.raises(UnsupportedDimension):
         high_energy_poly(5, WELL3)
-
-
-def test_h_correction_anchors():
-    assert abs(h_correction(np.array([[-1.0 + 0j]]), 3) - 4.0) < 1e-12
-    assert abs(h_correction(np.eye(3, dtype=complex), 4)) < 1e-12
-    assert abs(h_correction(np.array([[1j]]), 2) - (1.0 - 1j)) < 1e-12
 
 
 def test_tail_estimate_power_law():
@@ -157,7 +150,8 @@ def test_levinson_1d_single_well():
     assert rep.N_res == 0.5
     assert rep.threshold_correction == -0.5
     assert rep.residual <= 0.05
-    assert set(rep.routes) == {"phillips", "regularized", "subtracted"}
+    # P_1 = 0: a subtracted route would repeat the regularized one exactly
+    assert set(rep.routes) == {"phillips", "regularized"}
     for val in rep.routes.values():
         assert abs(np.real(val) + 1.0) < 1e-3
     # half-bound convention: the bare integral rounds to -(N - 1)
@@ -165,8 +159,7 @@ def test_levinson_1d_single_well():
     assert 1.5 < rep.data["tail_exponent"] < 2.5
     # routes pinned at 1e-12: restructuring the pipeline must not move them
     pinned = {"phillips": -1.0,
-              "regularized": -1.0000172092336068 - 1.1408443650569377e-17j,
-              "subtracted": -1.0000172092336068 - 1.1408443650569377e-17j}
+              "regularized": -1.0000172092336068 - 1.1408443650569377e-17j}
     for name, want in pinned.items():
         assert abs(rep.routes[name] - want) < 1e-12
     json.dumps(rep.to_dict())
@@ -175,13 +168,11 @@ def test_levinson_1d_single_well():
 @pytest.mark.parametrize("V, pinned, tail_exponent, quad_error", [
     (DOUBLE_WELL,
      {"phillips": -4.0,
-      "regularized": -4.000151808140283 + 5.135723857992535e-16j,
-      "subtracted": -4.000151808140283 + 5.135723857992535e-16j},
+      "regularized": -4.000151808140283 + 5.135723857992535e-16j},
      1.9954302887314324, 4.450292470290396e-10),
     (GAUSSIAN_WELL,
      {"phillips": -2.0,
-      "regularized": -2.0000967490703436 + 7.1038889124498475e-15j,
-      "subtracted": -2.0000967490703436 + 7.1038889124498475e-15j},
+      "regularized": -2.0000967490703436 + 7.1038889124498475e-15j},
      1.9982030147645786, 1.6844572383764503e-12),
 ], ids=["double_well", "gaussian_200_segments"])
 def test_levinson_1d_multi_segment_pins(V, pinned, tail_exponent,
@@ -191,6 +182,7 @@ def test_levinson_1d_multi_segment_pins(V, pinned, tail_exponent,
     # a change in the fold or in the quadrature's refinement shows here
     rep = levinson_verify(V, 1)
     assert rep.verdict == "pass"
+    assert set(rep.routes) == set(pinned)
     for name, want in pinned.items():
         assert abs(rep.routes[name] - want) < 1e-12
     assert abs(rep.data["tail_exponent"] - tail_exponent) < 1e-12
@@ -216,6 +208,33 @@ def test_levinson_1d_winding_route_is_batched(monkeypatch):
     assert sum(calls) >= 21 + 25 + 1
 
 
+def test_sweep_1d(monkeypatch):
+    # the one 1D sweep: S at the geometric wavenumbers k_min (k_max /
+    # k_min)^t, the exact S'(k) dk/dt, and no sample taken to learn its
+    # dimension
+    calls = []
+    smatrix = levinson.smatrix_1d
+
+    def counting(V, lam, derivative=False):
+        calls.append(derivative)
+        return smatrix(V, lam, derivative)
+
+    monkeypatch.setattr(levinson, "smatrix_1d", counting)
+    path = levinson._sweep_1d(WELL1, 0.5, 8.0)
+    assert calls == []
+    assert path.dim == 2 and path.interval == (0.0, 1.0)
+    # k(1/2) = 2
+    S, dS = smatrix(WELL1, 4.0, derivative=True)
+    assert np.allclose(path(0.5), S, rtol=0, atol=1e-12)
+    assert np.allclose(path.derivative(0.5), dS * 2.0 * np.log(16.0),
+                       rtol=0, atol=1e-11)
+    assert calls == [False, True]
+    default = levinson._sweep_1d(WELL1)
+    for t, lam in ((0.0, 1e-4), (1.0, 1e4)):
+        assert np.allclose(default(t), smatrix(WELL1, lam), rtol=0,
+                           atol=1e-12)
+
+
 @pytest.mark.parametrize("depth, count", [(100.0, 7), (400.0, None),
                                           (1000.0, None)])
 def test_levinson_1d_deep_wells(depth, count):
@@ -233,8 +252,7 @@ def test_levinson_1d_deep_wells(depth, count):
 
 def _k_quad(F, a, b):
     # the shared winding quadrature as the d = 1 body runs it
-    return sflow._adaptive_gk21(F, (a, b), levinson.K_QUAD_TOL, 0.0,
-                                levinson.K_QUAD_LIMIT)
+    return sflow._adaptive_gk21(F, (a, b), levinson.K_QUAD_TOL, 0.0)
 
 
 def test_gk21_rule():
@@ -480,19 +498,21 @@ def test_channel_flows_match_capped_phillips(depth):
     # e^{2i delta_l(k)} sampled from a spline of the channel's column
     rep = levinson_verify(RadialPotential.square_well(depth), 3)
     data = rep.data
-    kfun = levinson._geom(data.ks[0], data.ks[-1])
+    log_ks = np.log(data.ks)
     flows = rep.sf_regularized.parameters["channels"]
     total = 0
     for ell in range(data.lmax + 1):
-        spline = CubicSpline(np.log(data.ks), data.deltas[:, ell])
+        spline = CubicSpline(log_ks, data.deltas[:, ell])
 
         def sampler(t):
-            return np.array([[np.exp(2j * float(spline(np.log(kfun(t)))))]])
+            # log k runs linearly in t over the table's wavenumbers
+            log_k = log_ks[0] + t * (log_ks[-1] - log_ks[0])
+            return np.array([[np.exp(2j * float(spline(log_k)))]])
 
         zero_cap = None
         if rep.classification == "s_resonance" and ell == 0:
             zero_cap = (1j * np.pi * np.eye(1), -np.eye(1, dtype=complex))
-        want = levinson._capped_flow(sampler, zero_cap).value
+        want = levinson._capped_flow(UnitaryPath(sampler), zero_cap).value
         assert flows.get(ell, 0) == want, ell
         total += (2 * ell + 1) * want
     assert rep.sf == total
@@ -508,7 +528,10 @@ def _sampled_capped_flow(S_of_t, zero_cap=None):
         Y, S0 = zero_cap
         segs = [generator_path(Y), geodesic_between(S0, start)]
     segs += [UnitaryPath(S_of_t), cap_outof(S_of_t(1.0))]
-    return sf_phillips(concatenate_many(segs)).value
+    loop = segs[0]
+    for seg in segs[1:]:
+        loop = concatenate(loop, seg)
+    return sf_phillips(loop).value
 
 
 def test_capped_flow_closed_form_caps_match_sampled_caps():
@@ -538,7 +561,7 @@ def test_capped_flow_closed_form_caps_match_sampled_caps():
             return B @ (W * np.exp(1j * (phi0 + dphi * t))) @ W.conj().T
 
         want = _sampled_capped_flow(S_of_t, cap)
-        assert levinson._capped_flow(S_of_t, cap).value == want
+        assert levinson._capped_flow(UnitaryPath(S_of_t), cap).value == want
 
 
 # ---------------------------------------------------------------------------

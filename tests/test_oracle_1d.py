@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from specflow.scatter import Potential1D, smatrix_1d
-from specflow.scatter.levinson import K_QUAD_LIMIT, K_QUAD_TOL, _winding_1d
+from specflow.scatter.levinson import K_QUAD_TOL, _winding_1d
 from specflow.sflow import _adaptive_gk21
 
 mp = pytest.importorskip("mpmath")
@@ -76,8 +76,7 @@ def test_smatrix_matches_oracle(depth):
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_winding_body_matches_oracle(depth):
     V = Potential1D.square_well(depth, HALFWIDTH)
-    body, err = _adaptive_gk21(_winding_1d(V), (1e-2, 100.0), K_QUAD_TOL, 0.0,
-                               K_QUAD_LIMIT)
+    body, err = _adaptive_gk21(_winding_1d(V), (1e-2, 100.0), K_QUAD_TOL, 0.0)
     assert err <= 1e-9
     assert abs(body - oracle_body(depth, 1e-2, 100.0)) < 1e-11
 

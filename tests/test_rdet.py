@@ -115,6 +115,13 @@ def test_reduced_formula(rng):
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
+def test_counterterm_exponent_anchors():
+    # sum_{l=1}^{p-1} ((-1)^l / l) Tr((U - Id)^l) on small exact inputs
+    assert abs(counterterm_exponent(np.array([[-1.0 + 0j]]), 3) - 4.0) < 1e-12
+    assert abs(counterterm_exponent(np.eye(3, dtype=complex), 4)) < 1e-12
+    assert abs(counterterm_exponent(np.array([[1j]]), 2) - (1.0 - 1j)) < 1e-12
+
+
 def test_det_p_perturbation_consistency(rng):
     U = haar_unitary(6, rng)
     for p in (1, 2, 4):

@@ -16,7 +16,6 @@ from specflow.scatter import (
     choose_lmax,
     phase_shifts_3d,
     smatrix_diag_radial,
-    smatrix_radial,
     threshold_statistics_radial,
 )
 from specflow.scatter import radial
@@ -139,8 +138,6 @@ def test_smatrix_diag_structure():
     assert np.allclose(diag[0], np.exp(2j * delta[0]))
     assert np.allclose(diag[1:4], np.exp(2j * delta[1]))
     assert np.allclose(diag[4:9], np.exp(2j * delta[2]))
-    S = smatrix_radial(WELL3, 2.0, 3)
-    assert np.allclose(S, np.diag(diag))
 
 
 def test_bound_state_counts():

@@ -1,4 +1,5 @@
 import gc
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from specflow.upath import (
     cap_into,
     cap_outof,
     concatenate,
-    concatenate_many,
     constant_path,
     generator_path,
     geodesic_between,
@@ -459,8 +459,8 @@ def test_generator_flow_closed_form_on_random_generators():
 def _capped_reference(path):
     # the crossing count of the path closed by sampled geodesic caps
     a, b = path.interval
-    return sf_phillips(concatenate_many(
-        [cap_into(path(a)), path, cap_outof(path(b))])).value
+    return sf_phillips(concatenate(concatenate(cap_into(path(a)), path),
+                                   cap_outof(path(b)))).value
 
 
 def test_open_path_matches_sampled_caps(rng):
@@ -633,6 +633,23 @@ def test_winding_raises_when_quadrature_cannot_converge(monkeypatch):
     rng = np.random.default_rng(5)
     with pytest.raises(IntegrationFailure, match="more than 64 intervals"):
         sf_alpha(_scalar_loop(lambda t: rng.normal(size=(1, 1))), n=1)
+
+
+def test_winding_fails_fast_when_quadrature_cannot_converge():
+    # at the default limit of 500 intervals a noise integrand raises after
+    # about 10^4 evaluations, well within 2 s
+    rng = np.random.default_rng(5)
+    evals = []
+
+    def noise(t):
+        evals.append(t)
+        return rng.normal(size=(1, 1))
+
+    t0 = time.perf_counter()
+    with pytest.raises(IntegrationFailure, match="more than 500 intervals"):
+        sf_alpha(_scalar_loop(noise), n=0)
+    assert time.perf_counter() - t0 < 2.0
+    assert len(evals) < 21 * 1000
 
 
 def test_winding_raises_on_nan_estimate():

@@ -20,7 +20,6 @@ from specflow.upath import (
     cap_outof,
     compactify,
     concatenate,
-    concatenate_many,
     constant_path,
     generator_path,
     geodesic_between,
@@ -203,7 +202,7 @@ def test_check_closed_raises_for_open_path(rng):
         g.check_closed()
 
 
-def test_concatenate_many_triple():
+def test_concatenate_triple():
     loop = model_loop(1, 2)
-    c = concatenate_many([loop, loop, loop])
+    c = concatenate(concatenate(loop, loop), loop)
     assert sf_phillips(c).value == 3
