@@ -161,7 +161,11 @@ def path_from_spec(spec):
     if kind == "geodesic":
         return geodesic_between(*_load(rest, "endpoint file", _endpoints))
     if kind == "scattering":
-        return _sweep_1d(potential_from_file(rest))
+        V = potential_from_file(rest)
+        if not isinstance(V, Potential1D):
+            raise SpecflowError(f"the scattering sweep needs a 1D potential, "
+                                f"got {type(V).__name__} from {rest!r}")
+        return _sweep_1d(V)
     raise SpecflowError(f"unknown path spec {spec!r}")
 
 

@@ -21,10 +21,12 @@ the one winding quadrature of the package, `sflow._adaptive_gk21`
 absolute K_QUAD_TOL with no relative floor; it calls the vectorized
 integrand once per round, on every node of every interval the round
 refines.  The tail beyond k_max is a fitted power law, and the crossing
-count is `sf_phillips` on the sweep plus the closed-form counts of the
-caps that close it.  The d = 1 polynomial is zero (P_1 = 0, so P0 = 0),
-so the subtracted route would equal the regularized value exactly: d = 1
-reports two routes, the crossing count and the regularized integral.
+count is `sflow._capped_count`, the routine `sf_open_path` counts with:
+`sf_phillips` on the sweep plus the closed-form counts of the caps that
+close it, each principal cap checked against its sample (CapMismatch).
+The d = 1 polynomial is zero (P_1 = 0, so P0 = 0), so the subtracted
+route would equal the regularized value exactly: d = 1 reports two
+routes, the crossing count and the regularized integral.
 
 In d = 3 the S-matrix is diagonal in the partial waves and both integrands
 are exact k-derivatives of functions of the phase table: the subtracted one
@@ -51,7 +53,7 @@ alt_convention_sf, since both bookkeepings appear in the literature.
 """
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -66,10 +68,9 @@ from ..errors import (
     TailNotConverged,
     UnsupportedDimension,
 )
-from ..matcore import _branch_angles, eig_unitary
+from ..matcore import _branch_angles
 from ..rdet import counterterm_series
-from ..sflow import (SpectralFlowReport, _adaptive_gk21, _generator_flow,
-                     sf_phillips)
+from ..sflow import SpectralFlowReport, _adaptive_gk21, _capped_count
 from ..upath import UnitaryPath, concatenate, geodesic_between
 from .onedim import bound_states_1d, resonance_statistic_1d, smatrix_1d
 from .radial import (
@@ -288,35 +289,6 @@ def _k_integral(F, k_min, k_max):
     return body + head + tail, err, q
 
 
-def _capped_flow(sweep, zero_cap=None):
-    """Crossing count of the path `sweep` on [0, 1] closed into a loop: a
-    geodesic from Id (or, with zero_cap = (Y, S0), the path exp(tY) from
-    Id to the zero-energy matrix S0 and a geodesic from S0) into sweep(0),
-    the sweep, and the principal cap exp((1 - t) Z), Z = Log sweep(1),
-    back to Id.  That cap is the geodesic from sweep(1) to Id unless
-    sweep(1) has an eigenvalue at -1, which it takes back clockwise, as
-    `sf_open_path`'s end cap does.
-
-    The caps from and back to Id are counted in closed form
-    (`_generator_flow`) against the first and last samples of what
-    `sf_phillips` counts: the sweep, preceded by the geodesic from S0
-    when there is a zero-energy cap."""
-    if zero_cap is None:
-        body = sweep
-        start = eig_unitary(sweep(0.0))[0]
-        caps = _generator_flow(np.sum(start), start)
-    else:
-        Y, S0 = zero_cap
-        body = concatenate(geodesic_between(S0, sweep(0.0)), sweep)
-        caps = _generator_flow(np.trace(-1j * Y).real,
-                               eig_unitary(body(0.0))[0])
-    end = eig_unitary(sweep(1.0))[0]
-    caps -= _generator_flow(np.sum(end), end)
-    report = sf_phillips(body)
-    value = report.value + caps
-    return replace(report, value=value, raw=complex(value))
-
-
 # ---------------------------------------------------------------------------
 # d = 1
 
@@ -357,12 +329,16 @@ def _levinson_1d(V, k_min, k_max):
     correction = -0.5 if classification == "none" else 0.0
 
     # crossing-count route on the capped path
-    zero_cap = None
+    sweep = _sweep_1d(V, k_min, k_max)
     if classification == "none":
-        Q = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+        # the zero cap exp(-i pi t Q), Q the rank-one averaging projection,
+        # runs from Id to S0 = exp(-i pi Q), and a geodesic from S0 into
+        # the sweep; the cap's generator Y = -i pi Q has Tr(-iY) = -pi
         S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-        zero_cap = (-1j * np.pi * Q, S0)
-    phillips = _capped_flow(_sweep_1d(V, k_min, k_max), zero_cap)
+        body = concatenate(geodesic_between(S0, sweep(0.0)), sweep)
+        phillips = _capped_count(body, -np.pi)[0]
+    else:
+        phillips = _capped_count(sweep)[0]
 
     # P_1 = 0, so a subtracted route would repeat the regularized one
     routes = {

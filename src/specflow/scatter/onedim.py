@@ -228,15 +228,21 @@ def bound_states_1d(V):
     return count_fd
 
 
+def _fd_count(diag, h):
+    """Negative eigenvalues of the tridiagonal finite-difference operator
+    with this diagonal and off-diagonal -1/h^2: the bound-state count of
+    the 1D and radial oracles."""
+    off = np.full(len(diag) - 1, -1.0 / h ** 2)
+    vals = eigvalsh_tridiagonal(diag, off, select="v",
+                                select_range=(-1e8, -1e-8))
+    return int(len(vals))
+
+
 def _bound_states_fd(V):
     L = max(FD_BOX, 3.0 * V.halfwidth)
     x = np.linspace(-L, L, FD_POINTS)
     h = x[1] - x[0]
-    diag = 2.0 / h ** 2 + V(x)
-    off = np.full(FD_POINTS - 1, -1.0 / h ** 2)
-    vals = eigvalsh_tridiagonal(diag, off, select="v",
-                                select_range=(-1e8, -1e-8))
-    return int(len(vals))
+    return _fd_count(2.0 / h ** 2 + V(x), h)
 
 
 def _zero_energy_left_solution(V):

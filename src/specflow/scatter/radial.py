@@ -27,7 +27,6 @@ the principal branch is the correct one.
 """
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import spherical_jn, spherical_yn
 
 from ..errors import (
@@ -35,7 +34,7 @@ from ..errors import (
     IntegrationFailure,
     OracleDisagreement,
 )
-from .onedim import FD_BOX, FD_POINTS
+from .onedim import FD_BOX, FD_POINTS, _fd_count
 
 RENORM_EVERY = 100
 # entries per array of f, A and B formed for one block of nodes
@@ -358,11 +357,7 @@ def _bound_states_fd_radial(V, ell):
     L = max(FD_BOX, 3.0 * V.radius)
     h = L / (FD_POINTS + 1)
     r = h * np.arange(1, FD_POINTS + 1)
-    diag = 2.0 / h ** 2 + ell * (ell + 1.0) / r ** 2 + V(r)
-    off = np.full(FD_POINTS - 1, -1.0 / h ** 2)
-    vals = eigvalsh_tridiagonal(diag, off, select="v",
-                                select_range=(-1e8, -1e-8))
-    return int(len(vals))
+    return _fd_count(2.0 / h ** 2 + ell * (ell + 1.0) / r ** 2 + V(r), h)
 
 
 def _channel_counts(V, zero):

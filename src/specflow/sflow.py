@@ -32,10 +32,14 @@ close the path, and the Theta/Xi endpoint integrals express the capped flow
 as integral-over-the-path plus endpoint corrections.  A cap's crossing
 count has a closed form in its generator's spectrum (`_generator_flow`);
 Phillips' count is additive under concatenation, so the caps are added to
-the count of the sampled path instead of being sampled themselves.
+the count of the sampled path instead of being sampled themselves.  One
+routine, `_capped_count`, closes an open path with caps from and back to
+Id and counts it, guarding each principal cap with CapMismatch; its two
+callers are `sf_open_path` and the 1D crossing count of
+`scatter.levinson`, whose start cap may be the zero-energy cap.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +52,7 @@ from .errors import (
     RouteDisagreement,
 )
 from .matcore import check_order, eig_unitary, form_trace, gamma_constant
-from .upath import ENDPOINT_TOL, _spectral_path
+from .upath import ENDPOINT_TOL
 
 # winding quadrature: the caller's absolute tolerance (default below),
 # quad's default relative floor on |integral|, and the number of intervals
@@ -359,6 +363,38 @@ def _generator_flow(trace, end_angles):
     return int(winds) + int(np.count_nonzero(end_angles == np.pi))
 
 
+def _capped_count(path, start_trace=None):
+    """Crossing count of `path` closed by caps from and back to Id: a cap
+    e^{tY} into path(a) whose generator has Tr(-iY) = start_trace (by
+    default the principal cap, Y = Log path(a)), the path, and the
+    principal cap e^{(1-t)Z}, Z = Log path(b), back to Id.
+
+    `sf_phillips` counts the sampled path and the caps add their
+    closed-form counts (`_generator_flow`), read off the eigenangles of
+    the path's end samples; each principal cap must end on its sample
+    (CapMismatch).  Returns the report, carrying the capped count as value
+    and raw, and the (start, end) eigenangles.
+    """
+    a, b = path.interval
+    caps = 0
+    ends = []
+    for t, sign, which, trace in ((a, 1, "start", start_trace),
+                                  (b, -1, "end", None)):
+        U = path(t)
+        angles, vecs = eig_unitary(U)
+        cap_end = (vecs * np.exp(1j * angles)) @ vecs.conj().T
+        gap = np.linalg.norm(cap_end - U, ord=2)
+        if gap > ENDPOINT_TOL:
+            raise CapMismatch(f"{which} cap misses endpoint by {gap:.3e}")
+        if trace is None:
+            trace = np.sum(angles)
+        caps += sign * _generator_flow(trace, angles)
+        ends.append(angles)
+    report = sf_phillips(path)
+    value = report.value + caps
+    return replace(report, value=value, raw=complex(value)), tuple(ends)
+
+
 def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
     """Spectral flow of an open path closed by geodesic endpoint caps.
 
@@ -366,10 +402,10 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
     with Y, Z the principal logarithms (an endpoint eigenvalue -1 is
     represented as e^{i pi}).  Two routes are computed and required to agree:
 
-    * crossing counting: `sf_phillips` on the path itself, always sampled
-      (also when the path is a generator path), plus the closed-form counts
-      of the two caps (`_generator_flow`), read off the eigenangles of the
-      path's end samples; each cap must end on its sample (CapMismatch);
+    * crossing counting, `_capped_count`: `sf_phillips` on the path
+      itself, always sampled (also when the path is a generator path), plus
+      the closed-form counts of the two caps, read off the eigenangles of
+      the path's end samples; each cap must end on its sample (CapMismatch);
     * the winding integral over the open path plus endpoint corrections,
       Theta(U_start) - Theta(U_end) for the alpha form (n given), or the
       normalized Xi difference for the beta form (r given).
@@ -381,20 +417,8 @@ def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
         raise InvalidOrder("pass exactly one of n (alpha form) or r (beta form)")
     kind, order = ("n", n) if r is None else ("r", r)
     order, normalise = _form(path, kind, order)
-    a, b = path.interval
-    caps = 0
-    ends = []
-    for t, sign, which in ((a, 1, "start"), (b, -1, "end")):
-        U = path(t)
-        angles, vecs = eig_unitary(U)
-        gap = np.linalg.norm(_spectral_path(angles, vecs)(1.0) - U, ord=2)
-        if gap > ENDPOINT_TOL:
-            raise CapMismatch(f"{which} cap misses endpoint by {gap:.3e}")
-        caps += sign * _generator_flow(np.sum(angles), angles)
-        ends.append(angles)
-
-    phillips = sf_phillips(path)
-    value = phillips.value + caps
+    phillips, ends = _capped_count(path)
+    value = phillips.value
 
     body, _, err = _winding(path, kind, order, epsabs)
     # the endpoint integrals, Theta or the normalised Xi, on the angles

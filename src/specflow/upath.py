@@ -46,7 +46,8 @@ class UnitaryPath:
         When absent, `.derivative` falls back to central differences.
     schatten_order : the p for which U_t - Id is treated as p-Schatten;
         engines validate their regularization order against it.
-    closed : asserts U_a = U_b (loops).  Verified lazily by `check_closed`.
+    closed : a flag that U_a = U_b (loops).  No engine reads it: the loop
+        engines verify the ends themselves with `check_closed()`.
     breakpoints : interior parameters where smoothness may fail.
     check : validate unitarity of every sample; a checked sample costs one
         extra matmul (a Frobenius-norm defect), not an SVD.  Disable only

@@ -77,6 +77,20 @@ def test_sf_path_scattering_sweep(tmp_path, capsys):
     assert abs(res["body_integral"]["re"] - (-2.5)) < 0.05
 
 
+def test_scattering_path_needs_a_1d_potential(tmp_path, capsys):
+    # a radial potential file has no 1D sweep: an error record, not a
+    # traceback
+    pot = tmp_path / "radial.json"
+    pot.write_text(json.dumps({"dimension": 3, "radius": 1.0, "depth": 3.0}))
+    rc = main(["sf-path", "--path", f"scattering:{pot}"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    error = json.loads(out.strip().splitlines()[-1])["result"]["error"]
+    assert error["type"] == "SpecflowError"
+    assert "needs a 1D potential" in error["message"]
+    assert "Traceback" not in out + err
+
+
 def test_scattering_path_has_exact_derivative(tmp_path, monkeypatch):
     # dS/dt comes from the kernel's exact S'(k), never from the path's
     # central-difference fallback

@@ -7,6 +7,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import CubicSpline
 
 from specflow.errors import (
+    CapMismatch,
     Inconclusive,
     IntegrationFailure,
     InvalidGrid,
@@ -512,10 +513,21 @@ def test_channel_flows_match_capped_phillips(depth):
         zero_cap = None
         if rep.classification == "s_resonance" and ell == 0:
             zero_cap = (1j * np.pi * np.eye(1), -np.eye(1, dtype=complex))
-        want = levinson._capped_flow(UnitaryPath(sampler), zero_cap).value
+        want = _capped_count(UnitaryPath(sampler), zero_cap).value
         assert flows.get(ell, 0) == want, ell
         total += (2 * ell + 1) * want
     assert rep.sf == total
+
+
+def _capped_count(sweep, zero_cap=None):
+    # sflow._capped_count on the sweep; with zero_cap = (Y, S0), on the
+    # geodesic from S0 into the sweep and the sweep, the cap exp(tY) from
+    # Id to S0 counted through its trace
+    if zero_cap is None:
+        return sflow._capped_count(sweep)[0]
+    Y, S0 = zero_cap
+    body = concatenate(geodesic_between(S0, sweep(0.0)), sweep)
+    return sflow._capped_count(body, np.trace(-1j * Y).real)[0]
 
 
 def _sampled_capped_flow(S_of_t, zero_cap=None):
@@ -561,7 +573,26 @@ def test_capped_flow_closed_form_caps_match_sampled_caps():
             return B @ (W * np.exp(1j * (phi0 + dphi * t))) @ W.conj().T
 
         want = _sampled_capped_flow(S_of_t, cap)
-        assert levinson._capped_flow(UnitaryPath(S_of_t), cap).value == want
+        assert _capped_count(UnitaryPath(S_of_t), cap).value == want
+
+
+def test_capped_count_raises_when_a_cap_misses_its_sample(monkeypatch):
+    # eigenangles off by 1e-6 rebuild a matrix 1e-6 away from the sample:
+    # the open path and the 1D crossing count both refuse to count
+    eig_unitary = sflow.eig_unitary
+
+    def shifted(U):
+        angles, vecs = eig_unitary(U)
+        return angles + 1e-6, vecs
+
+    monkeypatch.setattr(sflow, "eig_unitary", shifted)
+    message = "start cap misses endpoint by 1.000e-06"
+    path = geodesic_between(np.eye(2, dtype=complex),
+                            np.diag([1j, -1j]).astype(complex))
+    with pytest.raises(CapMismatch, match=message):
+        sflow.sf_open_path(path, n=1)
+    with pytest.raises(CapMismatch, match=message):
+        levinson_verify(Potential1D.square_well(2.0), 1)
 
 
 # ---------------------------------------------------------------------------
