@@ -9,6 +9,10 @@ Conventions fixed here once and for all:
   snapped to +pi rather than being allowed to flip to -pi through rounding.
 * Unitarity is checked in Frobenius norm, never looser than the operator
   norm, with tolerance 1e-10 by default.
+* Stacks.  `check_unitary` and `eig_unitary` take one (dim, dim) matrix or
+  a stack (..., dim, dim), so a caller with many samples (Phillips'
+  refinement rounds) checks and decomposes them in one call; each member
+  of a stack comes out exactly as it would alone.
 
 Decompose only what is read.  Determinants read no spectrum: `rdet` takes
 them from an LU factorization.  Every reader of a unitary's spectrum
@@ -40,29 +44,32 @@ _ZGEES_LWORK = {}
 def check_unitary(U, tol=UNITARY_TOL):
     """Return U as a complex ndarray, raising NonUnitary if U*U != Id.
 
-    The defect ||U*U - Id|| is measured in Frobenius norm, never looser
-    than the operator norm, so it costs one matmul rather than an SVD;
-    `tol` defaults to 1e-10.  A NaN or infinite entry makes the defect
-    non-finite, and that is rejected too, with no floating-point warning
-    from the product on the way.
+    U is one (dim, dim) matrix or a stack (..., dim, dim); a stack fails
+    if any member does.  The defect ||U*U - Id|| is measured in Frobenius
+    norm, never looser than the operator norm, so it costs one matmul
+    rather than an SVD; `tol` defaults to 1e-10.  A NaN or infinite entry
+    makes the defect non-finite, and that is rejected too, with no
+    floating-point warning from the product on the way.
     """
     U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+    if U.ndim < 2 or U.shape[-1] != U.shape[-2]:
         raise NonUnitary(f"expected a square matrix, got shape {U.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
-        D = U.conj().T @ U - np.eye(U.shape[0])
-        defect = np.sqrt(np.vdot(D, D).real)
-    if not defect <= tol:
-        raise NonUnitary(f"unitarity defect {defect:.3e} exceeds tol {tol:.1e}")
+        D = U.conj().mT @ U - np.eye(U.shape[-1])
+        D = D.reshape(U.shape[:-2] + (U.shape[-1] ** 2,))
+        worst = np.sqrt(np.vecdot(D, D).real.max(initial=0.0))
+    if not worst <= tol:
+        raise NonUnitary(f"unitarity defect {worst:.3e} exceeds tol {tol:.1e}")
     return U
 
 
 def _branch_angles(vals):
     """Angles of unit eigenvalues in (-pi, pi], those within SNAP_TOL of
-    the cut snapped to +pi, and their stable increasing order."""
+    the cut snapped to +pi, and their stable increasing order along the
+    last axis."""
     angles = np.angle(vals)
     angles[np.abs(angles + np.pi) <= SNAP_TOL] = np.pi
-    return angles, np.argsort(angles, kind="stable")
+    return angles, np.argsort(angles, axis=-1, kind="stable")
 
 
 def eig_unitary(U):
@@ -71,30 +78,44 @@ def eig_unitary(U):
     Returns (angles, vectors) with angles in (-pi, pi] sorted increasingly and
     vectors[:, j] the eigenvector for angles[j].  Angles within SNAP_TOL of
     the cut are snapped to +pi (the branch convention for the crossing point).
+    A stack (..., dim, dim) returns angles (..., dim) and vectors
+    (..., dim, dim), each member exactly as a call on it alone.
 
     Uses the Schur decomposition, which is exactly unitary for normal
     matrices, so the returned vectors are orthonormal even at degeneracies.
-    zgees is called as `scipy.linalg.schur(U, output="complex")` calls it,
-    with the same workspace, so the output is bit-identical; the finite
-    check that schur makes is the one `check_unitary` makes here.
-    Raises DecompositionFailure if LAPACK reports an error.
+    zgees is called once per matrix as `scipy.linalg.schur(U,
+    output="complex")` calls it, with the same workspace, so the output is
+    bit-identical; the finite check that schur makes is the one
+    `check_unitary` makes here, once for the whole stack.  Raises
+    DecompositionFailure if LAPACK reports an error.
     """
     U = check_unitary(U)
     # np.linalg.eig does not guarantee orthonormal vectors at degeneracies;
     # use Schur instead (unitary U is normal, so T is diagonal and its
     # diagonal is the eigenvalue vector w).
-    n = U.shape[0]
+    n = U.shape[-1]
     lwork = _ZGEES_LWORK.get(n)
     if lwork is None:
-        query = _ZGEES(lambda x: None, U, lwork=-1)
+        query = _ZGEES(lambda x: None, np.eye(n, dtype=complex), lwork=-1)
         lwork = _ZGEES_LWORK[n] = int(query[-2][0].real)
-    _, _, w, Z, _, info = _ZGEES(lambda x: None, U, lwork=lwork)
-    if info != 0:
-        raise DecompositionFailure(
-            f"Schur decomposition of a {n}x{n} unitary failed (zgees info "
-            f"{info})")
+    flat = U.reshape(-1, n, n)
+    w = np.empty(flat.shape[:-1], dtype=complex)
+    # the Schur vectors of each matrix as rows
+    rows = np.empty_like(flat)
+    for i, M in enumerate(flat):
+        _, _, w[i], Z, _, info = _ZGEES(lambda x: None, M, lwork=lwork)
+        if info != 0:
+            raise DecompositionFailure(
+                f"Schur decomposition of a {n}x{n} unitary failed (zgees "
+                f"info {info})")
+        rows[i] = Z.T
     angles, order = _branch_angles(w)
-    return angles[order], Z[:, order]
+    member = np.arange(len(flat))[:, None]
+    # the transposed view of the sorted rows: each matrix of vectors is
+    # Fortran-ordered, as zgees returns it, so products with the vectors
+    # round as they do on a single call's output
+    return (angles[member, order].reshape(U.shape[:-1]),
+            rows[member, order].mT.reshape(U.shape))
 
 
 def principal_log_unitary(U):

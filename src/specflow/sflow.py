@@ -4,7 +4,10 @@ Three independent routes compute the flow:
 
 * `sf_phillips` tracks eigenvalues and counts signed crossings of -1 using
   arc counts k(t, eps) at partition breakpoints; exact integer output with a
-  checkable `PartitionCertificate`.
+  checkable `PartitionCertificate`.  It refines breadth-first, in rounds
+  that sample their parameters in batches (`UnitaryPath.samples`),
+  decompose them in stacked `eig_unitary` calls and certify every pending
+  step in stacked pairing and arc kernels.
 * `sf_alpha` integrates the winding one-form with integrand
   Tr(U* U' (U - Id)^n), admissible for n >= p - 1.
 * `sf_beta` integrates the absolute-value form with integrand
@@ -66,6 +69,9 @@ INITIAL_SAMPLES = 33
 MOTION_BOUND = np.pi / 6
 MAX_SAMPLES = 20000
 MARGIN_MIN = 1e-9
+# the most entries of a (steps, dim, dim) stack that sf_phillips samples,
+# decomposes or certifies in one call
+STACK_ELEMENTS = 16384
 
 
 @dataclass
@@ -458,23 +464,26 @@ def _around_minus_one(angles):
 
 
 def _motion_key(a0, v0, a1, v1):
-    """Cost of pairing eigenangle a0[i] with a1[j]: their circular
-    distance, nudged by eigenvector overlap so that near-degenerate angles
-    follow their own eigenvectors."""
-    d = np.abs(_wrap(a1[None, :] - a0[:, None]))
-    return d - 1e-6 * np.abs(v0.conj().T @ v1) ** 2
+    """Cost of pairing eigenangle a0[s, i] with a1[s, j] on each step s of
+    a stack: their circular distance, nudged by eigenvector overlap so
+    that near-degenerate angles follow their own eigenvectors."""
+    d = np.abs(_wrap(a1[:, None, :] - a0[:, :, None]))
+    return d - 1e-6 * np.abs(v0.conj().mT @ v1) ** 2
 
 
 def _match_motion(a0, v0, a1, v1):
-    """Greedy pairing of eigenangle sets at neighboring parameters.
+    """Greedy pairing of eigenangle sets at neighboring parameters, for a
+    stack of steps: angles (steps, dim) and vectors (steps, dim, dim).
 
-    Pairs a0[i] with a1[perm[i]] by taking the smallest remaining
-    `_motion_key` entry, then the next among the rows and columns still
-    free, and so on; ties go to the first entry in row-major order.  Each
-    round pairs at once every entry that is the least of both its row and
-    its column, which greedy would take anyway, so a dim-64 step takes a
-    few array passes instead of 64 scans of the whole key.  Returns the
-    signed motions a1[perm] - a0 wrapped to (-pi, pi], and perm.
+    On each step, pairs a0[i] with a1[perm[i]] by taking the smallest
+    remaining `_motion_key` entry, then the next among the rows and
+    columns still free, and so on; ties go to the first entry in
+    row-major order.  Each round pairs at once every entry that is the
+    least of both its row and its column, which greedy would take anyway,
+    and strikes its row and column with +inf, so a dim-64 step takes a
+    few array passes instead of 64 scans of the whole key; steps leave
+    the stack as they finish.  Returns the signed motions a1[perm] - a0
+    wrapped to (-pi, pi], and perm, each (steps, dim).
 
     Greedy is kept over the assignment that minimises the summed key: when
     most eigenvalues turn the same way by more than their spacing, that
@@ -482,51 +491,91 @@ def _match_motion(a0, v0, a1, v1):
     motions look small, and a step that should be refined is certified.
     """
     key = _motion_key(a0, v0, a1, v1)
-    perm = np.empty(len(a0), dtype=int)
-    rows = cols = np.arange(len(a0))
-    while True:
-        best = key.argmin(axis=1)
-        mutual = key.argmin(axis=0)[best] == np.arange(len(rows))
-        perm[rows[mutual]] = cols[best[mutual]]
-        if mutual.all():
-            return _wrap(a1[perm] - a0), perm
-        free = np.ones(len(cols), dtype=bool)
-        free[best[mutual]] = False
-        rows, cols = rows[~mutual], cols[free]
-        key = key[~mutual][:, free]
-
-
-class _Samples(dict):
-    """eig_unitary of the path's samples, keyed by parameter and computed
-    on first lookup."""
-
-    def __init__(self, path):
-        super().__init__()
-        self.path = path
-
-    def __missing__(self, t):
-        self[t] = eig_unitary(self.path(t))
-        return self[t]
+    perm = np.empty(a0.shape, dtype=int)
+    rows = np.arange(a0.shape[1])
+    steps = np.arange(len(a0))
+    free = np.ones(a0.shape, dtype=bool)
+    while len(steps):
+        best = key.argmin(axis=2)
+        mutual = free & (np.take_along_axis(key.argmin(axis=1), best,
+                                            axis=1) == rows)
+        s, i = np.nonzero(mutual)
+        perm[steps[s], i] = best[s, i]
+        key[s, i, :] = np.inf
+        key[s, :, best[s, i]] = np.inf
+        free[s, i] = False
+        going = free.any(axis=1)
+        steps, key, free = steps[going], key[going], free[going]
+    return _wrap(np.take_along_axis(a1, perm, axis=1) - a0), perm
 
 
 def _free_arc(u0, u1, motion):
-    """Half-width eps of the counting arc for one step, and its clearance.
+    """Half-width eps of the counting arc for each step of a stack, and
+    its clearance.
 
-    u0 and u1 are the offsets from -1 of matched eigenvalues at the ends
-    of the step and motion = u1 - u0 wrapped.  Each eigenvalue sweeps the
-    distances from -1 between |u0| and |u1|, widened to 0 if it passes -1
-    and to pi if it passes +1.  eps is the midpoint of the widest gap of
-    (0, pi) that no swept interval covers, so neither ray pi +/- eps lies
-    between an eigenvalue's positions at the two ends of the step.
+    u0 and u1 (steps, dim) are the offsets from -1 of matched eigenvalues
+    at the ends of each step and motion = u1 - u0 wrapped.  Each
+    eigenvalue sweeps the distances from -1 between |u0| and |u1|, widened
+    to 0 if it passes -1 and to pi if it passes +1.  eps is the midpoint
+    of the widest gap of (0, pi) that no swept interval covers, so neither
+    ray pi +/- eps lies between an eigenvalue's positions at the two ends
+    of the step.
     """
     d0, d1 = np.abs(u0), np.abs(u1)
     lo = np.where(u0 * (u0 + motion) <= 0.0, 0.0, np.minimum(d0, d1))
     hi = np.where(np.abs(u0 + motion) >= np.pi, np.pi, np.maximum(d0, d1))
-    order = np.argsort(lo, kind="stable")
-    starts = np.concatenate([[0.0], np.maximum.accumulate(hi[order])])
-    ends = np.concatenate([lo[order], [np.pi]])
-    gi = int(np.argmax(ends - starts))
-    return 0.5 * (starts[gi] + ends[gi]), 0.5 * (ends[gi] - starts[gi])
+    order = np.argsort(lo, axis=1, kind="stable")
+    edge = np.zeros((len(lo), 1))
+    starts = np.concatenate([edge, np.maximum.accumulate(
+        np.take_along_axis(hi, order, axis=1), axis=1)], axis=1)
+    ends = np.concatenate([np.take_along_axis(lo, order, axis=1),
+                           edge + np.pi], axis=1)
+    gi = np.argmax(ends - starts, axis=1)[:, None]
+    start = np.take_along_axis(starts, gi, axis=1)[:, 0]
+    end = np.take_along_axis(ends, gi, axis=1)[:, 0]
+    return 0.5 * (start + end), 0.5 * (end - start)
+
+
+def _sample(path, ts, chunk, samples):
+    """Enter eig_unitary of the path's samples at the parameters ts into
+    `samples`, sampling and decomposing `chunk` of them per call; an entry
+    holds the angles and the transposed vectors (one eigenvector a row)."""
+    for lo in range(0, len(ts), chunk):
+        part = ts[lo:lo + chunk]
+        angles, vecs = eig_unitary(path.samples(part))
+        samples.update(zip(part.tolist(),
+                           zip(angles, vecs.mT)))
+
+
+def _stack(samples, ts):
+    """The angles (n, dim) and vectors (n, dim, dim) of the samples at ts,
+    each matrix of vectors Fortran-ordered as eig_unitary returns it."""
+    angles, rows = zip(*(samples[t] for t in ts.tolist()))
+    return np.array(angles), np.array(rows).mT
+
+
+def _certify(samples, t0, t1):
+    """Phillips' verdict on each step [t0, t1] of a stack, from the
+    samples at its two ends.
+
+    Returns the largest matched motion of each step, whether it is
+    certified, and its arc half-width eps, margin and arc-count
+    difference (meaningful where certified).
+    """
+    a0, v0 = _stack(samples, t0)
+    a1, v1 = _stack(samples, t1)
+    motion, perm = _match_motion(a0, v0, a1, v1)
+    step = np.max(np.abs(motion), axis=1)
+    u0 = _around_minus_one(a0)
+    u1 = np.take_along_axis(_around_minus_one(a1), perm, axis=1)
+    eps, clearance = _free_arc(u0, u1, motion)
+    ok = (step <= MOTION_BOUND) & (clearance >= MARGIN_MIN)
+    e = eps[:, None]
+    margin = np.minimum(np.min(np.abs(np.abs(u0) - e), axis=1),
+                        np.min(np.abs(np.abs(u1) - e), axis=1))
+    arcs = (np.sum((u1 >= 0.0) & (u1 < e), axis=1)
+            - np.sum((u0 >= 0.0) & (u0 < e), axis=1))
+    return step, ok, eps, margin, arcs
 
 
 def sf_phillips(path):
@@ -540,56 +589,65 @@ def sf_phillips(path):
     need no further samples (see `PartitionCertificate` for what this
     rests on).  The flow is the telescoped sum of arc-count differences
     k(t_j, eps_j) - k(t_{j-1}, eps_j); `raw` equals the integer exactly, so
-    residual is 0.  The sample cache holds no reference cycle and is
-    released on return.
+    residual is 0.
+
+    Refinement runs breadth-first in rounds.  A round takes the new
+    parameters in `path.samples` calls and one stacked `eig_unitary` each,
+    then certifies every pending step in stacked `_match_motion` and
+    `_free_arc` calls, at most STACK_ELEMENTS entries of a (steps, dim,
+    dim) stack per call; the steps that fail are bisected, and their
+    midpoints are the next round's parameters.  A step's verdict depends
+    only on the samples at its two ends, so the panels are those of any
+    other refinement order.  PartitionFailure is raised before a round
+    that would take more than MAX_SAMPLES samples, and when a midpoint
+    falls on an end of its step.  The sample cache, a dict of the
+    decompositions by parameter, is released on return.
     """
     if not path.finite:
         raise PartitionFailure("compactify the path to a finite interval first")
     a, b = path.interval
-    samples = _Samples(path)
+    chunk = max(1, STACK_ELEMENTS // path.dim ** 2)
 
     grid = set(np.linspace(a, b, INITIAL_SAMPLES))
     grid.update(path.breakpoints)
-    grid = sorted(grid)
+    new = np.array(sorted(grid))
+    t0, t1 = new[:-1], new[1:]
 
     # refine until each step moves little and leaves an arc free
-    work = list(zip(grid[:-1], grid[1:]))
+    samples = {}
     panels = []
-    while work:
-        t0, t1 = work.pop()
-        a0, v0 = samples[t0]
-        a1, v1 = samples[t1]
-        motion, perm = _match_motion(a0, v0, a1, v1)
-        step = np.max(np.abs(motion))
-        if step <= MOTION_BOUND:
-            u0 = _around_minus_one(a0)
-            u1 = _around_minus_one(a1)[perm]
-            eps, clearance = _free_arc(u0, u1, motion)
-            if clearance >= MARGIN_MIN:
-                margin = min(np.min(np.abs(np.abs(u0) - eps)),
-                             np.min(np.abs(np.abs(u1) - eps)))
-                arcs = (int(np.sum((u1 >= 0.0) & (u1 < eps)))
-                        - int(np.sum((u0 >= 0.0) & (u0 < eps))))
-                panels.append((t0, t1, eps, float(margin), arcs))
-                continue
-        if len(samples) >= MAX_SAMPLES:
+    while True:
+        _sample(path, new, chunk, samples)
+        verdicts = [_certify(samples, t0[lo:lo + chunk], t1[lo:lo + chunk])
+                    for lo in range(0, len(t0), chunk)]
+        step, ok, eps, margin, arcs = (np.concatenate(v)
+                                       for v in zip(*verdicts))
+        panels.append((t0[ok], t1[ok], eps[ok], margin[ok], arcs[ok]))
+        if ok.all():
+            break
+        t0, t1, step = t0[~ok], t1[~ok], step[~ok]
+        if len(samples) + len(t0) > MAX_SAMPLES:
+            worst = np.argmax(step)
             raise PartitionFailure(
                 f"sample budget {MAX_SAMPLES} exhausted with eigenvalue "
-                f"motion {step:.3f} on [{t0:.6g}, {t1:.6g}]")
-        tm = 0.5 * (t0 + t1)
-        if tm <= t0 or tm >= t1:
+                f"motion {step[worst]:.3f} on [{t0[worst]:.6g}, "
+                f"{t1[worst]:.6g}]")
+        new = 0.5 * (t0 + t1)
+        stuck = (new <= t0) | (new >= t1)
+        if stuck.any():
             raise PartitionFailure(
-                f"cannot refine below floating-point resolution at {t0}")
-        work.append((t0, tm))
-        work.append((tm, t1))
-    panels.sort()
+                f"cannot refine below floating-point resolution at "
+                f"{t0[stuck][0]}")
+        t0, t1 = np.concatenate([t0, new]), np.concatenate([new, t1])
 
-    total = sum(panel[4] for panel in panels)
+    lo, hi, eps, margin, arcs = (np.concatenate(p) for p in zip(*panels))
+    order = np.argsort(lo)
+    total = int(np.sum(arcs))
     cert = PartitionCertificate(
-        breakpoints=[panels[0][0]] + [panel[1] for panel in panels],
-        epsilons=[panel[2] for panel in panels],
-        margins=[panel[3] for panel in panels])
-    return SpectralFlowReport(value=int(total), raw=complex(total),
+        breakpoints=[lo[order[0]].item()] + hi[order].tolist(),
+        epsilons=eps[order].tolist(),
+        margins=margin[order].tolist())
+    return SpectralFlowReport(value=total, raw=complex(total),
                               residual=0.0, method="phillips",
                               parameters={"samples": len(samples)},
                               warnings=[], certificate=cert)

@@ -2,7 +2,11 @@
 
 A path is a *sampler* (a function of the parameter), not a stored array, so
 adaptive quadrature and partition refinement can request arbitrary
-resolution.  Paths carry their interval, an optional analytic derivative,
+resolution.  A path may also carry an *array sampler*, a function of a 1-D
+array of parameters returning all their samples as one (n, dim, dim)
+array; `UnitaryPath.samples` uses it, and stacks the scalar sampler where
+there is none.  Phillips' refinement takes each round's parameters in such
+calls.  Paths carry their interval, an optional analytic derivative,
 a Schatten-order tag used to validate regularization orders, a closed flag,
 and the interior parameters where the path is only C^0 (concatenation
 joints); integrators split panels there.
@@ -12,7 +16,9 @@ and the caps `cap_into` / `cap_outof` diagonalise their generator once
 (`eigh` of -iY, or for a principal logarithm Y = Log U the `eig_unitary`
 pair of U itself) and sample e^{tY} = W e^{it theta} W* and its
 derivative W i theta e^{it theta} W* from that eigenpair, with no matrix
-exponential.
+exponential; their array sampler takes e^{it theta} over the outer product
+of the parameters and theta.  `reversed()` keeps an array sampler, and
+`concatenate` has one when both parts do.
 """
 
 import numpy as np
@@ -52,12 +58,17 @@ class UnitaryPath:
     check : validate unitarity of every sample; a checked sample costs one
         extra matmul (a Frobenius-norm defect), not an SVD.  Disable only
         where the sampler is unitary by construction.
+    array_sampler : optional callable, a 1-D array of n parameters ->
+        (n, dim, dim) complex ndarray, the samples at all of them.  It
+        must return what `sampler` returns at each parameter; `samples`
+        calls it once per array instead of `sampler` once per parameter.
     """
 
     def __init__(self, sampler, interval=(0.0, 1.0), derivative=None,
                  schatten_order=1.0, closed=False, breakpoints=(),
-                 dim=None, check=True):
+                 dim=None, check=True, array_sampler=None):
         self._sampler = sampler
+        self._array_sampler = array_sampler
         self.interval = (float(interval[0]), float(interval[1]))
         if not self.interval[0] < self.interval[1]:
             raise OutsideInterval(f"empty interval {interval}")
@@ -87,14 +98,34 @@ class UnitaryPath:
         return np.isfinite(self.interval[0]) and np.isfinite(self.interval[1])
 
     def _contains(self, t):
+        """Whether t, or each entry of an array t, lies in the interval,
+        with a 1e-12 allowance at finite ends."""
         a, b = self.interval
-        return a - 1e-12 <= t <= b + 1e-12 or (a == -np.inf and t <= b) \
-            or (b == np.inf and t >= a)
+        return (a - 1e-12 <= t) & (t <= b + 1e-12)
 
     def __call__(self, t):
         if not self._contains(t):
             raise OutsideInterval(f"parameter {t} outside {self.interval}")
         U = np.asarray(self._sampler(t), dtype=complex)
+        if self._check:
+            U = check_unitary(U)
+        return U
+
+    def samples(self, ts):
+        """The samples at the parameters ts (a 1-D array) as one
+        (len(ts), dim, dim) array: one array-sampler call, or the scalar
+        sampler stacked where there is none, and with `check` one stacked
+        unitarity check.  Each sample equals `self(t)`."""
+        ts = np.asarray(ts, dtype=float)
+        outside = ~self._contains(ts)
+        if outside.any():
+            raise OutsideInterval(
+                f"parameter {ts[outside][0]} outside {self.interval}")
+        if self._array_sampler is not None:
+            U = np.asarray(self._array_sampler(ts), dtype=complex)
+        else:
+            U = np.array([self._sampler(t) for t in ts], dtype=complex)
+            U = U.reshape(len(ts), self.dim, self.dim)
         if self._check:
             U = check_unitary(U)
         return U
@@ -134,15 +165,17 @@ class UnitaryPath:
     def reversed(self):
         """The same trace traversed backwards (finite intervals only)."""
         a, b = self.interval
-        deriv = None
+        deriv = array_sampler = None
         if self._derivative is not None:
             deriv = lambda t: -np.asarray(self._derivative(a + b - t), dtype=complex)
+        if self._array_sampler is not None:
+            array_sampler = lambda ts: self._array_sampler(a + b - ts)
         return UnitaryPath(
             lambda t: self._sampler(a + b - t), interval=(a, b),
             derivative=deriv, schatten_order=self.schatten_order,
             closed=self.closed,
             breakpoints=tuple(a + b - c for c in self.breakpoints),
-            dim=self.dim, check=self._check,
+            dim=self.dim, check=self._check, array_sampler=array_sampler,
         )
 
 
@@ -199,7 +232,8 @@ def geodesic_between(U0, U1):
 def _spectral_path(theta, W, base=None):
     """The path base * e^{tY}, t in [0, 1], for Y = W diag(i theta) W* with
     W unitary and theta real: each sample is base * W e^{it theta} W* and
-    each derivative base * W i theta e^{it theta} W*."""
+    each derivative base * W i theta e^{it theta} W*; the array sampler
+    takes e^{it theta} for all parameters at once."""
     Wh = W.conj().T
     itheta = 1j * np.asarray(theta, dtype=float)
     if base is not None:
@@ -210,12 +244,17 @@ def _spectral_path(theta, W, base=None):
         U = (W * np.exp(t * itheta)) @ Wh
         return U if base is None else base @ U
 
+    def array_sampler(ts):
+        U = (W * np.exp(np.multiply.outer(ts, itheta))[:, None, :]) @ Wh
+        return U if base is None else base @ U
+
     def deriv(t):
         dU = (W * (itheta * np.exp(t * itheta))) @ Wh
         return dU if base is None else base @ dU
 
     return UnitaryPath(sampler, derivative=deriv, schatten_order=1.0,
-                       closed=False, dim=dim, check=False)
+                       closed=False, dim=dim, check=False,
+                       array_sampler=array_sampler)
 
 
 def generator_path(Y, base=None):
@@ -253,6 +292,7 @@ def concatenate(a, b):
 
     Requires a's end value to match b's start value; the joint at t = 1/2
     becomes a breakpoint (the result is C^0 there, generally not C^1).
+    The result has an array sampler when both parts have one.
     """
     if not (a.finite and b.finite):
         raise EndpointMismatch("concatenate requires finite intervals")
@@ -275,15 +315,24 @@ def concatenate(a, b):
             return 2.0 * la * a.derivative(a0 + 2.0 * t * la)
         return 2.0 * lb * b.derivative(b0 + (2.0 * t - 1.0) * lb)
 
+    def array_sampler(ts):
+        U = np.empty((len(ts), a.dim, a.dim), dtype=complex)
+        first = ts < 0.5
+        U[first] = a.samples(a0 + 2.0 * ts[first] * la)
+        U[~first] = b.samples(b0 + (2.0 * ts[~first] - 1.0) * lb)
+        return U
+
     joints = [0.5]
     joints += [(c - a0) / la / 2.0 for c in a.breakpoints]
     joints += [0.5 + (c - b0) / lb / 2.0 for c in b.breakpoints]
     closed = np.linalg.norm(a(a0) - b(b1), ord=2) <= ENDPOINT_TOL
 
+    batched = a._array_sampler is not None and b._array_sampler is not None
     return UnitaryPath(sampler, interval=(0.0, 1.0), derivative=deriv,
                        schatten_order=max(a.schatten_order, b.schatten_order),
                        closed=closed, breakpoints=joints, dim=a.dim,
-                       check=False)
+                       check=False,
+                       array_sampler=array_sampler if batched else None)
 
 
 def _tail_check(path, probes):

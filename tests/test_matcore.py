@@ -58,6 +58,39 @@ def test_eig_unitary_matches_scipy_schur_bitwise(rng):
         assert np.array_equal(got_vecs, Z[:, order]), dim
 
 
+def test_eig_unitary_on_a_stack_is_each_call(rng):
+    # every member of a stack comes out bitwise as from its own call,
+    # degenerate spectra and an eigenvalue snapped to +pi included
+    dim = 4
+    W = haar_unitary(dim, rng)
+    mats = [haar_unitary(dim, rng) for _ in range(5)]
+    mats.append((W * np.array([1j, 1j, -1.0, -1.0])) @ W.conj().T)
+    mats.append(np.diag(np.exp(1j * np.array([-np.pi + 1e-13, 0.3, 0.3,
+                                               2.0]))))
+    mats.append(np.eye(dim))
+    angles, vecs = eig_unitary(np.stack(mats))
+    assert angles.shape == (8, dim) and vecs.shape == (8, dim, dim)
+    assert angles[6][-1] == np.pi
+    for M, got_angles, got_vecs in zip(mats, angles, vecs):
+        want_angles, want_vecs = eig_unitary(M)
+        assert np.array_equal(got_angles, want_angles)
+        assert np.array_equal(got_vecs, want_vecs)
+    # any leading shape
+    angles2, vecs2 = eig_unitary(np.stack(mats).reshape(2, 4, dim, dim))
+    assert np.array_equal(angles2.reshape(8, dim), angles)
+    assert np.array_equal(vecs2.reshape(8, dim, dim), vecs)
+
+
+def test_stack_with_one_non_unitary_member_raises(rng):
+    mats = np.stack([haar_unitary(3, rng) for _ in range(4)])
+    check_unitary(mats)
+    mats[2] *= 1.0 + 1e-6
+    with pytest.raises(NonUnitary):
+        check_unitary(mats)
+    with pytest.raises(NonUnitary):
+        eig_unitary(mats)
+
+
 def test_eig_unitary_raises_on_lapack_failure(rng, monkeypatch):
     U = haar_unitary(3, rng)
     real = matcore._ZGEES

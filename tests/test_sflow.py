@@ -230,15 +230,24 @@ _OFFSETS = st.one_of(
 
 
 def _check_free_arc(u0, motion):
+    # a stack of steps, each checked on its own row
     u1 = sflow._wrap(u0 + motion)
     eps, clearance = sflow._free_arc(u0, u1, motion)
-    if clearance >= sflow.MARGIN_MIN:
-        assert not _old_ray_test(u0, u1, motion, eps)
-        margin = min(np.min(np.abs(np.abs(u0) - eps)),
-                     np.min(np.abs(np.abs(u1) - eps)))
-        # the margin is at least the clearance, up to rounding of eps
-        assert margin >= clearance - 1e-15
+    for row in range(len(u0)):
+        if clearance[row] >= sflow.MARGIN_MIN:
+            assert not _old_ray_test(u0[row], u1[row], motion[row],
+                                     eps[row])
+            margin = min(np.min(np.abs(np.abs(u0[row]) - eps[row])),
+                         np.min(np.abs(np.abs(u1[row]) - eps[row])))
+            # the margin is at least the clearance, up to rounding of eps
+            assert margin >= clearance[row] - 1e-15
     return clearance
+
+
+def _with_reverse(u0, motion):
+    # the step stacked over the same step run backwards
+    u1 = sflow._wrap(u0 + motion)
+    return np.stack([u0, u1]), np.stack([motion, -motion])
 
 
 @settings(max_examples=300, deadline=None)
@@ -246,8 +255,8 @@ def _check_free_arc(u0, motion):
                           st.floats(-sflow.MOTION_BOUND, sflow.MOTION_BOUND)),
                 min_size=1, max_size=64))
 def test_free_arc_needs_no_ray_certification(steps):
-    _check_free_arc(np.array([u for u, _ in steps]),
-                    np.array([m for _, m in steps]))
+    _check_free_arc(*_with_reverse(np.array([u for u, _ in steps]),
+                                   np.array([m for _, m in steps])))
 
 
 @settings(max_examples=100, deadline=None)
@@ -268,8 +277,9 @@ def test_free_arc_clears_a_narrow_gap(centre, width, flips, turns):
         start, end = (lo, hi) if turn else (hi, lo)
         u0.append(sign * start)
         motion.append(sign * (end - start))
-    clearance = _check_free_arc(sflow._wrap(np.array(u0)), np.array(motion))
-    assert clearance == pytest.approx(width / 2.0, rel=1e-6)
+    clearance = _check_free_arc(*_with_reverse(sflow._wrap(np.array(u0)),
+                                               np.array(motion)))
+    assert clearance[0] == pytest.approx(width / 2.0, rel=1e-6)
 
 
 def test_phillips_refuses_unbounded_interval():
@@ -279,14 +289,38 @@ def test_phillips_refuses_unbounded_interval():
         sf_phillips(path)
 
 
-def test_phillips_refuses_a_jump():
-    # the eigenvalue jumps by 2 rad at t = 0.3: every step across the jump
-    # moves more than MOTION_BOUND, down to floating-point resolution
+def _jump_path():
+    # the eigenvalue jumps by 2 rad at t = 0.3
     jump = np.exp(2j)
-    path = UnitaryPath(lambda t: np.array([[1.0 if t < 0.3 else jump]]),
+    return UnitaryPath(lambda t: np.array([[1.0 if t < 0.3 else jump]]),
                        dim=1)
+
+
+def test_phillips_refuses_a_jump():
+    # every step across the jump moves more than MOTION_BOUND, down to
+    # floating-point resolution
     with pytest.raises(PartitionFailure, match="floating-point resolution"):
-        sf_phillips(path)
+        sf_phillips(_jump_path())
+
+
+def test_phillips_keeps_to_the_sample_budget(monkeypatch):
+    # 33 samples, then one midpoint per round: the round that would take
+    # the 41st sample raises
+    monkeypatch.setattr(sflow, "MAX_SAMPLES", 40)
+    with pytest.raises(PartitionFailure, match="sample budget 40 exhausted"):
+        sf_phillips(_jump_path())
+    # e^{6 pi i t} moves 0.59 > MOTION_BOUND per initial step and is
+    # certified after one round of bisection, on 65 samples: a budget of
+    # 65 is enough and one of 64 is not
+    loop = UnitaryPath(lambda t: np.array([[np.exp(6j * np.pi * t)]]),
+                       closed=True, dim=1)
+    monkeypatch.setattr(sflow, "MAX_SAMPLES", 65)
+    report = sf_phillips(loop)
+    assert report.value == 3
+    assert report.parameters["samples"] == 65
+    monkeypatch.setattr(sflow, "MAX_SAMPLES", 64)
+    with pytest.raises(PartitionFailure, match="sample budget 64 exhausted"):
+        sf_phillips(loop)
 
 
 def _greedy_reference(key):
@@ -302,12 +336,8 @@ def _greedy_reference(key):
     return perm
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.booleans())
-def test_match_motion_is_the_greedy_pairing(dim, seed, tied):
-    # the round-wise matching returns the greedy loop's permutation, ties
-    # included (integer angles make many keys equal)
-    rng = np.random.default_rng(seed)
+def _matching_step(dim, rng, tied):
+    # (a0, v0, a1, v1) of one step; integer angles make many keys equal
     if tied:
         a0 = rng.integers(-3, 4, size=dim).astype(float)
         a1 = rng.integers(-3, 4, size=dim).astype(float)
@@ -316,10 +346,24 @@ def test_match_motion_is_the_greedy_pairing(dim, seed, tied):
         a0 = np.sort(rng.uniform(-np.pi, np.pi, size=dim))
         a1 = np.sort(sflow._wrap(a0 + rng.normal(scale=0.5, size=dim)))
         v0, v1 = haar_unitary(dim, rng), haar_unitary(dim, rng)
+    return a0, v0, a1, v1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.booleans(), min_size=1, max_size=8))
+def test_match_motion_is_the_greedy_pairing(dim, seed, tied):
+    # the round-wise matching of a stack of steps, tied and untied keys
+    # mixed, returns on every row the greedy loop's permutation of that
+    # row's key, ties included
+    rng = np.random.default_rng(seed)
+    a0, v0, a1, v1 = (np.stack(part) for part in zip(
+        *(_matching_step(dim, rng, t) for t in tied)))
     motion, perm = sflow._match_motion(a0, v0, a1, v1)
-    assert np.array_equal(perm, _greedy_reference(
-        sflow._motion_key(a0, v0, a1, v1)))
-    assert np.array_equal(np.sort(perm), np.arange(dim))
+    key = sflow._motion_key(a0, v0, a1, v1)
+    for row in range(len(tied)):
+        assert np.array_equal(perm[row], _greedy_reference(key[row]))
+        assert np.array_equal(np.sort(perm[row]), np.arange(dim))
     assert np.all(np.abs(motion) <= np.pi)
 
 
@@ -327,12 +371,95 @@ def test_match_motion_greedy_is_not_least_total_motion():
     # greedy pairs the closest angles 1 -> 0.6 first, leaving 0 -> 1.7: a
     # total motion of 2.1 against 1.3 for 0 -> 0.6, 1 -> 1.7, but a step
     # larger than MOTION_BOUND, which sf_phillips refines
-    eye = np.eye(2)
-    motion, perm = sflow._match_motion(np.array([0.0, 1.0]), eye,
-                                       np.array([0.6, 1.7]), eye)
-    assert list(perm) == [1, 0]
-    assert np.allclose(motion, [1.7, -0.4])
+    eye = np.eye(2)[None]
+    motion, perm = sflow._match_motion(np.array([[0.0, 1.0]]), eye,
+                                       np.array([[0.6, 1.7]]), eye)
+    assert list(perm[0]) == [1, 0]
+    assert np.allclose(motion[0], [1.7, -0.4])
     assert np.max(np.abs(motion)) > sflow.MOTION_BOUND
+
+
+def _depth_first_reference(path):
+    # the refinement order sf_phillips had before its rounds: pop one step,
+    # certify it, or bisect it and push both halves; every sample is a
+    # scalar path(t) call with its own eig_unitary, and each step is a
+    # one-row stack of the matching and arc kernels
+    a, b = path.interval
+    samples = {}
+
+    def sample(t):
+        if t not in samples:
+            samples[t] = eig_unitary(path(t))
+        return samples[t]
+
+    grid = set(np.linspace(a, b, sflow.INITIAL_SAMPLES))
+    grid.update(path.breakpoints)
+    grid = sorted(grid)
+    work = list(zip(grid[:-1], grid[1:]))
+    panels = []
+    while work:
+        t0, t1 = work.pop()
+        a0, v0 = sample(t0)
+        a1, v1 = sample(t1)
+        motion, perm = sflow._match_motion(a0[None], v0[None], a1[None],
+                                           v1[None])
+        motion, perm = motion[0], perm[0]
+        if np.max(np.abs(motion)) <= sflow.MOTION_BOUND:
+            u0 = sflow._around_minus_one(a0)
+            u1 = sflow._around_minus_one(a1)[perm]
+            eps, clearance = sflow._free_arc(u0[None], u1[None],
+                                             motion[None])
+            eps, clearance = eps[0], clearance[0]
+            if clearance >= sflow.MARGIN_MIN:
+                margin = min(np.min(np.abs(np.abs(u0) - eps)),
+                             np.min(np.abs(np.abs(u1) - eps)))
+                arcs = (int(np.sum((u1 >= 0.0) & (u1 < eps)))
+                        - int(np.sum((u0 >= 0.0) & (u0 < eps))))
+                panels.append((t0, t1, eps, float(margin), arcs))
+                continue
+        tm = 0.5 * (t0 + t1)
+        work.append((t0, tm))
+        work.append((tm, t1))
+    panels.sort()
+    return (sum(p[4] for p in panels), len(samples),
+            [panels[0][0]] + [p[1] for p in panels],
+            [p[2] for p in panels], [p[3] for p in panels])
+
+
+def _parity_path(kind, dim, rng):
+    if kind == "model":
+        return model_loop(rng.integers(1, dim + 1), dim)
+    H = random_hermitian(dim, rng)
+    H /= max(1.0, np.max(np.abs(np.linalg.eigvalsh(H))))
+    generator = generator_path(1j * rng.uniform(0.5, 12.0) * H)
+    if kind == "generator":
+        return generator
+    U = haar_unitary(dim, rng)
+    if kind == "geodesic":
+        return geodesic_between(haar_unitary(dim, rng), U)
+    if kind == "concatenation":
+        return concatenate(generator, geodesic_between(generator(1.0), U))
+    # a concatenation with a model loop, whose samples are stacked from
+    # the scalar sampler
+    loop = model_loop(rng.integers(1, dim + 1), dim)
+    return concatenate(loop, geodesic_between(np.eye(dim), U)).reversed()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["generator", "geodesic", "concatenation", "model",
+                        "model concatenation"]),
+       st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_phillips_rounds_match_the_depth_first_order(kind, dim, seed):
+    path = _parity_path(kind, dim, np.random.default_rng(seed))
+    report = sf_phillips(path)
+    cert = report.certificate
+    value, samples, breakpoints, epsilons, margins = \
+        _depth_first_reference(path)
+    assert report.value == value
+    assert report.parameters["samples"] == samples <= sflow.MAX_SAMPLES
+    assert cert.breakpoints == breakpoints
+    assert cert.epsilons == epsilons
+    assert cert.margins == margins
 
 
 def test_theta_identity_is_zero():

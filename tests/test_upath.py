@@ -13,6 +13,8 @@ from specflow.errors import (
     SpecflowError,
 )
 from specflow.matcore import eig_unitary
+from specflow.scatter import Potential1D
+from specflow.scatter.levinson import _sweep_1d
 from specflow.sflow import sf_phillips
 from specflow.upath import (
     UnitaryPath,
@@ -116,6 +118,49 @@ def test_generator_path_samples_match_expm(rng):
         assert np.linalg.norm(path(t) - base @ E, ord=2) < 1e-12
         assert np.linalg.norm(path.derivative(t) - base @ (1j * H) @ E,
                               ord=2) < 1e-11
+
+
+def _sampled_paths(rng):
+    # a path of each kind with an array sampler, and two without
+    H = random_hermitian(3, rng, scale=3.0)
+    U0, U1 = haar_unitary(3, rng), haar_unitary(3, rng)
+    generator = generator_path(1j * H, base=U0)
+    geodesic = geodesic_between(generator(1.0), U1)
+    well = Potential1D.square_well(20.0, 1.0)
+    return {
+        "generator": generator_path(1j * H),
+        "generator with base": generator,
+        "geodesic": geodesic,
+        "cap into": cap_into(U1),
+        "cap out of": cap_outof(U1),
+        "concatenation": concatenate(generator, geodesic),
+        "reversed concatenation": concatenate(generator,
+                                              geodesic).reversed(),
+        "1D scattering sweep": _sweep_1d(well),
+        "model loop": model_loop(2, 3),
+        "checked sampler": UnitaryPath(lambda t: U0 * np.exp(1j * t)),
+    }
+
+
+def test_samples_are_the_scalar_samples(rng):
+    ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(size=20)])
+    for name, path in _sampled_paths(rng).items():
+        batched = name not in ("model loop", "checked sampler")
+        assert (path._array_sampler is not None) == batched, name
+        got = path.samples(ts)
+        assert got.shape == (len(ts), path.dim, path.dim)
+        assert np.array_equal(got, np.stack([path(t) for t in ts])), name
+
+
+def test_samples_check_interval_and_unitarity():
+    # a sampler that is not unitary on (0.6, 0.8)
+    path = UnitaryPath(lambda t: np.diag([1.0, 1.0 + (0.6 < t < 0.8)]),
+                       dim=2)
+    with pytest.raises(OutsideInterval):
+        path.samples(np.array([0.2, 1.5]))
+    path.samples(np.array([0.0, 0.5, 1.0 + 1e-13]))
+    with pytest.raises(NonUnitary):
+        path.samples(np.array([0.2, 0.7]))
 
 
 def test_generator_path_rejects_non_skew_hermitian():
