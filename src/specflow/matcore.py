@@ -9,10 +9,11 @@ Conventions fixed here once and for all:
   snapped to +pi rather than being allowed to flip to -pi through rounding.
 * Unitarity is checked in Frobenius norm, never looser than the operator
   norm, with tolerance 1e-10 by default.
-* Stacks.  `check_unitary` and `eig_unitary` take one (dim, dim) matrix or
-  a stack (..., dim, dim), so a caller with many samples (Phillips'
-  refinement rounds) checks and decomposes them in one call; each member
-  of a stack comes out exactly as it would alone.
+* Stacks.  `check_unitary`, `eig_unitary` and `form_trace` take one
+  (dim, dim) matrix or a stack (..., dim, dim), so a caller with many
+  samples (Phillips' refinement rounds, a round of winding-quadrature
+  nodes) checks, decomposes or traces them in one call; each member of a
+  stack comes out exactly as it would alone.
 
 Decompose only what is read.  Determinants read no spectrum: `rdet` takes
 them from an LU factorization.  Every reader of a unitary's spectrum
@@ -189,15 +190,20 @@ def form_trace(X, U, kind, order):
     The one trace kernel of the regularised winding forms: with X = U* U'
     it is the un-normalised alpha (kind "n") or beta (kind "r") integrand.
     A whole order r takes |A|^{2r} = (A*A)^r from matrix products, as kind
-    "n" takes A^n; only a fractional r needs the SVD of `abs_power`.
+    "n" takes A^n; only a fractional r needs the SVD of `abs_power`, called
+    once per matrix.  X and U are (dim, dim) matrices, giving a scalar, or
+    stacks (..., dim, dim), giving the trace of each member as its own
+    call would.
     """
-    A = U - np.eye(U.shape[0])
+    A = U - np.eye(U.shape[-1])
     if kind == "n":
-        return np.trace(X @ np.linalg.matrix_power(A, order))
-    if order == int(order):
-        return np.trace(X @ np.linalg.matrix_power(A.conj().T @ A,
-                                                   int(order)))
-    return np.trace(X @ abs_power(A, order))
+        G = np.linalg.matrix_power(A, order)
+    elif order == int(order):
+        G = np.linalg.matrix_power(A.conj().mT @ A, int(order))
+    else:
+        G = np.stack([abs_power(M, order)
+                      for M in A.reshape(-1, *A.shape[-2:])]).reshape(A.shape)
+    return np.trace(X @ G, axis1=-2, axis2=-1)
 
 
 def gamma_constant(x):

@@ -14,7 +14,11 @@ Three independent routes compute the flow:
   Tr(U* U' |U - Id|^{2r}), admissible for r >= (p - 1)/2.
 
 Both integral routes go through `_winding`, which evaluates the trace form
-with `matcore.form_trace`.  `sf_det` states the paper's determinant form:
+with `matcore.form_trace` on a whole quadrature round of nodes at once: one
+`path.samples`, one `path.derivatives` and one stacked `form_trace` call
+per chunk of nodes whose (nodes, dim, dim) samples and derivatives hold at
+most STACK_ELEMENTS entries together, each node exactly as a call on it
+alone.  `sf_det` states the paper's determinant form:
 the log-derivative of Det_p is Tr(U* U' (Id - U)^{p-1}), which is the alpha
 integrand at n = p - 1, so `sf_det` is that alpha integral and not a
 cross-check.
@@ -70,7 +74,8 @@ MOTION_BOUND = np.pi / 6
 MAX_SAMPLES = 20000
 MARGIN_MIN = 1e-9
 # the most entries of a (steps, dim, dim) stack that sf_phillips samples,
-# decomposes or certifies in one call
+# decomposes or certifies in one call, and of the sample and derivative
+# (nodes, dim, dim) stacks that a winding integrand holds together
 STACK_ELEMENTS = 16384
 
 
@@ -228,16 +233,6 @@ def _adaptive_gk21(F, edges, epsabs, epsrel):
         err = np.concatenate([err[keep], new_err])
 
 
-def _integrate_path(f, path, epsabs):
-    """Integral of the scalar complex f over the path interval, split at
-    its breakpoints: `_adaptive_gk21` with f evaluated once per node.
-    Returns (integral, error estimate)."""
-    a, b = path.interval
-    return _adaptive_gk21(
-        lambda ts: np.array([f(t) for t in ts], dtype=complex),
-        (a, *path.breakpoints, b), epsabs, QUAD_EPSREL)
-
-
 def _form(path, kind, order):
     """The checked order of a winding form and its normalisation.
 
@@ -254,18 +249,39 @@ def _form(path, kind, order):
     return r, lambda val: const * val
 
 
-def _winding(path, kind, order, epsabs):
-    """Normalised integral of Tr(U* U' g(U - Id)) over the path.
+def _chunk(path, stacks=1):
+    """How many (dim, dim) members each of `stacks` stacks may hold for
+    all of them together to fit in STACK_ELEMENTS."""
+    return max(1, STACK_ELEMENTS // (stacks * path.dim ** 2))
 
-    Returns (value, checked order, quadrature error estimate).
+
+def _winding(path, kind, order, epsabs):
+    """Normalised integral of Tr(U* U' g(U - Id)) over the path interval,
+    split at its breakpoints by `_adaptive_gk21`.
+
+    The integrand takes a round's nodes in chunks whose samples and
+    derivatives together hold at most STACK_ELEMENTS entries: one
+    `path.samples`, one `path.derivatives` and one `form_trace` call per
+    chunk, each node evaluated once and exactly as on its own.  (At dim
+    64 that is two nodes; chunks of four made every chunk's temporaries
+    large enough for the allocator to hand memory back and fault it in
+    again.)  Returns (value, checked order, quadrature error estimate).
     """
     order, normalise = _form(path, kind, order)
+    chunk = _chunk(path, 2)
 
-    def integrand(t):
-        U = path(t)
-        return form_trace(U.conj().T @ path.derivative(t), U, kind, order)
+    def integrand(ts):
+        values = []
+        for lo in range(0, len(ts), chunk):
+            part = ts[lo:lo + chunk]
+            U = path.samples(part)
+            values.append(form_trace(U.conj().mT @ path.derivatives(part),
+                                     U, kind, order))
+        return np.concatenate(values)
 
-    val, err = _integrate_path(integrand, path, epsabs)
+    a, b = path.interval
+    val, err = _adaptive_gk21(integrand, (a, *path.breakpoints, b), epsabs,
+                              QUAD_EPSREL)
     return normalise(val), order, err
 
 
@@ -377,28 +393,26 @@ def _capped_count(path, start_trace=None):
 
     `sf_phillips` counts the sampled path and the caps add their
     closed-form counts (`_generator_flow`), read off the eigenangles of
-    the path's end samples; each principal cap must end on its sample
-    (CapMismatch).  Returns the report, carrying the capped count as value
-    and raw, and the (start, end) eigenangles.
+    the path's end samples, taken and decomposed as one stack; each
+    principal cap must end on its sample (CapMismatch).  Returns the
+    report, carrying the capped count as value and raw, and the (start,
+    end) eigenangles.
     """
-    a, b = path.interval
-    caps = 0
-    ends = []
-    for t, sign, which, trace in ((a, 1, "start", start_trace),
-                                  (b, -1, "end", None)):
-        U = path(t)
-        angles, vecs = eig_unitary(U)
-        cap_end = (vecs * np.exp(1j * angles)) @ vecs.conj().T
-        gap = np.linalg.norm(cap_end - U, ord=2)
+    U = path.samples(path.interval)
+    angles, vecs = eig_unitary(U)
+    cap_ends = (vecs * np.exp(1j * angles)[:, None, :]) @ vecs.conj().mT
+    gaps = np.linalg.norm(cap_ends - U, ord=2, axis=(-2, -1))
+    for which, gap in zip(("start", "end"), gaps):
         if gap > ENDPOINT_TOL:
             raise CapMismatch(f"{which} cap misses endpoint by {gap:.3e}")
-        if trace is None:
-            trace = np.sum(angles)
-        caps += sign * _generator_flow(trace, angles)
-        ends.append(angles)
+    start, end = angles
+    if start_trace is None:
+        start_trace = np.sum(start)
+    caps = (_generator_flow(start_trace, start)
+            - _generator_flow(np.sum(end), end))
     report = sf_phillips(path)
     value = report.value + caps
-    return replace(report, value=value, raw=complex(value)), tuple(ends)
+    return replace(report, value=value, raw=complex(value)), (start, end)
 
 
 def sf_open_path(path, n=None, r=None, epsabs=DEFAULT_EPSABS):
@@ -606,7 +620,7 @@ def sf_phillips(path):
     if not path.finite:
         raise PartitionFailure("compactify the path to a finite interval first")
     a, b = path.interval
-    chunk = max(1, STACK_ELEMENTS // path.dim ** 2)
+    chunk = _chunk(path)
 
     grid = set(np.linspace(a, b, INITIAL_SAMPLES))
     grid.update(path.breakpoints)

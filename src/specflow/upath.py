@@ -4,10 +4,12 @@ A path is a *sampler* (a function of the parameter), not a stored array, so
 adaptive quadrature and partition refinement can request arbitrary
 resolution.  A path may also carry an *array sampler*, a function of a 1-D
 array of parameters returning all their samples as one (n, dim, dim)
-array; `UnitaryPath.samples` uses it, and stacks the scalar sampler where
-there is none.  Phillips' refinement takes each round's parameters in such
-calls.  Paths carry their interval, an optional analytic derivative,
-a Schatten-order tag used to validate regularization orders, a closed flag,
+array, and likewise an *array derivative*; `UnitaryPath.samples` and
+`UnitaryPath.derivatives` use them, and stack the scalar sampler or
+derivative where there are none.  Phillips' refinement takes each round's
+parameters in such calls, and the winding quadrature each round's nodes.
+Paths carry their interval, an optional analytic derivative, a
+Schatten-order tag used to validate regularization orders, a closed flag,
 and the interior parameters where the path is only C^0 (concatenation
 joints); integrators split panels there.
 
@@ -16,9 +18,10 @@ and the caps `cap_into` / `cap_outof` diagonalise their generator once
 (`eigh` of -iY, or for a principal logarithm Y = Log U the `eig_unitary`
 pair of U itself) and sample e^{tY} = W e^{it theta} W* and its
 derivative W i theta e^{it theta} W* from that eigenpair, with no matrix
-exponential; their array sampler takes e^{it theta} over the outer product
-of the parameters and theta.  `reversed()` keeps an array sampler, and
-`concatenate` has one when both parts do.
+exponential; their array sampler and array derivative take e^{it theta}
+over the outer product of the parameters and theta.  `reversed()` keeps
+an array sampler, and `concatenate` has one when both parts do; neither
+has an array derivative, so `derivatives` stacks their scalar ones.
 """
 
 import numpy as np
@@ -62,13 +65,20 @@ class UnitaryPath:
         (n, dim, dim) complex ndarray, the samples at all of them.  It
         must return what `sampler` returns at each parameter; `samples`
         calls it once per array instead of `sampler` once per parameter.
+    array_derivative : optional callable, a 1-D array of n parameters ->
+        (n, dim, dim) complex ndarray, the analytic U' at all of them.  It
+        must return what `derivative` returns at each parameter;
+        `derivatives` calls it once per array instead of `.derivative`
+        once per parameter.
     """
 
     def __init__(self, sampler, interval=(0.0, 1.0), derivative=None,
                  schatten_order=1.0, closed=False, breakpoints=(),
-                 dim=None, check=True, array_sampler=None):
+                 dim=None, check=True, array_sampler=None,
+                 array_derivative=None):
         self._sampler = sampler
         self._array_sampler = array_sampler
+        self._array_derivative = array_derivative
         self.interval = (float(interval[0]), float(interval[1]))
         if not self.interval[0] < self.interval[1]:
             raise OutsideInterval(f"empty interval {interval}")
@@ -111,16 +121,22 @@ class UnitaryPath:
             U = check_unitary(U)
         return U
 
-    def samples(self, ts):
-        """The samples at the parameters ts (a 1-D array) as one
-        (len(ts), dim, dim) array: one array-sampler call, or the scalar
-        sampler stacked where there is none, and with `check` one stacked
-        unitarity check.  Each sample equals `self(t)`."""
+    def _inside(self, ts):
+        """The parameters ts as a float array, raising OutsideInterval on
+        the first one outside the interval."""
         ts = np.asarray(ts, dtype=float)
         outside = ~self._contains(ts)
         if outside.any():
             raise OutsideInterval(
                 f"parameter {ts[outside][0]} outside {self.interval}")
+        return ts
+
+    def samples(self, ts):
+        """The samples at the parameters ts (a 1-D array) as one
+        (len(ts), dim, dim) array: one array-sampler call, or the scalar
+        sampler stacked where there is none, and with `check` one stacked
+        unitarity check.  Each sample equals `self(t)`."""
+        ts = self._inside(ts)
         if self._array_sampler is not None:
             U = np.asarray(self._array_sampler(ts), dtype=complex)
         else:
@@ -151,6 +167,17 @@ class UnitaryPath:
         if t - h < a:
             return (self(t + h) - self(t)) / h
         return (self(t + h) - self(t - h)) / (2 * h)
+
+    def derivatives(self, ts):
+        """The derivatives at the parameters ts (a 1-D array) as one
+        (len(ts), dim, dim) array: one array-derivative call, or
+        `.derivative` stacked where there is none (with its
+        central-difference fallback).  Each equals `self.derivative(t)`."""
+        ts = self._inside(ts)
+        if self._array_derivative is not None:
+            return np.asarray(self._array_derivative(ts), dtype=complex)
+        dU = np.array([self.derivative(t) for t in ts], dtype=complex)
+        return dU.reshape(len(ts), self.dim, self.dim)
 
     def check_closed(self):
         """Raise NotClosed unless U_a = U_b within ENDPOINT_TOL (operator
@@ -233,7 +260,7 @@ def _spectral_path(theta, W, base=None):
     """The path base * e^{tY}, t in [0, 1], for Y = W diag(i theta) W* with
     W unitary and theta real: each sample is base * W e^{it theta} W* and
     each derivative base * W i theta e^{it theta} W*; the array sampler
-    takes e^{it theta} for all parameters at once."""
+    and array derivative take e^{it theta} for all parameters at once."""
     Wh = W.conj().T
     itheta = 1j * np.asarray(theta, dtype=float)
     if base is not None:
@@ -252,9 +279,15 @@ def _spectral_path(theta, W, base=None):
         dU = (W * (itheta * np.exp(t * itheta))) @ Wh
         return dU if base is None else base @ dU
 
+    def array_deriv(ts):
+        rates = itheta * np.exp(np.multiply.outer(ts, itheta))
+        dU = (W * rates[:, None, :]) @ Wh
+        return dU if base is None else base @ dU
+
     return UnitaryPath(sampler, derivative=deriv, schatten_order=1.0,
                        closed=False, dim=dim, check=False,
-                       array_sampler=array_sampler)
+                       array_sampler=array_sampler,
+                       array_derivative=array_deriv)
 
 
 def generator_path(Y, base=None):
@@ -354,7 +387,9 @@ def compactify(path, probes=(1e2, 1e3, 1e4)):
     the logistic t = 1/(1 + e^{-s}).  The integrands of the winding integrals
     transform with the Jacobian, so all spectral-flow values are unchanged.
     The path must approach Id at infinity; probe samples must show monotone
-    Schatten-norm decrease, else NoLimitAtInfinity.
+    Schatten-norm decrease, else NoLimitAtInfinity.  The result has no
+    array sampler and no array derivative: `samples` and `derivatives`
+    stack its scalar sampler and derivative.
     """
     if path.finite:
         return path

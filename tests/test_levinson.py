@@ -595,6 +595,24 @@ def test_capped_count_raises_when_a_cap_misses_its_sample(monkeypatch):
         levinson_verify(Potential1D.square_well(2.0), 1)
 
 
+def test_capped_count_names_the_end_cap_that_misses(monkeypatch):
+    # the two end samples are decomposed as one stack: eigenangles off on
+    # its last member only make the end cap miss, and the error says so
+    eig_unitary = sflow.eig_unitary
+
+    def shifted(U):
+        angles, vecs = eig_unitary(U)
+        angles[-1] += 1e-6
+        return angles, vecs
+
+    monkeypatch.setattr(sflow, "eig_unitary", shifted)
+    path = geodesic_between(np.eye(2, dtype=complex),
+                            np.diag([1j, -1j]).astype(complex))
+    with pytest.raises(CapMismatch,
+                       match="end cap misses endpoint by 1.000e-06"):
+        sflow.sf_open_path(path, n=1)
+
+
 # ---------------------------------------------------------------------------
 # phase-shift cache and property studies
 

@@ -161,6 +161,54 @@ def test_whole_beta_order_needs_no_svd(r, rng, monkeypatch):
         form_trace(X, U, "r", r + 0.5)
 
 
+def _one_matrix_form_trace(X, U, kind, order):
+    # the reference: form_trace on one matrix, in 2-D operations only
+    A = U - np.eye(U.shape[0])
+    if kind == "n":
+        return np.trace(X @ np.linalg.matrix_power(A, order))
+    if order == int(order):
+        return np.trace(X @ np.linalg.matrix_power(A.conj().T @ A,
+                                                   int(order)))
+    return np.trace(X @ abs_power(A, order))
+
+
+@pytest.mark.parametrize("kind, order", [("n", 0), ("n", 1), ("n", 3),
+                                         ("r", 1), ("r", 2), ("r", 1.5),
+                                         ("r", 0.25)])
+def test_form_trace_on_a_stack_is_each_call(kind, order, rng, monkeypatch):
+    # every member of a stack is traced bitwise as by its own call, and a
+    # one-matrix call is what it was before stacks; a fractional order
+    # takes one abs_power call per member
+    svds = []
+
+    def counting(A, x):
+        svds.append(A.shape)
+        return abs_power(A, x)
+
+    monkeypatch.setattr(matcore, "abs_power", counting)
+    for dim in (1, 2, 5, 16):
+        U = np.stack([haar_unitary(dim, rng) for _ in range(6)])
+        # U = Id, and an eigenvalue 1 of multiplicity dim - 1
+        U[1] = np.eye(dim)
+        U[2, 0, 0] = -1.0
+        U[2, 1:, 0] = U[2, 0, 1:] = 0.0
+        U[2, 1:, 1:] = np.eye(dim - 1)
+        X = np.stack([1j * random_hermitian(dim, rng) for _ in range(6)])
+        del svds[:]
+        got = form_trace(X, U, kind, order)
+        assert got.shape == (6,)
+        assert len(svds) == (6 if order != int(order) else 0)
+        for Xi, Ui, value in zip(X, U, got):
+            one = form_trace(Xi, Ui, kind, order)
+            assert np.ndim(one) == 0
+            assert value == one == _one_matrix_form_trace(Xi, Ui, kind,
+                                                          order)
+        # any leading shape
+        got2 = form_trace(X.reshape(2, 3, dim, dim),
+                          U.reshape(2, 3, dim, dim), kind, order)
+        assert np.array_equal(got2.reshape(6), got)
+
+
 def _no_svd(A, x):
     raise AssertionError("abs_power called")
 

@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from specflow import sflow
 from specflow.errors import (IntegrationFailure, InvalidOrder, NotClosed,
                              PartitionFailure)
-from specflow.matcore import abs_power, eig_unitary, gamma_constant
+from specflow.matcore import abs_power, eig_unitary, form_trace, gamma_constant
 from specflow.rdet import logderiv_det_p
 from specflow.sflow import (
     sf_alpha,
@@ -437,10 +437,18 @@ def _parity_path(kind, dim, rng):
     U = haar_unitary(dim, rng)
     if kind == "geodesic":
         return geodesic_between(haar_unitary(dim, rng), U)
+    if kind == "cap":
+        return cap_outof(U)
     if kind == "concatenation":
         return concatenate(generator, geodesic_between(generator(1.0), U))
-    # a concatenation with a model loop, whose samples are stacked from
-    # the scalar sampler
+    if kind == "generic":
+        # a checked loop with no array sampler and no derivative: its
+        # samples are stacked from the scalar sampler, its derivatives
+        # from central differences
+        sampler, _ = _generic_loop(dim, int(rng.integers(2 ** 31)))
+        return UnitaryPath(sampler, closed=True, dim=dim)
+    # a reversed concatenation with a model loop, whose samples and
+    # derivatives are stacked from the scalar ones
     loop = model_loop(rng.integers(1, dim + 1), dim)
     return concatenate(loop, geodesic_between(np.eye(dim), U)).reversed()
 
@@ -460,6 +468,43 @@ def test_phillips_rounds_match_the_depth_first_order(kind, dim, seed):
     assert cert.breakpoints == breakpoints
     assert cert.epsilons == epsilons
     assert cert.margins == margins
+
+
+def _scalar_node_winding(path, kind, order):
+    # the reference winding integral: path(t), path.derivative(t) and a
+    # one-matrix form_trace at each node
+    order, normalise = sflow._form(path, kind, order)
+
+    def integrand(t):
+        U = path(t)
+        return form_trace(U.conj().T @ path.derivative(t), U, kind, order)
+
+    a, b = path.interval
+    val, err = sflow._adaptive_gk21(
+        lambda ts: np.array([integrand(t) for t in ts], dtype=complex),
+        (a, *path.breakpoints, b), sflow.DEFAULT_EPSABS, sflow.QUAD_EPSREL)
+    return normalise(val), order, err
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["generator", "geodesic", "cap", "concatenation",
+                        "model", "model concatenation", "generic"]),
+       st.integers(1, 6),
+       st.sampled_from([("n", 0), ("n", 1), ("n", 2), ("r", 1),
+                        ("r", 1.5)]),
+       st.sampled_from([None, 1, 4, 21]), st.integers(0, 2 ** 32 - 1))
+def test_winding_stacks_match_the_scalar_nodes(kind, dim, form, nodes, seed):
+    # every node of a stacked round is evaluated exactly as on its own, in
+    # stacks of the default size or of `nodes` nodes
+    path = _parity_path(kind, dim, np.random.default_rng(seed))
+    want = _scalar_node_winding(path, *form)
+    with pytest.MonkeyPatch.context() as m:
+        if nodes is not None:
+            m.setattr(sflow, "STACK_ELEMENTS", 2 * nodes * dim ** 2)
+        raw, order, err = sflow._winding(path, *form, sflow.DEFAULT_EPSABS)
+    assert raw == want[0]
+    assert order == want[1]
+    assert err == want[2]
 
 
 def test_theta_identity_is_zero():
@@ -690,20 +735,21 @@ def test_generic_loop_values_pinned():
 
 def test_beta_takes_as_many_nodes_as_alpha(monkeypatch):
     # the beta integrand is imaginary up to rounding; refining on the
-    # modulus of the complex error spends no nodes on its zero real part
+    # modulus of the complex error spends no nodes on its zero real part.
+    # form_trace takes a stack of nodes per call: count the nodes
     sampler, _ = _generic_loop(16, 4)
     loop = UnitaryPath(sampler, closed=True, dim=16)
-    calls = []
+    nodes = {"n": 0, "r": 0}
     form_trace = sflow.form_trace
 
-    def counting(*args):
-        calls.append(args[2])
-        return form_trace(*args)
+    def counting(X, U, kind, order):
+        nodes[kind] += len(U)
+        return form_trace(X, U, kind, order)
 
     monkeypatch.setattr(sflow, "form_trace", counting)
     sf_alpha(loop, n=1)
     sf_beta(loop, r=1)
-    assert calls.count("n") == calls.count("r") == 21
+    assert nodes["n"] == nodes["r"] == 21
 
 
 def test_winding_evaluates_each_node_once():

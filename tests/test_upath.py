@@ -121,7 +121,8 @@ def test_generator_path_samples_match_expm(rng):
 
 
 def _sampled_paths(rng):
-    # a path of each kind with an array sampler, and two without
+    # a path of each kind with an array sampler, and three without; the
+    # paths in DERIVED have an array derivative
     H = random_hermitian(3, rng, scale=3.0)
     U0, U1 = haar_unitary(3, rng), haar_unitary(3, rng)
     generator = generator_path(1j * H, base=U0)
@@ -139,17 +140,39 @@ def _sampled_paths(rng):
         "1D scattering sweep": _sweep_1d(well),
         "model loop": model_loop(2, 3),
         "checked sampler": UnitaryPath(lambda t: U0 * np.exp(1j * t)),
+        "compactified": compactify(UnitaryPath(
+            lambda s: U0 @ np.diag(np.exp(1j / (1.0 + s) * np.arange(3)))
+            @ U0.conj().T, interval=(0.0, np.inf))),
     }
+
+
+UNSAMPLED = ("model loop", "checked sampler", "compactified")
+DERIVED = ("generator", "generator with base", "geodesic", "cap into")
 
 
 def test_samples_are_the_scalar_samples(rng):
     ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(size=20)])
     for name, path in _sampled_paths(rng).items():
-        batched = name not in ("model loop", "checked sampler")
+        batched = name not in UNSAMPLED
         assert (path._array_sampler is not None) == batched, name
         got = path.samples(ts)
         assert got.shape == (len(ts), path.dim, path.dim)
         assert np.array_equal(got, np.stack([path(t) for t in ts])), name
+
+
+def test_derivatives_are_the_scalar_derivatives(rng):
+    ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(size=20)])
+    for name, path in _sampled_paths(rng).items():
+        assert (path._array_derivative is not None) == (name in DERIVED), name
+        got = path.derivatives(ts)
+        assert got.shape == (len(ts), path.dim, path.dim)
+        assert np.array_equal(got, np.stack([path.derivative(t)
+                                             for t in ts])), name
+        with pytest.raises(OutsideInterval):
+            path.derivatives(np.array([0.2, 1.5]))
+        with pytest.raises(OutsideInterval):
+            path.derivatives(np.array([-1e-9, 0.2]))
+        path.derivatives(np.array([0.0, 0.5, 1.0 + 1e-13]))
 
 
 def test_samples_check_interval_and_unitarity():
