@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideInterval
 from .matcore import check_order, check_unitary, form_trace
 
 
@@ -136,9 +135,6 @@ def det_p(U, p):
 
 def _logderiv_sampled(path, t, p):
     """d/dt Log Det_p(U_t), with the samples U_t and U'_t it is formed from."""
-    a, b = path.interval
-    if not (a <= t <= b):
-        raise OutsideInterval(f"parameter {t} outside {path.interval}")
     U = path(t)
     Ud = path.derivative(t)
     X = U.conj().T @ Ud

@@ -306,25 +306,21 @@ def _winding_1d(V):
 def _sweep_1d(V, k_min=DEFAULT_K_MIN, k_max=DEFAULT_K_MAX):
     """The 1D scattering sweep t -> S(k(t)), t in [0, 1], over the
     geometric wavenumbers k(t) = k_min (k_max / k_min)^t, with the exact
-    derivative S'(k) dk/dt, dk/dt = k ln(k_max / k_min).  Its array
-    sampler takes every S(k(t)) of a parameter array in one `smatrix_1d`
-    call."""
+    derivative S'(k) dk/dt, dk/dt = k ln(k_max / k_min).  Both take every
+    parameter of an array in one `smatrix_1d` call."""
     ratio = np.log(k_max / k_min)
-
-    def sampler(t):
-        k = k_min * np.exp(ratio * t)
-        return smatrix_1d(V, k * k)
 
     def array_sampler(ts):
         k = k_min * np.exp(ratio * ts)
         return smatrix_1d(V, k * k)
 
-    def derivative(t):
-        k = k_min * np.exp(ratio * t)
-        return smatrix_1d(V, k * k, derivative=True)[1] * (k * ratio)
+    def array_derivative(ts):
+        k = k_min * np.exp(ratio * ts)
+        dS = smatrix_1d(V, k * k, derivative=True)[1]
+        return dS * (k * ratio)[:, None, None]
 
-    return UnitaryPath(sampler, derivative=derivative, dim=2,
-                       array_sampler=array_sampler)
+    return UnitaryPath(array_sampler=array_sampler,
+                       array_derivative=array_derivative, dim=2)
 
 
 def _levinson_1d(V, k_min, k_max):

@@ -1,6 +1,9 @@
 """Spectral flow of unitary paths through -1.
 
-Three independent routes compute the flow:
+Three engines compute the flow; only the crossing count is independent
+of the others, since alpha, beta and det are one quantity computed by three
+quadratures (in finite dimension each integrand is a multiple of
+d(log det U) plus the differential of a single-valued function):
 
 * `sf_phillips` tracks eigenvalues and counts signed crossings of -1 using
   arc counts k(t, eps) at partition breakpoints; exact integer output with a

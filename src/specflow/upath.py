@@ -2,26 +2,23 @@
 
 A path is a *sampler* (a function of the parameter), not a stored array, so
 adaptive quadrature and partition refinement can request arbitrary
-resolution.  A path may also carry an *array sampler*, a function of a 1-D
-array of parameters returning all their samples as one (n, dim, dim)
-array, and likewise an *array derivative*; `UnitaryPath.samples` and
-`UnitaryPath.derivatives` use them, and stack the scalar sampler or
-derivative where there are none.  Phillips' refinement takes each round's
-parameters in such calls, and the winding quadrature each round's nodes.
-Paths carry their interval, an optional analytic derivative, a
-Schatten-order tag used to validate regularization orders, a closed flag,
-and the interior parameters where the path is only C^0 (concatenation
-joints); integrators split panels there.
+resolution.  A path has one sampler, scalar (t -> (dim, dim)) or array (a
+1-D array of n parameters -> (n, dim, dim)), and at most one analytic
+derivative of either form; the other form is derived.  Phillips'
+refinement takes each round's parameters, and the winding quadrature each
+round's nodes, in one `samples` / `derivatives` call.  Paths carry their
+interval, a Schatten-order tag used to validate regularization orders, a
+closed flag, and the interior parameters where the path is only C^0
+(concatenation joints); integrators split panels there.
 
 Generator paths know their spectrum: `generator_path`, `geodesic_between`
 and the caps `cap_into` / `cap_outof` diagonalise their generator once
 (`eigh` of -iY, or for a principal logarithm Y = Log U the `eig_unitary`
 pair of U itself) and sample e^{tY} = W e^{it theta} W* and its
 derivative W i theta e^{it theta} W* from that eigenpair, with no matrix
-exponential; their array sampler and array derivative take e^{it theta}
-over the outer product of the parameters and theta.  `reversed()` keeps
-an array sampler, and `concatenate` has one when both parts do; neither
-has an array derivative, so `derivatives` stacks their scalar ones.
+exponential, taking e^{it theta} over the outer product of the parameters
+and theta.  `reversed()` and `concatenate` write an array sampler and an
+array derivative over the `samples` and `derivatives` of their sources.
 """
 
 import numpy as np
@@ -48,11 +45,13 @@ class UnitaryPath:
 
     Parameters
     ----------
-    sampler : callable t -> (dim, dim) complex ndarray
+    sampler : callable t -> (dim, dim) complex ndarray.  Give exactly one
+        of `sampler` and `array_sampler`.
     interval : (a, b) with a < b; b may be np.inf (compactify before
         handing to the spectral-flow engines), or (-inf, inf).
     derivative : optional callable t -> ndarray, the analytic U'_t.
-        When absent, `.derivative` falls back to central differences.
+        Give at most one of `derivative` and `array_derivative`; with
+        neither, `.derivative` falls back to central differences.
     schatten_order : the p for which U_t - Id is treated as p-Schatten;
         engines validate their regularization order against it.
     closed : a flag that U_a = U_b (loops).  No engine reads it: the loop
@@ -61,28 +60,30 @@ class UnitaryPath:
     check : validate unitarity of every sample; a checked sample costs one
         extra matmul (a Frobenius-norm defect), not an SVD.  Disable only
         where the sampler is unitary by construction.
-    array_sampler : optional callable, a 1-D array of n parameters ->
-        (n, dim, dim) complex ndarray, the samples at all of them.  It
-        must return what `sampler` returns at each parameter; `samples`
-        calls it once per array instead of `sampler` once per parameter.
-    array_derivative : optional callable, a 1-D array of n parameters ->
-        (n, dim, dim) complex ndarray, the analytic U' at all of them.  It
-        must return what `derivative` returns at each parameter;
-        `derivatives` calls it once per array instead of `.derivative`
-        once per parameter.
+    array_sampler : callable, a 1-D array of n parameters -> (n, dim, dim)
+        complex ndarray, the samples at all of them; `path(t)` reads it at
+        `np.array([t])`, and `samples` stacks a scalar `sampler`.
+    array_derivative : optional callable, likewise the analytic U' at an
+        array of parameters.
     """
 
-    def __init__(self, sampler, interval=(0.0, 1.0), derivative=None,
+    def __init__(self, sampler=None, interval=(0.0, 1.0), derivative=None,
                  schatten_order=1.0, closed=False, breakpoints=(),
                  dim=None, check=True, array_sampler=None,
                  array_derivative=None):
+        if (sampler is None) == (array_sampler is None):
+            raise SpecflowError("a path takes exactly one of sampler and "
+                                "array_sampler")
+        if derivative is not None and array_derivative is not None:
+            raise SpecflowError("a path takes at most one of derivative and "
+                                "array_derivative")
         self._sampler = sampler
         self._array_sampler = array_sampler
+        self._derivative = derivative
         self._array_derivative = array_derivative
         self.interval = (float(interval[0]), float(interval[1]))
         if not self.interval[0] < self.interval[1]:
             raise OutsideInterval(f"empty interval {interval}")
-        self._derivative = derivative
         self.schatten_order = float(schatten_order)
         self.closed = bool(closed)
         self.breakpoints = tuple(sorted(float(b) for b in breakpoints))
@@ -91,8 +92,9 @@ class UnitaryPath:
                 raise OutsideInterval(f"breakpoint {b} outside {interval}")
         self._check = bool(check)
         if dim is None:
-            probe = np.asarray(sampler(self._probe_point()), dtype=complex)
-            dim = probe.shape[0]
+            t = self._probe_point()
+            dim = np.shape(array_sampler(np.array([t]))[0] if sampler is None
+                           else sampler(t))[0]
         self.dim = int(dim)
 
     def _probe_point(self):
@@ -114,6 +116,8 @@ class UnitaryPath:
         return (a - 1e-12 <= t) & (t <= b + 1e-12)
 
     def __call__(self, t):
+        if self._sampler is None:
+            return self.samples(np.array([t]))[0]
         if not self._contains(t):
             raise OutsideInterval(f"parameter {t} outside {self.interval}")
         U = np.asarray(self._sampler(t), dtype=complex)
@@ -134,8 +138,8 @@ class UnitaryPath:
     def samples(self, ts):
         """The samples at the parameters ts (a 1-D array) as one
         (len(ts), dim, dim) array: one array-sampler call, or the scalar
-        sampler stacked where there is none, and with `check` one stacked
-        unitarity check.  Each sample equals `self(t)`."""
+        sampler stacked, and with `check` one stacked unitarity check.
+        Each sample equals `self(t)`."""
         ts = self._inside(ts)
         if self._array_sampler is not None:
             U = np.asarray(self._array_sampler(ts), dtype=complex)
@@ -147,12 +151,15 @@ class UnitaryPath:
         return U
 
     def derivative(self, t):
-        """U'_t: analytic when available, else 4th-order central difference.
+        """U'_t: analytic when available (an array derivative read at
+        `np.array([t])`), else 4th-order central difference.
 
         Near the interval ends the stencil degrades to a 2nd-order one-sided
         difference; quadrature rules only sample interior nodes, so this
         path is rarely taken.
         """
+        if self._array_derivative is not None:
+            return self.derivatives(np.array([t]))[0]
         if not self._contains(t):
             raise OutsideInterval(f"parameter {t} outside {self.interval}")
         if self._derivative is not None:
@@ -171,8 +178,8 @@ class UnitaryPath:
     def derivatives(self, ts):
         """The derivatives at the parameters ts (a 1-D array) as one
         (len(ts), dim, dim) array: one array-derivative call, or
-        `.derivative` stacked where there is none (with its
-        central-difference fallback).  Each equals `self.derivative(t)`."""
+        `.derivative` stacked (with its central-difference fallback).
+        Each equals `self.derivative(t)`."""
         ts = self._inside(ts)
         if self._array_derivative is not None:
             return np.asarray(self._array_derivative(ts), dtype=complex)
@@ -190,19 +197,18 @@ class UnitaryPath:
             raise NotClosed(f"endpoint gap {gap:.3e} exceeds {ENDPOINT_TOL}")
 
     def reversed(self):
-        """The same trace traversed backwards (finite intervals only)."""
+        """The same trace traversed backwards (finite intervals only), read
+        off the source's (checked) samples and analytic derivatives."""
         a, b = self.interval
-        deriv = array_sampler = None
-        if self._derivative is not None:
-            deriv = lambda t: -np.asarray(self._derivative(a + b - t), dtype=complex)
-        if self._array_sampler is not None:
-            array_sampler = lambda ts: self._array_sampler(a + b - ts)
+        array_derivative = None
+        if self._derivative is not None or self._array_derivative is not None:
+            array_derivative = lambda ts: -self.derivatives(a + b - ts)
         return UnitaryPath(
-            lambda t: self._sampler(a + b - t), interval=(a, b),
-            derivative=deriv, schatten_order=self.schatten_order,
-            closed=self.closed,
+            array_sampler=lambda ts: self.samples(a + b - ts),
+            interval=(a, b), array_derivative=array_derivative,
+            schatten_order=self.schatten_order, closed=self.closed,
             breakpoints=tuple(a + b - c for c in self.breakpoints),
-            dim=self.dim, check=self._check, array_sampler=array_sampler,
+            dim=self.dim, check=False,
         )
 
 
@@ -258,36 +264,26 @@ def geodesic_between(U0, U1):
 
 def _spectral_path(theta, W, base=None):
     """The path base * e^{tY}, t in [0, 1], for Y = W diag(i theta) W* with
-    W unitary and theta real: each sample is base * W e^{it theta} W* and
-    each derivative base * W i theta e^{it theta} W*; the array sampler
-    and array derivative take e^{it theta} for all parameters at once."""
+    W unitary and theta real: the samples base * W e^{it theta} W* and
+    derivatives base * W i theta e^{it theta} W*, with e^{it theta} taken
+    for all parameters at once."""
     Wh = W.conj().T
     itheta = 1j * np.asarray(theta, dtype=float)
     if base is not None:
         base = np.asarray(base, dtype=complex)
-    dim = W.shape[0]
-
-    def sampler(t):
-        U = (W * np.exp(t * itheta)) @ Wh
-        return U if base is None else base @ U
 
     def array_sampler(ts):
         U = (W * np.exp(np.multiply.outer(ts, itheta))[:, None, :]) @ Wh
         return U if base is None else base @ U
-
-    def deriv(t):
-        dU = (W * (itheta * np.exp(t * itheta))) @ Wh
-        return dU if base is None else base @ dU
 
     def array_deriv(ts):
         rates = itheta * np.exp(np.multiply.outer(ts, itheta))
         dU = (W * rates[:, None, :]) @ Wh
         return dU if base is None else base @ dU
 
-    return UnitaryPath(sampler, derivative=deriv, schatten_order=1.0,
-                       closed=False, dim=dim, check=False,
-                       array_sampler=array_sampler,
-                       array_derivative=array_deriv)
+    return UnitaryPath(array_sampler=array_sampler,
+                       array_derivative=array_deriv, schatten_order=1.0,
+                       closed=False, dim=W.shape[0], check=False)
 
 
 def generator_path(Y, base=None):
@@ -325,7 +321,8 @@ def concatenate(a, b):
 
     Requires a's end value to match b's start value; the joint at t = 1/2
     becomes a breakpoint (the result is C^0 there, generally not C^1).
-    The result has an array sampler when both parts have one.
+    Its samples and derivatives are those of the parts, the derivatives
+    scaled by 2 la and 2 lb for parts of lengths la and lb.
     """
     if not (a.finite and b.finite):
         raise EndpointMismatch("concatenate requires finite intervals")
@@ -338,34 +335,32 @@ def concatenate(a, b):
     b0, b1 = b.interval
     la, lb = a1 - a0, b1 - b0
 
-    def sampler(t):
-        if t < 0.5:
-            return a(a0 + 2.0 * t * la)
-        return b(b0 + (2.0 * t - 1.0) * lb)
-
-    def deriv(t):
-        if t < 0.5:
-            return 2.0 * la * a.derivative(a0 + 2.0 * t * la)
-        return 2.0 * lb * b.derivative(b0 + (2.0 * t - 1.0) * lb)
-
-    def array_sampler(ts):
-        U = np.empty((len(ts), a.dim, a.dim), dtype=complex)
-        first = ts < 0.5
-        U[first] = a.samples(a0 + 2.0 * ts[first] * la)
-        U[~first] = b.samples(b0 + (2.0 * ts[~first] - 1.0) * lb)
-        return U
+    def joined(of_a, of_b):
+        def f(ts):
+            out = np.empty((len(ts), a.dim, a.dim), dtype=complex)
+            first = ts < 0.5
+            # a part no parameter falls in is not called: the 1D sweep's
+            # kernel costs about 0.16 ms even on an empty array
+            if first.any():
+                out[first] = of_a(a0 + 2.0 * ts[first] * la)
+            if not first.all():
+                out[~first] = of_b(b0 + (2.0 * ts[~first] - 1.0) * lb)
+            return out
+        return f
 
     joints = [0.5]
     joints += [(c - a0) / la / 2.0 for c in a.breakpoints]
     joints += [0.5 + (c - b0) / lb / 2.0 for c in b.breakpoints]
     closed = np.linalg.norm(a(a0) - b(b1), ord=2) <= ENDPOINT_TOL
 
-    batched = a._array_sampler is not None and b._array_sampler is not None
-    return UnitaryPath(sampler, interval=(0.0, 1.0), derivative=deriv,
+    return UnitaryPath(array_sampler=joined(a.samples, b.samples),
+                       interval=(0.0, 1.0),
+                       array_derivative=joined(
+                           lambda ts: 2.0 * la * a.derivatives(ts),
+                           lambda ts: 2.0 * lb * b.derivatives(ts)),
                        schatten_order=max(a.schatten_order, b.schatten_order),
                        closed=closed, breakpoints=joints, dim=a.dim,
-                       check=False,
-                       array_sampler=array_sampler if batched else None)
+                       check=False)
 
 
 def _tail_check(path, probes):

@@ -105,11 +105,12 @@ def test_scattering_path_has_exact_derivative(tmp_path, monkeypatch):
         assert np.max(np.abs(path.derivative(t) - fd)) \
             < 1e-7 * np.max(np.abs(fd))
 
-    def refuse(t):
+    def refuse(ts):
         raise AssertionError("the derivative sampled the path")
 
-    monkeypatch.setattr(path, "_sampler", refuse)
+    monkeypatch.setattr(path, "_array_sampler", refuse)
     assert path.derivative(0.3).shape == (2, 2)
+    assert path.derivatives(np.array([0.2, 0.7])).shape == (2, 2, 2)
     # the sweep is the one that levinson_verify counts on, over its
     # default wavenumbers
     same = levinson._sweep_1d(potential_from_file(pot))

@@ -177,6 +177,8 @@ def test_logderiv_anchors():
     assert abs(logderiv_det_p(still, 0.5, 3)) < 1e-12
     with pytest.raises(OutsideInterval):
         logderiv_det_p(loop, 1.2, 1)
+    # the path's own interval rule, with its 1e-12 allowance at the ends
+    assert abs(logderiv_det_p(loop, 1.0 + 1e-13, 1) - 2j * np.pi) < 1e-12
 
 
 def test_logderiv_matches_finite_difference(rng):

@@ -102,8 +102,8 @@ def test_order_agreement_across_admissible_range():
     # summability order 2 admits n >= 1 and r >= 0.5; every admissible
     # choice must report the same winding
     loop = model_loop(1, 3)
-    loop2 = UnitaryPath(loop._sampler, closed=True, schatten_order=2.0,
-                        derivative=loop._derivative, check=False)
+    loop2 = UnitaryPath(loop, closed=True, schatten_order=2.0,
+                        derivative=loop.derivative, check=False)
     for n in (1, 2, 3):
         assert sf_alpha(loop2, n=n).value == 1
     for r in (0.5, 0.8, 2.0):
@@ -113,8 +113,7 @@ def test_order_agreement_across_admissible_range():
 
 def test_inadmissible_orders_raise():
     loop = model_loop(1, 2)
-    loop2 = UnitaryPath(loop._sampler, closed=True, schatten_order=2.0,
-                        check=False)
+    loop2 = UnitaryPath(loop, closed=True, schatten_order=2.0, check=False)
     with pytest.raises(InvalidOrder):
         sf_alpha(loop2, n=0)
     with pytest.raises(InvalidOrder):

@@ -68,7 +68,7 @@ def test_finite_difference_matches_analytic_generator(rng):
     H = random_hermitian(4, rng)
     path = generator_path(1j * H)
     # drop the analytic derivative to force the finite-difference stencil
-    fd_path = UnitaryPath(path._sampler, check=False)
+    fd_path = UnitaryPath(path, check=False)
     t = 0.6
     want = 1j * H @ expm(1j * t * H)
     assert np.linalg.norm(fd_path.derivative(t) - want, ord=2) < 1e-8
@@ -121,13 +121,16 @@ def test_generator_path_samples_match_expm(rng):
 
 
 def _sampled_paths(rng):
-    # a path of each kind with an array sampler, and three without; the
-    # paths in DERIVED have an array derivative
+    # a path of each kind: built on an array sampler or on a scalar one,
+    # with an analytic derivative or without
     H = random_hermitian(3, rng, scale=3.0)
     U0, U1 = haar_unitary(3, rng), haar_unitary(3, rng)
     generator = generator_path(1j * H, base=U0)
     geodesic = geodesic_between(generator(1.0), U1)
     well = Potential1D.square_well(20.0, 1.0)
+    checked = UnitaryPath(lambda t: U0 * np.exp(1j * t))
+    derived = UnitaryPath(lambda t: U0 * np.exp(1j * t),
+                          derivative=lambda t: 1j * U0 * np.exp(1j * t))
     return {
         "generator": generator_path(1j * H),
         "generator with base": generator,
@@ -139,22 +142,23 @@ def _sampled_paths(rng):
                                               geodesic).reversed(),
         "1D scattering sweep": _sweep_1d(well),
         "model loop": model_loop(2, 3),
-        "checked sampler": UnitaryPath(lambda t: U0 * np.exp(1j * t)),
+        "constant": constant_path(U1),
+        "checked sampler": checked,
+        "reversed checked sampler": checked.reversed(),
+        "reversed sampler with derivative": derived.reversed(),
         "compactified": compactify(UnitaryPath(
             lambda s: U0 @ np.diag(np.exp(1j / (1.0 + s) * np.arange(3)))
             @ U0.conj().T, interval=(0.0, np.inf))),
+        "compactified line": compactify(UnitaryPath(
+            lambda s: U0 @ np.diag(np.exp(2j * np.pi * expit(s)
+                                          * np.array([1.0, 2.0, 0.0])))
+            @ U0.conj().T, interval=(-np.inf, np.inf))),
     }
-
-
-UNSAMPLED = ("model loop", "checked sampler", "compactified")
-DERIVED = ("generator", "generator with base", "geodesic", "cap into")
 
 
 def test_samples_are_the_scalar_samples(rng):
     ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(size=20)])
     for name, path in _sampled_paths(rng).items():
-        batched = name not in UNSAMPLED
-        assert (path._array_sampler is not None) == batched, name
         got = path.samples(ts)
         assert got.shape == (len(ts), path.dim, path.dim)
         assert np.array_equal(got, np.stack([path(t) for t in ts])), name
@@ -163,7 +167,6 @@ def test_samples_are_the_scalar_samples(rng):
 def test_derivatives_are_the_scalar_derivatives(rng):
     ts = np.concatenate([[0.0, 0.5, 1.0], rng.uniform(size=20)])
     for name, path in _sampled_paths(rng).items():
-        assert (path._array_derivative is not None) == (name in DERIVED), name
         got = path.derivatives(ts)
         assert got.shape == (len(ts), path.dim, path.dim)
         assert np.array_equal(got, np.stack([path.derivative(t)
@@ -173,6 +176,30 @@ def test_derivatives_are_the_scalar_derivatives(rng):
         with pytest.raises(OutsideInterval):
             path.derivatives(np.array([-1e-9, 0.2]))
         path.derivatives(np.array([0.0, 0.5, 1.0 + 1e-13]))
+
+
+def test_path_takes_one_sampler_and_one_derivative():
+    def sampler(t):
+        return np.eye(2) * np.exp(1j * t)
+
+    def array_sampler(ts):
+        return np.exp(1j * ts)[:, None, None] * np.eye(2)
+
+    for kwargs in ({}, {"sampler": sampler, "array_sampler": array_sampler},
+                   {"sampler": sampler, "derivative": sampler,
+                    "array_derivative": array_sampler}):
+        with pytest.raises(SpecflowError):
+            UnitaryPath(**kwargs)
+    # one-point calls read the array forms
+    path = UnitaryPath(array_sampler=array_sampler,
+                       array_derivative=lambda ts: 1j * array_sampler(ts))
+    assert path.dim == 2
+    assert np.array_equal(path(0.3), array_sampler(np.array([0.3]))[0])
+    assert np.array_equal(path.derivative(0.3),
+                          1j * array_sampler(np.array([0.3]))[0])
+    for call in (path, path.derivative):
+        with pytest.raises(OutsideInterval):
+            call(1.5)
 
 
 def test_samples_check_interval_and_unitarity():
@@ -194,6 +221,31 @@ def test_generator_path_rejects_non_skew_hermitian():
     # rounding-level asymmetry is accepted
     Y = 1j * np.diag([1.0, -2.0]) + 1e-14 * np.array([[0.0, 1.0], [0.0, 0.0]])
     generator_path(Y)
+
+
+def test_reversal_and_concatenation_keep_analytic_derivatives(rng):
+    # scalar paths of unequal lengths with analytic derivatives: the
+    # reversal and the concatenation read them, scaled by the chain rule,
+    # and take no central differences
+    U0 = haar_unitary(3, rng)
+    theta, phi = rng.uniform(-2.0, 2.0, size=3), rng.uniform(-2.0, 2.0, size=3)
+    a = UnitaryPath(lambda t: U0 * np.exp(1j * theta * t), interval=(0.0, 2.0),
+                    derivative=lambda t: U0 * (1j * theta)
+                    * np.exp(1j * theta * t))
+    U1 = a(2.0)
+    b = UnitaryPath(lambda s: U1 * np.exp(1j * phi * s), interval=(0.0, 0.5),
+                    derivative=lambda s: U1 * (1j * phi)
+                    * np.exp(1j * phi * s))
+    rev, joined = a.reversed(), concatenate(a, b)
+    for t in rng.uniform(size=10):
+        assert np.array_equal(rev(2.0 * t), a(2.0 - 2.0 * t))
+        np.testing.assert_allclose(rev.derivative(2.0 * t),
+                                   -a.derivative(2.0 - 2.0 * t),
+                                   rtol=0, atol=1e-14)
+        want = (4.0 * a.derivative(4.0 * t) if t < 0.5
+                else b.derivative(t - 0.5))
+        np.testing.assert_allclose(joined.derivative(t), want,
+                                   rtol=0, atol=1e-13)
 
 
 def test_cap_outof_is_cap_into_reversed(rng):
