@@ -1,9 +1,11 @@
 """specflow: spectral flow of identity-plus-Schatten unitary paths.
 
-Three independent routes compute the flow of eigenvalues through -1 along
+Two independent routes compute the flow of eigenvalues through -1 along
 a path of unitaries: an eigenvalue-crossing count with a certified
-partition and two regularized winding one-form integrals (the alpha and
-beta forms).  The log-derivative of a regularized Fredholm determinant,
+partition, and a regularized winding one-form integral, written as the
+alpha and the beta form; both forms are one quantity computed by two
+quadratures, so their agreement checks only the quadrature.  The
+log-derivative of a regularized Fredholm determinant,
 `sf_det`, is the alpha integral at order n = p - 1 written as the paper
 states it, not a further cross-check.  On top of these sit
 geodesically capped open paths, the Cayley correspondence with self-adjoint

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cayley import cayley, fp_distance, graph_projection, inv_cayley, \
     resolvent_bound_constant
-from .errors import SpecflowError
+from .errors import SpecflowError, UnsupportedDimension
 from .matcore import gamma_constant, schatten_norm
 from .rdet import _logdet_sides, det_p, unwind_log
 from .scatter import (
@@ -121,14 +121,19 @@ def _well_potential(dim, spec):
 
 
 def potential_from_file(path):
-    """Structured potential file: JSON with either 1D segments or a radial
-    description (constant depth or sampled (r, v) grid)."""
+    """Structured potential file: JSON with either 1D segments
+    ("dimension" 1, the default) or a 3D radial description ("dimension" 3;
+    constant depth or sampled (r, v) grid).  Any other "dimension" is
+    UnsupportedDimension."""
     return _load(path, "potential file", _potential)
 
 
 def _potential(fh):
     doc = json.load(fh)
-    dim = int(doc.get("dimension", 1))
+    dim = doc.get("dimension", 1)
+    if isinstance(dim, bool) or dim not in (1, 3):
+        raise UnsupportedDimension(f"a potential file's \"dimension\" must "
+                                   f"be 1 or 3, got {dim!r}")
     if dim == 1:
         segs = tuple((float(a), float(b), float(v))
                      for a, b, v in doc["segments"])
@@ -136,14 +141,14 @@ def _potential(fh):
     radius = float(doc["radius"])
     if "depth" in doc:
         return RadialPotential.square_well(depth=float(doc["depth"]),
-                                           radius=radius, dim=dim)
+                                           radius=radius)
     samples = np.asarray(doc["samples"], dtype=float)
     r_s, v_s = samples[:, 0], samples[:, 1]
 
     def v_of_r(r):
         return np.interp(r, r_s, v_s)
 
-    return RadialPotential(v_of_r=v_of_r, radius=radius, dim=dim)
+    return RadialPotential(v_of_r=v_of_r, radius=radius)
 
 
 def path_from_spec(spec):

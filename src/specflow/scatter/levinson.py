@@ -100,51 +100,50 @@ K_BANDS = (2.0, 20.0)
 
 
 # ---------------------------------------------------------------------------
+# The space dimension
+
+
+def _dimension(V, d):
+    """The space dimension V states (its class constant `dimension`), once
+    the caller's d is checked against it: every entry point that takes a d
+    goes through here, and a mismatch raises UnsupportedDimension naming
+    both."""
+    dim = getattr(V, "dimension", None)
+    if isinstance(d, bool) or d != dim:
+        raise UnsupportedDimension(
+            f"d = {d!r} does not match the {type(V).__name__} "
+            f"(dimension {dim})")
+    return dim
+
+
+# ---------------------------------------------------------------------------
 # High-energy polynomials
 
 
 @dataclass
 class HighEnergyPoly:
-    """P_d and its derivative p_d, as closures over moments of V.
+    """P_d as a closure over the moments of V.
 
-    coefficients maps monomial tags ("const", "sqrt", "lin") to the complex
-    coefficients of 1, lambda^{1/2}, lambda.
+    coefficients maps the monomial tag "sqrt" to the complex coefficient of
+    lambda^{1/2}; it is empty in d = 1, where P_1 = 0.
     """
     dimension: int
     coefficients: dict
+    # neither P_1 nor P_3 has a constant term
+    P0 = 0.0
 
     def P(self, lam):
-        c = self.coefficients
-        return (c.get("const", 0.0) + c.get("sqrt", 0.0) * np.sqrt(lam)
-                + c.get("lin", 0.0) * lam)
-
-    def p(self, lam):
-        c = self.coefficients
-        return (0.5 * c.get("sqrt", 0.0) / np.sqrt(lam)
-                + c.get("lin", 0.0))
-
-    @property
-    def P0(self):
-        return self.coefficients.get("const", 0.0)
+        return self.coefficients.get("sqrt", 0.0) * np.sqrt(lam)
 
 
 def high_energy_poly(d, V):
-    """The subtraction polynomial P_d (1 <= d <= 4) built from the moments
-    of the potential; its derivative p_d is what renders the winding
-    integrand integrable at high energy."""
-    if d not in (1, 2, 3, 4):
-        raise UnsupportedDimension(
-            f"high-energy polynomial only available for d <= 4, got {d}")
-    if d == 1:
+    """The subtraction polynomial P_d built from the moments of the
+    potential: P_1 = 0 and P_3 = -(i / 2 pi) lambda^{1/2} integral of V.  Its
+    derivative is what renders the winding integrand integrable at high
+    energy."""
+    if _dimension(V, d) == 1:
         return HighEnergyPoly(1, {})
-    m1 = V.integral()
-    if d == 2:
-        return HighEnergyPoly(2, {"const": -0.5j * m1})
-    if d == 3:
-        return HighEnergyPoly(3, {"sqrt": -0.5j * m1 / np.pi})
-    m2 = V.integral_sq()
-    return HighEnergyPoly(4, {"lin": -0.125j * m1 / np.pi,
-                              "const": 0.0625j * m2 / np.pi})
+    return HighEnergyPoly(3, {"sqrt": -0.5j * V.integral() / np.pi})
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +158,14 @@ def resonance_detect(V, d, tol=RES_TOL):
     threshold, d = 3 only).  Raises Inconclusive when a statistic falls in
     the band [tol/2, 2 tol] where the answer would depend on grid details.
     """
-    if d == 1:
+    if _dimension(V, d) == 1:
         s = resonance_statistic_1d(V)
         if tol / 2.0 <= s <= 2.0 * tol:
             raise Inconclusive(
                 f"1D resonance statistic {s:.3e} in the band "
                 f"[{tol / 2:.1e}, {2 * tol:.1e}]")
         return "s_resonance" if s < tol / 2.0 else "none"
-    if d == 3:
-        return _classify_3d(threshold_statistics_radial(V, lmax=3), tol)
-    raise UnsupportedDimension(f"resonance detection needs d in (1, 3), "
-                               f"got {d}")
+    return _classify_3d(threshold_statistics_radial(V, lmax=3), tol)
 
 
 def _classify_3d(sig, tol):
@@ -631,8 +627,11 @@ def levinson_verify(V, d, grid=None):
     adaptively and has no node count, so a number of points (as an integer
     or a dict entry) raises InvalidGrid there, as does an unknown key.
     So do wavenumber bounds that are not finite with 0 < k_min < k_max,
-    and a number of points that is not an integer >= 2.
+    and a number of points that is not an integer >= 2.  A d other than
+    the potential's own dimension (1 for Potential1D, 3 for
+    RadialPotential) raises UnsupportedDimension.
     """
+    d = _dimension(V, d)
     opts = {"k_min": DEFAULT_K_MIN, "k_max": DEFAULT_K_MAX,
             "points": DEFAULT_POINTS}
     if isinstance(grid, int):
@@ -652,10 +651,7 @@ def levinson_verify(V, d, grid=None):
     _check_grid(**opts)
     if d == 1:
         return _levinson_1d(V, opts["k_min"], opts["k_max"])
-    if d == 3:
-        return _levinson_3d(V, opts["k_min"], opts["k_max"], opts["points"])
-    raise UnsupportedDimension(
-        f"end-to-end verification covers d in (1, 3), got {d}")
+    return _levinson_3d(V, opts["k_min"], opts["k_max"], opts["points"])
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +667,7 @@ def regularization_necessity(V, data=None, Lambda=1e3):
     partial integral over the whole grid.  Without `data` the phase table
     is built on the default grid of `levinson_verify`.
     """
+    _dimension(V, 3)
     if data is None:
         data = ChannelData(V, DEFAULT_K_MIN, DEFAULT_K_MAX, DEFAULT_POINTS)
     ks = np.geomspace(data.ks[0], data.ks[-1], 2000)
@@ -707,19 +704,15 @@ def schatten_decay_exponent(V, d):
     """Fitted log-log slope of ||S(lambda) - Id||_1 over 25 energies from
     1e2 to 1e4, to be compared with -1/2 + (d - 1)/2."""
     lams = np.geomspace(1e2, 1e4, 25)
-    norms = np.empty_like(lams)
-    if d == 1:
+    if _dimension(V, d) == 1:
         S = smatrix_1d(V, lams)
-        norms[:] = np.sum(np.linalg.svd(S - np.eye(2), compute_uv=False),
-                          axis=1)
-    elif d == 3:
+        norms = np.sum(np.linalg.svd(S - np.eye(2), compute_uv=False),
+                       axis=1)
+    else:
         lmax = choose_lmax(V, float(np.max(lams)))
         w = 2.0 * np.arange(lmax + 1) + 1.0
         delta = phase_shift_rows(V, lams, lmax)
-        norms[:] = np.sum(w * np.abs(np.exp(2j * delta) - 1.0), axis=1)
-    else:
-        raise UnsupportedDimension(f"trace-norm sweep needs d in (1, 3), "
-                                   f"got {d}")
+        norms = np.sum(w * np.abs(np.exp(2j * delta) - 1.0), axis=1)
     slope, _ = np.polyfit(np.log(lams), np.log(norms), 1)
     return {"exponent": float(slope),
             "expected": -0.5 + (d - 1) / 2.0,

@@ -1,9 +1,12 @@
 """Compactly supported potentials for the scattering solvers.
 
-1D potentials are stored as piecewise-constant segments, for which the
-transfer matrices are exact; callables are discretized into fine segments.
-Radial potentials keep their callable plus support radius; moments over
-R^d are taken with the surface measure of the (d-1)-sphere.
+Each class states the space dimension it lives in as the class constant
+`dimension`: 1 for `Potential1D`, 3 for `RadialPotential`.  1D potentials
+are stored as piecewise-constant segments, for which the transfer matrices
+are exact; callables are discretized into fine segments.  Radial potentials
+are potentials on R^3 that depend on r = |x| only; they keep their callable
+plus support radius, and their moments over R^3 are 4 pi times the radial
+moments with the weight r^2.
 """
 
 from dataclasses import dataclass
@@ -12,10 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import quad
 
-from ..errors import SpecflowError, UnsupportedDimension
-
-SPHERE_VOLUMES = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi,
-                  4: 2.0 * np.pi ** 2}  # Vol(S^{d-1}) keyed by d
+from ..errors import SpecflowError
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class Potential1D:
     segments : tuple of (x0, x1, v) with x0 < x1, contiguous and sorted.
     """
 
+    dimension = 1
     segments: tuple
 
     def __post_init__(self):
@@ -83,14 +84,10 @@ class Potential1D:
         """Integral of V over the line."""
         return float(sum(v * (x1 - x0) for x0, x1, v in self.segments))
 
-    def integral_sq(self):
-        return float(sum(v * v * (x1 - x0) for x0, x1, v in self.segments))
-
 
 @dataclass(frozen=True)
 class RadialPotential:
-    """Real radial potential, zero outside r > radius.  Dimension 3 is the
-    computable case; 2 and 4 are accepted for moment bookkeeping only.
+    """Real radial potential on R^3, zero outside r > radius.
 
     v_of_r : callable evaluated on a whole array of radii at once, all in
         [0, radius), returning an array of the same shape (or a scalar for a
@@ -99,23 +96,20 @@ class RadialPotential:
         ...) rather than Python conditionals.
     """
 
+    dimension = 3
     v_of_r: object
     radius: float
-    dim: int = 3
 
     def __post_init__(self):
-        if self.dim not in (2, 3, 4):
-            raise UnsupportedDimension(f"radial dimension {self.dim}")
         if self.radius <= 0:
             raise SpecflowError(f"support radius must be positive, got "
                                 f"{self.radius}")
 
     @classmethod
-    def square_well(cls, depth, radius=1.0, dim=3):
+    def square_well(cls, depth, radius=1.0):
         d = float(depth)
         R = float(radius)
-        return cls(v_of_r=lambda r: np.where(r < R, -d, 0.0), radius=R,
-                   dim=dim)
+        return cls(v_of_r=lambda r: np.where(r < R, -d, 0.0), radius=R)
 
     def __call__(self, r):
         """V at r (a float or an array of radii), with one call of v_of_r
@@ -127,12 +121,13 @@ class RadialPotential:
         return float(out) if out.ndim == 0 else out
 
     def integral(self):
-        """Integral of V over R^d (surface measure times radial moment)."""
-        val, _ = quad(lambda r: self.v_of_r(r) * r ** (self.dim - 1),
-                      0.0, self.radius, limit=400)
-        return float(SPHERE_VOLUMES[self.dim] * val)
+        """Integral of V over R^3."""
+        val, _ = quad(lambda r: self.v_of_r(r) * r ** 2, 0.0, self.radius,
+                      limit=400)
+        return float(4.0 * np.pi * val)
 
     def integral_sq(self):
-        val, _ = quad(lambda r: self.v_of_r(r) ** 2 * r ** (self.dim - 1),
-                      0.0, self.radius, limit=400)
-        return float(SPHERE_VOLUMES[self.dim] * val)
+        """Integral of V^2 over R^3."""
+        val, _ = quad(lambda r: self.v_of_r(r) ** 2 * r ** 2, 0.0,
+                      self.radius, limit=400)
+        return float(4.0 * np.pi * val)

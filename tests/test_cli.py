@@ -336,6 +336,38 @@ def test_levinson_potential_file(tmp_path, capsys):
     assert recs[-1]["result"]["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("dim, doc", [
+    ("1", {"dimension": 3, "radius": 1.0, "depth": 3.0}),
+    ("3", {"dimension": 1, "segments": [[-1.0, 1.0, -5.0]]}),
+], ids=["radial-file-dim1", "1d-file-dim3"])
+def test_levinson_dimension_mismatch_is_a_record(tmp_path, capsys, dim, doc):
+    # a potential file of the other dimension than --dim: a typed record
+    # naming both, not an AttributeError traceback
+    pot = tmp_path / "well.json"
+    pot.write_text(json.dumps(doc))
+    rc = main(["levinson", "--dim", dim, "--potential", str(pot)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    error = json.loads(out.strip().splitlines()[-1])["result"]["error"]
+    assert error["type"] == "UnsupportedDimension"
+    assert f"d = {dim}" in error["message"]
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("dimension", [2, 3.7, True])
+def test_potential_file_dimension_is_1_or_3(tmp_path, capsys, dimension):
+    pot = tmp_path / "well.json"
+    pot.write_text(json.dumps({"dimension": dimension, "radius": 1.0,
+                               "depth": 3.0,
+                               "segments": [[-1.0, 1.0, -5.0]]}))
+    rc, recs = run_lines(["levinson", "--dim", "3", "--potential", str(pot)],
+                         capsys)
+    assert rc == 2
+    error = recs[-1]["result"]["error"]
+    assert error["type"] == "UnsupportedDimension"
+    assert repr(dimension) in error["message"]
+
+
 def test_sampled_radial_potential_file(tmp_path):
     pot = tmp_path / "radial.json"
     pot.write_text(json.dumps({"dimension": 3, "radius": 1.0,

@@ -69,22 +69,45 @@ def well3_data():
 
 
 def test_high_energy_poly_coefficients():
-    # moments of the depth-3 radius-1 well: m1 = -4 pi, m2 = 12 pi
-    assert high_energy_poly(1, WELL3).coefficients == {}
-    assert high_energy_poly(1, WELL3).P(5.0) == 0.0
-    p2 = high_energy_poly(2, WELL3)
-    assert abs(p2.P(7.0) - 2j * np.pi) < 1e-12
-    assert p2.p(7.0) == 0.0
+    p1 = high_energy_poly(1, WELL1)
+    assert p1.coefficients == {}
+    assert p1.P(5.0) == 0.0
+    assert p1.P0 == 0.0
+    # the depth-3 radius-1 well has integral -4 pi, so P_3 = 2i sqrt(lambda)
     p3 = high_energy_poly(3, WELL3)
     assert abs(p3.P(4.0) - 4j) < 1e-12
-    assert abs(p3.p(4.0) - 0.5j) < 1e-12
     assert p3.P(0.0) == 0.0
-    p4 = high_energy_poly(4, WELL3)
-    assert abs(p4.P(2.0) - 1.75j) < 1e-12
-    assert abs(p4.p(2.0) - 0.5j) < 1e-12
-    assert abs(p4.P0 - 0.75j) < 1e-12
+    assert p3.P0 == 0.0
     with pytest.raises(UnsupportedDimension):
-        high_energy_poly(5, WELL3)
+        high_energy_poly(3, WELL1)
+
+
+# every entry point that takes d; regularization_necessity takes none and
+# is checked as d = 3
+DIMENSION_ENTRY_POINTS = {
+    "levinson_verify": lambda V, d: levinson_verify(V, d),
+    "resonance_detect": resonance_detect,
+    "schatten_decay_exponent": schatten_decay_exponent,
+    "high_energy_poly": lambda V, d: high_energy_poly(d, V),
+    "regularization_necessity": lambda V, d: regularization_necessity(V),
+}
+DIMENSION_MISMATCHES = [
+    (entry, V, d) for entry in sorted(DIMENSION_ENTRY_POINTS)
+    for V, d in ((WELL1, 3), (WELL3, 1))
+    if not (entry == "regularization_necessity" and d == 1)]
+
+
+@pytest.mark.parametrize(
+    "entry, V, d", DIMENSION_MISMATCHES,
+    ids=[f"{e}-{type(V).__name__}-d{d}" for e, V, d in DIMENSION_MISMATCHES])
+def test_dimension_mismatch_is_loud(entry, V, d):
+    # a potential used under another dimension raises a typed error that
+    # names both sides, never an AttributeError from the wrong pipeline
+    with pytest.raises(UnsupportedDimension) as info:
+        DIMENSION_ENTRY_POINTS[entry](V, d)
+    message = str(info.value)
+    assert f"d = {d}" in message
+    assert type(V).__name__ in message
 
 
 def test_tail_estimate_power_law():

@@ -33,7 +33,7 @@ def test_potential_1d_basics():
     assert WELL(0.0) == -5.0
     assert WELL(2.0) == 0.0
     assert abs(WELL.integral() + 10.0) < 1e-12
-    assert abs(WELL.integral_sq() - 50.0) < 1e-12
+    assert WELL.dimension == 1
 
 
 def test_segment_arrays_built_once():

@@ -6,7 +6,6 @@ from specflow.errors import (
     EnergyNonpositive,
     OracleDisagreement,
     SpecflowError,
-    UnsupportedDimension,
 )
 from specflow.scatter import (
     ChannelData,
@@ -19,7 +18,6 @@ from specflow.scatter import (
     threshold_statistics_radial,
 )
 from specflow.scatter import radial
-from specflow.scatter.potentials import SPHERE_VOLUMES
 from specflow.scatter.radial import (
     RENORM_EVERY,
     _bound_states_fd_radial,
@@ -65,17 +63,10 @@ def test_radial_potential_moments():
     assert abs(WELL3.integral_sq() - 12.0 * np.pi) < 1e-10
     assert WELL3(0.5) == -3.0
     assert WELL3(1.5) == 0.0
-    assert SPHERE_VOLUMES == {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi,
-                              4: 2.0 * np.pi ** 2}
-
-
-def test_radial_potential_other_dims():
-    V2 = RadialPotential.square_well(1.0, dim=2)
-    assert abs(V2.integral() + np.pi) < 1e-10
-    V4 = RadialPotential.square_well(1.0, dim=4)
-    assert abs(V4.integral() + np.pi ** 2 / 2.0) < 1e-10
-    with pytest.raises(UnsupportedDimension):
-        RadialPotential.square_well(1.0, dim=5)
+    # radial means 3D: the dimension is a class constant, not a field
+    assert WELL3.dimension == RadialPotential.dimension == 3
+    with pytest.raises(TypeError):
+        RadialPotential.square_well(1.0, dim=3)
     with pytest.raises(SpecflowError):
         RadialPotential(v_of_r=lambda r: -1.0, radius=0.0)
 
