@@ -18,9 +18,12 @@ Conventions fixed here once and for all:
 Decompose only what is read.  Determinants read no spectrum: `rdet` takes
 them from an LU factorization.  Every reader of a unitary's spectrum
 (Phillips' eigenvalue tracking, the principal logarithm, the geodesic
-caps and endpoint integrals) uses `eig_unitary`, whose Schur vectors are
-orthonormal even at degeneracies; it calls LAPACK's zgees directly, as
-`scipy.linalg.schur` would, without that wrapper's per-call overhead.
+caps and endpoint integrals) uses `eig_unitary`, whose vectors are
+orthonormal even at degeneracies.  It decomposes a whole stack with one
+`eigh` of a Hermitian matrix that shares U's eigenvectors and checks each
+member's residual; a member that fails the check, where the Hermitian
+matrix merges two eigenvalues that U keeps apart, takes LAPACK's zgees,
+called directly as `scipy.linalg.schur` would call it.
 `abs_power` is the one kernel of |A|^{2x} = (A*A)^x: the winding-form
 trace kernel takes whole powers of A*A with matrix products and reserves
 its SVD for fractional orders.
@@ -35,9 +38,14 @@ from .errors import DecompositionFailure, InvalidOrder, NonUnitary
 
 UNITARY_TOL = 1e-10
 SNAP_TOL = 1e-12
+# eig_unitary: the phase of the rotation R = e^{-i phase} in the Hermitian
+# H = R U + (R U)* (irrational and far from 0 and pi), and the residual,
+# per sqrt(dim), up to which H's eigenvectors are accepted for U's
+HERMITIAN_PHASE = 0.377
+EIG_RESIDUAL_TOL = 1e-12
 
-# complex Schur decomposition, and the workspace size that
-# scipy.linalg.schur queries, kept per dimension
+# complex Schur decomposition, eig_unitary's fallback, and the workspace
+# size that scipy.linalg.schur queries, kept per dimension
 _ZGEES, = get_lapack_funcs(("gees",), (np.zeros((1, 1), dtype=complex),))
 _ZGEES_LWORK = {}
 
@@ -73,6 +81,24 @@ def _branch_angles(vals):
     return angles, np.argsort(angles, axis=-1, kind="stable")
 
 
+def _schur_eig(M):
+    """Eigenvalues and Schur vectors (as columns) of one unitary M from
+    zgees, called as `scipy.linalg.schur(M, output="complex")` calls it,
+    with the same workspace, so the output is bit-identical.  Raises
+    DecompositionFailure if LAPACK reports an error."""
+    n = M.shape[-1]
+    lwork = _ZGEES_LWORK.get(n)
+    if lwork is None:
+        query = _ZGEES(lambda x: None, np.eye(n, dtype=complex), lwork=-1)
+        lwork = _ZGEES_LWORK[n] = int(query[-2][0].real)
+    _, _, w, Z, _, info = _ZGEES(lambda x: None, M, lwork=lwork)
+    if info != 0:
+        raise DecompositionFailure(
+            f"Schur decomposition of a {n}x{n} unitary failed (zgees info "
+            f"{info})")
+    return w, Z
+
+
 def eig_unitary(U):
     """Eigen-decompose a unitary matrix into angles and orthonormal vectors.
 
@@ -80,54 +106,58 @@ def eig_unitary(U):
     vectors[:, j] the eigenvector for angles[j].  Angles within SNAP_TOL of
     the cut are snapped to +pi (the branch convention for the crossing point).
     A stack (..., dim, dim) returns angles (..., dim) and vectors
-    (..., dim, dim), each member exactly as a call on it alone.
+    (..., dim, dim), each member exactly as a call on it alone, and each
+    matrix of vectors Fortran-ordered.
 
-    Uses the Schur decomposition, which is exactly unitary for normal
-    matrices, so the returned vectors are orthonormal even at degeneracies.
-    zgees is called once per matrix as `scipy.linalg.schur(U,
-    output="complex")` calls it, with the same workspace, so the output is
-    bit-identical; the finite check that schur makes is the one
-    `check_unitary` makes here, once for the whole stack.  Raises
-    DecompositionFailure if LAPACK reports an error.
+    U is normal, so the Hermitian H = R U + (R U)*, R = e^{-i HERMITIAN_PHASE},
+    has U's eigenvectors; one stacked `eigh` of H gives orthonormal
+    vectors Q, and the Rayleigh quotients w = diag(Q* U Q) the eigenvalues.
+    A member is accepted when ||U Q - Q diag(w)|| <= EIG_RESIDUAL_TOL
+    sqrt(dim) in Frobenius norm, which bounds how far the returned pair
+    rebuilds U.  H merges two eigenvalues of U placed symmetrically about
+    e^{i HERMITIAN_PHASE}, so `eigh` may mix their vectors; such a member
+    fails the check and is decomposed by zgees (`_schur_eig`), whose Schur
+    vectors are orthonormal at any degeneracy.  If `eigh` does not
+    converge, every member of the stack takes zgees (the one case where a
+    member may differ from its own call in the last bits), and
+    DecompositionFailure is raised if zgees fails too.
     """
     U = check_unitary(U)
-    # np.linalg.eig does not guarantee orthonormal vectors at degeneracies;
-    # use Schur instead (unitary U is normal, so T is diagonal and its
-    # diagonal is the eigenvalue vector w).
     n = U.shape[-1]
-    lwork = _ZGEES_LWORK.get(n)
-    if lwork is None:
-        query = _ZGEES(lambda x: None, np.eye(n, dtype=complex), lwork=-1)
-        lwork = _ZGEES_LWORK[n] = int(query[-2][0].real)
     flat = U.reshape(-1, n, n)
-    w = np.empty(flat.shape[:-1], dtype=complex)
-    # the Schur vectors of each matrix as rows
-    rows = np.empty_like(flat)
-    for i, M in enumerate(flat):
-        _, _, w[i], Z, _, info = _ZGEES(lambda x: None, M, lwork=lwork)
-        if info != 0:
-            raise DecompositionFailure(
-                f"Schur decomposition of a {n}x{n} unitary failed (zgees "
-                f"info {info})")
-        rows[i] = Z.T
+    RU = np.exp(-1j * HERMITIAN_PHASE) * flat
+    try:
+        _, Q = np.linalg.eigh(RU + RU.conj().mT)
+    except np.linalg.LinAlgError:
+        w = np.empty(flat.shape[:-1], dtype=complex)
+        Q = np.empty(flat.shape, dtype=complex)
+        failed = range(len(flat))
+    else:
+        UQ = flat @ Q
+        w = np.vecdot(Q, UQ, axis=-2)
+        D = (UQ - Q * w[:, None, :]).reshape(len(flat), n * n)
+        residual = np.sqrt(np.vecdot(D, D).real)
+        failed = np.flatnonzero(~(residual <= EIG_RESIDUAL_TOL * np.sqrt(n)))
+    for i in failed:
+        w[i], Q[i] = _schur_eig(flat[i])
     angles, order = _branch_angles(w)
     member = np.arange(len(flat))[:, None]
-    # the transposed view of the sorted rows: each matrix of vectors is
-    # Fortran-ordered, as zgees returns it, so products with the vectors
-    # round as they do on a single call's output
+    # gather the sorted vectors as rows, far cheaper at dim 64 than as
+    # columns, and return the transposed view: each matrix of vectors is
+    # Fortran-ordered
     return (angles[member, order].reshape(U.shape[:-1]),
-            rows[member, order].mT.reshape(U.shape))
+            Q.mT[member, order].mT.reshape(U.shape))
 
 
 def principal_log_unitary(U):
     """Skew-Hermitian principal logarithm Y of a unitary U, with e^Y = U.
 
     Eigenvalue e^{i theta} maps to i*theta with theta in (-pi, pi]; the
-    eigenvalue -1 maps to +i*pi (cut-locus convention).
+    eigenvalue -1 maps to +i*pi (cut-locus convention).  A stack
+    (..., dim, dim) gives the logarithm of each member.
     """
     angles, vecs = eig_unitary(U)
-    Y = (vecs * (1j * angles)) @ vecs.conj().T
-    return Y
+    return (vecs * (1j * angles)[..., None, :]) @ vecs.conj().mT
 
 
 def schatten_norm(A, p):

@@ -47,8 +47,14 @@ def test_check_unitary_rejects_non_finite_entries(bad):
             eig_unitary(U)
 
 
-def test_eig_unitary_matches_scipy_schur_bitwise(rng):
-    # the direct zgees call reproduces schur(U, output="complex") exactly
+def _failing_eigh(H):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_eig_unitary_fallback_matches_scipy_schur_bitwise(rng, monkeypatch):
+    # the zgees fallback, taken here for every member because eigh raises,
+    # reproduces schur(U, output="complex") exactly
+    monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
     for dim in range(2, 65):
         U = haar_unitary(dim, rng)
         T, Z = schur(U, output="complex")
@@ -56,6 +62,28 @@ def test_eig_unitary_matches_scipy_schur_bitwise(rng):
         got_angles, got_vecs = eig_unitary(U)
         assert np.array_equal(got_angles, angles[order]), dim
         assert np.array_equal(got_vecs, Z[:, order]), dim
+
+
+def _assert_matches_schur(U, angles, vecs):
+    """Angles within 1e-12 of schur's, vectors orthonormal within 1e-12,
+    and U rebuilt from both within eig_unitary's acceptance bound
+    EIG_RESIDUAL_TOL sqrt(dim), in Frobenius norm."""
+    dim = U.shape[-1]
+    T, _ = schur(U, output="complex")
+    want, order = matcore._branch_angles(np.diag(T))
+    assert np.max(np.abs(angles - want[order])) <= 1e-12
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(dim), ord=2) <= 1e-12
+    rebuilt = (vecs * np.exp(1j * angles)) @ vecs.conj().T
+    assert (np.linalg.norm(rebuilt - U)
+            <= matcore.EIG_RESIDUAL_TOL * np.sqrt(dim))
+
+
+def test_eig_unitary_matches_scipy_schur(rng):
+    # the stacked Hermitian route: schur's angles and orthonormal vectors
+    # within 1e-12, and U rebuilt within the residual that admits a member
+    for dim in range(2, 65):
+        U = haar_unitary(dim, rng)
+        _assert_matches_schur(U, *eig_unitary(U))
 
 
 def test_eig_unitary_on_a_stack_is_each_call(rng):
@@ -93,6 +121,14 @@ def test_stack_with_one_non_unitary_member_raises(rng):
 
 def test_eig_unitary_raises_on_lapack_failure(rng, monkeypatch):
     U = haar_unitary(3, rng)
+    # eigh fails: zgees answers, as schur would
+    monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
+    angles, vecs = eig_unitary(U)
+    T, Z = schur(U, output="complex")
+    want, order = matcore._branch_angles(np.diag(T))
+    assert np.array_equal(angles, want[order])
+    assert np.array_equal(vecs, Z[:, order])
+    # zgees fails as well: DecompositionFailure
     real = matcore._ZGEES
 
     def failing(select, a, lwork):
@@ -102,6 +138,96 @@ def test_eig_unitary_raises_on_lapack_failure(rng, monkeypatch):
     monkeypatch.setattr(matcore, "_ZGEES", failing)
     with pytest.raises(DecompositionFailure):
         eig_unitary(U)
+
+
+def _spectral_unitary(angles, rng):
+    W = haar_unitary(len(angles), rng)
+    return (W * np.exp(1j * np.asarray(angles))) @ W.conj().T
+
+
+def _assert_adversarial(mats, expect_fallback, monkeypatch):
+    """Each member of `mats` against schur, the members that took the
+    zgees fallback, and the stack bitwise against the single calls."""
+    real = matcore._schur_eig
+    fallbacks = []
+
+    def counting(M):
+        fallbacks.append(M)
+        return real(M)
+
+    monkeypatch.setattr(matcore, "_schur_eig", counting)
+    singles = [eig_unitary(U) for U in mats]
+    for U, (angles, vecs) in zip(mats, singles):
+        _assert_matches_schur(U, angles, vecs)
+    if expect_fallback:
+        assert len(fallbacks) == len(mats)
+    angles, vecs = eig_unitary(np.stack(mats))
+    for (want_angles, want_vecs), got_angles, got_vecs in zip(singles, angles,
+                                                              vecs):
+        assert np.array_equal(got_angles, want_angles)
+        assert np.array_equal(got_vecs, want_vecs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 24), st.integers(0, 10 ** 6))
+def test_eig_unitary_pairs_symmetric_about_the_hermitian_phase(dim, seed):
+    # e^{i(phase +/- delta)} are one eigenvalue 2 cos(delta) of the
+    # Hermitian matrix, whose eigh may mix their vectors: the residual
+    # check sends every such member to zgees
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(3):
+        delta = rng.uniform(0.05, 2.5)
+        angles = rng.uniform(-np.pi, np.pi, dim)
+        angles[:2] = matcore.HERMITIAN_PHASE + np.array([delta, -delta])
+        mats.append(_spectral_unitary(angles, rng))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_adversarial(mats, True, monkeypatch)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(8, 64), st.integers(0, 10 ** 6))
+def test_eig_unitary_exact_degeneracies(dim, seed):
+    # dense-loop's spectra: e^{2 pi i m t} with m in -2..2, each eigenvalue
+    # about dim/5-fold, and the whole spectrum at 1 when t is whole
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-2, 3, size=dim)
+    mats = [_spectral_unitary(2.0 * np.pi * m * t, rng)
+            for t in (rng.uniform(), 0.5, 1.0)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_adversarial(mats, False, monkeypatch)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 16), st.integers(0, 10 ** 6))
+def test_eig_unitary_near_degenerate_triple_at_minus_one(dim, seed):
+    # three eigenvalues within 1e-5 of -1, on both sides of the cut
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(3):
+        angles = rng.uniform(-np.pi, np.pi, dim)
+        offsets = rng.uniform(1e-9, 1e-5, 3) * np.array([1.0, -1.0, 1.0])
+        angles[:3] = np.pi + offsets
+        mats.append(_spectral_unitary(angles, rng))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_adversarial(mats, False, monkeypatch)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 10 ** 6))
+def test_eig_unitary_snaps_an_eigenvalue_within_snap_tol_of_the_cut(dim,
+                                                                     seed):
+    # an angle 1e-13 above -pi is reported at +pi, exactly
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(3):
+        angles = rng.uniform(-3.0, 3.0, dim)
+        angles[0] = -np.pi + 1e-13
+        mats.append(_spectral_unitary(angles, rng))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_adversarial(mats, False, monkeypatch)
+    for U in mats:
+        assert eig_unitary(U)[0][-1] == np.pi
 
 
 def test_eig_unitary_identity():
@@ -309,6 +435,16 @@ def test_principal_log_anchors():
     S0 = np.array([[0.0, -1.0], [-1.0, 0.0]])
     Q = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
     assert np.linalg.norm(principal_log_unitary(S0) - 1j * np.pi * Q) < 1e-12
+
+
+def test_principal_log_on_a_stack_is_each_call(rng):
+    from scipy.linalg import expm
+    mats = np.stack([haar_unitary(3, rng) for _ in range(3)])
+    Y = principal_log_unitary(mats)
+    assert Y.shape == (3, 3, 3)
+    for U, Yi in zip(mats, Y):
+        assert np.array_equal(Yi, principal_log_unitary(U))
+        assert np.linalg.norm(expm(Yi) - U, ord=2) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import expm, ldl
 
 from specflow import sflow
 from specflow.errors import (IntegrationFailure, InvalidOrder, NotClosed,
@@ -207,6 +207,57 @@ def test_phillips_counts_a_spectrum_turning_one_way():
     loop, flow = _block_loop(47, 9, 1e-10, 2, 11)
     assert flow == 26
     assert sf_phillips(loop).value == flow
+
+
+def _positive_inertia(U):
+    # N+(U): the positive eigenvalues of the Hermitian (U - U*)/2i, by
+    # Sylvester's law of inertia from the block-diagonal factor of an LDL*
+    # factorization, with no eigendecomposition of U
+    _, d, _ = ldl((U - U.conj().T) / 2j, hermitian=True)
+    return int(np.sum(np.linalg.eigvalsh(d) > 0.0))
+
+
+def _inertia_path(dim, seed):
+    # U(t) = W(t) diag(e^{i theta_j(t)}) W(t)* on [0, 1], with W a
+    # generator path and theta_j(t) = pi + a_j sin(2 pi nu_j t + phi_j),
+    # |a_j| < pi and nu_j <= 4: no eigenvalue reaches +1, so eigenvalue j crosses -1 net
+    # [sin theta_j(0) > 0] - [sin theta_j(1) > 0] times and the flow is
+    # N+(U(0)) - N+(U(1)).  The phases keep |sin theta_j| >= 0.05 at both
+    # ends, clear of the kernel of (U - U*)/2i
+    rng = np.random.default_rng(seed)
+    K = random_hermitian(dim, rng)
+    W = generator_path(2j * K / np.max(np.abs(np.linalg.eigvalsh(K))))
+    a = rng.uniform(0.3, 3.0, dim) * rng.choice([-1.0, 1.0], dim)
+    nu = rng.uniform(0.25, 4.0, dim)
+    phi = rng.uniform(0.0, 2.0 * np.pi, dim)
+    for j in range(dim):
+        while min(abs(np.sin(a[j] * np.sin(2.0 * np.pi * nu[j] * t + phi[j])))
+                  for t in (0.0, 1.0)) < 0.05:
+            phi[j] = rng.uniform(0.0, 2.0 * np.pi)
+
+    def array_sampler(ts):
+        theta = np.pi + a * np.sin(2.0 * np.pi * np.multiply.outer(ts, nu)
+                                   + phi)
+        V = W.samples(ts)
+        return (V * np.exp(1j * theta)[:, None, :]) @ V.conj().mT
+
+    return UnitaryPath(array_sampler=array_sampler, dim=dim)
+
+
+def _assert_endpoint_inertia(path):
+    a, b = path.interval
+    want = _positive_inertia(path(a)) - _positive_inertia(path(b))
+    assert sf_phillips(path).value == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 2 ** 32 - 1))
+def test_phillips_matches_the_endpoint_inertia(dim, seed):
+    _assert_endpoint_inertia(_inertia_path(dim, seed))
+
+
+def test_phillips_matches_the_endpoint_inertia_at_dim_64():
+    _assert_endpoint_inertia(_inertia_path(64, 7))
 
 
 def _old_ray_test(u0, u1, motion, eps):
