@@ -3,8 +3,9 @@
 Routes to the spectral flow of the energy-parametrized scattering-matrix
 path are computed and compared:
 
-  (a) the eigenvalue-crossing count on the compactified path, with the
-      geodesic cap fixed by the zero-energy scattering matrix;
+  (a) the eigenvalue-crossing count on the sweep, closed by caps counted
+      in closed form, the start cap fixed by the zero-energy scattering
+      matrix;
   (b) the regularized winding integral with the (S - Id)^{d-1} insertion;
   (c) in d = 3, the plain winding integral with the high-energy polynomial
       derivative subtracted, plus the endpoint corrections that relate it
@@ -45,10 +46,16 @@ The independent checks are the table's endpoints against the zero-energy
 bound-state count, and the subtracted route's high-energy tail.
 
 The d = 1 zero-energy cap: without a resonance the scattering matrix tends
-to [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging projection,
-and closing the path through exp(-i pi t Q) reproduces the crossing count
--N; the matching integral correction is -1/2, the half-unit carried by the
-cap's winding.  The opposite orientation (+1/2) is also reported, as
+to S0 = [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging
+projection, and closing the path through exp(-i pi t Q) reproduces the
+crossing count -N; the matching integral correction is -1/2, the half-unit
+carried by the cap's winding.  The cap and the principal geodesic from S0
+into the sweep form one path from Id to S(k_min), and a path's crossing
+count with fixed ends depends only on the winding of its det.  So the two
+enter `_capped_count` as one closed-form start cap of trace -pi + sum_j
+theta_j, the theta_j the principal angles of S0* S(k_min), and Phillips
+samples the sweep alone, the path `sf-path --path scattering:FILE`
+counts.  The opposite orientation (+1/2) is also reported, as
 alt_convention_sf, since both bookkeepings appear in the literature.
 """
 
@@ -68,11 +75,17 @@ from ..errors import (
     TailNotConverged,
     UnsupportedDimension,
 )
-from ..matcore import _branch_angles
+from ..matcore import _branch_angles, eig_unitary
 from ..rdet import counterterm_series
 from ..sflow import SpectralFlowReport, _adaptive_gk21, _capped_count
-from ..upath import UnitaryPath, concatenate, geodesic_between
-from .onedim import bound_states_1d, resonance_statistic_1d, smatrix_1d
+from ..upath import UnitaryPath
+from .onedim import (
+    _bound_state_count,
+    _resonance_statistic,
+    _zero_energy_left_solution,
+    resonance_statistic_1d,
+    smatrix_1d,
+)
 from .radial import (
     CHANNEL_TOL,
     _channel_counts,
@@ -159,13 +172,17 @@ def resonance_detect(V, d, tol=RES_TOL):
     the band [tol/2, 2 tol] where the answer would depend on grid details.
     """
     if _dimension(V, d) == 1:
-        s = resonance_statistic_1d(V)
-        if tol / 2.0 <= s <= 2.0 * tol:
-            raise Inconclusive(
-                f"1D resonance statistic {s:.3e} in the band "
-                f"[{tol / 2:.1e}, {2 * tol:.1e}]")
-        return "s_resonance" if s < tol / 2.0 else "none"
+        return _classify_1d(resonance_statistic_1d(V), tol)
     return _classify_3d(threshold_statistics_radial(V, lmax=3), tol)
+
+
+def _classify_1d(s, tol):
+    """resonance_detect's d = 1 verdict from the resonance statistic."""
+    if tol / 2.0 <= s <= 2.0 * tol:
+        raise Inconclusive(
+            f"1D resonance statistic {s:.3e} in the band "
+            f"[{tol / 2:.1e}, {2 * tol:.1e}]")
+    return "s_resonance" if s < tol / 2.0 else "none"
 
 
 def _classify_3d(sig, tol):
@@ -320,8 +337,11 @@ def _sweep_1d(V, k_min=DEFAULT_K_MIN, k_max=DEFAULT_K_MAX):
 
 
 def _levinson_1d(V, k_min, k_max):
-    N = bound_states_1d(V)
-    classification = resonance_detect(V, 1)
+    # one zero-energy solution serves the bound-state count and the
+    # resonance statistic
+    zero = _zero_energy_left_solution(V)
+    N = _bound_state_count(V, zero)
+    classification = _classify_1d(_resonance_statistic(V, zero), RES_TOL)
     poly = high_energy_poly(1, V)
 
     integral, err, tail_q = _k_integral(_winding_1d(V), k_min, k_max)
@@ -329,15 +349,13 @@ def _levinson_1d(V, k_min, k_max):
 
     # crossing-count route on the capped path
     sweep = _sweep_1d(V, k_min, k_max)
+    start_trace = None
     if classification == "none":
-        # the zero cap exp(-i pi t Q), Q the rank-one averaging projection,
-        # runs from Id to S0 = exp(-i pi Q), and a geodesic from S0 into
-        # the sweep; the cap's generator Y = -i pi Q has Tr(-iY) = -pi
+        # the zero cap exp(-i pi t Q) into S0 (trace -pi) and the principal
+        # geodesic from S0 = S0* into the sweep, counted as one start cap
         S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-        body = concatenate(geodesic_between(S0, sweep(0.0)), sweep)
-        phillips = _capped_count(body, -np.pi)[0]
-    else:
-        phillips = _capped_count(sweep)[0]
+        start_trace = -np.pi + np.sum(eig_unitary(S0 @ sweep(0.0))[0])
+    phillips = _capped_count(sweep, start_trace)[0]
 
     # P_1 = 0, so a subtracted route would repeat the regularized one
     routes = {
@@ -634,7 +652,7 @@ def levinson_verify(V, d, grid=None):
     d = _dimension(V, d)
     opts = {"k_min": DEFAULT_K_MIN, "k_max": DEFAULT_K_MAX,
             "points": DEFAULT_POINTS}
-    if isinstance(grid, int):
+    if isinstance(grid, numbers.Integral):
         grid = {"points": grid}
     elif grid is None:
         grid = {}

@@ -219,8 +219,18 @@ def bound_states_1d(V):
     (ii) node counting of the zero-energy solution (Sturm oscillation).
     The two counts must agree, else OracleDisagreement.
     """
+    return _bound_state_count(V, _zero_energy_left_solution(V))
+
+
+def _bound_state_count(V, zero):
+    """bound_states_1d from one zero-energy solution, zero =
+    _zero_energy_left_solution(V)."""
     count_fd = _bound_states_fd(V)
-    count_nodes = _bound_states_nodes(V)
+    us, (u_end, du_end) = zero
+    signs = np.sign(us[np.abs(us) > 1e-13])
+    interior = int(np.sum(signs[:-1] != signs[1:]))
+    # one more zero in the free region x > x_right iff u and u' oppose there
+    count_nodes = interior + (1 if u_end * du_end < 0 else 0)
     if count_fd != count_nodes:
         raise OracleDisagreement(
             f"finite differences count {count_fd} bound states but the "
@@ -266,19 +276,16 @@ def _zero_energy_left_solution(V):
     return np.array(us), state
 
 
-def _bound_states_nodes(V):
-    us, (u_end, du_end) = _zero_energy_left_solution(V)
-    signs = np.sign(us[np.abs(us) > 1e-13])
-    interior = int(np.sum(signs[:-1] != signs[1:]))
-    # one more zero in the free region x > x_right iff u and u' oppose there
-    tail = 1 if u_end * du_end < 0 else 0
-    return interior + tail
-
-
 def resonance_statistic_1d(V):
     """Scale-free size of the derivative of the zero-energy solution at the
     right edge; zero iff the solution stays bounded (a resonance)."""
-    _, (u_end, du_end) = _zero_energy_left_solution(V)
+    return _resonance_statistic(V, _zero_energy_left_solution(V))
+
+
+def _resonance_statistic(V, zero):
+    """resonance_statistic_1d from one zero-energy solution, zero =
+    _zero_energy_left_solution(V)."""
+    _, (u_end, du_end) = zero
     span = (V.support[1] - V.support[0]) + 1.0
     return abs(du_end) * span / (abs(u_end) + span * abs(du_end) + 1e-300)
 

@@ -46,7 +46,10 @@ the count of the sampled path instead of being sampled themselves.  One
 routine, `_capped_count`, closes an open path with caps from and back to
 Id and counts it, guarding each principal cap with CapMismatch; its two
 callers are `sf_open_path` and the 1D crossing count of
-`scatter.levinson`, whose start cap may be the zero-energy cap.
+`scatter.levinson`.  The latter starts from the zero-energy scattering
+matrix: its start cap is the zero-energy cap followed by the geodesic
+into the sweep, which `_capped_count` counts in closed form from the det
+winding of the two, so only the sweep is sampled.
 """
 
 from dataclasses import dataclass, field, replace
@@ -382,6 +385,12 @@ def _generator_flow(trace, end_angles):
     concatenation, so with E the exact matrix on which an adjacent sampled
     segment starts (or ends), this count adds to `sf_phillips` on that
     segment as if the cap had been sampled with it.
+
+    The flow of a path with fixed ends depends only on its homotopy class
+    (Phillips, Canad. Math. Bull. 39, 1996), and a class of paths from Id
+    to E is fixed by the winding of det along it, Tr(-iY) for e^{tY}.  So
+    this also counts any path from Id to E whose det winds by `trace`, such
+    as several caps joined end to end.
     """
     end_angles = np.asarray(end_angles)
     winds = np.round((trace - np.sum(end_angles)) / (2.0 * np.pi))
@@ -392,7 +401,11 @@ def _capped_count(path, start_trace=None):
     """Crossing count of `path` closed by caps from and back to Id: a cap
     e^{tY} into path(a) whose generator has Tr(-iY) = start_trace (by
     default the principal cap, Y = Log path(a)), the path, and the
-    principal cap e^{(1-t)Z}, Z = Log path(b), back to Id.
+    principal cap e^{(1-t)Z}, Z = Log path(b), back to Id.  By
+    `_generator_flow`, the start cap stands for any path from Id to
+    path(a) whose det winds by start_trace: the 1D Levinson count passes
+    the trace of the zero-energy cap and the geodesic from its end into
+    the sweep, and samples neither.
 
     `sf_phillips` counts the sampled path and the caps add their
     closed-form counts (`_generator_flow`), read off the eigenangles of

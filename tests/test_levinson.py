@@ -27,7 +27,7 @@ from specflow.scatter import (
     resonance_statistic_1d,
     schatten_decay_exponent,
 )
-from specflow.scatter import levinson
+from specflow.scatter import levinson, onedim
 from specflow.scatter.levinson import (
     _band_rows,
     _route_bodies,
@@ -35,6 +35,7 @@ from specflow.scatter.levinson import (
     _tail_estimate,
 )
 from specflow import sflow
+from specflow.matcore import eig_unitary
 from specflow.sflow import sf_phillips
 from specflow.upath import (
     UnitaryPath,
@@ -274,6 +275,38 @@ def test_levinson_1d_deep_wells(depth, count):
     assert rep.N == count and rep.sf == -count
 
 
+@pytest.mark.parametrize("k_max", [200.0, 400.0])
+def test_levinson_1d_double_well_past_default_k_max(k_max):
+    # with the geodesic from the zero-energy cap into the sweep sampled
+    # too, only 17 of Phillips' 33 initial samples fell on the sweep and
+    # the count aliased to -3; the sweep alone is sampled, as sf-path
+    # samples it
+    rep = levinson_verify(DOUBLE_WELL, 1, grid={"k_max": k_max})
+    assert rep.verdict == "pass"
+    assert rep.N == 4 and rep.sf == -4
+    sweep = levinson._sweep_1d(DOUBLE_WELL, levinson.DEFAULT_K_MIN, k_max)
+    alone = sf_phillips(sweep)
+    assert rep.sf_regularized.parameters == alone.parameters
+    assert rep.sf_regularized.certificate.breakpoints \
+        == alone.certificate.breakpoints
+
+
+def test_levinson_1d_solves_the_zero_energy_equation_once(monkeypatch):
+    # the bound-state count and the resonance statistic share one solution
+    solve = levinson._zero_energy_left_solution
+    calls = []
+
+    def counting(V):
+        calls.append(V)
+        return solve(V)
+
+    monkeypatch.setattr(levinson, "_zero_energy_left_solution", counting)
+    monkeypatch.setattr(onedim, "_zero_energy_left_solution", counting)
+    rep = levinson_verify(WELL1, 1)
+    assert rep.verdict == "pass" and rep.N == 2
+    assert calls == [WELL1]
+
+
 def _k_quad(F, a, b):
     # the shared winding quadrature as the d = 1 body runs it
     return sflow._adaptive_gk21(F, (a, b), levinson.K_QUAD_TOL, 0.0)
@@ -353,6 +386,11 @@ def test_levinson_grid_and_dimension_validation():
     # the adaptive d = 1 route has no node count to set
     with pytest.raises(InvalidGrid):
         levinson_verify(WELL1, 1, grid=200)
+    # any integer type is a number of points, numpy's too
+    with pytest.raises(InvalidGrid):
+        levinson_verify(WELL1, 1, grid=np.int64(200))
+    with pytest.raises(InvalidGrid, match="points must be an integer >= 2"):
+        levinson_verify(WELL3, 3, grid=np.int64(1))
     with pytest.raises(InvalidGrid):
         levinson_verify(WELL1, 1, grid={"points": 200})
     with pytest.raises(InvalidGrid):
@@ -553,6 +591,15 @@ def _capped_count(sweep, zero_cap=None):
     return sflow._capped_count(body, np.trace(-1j * Y).real)[0]
 
 
+def _start_trace(zero_cap, start):
+    # the zero cap exp(tY) and the principal geodesic from S0 to start as
+    # one start cap, counted through the trace of the two: Tr(-iY) plus
+    # the principal angles of S0* start
+    Y, S0 = zero_cap
+    return (np.trace(-1j * Y).real
+            + np.sum(eig_unitary(S0.conj().T @ start)[0]))
+
+
 def _sampled_capped_flow(S_of_t, zero_cap=None):
     # every cap sampled: sf_phillips on the whole closed loop
     start = S_of_t(0.0)
@@ -572,7 +619,8 @@ def _sampled_capped_flow(S_of_t, zero_cap=None):
 def test_capped_flow_closed_form_caps_match_sampled_caps():
     # sweeps S(t) = B W diag(e^{i phi(t)}) W* over 2x2 unitaries, some
     # starting or ending with an eigenvalue at -1, against the loop with
-    # every cap sampled; the 1D zero-energy cap closes those from S0
+    # every cap sampled; the 1D zero-energy cap closes those from S0, both
+    # with its geodesic into the sweep sampled and as one closed-form cap
     rng = np.random.default_rng(11)
     S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
     Q = 0.5 * np.ones((2, 2), dtype=complex)
@@ -596,7 +644,12 @@ def test_capped_flow_closed_form_caps_match_sampled_caps():
             return B @ (W * np.exp(1j * (phi0 + dphi * t))) @ W.conj().T
 
         want = _sampled_capped_flow(S_of_t, cap)
-        assert _capped_count(UnitaryPath(S_of_t), cap).value == want
+        sweep = UnitaryPath(S_of_t)
+        assert _capped_count(sweep, cap).value == want
+        if cap is not None:
+            # the 1D crossing count's closed-form start cap
+            trace = _start_trace(cap, S_of_t(0.0))
+            assert sflow._capped_count(sweep, trace)[0].value == want
 
 
 def test_capped_count_raises_when_a_cap_misses_its_sample(monkeypatch):
