@@ -79,11 +79,11 @@ def cayley(U):
 
     Eigenvectors of U with angle within ANGLE_TOL of zero span the
     excluded kernel; the remaining eigenvectors span V.  U = Id gives the
-    zero operator on the zero subspace.
+    zero operator on the zero subspace.  `eig_unitary` checks that U is
+    unitary.
     """
-    U = check_unitary(U)
-    n = U.shape[0]
     angles, vecs = eig_unitary(U)
+    n = vecs.shape[0]
     active = np.abs(angles) > ANGLE_TOL
     Va = vecs[:, active]
     P = Va @ Va.conj().T
@@ -160,7 +160,7 @@ def cayley_form_identity(U, X, n):
     vanish on the complement.
     """
     n = check_order("n", n, 1, integer=True)
-    U = check_unitary(U)
+    U = np.asarray(U, dtype=complex)
     X = np.asarray(X, dtype=complex)
     op = cayley(U)
     const = gamma_constant(n / 2.0)
@@ -178,7 +178,7 @@ def cayley_form_identity_beta(U, X, r):
       -C_r (1/2)^{2r+1} Tr(X |U - Id|^{2r}).
     """
     r = check_order("r", r, 0)
-    U = check_unitary(U)
+    U = np.asarray(U, dtype=complex)
     X = np.asarray(X, dtype=complex)
     op = cayley(U)
     const = -gamma_constant(r)
@@ -187,23 +187,16 @@ def cayley_form_identity_beta(U, X, r):
     return complex(lhs), complex(rhs)
 
 
-def sf_fp_path(op_sampler, method="phillips", **kwargs):
+def sf_fp_path(op_sampler):
     """Spectral flow of a family t -> op_sampler(t), t in [0, 1], of
-    SubspaceOperators.
+    SubspaceOperators: the crossing count of its unitary path.
 
-    The family is pushed through the inverse transform to a unitary path and
-    handed to the requested flow engine.  Moving domains are allowed; the
+    The family is pushed through the inverse transform to a unitary path
+    and counted by `sflow.sf_phillips`.  Moving domains are allowed; the
     unitary path is what must be continuous.
     """
-    from . import sflow
+    from .sflow import sf_phillips
     from .upath import UnitaryPath
 
-    def sampler(t):
-        return inv_cayley(op_sampler(t))
-
-    engines = {"phillips": sflow.sf_phillips, "alpha": sflow.sf_alpha,
-               "beta": sflow.sf_beta, "det": sflow.sf_det}
-    if method not in engines:
-        raise InvalidOrder(f"unknown method {method!r}")
-    path = UnitaryPath(sampler, check=False)
-    return engines[method](path, **kwargs)
+    return sf_phillips(UnitaryPath(lambda t: inv_cayley(op_sampler(t)),
+                                   check=False))

@@ -22,16 +22,15 @@ caps and endpoint integrals) uses `eig_unitary`, whose vectors are
 orthonormal even at degeneracies.  It decomposes a whole stack with one
 `eigh` of a Hermitian matrix that shares U's eigenvectors and checks each
 member's residual; a member that fails the check, where the Hermitian
-matrix merges two eigenvalues that U keeps apart, takes LAPACK's zgees,
-called directly as `scipy.linalg.schur` would call it.
+matrix merges two eigenvalues that U keeps apart, takes the complex Schur
+decomposition of `scipy.linalg.schur`.
 `abs_power` is the one kernel of |A|^{2x} = (A*A)^x: the winding-form
 trace kernel takes whole powers of A*A with matrix products and reserves
 its SVD for fractional orders.
 """
 
 import numpy as np
-from scipy.linalg import svd
-from scipy.linalg.lapack import get_lapack_funcs
+from scipy.linalg import schur, svd
 from scipy.special import gammaln
 
 from .errors import DecompositionFailure, InvalidOrder, NonUnitary
@@ -43,11 +42,6 @@ SNAP_TOL = 1e-12
 # per sqrt(dim), up to which H's eigenvectors are accepted for U's
 HERMITIAN_PHASE = 0.377
 EIG_RESIDUAL_TOL = 1e-12
-
-# complex Schur decomposition, eig_unitary's fallback, and the workspace
-# size that scipy.linalg.schur queries, kept per dimension
-_ZGEES, = get_lapack_funcs(("gees",), (np.zeros((1, 1), dtype=complex),))
-_ZGEES_LWORK = {}
 
 
 def check_unitary(U, tol=UNITARY_TOL):
@@ -83,20 +77,15 @@ def _branch_angles(vals):
 
 def _schur_eig(M):
     """Eigenvalues and Schur vectors (as columns) of one unitary M from
-    zgees, called as `scipy.linalg.schur(M, output="complex")` calls it,
-    with the same workspace, so the output is bit-identical.  Raises
-    DecompositionFailure if LAPACK reports an error."""
-    n = M.shape[-1]
-    lwork = _ZGEES_LWORK.get(n)
-    if lwork is None:
-        query = _ZGEES(lambda x: None, np.eye(n, dtype=complex), lwork=-1)
-        lwork = _ZGEES_LWORK[n] = int(query[-2][0].real)
-    _, _, w, Z, _, info = _ZGEES(lambda x: None, M, lwork=lwork)
-    if info != 0:
+    `scipy.linalg.schur(M, output="complex")`.  Raises DecompositionFailure
+    if LAPACK reports an error."""
+    try:
+        T, Z = schur(M, output="complex")
+    except np.linalg.LinAlgError as exc:
         raise DecompositionFailure(
-            f"Schur decomposition of a {n}x{n} unitary failed (zgees info "
-            f"{info})")
-    return w, Z
+            f"Schur decomposition of a {M.shape[-1]}x{M.shape[-1]} unitary "
+            f"failed: {exc}") from exc
+    return np.diag(T), Z
 
 
 def eig_unitary(U):
@@ -116,11 +105,11 @@ def eig_unitary(U):
     sqrt(dim) in Frobenius norm, which bounds how far the returned pair
     rebuilds U.  H merges two eigenvalues of U placed symmetrically about
     e^{i HERMITIAN_PHASE}, so `eigh` may mix their vectors; such a member
-    fails the check and is decomposed by zgees (`_schur_eig`), whose Schur
-    vectors are orthonormal at any degeneracy.  If `eigh` does not
-    converge, every member of the stack takes zgees (the one case where a
-    member may differ from its own call in the last bits), and
-    DecompositionFailure is raised if zgees fails too.
+    fails the check and takes the complex Schur decomposition
+    (`_schur_eig`), whose Schur vectors are orthonormal at any degeneracy.
+    If `eigh` does not converge, every member of the stack takes the Schur
+    route (the one case where a member may differ from its own call in the
+    last bits), and DecompositionFailure is raised if that fails too.
     """
     U = check_unitary(U)
     n = U.shape[-1]

@@ -88,6 +88,7 @@ from .onedim import (
 )
 from .radial import (
     CHANNEL_TOL,
+    THRESHOLD_LMAX,
     _channel_counts,
     _threshold_statistics,
     _zero_energy_radial,
@@ -110,6 +111,8 @@ MIN_EXPONENT = 1.2
 # costs a radial recursion per refinement round, whose per-node overhead
 # outweighs the cut beyond a few bands
 K_BANDS = (2.0, 20.0)
+# the energy beyond which regularization_necessity takes the subtracted tail
+NECESSITY_LAMBDA = 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -163,39 +166,40 @@ def high_energy_poly(d, V):
 # Resonance classification
 
 
-def resonance_detect(V, d, tol=RES_TOL):
+def resonance_detect(V, d):
     """Classify the zero-energy threshold behavior of -Delta + V.
 
     Returns "none", "s_resonance" (bounded non-normalizable zero-energy
     solution), or "threshold_eigenvalue" (l >= 1 channel exactly at
     threshold, d = 3 only).  Raises Inconclusive when a statistic falls in
-    the band [tol/2, 2 tol] where the answer would depend on grid details.
+    the band [RES_TOL/2, 2 RES_TOL] where the answer would depend on grid
+    details.
     """
     if _dimension(V, d) == 1:
-        return _classify_1d(resonance_statistic_1d(V), tol)
-    return _classify_3d(threshold_statistics_radial(V, lmax=3), tol)
+        return _classify_1d(resonance_statistic_1d(V))
+    return _classify_3d(threshold_statistics_radial(V))
 
 
-def _classify_1d(s, tol):
+def _classify_1d(s):
     """resonance_detect's d = 1 verdict from the resonance statistic."""
-    if tol / 2.0 <= s <= 2.0 * tol:
+    if RES_TOL / 2.0 <= s <= 2.0 * RES_TOL:
         raise Inconclusive(
             f"1D resonance statistic {s:.3e} in the band "
-            f"[{tol / 2:.1e}, {2 * tol:.1e}]")
-    return "s_resonance" if s < tol / 2.0 else "none"
+            f"[{RES_TOL / 2:.1e}, {2 * RES_TOL:.1e}]")
+    return "s_resonance" if s < RES_TOL / 2.0 else "none"
 
 
-def _classify_3d(sig, tol):
+def _classify_3d(sig):
     """resonance_detect's d = 3 verdict from the threshold statistics of
-    channels 0..3."""
-    in_band = (sig >= tol / 2.0) & (sig <= 2.0 * tol)
+    channels 0..THRESHOLD_LMAX."""
+    in_band = (sig >= RES_TOL / 2.0) & (sig <= 2.0 * RES_TOL)
     if np.any(in_band):
         ls = np.where(in_band)[0].tolist()
         raise Inconclusive(
             f"threshold statistic in the band for l = {ls}")
-    if sig[0] < tol / 2.0:
+    if sig[0] < RES_TOL / 2.0:
         return "s_resonance"
-    if np.any(sig[1:] < tol / 2.0):
+    if np.any(sig[1:] < RES_TOL / 2.0):
         return "threshold_eigenvalue"
     return "none"
 
@@ -341,7 +345,7 @@ def _levinson_1d(V, k_min, k_max):
     # resonance statistic
     zero = _zero_energy_left_solution(V)
     N = _bound_state_count(V, zero)
-    classification = _classify_1d(_resonance_statistic(V, zero), RES_TOL)
+    classification = _classify_1d(_resonance_statistic(V, zero))
     poly = high_energy_poly(1, V)
 
     integral, err, tail_q = _k_integral(_winding_1d(V), k_min, k_max)
@@ -398,22 +402,21 @@ class ChannelData:
     Each refinement round sweeps only its new wavenumbers.  They are split
     into the wavenumber bands closed by K_BANDS, and each band is swept in
     one batched radial recursion over the channels up to its own cutoff,
-    choose_lmax at the band's top energy (at most lmax); the table holds
-    0.0 above it.  One choose_lmax sweep over the top energies of the
-    bands that meet the grid gives every cutoff, and lmax itself when it
-    is not given.  deltas[i, l] is unwound in energy, anchored at the top
-    of the grid where the principal branch is correct.
+    choose_lmax at the band's top energy; the table holds 0.0 above it.
+    One choose_lmax sweep over the top energies of the bands that meet the
+    grid gives every cutoff, and lmax is the cutoff at the top of the
+    grid.  deltas[i, l] is unwound in energy, anchored at the top of the
+    grid where the principal branch is correct.
     """
 
-    def __init__(self, V, k_min, k_max, points, lmax=None):
+    def __init__(self, V, k_min, k_max, points):
         self.V = V
         tops = [k for k in K_BANDS if k_min <= k < k_max] + [k_max]
-        cuts = choose_lmax(V, np.square(tops if lmax is None else tops[:-1]))
-        self.lmax = int(cuts[-1]) if lmax is None else lmax
+        cuts = choose_lmax(V, np.square(tops))
+        self.lmax = int(cuts[-1])
         self.weights = 2.0 * np.arange(self.lmax + 1) + 1.0
         # the band closed by the top of the grid runs over all channels
-        cutoffs = np.minimum(cuts[:len(tops) - 1], self.lmax).tolist()
-        cutoffs.append(self.lmax)
+        cutoffs = np.minimum(cuts, self.lmax).tolist()
         cache = {}
         ks = list(np.geomspace(k_min, k_max, points))
         for _ in range(12):
@@ -497,8 +500,9 @@ def _levinson_3d(V, k_min, k_max, points):
     w = data.weights
     lmax = data.lmax
     # one zero-energy sweep serves the bound-state count, over every
-    # channel of the table, and the threshold statistics of channels 0..3
-    zero = _zero_energy_radial(V, max(lmax, 3))
+    # channel of the table, and the threshold statistics of channels
+    # 0..THRESHOLD_LMAX
+    zero = _zero_energy_radial(V, max(lmax, THRESHOLD_LMAX))
     counts = _channel_counts(V, zero)
     if counts[-1]:
         raise OracleDisagreement(
@@ -506,8 +510,8 @@ def _levinson_3d(V, k_min, k_max, points):
             f"{len(counts) - 1}")
     mult = 2 * np.arange(len(counts)) + 1
     N = int(np.sum(mult * counts))
-    classification = _classify_3d(_threshold_statistics(V, zero)[:4],
-                                  RES_TOL)
+    classification = _classify_3d(
+        _threshold_statistics(V, zero)[:THRESHOLD_LMAX + 1])
     poly = high_energy_poly(3, V)
 
     moment = V.integral() / (4.0 * np.pi ** 2)
@@ -676,18 +680,17 @@ def levinson_verify(V, d, grid=None):
 # Property studies
 
 
-def regularization_necessity(V, data=None, Lambda=1e3):
+def regularization_necessity(V):
     """Quantifies why the plain winding integrand needs subtraction (d=3).
 
     Returns the fitted growth exponent of the partial integrals of
     |Tr(S* S')| in the upper energy decades (ideally 1/2) and the ratio of
-    the subtracted integrand's tail beyond `Lambda` to the unsubtracted
-    partial integral over the whole grid.  Without `data` the phase table
-    is built on the default grid of `levinson_verify`.
+    the subtracted integrand's tail beyond NECESSITY_LAMBDA (reported as
+    "Lambda") to the unsubtracted partial integral over the whole grid.
+    The phase table is built on the default grid of `levinson_verify`.
     """
     _dimension(V, 3)
-    if data is None:
-        data = ChannelData(V, DEFAULT_K_MIN, DEFAULT_K_MAX, DEFAULT_POINTS)
+    data = ChannelData(V, DEFAULT_K_MIN, DEFAULT_K_MAX, DEFAULT_POINTS)
     ks = np.geomspace(data.ks[0], data.ks[-1], 2000)
     dsum = data.ddelta_dk(ks) @ data.weights
     unreg = 2.0 * np.abs(dsum)                       # |Tr(S*S')| d lambda
@@ -699,7 +702,7 @@ def regularization_necessity(V, data=None, Lambda=1e3):
 
     moment = V.integral() / (4.0 * np.pi ** 2)
     sub = 2.0 * np.pi * np.abs(dsum / np.pi + moment)
-    k_cut = np.sqrt(Lambda)
+    k_cut = np.sqrt(NECESSITY_LAMBDA)
     mask = ks >= k_cut
     tail_grid = np.trapezoid(sub[mask], ks[mask])
     try:
@@ -712,7 +715,7 @@ def regularization_necessity(V, data=None, Lambda=1e3):
     return {
         "growth_exponent": float(slope),
         "tail_ratio": float(tail / partial[-1]),
-        "Lambda": float(Lambda),
+        "Lambda": float(NECESSITY_LAMBDA),
         "partial_final": float(partial[-1]),
         "tail_subtracted": float(tail),
     }

@@ -37,6 +37,10 @@ from ..rdet import DetValue, _det_p_lu
 FD_BOX = 40.0
 FD_POINTS = 4096
 SUBSTEP = 0.005
+# Birman-Schwinger determinant: the Nystrom node counts of the first rule
+# and past which doubling stops, and the tolerance on the extrapolants
+NYSTROM_NODES = 150
+NYSTROM_MAX_NODES = 4800
 NYSTROM_TOL = 1e-6
 # |qd| below which a segment's transfer entries come from their power
 # series in (qd)^2: the closed form of d(sin(qd)/q)/dlam cancels to about
@@ -325,19 +329,19 @@ def _bs_matrix(V, lam, branch, n):
     return (sw * q1)[:, None] * G * (q2 * sw)[None, :]
 
 
-def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, n_max=4800):
+def birman_schwinger_det_1d(V, lam, branch=+1, p=1):
     """Det_p(Id + q1 R0(lam +/- i0) q2) by Nystrom discretization.
 
-    The quadrature error is O(n^-2) because of the |x - y| kink on the
-    kernel diagonal; node doubling plus Richardson extrapolation removes
-    the leading term, and convergence is judged on successive extrapolants
-    (the raw h^2 differences overestimate the extrapolated error by orders
-    of magnitude).  Raises QuadratureNotConverged when doubling does not
-    stabilize to NYSTROM_TOL; the order p and the starting node count n
-    must be integers >= 1.
+    The quadrature error is O(m^-2) in the node count m because of the
+    |x - y| kink on the kernel diagonal; node doubling from NYSTROM_NODES
+    plus Richardson extrapolation removes the leading term, and
+    convergence is judged on successive extrapolants (the raw h^2
+    differences overestimate the extrapolated error by orders of
+    magnitude).  Raises QuadratureNotConverged when doubling does not
+    stabilize to NYSTROM_TOL by NYSTROM_MAX_NODES nodes; the order p must
+    be an integer >= 1.
     """
     p = check_order("p", p, 1, integer=True)
-    n = check_order("n", n, 1, integer=True)
     if lam <= 0:
         raise EnergyNonpositive(f"need lam > 0, got {lam}")
 
@@ -345,10 +349,10 @@ def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, n_max=4800):
         K = _bs_matrix(V, lam, branch, m)
         return _det_p_lu(K, p)
 
-    prev = det_at(n)
+    prev = det_at(NYSTROM_NODES)
     prev_rich = None
-    m = 2 * n
-    while m <= n_max:
+    m = 2 * NYSTROM_NODES
+    while m <= NYSTROM_MAX_NODES:
         cur = det_at(m)
         rich = cur.value + (cur.value - prev.value) / 3.0
         if prev_rich is not None and \
@@ -360,4 +364,4 @@ def birman_schwinger_det_1d(V, lam, branch=+1, p=1, n=150, n_max=4800):
         m *= 2
     raise QuadratureNotConverged(
         f"Nystrom determinant did not stabilize to {NYSTROM_TOL:.1e} by "
-        f"n = {n_max}")
+        f"n = {NYSTROM_MAX_NODES}")

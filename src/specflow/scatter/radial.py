@@ -41,6 +41,8 @@ RENORM_EVERY = 100
 BLOCK_ELEMENTS = 65536
 # a channel whose phase shift stays below this is negligible
 CHANNEL_TOL = 1e-8
+# the top channel of the threshold statistics
+THRESHOLD_LMAX = 3
 
 
 def _grid(V, lams):
@@ -346,11 +348,12 @@ def _threshold_statistics(V, zero):
     return aa / (aa + bb + 1e-300)
 
 
-def threshold_statistics_radial(V, lmax=3):
+def threshold_statistics_radial(V):
     """sigma_l = |growing coefficient| / (|growing| + |decaying|) of the
-    zero-energy solution at the support radius; zero iff the channel is
-    exactly at a threshold (s-resonance for l = 0, eigenvalue for l >= 1)."""
-    return _threshold_statistics(V, _zero_energy_radial(V, lmax))
+    zero-energy solution at the support radius, for the channels
+    l = 0..THRESHOLD_LMAX; zero iff the channel is exactly at a threshold
+    (s-resonance for l = 0, eigenvalue for l >= 1)."""
+    return _threshold_statistics(V, _zero_energy_radial(V, THRESHOLD_LMAX))
 
 
 def _bound_states_fd_radial(V, ell):

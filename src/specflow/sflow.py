@@ -8,9 +8,10 @@ d(log det U) plus the differential of a single-valued function):
 * `sf_phillips` tracks eigenvalues and counts signed crossings of -1 using
   arc counts k(t, eps) at partition breakpoints; exact integer output with a
   checkable `PartitionCertificate`.  It refines breadth-first, in rounds
-  that sample their parameters in batches (`UnitaryPath.samples`),
-  decompose them in stacked `eig_unitary` calls and certify every pending
-  step in stacked pairing and arc kernels.
+  that sample their parameters in batches (`UnitaryPath._evaluate`),
+  decompose them in stacked `eig_unitary` calls, which check each sample
+  once, and certify every pending step in stacked pairing and arc
+  kernels.
 * `sf_alpha` integrates the winding one-form with integrand
   Tr(U* U' (U - Id)^n), admissible for n >= p - 1.
 * `sf_beta` integrates the absolute-value form with integrand
@@ -350,25 +351,27 @@ def _cap_integral(angles, kind, order, epsabs):
     return _adaptive_gk21(integrand, (0.0, 1.0), epsabs, QUAD_EPSREL)[0]
 
 
-def theta_endpoint(U, n, epsabs=DEFAULT_EPSABS):
+def theta_endpoint(U, n):
     """Theta(U) = (-1)^n (1/2 pi i) Integral_0^1 Tr(Y (e^{tY} - Id)^n) dt,
 
     where Y is the principal logarithm of U.  This is the alpha-integral of
-    the geodesic cap from Id to U; Theta(Id) = 0.
+    the geodesic cap from Id to U, to DEFAULT_EPSABS; Theta(Id) = 0.
     """
     n = check_order("n", n, 0, integer=True)
     angles = eig_unitary(U)[0]
-    return (-1) ** n * _cap_integral(angles, "n", n, epsabs) / (2j * np.pi)
+    return ((-1) ** n * _cap_integral(angles, "n", n, DEFAULT_EPSABS)
+            / (2j * np.pi))
 
 
-def xi_endpoint(U, r, epsabs=DEFAULT_EPSABS):
-    """Xi(U) = Integral_0^1 Tr(Y |e^{tY} - Id|^{2r}) dt, un-normalized.
+def xi_endpoint(U, r):
+    """Xi(U) = Integral_0^1 Tr(Y |e^{tY} - Id|^{2r}) dt, un-normalized, to
+    DEFAULT_EPSABS.
 
     The caller applies the beta normalization -i C_r (1/2)^{2r+1}; this keeps
     the two endpoint integrals structurally parallel.
     """
     r = check_order("r", r, 0)
-    return _cap_integral(eig_unitary(U)[0], "r", r, epsabs)
+    return _cap_integral(eig_unitary(U)[0], "r", r, DEFAULT_EPSABS)
 
 
 def _generator_flow(trace, end_angles):
@@ -409,12 +412,12 @@ def _capped_count(path, start_trace=None):
 
     `sf_phillips` counts the sampled path and the caps add their
     closed-form counts (`_generator_flow`), read off the eigenangles of
-    the path's end samples, taken and decomposed as one stack; each
-    principal cap must end on its sample (CapMismatch).  Returns the
-    report, carrying the capped count as value and raw, and the (start,
-    end) eigenangles.
+    the path's end samples, taken and decomposed as one stack (and
+    checked once, by `eig_unitary`); each principal cap must end on its
+    sample (CapMismatch).  Returns the report, carrying the capped count
+    as value and raw, and the (start, end) eigenangles.
     """
-    U = path.samples(path.interval)
+    U = path._evaluate(path.interval)
     angles, vecs = eig_unitary(U)
     cap_ends = (vecs * np.exp(1j * angles)[:, None, :]) @ vecs.conj().mT
     gaps = np.linalg.norm(cap_ends - U, ord=2, axis=(-2, -1))
@@ -569,10 +572,11 @@ def _free_arc(u0, u1, motion):
 def _sample(path, ts, chunk, samples):
     """Enter eig_unitary of the path's samples at the parameters ts into
     `samples`, sampling and decomposing `chunk` of them per call; an entry
-    holds the angles and the transposed vectors (one eigenvector a row)."""
+    holds the angles and the transposed vectors (one eigenvector a row).
+    The samples are unchecked: `eig_unitary` checks them."""
     for lo in range(0, len(ts), chunk):
         part = ts[lo:lo + chunk]
-        angles, vecs = eig_unitary(path.samples(part))
+        angles, vecs = eig_unitary(path._evaluate(part))
         samples.update(zip(part.tolist(),
                            zip(angles, vecs.mT)))
 
@@ -622,7 +626,7 @@ def sf_phillips(path):
     residual is 0.
 
     Refinement runs breadth-first in rounds.  A round takes the new
-    parameters in `path.samples` calls and one stacked `eig_unitary` each,
+    parameters in `path._evaluate` calls and one stacked `eig_unitary` each,
     then certifies every pending step in stacked `_match_motion` and
     `_free_arc` calls, at most STACK_ELEMENTS entries of a (steps, dim,
     dim) stack per call; the steps that fail are bisected, and their

@@ -37,6 +37,11 @@ from .errors import (
 from .matcore import UNITARY_TOL, check_unitary, eig_unitary, schatten_norm
 
 ENDPOINT_TOL = 1e-8
+# compactify's tail check: the probes, TAIL_PER_DECADE to a decade on
+# sqrt(2) [1e2, 1e5), and the bound on the distance to Id in the last decade
+TAIL_PER_DECADE = 8
+TAIL_PROBES = np.sqrt(2.0) * np.geomspace(
+    1e2, 1e5, 3 * TAIL_PER_DECADE + 1)[:-1]
 TAIL_TOL = 0.5
 
 
@@ -135,20 +140,23 @@ class UnitaryPath:
                 f"parameter {ts[outside][0]} outside {self.interval}")
         return ts
 
-    def samples(self, ts):
-        """The samples at the parameters ts (a 1-D array) as one
-        (len(ts), dim, dim) array: one array-sampler call, or the scalar
-        sampler stacked, and with `check` one stacked unitarity check.
-        Each sample equals `self(t)`."""
+    def _evaluate(self, ts):
+        """The samples at the parameters ts (a 1-D array), unchecked, as
+        one (len(ts), dim, dim) array: one array-sampler call, or the
+        scalar sampler stacked.  For callers that hand them to
+        `eig_unitary`, whose own check is then the one check."""
         ts = self._inside(ts)
         if self._array_sampler is not None:
-            U = np.asarray(self._array_sampler(ts), dtype=complex)
-        else:
-            U = np.array([self._sampler(t) for t in ts], dtype=complex)
-            U = U.reshape(len(ts), self.dim, self.dim)
-        if self._check:
-            U = check_unitary(U)
-        return U
+            return np.asarray(self._array_sampler(ts), dtype=complex)
+        U = np.array([self._sampler(t) for t in ts], dtype=complex)
+        return U.reshape(len(ts), self.dim, self.dim)
+
+    def samples(self, ts):
+        """The samples at the parameters ts (a 1-D array) as one
+        (len(ts), dim, dim) array, `_evaluate` with, under `check`, one
+        stacked unitarity check.  Each sample equals `self(t)`."""
+        U = self._evaluate(ts)
+        return check_unitary(U) if self._check else U
 
     def derivative(self, t):
         """U'_t: analytic when available (an array derivative read at
@@ -286,9 +294,9 @@ def _spectral_path(theta, W, base=None):
                        closed=False, dim=W.shape[0], check=False)
 
 
-def generator_path(Y, base=None):
-    """The path base * e^{tY}, t in [0, 1], for a fixed skew-Hermitian
-    generator Y.
+def generator_path(Y):
+    """The path e^{tY}, t in [0, 1], for a fixed skew-Hermitian generator
+    Y.
 
     Y is diagonalised once (`eigh` of the Hermitian -iY) and every sample
     is read from that eigenpair.  Raises NonUnitary unless
@@ -301,8 +309,7 @@ def generator_path(Y, base=None):
     if not defect <= UNITARY_TOL * max(1.0, np.linalg.norm(Y)):
         raise NonUnitary(f"generator is not skew-Hermitian: ||Y + Y*|| = "
                          f"{defect:.3e}")
-    theta, W = np.linalg.eigh(-1j * Y)
-    return _spectral_path(theta, W, base=base)
+    return _spectral_path(*np.linalg.eigh(-1j * Y))
 
 
 def cap_into(U):
@@ -363,28 +370,33 @@ def concatenate(a, b):
                        check=False)
 
 
-def _tail_check(path, probes):
-    """Verify ||U_s - Id||_p decreases monotonically along the probes and
-    ends below TAIL_TOL."""
-    p = path.schatten_order
+def _tail_check(path, sign):
+    """Verify that ||U_s - Id||_p settles along s = sign * TAIL_PROBES:
+    the largest distance in each decade of probes does not grow, and the
+    last decade's largest is below TAIL_TOL."""
+    p = max(path.schatten_order, 1.0)
     eye = np.eye(path.dim)
-    dists = [schatten_norm(path(s) - eye, max(p, 1.0)) for s in probes]
-    drops = all(d2 <= d1 + 1e-12 for d1, d2 in zip(dists, dists[1:]))
-    if not (drops and dists[-1] < TAIL_TOL):
+    dists = [schatten_norm(path(sign * s) - eye, p) for s in TAIL_PROBES]
+    peaks = np.max(np.reshape(dists, (-1, TAIL_PER_DECADE)), axis=1)
+    if not (np.all(np.diff(peaks) <= 1e-12) and peaks[-1] < TAIL_TOL):
         raise NoLimitAtInfinity(
-            f"tail distances {dists} at probes {probes} do not settle to Id")
+            f"tail distances peak at {peaks.tolist()} in the decades from "
+            f"s = {sign * TAIL_PROBES[0]:.4g}: they do not settle to Id")
 
 
-def compactify(path, probes=(1e2, 1e3, 1e4)):
+def compactify(path):
     """Reparameterize a path on [0, inf) (or R) to [0, 1].
 
     For [0, inf) the substitution is t = 1 - (1 + s)^(-1/2); for R it is
     the logistic t = 1/(1 + e^{-s}).  The integrands of the winding integrals
     transform with the Jacobian, so all spectral-flow values are unchanged.
-    The path must approach Id at infinity; probe samples must show monotone
-    Schatten-norm decrease, else NoLimitAtInfinity.  The result has no
-    array sampler and no array derivative: `samples` and `derivatives`
-    stack its scalar sampler and derivative.
+    The path must approach Id at infinity, else NoLimitAtInfinity: on
+    TAIL_PROBES, the Schatten-norm distance to Id must not grow from decade
+    to decade and must end below TAIL_TOL (`_tail_check`).  The probes are
+    irrational multiples of powers of ten, eight to a decade, so a periodic
+    tail such as e^{2 pi i m s} is not seen only at multiples of its period.
+    The result has no array sampler and no array derivative: `samples` and
+    `derivatives` stack its scalar sampler and derivative.
     """
     if path.finite:
         return path
@@ -393,7 +405,7 @@ def compactify(path, probes=(1e2, 1e3, 1e4)):
     eye = np.eye(dim)
 
     if a == 0.0 and b == np.inf:
-        _tail_check(path, probes)
+        _tail_check(path, 1.0)
 
         def g(t):
             return (1.0 - t) ** -2.0 - 1.0
@@ -406,8 +418,8 @@ def compactify(path, probes=(1e2, 1e3, 1e4)):
 
         bps = tuple(1.0 - (1.0 + c) ** -0.5 for c in path.breakpoints)
     elif a == -np.inf and b == np.inf:
-        _tail_check(path, probes)
-        _tail_check(path, tuple(-s for s in probes))
+        _tail_check(path, 1.0)
+        _tail_check(path, -1.0)
 
         def g(t):
             return np.log(t / (1.0 - t))

@@ -150,8 +150,7 @@ def test_accept_07_levinson_3d_well():
 
 def test_accept_08_regularization_necessity():
     t0 = time.perf_counter()
-    out = regularization_necessity(RadialPotential.square_well(3.0),
-                                   Lambda=1e3)
+    out = regularization_necessity(RadialPotential.square_well(3.0))
     assert abs(out["growth_exponent"] - 0.5) <= 0.1
     assert out["tail_ratio"] < 1e-3
     elapsed = time.perf_counter() - t0

@@ -183,9 +183,3 @@ def test_sf_fp_path_moving_domain_sweep():
         return SubspaceOperator(ambient_dim=2, projection=P, resolvent=R)
 
     assert sf_fp_path(family).value == -1
-
-
-def test_sf_fp_path_unknown_method():
-    op = cayley(np.diag([1j, 1.0]))
-    with pytest.raises(InvalidOrder):
-        sf_fp_path(lambda t: op, method="bogus")

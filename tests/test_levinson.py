@@ -139,26 +139,28 @@ def test_tail_estimate_rejections():
         _tail_estimate(ks, ks ** -2.0 * (1.0 + 0.8 * np.sin(6.0 * np.log(ks))))
 
 
-def test_resonance_detect_1d():
+def test_resonance_detect_1d(monkeypatch):
     assert resonance_detect(WELL1, 1) == "none"
     zero = Potential1D(segments=((-1.0, 1.0, 0.0),))
     assert resonance_detect(zero, 1) == "s_resonance"
-    s = resonance_statistic_1d(WELL1)
-    with pytest.raises(Inconclusive):
-        resonance_detect(WELL1, 1, tol=s)
     with pytest.raises(UnsupportedDimension):
         resonance_detect(WELL1, 2)
+    # a statistic at RES_TOL sits in the band
+    monkeypatch.setattr(levinson, "RES_TOL", resonance_statistic_1d(WELL1))
+    with pytest.raises(Inconclusive):
+        resonance_detect(WELL1, 1)
 
 
-def test_resonance_detect_3d():
+def test_resonance_detect_3d(monkeypatch):
     assert resonance_detect(WELL3, 3) == "none"
     assert resonance_detect(
         RadialPotential.square_well(np.pi ** 2 / 4.0), 3) == "s_resonance"
     assert resonance_detect(
         RadialPotential.square_well(np.pi ** 2), 3) == "threshold_eigenvalue"
     sigma0 = threshold_statistics_radial(WELL3)[0]
+    monkeypatch.setattr(levinson, "RES_TOL", sigma0)
     with pytest.raises(Inconclusive):
-        resonance_detect(WELL3, 3, tol=sigma0)
+        resonance_detect(WELL3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -693,11 +695,14 @@ def test_capped_count_names_the_end_cap_that_misses(monkeypatch):
 # phase-shift cache and property studies
 
 
-def test_channel_data_refines_through_resonance():
+def test_channel_data_refines_through_resonance(monkeypatch):
     # the depth-30 well has a sharp l = 3 shape resonance near lambda = 2.1;
-    # grid refinement must keep unwound steps small instead of desyncing
-    data = ChannelData(RadialPotential.square_well(30.0), 1e-2, 100.0, 400,
-                       lmax=8)
+    # grid refinement must keep unwound steps small instead of desyncing.
+    # Channels 0..8 carry it: every cutoff is capped at 8
+    monkeypatch.setattr(levinson, "choose_lmax", lambda V, lams: np.minimum(
+        choose_lmax(V, lams), 8))
+    data = ChannelData(RadialPotential.square_well(30.0), 1e-2, 100.0, 400)
+    assert data.lmax == 8
     assert len(data.ks) == data.deltas.shape[0]
     assert np.max(np.abs(np.diff(data.deltas, axis=0))) <= 0.2
     assert abs(float(data.delta(1e-2)[0]) - 2.0 * np.pi) < 0.05
@@ -755,13 +760,14 @@ def test_channel_cut_guard_falls_back(monkeypatch):
     assert cutoff == 6
     assert np.array_equal(rows[:, :7], full[:, :7])
     assert np.all(rows[:, 7:] == 0.0)
-    # every band cutoff too low: each band falls back to the full lmax and
-    # the table is the uncut one
-    monkeypatch.setattr(levinson, "choose_lmax",
-                        lambda V, lams: np.zeros(len(lams), dtype=int))
-    low = ChannelData(WELL3, 1e-2, 30.0, 100, lmax=12)
+    # every band cutoff below the grid top too low: each such band falls
+    # back to the full lmax and the table is the uncut one
+    monkeypatch.setattr(levinson, "choose_lmax", lambda V, lams: np.where(
+        lams == 30.0 ** 2, 12, 0))
+    low = ChannelData(WELL3, 1e-2, 30.0, 100)
     monkeypatch.setattr(levinson, "K_BANDS", ())
-    full = ChannelData(WELL3, 1e-2, 30.0, 100, lmax=12)
+    full = ChannelData(WELL3, 1e-2, 30.0, 100)
+    assert low.lmax == full.lmax == 12
     assert np.array_equal(low.ks, full.ks)
     assert np.array_equal(low.deltas, full.deltas)
 
@@ -779,9 +785,6 @@ def test_channel_cutoffs_from_one_sweep(monkeypatch):
     data = ChannelData(WELL3, 1e-2, 30.0, 60)
     assert calls == [[2.0, 20.0, 30.0]]
     assert data.lmax == choose_lmax(WELL3, 900.0)
-    calls.clear()
-    ChannelData(WELL3, 5.0, 30.0, 60, lmax=12)
-    assert calls == [[20.0]]
 
 
 def test_ddelta_dk_rows(well3_data):
@@ -792,8 +795,8 @@ def test_ddelta_dk_rows(well3_data):
     assert np.all(np.abs(vec - one) <= 1e-12 * np.abs(one))
 
 
-def test_regularization_necessity(well3_data):
-    out = regularization_necessity(WELL3, data=well3_data)
+def test_regularization_necessity():
+    out = regularization_necessity(WELL3)
     assert abs(out["growth_exponent"] - 0.5) < 0.1
     assert out["tail_ratio"] < 1e-3
     assert out["Lambda"] == 1e3

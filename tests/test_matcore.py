@@ -52,7 +52,7 @@ def _failing_eigh(H):
 
 
 def test_eig_unitary_fallback_matches_scipy_schur_bitwise(rng, monkeypatch):
-    # the zgees fallback, taken here for every member because eigh raises,
+    # the Schur fallback, taken here for every member because eigh raises,
     # reproduces schur(U, output="complex") exactly
     monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
     for dim in range(2, 65):
@@ -121,21 +121,19 @@ def test_stack_with_one_non_unitary_member_raises(rng):
 
 def test_eig_unitary_raises_on_lapack_failure(rng, monkeypatch):
     U = haar_unitary(3, rng)
-    # eigh fails: zgees answers, as schur would
+    # eigh fails: the Schur decomposition answers
     monkeypatch.setattr(np.linalg, "eigh", _failing_eigh)
     angles, vecs = eig_unitary(U)
     T, Z = schur(U, output="complex")
     want, order = matcore._branch_angles(np.diag(T))
     assert np.array_equal(angles, want[order])
     assert np.array_equal(vecs, Z[:, order])
-    # zgees fails as well: DecompositionFailure
-    real = matcore._ZGEES
+    # the Schur decomposition fails as well: DecompositionFailure
 
-    def failing(select, a, lwork):
-        out = real(select, a, lwork=lwork)
-        return out[:-1] + (1,)
+    def failing(a, output):
+        raise np.linalg.LinAlgError("Schur form not found")
 
-    monkeypatch.setattr(matcore, "_ZGEES", failing)
+    monkeypatch.setattr(matcore, "schur", failing)
     with pytest.raises(DecompositionFailure):
         eig_unitary(U)
 
@@ -147,7 +145,7 @@ def _spectral_unitary(angles, rng):
 
 def _assert_adversarial(mats, expect_fallback, monkeypatch):
     """Each member of `mats` against schur, the members that took the
-    zgees fallback, and the stack bitwise against the single calls."""
+    Schur fallback, and the stack bitwise against the single calls."""
     real = matcore._schur_eig
     fallbacks = []
 
@@ -173,7 +171,7 @@ def _assert_adversarial(mats, expect_fallback, monkeypatch):
 def test_eig_unitary_pairs_symmetric_about_the_hermitian_phase(dim, seed):
     # e^{i(phase +/- delta)} are one eigenvalue 2 cos(delta) of the
     # Hermitian matrix, whose eigh may mix their vectors: the residual
-    # check sends every such member to zgees
+    # check sends every such member to the Schur fallback
     rng = np.random.default_rng(seed)
     mats = []
     for _ in range(3):

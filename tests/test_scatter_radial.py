@@ -17,7 +17,7 @@ from specflow.scatter import (
     smatrix_diag_radial,
     threshold_statistics_radial,
 )
-from specflow.scatter import radial
+from specflow.scatter import levinson, radial
 from specflow.scatter.radial import (
     RENORM_EVERY,
     _bound_states_fd_radial,
@@ -100,10 +100,13 @@ def test_phase_shifts_validation():
         phase_shifts_3d(WELL3, -1.0, 2)
 
 
-def test_phase_table_unwinding_and_csv(tmp_path):
+def test_phase_table_unwinding_and_csv(tmp_path, monkeypatch):
     # the grid top must reach energies where every shift is far inside the
-    # principal branch, since that is where the unwinding is anchored
-    table = ChannelData(WELL3, np.sqrt(1e-3), 100.0, 200, lmax=4)
+    # principal branch, since that is where the unwinding is anchored.
+    # Channels 0..4 make a short CSV: every cutoff is capped at 4
+    monkeypatch.setattr(levinson, "choose_lmax", lambda V, lams: np.minimum(
+        choose_lmax(V, lams), 4))
+    table = ChannelData(WELL3, np.sqrt(1e-3), 100.0, 200)
     assert table.lmax == 4
     assert table.deltas.shape == (200, 5)
     # unwound shifts move continuously even where the principal branch jumps

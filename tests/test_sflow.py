@@ -897,6 +897,3 @@ def test_phillips_leaves_no_reference_cycle():
 def test_invalid_epsabs_raises(epsabs):
     with pytest.raises(IntegrationFailure):
         sf_alpha(model_loop(1, 2), 1, epsabs=epsabs)
-    with pytest.raises(IntegrationFailure):
-        theta_endpoint(np.diag([np.exp(0.4j), np.exp(-2.0j)]), 1,
-                       epsabs=epsabs)

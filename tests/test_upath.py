@@ -18,6 +18,7 @@ from specflow.scatter.levinson import _sweep_1d
 from specflow.sflow import sf_phillips
 from specflow.upath import (
     UnitaryPath,
+    _spectral_path,
     cap_into,
     cap_outof,
     compactify,
@@ -109,14 +110,19 @@ def test_caps_end_at_their_unitary(rng):
 
 
 def test_generator_path_samples_match_expm(rng):
-    # samples and derivatives come from one eigh of -iY, not expm
+    # samples and derivatives come from one eigh of -iY, not expm; the
+    # base that geodesic_between passes multiplies both on the left
     H = random_hermitian(4, rng, scale=3.0)
     base = haar_unitary(4, rng)
-    path = generator_path(1j * H, base=base)
+    path = generator_path(1j * H)
+    based = _spectral_path(*np.linalg.eigh(H), base=base)
     for t in (0.0, 0.3, 1.0):
         E = expm(1j * t * H)
-        assert np.linalg.norm(path(t) - base @ E, ord=2) < 1e-12
-        assert np.linalg.norm(path.derivative(t) - base @ (1j * H) @ E,
+        assert np.linalg.norm(path(t) - E, ord=2) < 1e-12
+        assert np.linalg.norm(path.derivative(t) - (1j * H) @ E,
+                              ord=2) < 1e-11
+        assert np.linalg.norm(based(t) - base @ E, ord=2) < 1e-12
+        assert np.linalg.norm(based.derivative(t) - base @ (1j * H) @ E,
                               ord=2) < 1e-11
 
 
@@ -125,7 +131,7 @@ def _sampled_paths(rng):
     # with an analytic derivative or without
     H = random_hermitian(3, rng, scale=3.0)
     U0, U1 = haar_unitary(3, rng), haar_unitary(3, rng)
-    generator = generator_path(1j * H, base=U0)
+    generator = _spectral_path(*np.linalg.eigh(H), base=U0)
     geodesic = geodesic_between(generator(1.0), U1)
     well = Potential1D.square_well(20.0, 1.0)
     checked = UnitaryPath(lambda t: U0 * np.exp(1j * t))
@@ -309,11 +315,30 @@ def test_compactify_identity_and_flow_preservation():
 
 
 def test_compactify_rejects_wandering_tail():
-    # period-1 oscillation never settles at Id
-    periodic = UnitaryPath(lambda s: np.diag([np.exp(2j * np.pi * s), 1.0]),
-                           interval=(0.0, np.inf), check=False)
-    with pytest.raises(NoLimitAtInfinity):
-        compactify(periodic, probes=(100.25, 1000.5, 10000.75))
+    # e^{2 pi i m s} never settles at Id; at integer probes a whole m
+    # would look settled, and sf_phillips would certify a count for it
+    for m in (1, 2, 3, 4, 7, 10, 1 / 2, 1 / 3, 1 / 4):
+        periodic = UnitaryPath(
+            lambda s: np.diag([np.exp(2j * np.pi * m * s), 1.0]),
+            interval=(0.0, np.inf), check=False)
+        with pytest.raises(NoLimitAtInfinity):
+            compactify(periodic)
+        # on the line, settled at +inf and wandering at -inf
+        line = UnitaryPath(
+            lambda s: np.diag([np.exp(2j * np.pi * m * min(s, 0.0)), 1.0]),
+            interval=(-np.inf, np.inf), check=False)
+        with pytest.raises(NoLimitAtInfinity):
+            compactify(line)
+
+
+def test_compactify_accepts_oscillating_tail_that_settles():
+    # e^{i sin(s)/(1 + s)} oscillates, but its distance to Id decays
+    settling = UnitaryPath(
+        lambda s: np.diag([np.exp(1j * np.sin(s) / (1.0 + s)), 1.0]),
+        interval=(0.0, np.inf), check=False)
+    path = compactify(settling)
+    assert np.allclose(path(1.0), np.eye(2))
+    assert sf_phillips(path).value == 0
 
 
 def test_check_closed_raises_for_open_path(rng):
