@@ -73,10 +73,6 @@ class UnsupportedDimension(SpecflowError):
     """The requested space dimension is not supported by this operation."""
 
 
-class TailNotConverged(SpecflowError):
-    """High-energy tail estimation failed to stabilize."""
-
-
 class RouteDisagreement(SpecflowError):
     """Independent computational routes disagree beyond tolerance."""
 

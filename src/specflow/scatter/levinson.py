@@ -21,8 +21,9 @@ the one winding quadrature of the package, `sflow._adaptive_gk21`
 (adaptive Gauss-Kronrod-21 with QUADPACK's qk21 error estimate), to an
 absolute K_QUAD_TOL with no relative floor; it calls the vectorized
 integrand once per round, on every node of every interval the round
-refines.  The tail beyond k_max is a fitted power law, and the crossing
-count is `sflow._capped_count`, the routine `sf_open_path` counts with:
+refines.  The tail beyond k_max is the first high-energy term, c_1 / k_max
+with c_1 = integral V / 2 pi, and the crossing count is
+`sflow._capped_count`, the routine `sf_open_path` counts with:
 `sf_phillips` on the sweep plus the closed-form counts of the caps that
 close it, each principal cap checked against its sample (CapMismatch).
 The d = 1 polynomial is zero (P_1 = 0, so P0 = 0), so the subtracted
@@ -35,15 +36,17 @@ of sum_l w_l delta_l / pi + moment k, the regularized one of
 sum_l w_l G(delta_l) / pi with G(x) = e^{4ix}/(4i) - e^{2ix}/i + x.  Both
 bodies are therefore differences of table values at the grid ends.  The
 table's branch is anchored at the top of the grid, so delta_l(inf) = 0 and
-the regularized tail is exact as well; the subtracted route keeps a fitted
-tail, which tests the high-energy polynomial against the table.  The
-crossing count is a closed form too: each channel's capped loop is a scalar
-loop, whose flow through -1 is its winding number, fixed by the table's
-first and last rows and the principal angles of the two caps.  This leaves
-less independence in d = 3 than the three routes suggest: the regularized
-route and the crossing count are both functions of the table's end rows.
-The independent checks are the table's endpoints against the zero-energy
-bound-state count, and the subtracted route's high-energy tail.
+the regularized tail is exact as well; the subtracted route's tail is the
+first high-energy term left after P_3, c_3 / k_max with
+c_3 = -integral V^2 / 16 pi^2, so that route tests the table's top rows
+against the potential's moments.  The crossing count is a closed form too:
+each channel's capped loop is a scalar loop, whose flow through -1 is its
+winding number, fixed by the table's first and last rows and the principal
+angles of the two caps.  This leaves less independence in d = 3 than the
+three routes suggest: the regularized route and the crossing count are both
+functions of the table's end rows.  The independent checks are each
+channel's flow against its zero-energy bound-state count, and the
+subtracted route's top rows against the moments of the potential.
 
 The d = 1 zero-energy cap: without a resonance the scattering matrix tends
 to S0 = [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging
@@ -72,7 +75,6 @@ from ..errors import (
     InvalidGrid,
     OracleDisagreement,
     RouteDisagreement,
-    TailNotConverged,
     UnsupportedDimension,
 )
 from ..matcore import _branch_angles, eig_unitary
@@ -102,10 +104,6 @@ DEFAULT_K_MIN = 1e-2
 DEFAULT_K_MAX = 100.0
 DEFAULT_POINTS = 400
 RESIDUAL_TOL = 0.05
-# a power-law tail fit is rejected above this log-misfit or at or below
-# this decay exponent
-MAX_MISFIT = 0.2
-MIN_EXPONENT = 1.2
 # upper wavenumber edges of the bands of a phase table that share one
 # angular cutoff (the top of the grid closes the last band); each band
 # costs a radial recursion per refinement round, whose per-node overhead
@@ -138,28 +136,40 @@ def _dimension(V, d):
 
 @dataclass
 class HighEnergyPoly:
-    """P_d as a closure over the moments of V.
+    """P_d and the first high-energy term it leaves, from the moments of V.
 
     coefficients maps the monomial tag "sqrt" to the complex coefficient of
-    lambda^{1/2}; it is empty in d = 1, where P_1 = 0.
+    lambda^{1/2}; it is empty in d = 1, where P_1 = 0.  inv_sqrt is the
+    coefficient c_d of the k^-2 decay of the winding integrand in k once
+    P_d is subtracted, so that the integral beyond k is c_d / k, the
+    lambda^{-1/2} term.
     """
     dimension: int
     coefficients: dict
+    inv_sqrt: float
     # neither P_1 nor P_3 has a constant term
     P0 = 0.0
 
     def P(self, lam):
         return self.coefficients.get("sqrt", 0.0) * np.sqrt(lam)
 
+    def tail(self, k):
+        """The integral of the subtracted winding integrand beyond k."""
+        return self.inv_sqrt / k
+
 
 def high_energy_poly(d, V):
-    """The subtraction polynomial P_d built from the moments of the
-    potential: P_1 = 0 and P_3 = -(i / 2 pi) lambda^{1/2} integral of V.  Its
-    derivative is what renders the winding integrand integrable at high
-    energy."""
+    """What is subtracted at high energy, built from the moments of the
+    potential.  P_1 = 0 and P_3 = -(i / 2 pi) lambda^{1/2} integral of V;
+    the derivative of P_d renders the winding integrand integrable.  The
+    first term left is c_1 = integral V / 2 pi, the Born phase, and
+    c_3 = -integral V^2 / 16 pi^2, from the heat-trace coefficient
+    (t^2 / 2) integral V^2 through the Birman-Krein formula.  In d = 1 the
+    next term adds integral V^2 / (8 pi k^3) to the tail."""
     if _dimension(V, d) == 1:
-        return HighEnergyPoly(1, {})
-    return HighEnergyPoly(3, {"sqrt": -0.5j * V.integral() / np.pi})
+        return HighEnergyPoly(1, {}, V.integral() / (2.0 * np.pi))
+    return HighEnergyPoly(3, {"sqrt": -0.5j * V.integral() / np.pi},
+                          -V.integral_sq() / (16.0 * np.pi ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -249,61 +259,18 @@ class LevinsonReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# Tail extrapolation
-
-
-def _tail_estimate(ks, values):
-    """Power-law tail of a complex integrand sampled on the last octave.
-
-    Fits |f| ~ c k^{-q} in log-log; the tail integral beyond ks[-1] is
-    c k^{-(q-1)}/(q-1) carried with the phase of the final sample.  A flat
-    or badly fit tail raises TailNotConverged.  Samples at the numerical
-    noise floor (phase-shift roundoff amplified by the spline derivative
-    sits near 1e-7) carry no usable decay information and are treated as
-    an exactly integrable tail; a vanished top octave bounds the true
-    contribution by ~1e-4, far below the route tolerances.
-    """
-    mag = np.abs(values)
-    if np.max(mag) < 1e-6:
-        return 0.0 + 0j, None
-    x = np.log(ks)
-    y = np.log(np.maximum(mag, 1e-300))
-    slope, intercept = np.polyfit(x, y, 1)
-    misfit = np.max(np.abs(np.polyval([slope, intercept], x) - y))
-    q = -slope
-    if misfit > MAX_MISFIT:
-        raise TailNotConverged(
-            f"tail is not a clean power law (log-misfit {misfit:.2f})")
-    if q <= MIN_EXPONENT:
-        raise TailNotConverged(
-            f"tail decays like k^{slope:.2f}, too slowly to extrapolate")
-    k_end = ks[-1]
-    mag_tail = np.exp(intercept) * k_end ** (1.0 - q) / (q - 1.0)
-    phase = values[-1] / abs(values[-1])
-    return phase * mag_tail, q
-
-
-def _octave_tail(F, k_end):
-    """_tail_estimate of the vectorized F on 25 nodes of the top octave
-    [k_end / 2, k_end]."""
-    ks = np.geomspace(k_end / 2.0, k_end, 25)
-    return _tail_estimate(ks, F(ks))
-
-
 # the body's absolute tolerance on the summed error estimates
 K_QUAD_TOL = 1e-9
 
 
-def _k_integral(F, k_min, k_max):
+def _k_integral(F, k_min, k_max, tail):
     """Integral of the complex, vectorized F over k > 0: adaptive
     Gauss-Kronrod quadrature on [k_min, k_max], a rectangle estimate of
-    the head below k_min and the fitted power-law tail beyond k_max.
-    Returns (integral, quad_error, tail_exponent)."""
+    the head below k_min and the given tail beyond k_max.  Returns
+    (integral, quad_error)."""
     body, err = _adaptive_gk21(F, (k_min, k_max), K_QUAD_TOL, 0.0)
-    tail, q = _octave_tail(F, k_max)
     head = F(np.array([k_min]))[0] * k_min
-    return body + head + tail, err, q
+    return body + head + tail, err
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +315,8 @@ def _levinson_1d(V, k_min, k_max):
     classification = _classify_1d(_resonance_statistic(V, zero))
     poly = high_energy_poly(1, V)
 
-    integral, err, tail_q = _k_integral(_winding_1d(V), k_min, k_max)
+    integral, err = _k_integral(_winding_1d(V), k_min, k_max,
+                                poly.tail(k_max))
     correction = -0.5 if classification == "none" else 0.0
 
     # crossing-count route on the capped path
@@ -372,7 +340,7 @@ def _levinson_1d(V, k_min, k_max):
         poly=poly, correction=correction,
         alt_convention_sf=float((integral + 0.5).real)
         if classification == "none" else None,
-        data={"tail_exponent": tail_q, "quad_error": err},
+        data={"quad_error": err},
     )
 
 
@@ -466,21 +434,17 @@ def _reg_primitive(x):
     return np.exp(4j * x) / 4j - np.exp(2j * x) / 1j + x
 
 
-def _route_integrands(data, moment):
-    """The two 3D winding integrands in k, F_sub (minus the polynomial
-    derivative) and F_reg (with the (S - Id)^2 insertion).  F_sub also
-    takes an array of wavenumbers, as `_octave_tail` passes them."""
+def _route_heads(data, moment, k_min):
+    """Rectangle estimates below k_min of the two 3D winding integrands in
+    k, F_sub = sum_l w_l delta_l' / pi + moment (minus the polynomial
+    derivative) and F_reg = sum_l w_l delta_l' (e^{2i delta_l} - 1)^2 / pi
+    (with the (S - Id)^2 insertion), both read at k_min."""
     w = data.weights
-
-    def F_sub(k):
-        return data.ddelta_dk(k) @ w / np.pi + moment
-
-    def F_reg(k):
-        d = data.ddelta_dk(k)
-        ph = np.exp(2j * data.delta(k))
-        return (w @ (d * (ph - 1.0) ** 2)) / np.pi
-
-    return F_sub, F_reg
+    d = data.ddelta_dk(k_min)
+    ph = np.exp(2j * data.delta(k_min))
+    head_sub = (d @ w / np.pi + moment) * k_min
+    head_reg = (w @ (d * (ph - 1.0) ** 2)) / np.pi * k_min
+    return head_sub, head_reg
 
 
 def _route_bodies(data, moment):
@@ -515,14 +479,13 @@ def _levinson_3d(V, k_min, k_max, points):
     poly = high_energy_poly(3, V)
 
     moment = V.integral() / (4.0 * np.pi ** 2)
-    F_sub, F_reg = _route_integrands(data, moment)
+    head_sub, head_reg = _route_heads(data, moment, k_min)
     body_sub, body_reg = _route_bodies(data, moment)
-    tail_sub, q_sub = _octave_tail(F_sub, k_max)
-    I_sub = F_sub(k_min) * k_min + body_sub + tail_sub
+    I_sub = head_sub + body_sub + poly.tail(k_max)
     # delta_l(inf) = 0 on the branch anchored at the top of the grid
     tail_reg = complex(w @ (_reg_primitive(0.0)
                             - _reg_primitive(data.deltas[-1]))) / np.pi
-    I_reg = F_reg(k_min) * k_min + body_reg + tail_reg
+    I_reg = head_reg + body_reg + tail_reg
 
     # zero-energy scattering matrix on the channel diagonal
     s_rank = 1 if classification == "s_resonance" else 0
@@ -536,8 +499,6 @@ def _levinson_3d(V, k_min, k_max, points):
     sf_sub = I_sub - poly.P(0.0) / (2j * np.pi) + correction
 
     phillips = _phillips_3d(data, classification)
-    # the regularized tail is exact: no fit, no exponent
-    data.tail_exponents = {"subtracted": q_sub, "regularized": None}
 
     # Per-wave statement compares the zero- and infinite-energy limits.
     # delta_0(0+) comes from linear extrapolation in k (the shift is
@@ -614,13 +575,26 @@ def _assemble(dimension, N, classification, phillips, routes, raw_integral,
     if resid > RESIDUAL_TOL:
         raise RouteDisagreement(
             f"route residual {resid:.3f} exceeds {RESIDUAL_TOL}")
+    if dimension == 3:
+        # each channel's flow is minus its zero-energy bound-state count; a
+        # channel missing from either side counts as 0
+        flows = phillips.parameters["channels"]
+        counts = dict(enumerate(per_wave["channel_counts"]))
+        bad = sorted(l for l in set(flows) | set(counts)
+                     if flows.get(l, 0) != -counts.get(l, 0))
+        if bad:
+            raise OracleDisagreement(
+                f"channel flows {[flows.get(l, 0) for l in bad]} against "
+                f"bound-state counts {[counts.get(l, 0) for l in bad]} at "
+                f"l = {bad}")
     sf = rounded["phillips"]
     n_res = 0.5 if (dimension == 1 and classification == "none") else 0.0
     verdict = "pass" if sf + N == 0 else "fail"
     return LevinsonReport(
         dimension=dimension, N=N, N_res=n_res, sf_regularized=phillips,
         raw_integral=raw_integral,
-        polynomial_terms={**poly.coefficients, "P0": poly.P0},
+        polynomial_terms={**poly.coefficients, "P0": poly.P0,
+                          "inv_sqrt": poly.inv_sqrt},
         verdict=verdict, routes=routes, residual=resid,
         classification=classification, threshold_correction=correction,
         alt_convention_sf=alt_convention_sf, per_wave=per_wave, data=data)
@@ -689,7 +663,7 @@ def regularization_necessity(V):
     "Lambda") to the unsubtracted partial integral over the whole grid.
     The phase table is built on the default grid of `levinson_verify`.
     """
-    _dimension(V, 3)
+    poly = high_energy_poly(3, V)
     data = ChannelData(V, DEFAULT_K_MIN, DEFAULT_K_MAX, DEFAULT_POINTS)
     ks = np.geomspace(data.ks[0], data.ks[-1], 2000)
     dsum = data.ddelta_dk(ks) @ data.weights
@@ -705,13 +679,7 @@ def regularization_necessity(V):
     k_cut = np.sqrt(NECESSITY_LAMBDA)
     mask = ks >= k_cut
     tail_grid = np.trapezoid(sub[mask], ks[mask])
-    try:
-        tail_fit, _ = _octave_tail(_route_integrands(data, moment)[0],
-                                   ks[-1])
-        tail_beyond = 2.0 * np.pi * abs(tail_fit)
-    except TailNotConverged:
-        tail_beyond = 0.0
-    tail = tail_grid + tail_beyond
+    tail = tail_grid + 2.0 * np.pi * abs(poly.tail(ks[-1]))
     return {
         "growth_exponent": float(slope),
         "tail_ratio": float(tail / partial[-1]),

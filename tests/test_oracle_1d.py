@@ -19,7 +19,7 @@ transfer matrix and no quadrature enters.
 import numpy as np
 import pytest
 
-from specflow.scatter import Potential1D, smatrix_1d
+from specflow.scatter import Potential1D, high_energy_poly, smatrix_1d
 from specflow.scatter.levinson import K_QUAD_TOL, _winding_1d
 from specflow.sflow import _adaptive_gk21
 
@@ -84,3 +84,18 @@ def test_winding_body_matches_oracle(depth):
 def test_oracle_body_value():
     # the depth-2 body, as the oracle gives it
     assert abs(oracle_body(2.0, 1e-2, 100.0) + 0.5011628361174) < 1e-12
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_winding_tail_matches_oracle(depth):
+    # the winding route's tail beyond k_max is c_1 / k_max, c_1 = integral
+    # V / 2 pi; the exact tail is the oracle body out to K = 1e7 plus c_1 / K
+    # (what is left beyond K is below 1e-21).  They differ by the next
+    # term, integral V^2 / (8 pi k_max^3) from the second-order phase
+    # -integral V^2 / 4k^3 of det S: 3.2e-7, 2.0e-6 and 3.2e-5 here
+    V = Potential1D.square_well(depth, HALFWIDTH)
+    poly = high_energy_poly(1, V)
+    k_max, K = 100.0, 1e7
+    exact = oracle_body(depth, k_max, K) + poly.tail(K)
+    nxt = 2.0 * HALFWIDTH * depth ** 2 / (8.0 * np.pi * k_max ** 3)
+    assert abs(exact - poly.tail(k_max) - nxt) < 1e-2 * nxt
