@@ -26,7 +26,7 @@ import numpy as np
 from .cayley import cayley, fp_distance, graph_projection, inv_cayley, \
     resolvent_bound_constant
 from .errors import SpecflowError, UnsupportedDimension
-from .matcore import gamma_constant, schatten_norm
+from .matcore import check_order, gamma_constant, schatten_norm
 from .rdet import _logdet_sides, det_p, unwind_log
 from .scatter import (
     Potential1D,
@@ -319,11 +319,13 @@ def _cmd_det(args):
     path = _resolve_path(args)
     a, b = path.interval
     ts = np.linspace(a, b, args.samples)
+    p = check_order("p", args.p, 1, integer=True)
     dets, rows = [], []
     for t in ts:
         # one U_t feeds Det_p and both log-derivative sides
-        lhs, rhs, U = _logdet_sides(path, t, args.p)
-        d = det_p(U, args.p)
+        U = path(t)
+        lhs, rhs = _logdet_sides(U, path.derivative(t), p)
+        d = det_p(U, p)
         dets.append(d)
         rows.append({
             "t": float(t),

@@ -133,12 +133,21 @@ def det_p(U, p):
     return _det_p_lu(U - np.eye(U.shape[0]), p)
 
 
-def _logderiv_sampled(path, t, p):
-    """d/dt Log Det_p(U_t), with the samples U_t and U'_t it is formed from."""
-    U = path(t)
-    Ud = path.derivative(t)
+def _logdet_sides(U, Ud, p):
+    """Both sides of the Det_p log-derivative identity at one sample U_t
+    and its derivative U'_t, for an order p the caller has checked:
+      lhs = (-1)^{p-1} Tr(U* U' (U - Id)^{p-1})  (trace identity),
+      rhs = Tr(U* U') + sum_{l=1}^{p-1} (-1)^l Tr(U' (U - Id)^{l-1}).
+    """
     X = U.conj().T @ Ud
-    return complex((-1) ** (p - 1) * form_trace(X, U, "n", p - 1)), U, Ud
+    lhs = complex((-1) ** (p - 1) * form_trace(X, U, "n", p - 1))
+    rhs = complex(np.trace(X))
+    B = U - np.eye(U.shape[0])
+    M = np.eye(U.shape[0], dtype=complex)
+    for ell in range(1, p):
+        rhs += (-1) ** ell * complex(np.trace(Ud @ M))
+        M = M @ B
+    return lhs, rhs
 
 
 def logderiv_det_p(path, t, p):
@@ -149,22 +158,7 @@ def logderiv_det_p(path, t, p):
     classical winding integrand Tr(U* U').
     """
     p = check_order("p", p, 1, integer=True)
-    return _logderiv_sampled(path, t, p)[0]
-
-
-def _logdet_sides(path, t, p):
-    """`logdet_p_vs_logdet`'s (lhs, rhs) and the sample U_t they are
-    formed from, so a caller can take Det_p(U_t) without sampling again."""
-    p = check_order("p", p, 1, integer=True)
-    lhs, U, Ud = _logderiv_sampled(path, t, p)
-    eye = np.eye(U.shape[0])
-    rhs = complex(np.trace(U.conj().T @ Ud))
-    B = U - eye
-    M = np.eye(U.shape[0], dtype=complex)
-    for ell in range(1, p):
-        rhs += (-1) ** ell * complex(np.trace(Ud @ M))
-        M = M @ B
-    return lhs, rhs, U
+    return _logdet_sides(path(t), path.derivative(t), p)[0]
 
 
 def logdet_p_vs_logdet(path, t, p):
@@ -177,7 +171,8 @@ def logdet_p_vs_logdet(path, t, p):
     Both sides are formed from one sample of U_t and U'_t.  The caller
     asserts lhs == rhs.
     """
-    return _logdet_sides(path, t, p)[:2]
+    p = check_order("p", p, 1, integer=True)
+    return _logdet_sides(path(t), path.derivative(t), p)
 
 
 def unwind_log(values):

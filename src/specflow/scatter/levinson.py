@@ -33,20 +33,24 @@ routes, the crossing count and the regularized integral.
 In d = 3 the S-matrix is diagonal in the partial waves and both integrands
 are exact k-derivatives of functions of the phase table: the subtracted one
 of sum_l w_l delta_l / pi + moment k, the regularized one of
-sum_l w_l G(delta_l) / pi with G(x) = e^{4ix}/(4i) - e^{2ix}/i + x.  Both
-bodies are therefore differences of table values at the grid ends.  The
-table's branch is anchored at the top of the grid, so delta_l(inf) = 0 and
-the regularized tail is exact as well; the subtracted route's tail is the
-first high-energy term left after P_3, c_3 / k_max with
-c_3 = -integral V^2 / 16 pi^2, so that route tests the table's top rows
+sum_l w_l G(delta_l) / pi with G(x) = e^{4ix}/(4i) - e^{2ix}/i + x.  Each
+route is thus a difference of primitives, and the table is read once for
+both (`_table_routes`): its first row, its last row and the spline's slope
+at k_min, which the heads below k_min use.  The table's branch is anchored
+at the top of the grid, so delta_l(inf) = 0, and the regularized route,
+body and exact tail together, telescopes to the k_min row alone:
+sum_l w_l (G(0) - G(delta_l(k_min))) / pi plus its head.  The subtracted
+route's tail is the first high-energy term left after P_3, c_3 / k_max with
+c_3 = -integral V^2 / 16 pi^2, so that route tests the table's last row
 against the potential's moments.  The crossing count is a closed form too:
 each channel's capped loop is a scalar loop, whose flow through -1 is its
 winding number, fixed by the table's first and last rows and the principal
 angles of the two caps.  This leaves less independence in d = 3 than the
 three routes suggest: the regularized route and the crossing count are both
 functions of the table's end rows.  The independent checks are each
-channel's flow against its zero-energy bound-state count, and the
-subtracted route's top rows against the moments of the potential.
+channel's flow against its zero-energy bound-state count, which the 3D
+pipeline makes once the routes agree, and the subtracted route's last row
+against the moments of the potential.
 
 The d = 1 zero-energy cap: without a resonance the scattering matrix tends
 to S0 = [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging
@@ -434,29 +438,22 @@ def _reg_primitive(x):
     return np.exp(4j * x) / 4j - np.exp(2j * x) / 1j + x
 
 
-def _route_heads(data, moment, k_min):
-    """Rectangle estimates below k_min of the two 3D winding integrands in
-    k, F_sub = sum_l w_l delta_l' / pi + moment (minus the polynomial
-    derivative) and F_reg = sum_l w_l delta_l' (e^{2i delta_l} - 1)^2 / pi
-    (with the (S - Id)^2 insertion), both read at k_min."""
-    w = data.weights
-    d = data.ddelta_dk(k_min)
-    ph = np.exp(2j * data.delta(k_min))
-    head_sub = (d @ w / np.pi + moment) * k_min
-    head_reg = (w @ (d * (ph - 1.0) ** 2)) / np.pi * k_min
-    return head_sub, head_reg
+def _table_routes(lo, hi, slope, weights, k_min, k_max, moment, tail):
+    """The subtracted and regularized 3D winding integrals over k > 0 from
+    the table's evidence: its first row lo = delta(k_min), its last row
+    hi = delta(k_max) and the slope d delta / dk at k_min.
 
-
-def _route_bodies(data, moment):
-    """The integrals of F_sub and F_reg over the table's wavenumber range,
-    as differences of their primitives sum_l w_l delta_l / pi + moment k
-    and sum_l w_l G(delta_l) / pi at the grid ends."""
-    lo, hi = data.deltas[0], data.deltas[-1]
-    w = data.weights
-    body_sub = (float(w @ (hi - lo)) / np.pi
-                + moment * (data.ks[-1] - data.ks[0]))
-    body_reg = complex(w @ (_reg_primitive(hi) - _reg_primitive(lo))) / np.pi
-    return body_sub, body_reg
+    Below k_min each integrand is a rectangle read at k_min.  The
+    subtracted route adds its body, the difference of sum_l w_l delta_l /
+    pi + moment k between the grid ends, and the given tail; the
+    regularized body and its exact tail telescope to sum_l w_l (G(0) -
+    G(delta_l(k_min))) / pi."""
+    head_sub = (slope @ weights / np.pi + moment) * k_min
+    body_sub = float(weights @ (hi - lo)) / np.pi + moment * (k_max - k_min)
+    head_reg = (weights @ (slope * (np.exp(2j * lo) - 1.0) ** 2)) \
+        / np.pi * k_min
+    drop = complex(weights @ (_reg_primitive(0.0) - _reg_primitive(lo)))
+    return head_sub + body_sub + tail, head_reg + drop / np.pi
 
 
 def _levinson_3d(V, k_min, k_max, points):
@@ -478,14 +475,13 @@ def _levinson_3d(V, k_min, k_max, points):
         _threshold_statistics(V, zero)[:THRESHOLD_LMAX + 1])
     poly = high_energy_poly(3, V)
 
-    moment = V.integral() / (4.0 * np.pi ** 2)
-    head_sub, head_reg = _route_heads(data, moment, k_min)
-    body_sub, body_reg = _route_bodies(data, moment)
-    I_sub = head_sub + body_sub + poly.tail(k_max)
-    # delta_l(inf) = 0 on the branch anchored at the top of the grid
-    tail_reg = complex(w @ (_reg_primitive(0.0)
-                            - _reg_primitive(data.deltas[-1]))) / np.pi
-    I_reg = head_reg + body_reg + tail_reg
+    # the table's evidence, read once: the end rows and the slope at k_min
+    # (the spline's value there is the first row)
+    lo, hi = data.deltas[0], data.deltas[-1]
+    slope = data.ddelta_dk(k_min)
+    I_sub, I_reg = _table_routes(lo, hi, slope, w, k_min, k_max,
+                                 V.integral() / (4.0 * np.pi ** 2),
+                                 poly.tail(k_max))
 
     # zero-energy scattering matrix on the channel diagonal
     s_rank = 1 if classification == "s_resonance" else 0
@@ -498,16 +494,14 @@ def _levinson_3d(V, k_min, k_max, points):
     sf_reg = I_reg + H0 / (2j * np.pi) + correction
     sf_sub = I_sub - poly.P(0.0) / (2j * np.pi) + correction
 
-    phillips = _phillips_3d(data, classification)
+    phillips = _phillips_3d(lo, hi, w, classification)
 
     # Per-wave statement compares the zero- and infinite-energy limits.
     # delta_0(0+) comes from linear extrapolation in k (the shift is
     # analytic in k at threshold, slope = minus the scattering length);
     # delta_0(inf) is 0 in the branch anchored at the top of the grid.
-    d0_zero = float(data.delta(k_min)[0] - k_min * data.ddelta_dk(k_min)[0])
-    per_wave = {"delta0_drop": d0_zero,
-                "delta0_at_grid_edges": [float(data.deltas[0, 0]),
-                                         float(data.deltas[-1, 0])],
+    per_wave = {"delta0_drop": float(lo[0] - k_min * slope[0]),
+                "delta0_at_grid_edges": [float(lo[0]), float(hi[0])],
                 "expected_drop": float(np.pi * (counts[0] + 0.5 * s_rank)),
                 # N_l through l = 8, bound_state_channels' default, and on
                 # to the first empty channel
@@ -519,15 +513,27 @@ def _levinson_3d(V, k_min, k_max, points):
         "regularized": sf_reg,
         "subtracted": sf_sub,
     }
-    return _assemble(
+    report = _assemble(
         dimension=3, N=N, classification=classification,
         phillips=phillips, routes=routes, raw_integral=float(np.real(I_reg)),
         poly=poly, correction=correction, per_wave=per_wave, data=data,
     )
+    # once the routes agree, each channel's flow must be minus its
+    # zero-energy bound-state count; a channel without a flow has flow 0
+    flows = np.zeros(len(counts), dtype=int)
+    for l, f in phillips.parameters["channels"].items():
+        flows[l] = f
+    bad = np.flatnonzero(flows + counts)
+    if len(bad):
+        raise OracleDisagreement(
+            f"channel flows {flows[bad].tolist()} against bound-state counts "
+            f"{counts[bad].tolist()} at l = {bad.tolist()}")
+    return report
 
 
-def _phillips_3d(data, classification):
-    """Per-channel crossing counts, read off the table's end rows.
+def _phillips_3d(lo, hi, weights, classification):
+    """Per-channel crossing counts, read off the table's end rows lo =
+    delta(k_min) and hi = delta(k_max).
 
     Channel l's capped loop runs from 1 to e^{2i delta_l(k_min)} along the
     principal geodesic (through -1 first for the l = 0 s-resonance), along
@@ -538,7 +544,6 @@ def _phillips_3d(data, classification):
     principal_log_unitary (-1 maps to +pi).  The sum is a multiple of 2 pi
     by construction, and no channel needs sampling.
     """
-    lo, hi = data.deltas[0], data.deltas[-1]
     start = np.exp(2j * lo)
     angle = 2.0 * (hi - lo) + _branch_angles(np.exp(-2j * hi))[0]
     if classification == "s_resonance":
@@ -548,7 +553,7 @@ def _phillips_3d(data, classification):
     angle += _branch_angles(start)[0]
     flows = np.round(angle / (2.0 * np.pi)).astype(int)
     channels = {l: int(f) for l, f in enumerate(flows) if f}
-    total = int(data.weights @ flows)
+    total = int(weights @ flows)
     return SpectralFlowReport(
         value=total, raw=float(total), residual=0.0, method="phillips",
         parameters={"channels": channels, "weights": "2l+1"},
@@ -575,20 +580,10 @@ def _assemble(dimension, N, classification, phillips, routes, raw_integral,
     if resid > RESIDUAL_TOL:
         raise RouteDisagreement(
             f"route residual {resid:.3f} exceeds {RESIDUAL_TOL}")
-    if dimension == 3:
-        # each channel's flow is minus its zero-energy bound-state count; a
-        # channel missing from either side counts as 0
-        flows = phillips.parameters["channels"]
-        counts = dict(enumerate(per_wave["channel_counts"]))
-        bad = sorted(l for l in set(flows) | set(counts)
-                     if flows.get(l, 0) != -counts.get(l, 0))
-        if bad:
-            raise OracleDisagreement(
-                f"channel flows {[flows.get(l, 0) for l in bad]} against "
-                f"bound-state counts {[counts.get(l, 0) for l in bad]} at "
-                f"l = {bad}")
     sf = rounded["phillips"]
-    n_res = 0.5 if (dimension == 1 and classification == "none") else 0.0
+    # only the d = 1 zero-energy cap corrects by a negative amount, the
+    # half-unit it carries
+    n_res = 0.5 if correction < 0.0 else 0.0
     verdict = "pass" if sf + N == 0 else "fail"
     return LevinsonReport(
         dimension=dimension, N=N, N_res=n_res, sf_regularized=phillips,

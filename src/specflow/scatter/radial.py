@@ -325,14 +325,18 @@ def _zero_energy_radial(V, lmax):
     return u_R, du_R, changes[0]
 
 
-def _tail_zero_radial(ells, u, du, R):
-    """Whether A r^{l+1} + B r^{-l} has a zero beyond R, channelwise.
+def _exterior_coefficients(u, du, R):
+    """A R^{l+1} and B R^{-l}, up to the common factor 2l + 1, of the
+    exterior solution A r^{l+1} + B r^{-l} that continues the zero-energy
+    solution from u(R) and u'(R), channels l = 0..len(u) - 1."""
+    ells = np.arange(len(u))
+    return ells * u + R * du, (ells + 1.0) * u - R * du
 
-    aa and bb below are A R^{l+1} and B R^{-l} up to the common factor
-    2l + 1; the zero lies at (-B/A)^{1/(2l+1)}, beyond R iff -bb/aa > 1.
-    """
-    aa = ells * u + R * du
-    bb = (ells + 1.0) * u - R * du
+
+def _tail_zero_radial(u, du, R):
+    """Whether A r^{l+1} + B r^{-l} has a zero beyond R, channelwise: it
+    lies at (-B/A)^{1/(2l+1)}, beyond R iff -bb/aa > 1."""
+    aa, bb = _exterior_coefficients(u, du, R)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = -bb / aa > 1.0
     return np.where(aa != 0.0, cond, False)
@@ -342,9 +346,7 @@ def _threshold_statistics(V, zero):
     """threshold_statistics_radial over the channels of one zero-energy
     sweep, zero = _zero_energy_radial(V, lmax)."""
     u, du, _ = zero
-    ells = np.arange(len(u))
-    aa = np.abs(ells * u + V.radius * du)
-    bb = np.abs((ells + 1.0) * u - V.radius * du)
+    aa, bb = np.abs(_exterior_coefficients(u, du, V.radius))
     return aa / (aa + bb + 1e-300)
 
 
@@ -368,7 +370,7 @@ def _channel_counts(V, zero):
     zero = _zero_energy_radial(V, lmax)."""
     u, du, changes = zero
     ells = np.arange(len(u))
-    node_counts = changes + _tail_zero_radial(ells, u, du, V.radius)
+    node_counts = changes + _tail_zero_radial(u, du, V.radius)
 
     out = np.zeros(len(u), dtype=int)
     for ell in ells.tolist():
@@ -394,14 +396,16 @@ def bound_state_channels(V, lmax=8):
     return _channel_counts(V, _zero_energy_radial(V, lmax))
 
 
-def bound_states_radial(V, lmax=None):
-    """N = sum_l (2l+1) N_l for -Delta + V in three dimensions."""
-    probe = 8 if lmax is None else lmax
-    counts = bound_state_channels(V, probe)
-    if lmax is None and counts[-1] != 0:
-        raise OracleDisagreement(
-            f"bound states persist beyond l = {probe}; pass lmax explicitly")
-    mult = 2 * np.arange(probe + 1) + 1
+def bound_states_radial(V):
+    """N = sum_l (2l+1) N_l for -Delta + V in three dimensions.  The
+    channel range doubles from l = 8 until its last channel is empty;
+    N_l is nonincreasing in l, so every channel beyond it is empty too."""
+    lmax = 8
+    counts = bound_state_channels(V, lmax)
+    while counts[-1]:
+        lmax *= 2
+        counts = bound_state_channels(V, lmax)
+    mult = 2 * np.arange(lmax + 1) + 1
     return int(np.sum(mult * counts))
 
 

@@ -91,9 +91,11 @@ class PartitionCertificate:
     """Evidence that the Phillips arc counts were well defined.
 
     On each subinterval [t_{j-1}, t_j] the eigenvalues at the two ends are
-    paired by `_match_motion`, no pair moves more than MOTION_BOUND, and
-    the rays at angles pi +/- eps_j lie outside every distance from -1 that
-    a pair sweeps on its short arc, with clearance at least MARGIN_MIN.
+    paired by `_match_motion`, no pair moves more than MOTION_BOUND, no
+    eigenvector v at t_{j-1} has |(U(t_j) - U(t_{j-1})) v| above the chord
+    2 sin(MOTION_BOUND / 2), and the rays at angles pi +/- eps_j lie
+    outside every distance from -1 that a pair sweeps on its short arc,
+    with clearance at least MARGIN_MIN.
     `margins[j]` is the least ||u| - eps_j| over the end eigenvalues, with
     u an eigenvalue's angular offset from -1; it is never below that
     clearance.  The evidence is the sampled, matched motion: an eigenvalue
@@ -496,17 +498,19 @@ def _around_minus_one(angles):
     return _wrap(np.asarray(angles) - np.pi)
 
 
-def _motion_key(a0, v0, a1, v1):
+def _motion_key(a0, a1, overlap):
     """Cost of pairing eigenangle a0[s, i] with a1[s, j] on each step s of
-    a stack: their circular distance, nudged by eigenvector overlap so
-    that near-degenerate angles follow their own eigenvectors."""
+    a stack: their circular distance, nudged by the eigenvector overlap
+    |<v0_i, v1_j>|^2 so that near-degenerate angles follow their own
+    eigenvectors."""
     d = np.abs(_wrap(a1[:, None, :] - a0[:, :, None]))
-    return d - 1e-6 * np.abs(v0.conj().mT @ v1) ** 2
+    return d - 1e-6 * overlap
 
 
-def _match_motion(a0, v0, a1, v1):
+def _match_motion(a0, a1, overlap):
     """Greedy pairing of eigenangle sets at neighboring parameters, for a
-    stack of steps: angles (steps, dim) and vectors (steps, dim, dim).
+    stack of steps: angles (steps, dim) and the eigenvector overlaps
+    |<v0_i, v1_j>|^2 (steps, dim, dim).
 
     On each step, pairs a0[i] with a1[perm[i]] by taking the smallest
     remaining `_motion_key` entry, then the next among the rows and
@@ -523,7 +527,7 @@ def _match_motion(a0, v0, a1, v1):
     optimum pairs each with the neighbour behind its true partner, its
     motions look small, and a step that should be refined is certified.
     """
-    key = _motion_key(a0, v0, a1, v1)
+    key = _motion_key(a0, a1, overlap)
     perm = np.empty(a0.shape, dtype=int)
     rows = np.arange(a0.shape[1])
     steps = np.arange(len(a0))
@@ -598,12 +602,21 @@ def _certify(samples, t0, t1):
     """
     a0, v0 = _stack(samples, t0)
     a1, v1 = _stack(samples, t1)
-    motion, perm = _match_motion(a0, v0, a1, v1)
+    overlap = np.abs(v0.conj().mT @ v1) ** 2
+    motion, perm = _match_motion(a0, a1, overlap)
     step = np.max(np.abs(motion), axis=1)
     u0 = _around_minus_one(a0)
     u1 = np.take_along_axis(_around_minus_one(a1), perm, axis=1)
     eps, clearance = _free_arc(u0, u1, motion)
-    ok = (step <= MOTION_BOUND) & (clearance >= MARGIN_MIN)
+    # how far U1 moves each eigenvector v of U0, |(U1 - U0) v|^2 =
+    # 2 - 2 Re(conj(z) v* U1 v) with z its eigenvalue: the chord of z's
+    # turn when v stays put, and never more than |U1 - U0|^2.  Greedy
+    # pairing of crowded angles can hand a turn larger than MOTION_BOUND
+    # a near neighbour, which this sees
+    seen = np.exp(-1j * a0) * (overlap @ np.exp(1j * a1)[..., None])[..., 0]
+    moved = np.max(2.0 - 2.0 * seen.real, axis=1)
+    ok = ((step <= MOTION_BOUND) & (clearance >= MARGIN_MIN)
+          & (moved <= (2.0 * np.sin(MOTION_BOUND / 2.0)) ** 2))
     e = eps[:, None]
     margin = np.minimum(np.min(np.abs(np.abs(u0) - e), axis=1),
                         np.min(np.abs(np.abs(u1) - e), axis=1))
@@ -616,14 +629,15 @@ def sf_phillips(path):
     """Spectral flow by eigenvalue-crossing counting.
 
     The interval is refined until the matched eigenangle motion between
-    neighboring samples is at most MOTION_BOUND and an arc half-width
-    eps_j is found that no eigenvalue's matched motion sweeps across with
-    clearance MARGIN_MIN or more (`_free_arc`).  No matched eigenvalue then
-    touches a ray pi +/- eps_j inside the step, so the step's arc counts
-    need no further samples (see `PartitionCertificate` for what this
-    rests on).  The flow is the telescoped sum of arc-count differences
-    k(t_j, eps_j) - k(t_{j-1}, eps_j); `raw` equals the integer exactly, so
-    residual is 0.
+    neighboring samples is at most MOTION_BOUND, no eigenvector of the
+    first sample moves further than an eigenvalue turning by MOTION_BOUND
+    would, and an arc half-width eps_j is found that no eigenvalue's
+    matched motion sweeps across with clearance MARGIN_MIN or more
+    (`_free_arc`).  No matched eigenvalue then touches a ray pi +/- eps_j
+    inside the step, so the step's arc counts need no further samples (see
+    `PartitionCertificate` for what this rests on).  The flow is the
+    telescoped sum of arc-count differences k(t_j, eps_j) -
+    k(t_{j-1}, eps_j); `raw` equals the integer exactly, so residual is 0.
 
     Refinement runs breadth-first in rounds.  A round takes the new
     parameters in `path._evaluate` calls and one stacked `eig_unitary` each,

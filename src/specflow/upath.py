@@ -123,6 +123,11 @@ class UnitaryPath:
     def __call__(self, t):
         if self._sampler is None:
             return self.samples(np.array([t]))[0]
+        # a scalar sampler is called directly, not through `samples`: a
+        # one-point call through `samples` costs about three times as much
+        # (15 us against 5 us on a dim-3 path, BLAS on one thread), and
+        # routing these calls there made the dense-loop benchmark's winding
+        # solves 7-25% slower
         if not self._contains(t):
             raise OutsideInterval(f"parameter {t} outside {self.interval}")
         U = np.asarray(self._sampler(t), dtype=complex)

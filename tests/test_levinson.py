@@ -30,8 +30,7 @@ from specflow.scatter import (
 from specflow.scatter import levinson, onedim
 from specflow.scatter.levinson import (
     _band_rows,
-    _route_bodies,
-    _route_heads,
+    _table_routes,
 )
 from specflow import sflow
 from specflow.matcore import eig_unitary
@@ -171,22 +170,24 @@ def test_levinson_1d_single_well():
     (DOUBLE_WELL,
      {"phillips": -4.0,
       "regularized": -4.000005751097031 + 2.4940673978155744e-17j},
-     4.450292470290396e-10),
+     4.450292435298566e-10),
     (GAUSSIAN_WELL,
      {"phillips": -2.0,
       "regularized": -2.000062817459451 + 3.2779416775792827e-16j},
-     1.6844572383764503e-12),
+     1.684457674808557e-12),
 ], ids=["double_well", "gaussian_200_segments"])
 def test_levinson_1d_multi_segment_pins(V, pinned, quad_error):
     # several segments, folded in a fixed order; the winding integrand takes
     # the exact dS/dk, so rounding in S reaches the routes unamplified, and
-    # a change in the fold or in the quadrature's refinement shows here
+    # a change in the fold or in the quadrature's refinement shows here; a
+    # refinement change moves the error estimate by O(1) relative, which a
+    # relative pin sees whatever the estimate's size
     rep = levinson_verify(V, 1)
     assert rep.verdict == "pass"
     assert set(rep.routes) == set(pinned)
     for name, want in pinned.items():
         assert abs(rep.routes[name] - want) < 1e-12
-    assert abs(rep.data["quad_error"] - quad_error) < 1e-12
+    assert abs(rep.data["quad_error"] - quad_error) < 1e-6 * quad_error
 
 
 def test_levinson_1d_winding_route_is_batched(monkeypatch):
@@ -475,10 +476,19 @@ def test_route_bodies_match_quadrature(depth):
     data = ChannelData(V, 1e-2, 100.0, 400)
     moment = V.integral() / (4.0 * np.pi ** 2)
     F_sub, F_reg = _route_integrands(data, moment)
-    # the heads are the rectangles below k_min
-    assert _route_heads(data, moment, 1e-2) == (F_sub(1e-2) * 1e-2,
-                                                F_reg(1e-2) * 1e-2)
-    body_sub, body_reg = _route_bodies(data, moment)
+    w, lo, hi = data.weights, data.deltas[0], data.deltas[-1]
+    tail = high_energy_poly(3, V).tail(100.0)
+    I_sub, I_reg = _table_routes(lo, hi, data.ddelta_dk(1e-2), w, 1e-2,
+                                 100.0, moment, tail)
+    # less the rectangles below k_min, the subtracted tail and, for the
+    # regularized route, its exact tail from delta_l(k_max) to
+    # delta_l(inf) = 0, the routes are the bodies on [k_min, k_max]
+    def G(x):
+        return np.exp(4j * x) / 4j - np.exp(2j * x) / 1j + x
+
+    body_sub = I_sub - F_sub(1e-2) * 1e-2 - tail
+    body_reg = (I_reg - F_reg(1e-2) * 1e-2
+                - complex(w @ (G(0.0) - G(hi))) / np.pi)
     opts = {"points": data.ks[1:-1], "limit": 2000, "epsabs": 1e-12}
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
@@ -538,6 +548,17 @@ def test_levinson_3d_channel_flows_against_counts():
             "channel flows [-2, -1, -1] against bound-state counts "
             "[1, 0, 0] at l = [7, 11, 12]")):
         levinson_verify(RadialPotential.square_well(200.0), 3)
+
+
+def test_levinson_3d_routes_are_checked_before_channels():
+    # on a grid ending at k_max = 20 the depth-100 well's table reads a
+    # total flow of +141 against its bound states, so some channel's flow
+    # misses its count; the per-channel check runs once the routes agree,
+    # and here they do not
+    with pytest.raises(RouteDisagreement,
+                       match="routes disagree after rounding"):
+        levinson_verify(RadialPotential.square_well(100.0), 3,
+                        grid={"k_max": 20.0, "points": 100})
 
 
 @pytest.mark.parametrize("depth, grid", [

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn, spherical_yn
 
-from specflow.errors import (
-    EnergyNonpositive,
-    OracleDisagreement,
-    SpecflowError,
-)
+from specflow.errors import EnergyNonpositive, SpecflowError
 from specflow.scatter import (
     ChannelData,
     RadialPotential,
@@ -142,7 +138,6 @@ def test_bound_state_counts():
     assert np.array_equal(bound_state_channels(deep, 6),
                           [2, 1, 1, 0, 0, 0, 0])
     assert bound_states_radial(deep) == 10
-    assert bound_states_radial(deep, lmax=6) == 10
     barrier = RadialPotential(v_of_r=lambda r: 5.0, radius=1.0)
     assert bound_states_radial(barrier) == 0
 
@@ -158,16 +153,16 @@ def test_deep_well_counts_past_l_8():
     # far above the last bound channel the node counts stay at the
     # diagonalization's zero, though A <= 0 on ever more nodes
     u, du, changes = _zero_energy_radial(deep, 60)
-    nodes = changes + _tail_zero_radial(np.arange(61), u, du, deep.radius)
+    nodes = changes + _tail_zero_radial(u, du, deep.radius)
     assert np.all(nodes[11:] == 0)
     for ell in (10, 11, 13, 30, 60):
         assert nodes[ell] == _bound_states_fd_radial(deep, ell)
 
 
-def test_very_deep_well_demands_explicit_cutoff():
-    deep = RadialPotential.square_well(200.0)
-    with pytest.raises(OracleDisagreement):
-        bound_states_radial(deep)
+def test_very_deep_well_widens_its_cutoff():
+    # channels 9 and 10 hold states, so the count widens its channel range
+    # past l = 8 to the Bessel-zero count of test_deep_well_counts_past_l_8
+    assert bound_states_radial(RadialPotential.square_well(200.0)) == 205
 
 
 def test_threshold_statistics():
