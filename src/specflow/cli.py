@@ -29,13 +29,14 @@ from .errors import SpecflowError, UnsupportedDimension
 from .matcore import check_order, gamma_constant, schatten_norm
 from .rdet import _logdet_sides, det_p, unwind_log
 from .scatter import (
+    ChannelData,
     Potential1D,
     RadialPotential,
     levinson_verify,
     phase_shifts_3d,
     smatrix_1d,
 )
-from .scatter.levinson import _sweep_1d
+from .scatter.levinson import _grid_options, _sweep_1d
 from .sflow import (DEFAULT_EPSABS, QUAD_EPSREL, sf_alpha, sf_beta, sf_det,
                     sf_open_path, sf_phillips)
 from .upath import geodesic_between, model_loop
@@ -371,7 +372,10 @@ def _cmd_levinson(args):
                             "and needs --dim 3")
     report = levinson_verify(V, args.dim, grid=args.grid)
     if args.csv:
-        report.data.to_csv(args.csv)
+        # the verify reads only the end rows; the table is built for the file
+        grid = _grid_options(3, args.grid)
+        ChannelData(V, grid["k_min"], grid["k_max"],
+                    grid["points"]).to_csv(args.csv)
         log.info("phase table written to %s", args.csv)
     return report.to_dict()
 

@@ -31,26 +31,29 @@ route would equal the regularized value exactly: d = 1 reports two
 routes, the crossing count and the regularized integral.
 
 In d = 3 the S-matrix is diagonal in the partial waves and both integrands
-are exact k-derivatives of functions of the phase table: the subtracted one
-of sum_l w_l delta_l / pi + moment k, the regularized one of
+are exact k-derivatives of functions of the phase shifts: the subtracted
+one of sum_l w_l delta_l / pi + moment k, the regularized one of
 sum_l w_l G(delta_l) / pi with G(x) = e^{4ix}/(4i) - e^{2ix}/i + x.  Each
-route is thus a difference of primitives, and the table is read once for
-both (`_table_routes`): its first row, its last row and the spline's slope
-at k_min, which the heads below k_min use.  The table's branch is anchored
-at the top of the grid, so delta_l(inf) = 0, and the regularized route,
-body and exact tail together, telescopes to the k_min row alone:
-sum_l w_l (G(0) - G(delta_l(k_min))) / pi plus its head.  The subtracted
-route's tail is the first high-energy term left after P_3, c_3 / k_max with
-c_3 = -integral V^2 / 16 pi^2, so that route tests the table's last row
-against the potential's moments.  The crossing count is a closed form too:
-each channel's capped loop is a scalar loop, whose flow through -1 is its
-winding number, fixed by the table's first and last rows and the principal
+route is thus a difference of primitives and reads three things, taken
+once for both (`_end_rows`, `_table_routes`): the row at k_min, the row at
+k_max and the slope d delta / dk at k_min, which the heads below k_min use.
+No phase table is built.  The k_max row is the one choose_lmax sweeps to
+fix the channel range, and the slope is that of a spline through the first
+SLOPE_ROWS rows of the geometric grid.  Every row is on the absolute
+branch, delta_l(inf) = 0, from the node count of its own sweep (radial),
+so the regularized route, body and exact tail together, telescopes to the
+k_min row alone: sum_l w_l (G(0) - G(delta_l(k_min))) / pi plus its head.
+The subtracted route's tail is the first high-energy term left after P_3,
+c_3 / k_max with c_3 = -integral V^2 / 16 pi^2, so that route tests the
+k_max row against the potential's moments.  The crossing count is a closed
+form too: each channel's capped loop is a scalar loop, whose flow through
+-1 is its winding number, fixed by the two end rows and the principal
 angles of the two caps.  This leaves less independence in d = 3 than the
 three routes suggest: the regularized route and the crossing count are both
-functions of the table's end rows.  The independent checks are each
-channel's flow against its zero-energy bound-state count, which the 3D
-pipeline makes once the routes agree, and the subtracted route's last row
-against the moments of the potential.
+functions of the end rows.  The independent checks are each channel's flow
+against its zero-energy bound-state count, which the 3D pipeline makes once
+the routes agree, and the subtracted route's k_max row against the moments
+of the potential.
 
 The d = 1 zero-energy cap: without a resonance the scattering matrix tends
 to S0 = [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging
@@ -96,6 +99,8 @@ from .radial import (
     CHANNEL_TOL,
     THRESHOLD_LMAX,
     _channel_counts,
+    _cutoff_rows,
+    _first_trial,
     _threshold_statistics,
     _zero_energy_radial,
     choose_lmax,
@@ -113,6 +118,8 @@ RESIDUAL_TOL = 0.05
 # costs a radial recursion per refinement round, whose per-node overhead
 # outweighs the cut beyond a few bands
 K_BANDS = (2.0, 20.0)
+# the rows at the bottom of the wavenumber grid that fix the slope at k_min
+SLOPE_ROWS = 16
 # the energy beyond which regularization_necessity takes the subtracted tail
 NECESSITY_LAMBDA = 1e3
 
@@ -371,14 +378,17 @@ class ChannelData:
     """The phase-shift table: shifts delta_l(k), l = 0..lmax, on a refined
     geometric wavenumber grid, with a log-k cubic spline per channel.
 
-    Each refinement round sweeps only its new wavenumbers.  They are split
-    into the wavenumber bands closed by K_BANDS, and each band is swept in
-    one batched radial recursion over the channels up to its own cutoff,
-    choose_lmax at the band's top energy; the table holds 0.0 above it.
-    One choose_lmax sweep over the top energies of the bands that meet the
-    grid gives every cutoff, and lmax is the cutoff at the top of the
-    grid.  deltas[i, l] is unwound in energy, anchored at the top of the
-    grid where the principal branch is correct.
+    Every row is on the absolute branch, delta_l(inf) = 0, fixed by node
+    counting (phase_shift_rows), so the table needs no unwinding.  A round
+    of refinement adds the geometric midpoint of every pair of neighbouring
+    rows that differ by more than 0.2 in some channel, so that the spline
+    follows the shifts through a sharp resonance.  Each round sweeps only
+    its new wavenumbers.  They are split into the wavenumber bands closed
+    by K_BANDS, and each band is swept in one batched radial recursion over
+    the channels up to its own cutoff, choose_lmax at the band's top
+    energy; the table holds 0.0 above it.  One choose_lmax sweep over the
+    top energies of the bands that meet the grid gives every cutoff, and
+    lmax is the cutoff at the top of the grid.
     """
 
     def __init__(self, V, k_min, k_max, points):
@@ -400,8 +410,7 @@ class ChannelData:
                 rows, cutoffs[b] = _band_rows(V, sel, cutoffs[b], self.lmax)
                 cache.update(zip(sel, rows))
             rows = np.array([cache[k] for k in ks])
-            unwound = np.unwrap(rows[::-1], axis=0, period=np.pi)[::-1]
-            jumps = np.max(np.abs(np.diff(unwound, axis=0)), axis=1)
+            jumps = np.max(np.abs(np.diff(rows, axis=0)), axis=1)
             bad = np.where(jumps > 0.2)[0]
             if len(bad) == 0:
                 break
@@ -413,7 +422,7 @@ class ChannelData:
                 "below 0.2; sharpest remaining step "
                 f"{np.max(jumps):.3f}")
         self.ks = np.array(ks)
-        self.deltas = unwound
+        self.deltas = rows
         self._spline = CubicSpline(np.log(self.ks), self.deltas)
         self._dspline = self._spline.derivative()
 
@@ -440,8 +449,9 @@ def _reg_primitive(x):
 
 def _table_routes(lo, hi, slope, weights, k_min, k_max, moment, tail):
     """The subtracted and regularized 3D winding integrals over k > 0 from
-    the table's evidence: its first row lo = delta(k_min), its last row
-    hi = delta(k_max) and the slope d delta / dk at k_min.
+    the phase shifts' evidence: the rows lo = delta(k_min) and hi =
+    delta(k_max), on the absolute branch, and the slope d delta / dk at
+    k_min.
 
     Below k_min each integrand is a rectangle read at k_min.  The
     subtracted route adds its body, the difference of sum_l w_l delta_l /
@@ -456,18 +466,36 @@ def _table_routes(lo, hi, slope, weights, k_min, k_max, moment, tail):
     return head_sub + body_sub + tail, head_reg + drop / np.pi
 
 
+def _end_rows(V, k_min, k_max, points):
+    """What the 3D routes read of the phase shifts, each row on the
+    absolute branch: (lo, hi, slope), the rows at k_min and k_max and
+    d delta / dk at k_min.
+
+    hi is the row choose_lmax sweeps at k_max, and its cutoff is lmax.
+    The slope is that of a not-a-knot cubic spline in log k through the
+    first SLOPE_ROWS rows of the geometric grid of the given points, swept
+    in one batch over the channels choose_lmax tries first at their top
+    energy, as `_band_rows` sweeps a band of the table; lo is the first."""
+    cut, top = _cutoff_rows(V, np.array([k_max * k_max]))
+    ks = np.geomspace(k_min, k_max, points)[:SLOPE_ROWS]
+    low, _ = _band_rows(V, ks, int(_first_trial(V, ks[-1] ** 2)),
+                        int(cut[0]))
+    slope = CubicSpline(np.log(ks), low)(np.log(k_min), 1) / k_min
+    return low[0], top[0], slope
+
+
 def _levinson_3d(V, k_min, k_max, points):
-    data = ChannelData(V, k_min, k_max, points)
-    w = data.weights
-    lmax = data.lmax
+    lo, hi, slope = _end_rows(V, k_min, k_max, points)
+    lmax = len(hi) - 1
+    w = 2.0 * np.arange(lmax + 1) + 1.0
     # one zero-energy sweep serves the bound-state count, over every
-    # channel of the table, and the threshold statistics of channels
+    # channel of the rows, and the threshold statistics of channels
     # 0..THRESHOLD_LMAX
     zero = _zero_energy_radial(V, max(lmax, THRESHOLD_LMAX))
     counts = _channel_counts(V, zero)
     if counts[-1]:
         raise OracleDisagreement(
-            f"bound states persist beyond the table's cutoff l = "
+            f"bound states persist beyond the rows' cutoff l = "
             f"{len(counts) - 1}")
     mult = 2 * np.arange(len(counts)) + 1
     N = int(np.sum(mult * counts))
@@ -475,10 +503,6 @@ def _levinson_3d(V, k_min, k_max, points):
         _threshold_statistics(V, zero)[:THRESHOLD_LMAX + 1])
     poly = high_energy_poly(3, V)
 
-    # the table's evidence, read once: the end rows and the slope at k_min
-    # (the spline's value there is the first row)
-    lo, hi = data.deltas[0], data.deltas[-1]
-    slope = data.ddelta_dk(k_min)
     I_sub, I_reg = _table_routes(lo, hi, slope, w, k_min, k_max,
                                  V.integral() / (4.0 * np.pi ** 2),
                                  poly.tail(k_max))
@@ -499,7 +523,7 @@ def _levinson_3d(V, k_min, k_max, points):
     # Per-wave statement compares the zero- and infinite-energy limits.
     # delta_0(0+) comes from linear extrapolation in k (the shift is
     # analytic in k at threshold, slope = minus the scattering length);
-    # delta_0(inf) is 0 in the branch anchored at the top of the grid.
+    # delta_0(inf) is 0 on the absolute branch.
     per_wave = {"delta0_drop": float(lo[0] - k_min * slope[0]),
                 "delta0_at_grid_edges": [float(lo[0]), float(hi[0])],
                 "expected_drop": float(np.pi * (counts[0] + 0.5 * s_rank)),
@@ -516,7 +540,8 @@ def _levinson_3d(V, k_min, k_max, points):
     report = _assemble(
         dimension=3, N=N, classification=classification,
         phillips=phillips, routes=routes, raw_integral=float(np.real(I_reg)),
-        poly=poly, correction=correction, per_wave=per_wave, data=data,
+        poly=poly, correction=correction, per_wave=per_wave,
+        data={"lo": lo, "hi": hi, "slope": slope},
     )
     # once the routes agree, each channel's flow must be minus its
     # zero-energy bound-state count; a channel without a flow has flow 0
@@ -532,7 +557,7 @@ def _levinson_3d(V, k_min, k_max, points):
 
 
 def _phillips_3d(lo, hi, weights, classification):
-    """Per-channel crossing counts, read off the table's end rows lo =
+    """Per-channel crossing counts, read off the end rows lo =
     delta(k_min) and hi = delta(k_max).
 
     Channel l's capped loop runs from 1 to e^{2i delta_l(k_min)} along the
@@ -610,19 +635,10 @@ def _check_grid(k_min, k_max, points):
         raise InvalidGrid(f"points must be an integer >= 2, got {points!r}")
 
 
-def levinson_verify(V, d, grid=None):
-    """Verify the bound-state/spectral-flow relation for -Delta + V.
-
-    grid may be None (defaults), an integer (number of wavenumber nodes),
-    or a dict with any of k_min, k_max, points.  The d = 1 route integrates
-    adaptively and has no node count, so a number of points (as an integer
-    or a dict entry) raises InvalidGrid there, as does an unknown key.
-    So do wavenumber bounds that are not finite with 0 < k_min < k_max,
-    and a number of points that is not an integer >= 2.  A d other than
-    the potential's own dimension (1 for Potential1D, 3 for
-    RadialPotential) raises UnsupportedDimension.
-    """
-    d = _dimension(V, d)
+def _grid_options(d, grid):
+    """The wavenumber grid of a verify in d dimensions from its grid
+    argument (see levinson_verify), defaults filled in and checked: a dict
+    of k_min, k_max and points."""
     opts = {"k_min": DEFAULT_K_MIN, "k_max": DEFAULT_K_MAX,
             "points": DEFAULT_POINTS}
     if isinstance(grid, numbers.Integral):
@@ -640,6 +656,23 @@ def levinson_verify(V, d, grid=None):
                           "no number of grid points; pass k_min or k_max")
     opts.update(grid)
     _check_grid(**opts)
+    return opts
+
+
+def levinson_verify(V, d, grid=None):
+    """Verify the bound-state/spectral-flow relation for -Delta + V.
+
+    grid may be None (defaults), an integer (number of wavenumber nodes),
+    or a dict with any of k_min, k_max, points.  The d = 1 route integrates
+    adaptively and has no node count, so a number of points (as an integer
+    or a dict entry) raises InvalidGrid there, as does an unknown key.
+    So do wavenumber bounds that are not finite with 0 < k_min < k_max,
+    and a number of points that is not an integer >= 2.  A d other than
+    the potential's own dimension (1 for Potential1D, 3 for
+    RadialPotential) raises UnsupportedDimension.
+    """
+    d = _dimension(V, d)
+    opts = _grid_options(d, grid)
     if d == 1:
         return _levinson_1d(V, opts["k_min"], opts["k_max"])
     return _levinson_3d(V, opts["k_min"], opts["k_max"], opts["points"])

@@ -10,9 +10,9 @@ sweep takes its nodes in blocks: the Numerov coefficients of a whole block
 come from one array pass, capped at BLOCK_ELEMENTS entries per array, and
 only the three-term update of u, the one step that depends on the previous
 node, runs once per node.  A single energy (`phase_shifts_3d`) and the
-zero-energy solution are one-energy calls of the same sweep.  Matching uses the solution at two
-radii in the force-free region against Riccati-Bessel functions, which
-needs no normalization of u and no derivative estimate.
+zero-energy solution are one-energy calls of the same sweep.  Matching uses
+the solution at two radii in the force-free region against Riccati-Bessel
+functions, which needs no normalization of u and no derivative estimate.
 
 Each node takes the mean of V at the two half-step points beside it.  For a
 step potential this is the node value away from a jump and the two-sided
@@ -21,9 +21,12 @@ at the interface.  V vanishes beyond the support radius, so only half-step
 points inside it are evaluated, once per distinct step and in one call of V
 per sweep.
 
-Each channel's phase shift is defined modulo pi by the matching; tables
-over an energy grid are unwound downward from the highest energy, where
-the principal branch is the correct one.
+The matching defines each channel's phase shift modulo pi.  The sweep also
+counts the sign changes of u, once per block over the block's stored rows,
+and the node count fixes the absolute branch, where delta_l(inf) = 0
+(Pruefer's oscillation count; `_sweep_rows`): every row of
+`phase_shift_rows` is absolute on its own, with no unwinding over an
+energy grid.  `phase_shifts_3d` reports the principal branch.
 """
 
 import numpy as np
@@ -79,8 +82,7 @@ def _node_potential(V, steps, n_in):
     return v
 
 
-def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
-             count_nodes=False):
+def _numerov(lams, hs, ns, v_nodes, group, lmax, records):
     """Numerov recursion for an (energies x channels) array of solutions.
 
     Energy e runs on nodes r_i = i hs[e], i = 0..ns[e], with node
@@ -97,19 +99,21 @@ def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
     coefficients A = 1 - h^2 f / 12 and B = 2 + 5 h^2 f / 6 of every node
     are formed in one pass over a (nodes, energies, channels) array; only
     the three-term update u_{i+1} = (B_i u_i - A_{i-1} u_{i-1}) / A_{i+1}
-    then runs node by node.  A block holds at most BLOCK_ELEMENTS entries
-    per array, so memory stays flat in the batch size, and ends after a
-    renormalization node or at the last node of the next energy to finish,
-    so the set of running energies is fixed inside it.  Every entry is the
-    same floating-point operation on the same operands as in a node-by-node
-    sweep, so the blocking does not change any result.
+    then runs node by node, into the block's own array of u rows.  A block
+    holds at most BLOCK_ELEMENTS entries per array, so memory stays flat in
+    the batch size, and ends after a renormalization node or at the last
+    node of the next energy to finish, so the set of running energies is
+    fixed inside it.  Every entry is the same floating-point operation on
+    the same operands as in a node-by-node sweep, so the blocking does not
+    change any result.
 
     records[e] lists the nodes (>= 3) whose solution rows are returned as
-    out[e, j] = u(records[e, j]) over channels 0..lmax.  With count_nodes
-    the sign changes of u over nodes 1..ns[e] are counted per channel,
-    except those into a node where A <= 0: there the recursion, not the
-    solution, flips the sign (at node 3 for l >= 10).
-    Returns (out, changes), changes None unless counted.
+    out[e, j] = u(records[e, j]) over channels 0..lmax.  The sign changes
+    of u over nodes 1..ns[e] (changes of u < 0, so a node where u is
+    exactly zero is not counted twice) are counted per channel, once per
+    block over its stored rows, except those into a node where A <= 0:
+    there the recursion, not the solution, flips the sign (at node 3 for
+    l >= 10).  Returns (out, changes).
     """
     E = len(lams)
     ells = np.arange(lmax + 1)
@@ -144,18 +148,17 @@ def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
     u_prev = (1.0 + c * hc * hc) * np.exp(-(ells + 1.0) * np.log(2.0))
     u_cur = 1.0 + 4.0 * c * hc * hc
     f2 = cent / ((2 * hc) * (2 * hc)) + w_rows(np.array([2]), E)[0][:, None]
-    # (energies x channels) rows: u at three consecutive nodes, and the A
-    # and B rows a block carries over from the one before it
-    u_next, tmp = np.empty_like(u_cur), np.empty_like(u_cur)
+    # (energies x channels) rows: scratch, and the A and B rows a block
+    # carries over from the one before it
+    tmp = np.empty_like(u_cur)
     A_prev, A_cur, B_cur = 1.0 - hh12 * f1, 1.0 - hh12 * f2, 2.0 + hh56 * f2
-    # block arrays: at least one node row
+    # block arrays: at least one node row; the u rows of a block follow the
+    # two rows before it
     buf_a = np.empty(max(BLOCK_ELEMENTS, u_cur.size))
     buf_b = np.empty_like(buf_a)
+    buf_u = np.empty(buf_a.size + 2 * u_cur.size)
 
-    changes = None
-    if count_nodes:
-        changes = ((np.sign(u_prev) * np.sign(u_cur) < 0)
-                   & (A_cur > 0)).astype(int)
+    changes = (((u_prev < 0) != (u_cur < 0)) & (A_cur > 0)).astype(int)
     # node -> (energies, slots) recorded there
     by_node = {}
     for (e, j), node in np.ndenumerate(records):
@@ -199,24 +202,32 @@ def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
         np.subtract(1.0, A, out=A)
         np.multiply(hh56[:m], B, out=B)
         B += 2.0
+        # u at nodes i - 1..end
+        U = buf_u[:A.size + 2 * m * (lmax + 1)].reshape(
+            (len(nodes) + 2, m, lmax + 1))
+        U[0] = u_prev[:m]
+        U[1] = u_cur[:m]
 
-        up, uc, un, t = u_prev[:m], u_cur[:m], u_next[:m], tmp[:m]
+        rows, t = list(U), tmp[:m]
         a_prev, a_cur, b_cur = A_prev[:m], A_cur[:m], B_cur[:m]
-        for node, a_next, b_next in zip(nodes.tolist(), A, B):
+        for j, (node, a_next, b_next) in enumerate(zip(nodes.tolist(), A,
+                                                       B)):
+            up, uc, un = rows[j], rows[j + 1], rows[j + 2]
             np.multiply(b_cur, uc, out=un)
             np.multiply(a_prev, up, out=t)
             un -= t
             un /= a_next
-            if count_nodes:
-                changes[:m] += ((np.sign(un) * np.sign(uc) < 0)
-                                & (a_next > 0))
-            up, uc, un = uc, un, up
             a_prev, a_cur, b_cur = a_cur, a_next, b_next
             hit = by_node.get(node)
             if hit is not None:
-                out[hit] = uc[hit[0]]
-        for _ in range(len(nodes) % 3):
-            u_prev, u_cur, u_next = u_cur, u_next, u_prev
+                out[hit] = un[hit[0]]
+        # the block's sign changes, each into a node where A > 0
+        neg = U[1:] < 0
+        flips = neg[1:] != neg[:-1]
+        flips &= A > 0
+        changes[:m] += np.count_nonzero(flips, axis=0)
+        u_prev[:m] = U[-2]
+        u_cur[:m] = U[-1]
         # a_prev is A_cur's rows when the block is one node long
         A_prev[:m] = a_prev
         A_cur[:m] = a_cur
@@ -235,7 +246,7 @@ def _numerov(lams, hs, ns, v_nodes, group, lmax, records,
 
     back = np.empty_like(order)
     back[order] = np.arange(E)
-    return out[back], (None if changes is None else changes[back])
+    return out[back], changes[back]
 
 
 def _riccati(ells, x):
@@ -243,10 +254,31 @@ def _riccati(ells, x):
     return x * spherical_jn(ells, x), -x * spherical_yn(ells, x)
 
 
-def phase_shift_rows(V, lams, lmax):
-    """Phase shifts delta_l(lam), l = 0..lmax, for every energy in lams
-    from one batched sweep: row e is the principal branch at lams[e], each
-    shift in (-pi/2, pi/2]."""
+def _free_zeros(x, s):
+    """Zeros of j_l on (0, x] for the channels l = 0..lmax of s = x j_l(x),
+    one row per row of the column x.  j_0 = sin x / x has floor(x / pi)
+    of them.  The zeros of j_l and j_{l+1} interlace, j_l's first, and
+    each j_l is positive before its first zero, so j_{l+1} has as many as
+    j_l when the two share a sign at x and one fewer otherwise."""
+    neg = np.signbit(s)
+    drops = np.cumsum(neg[:, 1:] != neg[:, :-1], axis=1)
+    return np.floor(x / np.pi).astype(int) - np.pad(drops, ((0, 0), (1, 0)))
+
+
+def _sweep_rows(V, lams, lmax):
+    """One batched sweep over every energy in lams: (principal, branch),
+    the matched shifts delta_l in (-pi/2, pi/2] and the integers j with
+    delta_l + j pi on the absolute branch, where delta_l(inf) = 0.
+
+    Beyond the support u = S cos delta + C sin delta = |(S, C)| sin(phi +
+    delta), with phi the free Riccati phase (the continuous angle of
+    (S, C), zero at the origin), so u vanishes where phi + delta crosses a
+    multiple of pi.  On the absolute branch phi + delta is the solution's
+    oscillation angle (Pruefer's), and u has floor((phi + delta) / pi)
+    zeros on (0, r].  With n_u the sign changes of u over the sweep, x_b
+    the last node's k r and n_free the zeros of j_l on (0, x_b], phi(x_b)
+    = n_free pi + (angle of (S, C) mod pi), and j = n_u - floor((phi(x_b)
+    + delta) / pi)."""
     lams = np.asarray(lams, dtype=float)
     bad = lams[~(lams > 0)]
     if bad.size:
@@ -260,13 +292,14 @@ def phase_shift_rows(V, lams, lmax):
 
     # the two matching nodes: midway through the free margin, and the end
     idx_a = np.maximum(n_in + (n_tot - n_in) // 2, n_in + 2)
-    rows, _ = _numerov(lams, h, n_tot, v_nodes, group, lmax,
-                       np.stack([idx_a, n_tot], axis=1))
+    rows, changes = _numerov(lams, h, n_tot, v_nodes, group, lmax,
+                             np.stack([idx_a, n_tot], axis=1))
     u_a, u_b = rows[:, 0], rows[:, 1]
 
     k = np.sqrt(lams)[:, None]
+    x_b = k * (h * n_tot)[:, None]
     sa, ca = _riccati(ells, k * (h * idx_a)[:, None])
-    sb, cb = _riccati(ells, k * (h * n_tot)[:, None])
+    sb, cb = _riccati(ells, x_b)
     with np.errstate(over="ignore", invalid="ignore"):
         num = u_b * sa - u_a * sb
         den = u_a * cb - u_b * ca
@@ -275,15 +308,25 @@ def phase_shift_rows(V, lams, lmax):
     delta = np.where(delta <= -np.pi / 2, delta + np.pi, delta)
     # overflow of the irregular Bessel branch only happens far inside the
     # centrifugally forbidden regime, where the true shift is below any
-    # representable size
+    # representable size and u has no zero
     delta = np.where(np.isfinite(delta), delta, 0.0)
-    return delta
+    phi = _free_zeros(x_b, sb) * np.pi + np.mod(np.arctan2(sb, cb), np.pi)
+    return delta, changes - np.floor((phi + delta) / np.pi).astype(int)
+
+
+def phase_shift_rows(V, lams, lmax):
+    """Phase shifts delta_l(lam), l = 0..lmax, for every energy in lams
+    from one batched sweep, each on the absolute branch where
+    delta_l(inf) = 0 (the one Levinson's theorem reads), fixed by counting
+    the nodes of the radial solution."""
+    delta, branch = _sweep_rows(V, lams, lmax)
+    return delta + branch * np.pi
 
 
 def phase_shifts_3d(V, lam, lmax):
     """Phase shifts delta_l, l = 0..lmax, at energy lam > 0 (principal
     branch, each in (-pi/2, pi/2])."""
-    return phase_shift_rows(V, [lam], lmax)[0]
+    return _sweep_rows(V, [lam], lmax)[0][0]
 
 
 def smatrix_diag_radial(V, lam, lmax):
@@ -316,8 +359,7 @@ def _zero_energy_radial(V, lmax):
 
     out, changes = _numerov(np.zeros(1), np.array([h]), np.array([n_in]), v,
                             np.zeros(1, dtype=int), lmax,
-                            np.arange(n_in - 4, n_in + 1)[None, :],
-                            count_nodes=True)
+                            np.arange(n_in - 4, n_in + 1)[None, :])
     rows = out[0]
     u_R = rows[-1]
     du_R = (25.0 * rows[-1] - 48.0 * rows[-2] + 36.0 * rows[-3]
@@ -420,18 +462,18 @@ __all__ = [
 ]
 
 
-def choose_lmax(V, lam_max):
-    """Smallest l with |delta_l(lam_max)| < CHANNEL_TOL for it and
-    everything above, plus a safety margin of 2.
+def _first_trial(V, lams):
+    """The channel range choose_lmax sweeps first at each energy."""
+    return np.ceil(np.sqrt(lams) * V.radius).astype(int) + 40
 
-    lam_max may also be an array of energies: all of them are swept in one
-    batched recursion and the cutoffs come back as an int array.  Each
-    energy reads only its own channels 0..trial, which the sweep computes
-    exactly as a sweep over those channels alone would.
-    """
-    lams = np.atleast_1d(np.asarray(lam_max, dtype=float))
-    guess = np.ceil(np.sqrt(lams) * V.radius).astype(int) + 40
+
+def _cutoff_rows(V, lams):
+    """choose_lmax for an array of energies, with each energy's row over
+    channels 0..cutoff from the same sweep (as phase_shift_rows gives it):
+    (cutoffs, rows)."""
+    guess = _first_trial(V, lams)
     cut = np.full(len(lams), -1)
+    out = [None] * len(lams)
     for trial in (guess, 4 * guess):
         todo = np.where(cut < 0)[0]
         if len(todo) == 0:
@@ -439,12 +481,28 @@ def choose_lmax(V, lam_max):
         rows = phase_shift_rows(V, lams[todo], int(np.max(trial[todo])))
         for e, row in zip(todo.tolist(), rows):
             # the cutoff lies past the last channel at or above tolerance,
-            # which must not be the top channel swept for this energy
+            # and at most at the top channel swept for this energy
             large = np.where(np.abs(row[:trial[e] + 1]) >= CHANNEL_TOL)[0]
-            if len(large) == 0 or large[-1] < trial[e]:
+            if len(large) == 0 or large[-1] + 2 < trial[e]:
                 cut[e] = (0 if len(large) == 0 else int(large[-1]) + 1) + 2
+                out[e] = row[:cut[e] + 1]
     if np.any(cut < 0):
         raise IntegrationFailure(
             f"no angular cutoff found below l = "
             f"{4 * int(guess[cut < 0][0])}")
+    return cut, out
+
+
+def choose_lmax(V, lam_max):
+    """Smallest l with |delta_l(lam_max)| < CHANNEL_TOL for it and
+    everything above, plus a safety margin of 2.  The shifts are on the
+    absolute branch, so a channel that holds N_l bound states reads
+    about N_l pi at low energy, not a small principal value.
+
+    lam_max may also be an array of energies: all of them are swept in one
+    batched recursion and the cutoffs come back as an int array.  Each
+    energy reads only its own channels 0..trial, which the sweep computes
+    exactly as a sweep over those channels alone would.
+    """
+    cut = _cutoff_rows(V, np.atleast_1d(np.asarray(lam_max, dtype=float)))[0]
     return int(cut[0]) if np.ndim(lam_max) == 0 else cut

@@ -314,6 +314,14 @@ def test_levinson_3d_csv_export(tmp_path, capsys):
     back = np.loadtxt(csv, delimiter=",", skiprows=1)
     assert np.array_equal(back[:, 0], data.ks ** 2)
     assert np.array_equal(back[:, 1:], data.deltas)
+    # the verify reads the same end rows: its k_max row is the table's, and
+    # its k_min row differs only above the table's low-band cutoff, where
+    # the table holds 0.0 for shifts far below CHANNEL_TOL
+    rep = levinson.levinson_verify(RadialPotential.square_well(3.0), 3,
+                                   grid=200)
+    assert np.array_equal(back[-1, 1:], rep.data["hi"])
+    np.testing.assert_allclose(back[0, 1:], rep.data["lo"], rtol=0.0,
+                               atol=1e-15)
 
 
 def test_levinson_1d_rejects_csv(tmp_path, capsys):

@@ -251,7 +251,7 @@ def test_levinson_1d_deep_wells(depth, count):
     assert rep.N == count and rep.sf == -count
 
 
-def _assembled(monkeypatch, V, d):
+def _assembled(monkeypatch, V, d, grid=None):
     # the keyword arguments of _assemble, read before it checks the routes
     seen = {}
 
@@ -264,7 +264,7 @@ def _assembled(monkeypatch, V, d):
 
     monkeypatch.setattr(levinson, "_assemble", assemble)
     with pytest.raises(Assembled):
-        levinson_verify(V, d)
+        levinson_verify(V, d, grid)
     return seen
 
 
@@ -503,9 +503,11 @@ def test_route_bodies_match_quadrature(depth):
 
 def test_levinson_3d_runs_no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the 3D routes must not call the quadrature")
+        raise AssertionError("the 3D routes must not call the quadrature "
+                             "or build the phase table")
 
     monkeypatch.setattr(levinson, "_adaptive_gk21", refuse)
+    monkeypatch.setattr(levinson, "ChannelData", refuse)
     rep = levinson_verify(WELL3, 3, grid=200)
     assert rep.verdict == "pass"
 
@@ -520,45 +522,76 @@ def test_levinson_3d_one_zero_energy_sweep(monkeypatch):
 
     monkeypatch.setattr(levinson, "_zero_energy_radial", counting)
     rep = levinson_verify(WELL3, 3, grid=200)
-    assert calls == [rep.data.lmax]
+    lmax = len(rep.data["hi"]) - 1
+    assert calls == [lmax]
     assert rep.classification == "none"
     # the statistics of channels 0..3 do not depend on the sweep's cutoff
     assert np.array_equal(
         levinson._threshold_statistics(WELL3, _zero_energy_radial(
-            WELL3, rep.data.lmax))[:4],
+            WELL3, lmax))[:4],
         threshold_statistics_radial(WELL3))
 
 
-def test_levinson_3d_counts_every_bound_channel(monkeypatch):
+@pytest.mark.parametrize("depth, N", [(50.0, 29), (100.0, 69), (200.0, 205)])
+def test_levinson_3d_deep_wells(depth, N):
+    # the rows are absolute from node counts, so no unwinding can slip by
+    # pi in a channel; depth 100 gave up refining its unwound table and
+    # depth 200 read a spurious pi in channels 7, 11 and 12
+    rep = levinson_verify(RadialPotential.square_well(depth), 3)
+    assert rep.verdict == "pass"
+    assert rep.N == N
+    assert rep.sf == -N
+    counts = rep.per_wave["channel_counts"]
+    assert rep.sf_regularized.parameters["channels"] == {
+        l: -c for l, c in enumerate(counts) if c}
+    for val in rep.routes.values():
+        assert abs(np.real(val) + N) < 0.05
+
+
+def test_levinson_3d_counts_every_bound_channel():
     # 205 states at depth 200, 40 of them in channels 9..10, beyond the old
-    # fixed cutoff l = 8; the verify still raises on this well, so the
-    # count is read where the report is assembled
-    seen = _assembled(monkeypatch, RadialPotential.square_well(200.0), 3)
-    assert seen["N"] == 205
-    assert seen["per_wave"]["channel_counts"] == [5, 4, 4, 3, 3, 2, 2, 1, 1,
-                                                  1, 1, 0]
+    # fixed cutoff l = 8
+    rep = levinson_verify(RadialPotential.square_well(200.0), 3)
+    assert rep.N == 205
+    assert rep.per_wave["channel_counts"] == [5, 4, 4, 3, 3, 2, 2, 1, 1, 1,
+                                              1, 0]
 
 
-def test_levinson_3d_channel_flows_against_counts():
-    # the unwound table at depth 200 holds a spurious pi in channels 7, 11
-    # and 12, and every route reads it: all three agree on -268 against
-    # the 205 bound states.  The per-channel check names those channels
-    # instead of reporting a wrong integer; (15 + 23 + 25) = 268 - 205
+def test_levinson_3d_channel_flows_against_counts(monkeypatch):
+    # the depth-12 well holds one state each in l = 0 and 1 (N = 4); a
+    # count that puts all four in l = 0 keeps N, so the routes agree with
+    # it, and only the per-channel check sees the channels disagree
+    counts = levinson._channel_counts
+
+    def misplaced(V, zero):
+        out = counts(V, zero)
+        assert out[:3].tolist() == [1, 1, 0]
+        out[:2] = [4, 0]
+        return out
+
+    monkeypatch.setattr(levinson, "_channel_counts", misplaced)
     with pytest.raises(OracleDisagreement, match=re.escape(
-            "channel flows [-2, -1, -1] against bound-state counts "
-            "[1, 0, 0] at l = [7, 11, 12]")):
-        levinson_verify(RadialPotential.square_well(200.0), 3)
+            "channel flows [-1, -1] against bound-state counts [4, 0] at "
+            "l = [0, 1]")):
+        levinson_verify(RadialPotential.square_well(12.0), 3)
 
 
-def test_levinson_3d_routes_are_checked_before_channels():
-    # on a grid ending at k_max = 20 the depth-100 well's table reads a
-    # total flow of +141 against its bound states, so some channel's flow
-    # misses its count; the per-channel check runs once the routes agree,
+def test_levinson_3d_routes_are_checked_before_channels(monkeypatch):
+    # on a grid ending at k_max = 20 the depth-100 well's shifts are far
+    # from their limit 0: the crossing count closes each channel with its
+    # principal cap and reads +156, while the regularized route, which
+    # needs only the k_min row, reads -69.  Channel flows then miss their
+    # counts too, but the per-channel check runs once the routes agree,
     # and here they do not
+    V = RadialPotential.square_well(100.0)
+    grid = {"k_max": 20.0, "points": 100}
     with pytest.raises(RouteDisagreement,
                        match="routes disagree after rounding"):
-        levinson_verify(RadialPotential.square_well(100.0), 3,
-                        grid={"k_max": 20.0, "points": 100})
+        levinson_verify(V, 3, grid=grid)
+    seen = _assembled(monkeypatch, V, 3, grid)
+    flows = seen["phillips"].parameters["channels"]
+    counts = seen["per_wave"]["channel_counts"]
+    assert any(flows.get(l, 0) != -c for l, c in enumerate(counts))
 
 
 @pytest.mark.parametrize("depth, grid", [
@@ -622,9 +655,11 @@ def test_levinson_3d_resonance_leaving_and_returning(depth, N, channels):
 @pytest.mark.parametrize("depth", [3.0, 12.0, np.pi ** 2 / 4.0])
 def test_channel_flows_match_capped_phillips(depth):
     # reference: sf_phillips on each channel's capped loop, the sweep
-    # e^{2i delta_l(k)} sampled from a spline of the channel's column
-    rep = levinson_verify(RadialPotential.square_well(depth), 3)
-    data = rep.data
+    # e^{2i delta_l(k)} sampled from a spline of the phase table's column
+    V = RadialPotential.square_well(depth)
+    rep = levinson_verify(V, 3)
+    data = ChannelData(V, 1e-2, 100.0, 400)
+    assert data.lmax == len(rep.data["hi"]) - 1
     log_ks = np.log(data.ks)
     flows = rep.sf_regularized.parameters["channels"]
     total = 0

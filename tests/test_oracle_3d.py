@@ -1,0 +1,101 @@
+"""Closed-form oracle for 3D square wells, in mpmath.
+
+The well -V0 on r < R holds in channel l the regular solution
+u = S(qr), q = sqrt(k^2 + V0), with the Riccati-Bessel pair
+(S, C)(x) = (x j_l(x), -x y_l(x)); beyond R, u = S(kr) cos delta +
+C(kr) sin delta.  Matching u'/u at R gives the shift modulo pi,
+
+    tan delta = (k S'(kR) - g S(kR)) / (g C(kR) - k C'(kR)),
+    g = q S'(qR) / S(qR),    S'(x) = x j_{l-1}(x) - l j_l(x),
+
+and C' likewise from y.  The branch is fixed by counting Bessel zeros.
+Beyond R, u = |(S, C)| sin(phi(kr) + delta) with phi the continuous angle
+of (S, C), zero at the origin, and on the branch where delta(inf) = 0 the
+zeros of u on (0, R] number floor((phi(kR) + delta) / pi).  Those zeros are
+the zeros of j_l on (0, qR], and phi(kR) = pi n + (angle of (S, C)(kR)
+mod pi) with n the zeros of j_l on (0, kR].  No Numerov step enters.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from specflow.scatter import RadialPotential
+from specflow.scatter.levinson import _end_rows
+from specflow.scatter.radial import phase_shift_rows
+
+mp = pytest.importorskip("mpmath")
+
+RADIUS = 1.0
+K_MIN, K_MAX = 1e-2, 100.0
+# three interior wavenumbers, spread over the grid's decades
+K_INTERIOR = [0.5, 3.0, 20.0]
+# the counted rows' largest miss on these wells is 8.1e-5 (depth 100,
+# k = 3), the Numerov discretization; a wrong branch misses by pi
+TOL = 2e-4
+
+
+@functools.lru_cache(maxsize=None)
+def _bessel_zero(ell, m):
+    """The m-th zero of j_l."""
+    return mp.besseljzero(mp.mpf(ell) + 0.5, m)
+
+
+def _zeros_up_to(ell, x):
+    """How many zeros j_l has on (0, x]."""
+    m = 0
+    while _bessel_zero(ell, m + 1) <= x:
+        m += 1
+    return m
+
+
+def oracle_shift(depth, k, ell):
+    """delta_l(k) of the well on the absolute branch."""
+    with mp.workdps(30):
+        k = mp.mpf(k)
+        q = mp.sqrt(k * k + depth)
+
+        def riccati(x):
+            # S, S', C, C' at x from the half-integer Bessel functions
+            f = mp.sqrt(mp.pi * x / 2)
+            jl, jm = mp.besselj(ell + 0.5, x), mp.besselj(ell - 0.5, x)
+            yl, ym = mp.bessely(ell + 0.5, x), mp.bessely(ell - 0.5, x)
+            return (f * jl, f * (jm - ell * jl / x),
+                    -f * yl, -f * (ym - ell * yl / x))
+
+        s_q, ds_q, _, _ = riccati(q * RADIUS)
+        g = q * ds_q / s_q
+        s, ds, c, dc = riccati(k * RADIUS)
+        principal = mp.atan((k * ds - g * s) / (g * c - k * dc))
+        phi = (mp.pi * _zeros_up_to(ell, k * RADIUS)
+               + mp.atan2(s, c) % mp.pi)
+        inside = _zeros_up_to(ell, q * RADIUS)
+        branch = inside - mp.floor((phi + principal) / mp.pi)
+        return float(principal + branch * mp.pi)
+
+
+def test_oracle_reads_levinson_at_threshold():
+    # delta_l(0+) = N_l pi: the depth-30 well holds two s-states and one
+    # state each in l = 1 and 2
+    shifts = [oracle_shift(30.0, 1e-6, ell) for ell in range(4)]
+    np.testing.assert_allclose(shifts, [2 * np.pi, np.pi, np.pi, 0.0],
+                               atol=1e-5)
+
+
+@pytest.mark.parametrize("depth", [3.0, 12.0, 30.0, 100.0, 200.0])
+def test_counted_rows_match_oracle(depth):
+    # every channel that holds a bound state, and one or two beyond: a
+    # state in channel l needs a zero of j_{l-1} below sqrt(V0) R, and the
+    # first one lies beyond l - 1/2
+    top = int(np.sqrt(depth) * RADIUS) + 1
+    ks = np.array([K_MIN] + K_INTERIOR + [K_MAX])
+    V = RadialPotential.square_well(depth, radius=RADIUS)
+    rows = phase_shift_rows(V, ks ** 2, top)
+    want = np.array([[oracle_shift(depth, k, ell) for ell in range(top + 1)]
+                     for k in ks])
+    np.testing.assert_allclose(rows, want, rtol=0.0, atol=TOL)
+    # the 3D verify reads the same rows at the grid ends
+    lo, hi, _ = _end_rows(V, K_MIN, K_MAX, 400)
+    assert np.array_equal(lo[:top + 1], rows[0])
+    assert np.array_equal(hi[:top + 1], rows[-1])

@@ -97,15 +97,15 @@ def test_phase_shifts_validation():
 
 
 def test_phase_table_unwinding_and_csv(tmp_path, monkeypatch):
-    # the grid top must reach energies where every shift is far inside the
-    # principal branch, since that is where the unwinding is anchored.
-    # Channels 0..4 make a short CSV: every cutoff is capped at 4
+    # every row is on the absolute branch, delta_l(inf) = 0, from node
+    # counts.  Channels 0..4 make a short CSV: every cutoff is capped at 4
     monkeypatch.setattr(levinson, "choose_lmax", lambda V, lams: np.minimum(
         choose_lmax(V, lams), 4))
     table = ChannelData(WELL3, np.sqrt(1e-3), 100.0, 200)
     assert table.lmax == 4
     assert table.deltas.shape == (200, 5)
-    # unwound shifts move continuously even where the principal branch jumps
+    # absolute shifts move continuously even where the principal branch
+    # jumps
     assert np.max(np.abs(np.diff(table.deltas, axis=0))) < np.pi / 2.0
     # one s-state: the shift climbs to ~pi at the bottom of the grid
     assert abs(table.deltas[0, 0] - np.pi) < 0.2
@@ -244,8 +244,13 @@ def test_batched_sweep_matches_single_energies():
     batch = phase_shift_rows(WELL3, lams, 12)
     assert batch.shape == (len(lams), 13)
     for lam, row in zip(lams, batch):
-        np.testing.assert_allclose(row, phase_shifts_3d(WELL3, lam, 12),
+        np.testing.assert_allclose(row, phase_shift_rows(WELL3, [lam], 12)[0],
                                    rtol=0.0, atol=1e-13)
+        # phase_shifts_3d is the same shift on the principal branch
+        principal = phase_shifts_3d(WELL3, lam, 12)
+        assert np.all(np.abs(principal) <= np.pi / 2)
+        np.testing.assert_allclose(mod_pi_distance(row, principal), 0.0,
+                                   atol=1e-13)
     with pytest.raises(EnergyNonpositive):
         phase_shift_rows(WELL3, [1.0, 0.0], 2)
 
@@ -326,7 +331,7 @@ def test_blocked_kernel_matches_per_node_recursion(block, monkeypatch):
                         [300, 450], [1299, 1300], [3, 1000], [5, 403]])
     lmax = 14
     out, changes = _numerov(lams, steps[group], ns, v_nodes, group, lmax,
-                            records, count_nodes=True)
+                            records)
     for e in range(len(lams)):
         rows, want = _per_node_numerov(lams[e], steps[group[e]], ns[e],
                                        v_nodes[:, group[e]], lmax,
@@ -335,3 +340,29 @@ def test_blocked_kernel_matches_per_node_recursion(block, monkeypatch):
         assert np.array_equal(changes[e], want)
     # the well is deep enough for interior nodes to be counted
     assert np.any(changes > 0)
+
+
+def test_block_counts_match_node_by_node(monkeypatch):
+    # the sign changes are counted once per block over its stored rows; a
+    # one-element BLOCK_ELEMENTS takes one node per block, the node-by-node
+    # count.  Covered: the lambda = 0 sweep of a deep well, and a sweep at
+    # k = 100 up to l = 140, where A <= 0 on the first ~40 nodes of the top
+    # channels and the recursion's sign flips there must not count
+    deep = RadialPotential.square_well(200.0)
+    lams = np.array([1e4, 30.0])
+    h, n_in, n_tot = _grid(deep, lams)
+    steps, first, group = np.unique(h, return_index=True,
+                                    return_inverse=True)
+    v_nodes = _node_potential(deep, steps, n_in[first])
+
+    def sweeps():
+        zero = _zero_energy_radial(deep, 60)[2]
+        high = _numerov(lams, h, n_tot, v_nodes, group, 140,
+                        np.stack([n_tot - 1, n_tot], axis=1))[1]
+        return zero, high
+
+    blocked = sweeps()
+    monkeypatch.setattr(radial, "BLOCK_ELEMENTS", 1)
+    for got, want in zip(blocked, sweeps()):
+        assert np.array_equal(got, want)
+    assert np.any(blocked[1] > 0) and np.any(blocked[0] > 0)
