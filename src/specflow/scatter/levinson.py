@@ -78,7 +78,6 @@ from scipy.interpolate import CubicSpline
 
 from ..errors import (
     Inconclusive,
-    IntegrationFailure,
     InvalidGrid,
     OracleDisagreement,
     RouteDisagreement,
@@ -115,8 +114,8 @@ DEFAULT_POINTS = 400
 RESIDUAL_TOL = 0.05
 # upper wavenumber edges of the bands of a phase table that share one
 # angular cutoff (the top of the grid closes the last band); each band
-# costs a radial recursion per refinement round, whose per-node overhead
-# outweighs the cut beyond a few bands
+# costs a radial recursion, whose per-node overhead outweighs the cut
+# beyond a few bands
 K_BANDS = (2.0, 20.0)
 # the rows at the bottom of the wavenumber grid that fix the slope at k_min
 SLOPE_ROWS = 16
@@ -363,66 +362,44 @@ def _band_rows(V, ks, cutoff, lmax):
     """Phase-shift rows over channels 0..lmax at the wavenumbers ks, swept
     over channels 0..cutoff only and 0.0 above.  A top swept channel that
     reaches CHANNEL_TOL at any of the ks shows the cutoff too low, and the
-    sweep is redone over all channels.  Returns (rows, cutoff used)."""
+    sweep is redone over all channels."""
     lams = np.square(ks)
     if cutoff < lmax:
         kept = phase_shift_rows(V, lams, cutoff)
         if np.all(np.abs(kept[:, -1]) < CHANNEL_TOL):
             rows = np.zeros((len(ks), lmax + 1))
             rows[:, :cutoff + 1] = kept
-            return rows, cutoff
-    return phase_shift_rows(V, lams, lmax), lmax
+            return rows
+    return phase_shift_rows(V, lams, lmax)
 
 
 class ChannelData:
-    """The phase-shift table: shifts delta_l(k), l = 0..lmax, on a refined
-    geometric wavenumber grid, with a log-k cubic spline per channel.
+    """The phase-shift table: shifts delta_l(k), l = 0..lmax, on the
+    geometric grid of `points` wavenumbers from k_min to k_max, with a
+    log-k cubic spline per channel.
 
     Every row is on the absolute branch, delta_l(inf) = 0, fixed by node
-    counting (phase_shift_rows), so the table needs no unwinding.  A round
-    of refinement adds the geometric midpoint of every pair of neighbouring
-    rows that differ by more than 0.2 in some channel, so that the spline
-    follows the shifts through a sharp resonance.  Each round sweeps only
-    its new wavenumbers.  They are split into the wavenumber bands closed
-    by K_BANDS, and each band is swept in one batched radial recursion over
-    the channels up to its own cutoff, choose_lmax at the band's top
-    energy; the table holds 0.0 above it.  One choose_lmax sweep over the
-    top energies of the bands that meet the grid gives every cutoff, and
-    lmax is the cutoff at the top of the grid.
+    counting (phase_shift_rows), so the table needs no unwinding and each
+    row stands alone.  The grid is split into the wavenumber bands closed
+    by K_BANDS, and each band is swept once, in one batched radial
+    recursion over the channels up to its own cutoff, choose_lmax at the
+    band's top energy; the table holds 0.0 above it.  One choose_lmax
+    sweep over the top energies of the bands that meet the grid gives
+    every cutoff, and lmax is the cutoff at the top of the grid.
     """
 
     def __init__(self, V, k_min, k_max, points):
-        self.V = V
         tops = [k for k in K_BANDS if k_min <= k < k_max] + [k_max]
         cuts = choose_lmax(V, np.square(tops))
         self.lmax = int(cuts[-1])
         self.weights = 2.0 * np.arange(self.lmax + 1) + 1.0
+        self.ks = np.geomspace(k_min, k_max, points)
+        band = np.searchsorted(tops, self.ks)
         # the band closed by the top of the grid runs over all channels
-        cutoffs = np.minimum(cuts, self.lmax).tolist()
-        cache = {}
-        ks = list(np.geomspace(k_min, k_max, points))
-        for _ in range(12):
-            ks.sort()
-            new = np.array([k for k in ks if k not in cache])
-            band = np.searchsorted(tops, new)
-            for b in np.unique(band).tolist():
-                sel = new[band == b]
-                rows, cutoffs[b] = _band_rows(V, sel, cutoffs[b], self.lmax)
-                cache.update(zip(sel, rows))
-            rows = np.array([cache[k] for k in ks])
-            jumps = np.max(np.abs(np.diff(rows, axis=0)), axis=1)
-            bad = np.where(jumps > 0.2)[0]
-            if len(bad) == 0:
-                break
-            for i in bad:
-                ks.append(np.sqrt(ks[i] * ks[i + 1]))
-        else:
-            raise IntegrationFailure(
-                "phase-shift grid refinement did not flatten all jumps "
-                "below 0.2; sharpest remaining step "
-                f"{np.max(jumps):.3f}")
-        self.ks = np.array(ks)
-        self.deltas = rows
+        self.deltas = np.concatenate([
+            _band_rows(V, self.ks[band == b], min(int(cuts[b]), self.lmax),
+                       self.lmax)
+            for b in np.unique(band).tolist()])
         self._spline = CubicSpline(np.log(self.ks), self.deltas)
         self._dspline = self._spline.derivative()
 
@@ -478,8 +455,7 @@ def _end_rows(V, k_min, k_max, points):
     energy, as `_band_rows` sweeps a band of the table; lo is the first."""
     cut, top = _cutoff_rows(V, np.array([k_max * k_max]))
     ks = np.geomspace(k_min, k_max, points)[:SLOPE_ROWS]
-    low, _ = _band_rows(V, ks, int(_first_trial(V, ks[-1] ** 2)),
-                        int(cut[0]))
+    low = _band_rows(V, ks, int(_first_trial(V, ks[-1] ** 2)), int(cut[0]))
     slope = CubicSpline(np.log(ks), low)(np.log(k_min), 1) / k_min
     return low[0], top[0], slope
 
@@ -689,7 +665,9 @@ def regularization_necessity(V):
     |Tr(S* S')| in the upper energy decades (ideally 1/2) and the ratio of
     the subtracted integrand's tail beyond NECESSITY_LAMBDA (reported as
     "Lambda") to the unsubtracted partial integral over the whole grid.
-    The phase table is built on the default grid of `levinson_verify`.
+    Both integrands are read off the spline of the phase table on the
+    default grid of `levinson_verify`, whose DEFAULT_POINTS wavenumbers
+    are each swept once.
     """
     poly = high_energy_poly(3, V)
     data = ChannelData(V, DEFAULT_K_MIN, DEFAULT_K_MAX, DEFAULT_POINTS)

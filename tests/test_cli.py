@@ -300,15 +300,22 @@ def test_bad_path_file_is_an_error_record(spec, tmp_path, capsys):
     assert err["type"] == "SpecflowError"
 
 
-def test_levinson_3d_csv_export(tmp_path, capsys):
+@pytest.mark.parametrize("depth, points, N", [(3.0, 200, 1),
+                                                (200.0, 400, 205)])
+def test_levinson_3d_csv_export(depth, points, N, tmp_path, capsys):
+    # the table is exactly its grid, also through the depth-200 well's
+    # shape resonances, which are narrower than the grid spacing
     csv = tmp_path / "phases.csv"
     rc, recs = run_lines(["levinson", "--dim", "3", "--well",
-                          "depth=3,radius=1", "--grid", "200", "--csv",
-                          str(csv)], capsys)
+                          f"depth={depth},radius=1", "--grid", str(points),
+                          "--csv", str(csv)], capsys)
     assert rc == 0
     assert recs[-1]["result"]["verdict"] == "pass"
-    data = ChannelData(RadialPotential.square_well(3.0), 1e-2, 100.0, 200)
+    assert recs[-1]["result"]["N"] == N
+    V = RadialPotential.square_well(depth)
+    data = ChannelData(V, 1e-2, 100.0, points)
     lines = csv.read_text().splitlines()
+    assert len(lines) == points + 1
     assert lines[0] == "lambda," + ",".join(
         f"delta_{l}" for l in range(data.lmax + 1))
     back = np.loadtxt(csv, delimiter=",", skiprows=1)
@@ -317,8 +324,7 @@ def test_levinson_3d_csv_export(tmp_path, capsys):
     # the verify reads the same end rows: its k_max row is the table's, and
     # its k_min row differs only above the table's low-band cutoff, where
     # the table holds 0.0 for shifts far below CHANNEL_TOL
-    rep = levinson.levinson_verify(RadialPotential.square_well(3.0), 3,
-                                   grid=200)
+    rep = levinson.levinson_verify(V, 3, grid=points)
     assert np.array_equal(back[-1, 1:], rep.data["hi"])
     np.testing.assert_allclose(back[0, 1:], rep.data["lo"], rtol=0.0,
                                atol=1e-15)

@@ -790,20 +790,25 @@ def test_capped_count_names_the_end_cap_that_misses(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# phase-shift cache and property studies
+# phase-shift table and property studies
 
 
-def test_channel_data_refines_through_resonance(monkeypatch):
-    # the depth-30 well has a sharp l = 3 shape resonance near lambda = 2.1;
-    # grid refinement must keep unwound steps small instead of desyncing.
+def test_channel_data_sweeps_its_own_grid(monkeypatch):
+    # the table's rows are exactly its geometric grid, each on the absolute
+    # branch from its own node count: the depth-30 well's sharp l = 3 shape
+    # resonance near lambda = 2.1 needs no extra rows to keep its branch.
     # Channels 0..8 carry it: every cutoff is capped at 8
     monkeypatch.setattr(levinson, "choose_lmax", lambda V, lams: np.minimum(
         choose_lmax(V, lams), 8))
     data = ChannelData(RadialPotential.square_well(30.0), 1e-2, 100.0, 400)
     assert data.lmax == 8
-    assert len(data.ks) == data.deltas.shape[0]
-    assert np.max(np.abs(np.diff(data.deltas, axis=0))) <= 0.2
+    assert np.array_equal(data.ks, np.geomspace(1e-2, 100.0, 400))
+    assert data.deltas.shape == (400, 9)
     assert abs(float(data.delta(1e-2)[0]) - 2.0 * np.pi) < 0.05
+    # delta_3 climbs by about pi through the resonance, with no step back
+    lam, d3 = data.ks ** 2, data.deltas[:, 3]
+    assert abs(d3[lam >= 4.0][0] - d3[lam <= 1.0][-1] - np.pi) < 0.3
+    assert np.all(np.diff(d3) > -0.5 * np.pi)
 
 
 def test_channel_data_spline_consistency(well3_data):
@@ -816,18 +821,22 @@ def test_channel_data_spline_consistency(well3_data):
 
 @pytest.mark.parametrize("depth", [3.0, 12.0, 30.0])
 def test_channel_cut_keeps_grid_and_entries(depth, monkeypatch):
-    # every row the table is built from, by wavenumber (the last sweep of
-    # a wavenumber wins, as in the table)
+    # every row the table is built from, by wavenumber, and how many
+    # times each wavenumber is swept
     rows = {}
+    sweeps = []
 
     def recording(V, lams, lmax):
         out = phase_shift_rows(V, lams, lmax)
         rows.update(zip(np.sqrt(lams), out))
+        sweeps.extend(np.sqrt(lams))
         return out
 
     V = RadialPotential.square_well(depth)
     monkeypatch.setattr(levinson, "phase_shift_rows", recording)
     cut = ChannelData(V, 1e-2, 100.0, 400)
+    # each grid wavenumber is swept once: no band falls back here
+    assert sorted(sweeps) == cut.ks.tolist()
     cut_rows = dict(rows)
     rows.clear()
     monkeypatch.setattr(levinson, "K_BANDS", ())
@@ -850,12 +859,10 @@ def test_channel_cut_guard_falls_back(monkeypatch):
     ks = np.geomspace(0.5, 1.5, 7)
     full = phase_shift_rows(WELL3, ks ** 2, 8)
     # channel 0 is far above the threshold: the sweep reruns at lmax
-    rows, cutoff = _band_rows(WELL3, ks, 0, 8)
-    assert cutoff == 8
+    rows = _band_rows(WELL3, ks, 0, 8)
     assert np.array_equal(rows, full)
     # a cutoff with its top channel below the threshold is kept
-    rows, cutoff = _band_rows(WELL3, ks, 6, 8)
-    assert cutoff == 6
+    rows = _band_rows(WELL3, ks, 6, 8)
     assert np.array_equal(rows[:, :7], full[:, :7])
     assert np.all(rows[:, 7:] == 0.0)
     # every band cutoff below the grid top too low: each such band falls
@@ -900,6 +907,15 @@ def test_regularization_necessity():
     assert out["Lambda"] == 1e3
     assert out["partial_final"] > 0.0
     assert out["tail_subtracted"] >= 0.0
+
+
+@pytest.mark.parametrize("depth", [100.0, 200.0])
+def test_regularization_necessity_deep_wells(depth):
+    # the deep wells' shape resonances are narrower than the grid spacing;
+    # the table still builds, and the unsubtracted partial integrals grow
+    # as lambda^{1/2}
+    out = regularization_necessity(RadialPotential.square_well(depth))
+    assert abs(out["growth_exponent"] - 0.5) < 0.1
 
 
 def test_schatten_decay_exponents():
