@@ -154,7 +154,7 @@ def schatten_norm(A, p):
 
     p may be any real >= 1 or np.inf (operator norm).
     """
-    if p != np.inf and p < 1:
+    if not (p == np.inf or p >= 1):
         raise InvalidOrder(f"Schatten order must be >= 1 or inf, got {p}")
     s = np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False)
     if p == np.inf:
@@ -172,8 +172,9 @@ def abs_power(A, x):
     then tried, and DecompositionFailure raised if it fails too.
     """
     A = np.asarray(A, dtype=complex)
-    if x < 0:
-        raise InvalidOrder(f"negative power {x} not supported (singular A)")
+    if not (np.isfinite(x) and x >= 0):
+        raise InvalidOrder(f"power must be finite and >= 0, got {x} "
+                           f"(negative powers of a singular A diverge)")
     try:
         _, s, Vh = np.linalg.svd(A)
     except np.linalg.LinAlgError:
@@ -231,6 +232,6 @@ def gamma_constant(x):
     Exact values used as anchors: x=0 -> 1/pi, x=1 -> 2/pi, x=3/2 -> 3/4.
     Evaluated through log-gamma to stay finite for large x.
     """
-    if x < 0:
-        raise InvalidOrder(f"constant defined for x >= 0, got {x}")
+    if not (np.isfinite(x) and x >= 0):
+        raise InvalidOrder(f"constant defined for finite x >= 0, got {x}")
     return float(np.exp(gammaln(x + 1.0) - gammaln(x + 0.5)) / np.sqrt(np.pi))

@@ -39,7 +39,8 @@ once for both (`_end_rows`, `_table_routes`): the row at k_min, the row at
 k_max and the slope d delta / dk at k_min, which the heads below k_min use.
 No phase table is built.  The k_max row is the one choose_lmax sweeps to
 fix the channel range, and the slope is that of a spline through the first
-SLOPE_ROWS rows of the geometric grid.  Every row is on the absolute
+SLOPE_ROWS rows of the geometric grid, swept up to the cutoff the same
+choose_lmax sweep finds at the top of them.  Every row is on the absolute
 branch, delta_l(inf) = 0, from the node count of its own sweep (radial),
 so the regularized route, body and exact tail together, telescopes to the
 k_min row alone: sum_l w_l (G(0) - G(delta_l(k_min))) / pi plus its head.
@@ -99,7 +100,6 @@ from .radial import (
     THRESHOLD_LMAX,
     _channel_counts,
     _cutoff_rows,
-    _first_trial,
     _threshold_statistics,
     _zero_energy_radial,
     choose_lmax,
@@ -448,16 +448,17 @@ def _end_rows(V, k_min, k_max, points):
     absolute branch: (lo, hi, slope), the rows at k_min and k_max and
     d delta / dk at k_min.
 
-    hi is the row choose_lmax sweeps at k_max, and its cutoff is lmax.
     The slope is that of a not-a-knot cubic spline in log k through the
-    first SLOPE_ROWS rows of the geometric grid of the given points, swept
-    in one batch over the channels choose_lmax tries first at their top
-    energy, as `_band_rows` sweeps a band of the table; lo is the first."""
-    cut, top = _cutoff_rows(V, np.array([k_max * k_max]))
+    first SLOPE_ROWS rows of the geometric grid of the given points; lo is
+    the first.  One choose_lmax sweep at the top of those rows and at k_max
+    gives both cutoffs and hi, the row it sweeps at k_max, whose cutoff is
+    lmax.  The low rows are then swept in one batch up to their own
+    cutoff, as `_band_rows` sweeps a band of the table."""
     ks = np.geomspace(k_min, k_max, points)[:SLOPE_ROWS]
-    low = _band_rows(V, ks, int(_first_trial(V, ks[-1] ** 2)), int(cut[0]))
+    cut, ends = _cutoff_rows(V, np.square([ks[-1], k_max]))
+    low = _band_rows(V, ks, int(cut[0]), int(cut[1]))
     slope = CubicSpline(np.log(ks), low)(np.log(k_min), 1) / k_min
-    return low[0], top[0], slope
+    return low[0], ends[1], slope
 
 
 def _levinson_3d(V, k_min, k_max, points):
@@ -538,15 +539,17 @@ def _phillips_3d(lo, hi, weights, classification):
 
     Channel l's capped loop runs from 1 to e^{2i delta_l(k_min)} along the
     principal geodesic (through -1 first for the l = 0 s-resonance), along
-    the sweep e^{2i delta_l(k)}, and back to 1 along the principal geodesic.
-    A scalar loop's flow through -1 is its winding number, so the flow of
-    channel l is (theta_start + 2 (delta_l(k_max) - delta_l(k_min))
-    + theta_close) / 2 pi, with the principal angles on the branch of
-    principal_log_unitary (-1 maps to +pi).  The sum is a multiple of 2 pi
-    by construction, and no channel needs sampling.
+    the sweep e^{2i delta_l(k)}, and back to 1 along the principal geodesic
+    into e^{2i delta_l(k_max)} run backwards (cap_outof).  A scalar loop's
+    flow through -1 is its winding number, so the flow of channel l is
+    (theta(e^{2i delta_l(k_min)}) + 2 (delta_l(k_max) - delta_l(k_min))
+    - theta(e^{2i delta_l(k_max)})) / 2 pi, with theta the principal angle
+    on the branch of principal_log_unitary (-1 maps to +pi): a closing cap
+    that starts at -1 turns by -pi.  The sum is a multiple of 2 pi by
+    construction, and no channel needs sampling.
     """
     start = np.exp(2j * lo)
-    angle = 2.0 * (hi - lo) + _branch_angles(np.exp(-2j * hi))[0]
+    angle = 2.0 * (hi - lo) - _branch_angles(np.exp(2j * hi))[0]
     if classification == "s_resonance":
         # exp(i pi t) turns channel 0 from 1 to -1 before its geodesic
         start[0] = -start[0]

@@ -31,6 +31,8 @@ class Potential1D:
     def __post_init__(self):
         if not self.segments:
             raise SpecflowError("potential needs at least one segment")
+        if not np.all(np.isfinite(np.asarray(self.segments, dtype=float))):
+            raise SpecflowError("segment ends and values must be finite")
         xs = [s[0] for s in self.segments] + [self.segments[-1][1]]
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise SpecflowError("segments must be sorted with positive length")
@@ -101,13 +103,15 @@ class RadialPotential:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise SpecflowError(f"support radius must be positive, got "
-                                f"{self.radius}")
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise SpecflowError(f"support radius must be finite and "
+                                f"positive, got {self.radius}")
 
     @classmethod
     def square_well(cls, depth, radius=1.0):
         d = float(depth)
+        if not np.isfinite(d):
+            raise SpecflowError(f"well depth must be finite, got {depth}")
         R = float(radius)
         return cls(v_of_r=lambda r: np.where(r < R, -d, 0.0), radius=R)
 

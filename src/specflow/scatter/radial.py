@@ -462,16 +462,12 @@ __all__ = [
 ]
 
 
-def _first_trial(V, lams):
-    """The channel range choose_lmax sweeps first at each energy."""
-    return np.ceil(np.sqrt(lams) * V.radius).astype(int) + 40
-
-
 def _cutoff_rows(V, lams):
     """choose_lmax for an array of energies, with each energy's row over
     channels 0..cutoff from the same sweep (as phase_shift_rows gives it):
     (cutoffs, rows)."""
-    guess = _first_trial(V, lams)
+    # the channel range swept first at each energy
+    guess = np.ceil(np.sqrt(lams) * V.radius).astype(int) + 40
     cut = np.full(len(lams), -1)
     out = [None] * len(lams)
     for trial in (guess, 4 * guess):

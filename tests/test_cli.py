@@ -241,6 +241,17 @@ def test_sf_loop_tol_needs_an_order(capsys):
     (LEVINSON_1D + ["--potential", "well.json"], "SpecflowError"),
     (["levinson", "--dim", "1", "--well", "depth=2,radius=1"],
      "SpecflowError"),
+    (["levinson", "--dim", "1", "--well", "depth=nan"], "SpecflowError"),
+    (["levinson", "--dim", "1", "--well", "depth=inf"], "SpecflowError"),
+    (["levinson", "--dim", "1", "--well", "depth=2,halfwidth=inf"],
+     "SpecflowError"),
+    (["levinson", "--dim", "3", "--well", "depth=nan"], "SpecflowError"),
+    (["levinson", "--dim", "3", "--well", "depth=inf"], "SpecflowError"),
+    (["levinson", "--dim", "3", "--well", "depth=3,radius=inf"],
+     "SpecflowError"),
+    (["levinson", "--dim", "3", "--well", "depth=3,radius=nan"],
+     "SpecflowError"),
+    (["cayley", "--model", "k=1,dim=2", "--p", "nan"], "InvalidOrder"),
 ])
 def test_bad_values_are_error_records(argv, kind, capsys):
     assert error_record(argv, capsys)["type"] == kind
@@ -348,6 +359,23 @@ def test_levinson_potential_file(tmp_path, capsys):
     assert rc == 0
     assert recs[-1]["result"]["N"] == 2
     assert recs[-1]["result"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("dim, text", [
+    ("1", '{"dimension": 1, "segments": [[-1, 1, NaN]]}'),
+    ("1", '{"dimension": 1, "segments": [[-Infinity, 1, -5]]}'),
+    ("3", '{"dimension": 3, "radius": 1.0, "depth": NaN}'),
+    ("3", '{"dimension": 3, "radius": Infinity, "depth": 3.0}'),
+])
+def test_non_finite_potential_file_is_an_error_record(tmp_path, capsys, dim,
+                                                      text):
+    # json reads NaN and Infinity; the potential refuses them
+    pot = tmp_path / "well.json"
+    pot.write_text(text)
+    err = error_record(["levinson", "--dim", dim, "--potential", str(pot)],
+                       capsys)
+    assert err["type"] == "SpecflowError"
+    assert "finite" in err["message"]
 
 
 @pytest.mark.parametrize("dim, doc", [

@@ -37,6 +37,7 @@ from specflow.matcore import eig_unitary
 from specflow.sflow import sf_phillips
 from specflow.upath import (
     UnitaryPath,
+    cap_into,
     cap_outof,
     concatenate,
     generator_path,
@@ -512,6 +513,24 @@ def test_levinson_3d_runs_no_quadrature(monkeypatch):
     assert rep.verdict == "pass"
 
 
+def test_levinson_3d_low_rows_take_choose_lmax_cutoff(monkeypatch):
+    # the SLOPE_ROWS low rows are swept once, up to choose_lmax's cutoff at
+    # the top low row, the channel rule of each band of the table; the
+    # k_max row comes from choose_lmax's own sweep
+    calls = []
+
+    def recording(V, lams, lmax):
+        calls.append((len(lams), lmax))
+        return phase_shift_rows(V, lams, lmax)
+
+    V = RadialPotential.square_well(12.0)
+    monkeypatch.setattr(levinson, "phase_shift_rows", recording)
+    levinson._end_rows(V, 1e-2, 100.0, 400)
+    ks = np.geomspace(1e-2, 100.0, 400)[:levinson.SLOPE_ROWS]
+    assert calls == [(levinson.SLOPE_ROWS, choose_lmax(V, ks[-1] ** 2))]
+    assert calls[0][1] == 4
+
+
 def test_levinson_3d_one_zero_energy_sweep(monkeypatch):
     # the bound-state count and the threshold statistics read one sweep
     calls = []
@@ -678,6 +697,27 @@ def test_channel_flows_match_capped_phillips(depth):
         assert flows.get(ell, 0) == want, ell
         total += (2 * ell + 1) * want
     assert rep.sf == total
+
+
+@pytest.mark.parametrize("hi, flow", [
+    (np.pi / 2 - 1e-9, 0), (np.pi / 2, 0), (np.pi / 2 + 1e-9, 1),
+    (-np.pi / 2, -1),
+])
+def test_phillips_3d_closing_cap_at_minus_one(hi, flow):
+    # e^{2i delta(k_max)} at or next to -1: the closing cap, cap_outof of
+    # the last sample, turns by minus its principal angle, so by -pi from
+    # -1 itself; the closed form counts the loop sf_phillips samples
+    lo = 0.3
+
+    def S(t):
+        return np.array([[np.exp(2j * (lo + t * (hi - lo)))]])
+
+    loop = concatenate(concatenate(cap_into(S(0.0)), UnitaryPath(S)),
+                       cap_outof(S(1.0)))
+    assert sf_phillips(loop).value == flow
+    rep = levinson._phillips_3d(np.array([lo]), np.array([hi]), np.ones(1),
+                                "none")
+    assert rep.value == flow
 
 
 def _capped_count(sweep, zero_cap=None):

@@ -458,6 +458,26 @@ def test_principal_log_exponentiates_back(dim, seed):
     assert np.all(angles > -np.pi - 1e-12) and np.all(angles <= np.pi + 1e-12)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: schatten_norm(np.eye(2), x),
+    lambda x: abs_power(np.eye(2), x),
+    gamma_constant,
+], ids=["schatten_norm", "abs_power", "gamma_constant"])
+def test_nan_orders_are_invalid(call):
+    # each order check is written so that NaN fails it
+    with pytest.raises(InvalidOrder):
+        call(np.nan)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: abs_power(np.eye(2), x),
+    gamma_constant,
+], ids=["abs_power", "gamma_constant"])
+def test_infinite_powers_are_invalid(call):
+    with pytest.raises(InvalidOrder):
+        call(np.inf)
+
+
 def test_gamma_constant_anchors():
     assert abs(gamma_constant(0.0) - 1.0 / np.pi) < 1e-14
     assert abs(gamma_constant(1.0) - 2.0 / np.pi) < 1e-14

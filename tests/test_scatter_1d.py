@@ -61,6 +61,28 @@ def test_potential_1d_validation():
         Potential1D(segments=((1.0, 0.0, -1.0),))
 
 
+@pytest.mark.parametrize("segments", [
+    ((-1.0, 1.0, np.nan),),
+    ((-1.0, 1.0, -np.inf),),
+    ((-1.0, np.nan, -1.0),),
+    ((-np.inf, 1.0, -1.0),),
+    ((-1.0, 0.0, -1.0), (0.0, np.inf, -1.0)),
+])
+def test_potential_1d_rejects_non_finite(segments):
+    # NaN slips through the ordering checks; each end and value must be
+    # finite before any transfer matrix or finite-difference count sees it
+    with pytest.raises(SpecflowError, match="finite"):
+        Potential1D(segments=segments)
+
+
+@pytest.mark.parametrize("depth, halfwidth", [
+    (np.nan, 1.0), (np.inf, 1.0), (2.0, np.inf), (2.0, np.nan),
+])
+def test_square_well_1d_rejects_non_finite(depth, halfwidth):
+    with pytest.raises(SpecflowError, match="finite"):
+        Potential1D.square_well(depth, halfwidth=halfwidth)
+
+
 def test_transfer_matrix_free_and_det():
     lam = 2.3
     k = np.sqrt(lam)

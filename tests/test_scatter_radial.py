@@ -67,6 +67,18 @@ def test_radial_potential_moments():
         RadialPotential(v_of_r=lambda r: -1.0, radius=0.0)
 
 
+@pytest.mark.parametrize("depth, radius", [
+    (3.0, np.inf), (3.0, np.nan), (np.nan, 1.0), (np.inf, 1.0),
+    (-np.inf, 1.0),
+])
+def test_radial_potential_rejects_non_finite(depth, radius):
+    # a NaN radius passes radius <= 0; a non-finite depth would reach the
+    # radial solver and surface as an IntegrationFailure
+    with pytest.raises(SpecflowError, match="finite") as exc:
+        RadialPotential.square_well(depth, radius=radius)
+    assert type(exc.value) is SpecflowError
+
+
 def test_s_wave_closed_form():
     for lam in (0.5, 4.0, 30.0):
         k, q = np.sqrt(lam), np.sqrt(lam + 3.0)
