@@ -145,6 +145,15 @@ def _potential(fh):
                                            radius=radius)
     samples = np.asarray(doc["samples"], dtype=float)
     r_s, v_s = samples[:, 0], samples[:, 1]
+    # np.interp needs strictly increasing radii; a NaN would reach the
+    # radial recursion as an IntegrationFailure
+    bad = ~np.isfinite(samples).all(axis=1)
+    bad[1:] |= r_s[1:] <= r_s[:-1]
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SpecflowError(f"radial samples must be finite with strictly "
+                            f"increasing radii; sample {i} is "
+                            f"{samples[i].tolist()}")
 
     def v_of_r(r):
         return np.interp(r, r_s, v_s)

@@ -3,12 +3,15 @@
 Transfer matrices propagate (psi, psi') exactly across constant segments
 using branch-free even functions of the local momentum, so tunneling and
 oscillatory regimes need no case split.  One kernel, `_smatrix_dk`, gives S
-and its exact k-derivative at an array of wavenumbers: it folds the pairs
-(T, dT/dlam) of the segments left to right with elementwise 2x2
-arithmetic, using closed-form lambda-derivatives of the entries, and
-differentiates the plane-wave matching, S' = A^{-1}(B' - A' X).
-`transfer_matrix` and `smatrix_1d` take one energy or a 1-D array of
-energies and read the kernel's value part; `smatrix_1d(V, lam,
+and its exact k-derivative at an array of wavenumbers: it multiplies the
+pairs (T, dT/dlam) of the segments with elementwise 2x2 arithmetic, using
+closed-form lambda-derivatives of the entries, and differentiates the
+plane-wave matching, S' = A^{-1}(B' - A' X).  The product is a pairwise
+tree (adjacent pairs per level, one array operation each), so a call
+takes about log2(segments) array steps, and its entries are formed in
+blocks of at most ENTRY_BLOCK segment-energy pairs, which bound the
+memory.  `transfer_matrix` and `smatrix_1d` take one energy or a 1-D
+array of energies and read the kernel's value part; `smatrix_1d(V, lam,
 derivative=True)` also returns dS/dk.  The S-matrix convention is
 
     S(lambda) = [[t, r_plus], [r_minus, t]]
@@ -100,48 +103,60 @@ def _transfer_dlam(V, lams, derivative=False):
     with derivative dM/dlam: P = [M, M'] (just [M] without derivative), a
     real array of shape (2 or 1, 2, 2, energies).
 
-    The segments are folded left to right with elementwise 2x2 arithmetic,
-    so every energy's product is computed the same way however many
-    energies share the call.  The entries are formed inside the fold, for
-    blocks of segments of at most ENTRY_BLOCK segment-energy pairs.  Row i
-    of the pair is R[i] = [M[i], M'[i]], and (T, T')(M, M') =
-    (TM, T'M + TM') updates both rows in one product per column of T:
-    R <- T[:, 0] R[0] + T[:, 1] R[1], then the M' half of R gains
-    T'[:, 0] M[0] + T'[:, 1] M[1].
+    The segment matrices T_0 (leftmost) to T_{m-1} multiply as a pairwise
+    tree with elementwise 2x2 arithmetic.  Each level forms T_1 T_0,
+    T_3 T_2, ... in one array operation by the dual pairs' rule
+    (T_b, T_b')(T_a, T_a') = (T_b T_a, T_b' T_a + T_b T_a') and carries an
+    odd trailing matrix to the next level, so one to three segments are
+    multiplied left to right, in the operations of a sequential fold.  The
+    entries are formed in blocks of a power of two of segments and at
+    most ENTRY_BLOCK segment-energy pairs (one segment when the energies
+    alone exceed it), so memory holds one block and one partial product
+    per binary digit of the block count.  Block products merge like a
+    binary counter, two of equal span as soon as both exist and the rest
+    right to left at the end, which builds the tree of an unblocked call:
+    the association depends on m alone, and every energy's product is
+    computed the same way however many energies share the call.
     """
     lengths, values = V.segment_arrays
     n = len(lams)
     w = 2 if derivative else 1
-    R = np.zeros((2, 2 * w, n))
-    R[0, 0] = R[1, 1] = 1.0
-    step = max(1, ENTRY_BLOCK // max(n, 1))
-    for lo in range(0, len(lengths), step):
-        block = slice(lo, lo + step)
-        e = _seg_entries(lengths[block, None], values[block, None], lams,
-                         derivative)
-        # each segment's columns of T (and T'), shaped (2, 1, n) to scale
-        # the rows R[0] and R[1]
-        c, s, g = e[:3]
-        T0 = np.stack([c, g], axis=1)[:, :, None]
-        T1 = np.stack([s, c], axis=1)[:, :, None]
-        if not derivative:
-            for t0, t1 in zip(T0, T1):
-                R = t0 * R[0] + t1 * R[1]
-            continue
-        dc, ds, dg = e[3:]
-        dT0 = np.stack([dc, dg], axis=1)[:, :, None]
-        dT1 = np.stack([ds, dc], axis=1)[:, :, None]
-        for t0, t1, dt0, dt1 in zip(T0, T1, dT0, dT1):
-            M0, M1 = R[0, :2], R[1, :2]
-            R = t0 * R[0] + t1 * R[1]
-            R[:, 2:] += dt0 * M0 + dt1 * M1
-    return R.reshape(2, w, 2, n).swapaxes(0, 1)
+    step = 1 << (max(1, ENTRY_BLOCK // max(n, 1)).bit_length() - 1)
+    done = []
+    for b, lo in enumerate(range(0, len(lengths), step), 1):
+        e = _seg_entries(lengths[lo:lo + step, None],
+                         values[lo:lo + step, None], lams, derivative)
+        # X[i, j] is the stack of the j-th segment's T (i = 0) and T'
+        # (i = 1), each of shape (2, 2, n)
+        X = np.stack(e, axis=1).reshape(len(e[0]), w, 3, n)
+        X = X[:, :, [[0, 1], [2, 0]]].swapaxes(0, 1)
+        while X.shape[1] > 1:
+            m = X.shape[1]
+            P = _fold(X[:, 1::2], X[:, :m - 1:2])
+            X = np.concatenate([P, X[:, -1:]], axis=1) if m % 2 else P
+        while b % 2 == 0:
+            X = _fold(X, done.pop())
+            b //= 2
+        done.append(X)
+    M = done.pop()
+    while done:
+        M = _fold(M, done.pop())
+    return M[:, 0]
+
+
+def _fold(B, A):
+    """Dual-pair products (T_b, T_b')(T_a, T_a') = (T_b T_a, T_b' T_a +
+    T_b T_a'), the pairs stacked on axis 0 (just T without derivative)
+    over matching stacks of shape (..., 2, 2, n)."""
+    P = _mul(B[:1], A)
+    P[1:] += _mul(B[1:], A[:1])
+    return P
 
 
 def _mul(A, B):
-    """Elementwise 2x2 products A B over a trailing axis: A has shape
-    (2, 2, n) and B (..., 2, 2, n)."""
-    return A[:, :1] * B[..., :1, :, :] + A[:, 1:] * B[..., 1:, :, :]
+    """Elementwise 2x2 products A B over a trailing axis, for A and B of
+    shapes (..., 2, 2, n) that broadcast."""
+    return A[..., :1, :] * B[..., :1, :, :] + A[..., 1:, :] * B[..., 1:, :, :]
 
 
 def _waves(x, ks):

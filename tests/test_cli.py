@@ -421,6 +421,27 @@ def test_sampled_radial_potential_file(tmp_path):
     assert V(0.25) == -3.0
 
 
+@pytest.mark.parametrize("samples, first", [
+    ("[[0, NaN], [1, -3]]", 0),
+    ("[[0, -3], [0.5, Infinity], [1, -3]]", 1),
+    ("[[0, -3], [NaN, -3], [1, -3]]", 1),
+    ("[[0, -3], [0.6, -3], [0.5, -2], [0.4, -1]]", 2),
+    ("[[0, -3], [0.5, -3], [0.5, -2], [1, -3]]", 2),
+], ids=["nan-value", "infinite-value", "nan-radius", "decreasing-radii",
+        "repeated-radius"])
+def test_bad_radial_samples_are_error_records(tmp_path, capsys, samples,
+                                              first):
+    # a NaN reached the radial recursion as an IntegrationFailure, and
+    # np.interp silently misreads radii that do not increase strictly
+    pot = tmp_path / "radial.json"
+    pot.write_text('{"dimension": 3, "radius": 1.0, "samples": %s}'
+                   % samples)
+    err = error_record(["levinson", "--dim", "3", "--potential", str(pot)],
+                       capsys)
+    assert err["type"] == "SpecflowError"
+    assert f"sample {first} is" in err["message"]
+
+
 def test_levinson_requires_potential(capsys):
     rc, recs = run_lines(["levinson", "--dim", "1"], capsys)
     assert rc == 2

@@ -14,19 +14,34 @@ and det S = -eta_e eta_o = -e^{-4ika + 2i(arg N_e + arg N_o)} has an
 unwound phase in closed form.  Since Tr(S* S') = (log det S)', the winding
 body (1/2 pi i) int Tr(S* S') dk is that phase's change over 2 pi.  No
 transfer matrix and no quadrature enters.
+
+For potentials of many segments the oracle is the transfer matrix itself:
+M(lam) multiplied segment by segment in mpmath at 40 digits, and dM/dlam
+as its central difference there.
 """
 
 import numpy as np
 import pytest
 
-from specflow.scatter import Potential1D, high_energy_poly, smatrix_1d
+from specflow.scatter import (
+    Potential1D,
+    high_energy_poly,
+    smatrix_1d,
+    transfer_matrix,
+)
 from specflow.scatter.levinson import K_QUAD_TOL, _winding_1d
+from specflow.scatter.onedim import _transfer_dlam
 from specflow.sflow import _adaptive_gk21
 
 mp = pytest.importorskip("mpmath")
 
 DEPTHS = [2.0, 5.0, 20.0]
 HALFWIDTH = 1.0
+DOUBLE_WELL = Potential1D(segments=((-3.0, -1.0, -6.0), (-1.0, 1.0, 2.0),
+                                    (1.0, 3.0, -6.0)))
+# the 200-segment Gaussian of the levinson-1d benchmark
+GAUSSIAN_WELL = Potential1D.from_callable(lambda x: -8.0 * np.exp(-x * x),
+                                          (-4.0, 4.0), n_segments=200)
 
 
 def _channel_args(depth, k):
@@ -99,3 +114,53 @@ def test_winding_tail_matches_oracle(depth):
     exact = oracle_body(depth, k_max, K) + poly.tail(K)
     nxt = 2.0 * HALFWIDTH * depth ** 2 / (8.0 * np.pi * k_max ** 3)
     assert abs(exact - poly.tail(k_max) - nxt) < 1e-2 * nxt
+
+
+def oracle_transfer(V, lam):
+    """M(lam) of V multiplied left to right in mpmath, each segment's
+    matrix [[cos(qd), sin(qd)/q], [-q sin(qd), cos(qd)]] with q^2 = lam - v
+    and d the segment length the kernel takes."""
+    M = [[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]]
+    for x0, x1, v in V.segments:
+        d = mp.mpf(x1 - x0)
+        q = mp.sqrt(mp.mpc(lam - mp.mpf(v)))
+        c, s = mp.cos(q * d), mp.sin(q * d) / q
+        T = [[c, s], [-q * q * s, c]]
+        M = [[T[i][0] * M[0][j] + T[i][1] * M[1][j] for j in range(2)]
+             for i in range(2)]
+    return [[mp.re(x) for x in row] for row in M]
+
+
+def oracle_transfer_dlam(V, lam):
+    """(M, dM/dlam) at lam in mpmath, dM/dlam by a central difference of
+    step 1e-12 (1 + lam): at 40 digits its truncation, O(step^2), and its
+    rounding, O(1e-40 / step), lie far below 1e-13."""
+    with mp.workdps(40):
+        lam = mp.mpf(lam)
+        h = mp.mpf("1e-12") * (1 + lam)
+        up, down = oracle_transfer(V, lam + h), oracle_transfer(V, lam - h)
+        M = np.array(oracle_transfer(V, lam), dtype=float)
+        dM = np.array([[(up[i][j] - down[i][j]) / (2 * h) for j in range(2)]
+                       for i in range(2)], dtype=float)
+    return M, dM
+
+
+@pytest.mark.parametrize("V", [DOUBLE_WELL, GAUSSIAN_WELL],
+                         ids=["double_well", "gaussian_200_segments"])
+def test_multi_segment_transfer_matches_oracle(V):
+    # the kernel's product of segment matrices and of their exact
+    # lam-derivatives, each to 1e-13 of its largest entry in the units
+    # (psi, psi'/k) of the plane waves S is matched in.  In plain units the
+    # entries differ in size by q/k, and at lam = 1e4 the double well's
+    # cos(qd), qd = 200, carries a rounding of about 200 eps that M[1, 0]
+    # ~ q^2 sin(qd)/q magnifies to 5e-13 of the largest entry
+    lams = np.array([1e-4, 0.3, 17.0, 1e4])
+    P = _transfer_dlam(V, lams, derivative=True)
+    for i, lam in enumerate(lams):
+        # K^{-1} M K with K = diag(1, k), entrywise
+        units = np.array([[1.0, np.sqrt(lam)], [1.0 / np.sqrt(lam), 1.0]])
+        want = oracle_transfer_dlam(V, lam)
+        for got, exact in ((transfer_matrix(V, lam), want[0]),
+                           (P[0, ..., i], want[0]), (P[1, ..., i], want[1])):
+            assert np.max(np.abs((got - exact) * units)) \
+                <= 1e-13 * np.max(np.abs(exact * units))

@@ -5,6 +5,7 @@ from specflow.errors import EnergyNonpositive, SpecflowError
 from specflow.scatter import (
     Potential1D,
     bound_states_1d,
+    onedim,
     resonance_statistic_1d,
     smatrix_1d,
     transfer_matrix,
@@ -15,6 +16,11 @@ DOUBLE_WELL = Potential1D(segments=((-3.0, -1.0, -6.0), (-1.0, 1.0, 2.0),
                                     (1.0, 3.0, -6.0)))
 GAUSSIAN_WELL = Potential1D.from_callable(lambda x: -8.0 * np.exp(-x * x),
                                           (-4.0, 4.0), n_segments=200)
+# wells and barriers of unequal lengths
+NINE_SEGMENTS = ((-2.0, -1.5, 3.0), (-1.5, -0.9, -7.0), (-0.9, 0.0, 1.0),
+                 (0.0, 0.4, -2.5), (0.4, 1.1, 4.0), (1.1, 1.3, -9.0),
+                 (1.3, 2.0, 0.5), (2.0, 2.3, -1.0), (2.3, 2.5, 2.0))
+SEVEN_SEGMENTS = Potential1D(segments=NINE_SEGMENTS[:7])
 
 
 def analytic_square_well_smatrix(depth, a, lam):
@@ -198,6 +204,64 @@ def test_array_energies_match_scalar_calls(V, lams):
     assert np.array_equal(M, np.array([transfer_matrix(V, lam)
                                        for lam in lams]))
     assert smatrix_1d(V, lams[0]).shape == (2, 2)
+
+
+def _ordered_product(V, lams):
+    """(M, dM/dlam) of V as the left-to-right product of single-segment
+    calls, each of shape (2, 2, energies)."""
+    M, dM = np.eye(2)[..., None], np.zeros((2, 2, 1))
+    for seg in V.segments:
+        T, dT = onedim._transfer_dlam(Potential1D(segments=(seg,)), lams,
+                                      derivative=True)
+        M, dM = (np.einsum("ijn,jkn->ikn", T, M),
+                 np.einsum("ijn,jkn->ikn", dT, M)
+                 + np.einsum("ijn,jkn->ikn", T, dM))
+    return M, dM
+
+
+def _close(got, want):
+    """Equal to 1e-13 of want's largest entry at each energy, the last
+    axis."""
+    scale = np.max(np.abs(want), axis=(0, 1))
+    return np.all(np.max(np.abs(got - want), axis=(0, 1)) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_fold_matches_ordered_product(m, monkeypatch):
+    # the pairwise tree against the left-to-right product: odd counts
+    # carry a segment to the next level, and one to three segments are
+    # multiplied in the sequential order, bit for bit
+    V = Potential1D(segments=NINE_SEGMENTS[:m])
+    lams = np.array([1e-3, 0.4, 2.5, 7.5, 60.0])
+    M, dM = _ordered_product(V, lams)
+    P = onedim._transfer_dlam(V, lams, derivative=True)
+    got = np.moveaxis(transfer_matrix(V, lams), 0, -1)
+    assert _close(got, M) and _close(P[0], M) and _close(P[1], dM)
+    if m <= 3:
+        assert np.array_equal(P, [M, dM])
+    S, dS = smatrix_1d(V, lams, derivative=True)
+    monkeypatch.setattr(onedim, "_transfer_dlam",
+                        lambda V, lams, derivative: np.stack([M, dM]))
+    S_ref, dS_ref = smatrix_1d(V, lams, derivative=True)
+    for got, want in ((S, S_ref), (dS, dS_ref)):
+        assert _close(np.moveaxis(got, 0, -1), np.moveaxis(want, 0, -1))
+
+
+def test_fold_across_entry_blocks():
+    # 2,000 energies split the seven segments into four blocks of two,
+    # where a scalar call takes them in one block; the block products merge
+    # into the same tree, so each energy's values are the scalar call's
+    lams = np.geomspace(1e-3, 1e3, 2000)
+    assert onedim.ENTRY_BLOCK // len(lams) == 2
+    M, dM = _ordered_product(SEVEN_SEGMENTS, lams)
+    P = onedim._transfer_dlam(SEVEN_SEGMENTS, lams, derivative=True)
+    assert _close(P[0], M) and _close(P[1], dM)
+    assert np.array_equal(transfer_matrix(SEVEN_SEGMENTS, lams), [
+        transfer_matrix(SEVEN_SEGMENTS, lam) for lam in lams])
+    S, dS = smatrix_1d(SEVEN_SEGMENTS, lams, derivative=True)
+    for i, lam in enumerate(lams):
+        S1, dS1 = smatrix_1d(SEVEN_SEGMENTS, lam, derivative=True)
+        assert np.array_equal(S1, S[i]) and np.array_equal(dS1, dS[i])
 
 
 def test_empty_energy_array():
