@@ -1,36 +1,50 @@
 """Radial Schrödinger scattering in three dimensions.
 
-Partial-wave phase shifts come from Numerov integration of the reduced
-radial equation u'' = (l(l+1)/r^2 + V - lam) u.  The recursion is
-sequential in r but elementwise over energies and channels, so one sweep,
-`_numerov`, advances an energies x channels array node by node: each energy
-keeps its own step, grid length, renormalization cut-off and recorded
-nodes, and a whole phase-shift table comes out of a single recursion.  The
-sweep takes its nodes in blocks: the Numerov coefficients of a whole block
-come from one array pass, capped at BLOCK_ELEMENTS entries per array, and
-only the three-term update of u, the one step that depends on the previous
-node, runs once per node.  A single energy (`phase_shifts_3d`) and the
-zero-energy solution are one-energy calls of the same sweep.  Matching uses
-the solution at two radii in the force-free region against Riccati-Bessel
-functions, which needs no normalization of u and no derivative estimate.
+Partial-wave phase shifts solve the reduced radial equation u'' =
+(l(l+1)/r^2 + V - lam) u in one of two ways, chosen by the potential:
 
-Each node takes the mean of V at the two half-step points beside it.  For a
-step potential this is the node value away from a jump and the two-sided
-average at one, which restores the accuracy that a naive node sample loses
-at the interface.  V vanishes beyond the support radius, so only half-step
-points inside it are evaluated, once per distinct step and in one call of V
-per sweep.
+* A potential of constant shells (`RadialPotential(shells=...)`, and every
+  `RadialPotential.square_well`) has them in closed form, `_shell_rows`.
+  Inside a shell the solution is a pair of Riccati-Bessel functions of q r,
+  q = sqrt(|lam - v|), or of the modified functions where v > lam.  The
+  signed pair (u, u') is carried across each boundary, its zeros counted
+  from the monotone Riccati-Bessel phase (Calogero's variable phase), and
+  its coordinates in the free pair at the support radius give the shift
+  on the absolute branch.  A whole (energies x channels) array takes a
+  few vectorized Bessel evaluations per shell and no step size.  Where
+  the irregular function overflows, deep inside the centrifugal barrier,
+  only its log-derivative -l/r enters (the ratio form of Johnson's
+  log-derivative method), so every channel stays finite.
+* A bare callable (a smooth or sampled profile) has no closed form yet
+  (linear or sampled pieces would need Airy functions or a
+  constant-perturbation method), and its shifts come from Numerov
+  integration.  The recursion is sequential in r but elementwise over
+  energies and channels, so one sweep, `_numerov`, advances an energies x
+  channels array node by node: each energy keeps its own step, grid length,
+  renormalization cut-off and recorded nodes.  The sweep takes its nodes in
+  blocks: the Numerov coefficients of a whole block come from one array
+  pass, capped at BLOCK_ELEMENTS entries per array, and only the three-term
+  update of u, the one step that depends on the previous node, runs once
+  per node.  Matching uses the solution at two radii in the force-free
+  region against Riccati-Bessel functions, which needs no normalization of
+  u and no derivative estimate.  Each node takes the mean of V at the two
+  half-step points beside it, which restores at a jump the accuracy that a
+  naive node sample loses; only half-step points inside the support are
+  evaluated, once per distinct step and in one call of V per sweep.
 
-The matching defines each channel's phase shift modulo pi.  The sweep also
-counts the sign changes of u, once per block over the block's stored rows,
-and the node count fixes the absolute branch, where delta_l(inf) = 0
-(Pruefer's oscillation count; `_sweep_rows`): every row of
-`phase_shift_rows` is absolute on its own, with no unwinding over an
-energy grid.  `phase_shifts_3d` reports the principal branch.
+The zero-energy solution behind the bound-state counts and the threshold
+statistics is a Numerov sweep for every potential (`_zero_energy_radial`):
+the classification of wells at exactly critical depths rests on this
+sweep's statistics, which the tests pin.
+
+Both ways give every row of `phase_shift_rows` on the absolute branch,
+where delta_l(inf) = 0, from the zeros of u (Pruefer's oscillation count;
+`_sweep_rows`), with no unwinding over an energy grid.  `phase_shifts_3d`
+reports the principal branch.
 """
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
+from scipy.special import ive, kve, spherical_jn, spherical_yn
 
 from ..errors import (
     EnergyNonpositive,
@@ -249,26 +263,183 @@ def _numerov(lams, hs, ns, v_nodes, group, lmax, records):
     return out[back], changes[back]
 
 
-def _riccati(ells, x):
-    """Riccati-Bessel pair (S, C) = (x j_l(x), -x y_l(x))."""
-    return x * spherical_jn(ells, x), -x * spherical_yn(ells, x)
+def _level(angle, neg):
+    """floor(angle / pi) for the oscillation angle of a solution u, made
+    consistent with the sign of u: the integer of parity neg (the signbit
+    of u) nearest angle / pi - 1/2.  The two agree wherever the angle is
+    off a multiple of pi by more than its rounding; at a multiple, where
+    the angle alone carries no sign, the sign of u decides."""
+    return (neg + 2.0 * np.round((angle / np.pi - 0.5 - neg) / 2.0)).astype(
+        int)
 
 
 def _free_zeros(x, s):
     """Zeros of j_l on (0, x] for the channels l = 0..lmax of s = x j_l(x),
     one row per row of the column x.  j_0 = sin x / x has floor(x / pi)
-    of them.  The zeros of j_l and j_{l+1} interlace, j_l's first, and
-    each j_l is positive before its first zero, so j_{l+1} has as many as
-    j_l when the two share a sign at x and one fewer otherwise."""
+    of them, with the sign of sin x deciding at a multiple of pi.  The
+    zeros of j_l and j_{l+1} interlace, j_l's first, and each j_l is
+    positive before its first zero, so j_{l+1} has as many as j_l when the
+    two share a sign at x and one fewer otherwise."""
     neg = np.signbit(s)
     drops = np.cumsum(neg[:, 1:] != neg[:, :-1], axis=1)
-    return np.floor(x / np.pi).astype(int) - np.pad(drops, ((0, 0), (1, 0)))
+    return _level(x, neg[:, :1]) - np.pad(drops, ((0, 0), (1, 0)))
+
+
+def _phase(x, S, C):
+    """The free Riccati phase phi(x), the continuous angle of (S, C) =
+    (x j_l(x), -x y_l(x)), zero at the origin and increasing: n pi plus the
+    angle of (S, C) mod pi, with n the zeros of j_l on (0, x]."""
+    return _free_zeros(x, S) * np.pi + np.mod(np.arctan2(S, C), np.pi)
+
+
+def _riccati_pair(x, q, lmax):
+    """(S, S', C, C') at x = q r for channels 0..lmax, one row per row of
+    the columns x and q: the Riccati-Bessel pair S = x j_l(x) and C =
+    -x y_l(x), with r-derivatives S' = q ((l + 1) j_l - x j_{l+1}) and C'
+    likewise from y."""
+    n = np.arange(lmax + 2)
+    j, y = spherical_jn(n, x), spherical_yn(n, x)
+    l1 = n[:-1] + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (x * j[:, :-1], q * (l1 * j[:, :-1] - x * j[:, 1:]),
+                -x * y[:, :-1], -q * (l1 * y[:, :-1] - x * y[:, 1:]))
+
+
+def _shell_pair(w, q, r, lmax):
+    """Regular and irregular solutions (F, F', G, G') at radius r > 0 of
+    u'' = (l(l+1)/r^2 - w) u in a constant shell, w = lam - v of one sign
+    for every row, q = sqrt(|w|) a column; r-derivatives.
+
+    w > 0: the Riccati-Bessel pair of q r.  w < 0: the modified pair,
+    sqrt(x) I_{l+1/2}(x) and sqrt(x) K_{l+1/2}(x) at x = q r, divided by
+    sqrt(x) e^x and sqrt(x) e^-x so that neither overflows.  w = 0: r^{l+1}
+    and r^-l, divided by their values at r.  Every pair has a negative
+    Wronskian F G' - F' G."""
+    if w[0] > 0:
+        return _riccati_pair(q * r, q, lmax)
+    l1 = np.arange(lmax + 1) + 1.0
+    if w[0] < 0:
+        x = q * r
+        nu = np.arange(lmax + 2) + 0.5
+        i, k = ive(nu, x), kve(nu, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (i[:, :-1], q * (l1 / x * i[:, :-1] + i[:, 1:]),
+                    k[:, :-1], q * (l1 / x * k[:, :-1] - k[:, 1:]))
+    one = np.ones((len(w), lmax + 1))
+    return one, one * l1 / r, one, one * (1.0 - l1) / r
+
+
+def _coefficients(u, du, pair, r):
+    """Coordinates (c1, c2) of the solution with value u and slope du at r
+    in a pair (F, F', G, G') at r of negative Wronskian, up to one positive
+    factor: u = c1 F + c2 G, c1 = du G - u G' and c2 = u F' - du F, scaled
+    to max(|c1|, |c2|) = 1.
+
+    G overflows only where r lies deep inside the centrifugal barrier,
+    where G'/G = -l/r to rounding and the irregular part of any solution
+    is smaller than the regular part, from r on, by more than G's own
+    excess over F: there c1 takes the sign of du r + l u and c2 = 0."""
+    F, dF, G, dG = pair
+    with np.errstate(over="ignore", invalid="ignore"):
+        c1 = du * G - u * dG
+        c2 = u * dF - du * F
+    deep = ~np.isfinite(c1)
+    if np.any(deep):
+        c1 = np.where(deep, np.sign(du * r + np.arange(u.shape[1]) * u), c1)
+        c2 = np.where(deep, 0.0, c2)
+    scale = np.maximum(np.abs(c1), np.abs(c2))
+    scale[scale == 0.0] = 1.0
+    return c1 / scale, c2 / scale
+
+
+def _cross_shell(u, du, w, r0, r1, lmax):
+    """Carry the solutions with values u and slopes du at r0 across the
+    shell (r0, r1) of constant w = lam - v, of one sign for every row; at
+    r0 = 0 they start as the regular solution.  Returns (u, du) at r1,
+    scaled by a positive factor per entry to max(|u|, |du|) = 1, and the
+    zeros of each solution on (r0, r1].
+
+    Where w > 0 the solution is |(c1, c2)| |(F, G)| sin(phi + theta), with
+    phi the free Riccati phase of q r and theta the angle of (c1, c2), and
+    the zeros are the multiples of pi that phi + theta passes.  Where
+    w <= 0 it is monotone between zeros, with at most one, seen as a sign
+    change."""
+    q = np.sqrt(np.abs(w))[:, None]
+    F, dF, G, dG = _shell_pair(w, q, r1, lmax)
+    if r0 == 0.0:
+        u1, du1, theta = F, dF, 0.0
+    else:
+        at0 = _shell_pair(w, q, r0, lmax)
+        c1, c2 = _coefficients(u, du, at0, r0)
+        theta = np.arctan2(c2, c1)
+        # the pairs at r1 are scaled as at r0: G by e^{2 q (r1 - r0)} and
+        # (r1 / r0)^{2l+1} more than F
+        if w[0] < 0:
+            c2 = c2 * np.exp(-2.0 * q * (r1 - r0))
+        elif w[0] == 0:
+            c2 = c2 * (r0 / r1) ** (2.0 * np.arange(lmax + 1) + 1.0)
+        # no irregular part where G may have overflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            u1 = c1 * F + np.where(c2 == 0.0, 0.0, c2 * G)
+            du1 = c1 * dF + np.where(c2 == 0.0, 0.0, c2 * dG)
+    neg0, neg1 = np.signbit(u), np.signbit(u1)
+    if w[0] > 0:
+        zeros = _level(_phase(q * r1, F, G) + theta, neg1)
+        if r0 != 0.0:
+            zeros -= _level(_phase(q * r0, at0[0], at0[2]) + theta, neg0)
+    else:
+        zeros = (neg0 != neg1).astype(int)
+    scale = np.maximum(np.abs(u1), np.abs(du1))
+    if not np.all(np.isfinite(scale)):
+        raise IntegrationFailure("radial shell matching produced non-finite "
+                                 "values")
+    # a solution below the smallest float is the regular one deep inside
+    # the centrifugal barrier, u ~ r^{l+1}
+    flat = scale == 0.0
+    scale[flat] = 1.0
+    return (np.where(flat, 1.0, u1 / scale),
+            np.where(flat, (np.arange(lmax + 1) + 1.0) / r1, du1 / scale),
+            zeros)
+
+
+def _shell_rows(V, lams, lmax):
+    """(principal, branch) of every row of a shell potential in closed
+    form, as _sweep_rows returns them.
+
+    The solution is carried across the shells as a signed pair (u, u'),
+    counting its zeros.  At the support radius R its coordinates (a, b) in
+    the free pair (S, C) of k r give u = |(a, b)| |(S, C)| sin(phi +
+    delta), delta = atan2(b, a) + 2 pi m, and on the absolute branch,
+    where delta_l(inf) = 0, floor((phi(k R) + delta) / pi) is the zero
+    count on (0, R]; m follows, the sign of u(R) fixing the floor where
+    phi + delta is a multiple of pi to rounding."""
+    u = np.ones((len(lams), lmax + 1))
+    du = np.zeros_like(u)
+    zeros = np.zeros(u.shape, dtype=int)
+    for r0, r1, v in V.shells:
+        w = lams - v
+        for rows in (w > 0, w < 0, w == 0):
+            e = np.flatnonzero(rows)
+            if len(e):
+                u[e], du[e], z = _cross_shell(u[e], du[e], w[e], r0, r1,
+                                              lmax)
+                zeros[e] += z
+    k = np.sqrt(lams)[:, None]
+    free = _riccati_pair(k * V.radius, k, lmax)
+    a, b = _coefficients(u, du, free, V.radius)
+    delta = np.arctan2(b, a)
+    m = (zeros - _level(_phase(k * V.radius, free[0], free[2]) + delta,
+                        np.signbit(u))) // 2
+    shift = (delta > np.pi / 2).astype(int) - (delta <= -np.pi / 2)
+    return delta - shift * np.pi, 2 * m + shift
 
 
 def _sweep_rows(V, lams, lmax):
     """One batched sweep over every energy in lams: (principal, branch),
     the matched shifts delta_l in (-pi/2, pi/2] and the integers j with
-    delta_l + j pi on the absolute branch, where delta_l(inf) = 0.
+    delta_l + j pi on the absolute branch, where delta_l(inf) = 0.  A
+    shell potential's rows are closed-form (`_shell_rows`); a callable's
+    come from one Numerov sweep, as follows.
 
     Beyond the support u = S cos delta + C sin delta = |(S, C)| sin(phi +
     delta), with phi the free Riccati phase (the continuous angle of
@@ -284,7 +455,8 @@ def _sweep_rows(V, lams, lmax):
     if bad.size:
         raise EnergyNonpositive(f"scattering energy must be positive, "
                                 f"got {bad[0]}")
-    ells = np.arange(lmax + 1)
+    if V.shells is not None:
+        return _shell_rows(V, lams, lmax)
     h, n_in, n_tot = _grid(V, lams)
     steps, first, group = np.unique(h, return_index=True,
                                     return_inverse=True)
@@ -298,8 +470,8 @@ def _sweep_rows(V, lams, lmax):
 
     k = np.sqrt(lams)[:, None]
     x_b = k * (h * n_tot)[:, None]
-    sa, ca = _riccati(ells, k * (h * idx_a)[:, None])
-    sb, cb = _riccati(ells, x_b)
+    sa, _, ca, _ = _riccati_pair(k * (h * idx_a)[:, None], k, lmax)
+    sb, _, cb, _ = _riccati_pair(x_b, k, lmax)
     with np.errstate(over="ignore", invalid="ignore"):
         num = u_b * sa - u_a * sb
         den = u_a * cb - u_b * ca
@@ -310,7 +482,7 @@ def _sweep_rows(V, lams, lmax):
     # centrifugally forbidden regime, where the true shift is below any
     # representable size and u has no zero
     delta = np.where(np.isfinite(delta), delta, 0.0)
-    phi = _free_zeros(x_b, sb) * np.pi + np.mod(np.arctan2(sb, cb), np.pi)
+    phi = _phase(x_b, sb, cb)
     return delta, changes - np.floor((phi + delta) / np.pi).astype(int)
 
 
@@ -342,7 +514,9 @@ def smatrix_diag_radial(V, lam, lmax):
 
 
 def _zero_energy_radial(V, lmax):
-    """Numerov λ=0 sweep to the support radius for channels 0..lmax.
+    """Numerov λ=0 sweep to the support radius for channels 0..lmax, for
+    shell potentials too: the threshold classification at exactly
+    critical depths rests on the statistics of this sweep.
 
     Returns (u(R), u'(R), interior sign-change counts).  The derivative is
     a one-sided five-point estimate on the renormalization-free tail.

@@ -430,6 +430,13 @@ def test_levinson_invalid_grid(V, d, grid, capfd):
 # d = 3 verification
 
 
+# the routes of levinson_verify(WELL3, 3); tests/test_oracle_3d.py rebuilds
+# the two integrals from 30-digit rows of the well's closed form
+WELL3_ROUTES = {"phillips": -1.0,
+                "regularized": -0.9999207731398227 - 8.135393808383875e-06j,
+                "subtracted": -0.9999860500934022}
+
+
 def test_levinson_3d_single_well():
     rep = levinson_verify(WELL3, 3)
     assert rep.dimension == 3
@@ -448,10 +455,7 @@ def test_levinson_3d_single_well():
     assert pw["channel_counts"][0] == 1
     assert sum(pw["channel_counts"][1:]) == 0
     # routes pinned at 1e-12: restructuring the pipeline must not move them
-    pinned = {"phillips": -1.0,
-              "regularized": -0.9999207730483154 - 8.135406400662623e-06j,
-              "subtracted": -0.999974940751451}
-    for name, want in pinned.items():
+    for name, want in WELL3_ROUTES.items():
         assert abs(rep.routes[name] - want) < 1e-12
     json.dumps(rep.to_dict())
 

@@ -21,9 +21,12 @@ import functools
 import numpy as np
 import pytest
 
-from specflow.scatter import RadialPotential
-from specflow.scatter.levinson import _end_rows
+from scipy.interpolate import CubicSpline
+
+from specflow.scatter import RadialPotential, choose_lmax, high_energy_poly
+from specflow.scatter.levinson import SLOPE_ROWS, _end_rows, _table_routes
 from specflow.scatter.radial import CHANNEL_TOL, phase_shift_rows
+from test_levinson import WELL3_ROUTES
 
 mp = pytest.importorskip("mpmath")
 
@@ -31,9 +34,11 @@ RADIUS = 1.0
 K_MIN, K_MAX = 1e-2, 100.0
 # three interior wavenumbers, spread over the grid's decades
 K_INTERIOR = [0.5, 3.0, 20.0]
-# the counted rows' largest miss on these wells is 8.1e-5 (depth 100,
-# k = 3), the Numerov discretization; a wrong branch misses by pi
-TOL = 2e-4
+# a square well is one shell, whose rows are closed-form: their largest
+# miss on these wells is 2e-14 (depth 200).  Numerov rows, which the wells'
+# callable twins take, miss by up to 8.1e-5 (depth 100, k = 3); a wrong
+# branch misses by pi
+TOL = 1e-12
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,8 +48,16 @@ def _bessel_zero(ell, m):
 
 
 def _zeros_up_to(ell, x):
-    """How many zeros j_l has on (0, x]."""
-    m = 0
+    """How many zeros j_l has on (0, x].  None if x^2 <= nu (nu + 2), nu =
+    l + 1/2, below the first (Watson, Bessel Functions, 15.3); otherwise
+    the search starts at McMahon's estimate, the m-th zero near (m + l / 2)
+    pi, and steps to the count."""
+    nu = ell + 0.5
+    if x * x <= nu * (nu + 2):
+        return 0
+    m = max(0, int(x / mp.pi - ell / 2.0))
+    while m > 0 and _bessel_zero(ell, m) > x:
+        m -= 1
     while _bessel_zero(ell, m + 1) <= x:
         m += 1
     return m
@@ -102,3 +115,26 @@ def test_counted_rows_match_oracle(depth):
     assert np.all((lo[:top + 1] == rows[0])
                   | ((lo[:top + 1] == 0.0) & (np.abs(rows[0]) < CHANNEL_TOL)))
     assert np.array_equal(hi[:top + 1], rows[-1])
+
+
+def test_single_well_routes_match_oracle_rows():
+    # the depth-3 well's regularized and subtracted routes, rebuilt from
+    # oracle rows as the 3D verify builds them from its own: the 16 low
+    # rows (channels 0..6; delta_l(k) < k^{2l+1} < 1e-20 beyond them at
+    # these k), the k_max row over every channel of choose_lmax, and the
+    # slope of their spline at k_min.  The zero-energy terms vanish: the
+    # well has no threshold resonance and P_3(0) = 0
+    V = RadialPotential.square_well(3.0, radius=RADIUS)
+    lmax = choose_lmax(V, K_MAX ** 2)
+    ks = np.geomspace(K_MIN, K_MAX, 400)[:SLOPE_ROWS]
+    low = np.zeros((SLOPE_ROWS, lmax + 1))
+    low[:, :7] = [[oracle_shift(3.0, k, ell) for ell in range(7)]
+                  for k in ks]
+    hi = np.array([oracle_shift(3.0, K_MAX, ell) for ell in range(lmax + 1)])
+    slope = CubicSpline(np.log(ks), low)(np.log(K_MIN), 1) / K_MIN
+    sub, reg = _table_routes(low[0], hi, slope, 2.0 * np.arange(lmax + 1)
+                             + 1.0, K_MIN, K_MAX,
+                             V.integral() / (4.0 * np.pi ** 2),
+                             high_energy_poly(3, V).tail(K_MAX))
+    assert abs(sub - WELL3_ROUTES["subtracted"]) <= 1e-9
+    assert abs(reg - WELL3_ROUTES["regularized"]) <= 1e-9

@@ -28,6 +28,15 @@ from specflow.scatter.radial import (
 WELL3 = RadialPotential.square_well(3.0)
 
 
+def callable_twin(V):
+    """V as a bare callable, without shells: the radial solver takes its
+    phase shifts from the Numerov sweep, not the closed form."""
+    return RadialPotential(v_of_r=V.v_of_r, radius=V.radius)
+
+
+WELL3_NUMEROV = callable_twin(WELL3)
+
+
 def matching_phase_shift(depth, R, lam, ell):
     """Log-derivative matching with Riccati-Bessel functions, channelwise."""
     k = np.sqrt(lam)
@@ -57,6 +66,17 @@ def mod_pi_distance(a, b):
 def test_radial_potential_moments():
     assert abs(WELL3.integral() + 4.0 * np.pi) < 1e-10
     assert abs(WELL3.integral_sq() - 12.0 * np.pi) < 1e-10
+    # two shells: exact sums 4 pi / 3 sum v^p (r1^3 - r0^3), which the
+    # quadrature of the callable twin reproduces
+    two = RadialPotential(shells=((0.0, 0.5, -12.0), (0.5, 1.0, 4.0)))
+    assert two.integral() == 4.0 * np.pi / 3.0 * (-12.0 * 0.125
+                                                   + 4.0 * 0.875)
+    assert two.integral_sq() == 4.0 * np.pi / 3.0 * (144.0 * 0.125
+                                                     + 16.0 * 0.875)
+    for V in (WELL3, two):
+        twin = callable_twin(V)
+        assert abs(twin.integral() - V.integral()) < 1e-8
+        assert abs(twin.integral_sq() - V.integral_sq()) < 1e-8
     assert WELL3(0.5) == -3.0
     assert WELL3(1.5) == 0.0
     # radial means 3D: the dimension is a class constant, not a field
@@ -65,6 +85,22 @@ def test_radial_potential_moments():
         RadialPotential.square_well(1.0, dim=3)
     with pytest.raises(SpecflowError):
         RadialPotential(v_of_r=lambda r: -1.0, radius=0.0)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"shells": ()}, "at least one shell"),
+    ({"shells": ((0.1, 1.0, -3.0),)}, "start at r = 0"),
+    ({"shells": ((0.0, 0.5, -3.0), (0.6, 1.0, -3.0))}, "contiguous"),
+    ({"shells": ((0.0, 0.5, -3.0), (0.5, 0.5, -3.0))}, "positive length"),
+    ({"shells": ((0.0, 1.0, np.nan),)}, "finite"),
+    ({"shells": ((0.0, 1.0, -3.0),), "radius": 2.0}, "last shell's end"),
+    ({"shells": ((0.0, 1.0, -3.0),), "v_of_r": lambda r: -3.0},
+     "not both"),
+    ({}, "v_of_r or shells"),
+])
+def test_radial_shells_validation(kwargs, match):
+    with pytest.raises(SpecflowError, match=match):
+        RadialPotential(**kwargs)
 
 
 @pytest.mark.parametrize("depth, radius", [
@@ -80,19 +116,22 @@ def test_radial_potential_rejects_non_finite(depth, radius):
 
 
 def test_s_wave_closed_form():
-    for lam in (0.5, 4.0, 30.0):
-        k, q = np.sqrt(lam), np.sqrt(lam + 3.0)
-        want = np.arctan(k / q * np.tan(q)) - k
-        got = phase_shifts_3d(WELL3, lam, 2)[0]
-        assert mod_pi_distance(got, want) < 1e-6
+    # the closed form of the shell and the Numerov sweep of its twin
+    for V in (WELL3, WELL3_NUMEROV):
+        for lam in (0.5, 4.0, 30.0):
+            k, q = np.sqrt(lam), np.sqrt(lam + 3.0)
+            want = np.arctan(k / q * np.tan(q)) - k
+            got = phase_shifts_3d(V, lam, 2)[0]
+            assert mod_pi_distance(got, want) < 1e-6
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_higher_wave_matching(ell):
-    for lam in (1.0, 6.0, 20.0):
-        want = matching_phase_shift(3.0, 1.0, lam, ell)
-        got = phase_shifts_3d(WELL3, lam, ell)[ell]
-        assert mod_pi_distance(got, want) < 1e-6
+    for V in (WELL3, WELL3_NUMEROV):
+        for lam in (1.0, 6.0, 20.0):
+            want = matching_phase_shift(3.0, 1.0, lam, ell)
+            got = phase_shifts_3d(V, lam, ell)[ell]
+            assert mod_pi_distance(got, want) < 1e-6
 
 
 def test_phase_shifts_decay_in_ell():
@@ -202,38 +241,38 @@ def test_choose_lmax_scales_with_energy():
     assert both.tolist() == [20, 116, choose_lmax(WELL3, 4.0)]
 
 
-# Phase shifts of channels 0..3 frozen from the per-energy Numerov solver
-# that preceded the batched sweep.  The energies straddle k = 20, below
-# which every grid shares the step 1e-3 and above which the step shrinks
-# like 1/(50 k).
+# Phase shifts of channels 0..3 on the principal branch, from the 30-digit
+# closed form `oracle_shift` of tests/test_oracle_3d.py.  A square well
+# is one shell, whose rows are closed-form too; the Numerov sweep of its
+# callable twin misses these values by up to 2.4e-7.
 FROZEN_SHIFTS = {
     3.0: {
-        0.04: [-0.7815187342766238, 0.0007511631729175683,
-               7.018430596694714e-07, 4.1855541255131357e-10],
-        2.0: [1.0489292728355109, 0.2284112621814569,
-              0.01036466026037619, 0.00031244820114206817],
-        60.0: [0.19333376841981442, 0.1831793802467523,
-               0.1924934863066925, 0.15692965857301244],
-        400.0: [0.07366788178200911, 0.07571876357528984,
-                0.07357208325521203, 0.07391455863135121],
-        1600.0: [0.0379504116552698, 0.036990258360846795,
-                 0.037879116612847596, 0.03688631097404382],
-        6400.0: [0.018726426802873952, 0.018763421889345544,
-                 0.01872631229081989, 0.018734211254067823],
+        0.04: [-0.781518505385856, 0.0007511621986561696,
+               7.018408855113338e-07, 4.1855312819828565e-10],
+        2.0: [1.0489295170769808, 0.22841108805013252,
+              0.01036463321490108, 0.00031244662749247624],
+        60.0: [0.19333381075078296, 0.18317928124621224,
+               0.19249369142677525, 0.1569294139900797],
+        400.0: [0.07366771377661545, 0.07571889638294915,
+                0.07357198207584198, 0.07391457739258864],
+        1600.0: [0.03795045964870438, 0.036990182803555954,
+                 0.03787916703976482, 0.03688623966221259],
+        6400.0: [0.018726395902822303, 0.018763398301037418,
+                 0.01872628538740707, 0.01873418791924932],
     },
     np.pi ** 2 / 4.0: {
-        0.04: [1.4708683045912254, 0.0005747432358553795,
-               5.61482790040202e-07, 3.3906610852341146e-10],
-        2.0: [0.8902994489464193, 0.1696884534534835,
-              0.008225231551692858, 0.000252613707524052],
-        60.0: [0.158674334425831, 0.15158819654522349,
-               0.15818224047342566, 0.12920646721422546],
-        400.0: [0.0605783004127467, 0.06233085584084197,
-                0.06049252868726329, 0.06085302503330059],
-        1600.0: [0.03121537547319031, 0.030425727049383955,
-                 0.031157495017894554, 0.030338948148373124],
-        6400.0: [0.015401563803314922, 0.01543325500890047,
-                 0.015401461358294899, 0.01540923680149886],
+        0.04: [1.4708683440455883, 0.0005747424478750373,
+               5.614810094128177e-07, 3.390643264410552e-10],
+        2.0: [0.8902996534453985, 0.16968830809117563,
+              0.00822520955028727, 0.0002526124170514945],
+        60.0: [0.1586743551190648, 0.15158812718624856,
+               0.1581824005825745, 0.12920626518219366],
+        400.0: [0.06057815672096547, 0.062330968531247484,
+                0.06049243957659864, 0.0608530450668902],
+        1600.0: [0.031215412363409977, 0.03042566259510406,
+                 0.031157534504015424, 0.030338887389687465],
+        6400.0: [0.015401533334993625, 0.015433231071746427,
+                 0.015401434676109866, 0.015409213463728992],
     },
 }
 
@@ -251,20 +290,61 @@ def test_batched_sweep_matches_single_energies():
     # with their own finer steps (k > 20), grids of different lengths, and
     # one energy repeated
     lams = np.array([3.0e3, 0.05, 900.0, 2.5, 0.05, 9.0e3, 120.0])
-    steps = _grid(WELL3, lams)[0]
+    steps = _grid(WELL3_NUMEROV, lams)[0]
     assert len(np.unique(steps)) == 4
-    batch = phase_shift_rows(WELL3, lams, 12)
-    assert batch.shape == (len(lams), 13)
-    for lam, row in zip(lams, batch):
-        np.testing.assert_allclose(row, phase_shift_rows(WELL3, [lam], 12)[0],
-                                   rtol=0.0, atol=1e-13)
-        # phase_shifts_3d is the same shift on the principal branch
-        principal = phase_shifts_3d(WELL3, lam, 12)
-        assert np.all(np.abs(principal) <= np.pi / 2)
-        np.testing.assert_allclose(mod_pi_distance(row, principal), 0.0,
-                                   atol=1e-13)
-    with pytest.raises(EnergyNonpositive):
-        phase_shift_rows(WELL3, [1.0, 0.0], 2)
+    for V in (WELL3_NUMEROV, WELL3):
+        batch = phase_shift_rows(V, lams, 12)
+        assert batch.shape == (len(lams), 13)
+        for lam, row in zip(lams, batch):
+            np.testing.assert_allclose(row, phase_shift_rows(V, [lam], 12)[0],
+                                       rtol=0.0, atol=1e-13)
+            # phase_shifts_3d is the same shift on the principal branch
+            principal = phase_shifts_3d(V, lam, 12)
+            assert np.all(np.abs(principal) <= np.pi / 2)
+            np.testing.assert_allclose(mod_pi_distance(row, principal), 0.0,
+                                       atol=1e-13)
+        with pytest.raises(EnergyNonpositive):
+            phase_shift_rows(V, [1.0, 0.0], 2)
+
+
+# the bench wells, a three-shell step and the repulsive step V = +500 on
+# r < 1, whose interior is classically forbidden at every low row
+CROSS_KERNEL = {
+    "well3": WELL3,
+    "well12": RadialPotential.square_well(12.0),
+    "well30": RadialPotential.square_well(30.0),
+    "steps": RadialPotential(shells=((0.0, 0.4, -20.0), (0.4, 0.8, 5.0),
+                                     (0.8, 1.2, -8.0))),
+    "repulsive": RadialPotential(shells=((0.0, 1.0, 500.0),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_KERNEL))
+def test_shell_rows_match_numerov(name):
+    # the rows a 3D verify reads, the 16 low rows and the k_max row, from
+    # the closed form and from the Numerov sweep of the callable twin: the
+    # same branch in every channel, and shifts within Numerov's own error
+    V = CROSS_KERNEL[name]
+    ks = np.geomspace(1e-2, 100.0, 400)[:levinson.SLOPE_ROWS]
+    for lams in (ks ** 2, np.array([1e4])):
+        lmax = choose_lmax(V, lams[-1])
+        shells = radial._sweep_rows(V, lams, lmax)
+        numerov = radial._sweep_rows(callable_twin(V), lams, lmax)
+        assert np.array_equal(shells[1], numerov[1])
+        np.testing.assert_allclose(shells[0], numerov[0], rtol=0.0,
+                                   atol=1e-5)
+
+
+def test_split_shell_matches_one_shell():
+    # the depth-12 well as two equal shells meeting at r = 0.5
+    one = RadialPotential.square_well(12.0)
+    two = RadialPotential(shells=((0.0, 0.5, -12.0), (0.5, 1.0, -12.0)))
+    lams = np.geomspace(1e-4, 1e4, 40)
+    np.testing.assert_allclose(phase_shift_rows(two, lams, 120),
+                               phase_shift_rows(one, lams, 120),
+                               rtol=0.0, atol=1e-12)
+    a, b = levinson.levinson_verify(one, 3), levinson.levinson_verify(two, 3)
+    assert (a.verdict, a.N) == (b.verdict, b.N) == ("pass", 4)
 
 
 def test_radial_potential_array_call_matches_scalar_calls():
