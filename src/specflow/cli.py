@@ -124,8 +124,9 @@ def _well_potential(dim, spec):
 def potential_from_file(path):
     """Structured potential file: JSON with either 1D segments
     ("dimension" 1, the default) or a 3D radial description ("dimension" 3;
-    constant depth or sampled (r, v) grid).  Any other "dimension" is
-    UnsupportedDimension."""
+    a constant depth, or (r, v) samples whose linear interpolation is
+    taken at the midpoints of RadialPotential.from_callable's shells).
+    Any other "dimension" is UnsupportedDimension."""
     return _load(path, "potential file", _potential)
 
 
@@ -145,8 +146,8 @@ def _potential(fh):
                                            radius=radius)
     samples = np.asarray(doc["samples"], dtype=float)
     r_s, v_s = samples[:, 0], samples[:, 1]
-    # np.interp needs strictly increasing radii; a NaN would reach the
-    # radial recursion as an IntegrationFailure
+    # np.interp needs strictly increasing radii; the error names the first
+    # sample that breaks this or is not finite
     bad = ~np.isfinite(samples).all(axis=1)
     bad[1:] |= r_s[1:] <= r_s[:-1]
     if bad.any():
@@ -154,11 +155,8 @@ def _potential(fh):
         raise SpecflowError(f"radial samples must be finite with strictly "
                             f"increasing radii; sample {i} is "
                             f"{samples[i].tolist()}")
-
-    def v_of_r(r):
-        return np.interp(r, r_s, v_s)
-
-    return RadialPotential(v_of_r=v_of_r, radius=radius)
+    return RadialPotential.from_callable(lambda r: np.interp(r, r_s, v_s),
+                                         radius)
 
 
 def path_from_spec(spec):

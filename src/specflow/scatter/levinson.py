@@ -114,7 +114,7 @@ DEFAULT_POINTS = 400
 RESIDUAL_TOL = 0.05
 # upper wavenumber edges of the bands of a phase table that share one
 # angular cutoff (the top of the grid closes the last band); each band
-# costs a radial recursion, whose per-node overhead outweighs the cut
+# costs one batched radial sweep, whose fixed cost outweighs the cut
 # beyond a few bands
 K_BANDS = (2.0, 20.0)
 # the rows at the bottom of the wavenumber grid that fix the slope at k_min
@@ -382,7 +382,7 @@ class ChannelData:
     counting (phase_shift_rows), so the table needs no unwinding and each
     row stands alone.  The grid is split into the wavenumber bands closed
     by K_BANDS, and each band is swept once, in one batched radial
-    recursion over the channels up to its own cutoff, choose_lmax at the
+    sweep over the channels up to its own cutoff, choose_lmax at the
     band's top energy; the table holds 0.0 above it.  One choose_lmax
     sweep over the top energies of the bands that meet the grid gives
     every cutoff, and lmax is the cutoff at the top of the grid.

@@ -7,24 +7,26 @@ are exact; callables are discretized into fine segments.  Radial potentials
 are potentials on R^3 that depend on r = |x| only, and their moments over
 R^3 are 4 pi times the radial moments with the weight r^2.
 
-A radial potential is either a callable plus support radius, or a tuple
-of constant shells, `RadialPotential(shells=((0, r1, v1), (r1, r2, v2),
-...))`, contiguous from the origin to the support radius;
-`RadialPotential.square_well` builds one shell.  The radial solver gives
-a shell potential its phase shifts in closed form, one pair of
-Riccati-Bessel functions per shell, and its moments are exact sums over
-the shells.  A callable (a sampled or smooth profile) has no closed form:
-its phase shifts come from Numerov integration and its moments from
-quadrature.
+A radial potential is a tuple of constant shells,
+`RadialPotential(shells=((0, r1, v1), (r1, r2, v2), ...))`, contiguous
+from the origin to the support radius.  `RadialPotential.square_well`
+builds one shell, and `RadialPotential.from_callable` samples a profile
+at the midpoints of CALLABLE_SHELLS equal shells, as
+`Potential1D.from_callable` samples segments.  The radial solver gives
+every radial potential its phase shifts and its zero-energy solution in
+closed form, one pair of Riccati-Bessel functions per shell, and its
+moments are exact sums over the shells.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from ..errors import SpecflowError
+
+# shells of RadialPotential.from_callable
+CALLABLE_SHELLS = 100
 
 
 def _check_pieces(pieces, kind):
@@ -103,54 +105,23 @@ class Potential1D:
 
 @dataclass(frozen=True)
 class RadialPotential:
-    """Real radial potential on R^3, zero outside r > radius.
+    """Real radial potential on R^3, zero from the support radius on.
 
-    Give either v_of_r and radius, or shells.
-
-    v_of_r : callable evaluated on a whole array of radii at once, all in
-        [0, radius), returning an array of the same shape (or a scalar for a
-        constant potential); the moment quadratures also call it with a
-        single float.  Write it with numpy operations (np.where, np.interp,
-        ...) rather than Python conditionals.
     shells : tuple of (r0, r1, v) with r0 < r1, contiguous and sorted, the
-        first from r0 = 0; the last r1 is the radius, and v_of_r is built
-        from the shells.
+        first from r0 = 0; the last r1 is the support radius.
     """
 
     dimension = 3
-    v_of_r: object = None
-    radius: float = None
-    shells: tuple = None
+    shells: tuple
 
     def __post_init__(self):
-        if self.shells is not None:
-            self._set_from_shells()
-        elif self.v_of_r is None:
-            raise SpecflowError("a radial potential needs v_of_r or shells")
-        if not (self.radius is not None and np.isfinite(self.radius)
-                and self.radius > 0):
-            raise SpecflowError(f"support radius must be finite and "
-                                f"positive, got {self.radius}")
-
-    def _set_from_shells(self):
-        if self.v_of_r is not None:
-            raise SpecflowError("give v_of_r or shells, not both")
         shells = tuple((float(a), float(b), float(v))
                        for a, b, v in self.shells)
         _check_pieces(shells, "shell")
         if shells[0][0] != 0.0:
             raise SpecflowError(f"the first shell must start at r = 0, "
                                 f"got {shells[0][0]}")
-        radius = shells[-1][1]
-        if self.radius is not None and self.radius != radius:
-            raise SpecflowError(f"radius {self.radius} is not the last "
-                                f"shell's end {radius}")
-        edges = np.array([s[1] for s in shells[:-1]])
-        values = np.array([s[2] for s in shells])
         object.__setattr__(self, "shells", shells)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "v_of_r", lambda r: values[
-            np.searchsorted(edges, r, side="right")])
 
     @classmethod
     def square_well(cls, depth, radius=1.0):
@@ -160,24 +131,47 @@ class RadialPotential:
             raise SpecflowError(f"well depth must be finite, got {depth}")
         return cls(shells=((0.0, float(radius), -d),))
 
+    @classmethod
+    def from_callable(cls, f, radius):
+        """f on [0, radius) as CALLABLE_SHELLS equal shells, each holding f
+        at its midpoint; neighbours of equal value merge into one shell.
+        f is called once, on the array of midpoints, and returns an array
+        of their shape or a scalar for a constant potential."""
+        R = float(radius)
+        if not (np.isfinite(R) and R > 0):
+            raise SpecflowError(f"support radius must be finite and "
+                                f"positive, got {radius}")
+        edges = np.linspace(0.0, R, CALLABLE_SHELLS + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        vals = np.broadcast_to(np.asarray(f(mids), dtype=float), mids.shape)
+        # the first shell of each run of equal values
+        first = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+        ends = np.r_[edges[first[1:]], R]
+        return cls(shells=tuple(zip(edges[first].tolist(), ends.tolist(),
+                                    vals[first].tolist())))
+
+    @property
+    def radius(self):
+        return self.shells[-1][1]
+
+    @cached_property
+    def _steps(self):
+        """The shell ends, and the shell values followed by the zero
+        beyond the radius."""
+        shells = np.array(self.shells)
+        return shells[:, 1], np.append(shells[:, 2], 0.0)
+
     def __call__(self, r):
-        """V at r (a float or an array of radii), with one call of v_of_r
-        on the radii inside the support; zero from the radius on."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape)
-        inside = r < self.radius
-        out[inside] = self.v_of_r(r[inside])
+        """V at r, a float or an array of radii; zero from the radius on."""
+        ends, values = self._steps
+        out = values[np.searchsorted(ends, np.asarray(r, dtype=float),
+                                     side="right")]
         return float(out) if out.ndim == 0 else out
 
     def _moment(self, power):
-        """Integral of V^power over R^3: an exact sum over the shells, or
-        quadrature of a callable."""
-        if self.shells is not None:
-            return float(4.0 * np.pi / 3.0 * sum(
-                v ** power * (r1 ** 3 - r0 ** 3) for r0, r1, v in self.shells))
-        val, _ = quad(lambda r: self.v_of_r(r) ** power * r ** 2, 0.0,
-                      self.radius, limit=400)
-        return float(4.0 * np.pi * val)
+        """Integral of V^power over R^3, an exact sum over the shells."""
+        return float(4.0 * np.pi / 3.0 * sum(
+            v ** power * (r1 ** 3 - r0 ** 3) for r0, r1, v in self.shells))
 
     def integral(self):
         """Integral of V over R^3."""

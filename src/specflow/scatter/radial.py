@@ -1,46 +1,25 @@
 """Radial Schrödinger scattering in three dimensions.
 
-Partial-wave phase shifts solve the reduced radial equation u'' =
-(l(l+1)/r^2 + V - lam) u in one of two ways, chosen by the potential:
+Every radial potential is a tuple of constant shells (`RadialPotential`),
+and the reduced radial equation u'' = (l(l+1)/r^2 + V - lam) u has its
+solution in closed form at every energy, lam = 0 included (`_carry`).
+Inside a shell the solution is a pair of Riccati-Bessel functions of q r,
+q = sqrt(|lam - v|), of the modified functions where v > lam, or r^{l+1}
+and r^-l where v = lam.  The signed pair (u, u') is carried across each
+boundary and its zeros counted from the monotone Riccati-Bessel phase
+(Calogero's variable phase).  A whole (energies x channels) array takes a
+few vectorized Bessel evaluations per shell and no step size.  Where the
+irregular function overflows, deep inside the centrifugal barrier, only
+its log-derivative -l/r enters (the ratio form of Johnson's log-derivative
+method), so every channel stays finite.
 
-* A potential of constant shells (`RadialPotential(shells=...)`, and every
-  `RadialPotential.square_well`) has them in closed form, `_shell_rows`.
-  Inside a shell the solution is a pair of Riccati-Bessel functions of q r,
-  q = sqrt(|lam - v|), or of the modified functions where v > lam.  The
-  signed pair (u, u') is carried across each boundary, its zeros counted
-  from the monotone Riccati-Bessel phase (Calogero's variable phase), and
-  its coordinates in the free pair at the support radius give the shift
-  on the absolute branch.  A whole (energies x channels) array takes a
-  few vectorized Bessel evaluations per shell and no step size.  Where
-  the irregular function overflows, deep inside the centrifugal barrier,
-  only its log-derivative -l/r enters (the ratio form of Johnson's
-  log-derivative method), so every channel stays finite.
-* A bare callable (a smooth or sampled profile) has no closed form yet
-  (linear or sampled pieces would need Airy functions or a
-  constant-perturbation method), and its shifts come from Numerov
-  integration.  The recursion is sequential in r but elementwise over
-  energies and channels, so one sweep, `_numerov`, advances an energies x
-  channels array node by node: each energy keeps its own step, grid length,
-  renormalization cut-off and recorded nodes.  The sweep takes its nodes in
-  blocks: the Numerov coefficients of a whole block come from one array
-  pass, capped at BLOCK_ELEMENTS entries per array, and only the three-term
-  update of u, the one step that depends on the previous node, runs once
-  per node.  Matching uses the solution at two radii in the force-free
-  region against Riccati-Bessel functions, which needs no normalization of
-  u and no derivative estimate.  Each node takes the mean of V at the two
-  half-step points beside it, which restores at a jump the accuracy that a
-  naive node sample loses; only half-step points inside the support are
-  evaluated, once per distinct step and in one call of V per sweep.
-
-The zero-energy solution behind the bound-state counts and the threshold
-statistics is a Numerov sweep for every potential (`_zero_energy_radial`):
-the classification of wells at exactly critical depths rests on this
-sweep's statistics, which the tests pin.
-
-Both ways give every row of `phase_shift_rows` on the absolute branch,
-where delta_l(inf) = 0, from the zeros of u (Pruefer's oscillation count;
-`_sweep_rows`), with no unwinding over an energy grid.  `phase_shifts_3d`
-reports the principal branch.
+At lam > 0 the coordinates of (u, u') in the free pair at the support
+radius give every row of `phase_shift_rows` on the absolute branch, where
+delta_l(inf) = 0, from the zero count (Pruefer's oscillation count), with
+no unwinding over an energy grid; `phase_shifts_3d` reports the principal
+branch.  At lam = 0 the same carry gives u(R), u'(R) and the zeros inside
+the support, behind the bound-state counts and the threshold statistics
+(`_zero_energy_radial`).
 """
 
 import numpy as np
@@ -53,214 +32,10 @@ from ..errors import (
 )
 from .onedim import FD_BOX, FD_POINTS, _fd_count
 
-RENORM_EVERY = 100
-# entries per array of f, A and B formed for one block of nodes
-BLOCK_ELEMENTS = 65536
 # a channel whose phase shift stays below this is negligible
 CHANNEL_TOL = 1e-8
 # the top channel of the threshold statistics
 THRESHOLD_LMAX = 3
-
-
-def _grid(V, lams):
-    """Step sizes and node counts per energy: (h, n_in, n_tot).
-
-    Each grid hits the support radius exactly at node n_in and continues
-    half a wavelength (capped) into the free region, to node n_tot.
-    """
-    k = np.sqrt(lams)
-    h_target = np.minimum(1e-3, 1.0 / (50.0 * k))
-    n_in = np.ceil(V.radius / h_target).astype(int)
-    h = V.radius / n_in
-    margin = np.maximum(10 * h, np.minimum(1.0, np.pi / (2.0 * k)))
-    n_out = np.ceil(margin / h).astype(int)
-    return h, n_in, n_in + n_out
-
-
-def _node_potential(V, steps, n_in):
-    """Node samples v[i, g] of V at r = i steps[g], i = 0..max(n_in).
-
-    Node i takes 0.5 (V((i - 1/2) h) + V((i + 1/2) h)).  The half-step
-    points (j + 1/2) h with j >= n_in[g] lie beyond the support radius,
-    where V is zero, and are not evaluated; rows past a step's own radius
-    node hold zeros.  All steps share one call of V.
-    """
-    v = np.zeros((int(np.max(n_in)) + 1, len(steps)))
-    vals = V(np.concatenate([(np.arange(n) + 0.5) * h
-                             for h, n in zip(steps, n_in)]))
-    start = 0
-    for g, n in enumerate(n_in):
-        mids = np.append(vals[start:start + n], 0.0)
-        v[1:n + 1, g] = 0.5 * (mids[:-1] + mids[1:])
-        start += n
-    return v
-
-
-def _numerov(lams, hs, ns, v_nodes, group, lmax, records):
-    """Numerov recursion for an (energies x channels) array of solutions.
-
-    Energy e runs on nodes r_i = i hs[e], i = 0..ns[e], with node
-    potential v_nodes[i, group[e]] (zero past the last row of v_nodes), so
-    f = u''/u = l(l+1)/r^2 + v - lams[e].  Node 0 is unused (the
-    centrifugal term is singular at the origin).  Starting values implement
-    u ~ r^{l+1} (1 + c r^2) with c from the leading Taylor correction.
-    Columns are renormalized periodically so steep centrifugal growth
-    cannot overflow; renormalization stops before the first recorded node
-    of each energy, so ratios of recorded values are exact.  Energies drop
-    out of the sweep at their own last node.
-
-    The nodes are taken in blocks.  For each block, f and the Numerov
-    coefficients A = 1 - h^2 f / 12 and B = 2 + 5 h^2 f / 6 of every node
-    are formed in one pass over a (nodes, energies, channels) array; only
-    the three-term update u_{i+1} = (B_i u_i - A_{i-1} u_{i-1}) / A_{i+1}
-    then runs node by node, into the block's own array of u rows.  A block
-    holds at most BLOCK_ELEMENTS entries per array, so memory stays flat in
-    the batch size, and ends after a renormalization node or at the last
-    node of the next energy to finish, so the set of running energies is
-    fixed inside it.  Every entry is the same floating-point operation on
-    the same operands as in a node-by-node sweep, so the blocking does not
-    change any result.
-
-    records[e] lists the nodes (>= 3) whose solution rows are returned as
-    out[e, j] = u(records[e, j]) over channels 0..lmax.  The sign changes
-    of u over nodes 1..ns[e] (changes of u < 0, so a node where u is
-    exactly zero is not counted twice) are counted per channel, once per
-    block over its stored rows, except those into a node where A <= 0:
-    there the recursion, not the solution, flips the sign (at node 3 for
-    l >= 10).  Returns (out, changes).
-    """
-    E = len(lams)
-    ells = np.arange(lmax + 1)
-    cent = ells * (ells + 1.0)
-    records = np.asarray(records)
-    first = records.min(axis=1)
-    if np.any(first < 3):
-        raise IntegrationFailure("recorded tail longer than the grid")
-
-    # sorted by grid length, the energies still running form a prefix
-    order = np.argsort(-np.asarray(ns), kind="stable")
-    lam, h, n, grp = lams[order], hs[order], ns[order], group[order]
-    records = records[order]
-    no_renorm_from = n - np.maximum(n - first[order] + 1, 8) - 2
-    hh12 = (h * h / 12.0)[:, None]
-    hh56 = (5.0 * h * h / 6.0)[:, None]
-    last_v = v_nodes.shape[0] - 1
-
-    def w_rows(nodes, m):
-        # v - lam at the given nodes, for the first m energies
-        v = np.zeros((len(nodes), m))
-        inside = nodes <= last_v
-        v[inside] = v_nodes[nodes[inside][:, None], grp[:m]]
-        return v - lam[:m]
-
-    hc = h[:, None]
-    cent_1 = cent / (hc * hc)
-    f1 = cent_1 + w_rows(np.array([1]), E)[0][:, None]
-    # Taylor start u ~ r^{l+1}(1 + c r^2): c uses the potential part of f
-    # only, not the centrifugal term already accounted for by the power law
-    c = (f1 - cent_1) / (4.0 * ells + 6.0)
-    u_prev = (1.0 + c * hc * hc) * np.exp(-(ells + 1.0) * np.log(2.0))
-    u_cur = 1.0 + 4.0 * c * hc * hc
-    f2 = cent / ((2 * hc) * (2 * hc)) + w_rows(np.array([2]), E)[0][:, None]
-    # (energies x channels) rows: scratch, and the A and B rows a block
-    # carries over from the one before it
-    tmp = np.empty_like(u_cur)
-    A_prev, A_cur, B_cur = 1.0 - hh12 * f1, 1.0 - hh12 * f2, 2.0 + hh56 * f2
-    # block arrays: at least one node row; the u rows of a block follow the
-    # two rows before it
-    buf_a = np.empty(max(BLOCK_ELEMENTS, u_cur.size))
-    buf_b = np.empty_like(buf_a)
-    buf_u = np.empty(buf_a.size + 2 * u_cur.size)
-
-    changes = (((u_prev < 0) != (u_cur < 0)) & (A_cur > 0)).astype(int)
-    # node -> (energies, slots) recorded there
-    by_node = {}
-    for (e, j), node in np.ndenumerate(records):
-        es, js = by_node.setdefault(int(node), ([], []))
-        es.append(e)
-        js.append(j)
-    out = np.empty((E, records.shape[1], lmax + 1))
-
-    def check_finite(rows):
-        if not (np.all(np.isfinite(u_prev[rows]))
-                and np.all(np.isfinite(u_cur[rows]))):
-            raise IntegrationFailure(
-                "radial recursion produced non-finite values")
-
-    m = E
-    i = 2
-    while i < n[0]:
-        # energies whose last node is i are complete
-        m_run = m
-        while n[m_run - 1] <= i:
-            m_run -= 1
-        if m_run < m:
-            check_finite(slice(m_run, m))
-            m = m_run
-        # the block: iterations i..end - 1, which advance u to nodes
-        # i + 1..end; it stops after a renormalization iteration and at
-        # the last node of the shortest running grid
-        renorm_at = -(-i // RENORM_EVERY) * RENORM_EVERY
-        end = min(i + max(1, BLOCK_ELEMENTS // (m * (lmax + 1))),
-                  int(n[m - 1]), renorm_at + 1)
-        nodes = np.arange(i + 1, end + 1)
-        # f, A and B at every node of the block, as (nodes, energies,
-        # channels) arrays; f is formed in B
-        shape = (len(nodes), m, lmax + 1)
-        A = buf_a[:len(nodes) * m * (lmax + 1)].reshape(shape)
-        B = buf_b[:A.size].reshape(shape)
-        r = h[:m] * nodes[:, None]
-        np.divide(cent, (r * r)[:, :, None], out=B)
-        B += w_rows(nodes, m)[:, :, None]
-        np.multiply(hh12[:m], B, out=A)
-        np.subtract(1.0, A, out=A)
-        np.multiply(hh56[:m], B, out=B)
-        B += 2.0
-        # u at nodes i - 1..end
-        U = buf_u[:A.size + 2 * m * (lmax + 1)].reshape(
-            (len(nodes) + 2, m, lmax + 1))
-        U[0] = u_prev[:m]
-        U[1] = u_cur[:m]
-
-        rows, t = list(U), tmp[:m]
-        a_prev, a_cur, b_cur = A_prev[:m], A_cur[:m], B_cur[:m]
-        for j, (node, a_next, b_next) in enumerate(zip(nodes.tolist(), A,
-                                                       B)):
-            up, uc, un = rows[j], rows[j + 1], rows[j + 2]
-            np.multiply(b_cur, uc, out=un)
-            np.multiply(a_prev, up, out=t)
-            un -= t
-            un /= a_next
-            a_prev, a_cur, b_cur = a_cur, a_next, b_next
-            hit = by_node.get(node)
-            if hit is not None:
-                out[hit] = un[hit[0]]
-        # the block's sign changes, each into a node where A > 0
-        neg = U[1:] < 0
-        flips = neg[1:] != neg[:-1]
-        flips &= A > 0
-        changes[:m] += np.count_nonzero(flips, axis=0)
-        u_prev[:m] = U[-2]
-        u_cur[:m] = U[-1]
-        # a_prev is A_cur's rows when the block is one node long
-        A_prev[:m] = a_prev
-        A_cur[:m] = a_cur
-        B_cur[:m] = b_cur
-
-        i = end
-        if (i - 1) % RENORM_EVERY == 0:
-            renorm = i - 1 < no_renorm_from[:m]
-            if np.any(renorm):
-                scale = np.maximum(np.maximum(np.abs(u_prev[:m]),
-                                              np.abs(u_cur[:m])), 1e-280)
-                scale[~renorm] = 1.0
-                u_prev[:m] /= scale
-                u_cur[:m] /= scale
-    check_finite(slice(0, m))
-
-    back = np.empty_like(order)
-    back[order] = np.arange(E)
-    return out[back], changes[back]
 
 
 def _level(angle, neg):
@@ -402,17 +177,10 @@ def _cross_shell(u, du, w, r0, r1, lmax):
             zeros)
 
 
-def _shell_rows(V, lams, lmax):
-    """(principal, branch) of every row of a shell potential in closed
-    form, as _sweep_rows returns them.
-
-    The solution is carried across the shells as a signed pair (u, u'),
-    counting its zeros.  At the support radius R its coordinates (a, b) in
-    the free pair (S, C) of k r give u = |(a, b)| |(S, C)| sin(phi +
-    delta), delta = atan2(b, a) + 2 pi m, and on the absolute branch,
-    where delta_l(inf) = 0, floor((phi(k R) + delta) / pi) is the zero
-    count on (0, R]; m follows, the sign of u(R) fixing the floor where
-    phi + delta is a multiple of pi to rounding."""
+def _carry(V, lams, lmax):
+    """The regular solution at every energy in lams (lam >= 0) carried
+    across the shells of V: (u, u') at the support radius, each row scaled
+    by a positive factor, and the zeros of u on (0, R]."""
     u = np.ones((len(lams), lmax + 1))
     du = np.zeros_like(u)
     zeros = np.zeros(u.shape, dtype=int)
@@ -424,6 +192,19 @@ def _shell_rows(V, lams, lmax):
                 u[e], du[e], z = _cross_shell(u[e], du[e], w[e], r0, r1,
                                               lmax)
                 zeros[e] += z
+    return u, du, zeros
+
+
+def _shell_rows(V, lams, lmax):
+    """(principal, branch) of every row, as _sweep_rows returns them.
+
+    At the support radius R the coordinates (a, b) of the carried solution
+    in the free pair (S, C) of k r give u = |(a, b)| |(S, C)| sin(phi +
+    delta), delta = atan2(b, a) + 2 pi m, and on the absolute branch,
+    where delta_l(inf) = 0, floor((phi(k R) + delta) / pi) is the zero
+    count on (0, R]; m follows, the sign of u(R) fixing the floor where
+    phi + delta is a multiple of pi to rounding."""
+    u, du, zeros = _carry(V, lams, lmax)
     k = np.sqrt(lams)[:, None]
     free = _riccati_pair(k * V.radius, k, lmax)
     a, b = _coefficients(u, du, free, V.radius)
@@ -435,55 +216,15 @@ def _shell_rows(V, lams, lmax):
 
 
 def _sweep_rows(V, lams, lmax):
-    """One batched sweep over every energy in lams: (principal, branch),
-    the matched shifts delta_l in (-pi/2, pi/2] and the integers j with
-    delta_l + j pi on the absolute branch, where delta_l(inf) = 0.  A
-    shell potential's rows are closed-form (`_shell_rows`); a callable's
-    come from one Numerov sweep, as follows.
-
-    Beyond the support u = S cos delta + C sin delta = |(S, C)| sin(phi +
-    delta), with phi the free Riccati phase (the continuous angle of
-    (S, C), zero at the origin), so u vanishes where phi + delta crosses a
-    multiple of pi.  On the absolute branch phi + delta is the solution's
-    oscillation angle (Pruefer's), and u has floor((phi + delta) / pi)
-    zeros on (0, r].  With n_u the sign changes of u over the sweep, x_b
-    the last node's k r and n_free the zeros of j_l on (0, x_b], phi(x_b)
-    = n_free pi + (angle of (S, C) mod pi), and j = n_u - floor((phi(x_b)
-    + delta) / pi)."""
+    """(principal, branch) at every energy in lams: the shifts delta_l in
+    (-pi/2, pi/2] and the integers j with delta_l + j pi on the absolute
+    branch, where delta_l(inf) = 0."""
     lams = np.asarray(lams, dtype=float)
     bad = lams[~(lams > 0)]
     if bad.size:
         raise EnergyNonpositive(f"scattering energy must be positive, "
                                 f"got {bad[0]}")
-    if V.shells is not None:
-        return _shell_rows(V, lams, lmax)
-    h, n_in, n_tot = _grid(V, lams)
-    steps, first, group = np.unique(h, return_index=True,
-                                    return_inverse=True)
-    v_nodes = _node_potential(V, steps, n_in[first])
-
-    # the two matching nodes: midway through the free margin, and the end
-    idx_a = np.maximum(n_in + (n_tot - n_in) // 2, n_in + 2)
-    rows, changes = _numerov(lams, h, n_tot, v_nodes, group, lmax,
-                             np.stack([idx_a, n_tot], axis=1))
-    u_a, u_b = rows[:, 0], rows[:, 1]
-
-    k = np.sqrt(lams)[:, None]
-    x_b = k * (h * n_tot)[:, None]
-    sa, _, ca, _ = _riccati_pair(k * (h * idx_a)[:, None], k, lmax)
-    sb, _, cb, _ = _riccati_pair(x_b, k, lmax)
-    with np.errstate(over="ignore", invalid="ignore"):
-        num = u_b * sa - u_a * sb
-        den = u_a * cb - u_b * ca
-        delta = np.arctan2(num, den)
-    delta = np.where(delta > np.pi / 2, delta - np.pi, delta)
-    delta = np.where(delta <= -np.pi / 2, delta + np.pi, delta)
-    # overflow of the irregular Bessel branch only happens far inside the
-    # centrifugally forbidden regime, where the true shift is below any
-    # representable size and u has no zero
-    delta = np.where(np.isfinite(delta), delta, 0.0)
-    phi = _phase(x_b, sb, cb)
-    return delta, changes - np.floor((phi + delta) / np.pi).astype(int)
+    return _shell_rows(V, lams, lmax)
 
 
 def phase_shift_rows(V, lams, lmax):
@@ -514,31 +255,11 @@ def smatrix_diag_radial(V, lam, lmax):
 
 
 def _zero_energy_radial(V, lmax):
-    """Numerov λ=0 sweep to the support radius for channels 0..lmax, for
-    shell potentials too: the threshold classification at exactly
-    critical depths rests on the statistics of this sweep.
-
-    Returns (u(R), u'(R), interior sign-change counts).  The derivative is
-    a one-sided five-point estimate on the renormalization-free tail.
-    """
-    h_target = 1e-3
-    n_in = int(np.ceil(V.radius / h_target))
-    h = V.radius / n_in
-    v = _node_potential(V, [h], [n_in])
-    # the sweep ends exactly at the support edge, so the final node takes
-    # the one-sided interior limit, not the jump average; the averaged
-    # value perturbs u(R) by O(h^2 v0) and the one-sided derivative
-    # stencil amplifies that by 1/h
-    v[-1] = V(V.radius * (1.0 - 1e-12))
-
-    out, changes = _numerov(np.zeros(1), np.array([h]), np.array([n_in]), v,
-                            np.zeros(1, dtype=int), lmax,
-                            np.arange(n_in - 4, n_in + 1)[None, :])
-    rows = out[0]
-    u_R = rows[-1]
-    du_R = (25.0 * rows[-1] - 48.0 * rows[-2] + 36.0 * rows[-3]
-            - 16.0 * rows[-4] + 3.0 * rows[-5]) / (12.0 * h)
-    return u_R, du_R, changes[0]
+    """The zero-energy solution for channels 0..lmax, carried across the
+    shells with w = -v: (u(R), u'(R), zeros of u on (0, R]), up to one
+    positive factor per channel, which no statistic built on it reads."""
+    u, du, zeros = _carry(V, np.zeros(1), lmax)
+    return u[0], du[0], zeros[0]
 
 
 def _exterior_coefficients(u, du, R):
@@ -550,12 +271,13 @@ def _exterior_coefficients(u, du, R):
 
 
 def _tail_zero_radial(u, du, R):
-    """Whether A r^{l+1} + B r^{-l} has a zero beyond R, channelwise: it
-    lies at (-B/A)^{1/(2l+1)}, beyond R iff -bb/aa > 1."""
-    aa, bb = _exterior_coefficients(u, du, R)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = -bb / aa > 1.0
-    return np.where(aa != 0.0, cond, False)
+    """Whether A r^{l+1} + B r^{-l} has a zero beyond R, channelwise.
+    Times r^l it is monotone in r^{2l+1}, (2l+1) u(R) R^l = aa + bb at R
+    and of the sign of aa far out, so it has one iff u(R) and aa are
+    nonzero and of opposite signs.  Signs, not the ratio -bb/aa against
+    1, decide, so a zero within rounding of R is still seen."""
+    aa, _ = _exterior_coefficients(u, du, R)
+    return (u != 0.0) & (aa != 0.0) & (np.signbit(u) != np.signbit(aa))
 
 
 def _threshold_statistics(V, zero):
@@ -670,7 +392,7 @@ def choose_lmax(V, lam_max):
     about N_l pi at low energy, not a small principal value.
 
     lam_max may also be an array of energies: all of them are swept in one
-    batched recursion and the cutoffs come back as an int array.  Each
+    batch and the cutoffs come back as an int array.  Each
     energy reads only its own channels 0..trial, which the sweep computes
     exactly as a sweep over those channels alone would.
     """

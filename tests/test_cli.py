@@ -8,6 +8,7 @@ from specflow.cli import main, potential_from_file
 from specflow.rdet import logdet_p_vs_logdet
 from specflow.upath import UnitaryPath, model_loop
 from specflow.scatter import ChannelData, RadialPotential, levinson
+from specflow.scatter.potentials import CALLABLE_SHELLS
 
 
 def run_lines(argv, capsys):
@@ -416,9 +417,22 @@ def test_sampled_radial_potential_file(tmp_path):
                                "samples": [[0.0, -4.0], [0.5, -2.0],
                                            [1.0, 0.0]]}))
     V = potential_from_file(str(pot))
-    r = np.array([0.0, 0.25, 0.75, 1.0, 2.0])
-    assert np.allclose(V(r), [-4.0, -3.0, -1.0, 0.0, 0.0], atol=1e-15)
-    assert V(0.25) == -3.0
+    # the linear interpolation of the samples, taken at the midpoints of
+    # equal shells: constant on each shell, not linear between samples
+    edges = np.linspace(0.0, 1.0, CALLABLE_SHELLS + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    want = np.interp(mids, [0.0, 0.5, 1.0], [-4.0, -2.0, 0.0])
+    assert V.radius == 1.0
+    assert len(V.shells) == CALLABLE_SHELLS
+    np.testing.assert_allclose([v for _, _, v in V.shells], want, rtol=0.0,
+                               atol=1e-15)
+    np.testing.assert_array_equal([s[0] for s in V.shells], edges[:-1])
+    # inside a shell V holds its midpoint value; zero from the radius on
+    r = np.array([0.0, 0.2501, 0.75, 1.0, 2.0])
+    np.testing.assert_allclose(V(r), [want[0], want[25], want[75], 0.0, 0.0],
+                               rtol=0.0, atol=1e-15)
+    # the sample at r = 0 is not a value of V
+    assert V(0.0) == want[0] == -3.98
 
 
 @pytest.mark.parametrize("samples, first", [

@@ -662,6 +662,24 @@ def test_levinson_3d_resonant_well():
     assert abs(pw["delta0_drop"] - np.pi / 2.0) < 1e-2 * np.pi
 
 
+def test_levinson_3d_exact_second_s_threshold():
+    # the float depth (3 pi / 2)^2 lies 5.2e-16 below the depth at which
+    # the second s-state enters, so the well holds one state each in
+    # l = 0, 1 and 2 (N = 9) and its s-wave sits at a zero-energy
+    # resonance.  bench/references.bound_states_3d_square_well reads 10
+    # here: its floor(kappa / pi + 1/2) rounds the s-count up at the exact
+    # threshold, so it is no reference at exact threshold depths
+    mp = pytest.importorskip("mpmath")
+    depth = (1.5 * np.pi) ** 2
+    with mp.workdps(30):
+        assert mp.mpf(depth) < (3 * mp.pi / 2) ** 2
+    rep = levinson_verify(RadialPotential.square_well(depth), 3)
+    assert rep.verdict == "pass"
+    assert rep.N == 9
+    assert rep.classification == "s_resonance"
+    assert rep.per_wave["channel_counts"][:4] == [1, 1, 1, 0]
+
+
 @pytest.mark.parametrize("depth,N,channels", [
     (20.0, 4, {0: -1, 1: -1}),
     (30.0, 10, {0: -2, 1: -1, 2: -1}),

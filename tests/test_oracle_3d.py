@@ -1,4 +1,4 @@
-"""Closed-form oracle for 3D square wells, in mpmath.
+"""Closed-form oracles for 3D shell potentials, in mpmath.
 
 The well -V0 on r < R holds in channel l the regular solution
 u = S(qr), q = sqrt(k^2 + V0), with the Riccati-Bessel pair
@@ -13,7 +13,11 @@ Beyond R, u = |(S, C)| sin(phi(kr) + delta) with phi the continuous angle
 of (S, C), zero at the origin, and on the branch where delta(inf) = 0 the
 zeros of u on (0, R] number floor((phi(kR) + delta) / pi).  Those zeros are
 the zeros of j_l on (0, qR], and phi(kR) = pi n + (angle of (S, C)(kR)
-mod pi) with n the zeros of j_l on (0, kR].  No Numerov step enters.
+mod pi) with n the zeros of j_l on (0, kR].
+
+`shell_shift` gives the principal shift of any shell potential by a
+30-digit transfer of the regular solution across the shells.  Neither
+oracle calls the package's radial code.
 """
 
 import functools
@@ -25,7 +29,11 @@ from scipy.interpolate import CubicSpline
 
 from specflow.scatter import RadialPotential, choose_lmax, high_energy_poly
 from specflow.scatter.levinson import SLOPE_ROWS, _end_rows, _table_routes
-from specflow.scatter.radial import CHANNEL_TOL, phase_shift_rows
+from specflow.scatter.radial import (
+    CHANNEL_TOL,
+    phase_shift_rows,
+    threshold_statistics_radial,
+)
 from test_levinson import WELL3_ROUTES
 
 mp = pytest.importorskip("mpmath")
@@ -34,10 +42,8 @@ RADIUS = 1.0
 K_MIN, K_MAX = 1e-2, 100.0
 # three interior wavenumbers, spread over the grid's decades
 K_INTERIOR = [0.5, 3.0, 20.0]
-# a square well is one shell, whose rows are closed-form: their largest
-# miss on these wells is 2e-14 (depth 200).  Numerov rows, which the wells'
-# callable twins take, miss by up to 8.1e-5 (depth 100, k = 3); a wrong
-# branch misses by pi
+# the package's closed-form rows miss these wells by at most 2e-14 (depth
+# 200); a wrong branch misses by pi
 TOL = 1e-12
 
 
@@ -86,6 +92,70 @@ def oracle_shift(depth, k, ell):
         inside = _zeros_up_to(ell, q * RADIUS)
         branch = inside - mp.floor((phi + principal) / mp.pi)
         return float(principal + branch * mp.pi)
+
+
+def _shell_pair(w, r, ell):
+    """(F, F', G, G') at r of u'' = (l(l+1)/r^2 - w) u in a shell of
+    constant w, r-derivatives: the Riccati-Bessel pair sqrt(pi x / 2)
+    (J, -Y)_{l+1/2}(x) of x = sqrt(w) r where w > 0, the modified pair
+    sqrt(x) (I, K)_{l+1/2}(x) of x = sqrt(-w) r where w < 0, and
+    (r^{l+1}, r^-l) where w = 0."""
+    if w == 0:
+        return (r ** (ell + 1), (ell + 1) * r ** ell, r ** -ell,
+                -ell * r ** (-ell - 1))
+    q = mp.sqrt(abs(w))
+    x = q * r
+    if w > 0:
+        f = mp.sqrt(mp.pi * x / 2)
+        jl, jm = mp.besselj(ell + 0.5, x), mp.besselj(ell - 0.5, x)
+        yl, ym = mp.bessely(ell + 0.5, x), mp.bessely(ell - 0.5, x)
+        return (f * jl, q * f * (jm - ell * jl / x),
+                -f * yl, -q * f * (ym - ell * yl / x))
+    f = mp.sqrt(x)
+    il, im = mp.besseli(ell + 0.5, x), mp.besseli(ell - 0.5, x)
+    kl, km = mp.besselk(ell + 0.5, x), mp.besselk(ell - 0.5, x)
+    return (f * il, q * f * (im - ell * il / x),
+            f * kl, -q * f * (km + ell * kl / x))
+
+
+def _carry(shells, k, ell):
+    """(u, u') at the support radius of the regular solution at energy
+    k^2, up to a constant factor: the first shell's regular function,
+    carried across each later boundary by its coordinates in that shell's
+    pair."""
+    for n, (r0, r1, v) in enumerate(shells):
+        w = k * k - mp.mpf(v)
+        F, dF, G, dG = _shell_pair(w, mp.mpf(r1), ell)
+        if n == 0:
+            u, du = F, dF
+            continue
+        F0, dF0, G0, dG0 = _shell_pair(w, mp.mpf(r0), ell)
+        c1, c2 = du * G0 - u * dG0, u * dF0 - du * F0
+        u, du = c1 * F + c2 * G, c1 * dF + c2 * dG
+    return u, du
+
+
+def shell_shift(shells, k, ell):
+    """The principal delta_l(k) in (-pi/2, pi/2] of a shell potential, by
+    a 30-digit transfer matched to the free pair (S, C) at the support
+    radius R: tan delta = (S' u - S u') / (C u' - C' u) at R.  No code of
+    the package enters."""
+    with mp.workdps(30):
+        k = mp.mpf(k)
+        u, du = _carry(shells, k, ell)
+        S, dS, C, dC = _shell_pair(k * k, mp.mpf(shells[-1][1]), ell)
+        return float(mp.atan((dS * u - S * du) / (C * du - dC * u)))
+
+
+def shell_threshold_statistic(shells, ell):
+    """sigma_l = |a| / (|a| + |b|) of the zero-energy solution of a shell
+    potential, a = l u + R u' and b = (l + 1) u - R u' at the support
+    radius R, by the same 30-digit transfer at k = 0."""
+    with mp.workdps(30):
+        u, du = _carry(shells, mp.mpf(0), ell)
+        R = mp.mpf(shells[-1][1])
+        a, b = abs(ell * u + R * du), abs((ell + 1) * u - R * du)
+        return float(a / (a + b))
 
 
 def test_oracle_reads_levinson_at_threshold():
@@ -138,3 +208,17 @@ def test_single_well_routes_match_oracle_rows():
                              high_energy_poly(3, V).tail(K_MAX))
     assert abs(sub - WELL3_ROUTES["subtracted"]) <= 1e-9
     assert abs(reg - WELL3_ROUTES["regularized"]) <= 1e-9
+
+
+@pytest.mark.parametrize("shells", [
+    ((0.0, 0.4, -20.0), (0.4, 0.8, 5.0), (0.8, 1.2, -8.0)),
+    ((0.0, 0.5, -20.0), (0.5, 1.0, 0.0)),
+    ((0.0, 1.0, 500.0),),
+    ((0.0, 1.0, -200.0),),
+], ids=["steps", "padded", "repulsive", "well200"])
+def test_threshold_statistics_match_oracle(shells):
+    # the zero-energy carry across shells of both signs and of v = 0,
+    # exact across the jumps between shells
+    got = threshold_statistics_radial(RadialPotential(shells=shells))
+    want = [shell_threshold_statistic(shells, ell) for ell in range(len(got))]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)

@@ -14,27 +14,15 @@ from specflow.scatter import (
     threshold_statistics_radial,
 )
 from specflow.scatter import levinson, radial
+from specflow.scatter.potentials import CALLABLE_SHELLS
 from specflow.scatter.radial import (
-    RENORM_EVERY,
     _bound_states_fd_radial,
-    _grid,
-    _node_potential,
-    _numerov,
     _tail_zero_radial,
     _zero_energy_radial,
     phase_shift_rows,
 )
 
 WELL3 = RadialPotential.square_well(3.0)
-
-
-def callable_twin(V):
-    """V as a bare callable, without shells: the radial solver takes its
-    phase shifts from the Numerov sweep, not the closed form."""
-    return RadialPotential(v_of_r=V.v_of_r, radius=V.radius)
-
-
-WELL3_NUMEROV = callable_twin(WELL3)
 
 
 def matching_phase_shift(depth, R, lam, ell):
@@ -67,14 +55,14 @@ def test_radial_potential_moments():
     assert abs(WELL3.integral() + 4.0 * np.pi) < 1e-10
     assert abs(WELL3.integral_sq() - 12.0 * np.pi) < 1e-10
     # two shells: exact sums 4 pi / 3 sum v^p (r1^3 - r0^3), which the
-    # quadrature of the callable twin reproduces
+    # midpoint shells of each potential as a callable reproduce
     two = RadialPotential(shells=((0.0, 0.5, -12.0), (0.5, 1.0, 4.0)))
     assert two.integral() == 4.0 * np.pi / 3.0 * (-12.0 * 0.125
                                                    + 4.0 * 0.875)
     assert two.integral_sq() == 4.0 * np.pi / 3.0 * (144.0 * 0.125
                                                      + 16.0 * 0.875)
     for V in (WELL3, two):
-        twin = callable_twin(V)
+        twin = RadialPotential.from_callable(V, V.radius)
         assert abs(twin.integral() - V.integral()) < 1e-8
         assert abs(twin.integral_sq() - V.integral_sq()) < 1e-8
     assert WELL3(0.5) == -3.0
@@ -84,7 +72,7 @@ def test_radial_potential_moments():
     with pytest.raises(TypeError):
         RadialPotential.square_well(1.0, dim=3)
     with pytest.raises(SpecflowError):
-        RadialPotential(v_of_r=lambda r: -1.0, radius=0.0)
+        RadialPotential.from_callable(lambda r: -1.0, 0.0)
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -93,10 +81,6 @@ def test_radial_potential_moments():
     ({"shells": ((0.0, 0.5, -3.0), (0.6, 1.0, -3.0))}, "contiguous"),
     ({"shells": ((0.0, 0.5, -3.0), (0.5, 0.5, -3.0))}, "positive length"),
     ({"shells": ((0.0, 1.0, np.nan),)}, "finite"),
-    ({"shells": ((0.0, 1.0, -3.0),), "radius": 2.0}, "last shell's end"),
-    ({"shells": ((0.0, 1.0, -3.0),), "v_of_r": lambda r: -3.0},
-     "not both"),
-    ({}, "v_of_r or shells"),
 ])
 def test_radial_shells_validation(kwargs, match):
     with pytest.raises(SpecflowError, match=match):
@@ -116,22 +100,19 @@ def test_radial_potential_rejects_non_finite(depth, radius):
 
 
 def test_s_wave_closed_form():
-    # the closed form of the shell and the Numerov sweep of its twin
-    for V in (WELL3, WELL3_NUMEROV):
-        for lam in (0.5, 4.0, 30.0):
-            k, q = np.sqrt(lam), np.sqrt(lam + 3.0)
-            want = np.arctan(k / q * np.tan(q)) - k
-            got = phase_shifts_3d(V, lam, 2)[0]
-            assert mod_pi_distance(got, want) < 1e-6
+    for lam in (0.5, 4.0, 30.0):
+        k, q = np.sqrt(lam), np.sqrt(lam + 3.0)
+        want = np.arctan(k / q * np.tan(q)) - k
+        got = phase_shifts_3d(WELL3, lam, 2)[0]
+        assert mod_pi_distance(got, want) < 1e-6
 
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_higher_wave_matching(ell):
-    for V in (WELL3, WELL3_NUMEROV):
-        for lam in (1.0, 6.0, 20.0):
-            want = matching_phase_shift(3.0, 1.0, lam, ell)
-            got = phase_shifts_3d(V, lam, ell)[ell]
-            assert mod_pi_distance(got, want) < 1e-6
+    for lam in (1.0, 6.0, 20.0):
+        want = matching_phase_shift(3.0, 1.0, lam, ell)
+        got = phase_shifts_3d(WELL3, lam, ell)[ell]
+        assert mod_pi_distance(got, want) < 1e-6
 
 
 def test_phase_shifts_decay_in_ell():
@@ -189,20 +170,21 @@ def test_bound_state_counts():
     assert np.array_equal(bound_state_channels(deep, 6),
                           [2, 1, 1, 0, 0, 0, 0])
     assert bound_states_radial(deep) == 10
-    barrier = RadialPotential(v_of_r=lambda r: 5.0, radius=1.0)
+    barrier = RadialPotential.from_callable(lambda r: 5.0, 1.0)
     assert bound_states_radial(barrier) == 0
 
 
 def test_deep_well_counts_past_l_8():
-    # for l >= 10 the Numerov coefficient A is negative at node 3 and the
-    # recursion flips u there; that flip is not a node of the solution
+    # channels 9 and 10 hold states beyond bound_state_channels' default
+    # l = 8
     deep = RadialPotential.square_well(200.0)
     counts = bound_state_channels(deep, 12)
     assert np.array_equal(counts, [5, 4, 4, 3, 3, 2, 2, 1, 1, 1, 1, 0, 0])
     # the Bessel-zero count of the well
     assert int((2 * np.arange(13) + 1) @ counts) == 205
-    # far above the last bound channel the node counts stay at the
-    # diagonalization's zero, though A <= 0 on ever more nodes
+    # far above the last bound channel, where the regular solution
+    # underflows at the first shell's end, the node counts stay at the
+    # diagonalization's zero
     u, du, changes = _zero_energy_radial(deep, 60)
     nodes = changes + _tail_zero_radial(u, du, deep.radius)
     assert np.all(nodes[11:] == 0)
@@ -243,8 +225,7 @@ def test_choose_lmax_scales_with_energy():
 
 # Phase shifts of channels 0..3 on the principal branch, from the 30-digit
 # closed form `oracle_shift` of tests/test_oracle_3d.py.  A square well
-# is one shell, whose rows are closed-form too; the Numerov sweep of its
-# callable twin misses these values by up to 2.4e-7.
+# is one shell, whose rows are closed-form too.
 FROZEN_SHIFTS = {
     3.0: {
         0.04: [-0.781518505385856, 0.0007511621986561696,
@@ -286,25 +267,20 @@ def test_phase_shifts_frozen_values(depth):
 
 
 def test_batched_sweep_matches_single_energies():
-    # a mixed batch: energies sharing the step 1e-3 (k <= 20), energies
-    # with their own finer steps (k > 20), grids of different lengths, and
-    # one energy repeated
+    # a mixed batch over six decades of energy, one energy repeated
     lams = np.array([3.0e3, 0.05, 900.0, 2.5, 0.05, 9.0e3, 120.0])
-    steps = _grid(WELL3_NUMEROV, lams)[0]
-    assert len(np.unique(steps)) == 4
-    for V in (WELL3_NUMEROV, WELL3):
-        batch = phase_shift_rows(V, lams, 12)
-        assert batch.shape == (len(lams), 13)
-        for lam, row in zip(lams, batch):
-            np.testing.assert_allclose(row, phase_shift_rows(V, [lam], 12)[0],
-                                       rtol=0.0, atol=1e-13)
-            # phase_shifts_3d is the same shift on the principal branch
-            principal = phase_shifts_3d(V, lam, 12)
-            assert np.all(np.abs(principal) <= np.pi / 2)
-            np.testing.assert_allclose(mod_pi_distance(row, principal), 0.0,
-                                       atol=1e-13)
-        with pytest.raises(EnergyNonpositive):
-            phase_shift_rows(V, [1.0, 0.0], 2)
+    batch = phase_shift_rows(WELL3, lams, 12)
+    assert batch.shape == (len(lams), 13)
+    for lam, row in zip(lams, batch):
+        np.testing.assert_allclose(row, phase_shift_rows(WELL3, [lam], 12)[0],
+                                   rtol=0.0, atol=1e-13)
+        # phase_shifts_3d is the same shift on the principal branch
+        principal = phase_shifts_3d(WELL3, lam, 12)
+        assert np.all(np.abs(principal) <= np.pi / 2)
+        np.testing.assert_allclose(mod_pi_distance(row, principal), 0.0,
+                                   atol=1e-13)
+    with pytest.raises(EnergyNonpositive):
+        phase_shift_rows(WELL3, [1.0, 0.0], 2)
 
 
 # the bench wells, a three-shell step and the repulsive step V = +500 on
@@ -319,20 +295,41 @@ CROSS_KERNEL = {
 }
 
 
+# the branch integers of the rows of test_shell_rows_match_numerov, as
+# the Numerov sweeps of these potentials as callables gave them before
+# every radial potential became shells: (lmax, branch per channel) of each
+# of the 16 low rows, and (lmax, {channel: branch}) of the k_max row,
+# whose other channels hold 0
+NUMEROV_BRANCHES = {
+    "well3": ((4, [1, 0, 0, 0, 0]), (116, {})),
+    "well12": ((4, [1, 1, 0, 0, 0]), (117, {})),
+    "well30": ((5, [2, 1, 1, 0, 0, 0]), (118, {})),
+    "steps": ((4, [1, 0, 0, 0, 0]), (137, {})),
+    "repulsive": ((4, [0, 0, 0, 0, 0]),
+                  (120, {**{l: -1 for l in range(76)}, 77: -1})),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CROSS_KERNEL))
 def test_shell_rows_match_numerov(name):
-    # the rows a 3D verify reads, the 16 low rows and the k_max row, from
-    # the closed form and from the Numerov sweep of the callable twin: the
-    # same branch in every channel, and shifts within Numerov's own error
+    # the rows a 3D verify reads, the 16 low rows and the k_max row: the
+    # principal shifts against a 30-digit shell transfer in mpmath, the
+    # branches against those the Numerov kernel gave
+    from test_oracle_3d import shell_shift
     V = CROSS_KERNEL[name]
+    (low_lmax, low), (top_lmax, top) = NUMEROV_BRANCHES[name]
     ks = np.geomspace(1e-2, 100.0, 400)[:levinson.SLOPE_ROWS]
-    for lams in (ks ** 2, np.array([1e4])):
-        lmax = choose_lmax(V, lams[-1])
-        shells = radial._sweep_rows(V, lams, lmax)
-        numerov = radial._sweep_rows(callable_twin(V), lams, lmax)
-        assert np.array_equal(shells[1], numerov[1])
-        np.testing.assert_allclose(shells[0], numerov[0], rtol=0.0,
-                                   atol=1e-5)
+    want_top = np.zeros(top_lmax + 1, dtype=int)
+    want_top[list(top)] = list(top.values())
+    for kk, lmax, branch in ((ks, low_lmax, np.tile(low, (len(ks), 1))),
+                             (np.array([100.0]), top_lmax, want_top[None])):
+        assert choose_lmax(V, kk[-1] ** 2) == lmax
+        principal, got = radial._sweep_rows(V, kk ** 2, lmax)
+        assert np.array_equal(got, branch)
+        want = [[shell_shift(V.shells, k, ell) for ell in range(lmax + 1)]
+                for k in kk]
+        np.testing.assert_allclose(mod_pi_distance(principal, np.array(want)),
+                                   0.0, atol=1e-12)
 
 
 def test_split_shell_matches_one_shell():
@@ -351,8 +348,9 @@ def test_radial_potential_array_call_matches_scalar_calls():
     R = 1.5
     radii = np.array([0.0, 0.3, R - 1e-12, R, R + 1e-12, 4.0])
     # the square root is undefined beyond the radius, where V must still
-    # read zero: v_of_r only ever sees radii inside the support
-    smooth = RadialPotential(v_of_r=lambda r: -np.sqrt(R - r), radius=R)
+    # read zero: from_callable samples f only at shell midpoints inside
+    # the support
+    smooth = RadialPotential.from_callable(lambda r: -np.sqrt(R - r), R)
     for V in (RadialPotential.square_well(2.0, radius=R), smooth):
         vals = V(radii)
         assert vals.shape == radii.shape
@@ -363,98 +361,80 @@ def test_radial_potential_array_call_matches_scalar_calls():
         assert np.array_equal(V(radii.reshape(2, 3)), vals.reshape(2, 3))
     assert RadialPotential.square_well(2.0, radius=R)(0.3) == -2.0
     # a constant callable is broadcast over the radii inside the support
-    flat = RadialPotential(v_of_r=lambda r: 5.0, radius=1.0)
+    flat = RadialPotential.from_callable(lambda r: 5.0, 1.0)
     assert np.array_equal(flat(np.array([0.5, 0.9, 1.0])), [5.0, 5.0, 0.0])
 
 
-def _per_node_numerov(lam, h, n, v, lmax, record):
-    """One energy of radial._numerov as a plain node-by-node recursion:
-    the same floating-point operations in the same order, and the same
-    renormalization and node-counting rules.  Returns (rows, changes)."""
-    ells = np.arange(lmax + 1)
-    cent = ells * (ells + 1.0)
+def test_from_callable_samples_midpoints_in_one_call():
+    calls = []
 
-    def f_at(i):
-        return cent / ((h * i) * (h * i)) + ((v[i] if i < len(v) else 0.0)
-                                             - lam)
+    def f(r):
+        calls.append(r)
+        return -4.0 * np.exp(-r * r)
 
-    def A(i):
-        return 1.0 - (h * h / 12.0) * f_at(i)
-
-    def B(i):
-        return (5.0 * h * h / 6.0) * f_at(i) + 2.0
-
-    c = (f_at(1) - cent / (h * h)) / (4.0 * ells + 6.0)
-    u_prev = (1.0 + c * h * h) * np.exp(-(ells + 1.0) * np.log(2.0))
-    u_cur = 1.0 + 4.0 * c * h * h
-    changes = ((np.sign(u_prev) * np.sign(u_cur) < 0) & (A(2) > 0)).astype(int)
-    no_renorm_from = n - max(n - min(record) + 1, 8) - 2
-    rows = {}
-    for i in range(2, n):
-        u_next = (B(i) * u_cur - A(i - 1) * u_prev) / A(i + 1)
-        changes += (np.sign(u_next) * np.sign(u_cur) < 0) & (A(i + 1) > 0)
-        u_prev, u_cur = u_cur, u_next
-        rows[i + 1] = u_cur.copy()
-        if i % RENORM_EVERY == 0 and i < no_renorm_from:
-            scale = np.maximum(np.maximum(np.abs(u_prev), np.abs(u_cur)),
-                               1e-280)
-            u_prev, u_cur = u_prev / scale, u_cur / scale
-    return np.array([rows[node] for node in record]), changes
+    V = RadialPotential.from_callable(f, 3.0)
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+    edges = np.linspace(0.0, 3.0, CALLABLE_SHELLS + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    np.testing.assert_array_equal(calls[0], mids)
+    assert len(V.shells) == CALLABLE_SHELLS
+    assert V.radius == 3.0
+    np.testing.assert_array_equal(V(mids), -4.0 * np.exp(-mids * mids))
+    # neighbours of equal value are one shell
+    step = RadialPotential.from_callable(
+        lambda r: np.where(r < 0.5, -12.0, 4.0), 1.0)
+    assert len(step.shells) == 2
+    assert [v for _, _, v in step.shells] == [-12.0, 4.0]
+    assert abs(step.shells[0][1] - 0.5) < 1e-15
 
 
-@pytest.mark.parametrize("block", [radial.BLOCK_ELEMENTS, 1, 3 * 8 * 15 + 5])
-def test_blocked_kernel_matches_per_node_recursion(block, monkeypatch):
-    # the default budget, one node per block, and blocks of three nodes
-    # while all eight energies run
-    monkeypatch.setattr(radial, "BLOCK_ELEMENTS", block)
-    V = RadialPotential.square_well(30.0)
-    steps = np.array([1e-3, 7e-4])
-    v_nodes = _node_potential(V, steps, np.ceil(V.radius / steps).astype(int))
-    lams = np.array([0.5, 2.0, 0.0, 30.0, 0.5, 7.0, 1e-2, 30.0])
-    group = np.array([0, 1, 0, 0, 1, 1, 0, 0])
-    # grids of different lengths, four of them ending on renormalization
-    # nodes and one just past one, the longest crossing twelve of them; the
-    # last ends two nodes before the s-wave's first node at r = pi/sqrt(60),
-    # which it must not count
-    ns = np.array([1300, 700, 701, 1200, 450, 1300, 1000, 403])
-    # records beside renormalization nodes, where blocks end, and at the
-    # grid ends
-    records = np.array([[101, 102], [699, 700], [600, 701], [1101, 1200],
-                        [300, 450], [1299, 1300], [3, 1000], [5, 403]])
-    lmax = 14
-    out, changes = _numerov(lams, steps[group], ns, v_nodes, group, lmax,
-                            records)
-    for e in range(len(lams)):
-        rows, want = _per_node_numerov(lams[e], steps[group[e]], ns[e],
-                                       v_nodes[:, group[e]], lmax,
-                                       records[e])
-        assert np.array_equal(out[e], rows)
-        assert np.array_equal(changes[e], want)
-    # the well is deep enough for interior nodes to be counted
-    assert np.any(changes > 0)
+@pytest.mark.parametrize("f, radius", [
+    (lambda r: -1.0, 0.0), (lambda r: -1.0, -2.0), (lambda r: -1.0, np.nan),
+    (lambda r: -1.0, np.inf), (lambda r: np.where(r < 0.5, np.nan, -1.0), 1.0),
+    (lambda r: np.inf * r, 1.0),
+], ids=["zero-radius", "negative-radius", "nan-radius", "inf-radius",
+        "nan-value", "inf-value"])
+def test_from_callable_validation(f, radius):
+    with pytest.raises(SpecflowError) as exc:
+        RadialPotential.from_callable(f, radius)
+    assert type(exc.value) is SpecflowError
 
 
-def test_block_counts_match_node_by_node(monkeypatch):
-    # the sign changes are counted once per block over its stored rows; a
-    # one-element BLOCK_ELEMENTS takes one node per block, the node-by-node
-    # count.  Covered: the lambda = 0 sweep of a deep well, and a sweep at
-    # k = 100 up to l = 140, where A <= 0 on the first ~40 nodes of the top
-    # channels and the recursion's sign flips there must not count
-    deep = RadialPotential.square_well(200.0)
-    lams = np.array([1e4, 30.0])
-    h, n_in, n_tot = _grid(deep, lams)
-    steps, first, group = np.unique(h, return_index=True,
-                                    return_inverse=True)
-    v_nodes = _node_potential(deep, steps, n_in[first])
+def test_constant_callable_is_the_square_well():
+    # a constant profile is one shell, so every row is the square well's
+    flat = RadialPotential.from_callable(lambda r: -12.0, 1.0)
+    well = RadialPotential.square_well(12.0)
+    assert flat == well
+    lams = np.geomspace(1e-4, 1e4, 20)
+    assert np.array_equal(phase_shift_rows(flat, lams, 120),
+                          phase_shift_rows(well, lams, 120))
 
-    def sweeps():
-        zero = _zero_energy_radial(deep, 60)[2]
-        high = _numerov(lams, h, n_tot, v_nodes, group, 140,
-                        np.stack([n_tot - 1, n_tot], axis=1))[1]
-        return zero, high
 
-    blocked = sweeps()
-    monkeypatch.setattr(radial, "BLOCK_ELEMENTS", 1)
-    for got, want in zip(blocked, sweeps()):
-        assert np.array_equal(got, want)
-    assert np.any(blocked[1] > 0) and np.any(blocked[0] > 0)
+def test_zero_energy_across_a_force_free_shell():
+    # a well of radius 0.5 padded with a shell of v = 0 out to r = 1: at
+    # lambda = 0 the outer shell is the w = 0 pair r^{l+1}, r^-l, and each
+    # channel's zeros, inside the support or beyond it, are the bare
+    # well's
+    padded = RadialPotential(shells=((0.0, 0.5, -20.0), (0.5, 1.0, 0.0)))
+    well = RadialPotential.square_well(20.0, radius=0.5)
+
+    def nodes(V):
+        u, du, zeros = _zero_energy_radial(V, 20)
+        return zeros + _tail_zero_radial(u, du, V.radius)
+
+    assert np.array_equal(nodes(padded), nodes(well))
+    assert nodes(well).tolist() == [1] + [0] * 20
+    # the s-wave zero lies beyond r = 0.5 and inside r = 1: one support
+    # counts it inside, the other in its tail
+    assert _zero_energy_radial(padded, 0)[2][0] == 1
+    assert _zero_energy_radial(well, 0)[2][0] == 0
+    assert np.array_equal(bound_state_channels(padded, 4),
+                          bound_state_channels(well, 4))
+
+    def exterior(V):
+        # B / A of the exterior solution A r^{l+1} + B r^-l
+        u, du, _ = _zero_energy_radial(V, 4)
+        aa, bb = radial._exterior_coefficients(u, du, V.radius)
+        return bb / aa * V.radius ** (2.0 * np.arange(5) + 1.0)
+
+    np.testing.assert_allclose(exterior(padded), exterior(well), rtol=1e-12)
