@@ -11,7 +11,7 @@ integrals.  All logs use the principal branch (imaginary part in (-pi, pi]).
 
 Since Det(e^X) = e^{Tr X}, Det_p(Id + K) = Det(Id + K) exp(sum_{l<p}
 ((-1)^l / l) Tr K^l): one LU factorization and p - 2 matrix products, no
-spectrum.  `_det_p_lu` is that kernel; `det_p` (K = U - Id) and the
+spectrum.  `_det_p_lu` is that kernel; `det_p` (Id + K = U) and the
 Birman-Schwinger determinant of `scatter.onedim` both call it.
 `fredholm_det` and `det_p_perturbation` stay products over eigenvalues, so
 they are the references the LU kernel is tested against.
@@ -101,15 +101,17 @@ def counterterm_exponent(U, p):
     return _trace_series(U - np.eye(U.shape[0]), p)
 
 
-def _det_p_lu(K, p):
-    """Det_p(Id + K) from one LU factorization and the trace powers of K.
+def _det_p_lu(M, K, p):
+    """Det_p(M) for M = Id + K from one LU factorization of M and the trace
+    powers of K; the caller passes both, so M is factored as given rather
+    than re-formed as Id + K.
 
-    Log Det_p(Id + K) = log Det(Id + K) + sum_{l<p} ((-1)^l / l) Tr K^l, the
-    first term from `np.linalg.slogdet`.  The imaginary part of the sum is
+    Log Det_p(M) = log Det(M) + sum_{l<p} ((-1)^l / l) Tr K^l, the first
+    term from `np.linalg.slogdet`.  The imaginary part of the sum is
     wrapped into (-pi, pi] and the value is its exponential.  The caller
     has checked the integer order p >= 1.
     """
-    sign, logabs = np.linalg.slogdet(np.eye(K.shape[0]) + K)
+    sign, logabs = np.linalg.slogdet(M)
     log_value = complex(logabs, np.angle(sign)) + _trace_series(K, p)
     phase = math.remainder(log_value.imag, 2.0 * np.pi)
     if phase <= -np.pi:
@@ -124,13 +126,14 @@ def det_p(U, p):
     Det_p(U) = Det(U exp(sum_{l=1}^{p-1} ((-1)^l / l)(U - Id)^l))
              = Det(U) exp(sum_{l=1}^{p-1} ((-1)^l / l) Tr (U - Id)^l),
     since Det(e^X) = e^{Tr X}.  U is checked once and `_det_p_lu` takes
-    Det(U) from an LU factorization, so no eigenvalues are computed.  The
+    Det(U) from an LU factorization of U itself, with U - Id formed for
+    the trace series only, so no eigenvalues are computed.  The
     eigenvalue products `fredholm_det` and `det_p_perturbation` are the
     references it is tested against.
     """
     U = check_unitary(U)
     p = check_order("p", p, 1, integer=True)
-    return _det_p_lu(U - np.eye(U.shape[0]), p)
+    return _det_p_lu(U, U - np.eye(U.shape[0]), p)
 
 
 def _logdet_sides(U, Ud, p):

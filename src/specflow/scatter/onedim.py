@@ -1,9 +1,9 @@
 """1D Schrödinger scattering for piecewise-constant potentials.
 
 Transfer matrices propagate (psi, psi') exactly across constant segments
-using branch-free even functions of the local momentum, so tunneling and
-oscillatory regimes need no case split.  One kernel, `_smatrix_dk`, gives S
-and its exact k-derivative at an array of wavenumbers: it multiplies the
+using even functions of the local momentum, so tunneling and oscillatory
+regimes share one formula.  One kernel, `_smatrix_dk`, gives S and its
+exact k-derivative at an array of wavenumbers: it multiplies the
 pairs (T, dT/dlam) of the segments with elementwise 2x2 arithmetic, using
 closed-form lambda-derivatives of the entries, and differentiates the
 plane-wave matching, S' = A^{-1}(B' - A' X).  The product is a pairwise
@@ -24,9 +24,10 @@ Birman-Schwinger determinant.
 """
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from ..errors import (
+    DecompositionFailure,
     EnergyNonpositive,
     OracleDisagreement,
     QuadratureNotConverged,
@@ -39,6 +40,8 @@ from ..rdet import DetValue, _det_p_lu
 # zero-energy substep
 FD_BOX = 40.0
 FD_POINTS = 4096
+# the counted eigenvalue window (lo, hi] of the finite-difference operator
+FD_WINDOW = (-1e8, -1e-8)
 SUBSTEP = 0.005
 # Birman-Schwinger determinant: the Nystrom node counts of the first rule
 # and past which doubling stops, and the tolerance on the extrapolants
@@ -66,9 +69,10 @@ def _seg_entries(d, v, lams, derivative=False):
 
     With derivative, also their lam-derivatives in closed form,
     dc = -d s/2, ds = (d c - s)/(2q^2) and dg = -(s + d c)/2.  All six are
-    even in q, hence real; q is taken complex, so tunneling and
-    oscillatory energies need no case split.  Where |qd| < SERIES_QD they
-    come from their power series in (qd)^2.
+    even in q, hence real.  Where lam > v, q is real and c and s come
+    from real cos and sin; on tunneling entries q is taken complex, so
+    one formula serves there too.  Where |qd| < SERIES_QD they come from
+    their power series in (qd)^2.
     """
     nq2 = v - lams
     near = np.abs(nq2 * (d * d)) < SERIES_QD ** 2
@@ -77,10 +81,18 @@ def _seg_entries(d, v, lams, derivative=False):
         # a stand-in q^2 = 1 keeps the closed forms finite there; the
         # series overwrite those entries below
         nq2 = np.where(near, -1.0, nq2)
-    q = np.sqrt(-nq2 + 0j)
+    # real cos and sin where lam > v, and times 1/q, as numpy's complex
+    # division by q + 0j rounds; the tunneling entries are redone below
+    q = np.sqrt(np.abs(nq2))
     z = q * d
-    c = np.cos(z).real
-    s = (np.sin(z) / q).real
+    c = np.cos(z)
+    s = np.sin(z) * (1.0 / q)
+    ev = nq2 > 0
+    if ev.any():
+        q = np.sqrt(-nq2[ev] + 0j)
+        z = q * np.broadcast_to(d, ev.shape)[ev]
+        c[ev] = np.cos(z).real
+        s[ev] = (np.sin(z) / q).real
     if derivative:
         ds = (s - d * c) / (2.0 * nq2)
     if series:
@@ -234,9 +246,10 @@ def smatrix_1d(V, lam, derivative=False):
 def bound_states_1d(V):
     """Number of negative eigenvalues of -d^2/dx^2 + V, by two methods.
 
-    (i) dense finite-difference diagonalization in a large box, and
-    (ii) node counting of the zero-energy solution (Sturm oscillation).
-    The two counts must agree, else OracleDisagreement.
+    (i) a Sturm count of the finite-difference operator in a large box
+    (`_fd_count`, no eigenvalue computed), and (ii) node counting of the
+    zero-energy solution (Sturm oscillation).  The two counts must agree,
+    else OracleDisagreement.
     """
     return _bound_state_count(V, _zero_energy_left_solution(V))
 
@@ -258,13 +271,31 @@ def _bound_state_count(V, zero):
 
 
 def _fd_count(diag, h):
-    """Negative eigenvalues of the tridiagonal finite-difference operator
-    with this diagonal and off-diagonal -1/h^2: the bound-state count of
-    the 1D and radial oracles."""
+    """Eigenvalues in FD_WINDOW of the tridiagonal finite-difference
+    operator T with this diagonal and off-diagonal -1/h^2: the bound-state
+    count of the 1D and radial oracles.
+
+    A Sturm (inertia) count, no eigenvalue: by Sylvester's law the number
+    of eigenvalues of T below sigma is the number of negative pivots of
+    T - sigma I, read off its Sturm sequence (Barth, Martin and Wilkinson,
+    Numer. Math. 9, 1967).  LAPACK's dstebz takes that count at both ends
+    of the window before it bisects, and its M is their difference; with
+    an absolute tolerance as wide as the window its bisection stops at
+    once, so a call costs a few O(n) passes, not a bisection per
+    eigenvalue.  A non-finite diagonal, or a nonzero info, raises
+    DecompositionFailure.
+    """
+    if not np.all(np.isfinite(diag)):
+        raise DecompositionFailure(
+            "finite-difference diagonal has non-finite entries")
     off = np.full(len(diag) - 1, -1.0 / h ** 2)
-    vals = eigvalsh_tridiagonal(diag, off, select="v",
-                                select_range=(-1e8, -1e-8))
-    return int(len(vals))
+    lo, hi = FD_WINDOW
+    m, _, _, _, info = dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")
+    if info != 0:
+        raise DecompositionFailure(
+            f"Sturm count of the finite-difference operator failed "
+            f"(dstebz info = {info})")
+    return int(m)
 
 
 def _bound_states_fd(V):
@@ -362,7 +393,7 @@ def birman_schwinger_det_1d(V, lam, branch=+1, p=1):
 
     def det_at(m):
         K = _bs_matrix(V, lam, branch, m)
-        return _det_p_lu(K, p)
+        return _det_p_lu(np.eye(K.shape[0]) + K, K, p)
 
     prev = det_at(NYSTROM_NODES)
     prev_rich = None

@@ -296,28 +296,32 @@ def threshold_statistics_radial(V):
     return _threshold_statistics(V, _zero_energy_radial(V, THRESHOLD_LMAX))
 
 
-def _bound_states_fd_radial(V, ell):
+def _bound_states_fd_radial(V, ells):
+    """Finite-difference Sturm counts (`_fd_count`) of the channels ells,
+    yielded in order from one grid: V(r) is sampled once and each channel
+    adds only its centrifugal term."""
     L = max(FD_BOX, 3.0 * V.radius)
     h = L / (FD_POINTS + 1)
     r = h * np.arange(1, FD_POINTS + 1)
-    return _fd_count(2.0 / h ** 2 + ell * (ell + 1.0) / r ** 2 + V(r), h)
+    v, r2 = V(r), r ** 2
+    for ell in ells:
+        yield _fd_count(2.0 / h ** 2 + ell * (ell + 1.0) / r2 + v, h)
 
 
 def _channel_counts(V, zero):
     """bound_state_channels over the channels of one zero-energy sweep,
     zero = _zero_energy_radial(V, lmax)."""
     u, du, changes = zero
-    ells = np.arange(len(u))
     node_counts = changes + _tail_zero_radial(u, du, V.radius)
 
     out = np.zeros(len(u), dtype=int)
-    for ell in ells.tolist():
+    fd_counts = _bound_states_fd_radial(V, range(len(u)))
+    for ell, n_fd in enumerate(fd_counts):
         n_nodes = int(node_counts[ell])
-        n_fd = _bound_states_fd_radial(V, ell)
         if n_fd != n_nodes:
             raise OracleDisagreement(
-                f"channel l={ell}: diagonalization finds {n_fd} bound "
-                f"states, node counting finds {n_nodes}")
+                f"channel l={ell}: the finite-difference Sturm count finds "
+                f"{n_fd} bound states, node counting finds {n_nodes}")
         if n_nodes == 0:
             break
         out[ell] = n_nodes
@@ -327,9 +331,10 @@ def _channel_counts(V, zero):
 def bound_state_channels(V, lmax=8):
     """Per-channel bound-state counts N_l, l = 0..lmax, each obtained from
     zero-energy node counting (including the possible zero beyond the
-    support) and cross-checked against a radial finite-difference
-    diagonalization.  The scan stops at the first empty channel, since N_l
-    is nonincreasing in l; later entries are zero by interlacing.
+    support) and cross-checked against a Sturm count of the radial
+    finite-difference operator (no eigenvalue computed).  The scan stops
+    at the first empty channel, since N_l is nonincreasing in l; later
+    entries are zero by interlacing.
     """
     return _channel_counts(V, _zero_energy_radial(V, lmax))
 

@@ -44,7 +44,7 @@ def test_mixed_sign_potential():
 def test_det_p_lu_matches_eigenvalue_form():
     K = _bs_matrix(WELL, 2.0, +1, 60)
     for p in (1, 2, 3):
-        a = _det_p_lu(K, p)
+        a = _det_p_lu(np.eye(len(K)) + K, K, p)
         b = det_p_perturbation(K, p)
         assert abs(a.value - b.value) < 1e-10 * (1.0 + abs(b.value))
         assert abs(np.exp(a.log_value) - a.value) < 1e-12 * (1.0 + abs(a.value))
