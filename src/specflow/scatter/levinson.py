@@ -91,7 +91,7 @@ from ..upath import UnitaryPath
 from .onedim import (
     _bound_state_count,
     _resonance_statistic,
-    _zero_energy_left_solution,
+    _zero_energy_1d,
     resonance_statistic_1d,
     smatrix_1d,
 )
@@ -320,7 +320,7 @@ def _sweep_1d(V, k_min=DEFAULT_K_MIN, k_max=DEFAULT_K_MAX):
 def _levinson_1d(V, k_min, k_max):
     # one zero-energy solution serves the bound-state count and the
     # resonance statistic
-    zero = _zero_energy_left_solution(V)
+    zero = _zero_energy_1d(V)
     N = _bound_state_count(V, zero)
     classification = _classify_1d(_resonance_statistic(V, zero))
     poly = high_energy_poly(1, V)

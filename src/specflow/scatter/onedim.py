@@ -18,9 +18,17 @@ derivative=True)` also returns dS/dk.  The S-matrix convention is
 
 in the (right-incoming, left-incoming) basis: with this ordering the
 zero-energy limit in the generic (non-resonant) case is [[0, -1], [-1, 0]].
-Also here: the dual bound-state counters, the zero-energy resonance
-statistic, and the Nyström discretization of the free-resolvent
-Birman-Schwinger determinant.
+
+At lam = 0 the same entries carry the zero-energy solution across each
+segment in one exact step, and its zeros are counted per segment, from
+the Pruefer angle where the segment is a well and as a sign change
+elsewhere (`_zero_energy_1d`), as `radial._carry` does per shell: both
+dimensions' zero-energy solutions are exact per piece, with no step size.
+They serve the node count of `bound_states_1d`, which a Sturm count of
+the finite-difference operator (`_fd_count`, shared with `radial`)
+cross-checks, and the zero-energy resonance statistic.  Also here: the
+Nyström discretization of the free-resolvent Birman-Schwinger
+determinant.
 """
 
 import numpy as np
@@ -36,13 +44,11 @@ from ..matcore import check_order
 from ..rdet import DetValue, _det_p_lu
 
 # finite-difference bound-state counts (1D and radial): box half-width or
-# radius, widened to three support widths when needed, and grid points;
-# zero-energy substep
+# radius, widened to three support widths when needed, and grid points
 FD_BOX = 40.0
 FD_POINTS = 4096
 # the counted eigenvalue window (lo, hi] of the finite-difference operator
 FD_WINDOW = (-1e8, -1e-8)
-SUBSTEP = 0.005
 # Birman-Schwinger determinant: the Nystrom node counts of the first rule
 # and past which doubling stops, and the tolerance on the extrapolants
 NYSTROM_NODES = 150
@@ -248,21 +254,20 @@ def bound_states_1d(V):
 
     (i) a Sturm count of the finite-difference operator in a large box
     (`_fd_count`, no eigenvalue computed), and (ii) node counting of the
-    zero-energy solution (Sturm oscillation).  The two counts must agree,
-    else OracleDisagreement.
+    zero-energy solution (Sturm oscillation), exact per segment
+    (`_zero_energy_1d`).  The two counts must agree, else
+    OracleDisagreement.
     """
-    return _bound_state_count(V, _zero_energy_left_solution(V))
+    return _bound_state_count(V, _zero_energy_1d(V))
 
 
 def _bound_state_count(V, zero):
     """bound_states_1d from one zero-energy solution, zero =
-    _zero_energy_left_solution(V)."""
+    _zero_energy_1d(V)."""
     count_fd = _bound_states_fd(V)
-    us, (u_end, du_end) = zero
-    signs = np.sign(us[np.abs(us) > 1e-13])
-    interior = int(np.sum(signs[:-1] != signs[1:]))
+    u, du, zeros = zero
     # one more zero in the free region x > x_right iff u and u' oppose there
-    count_nodes = interior + (1 if u_end * du_end < 0 else 0)
+    count_nodes = zeros + (1 if u * du < 0 else 0)
     if count_fd != count_nodes:
         raise OracleDisagreement(
             f"finite differences count {count_fd} bound states but the "
@@ -305,37 +310,66 @@ def _bound_states_fd(V):
     return _fd_count(2.0 / h ** 2 + V(x), h)
 
 
-def _zero_energy_left_solution(V):
-    """Propagate u'' = V u from u = 1, u' = 0 left of the support.
+def _level(angle, neg):
+    """floor(angle / pi) for the oscillation angle of a solution u, made
+    consistent with the sign of u: the integer of parity neg (the signbit
+    of u) nearest angle / pi - 1/2.  The two agree wherever the angle is
+    off a multiple of pi by more than its rounding; at a multiple, where
+    the angle alone carries no sign, the sign of u decides."""
+    return (neg + 2.0 * np.round((angle / np.pi - 0.5 - neg) / 2.0)).astype(
+        int)
 
-    Returns u sampled every SUBSTEP (at most) plus the final (u, u') at the
-    right edge.  The per-substep propagation uses the exact
-    constant-coefficient solution, so the only approximation is the
-    sampling density of the returned trace.
+
+def _zero_energy_1d(V):
+    """The zero-energy solution of u'' = V u that is u = 1, u' = 0 left of
+    the support, carried across the segments in closed form: (u, u') at
+    the right edge, up to one positive factor, and the zeros of u on the
+    support.
+
+    Each segment is one exact step, its transfer matrix at lam = 0, and
+    (u, u') is rescaled to max(|u|, |u'|) = 1 after it.  On an evanescent
+    segment (v > 0) the step is divided by cosh(kappa d), its entries
+    1, tanh(kappa d)/kappa and kappa tanh(kappa d), so no barrier
+    overflows.  Where v < 0 the Pruefer angle of (q u, u') advances by
+    exactly q d, and the zeros are the multiples of pi that it passes,
+    the sign of u deciding at a multiple (`_level`).  Elsewhere u is
+    monotone or linear between zeros, with at most one, seen as a sign
+    change.
     """
     lengths, values = V.segment_arrays
-    nsubs = np.maximum(1, np.ceil(lengths / SUBSTEP).astype(int))
-    c, s, g = _seg_entries(lengths / nsubs, values, 0.0)
-    steps = np.array([[c, s], [g, c]]).transpose(2, 0, 1)
-    state = np.array([1.0, 0.0])
-    us = [1.0]
-    for step, nsub in zip(steps, nsubs):
-        for _ in range(nsub):
-            state = step @ state
-            us.append(state[0])
-    return np.array(us), state
+    # the evanescent steps, first formed as force-free ones
+    c, s, g = _seg_entries(lengths, np.minimum(values, 0.0), 0.0)
+    ev = values > 0
+    kappa = np.sqrt(values[ev])
+    t = np.tanh(kappa * lengths[ev])
+    c[ev], s[ev], g[ev] = 1.0, t / kappa, kappa * t
+    u, du = 1.0, 0.0
+    states = [(u, du)]
+    for ci, si, gi in zip(c.tolist(), s.tolist(), g.tolist()):
+        u, du = ci * u + si * du, gi * u + ci * du
+        scale = max(abs(u), abs(du))
+        u, du = u / scale, du / scale
+        states.append((u, du))
+    # (u, u') at the left end of every segment and at the right edge
+    us, dus = np.array(states).T
+    neg = np.signbit(us)
+    q = np.sqrt(np.maximum(-values, 0.0))
+    angle = np.arctan2(q * us[:-1], dus[:-1])
+    zeros = np.where(values < 0, _level(angle + q * lengths, neg[1:])
+                     - _level(angle, neg[:-1]), neg[:-1] != neg[1:])
+    return u, du, int(np.sum(zeros))
 
 
 def resonance_statistic_1d(V):
     """Scale-free size of the derivative of the zero-energy solution at the
     right edge; zero iff the solution stays bounded (a resonance)."""
-    return _resonance_statistic(V, _zero_energy_left_solution(V))
+    return _resonance_statistic(V, _zero_energy_1d(V))
 
 
 def _resonance_statistic(V, zero):
     """resonance_statistic_1d from one zero-energy solution, zero =
-    _zero_energy_left_solution(V)."""
-    _, (u_end, du_end) = zero
+    _zero_energy_1d(V)."""
+    u_end, du_end, _ = zero
     span = (V.support[1] - V.support[0]) + 1.0
     return abs(du_end) * span / (abs(u_end) + span * abs(du_end) + 1e-300)
 

@@ -43,6 +43,16 @@ def _check_pieces(pieces, kind):
         raise SpecflowError(f"{kind}s must be contiguous")
 
 
+def _piece_values(edges, values, x):
+    """V at x, a float or an array, for the step function that is
+    values[i] on [edges[i - 1], edges[i]) of the sorted edges: values[0]
+    below the first edge and values[-1] from the last on.  One binary
+    search over the edges, not a pass per piece."""
+    out = values[np.searchsorted(edges, np.asarray(x, dtype=float),
+                                 side="right")]
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class Potential1D:
     """Real potential on the line, zero outside [x_left, x_right].
@@ -91,12 +101,22 @@ class Potential1D:
         a, b = self.support
         return max(abs(a), abs(b))
 
+    @cached_property
+    def _steps(self):
+        """The step function of `__call__`: each segment's start and end,
+        the end moved back to the next start where the two overlap, and
+        zero below, between and above the segments."""
+        x0, x1, v = np.array(self.segments, dtype=float).T
+        edges = np.column_stack([x0, np.minimum(x1, np.append(x0[1:],
+                                                              np.inf))])
+        values = np.zeros(2 * len(v) + 1)
+        values[1::2] = v
+        return edges.ravel(), values
+
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for x0, x1, v in self.segments:
-            out = np.where((x >= x0) & (x < x1), v, out)
-        return out if out.ndim else float(out)
+        """V at x, a float or an array of points: the value of the last
+        segment [x0, x1) that holds x, and zero outside the segments."""
+        return _piece_values(*self._steps, x)
 
     def integral(self):
         """Integral of V over the line."""
@@ -163,10 +183,7 @@ class RadialPotential:
 
     def __call__(self, r):
         """V at r, a float or an array of radii; zero from the radius on."""
-        ends, values = self._steps
-        out = values[np.searchsorted(ends, np.asarray(r, dtype=float),
-                                     side="right")]
-        return float(out) if out.ndim == 0 else out
+        return _piece_values(*self._steps, r)
 
     def _moment(self, power):
         """Integral of V^power over R^3, an exact sum over the shells."""

@@ -30,22 +30,12 @@ from ..errors import (
     IntegrationFailure,
     OracleDisagreement,
 )
-from .onedim import FD_BOX, FD_POINTS, _fd_count
+from .onedim import FD_BOX, FD_POINTS, _fd_count, _level
 
 # a channel whose phase shift stays below this is negligible
 CHANNEL_TOL = 1e-8
 # the top channel of the threshold statistics
 THRESHOLD_LMAX = 3
-
-
-def _level(angle, neg):
-    """floor(angle / pi) for the oscillation angle of a solution u, made
-    consistent with the sign of u: the integer of parity neg (the signbit
-    of u) nearest angle / pi - 1/2.  The two agree wherever the angle is
-    off a multiple of pi by more than its rounding; at a multiple, where
-    the angle alone carries no sign, the sign of u decides."""
-    return (neg + 2.0 * np.round((angle / np.pi - 0.5 - neg) / 2.0)).astype(
-        int)
 
 
 def _free_zeros(x, s):

@@ -299,15 +299,15 @@ def test_levinson_1d_double_well_past_default_k_max(k_max):
 
 def test_levinson_1d_solves_the_zero_energy_equation_once(monkeypatch):
     # the bound-state count and the resonance statistic share one solution
-    solve = levinson._zero_energy_left_solution
+    solve = levinson._zero_energy_1d
     calls = []
 
     def counting(V):
         calls.append(V)
         return solve(V)
 
-    monkeypatch.setattr(levinson, "_zero_energy_left_solution", counting)
-    monkeypatch.setattr(onedim, "_zero_energy_left_solution", counting)
+    monkeypatch.setattr(levinson, "_zero_energy_1d", counting)
+    monkeypatch.setattr(onedim, "_zero_energy_1d", counting)
     rep = levinson_verify(WELL1, 1)
     assert rep.verdict == "pass" and rep.N == 2
     assert calls == [WELL1]
@@ -376,10 +376,15 @@ def test_levinson_1d_free_resonant():
 
 
 def test_levinson_1d_exact_threshold_refuses():
-    # a half-bound state makes the bound-state count ambiguous, and the two
-    # counting oracles are allowed to split over it
-    with pytest.raises(OracleDisagreement):
-        levinson_verify(Potential1D.square_well((np.pi / 2.0) ** 2), 1)
+    # a half-bound state makes the bound-state count ambiguous: the exact
+    # zero-energy solution has one node, as the finite-difference count
+    # and the one strictly bound state have, and the verify refuses where
+    # the crossing count (0) and the winding integral (-1) split over it
+    V = Potential1D.square_well((np.pi / 2.0) ** 2)
+    assert onedim.bound_states_1d(V) == 1
+    with pytest.raises(RouteDisagreement,
+                       match=r"phillips=\+0\.0+, regularized=-1\.0+$"):
+        levinson_verify(V, 1)
 
 
 def test_levinson_grid_and_dimension_validation():

@@ -294,6 +294,86 @@ def test_bound_state_counts():
     assert bound_states_1d(barrier) == 0
 
 
+def _nodes(V):
+    # nodes of the zero-energy solution: on the support, and one beyond it
+    # where u and u' oppose at the right edge
+    u, du, zeros = onedim._zero_energy_1d(V)
+    return zeros + (1 if u * du < 0 else 0)
+
+
+@pytest.mark.parametrize("depth, count", [(4e5, 403), (1e6, 637)])
+def test_zero_energy_nodes_exact_on_deep_wells(depth, count):
+    # ceil(2 sqrt(V) a / pi) nodes for the width-2a well, about 0.005 and
+    # 0.003 apart: closer than a sampled trace could resolve, and beyond
+    # the finite-difference oracle's grid
+    assert count == int(np.ceil(2.0 * np.sqrt(depth) / np.pi))
+    assert _nodes(Potential1D.square_well(depth)) == count
+
+
+@pytest.mark.parametrize("depth", [2.0, 20.0, 4e5, 1e6])
+@pytest.mark.parametrize("pieces", [2, 3, 7])
+def test_split_well_counts_as_one_segment(depth, pieces):
+    edges = np.linspace(-1.0, 1.0, pieces + 1)
+    split = Potential1D(segments=tuple(
+        (a, b, -depth) for a, b in zip(edges[:-1].tolist(),
+                                       edges[1:].tolist())))
+    assert _nodes(split) == _nodes(Potential1D.square_well(depth))
+
+
+@pytest.mark.parametrize("height", [4e5, 1e6])
+@pytest.mark.parametrize("pieces", [1, 2000])
+def test_zero_energy_solution_crosses_a_high_barrier(height, pieces):
+    # u = cosh(kappa (x + 1)) grows by cosh(2 kappa), past the largest
+    # float, across the width-2 barrier, whole or as equal segments; its
+    # log-derivative kappa tanh(2 kappa) at the right edge fixes the
+    # statistic
+    edges = np.linspace(-1.0, 1.0, pieces + 1).tolist()
+    barrier = Potential1D(segments=tuple(
+        (a, b, height) for a, b in zip(edges[:-1], edges[1:])))
+    slope = np.sqrt(height) * np.tanh(2.0 * np.sqrt(height))
+    stat = resonance_statistic_1d(barrier)
+    assert abs(stat - 3.0 * slope / (1.0 + 3.0 * slope)) < 1e-15
+    assert bound_states_1d(barrier) == 0
+
+
+@pytest.mark.parametrize("height", [0.0, 2.0, 1e6])
+def test_double_well_counts(height):
+    # two depth-6 wells of width 2, two states each, around a force-free
+    # gap (u linear there, with at most one node), the bench's barrier, or
+    # one across which an unscaled zero-energy solution would overflow
+    V = Potential1D(segments=((-3.0, -1.0, -6.0), (-1.0, 1.0, height),
+                              (1.0, 3.0, -6.0)))
+    assert bound_states_1d(V) == 4
+
+
+def _where_lookup(segments, x):
+    # V by one pass per segment, the last segment [x0, x1) holding x winning
+    out = np.zeros_like(x)
+    for x0, x1, v in segments:
+        out = np.where((x >= x0) & (x < x1), v, out)
+    return out
+
+
+def test_piece_lookup_matches_a_pass_per_segment():
+    rng = np.random.default_rng(5)
+    # interior ends moved within the contiguity tolerance: gaps and
+    # overlaps of 5e-13 between neighbours
+    nudged = tuple((x0, x1 + (5e-13 if i % 2 else -5e-13), v)
+                   for i, (x0, x1, v) in enumerate(NINE_SEGMENTS[:-1])) \
+        + NINE_SEGMENTS[-1:]
+    for segments in (NINE_SEGMENTS, GAUSSIAN_WELL.segments, nudged):
+        V = Potential1D(segments=segments)
+        ends = np.array([e for x0, x1, _ in segments for e in (x0, x1)])
+        x = np.concatenate([rng.uniform(-6.0, 6.0, 2000), ends,
+                            np.nextafter(ends, -np.inf),
+                            np.nextafter(ends, np.inf), [np.nan]])
+        assert np.array_equal(V(x), _where_lookup(segments, x))
+        assert np.array_equal(V(x.reshape(-1, 1)), V(x).reshape(-1, 1))
+        scalars = [V(float(p)) for p in x[-9:]]
+        assert all(isinstance(p, float) for p in scalars)
+        assert np.array_equal(scalars, V(x[-9:]))
+
+
 def test_bound_states_asymmetric_double_well():
     V = Potential1D(segments=((-2.0, -0.5, -4.0), (-0.5, 0.5, 0.0),
                               (0.5, 1.5, -6.0)))
