@@ -3,9 +3,9 @@
 Routes to the spectral flow of the energy-parametrized scattering-matrix
 path are computed and compared:
 
-  (a) the eigenvalue-crossing count on the sweep, closed by caps counted
-      in closed form, the start cap fixed by the zero-energy scattering
-      matrix;
+  (a) the eigenvalue-crossing count of the sweep closed by caps, read in
+      closed form off the end rows, the start cap fixed by the
+      zero-energy scattering matrix;
   (b) the regularized winding integral with the (S - Id)^{d-1} insertion;
   (c) in d = 3, the plain winding integral with the high-energy polynomial
       derivative subtracted, plus the endpoint corrections that relate it
@@ -13,22 +13,53 @@ path are computed and compared:
 
 All must agree with -N, the bound-state count, after the appropriate
 threshold corrections.  Route integrals run in the wavenumber variable
-k = sqrt(lambda); the head below k_min is a rectangle estimate.  In d = 1
-the sweep is `_sweep_1d`, t -> S(k(t)) on a geometric wavenumber range
-with the exact derivative S'(k) dk/dt.  The integrand (1/2 pi i) Tr(S* S')
-takes the exact k-derivative of S, and the body on [k_min, k_max] runs
-the one winding quadrature of the package, `sflow._adaptive_gk21`
-(adaptive Gauss-Kronrod-21 with QUADPACK's qk21 error estimate), to an
-absolute K_QUAD_TOL with no relative floor; it calls the vectorized
-integrand once per round, on every node of every interval the round
-refines.  The tail beyond k_max is the first high-energy term, c_1 / k_max
-with c_1 = integral V / 2 pi, and the crossing count is
-`sflow._capped_count`, the routine `sf_open_path` counts with:
-`sf_phillips` on the sweep plus the closed-form counts of the caps that
-close it, each principal cap checked against its sample (CapMismatch).
-The d = 1 polynomial is zero (P_1 = 0, so P0 = 0), so the subtracted
-route would equal the regularized value exactly: d = 1 reports two
-routes, the crossing count and the regularized integral.
+k = sqrt(lambda); the head below k_min is a rectangle estimate.
+
+Both dimensions count crossings the same way (`_phillips`): a channel of
+weight w and phase 2 phi(k), continuous in k, closed by a start cap that
+turns by s and the principal geodesic out of its last value, which turns
+back by e, is a scalar loop whose flow through -1 is its winding number,
+(s + 2 (phi(k_max) - phi(k_min)) - e) / 2 pi.  In d = 3 the channels are
+the partial waves, of weight 2l + 1 and phase 2 delta_l; in d = 1 there is
+one channel of weight 1, since det S = T / conj(T) = e^{2i arg T}
+(Birman-Krein), and its phase is 2 arg T.  No path is sampled.  The
+principal closing cap is right only where the phase has settled by k_max:
+on the 1D wells of half-width 1 and depth 400 and 1000, arg T(100) is
+3.96 and 9.76 rad, past pi, so at the default k_max = 100 the closing
+cap takes the wrong branch and the count reads -11 and -17, the true
+flows of that capped loop, against the winding route's -13 and -21.
+
+In d = 1 one carry (`onedim._carry_1d`) at k = 0, k_min and k_max gives
+the bound-state count and the resonance statistic from its zero-energy
+row, and arg T(k_min) and arg T(k_max) on the absolute branch, arg T(inf)
+= 0, from the node count of its real part, with no energy grid.  The caps'
+angles are those of S(k_min) and S(k_max) from one `smatrix_1d` call, each
+checked to rebuild its matrix (`sflow._cap_angles`, CapMismatch).  The
+d = 1 zero-energy cap: without a resonance the scattering matrix tends to
+S0 = [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging
+projection, and closing the path through exp(-i pi t Q) reproduces the
+crossing count -N; the matching integral correction is -1/2, the
+half-unit carried by the cap's winding.  The cap and the principal
+geodesic from S0 into S(k_min) turn by -pi + sum_j theta_j, the theta_j
+the principal angles of S0* S(k_min).  The opposite orientation (+1/2) is
+also reported, as alt_convention_sf, since both bookkeepings appear in the
+literature.
+
+The d = 1 winding integrand (1/2 pi i) Tr(S* S') takes the exact
+k-derivative of S, and the body on [k_min, k_max] runs the one winding
+quadrature of the package, `sflow._adaptive_gk21` (adaptive
+Gauss-Kronrod-21 with QUADPACK's qk21 error estimate), to an absolute
+K_QUAD_TOL with no relative floor; it calls the vectorized integrand once
+per round, on every node of every interval the round refines, and checks
+that round's stack of S for unitarity once.  The tail beyond k_max is the
+first high-energy term, c_1 / k_max with c_1 = integral V / 2 pi.  This
+sampled route and the end rows are the two kinds of evidence the d = 1
+verify compares.  The d = 1 polynomial is zero (P_1 = 0, so P0 = 0), so
+the subtracted route would equal the regularized value exactly: d = 1
+reports two routes, the crossing count and the regularized integral.
+`_sweep_1d`, t -> S(k(t)) on a geometric wavenumber range with the exact
+derivative S'(k) dk/dt, is the path `sf-path --path scattering:FILE`
+counts.
 
 In d = 3 the S-matrix is diagonal in the partial waves and both integrands
 are exact k-derivatives of functions of the phase shifts: the subtracted
@@ -46,28 +77,12 @@ so the regularized route, body and exact tail together, telescopes to the
 k_min row alone: sum_l w_l (G(0) - G(delta_l(k_min))) / pi plus its head.
 The subtracted route's tail is the first high-energy term left after P_3,
 c_3 / k_max with c_3 = -integral V^2 / 16 pi^2, so that route tests the
-k_max row against the potential's moments.  The crossing count is a closed
-form too: each channel's capped loop is a scalar loop, whose flow through
--1 is its winding number, fixed by the two end rows and the principal
-angles of the two caps.  This leaves less independence in d = 3 than the
-three routes suggest: the regularized route and the crossing count are both
-functions of the end rows.  The independent checks are each channel's flow
-against its zero-energy bound-state count, which the 3D pipeline makes once
-the routes agree, and the subtracted route's k_max row against the moments
-of the potential.
-
-The d = 1 zero-energy cap: without a resonance the scattering matrix tends
-to S0 = [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging
-projection, and closing the path through exp(-i pi t Q) reproduces the
-crossing count -N; the matching integral correction is -1/2, the half-unit
-carried by the cap's winding.  The cap and the principal geodesic from S0
-into the sweep form one path from Id to S(k_min), and a path's crossing
-count with fixed ends depends only on the winding of its det.  So the two
-enter `_capped_count` as one closed-form start cap of trace -pi + sum_j
-theta_j, the theta_j the principal angles of S0* S(k_min), and Phillips
-samples the sweep alone, the path `sf-path --path scattering:FILE`
-counts.  The opposite orientation (+1/2) is also reported, as
-alt_convention_sf, since both bookkeepings appear in the literature.
+k_max row against the potential's moments.  This leaves less independence
+in d = 3 than the three routes suggest: the regularized route and the
+crossing count are both functions of the end rows.  The independent
+checks are each channel's flow against its zero-energy bound-state count,
+which the 3D pipeline makes once the routes agree, and the subtracted
+route's k_max row against the moments of the potential.
 """
 
 import numbers
@@ -84,14 +99,14 @@ from ..errors import (
     RouteDisagreement,
     UnsupportedDimension,
 )
-from ..matcore import _branch_angles, eig_unitary
+from ..matcore import _branch_angles, check_unitary
 from ..rdet import counterterm_series
-from ..sflow import SpectralFlowReport, _adaptive_gk21, _capped_count
+from ..sflow import SpectralFlowReport, _adaptive_gk21, _cap_angles
 from ..upath import UnitaryPath
 from .onedim import (
     _bound_state_count,
+    _carry_1d,
     _resonance_statistic,
-    _zero_energy_1d,
     resonance_statistic_1d,
     smatrix_1d,
 )
@@ -284,8 +299,38 @@ def _k_integral(F, k_min, k_max, tail):
 
 
 # ---------------------------------------------------------------------------
-# d = 1
+# Crossing counts of capped channels
 
+
+def _phillips(lo, hi, start, end):
+    """Per-channel crossing counts of capped scalar loops, read off each
+    channel's end rows lo and hi, its phase being 2 lo at k_min and 2 hi at
+    k_max on one continuous branch, and the angles start and end through
+    which its caps turn (arrays over the channels, or scalars for one).
+
+    Channel l's capped loop runs from 1 to e^{2i lo_l} along its start cap
+    (turning by start_l), along the sweep (by 2 (hi_l - lo_l)), and back
+    to 1 along the principal geodesic into e^{2i hi_l} run backwards
+    (cap_outof, by -end_l, the principal angle on the branch of
+    principal_log_unitary, where -1 maps to +pi: a closing cap that starts
+    at -1 turns by -pi).  A scalar loop's flow through -1 is its winding
+    number, (start_l + 2 (hi_l - lo_l) - end_l) / 2 pi, whose numerator
+    is a multiple of 2 pi by construction: no channel needs sampling.
+    Channel l weighs 2l + 1: in d = 1 the one channel, of weight 1, has
+    phase 2 arg T.
+    """
+    flows = np.atleast_1d(np.round((start + 2.0 * (hi - lo) - end)
+                                   / (2.0 * np.pi)).astype(int))
+    channels = {l: int(f) for l, f in enumerate(flows) if f}
+    total = int((2 * np.arange(len(flows)) + 1) @ flows)
+    return SpectralFlowReport(
+        value=total, raw=float(total), residual=0.0, method="phillips",
+        parameters={"channels": channels, "weights": "2l+1"},
+        warnings=[], certificate=None)
+
+
+# ---------------------------------------------------------------------------
+# d = 1
 
 def _winding_1d(V):
     """The d = 1 winding integrand in k, (1/2 pi i) Tr(S* dS/dk), as a
@@ -293,6 +338,7 @@ def _winding_1d(V):
     dS/dk serves them all."""
     def F(ks):
         S, dS = smatrix_1d(V, ks * ks, derivative=True)
+        check_unitary(S)
         return np.sum(S.conj() * dS, axis=(1, 2)) / (2j * np.pi)
     return F
 
@@ -318,26 +364,21 @@ def _sweep_1d(V, k_min=DEFAULT_K_MIN, k_max=DEFAULT_K_MAX):
 
 
 def _levinson_1d(V, k_min, k_max):
-    # one zero-energy solution serves the bound-state count and the
-    # resonance statistic
-    zero = _zero_energy_1d(V)
-    N = _bound_state_count(V, zero)
-    classification = _classify_1d(_resonance_statistic(V, zero))
+    # one carry at k = 0, k_min and k_max serves the bound-state count, the
+    # resonance statistic and the rows arg T(k_min) and arg T(k_max)
+    carry = _carry_1d(V, np.array([0.0, k_min, k_max]))
+    N = _bound_state_count(V, carry)
+    classification = _classify_1d(_resonance_statistic(V, carry))
     poly = high_energy_poly(1, V)
+
+    arg_t = carry[3]
+    phillips = _phillips_1d(arg_t[1], arg_t[2],
+                            smatrix_1d(V, np.square([k_min, k_max])),
+                            classification)
 
     integral, err = _k_integral(_winding_1d(V), k_min, k_max,
                                 poly.tail(k_max))
     correction = -0.5 if classification == "none" else 0.0
-
-    # crossing-count route on the capped path
-    sweep = _sweep_1d(V, k_min, k_max)
-    start_trace = None
-    if classification == "none":
-        # the zero cap exp(-i pi t Q) into S0 (trace -pi) and the principal
-        # geodesic from S0 = S0* into the sweep, counted as one start cap
-        S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-        start_trace = -np.pi + np.sum(eig_unitary(S0 @ sweep(0.0))[0])
-    phillips = _capped_count(sweep, start_trace)[0]
 
     # P_1 = 0, so a subtracted route would repeat the regularized one
     routes = {
@@ -352,6 +393,26 @@ def _levinson_1d(V, k_min, k_max):
         if classification == "none" else None,
         data={"quad_error": err},
     )
+
+
+def _phillips_1d(lo, hi, ends, classification):
+    """_phillips for the one channel of d = 1, of phase 2 arg T: lo and hi
+    are arg T(k_min) and arg T(k_max) on one branch, and ends the stack of
+    S(k_min) and S(k_max), on which the caps end.
+
+    The closing cap is the principal geodesic into S(k_max) run backwards,
+    and with a resonance the start cap is the principal geodesic into
+    S(k_min).  Without one it is the zero cap exp(-i pi t Q) into S0
+    (trace -pi) followed by the principal geodesic from S0 = S0* into
+    S(k_min), which turns by the angles of S0 S(k_min).  Each cap's angles
+    must rebuild the matrix it ends on (`sflow._cap_angles`)."""
+    turn = 0.0
+    if classification == "none":
+        S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
+        ends = np.stack([S0 @ ends[0], ends[1]])
+        turn = -np.pi
+    start, end = _cap_angles(ends)
+    return _phillips(lo, hi, turn + np.sum(start), np.sum(end))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +556,7 @@ def _levinson_3d(V, k_min, k_max, points):
     sf_reg = I_reg + H0 / (2j * np.pi) + correction
     sf_sub = I_sub - poly.P(0.0) / (2j * np.pi) + correction
 
-    phillips = _phillips_3d(lo, hi, w, classification)
+    phillips = _phillips_3d(lo, hi, classification)
 
     # Per-wave statement compares the zero- and infinite-energy limits.
     # delta_0(0+) comes from linear extrapolation in k (the shift is
@@ -533,35 +594,16 @@ def _levinson_3d(V, k_min, k_max, points):
     return report
 
 
-def _phillips_3d(lo, hi, weights, classification):
-    """Per-channel crossing counts, read off the end rows lo =
-    delta(k_min) and hi = delta(k_max).
-
-    Channel l's capped loop runs from 1 to e^{2i delta_l(k_min)} along the
-    principal geodesic (through -1 first for the l = 0 s-resonance), along
-    the sweep e^{2i delta_l(k)}, and back to 1 along the principal geodesic
-    into e^{2i delta_l(k_max)} run backwards (cap_outof).  A scalar loop's
-    flow through -1 is its winding number, so the flow of channel l is
-    (theta(e^{2i delta_l(k_min)}) + 2 (delta_l(k_max) - delta_l(k_min))
-    - theta(e^{2i delta_l(k_max)})) / 2 pi, with theta the principal angle
-    on the branch of principal_log_unitary (-1 maps to +pi): a closing cap
-    that starts at -1 turns by -pi.  The sum is a multiple of 2 pi by
-    construction, and no channel needs sampling.
-    """
-    start = np.exp(2j * lo)
-    angle = 2.0 * (hi - lo) - _branch_angles(np.exp(2j * hi))[0]
+def _phillips_3d(lo, hi, classification):
+    """_phillips over the phase-shift rows lo = delta(k_min) and hi =
+    delta(k_max): each channel's caps are the principal geodesics into
+    e^{2i delta_l(k_min)} and e^{2i delta_l(k_max)}, and the l = 0
+    s-resonance's start cap first turns by pi through -1."""
+    start = _branch_angles(np.exp(2j * lo))[0]
     if classification == "s_resonance":
         # exp(i pi t) turns channel 0 from 1 to -1 before its geodesic
-        start[0] = -start[0]
-        angle[0] += np.pi
-    angle += _branch_angles(start)[0]
-    flows = np.round(angle / (2.0 * np.pi)).astype(int)
-    channels = {l: int(f) for l, f in enumerate(flows) if f}
-    total = int(weights @ flows)
-    return SpectralFlowReport(
-        value=total, raw=float(total), residual=0.0, method="phillips",
-        parameters={"channels": channels, "weights": "2l+1"},
-        warnings=[], certificate=None)
+        start[0] = np.pi + _branch_angles(-np.exp(2j * lo[:1]))[0][0]
+    return _phillips(lo, hi, start, _branch_angles(np.exp(2j * hi))[0])
 
 
 # ---------------------------------------------------------------------------

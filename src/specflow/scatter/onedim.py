@@ -19,16 +19,23 @@ derivative=True)` also returns dS/dk.  The S-matrix convention is
 in the (right-incoming, left-incoming) basis: with this ordering the
 zero-energy limit in the generic (non-resonant) case is [[0, -1], [-1, 0]].
 
-At lam = 0 the same entries carry the zero-energy solution across each
-segment in one exact step, and its zeros are counted per segment, from
-the Pruefer angle where the segment is a well and as a sign change
-elsewhere (`_zero_energy_1d`), as `radial._carry` does per shell: both
-dimensions' zero-energy solutions are exact per piece, with no step size.
-They serve the node count of `bound_states_1d`, which a Sturm count of
-the finite-difference operator (`_fd_count`, shared with `radial`)
-cross-checks, and the zero-energy resonance statistic.  Also here: the
-Nyström discretization of the free-resolvent Birman-Schwinger
-determinant.
+The same entries carry one solution across each segment in one exact
+step at every energy, lam = 0 included (`_carry_1d`), as `radial._carry`
+does per shell: f = e^{-ikx} left of the support, whose real part's zeros
+are counted per segment, from the Pruefer angle where lam exceeds the
+segment's value and as a sign change elsewhere.  At lam = 0 it is the
+zero-energy solution, behind the node count of `bound_states_1d`, which a
+Sturm count of the finite-difference operator (`_fd_count`, shared with
+`radial`) cross-checks, and the zero-energy resonance statistic.  At
+lam > 0 the zero count puts arg f on its continuous branch (Calogero's
+variable phase), and with it arg T on the absolute branch, arg T(inf) =
+0, at each k on its own: det S = e^{2i arg T}, and arg T(0+) = pi (N -
+1/2) without a resonance, so one row reads the count that a sampled path
+through S would have to unwind.  At k = 100 the half-width-1 wells of
+depth 400 and 1000 still have arg T = 3.96 and 9.76 rad, past pi: a
+principal cap there closes a loop whose flow is -11 and -17, not -13 and
+-21.  Also here: the Nyström discretization of the free-resolvent
+Birman-Schwinger determinant.
 """
 
 import numpy as np
@@ -37,6 +44,7 @@ from scipy.linalg.lapack import dstebz
 from ..errors import (
     DecompositionFailure,
     EnergyNonpositive,
+    NonUnitary,
     OracleDisagreement,
     QuadratureNotConverged,
 )
@@ -236,14 +244,26 @@ def smatrix_1d(V, lam, derivative=False):
     the exact k-derivative in the same shape as S.
 
     Unitarity is inherited from the real potential and is checked by the
-    caller's tolerance when the matrix enters a path.
+    caller's tolerance when the matrix enters a path.  A transfer product
+    that overflows, leaving S non-finite, raises NonUnitary.
     """
     lams = np.asarray(lam, dtype=float)
     if np.any(lams <= 0):
         raise EnergyNonpositive(
             f"scattering energies must be positive, got {lam}")
     shape = lams.shape + (2, 2)
-    S, dS = _smatrix_dk(V, np.sqrt(lams.reshape(-1)), derivative)
+    ks = np.sqrt(lams.reshape(-1))
+    # a product that overflows, as across a thick barrier, leaves S
+    # non-finite: refused here, with no floating-point warning on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        S, dS = _smatrix_dk(V, ks, derivative)
+    bad = ~np.isfinite(S).all(axis=(1, 2))
+    if derivative:
+        bad |= ~np.isfinite(dS).all(axis=(1, 2))
+    if bad.any():
+        raise NonUnitary(
+            f"the transfer matrix product across the support overflowed at "
+            f"k = {ks[bad][0]:.6g}, so S is not finite")
     if not derivative:
         return S.reshape(shape)
     return S.reshape(shape), dS.reshape(shape)
@@ -255,17 +275,17 @@ def bound_states_1d(V):
     (i) a Sturm count of the finite-difference operator in a large box
     (`_fd_count`, no eigenvalue computed), and (ii) node counting of the
     zero-energy solution (Sturm oscillation), exact per segment
-    (`_zero_energy_1d`).  The two counts must agree, else
+    (`_carry_1d` at k = 0).  The two counts must agree, else
     OracleDisagreement.
     """
-    return _bound_state_count(V, _zero_energy_1d(V))
+    return _bound_state_count(V, _carry_1d(V, np.zeros(1)))
 
 
-def _bound_state_count(V, zero):
-    """bound_states_1d from one zero-energy solution, zero =
-    _zero_energy_1d(V)."""
+def _bound_state_count(V, carry):
+    """bound_states_1d from one carry = _carry_1d(V, ks) whose first
+    wavenumber is k = 0."""
     count_fd = _bound_states_fd(V)
-    u, du, zeros = zero
+    u, du, zeros = (row[0] for row in carry[:3])
     # one more zero in the free region x > x_right iff u and u' oppose there
     count_nodes = zeros + (1 if u * du < 0 else 0)
     if count_fd != count_nodes:
@@ -320,56 +340,90 @@ def _level(angle, neg):
         int)
 
 
-def _zero_energy_1d(V):
-    """The zero-energy solution of u'' = V u that is u = 1, u' = 0 left of
-    the support, carried across the segments in closed form: (u, u') at
-    the right edge, up to one positive factor, and the zeros of u on the
-    support.
+def _carry_1d(V, ks):
+    """The solution f that is e^{-ikx} left of the support, carried across
+    the segments in closed form at every wavenumber k >= 0 in ks (a 1-D
+    array): (u, u', zeros, arg_t), each with one entry per k.  (u, u') is
+    (Re f, Re f') at the right edge x_R, up to one positive factor; zeros
+    counts the zeros of Re f on the support; arg_t is arg T on its
+    absolute branch, where arg T(inf) = 0, and NaN at k = 0.  At k = 0, f
+    is the zero-energy solution u = 1, u' = 0 left of the support.
 
-    Each segment is one exact step, its transfer matrix at lam = 0, and
-    (u, u') is rescaled to max(|u|, |u'|) = 1 after it.  On an evanescent
-    segment (v > 0) the step is divided by cosh(kappa d), its entries
-    1, tanh(kappa d)/kappa and kappa tanh(kappa d), so no barrier
-    overflows.  Where v < 0 the Pruefer angle of (q u, u') advances by
-    exactly q d, and the zeros are the multiples of pi that it passes,
-    the sign of u deciding at a multiple (`_level`).  Elsewhere u is
-    monotone or linear between zeros, with at most one, seen as a sign
-    change.
+    Each segment is one exact step, its transfer matrix at lam = k^2, and
+    (Re f, Re f', Im f, Im f') is rescaled to a largest entry of 1 after
+    it.  On an evanescent segment (v > lam) the step is divided by
+    cosh(kappa d), its entries 1, tanh(kappa d)/kappa and kappa
+    tanh(kappa d), so no barrier overflows.  Where lam > v the Pruefer
+    angle of (q u, u') advances by exactly q d, and the zeros are the
+    multiples of pi that it passes, the sign of u deciding at a multiple
+    (`_level`).  Elsewhere u is monotone or linear between zeros, with at
+    most one, seen as a sign change.
+
+    The Wronskian of Re f and Im f is -k, so arg f decreases strictly (the
+    variable-phase construction; Calogero, Variable Phase Approach to
+    Potential Scattering, 1967): arg(i f) starts at pi/2 - k x_L and passes
+    a multiple of pi at each zero of Re f, which puts arg f(x_R) on its
+    continuous branch.  Right of the support f = (e^{-ikx} + r e^{ikx}) / T
+    with |r| < 1, so arg T = -k x_R + arg(1 + r e^{2ikx_R}) - arg f(x_R),
+    the middle term principal, with r e^{2ikx_R} = (k f - i f') / (k f +
+    i f') at x_R.
     """
     lengths, values = V.segment_arrays
+    d, v = lengths[:, None], values[:, None]
+    lams = ks * ks
     # the evanescent steps, first formed as force-free ones
-    c, s, g = _seg_entries(lengths, np.minimum(values, 0.0), 0.0)
-    ev = values > 0
-    kappa = np.sqrt(values[ev])
-    t = np.tanh(kappa * lengths[ev])
+    c, s, g = _seg_entries(d, np.minimum(v, lams), lams)
+    ev = v > lams
+    kappa = np.sqrt((v - lams)[ev])
+    t = np.tanh(kappa * np.broadcast_to(d, ev.shape)[ev])
     c[ev], s[ev], g[ev] = 1.0, t / kappa, kappa * t
-    u, du = 1.0, 0.0
-    states = [(u, du)]
-    for ci, si, gi in zip(c.tolist(), s.tolist(), g.tolist()):
-        u, du = ci * u + si * du, gi * u + ci * du
-        scale = max(abs(u), abs(du))
-        u, du = u / scale, du / scale
-        states.append((u, du))
-    # (u, u') at the left end of every segment and at the right edge
-    us, dus = np.array(states).T
+    # (Re f, Re f', Im f, Im f') at the left edge, and then at the right
+    # end of every segment, one wavenumber at a time in floats
+    x_left, x_right = V.support
+    cos, sin = np.cos(ks * x_left), np.sin(ks * x_left)
+    starts = np.array([cos, -ks * sin, -sin, -ks * cos]).T
+    states = []
+    for state, cj, sj, gj in zip(starts.tolist(), c.T.tolist(), s.T.tolist(),
+                                 g.T.tolist()):
+        u, du, w, dw = state
+        for ci, si, gi in zip(cj, sj, gj):
+            u, du = ci * u + si * du, gi * u + ci * du
+            w, dw = ci * w + si * dw, gi * w + ci * dw
+            scale = max(abs(u), abs(du), abs(w), abs(dw))
+            u, du, w, dw = u / scale, du / scale, w / scale, dw / scale
+            state += u, du, w, dw
+        states.append(state)
+    # rows (Re f, Re f', Im f, Im f') at the left end of every segment and
+    # at the right edge, one column per wavenumber
+    us, dus, ws, dws = np.array(states).reshape(len(ks), -1, 4).T
     neg = np.signbit(us)
-    q = np.sqrt(np.maximum(-values, 0.0))
+    q = np.sqrt(np.maximum(lams - v, 0.0))
     angle = np.arctan2(q * us[:-1], dus[:-1])
-    zeros = np.where(values < 0, _level(angle + q * lengths, neg[1:])
-                     - _level(angle, neg[:-1]), neg[:-1] != neg[1:])
-    return u, du, int(np.sum(zeros))
+    zeros = np.sum(np.where(lams > v, _level(angle + q * d, neg[1:])
+                            - _level(angle, neg[:-1]), neg[:-1] != neg[1:]),
+                   axis=0)
+    # arg(i f) at x_R on its branch: its level has dropped by the zeros
+    right = np.arctan2(us[-1], -ws[-1])
+    level = _level(np.pi / 2 - ks * x_left, neg[0]) - zeros
+    arg_f = right + 2.0 * np.pi * ((level - _level(right, neg[-1])) // 2) \
+        - np.pi / 2
+    f, df = us[-1] + 1j * ws[-1], dus[-1] + 1j * dws[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reflected = (ks * f - 1j * df) / (ks * f + 1j * df)
+    arg_t = -ks * x_right + np.angle(1.0 + reflected) - arg_f
+    return us[-1], dus[-1], zeros, np.where(ks > 0, arg_t, np.nan)
 
 
 def resonance_statistic_1d(V):
     """Scale-free size of the derivative of the zero-energy solution at the
     right edge; zero iff the solution stays bounded (a resonance)."""
-    return _resonance_statistic(V, _zero_energy_1d(V))
+    return _resonance_statistic(V, _carry_1d(V, np.zeros(1)))
 
 
-def _resonance_statistic(V, zero):
-    """resonance_statistic_1d from one zero-energy solution, zero =
-    _zero_energy_1d(V)."""
-    u_end, du_end, _ = zero
+def _resonance_statistic(V, carry):
+    """resonance_statistic_1d from one carry = _carry_1d(V, ks) whose
+    first wavenumber is k = 0."""
+    u_end, du_end = carry[0][0], carry[1][0]
     span = (V.support[1] - V.support[0]) + 1.0
     return abs(du_end) * span / (abs(u_end) + span * abs(du_end) + 1e-300)
 

@@ -45,12 +45,14 @@ count has a closed form in its generator's spectrum (`_generator_flow`);
 Phillips' count is additive under concatenation, so the caps are added to
 the count of the sampled path instead of being sampled themselves.  One
 routine, `_capped_count`, closes an open path with caps from and back to
-Id and counts it, guarding each principal cap with CapMismatch; its two
-callers are `sf_open_path` and the 1D crossing count of
-`scatter.levinson`.  The latter starts from the zero-energy scattering
-matrix: its start cap is the zero-energy cap followed by the geodesic
-into the sweep, which `_capped_count` counts in closed form from the det
-winding of the two, so only the sweep is sampled.
+Id and counts it for `sf_open_path`; `_cap_angles`, which it reads the
+end eigenangles with, guards each principal cap with CapMismatch, and
+`scatter.levinson` guards its caps with it too.  The Levinson crossing
+counts sample no path: a capped loop's flow is its det winding, which
+they read off end rows on an absolute branch.  A capped count is the flow
+of the loop the principal caps close, whatever the physics at the far
+end: the 1D sweep of the depth-400 well at k_max = 100 ends with arg T =
+3.96 rad, past pi, and its capped loop truly has flow -11, not -13.
 """
 
 from dataclasses import dataclass, field, replace
@@ -402,34 +404,32 @@ def _generator_flow(trace, end_angles):
     return int(winds) + int(np.count_nonzero(end_angles == np.pi))
 
 
-def _capped_count(path, start_trace=None):
-    """Crossing count of `path` closed by caps from and back to Id: a cap
-    e^{tY} into path(a) whose generator has Tr(-iY) = start_trace (by
-    default the principal cap, Y = Log path(a)), the path, and the
-    principal cap e^{(1-t)Z}, Z = Log path(b), back to Id.  By
-    `_generator_flow`, the start cap stands for any path from Id to
-    path(a) whose det winds by start_trace: the 1D Levinson count passes
-    the trace of the zero-energy cap and the geodesic from its end into
-    the sweep, and samples neither.
-
-    `sf_phillips` counts the sampled path and the caps add their
-    closed-form counts (`_generator_flow`), read off the eigenangles of
-    the path's end samples, taken and decomposed as one stack (and
-    checked once, by `eig_unitary`); each principal cap must end on its
-    sample (CapMismatch).  Returns the report, carrying the capped count
-    as value and raw, and the (start, end) eigenangles.
-    """
-    U = path._evaluate(path.interval)
+def _cap_angles(U):
+    """The snapped `eig_unitary` angles of a (2, dim, dim) stack U of the
+    matrices two caps end on, (start, end), decomposed as one stack (and
+    checked once).  Each cap, rebuilt from its angles and eigenvectors,
+    must end on its matrix (CapMismatch names the cap that misses)."""
     angles, vecs = eig_unitary(U)
     cap_ends = (vecs * np.exp(1j * angles)[:, None, :]) @ vecs.conj().mT
     gaps = np.linalg.norm(cap_ends - U, ord=2, axis=(-2, -1))
     for which, gap in zip(("start", "end"), gaps):
         if gap > ENDPOINT_TOL:
             raise CapMismatch(f"{which} cap misses endpoint by {gap:.3e}")
-    start, end = angles
-    if start_trace is None:
-        start_trace = np.sum(start)
-    caps = (_generator_flow(start_trace, start)
+    return angles
+
+
+def _capped_count(path):
+    """Crossing count of `path` closed by the principal caps e^{tY} from Id
+    into path(a), Y = Log path(a), and e^{(1-t)Z} from path(b) back to Id,
+    Z = Log path(b).
+
+    `sf_phillips` counts the sampled path and the caps add their
+    closed-form counts (`_generator_flow`), read off the eigenangles of
+    the path's end samples (`_cap_angles`).  Returns the report, carrying
+    the capped count as value and raw, and the (start, end) eigenangles.
+    """
+    start, end = _cap_angles(path._evaluate(path.interval))
+    caps = (_generator_flow(np.sum(start), start)
             - _generator_flow(np.sum(end), end))
     report = sf_phillips(path)
     value = report.value + caps

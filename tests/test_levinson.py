@@ -12,6 +12,7 @@ from specflow.errors import (
     Inconclusive,
     IntegrationFailure,
     InvalidGrid,
+    NonUnitary,
     OracleDisagreement,
     RouteDisagreement,
     UnsupportedDimension,
@@ -26,6 +27,7 @@ from specflow.scatter import (
     resonance_detect,
     resonance_statistic_1d,
     schatten_decay_exponent,
+    smatrix_1d,
 )
 from specflow.scatter import levinson, onedim
 from specflow.scatter.levinson import (
@@ -57,6 +59,12 @@ DOUBLE_WELL = Potential1D(segments=((-3.0, -1.0, -6.0), (-1.0, 1.0, 2.0),
                                     (1.0, 3.0, -6.0)))
 GAUSSIAN_WELL = Potential1D.from_callable(lambda x: -8.0 * np.exp(-x * x),
                                           (-4.0, 4.0), n_segments=200)
+GENERATED = Potential1D(segments=(
+    (-0.505929804916728, 0.5367005537667371, 25.226970101828872),
+    (0.5367005537667371, 0.552140554611146, -76.11646900155822),
+    (0.552140554611146, 1.1516938620684343, -6.833421070640126),
+    (1.1516938620684343, 2.4172869310468856, 14.764350844651647),
+    (2.4172869310468856, 2.435807697492514, 13.808684778713117)))
 
 
 @pytest.fixture(scope="module")
@@ -176,7 +184,13 @@ def test_levinson_1d_single_well():
      {"phillips": -2.0,
       "regularized": -2.000062817459451 + 3.2779416775792827e-16j},
      1.6836220379978194e-12),
-], ids=["double_well", "gaussian_200_segments"])
+    # a generated potential, N = 0, on whose sampled sweep a capped
+    # Phillips count aliases to -1
+    (GENERATED,
+     {"phillips": 0.0,
+      "regularized": -4.2004641930493136e-05 - 1.0861684076938605e-16j},
+     4.410409900990278e-10),
+], ids=["double_well", "gaussian_200_segments", "generated_five_segments"])
 def test_levinson_1d_multi_segment_pins(V, pinned, quad_error):
     # several segments, multiplied in a fixed pairwise tree; the winding
     # integrand takes the exact dS/dk, so rounding in S reaches the routes
@@ -192,6 +206,36 @@ def test_levinson_1d_multi_segment_pins(V, pinned, quad_error):
     for name, want in pinned.items():
         assert abs(rep.routes[name] - want) < 1e-12
     assert abs(rep.data["quad_error"] - quad_error) < 1e-6 * quad_error
+
+
+def test_levinson_1d_samples_no_path(monkeypatch):
+    # the crossing count is closed-form in the end rows: with Phillips'
+    # engine replaced by one that raises, the bench's five 1D verifies
+    # still pass
+    def refuse(path):
+        raise AssertionError("sf_phillips sampled a path")
+
+    monkeypatch.setattr(sflow, "sf_phillips", refuse)
+    for V, count in ((Potential1D.square_well(2.0), 1), (WELL1, 2),
+                     (Potential1D.square_well(20.0), 3), (DOUBLE_WELL, 4),
+                     (GAUSSIAN_WELL, 2)):
+        rep = levinson_verify(V, 1)
+        assert rep.verdict == "pass" and rep.N == count and rep.sf == -count
+
+
+def test_levinson_1d_overflowed_transfer_product_is_non_unitary():
+    # across the width-2 barrier of height 4e5 (kappa w about 1265) the
+    # transfer product overflows: S is refused as NonUnitary, naming the
+    # product, with no floating-point warning on the way
+    V = Potential1D(segments=((-1.0, 1.0, 4e5),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonUnitary, match="transfer matrix product"):
+            levinson_verify(V, 1)
+        with pytest.raises(NonUnitary, match="overflowed at k = 1,"):
+            smatrix_1d(V, 1.0)
+        with pytest.raises(NonUnitary, match="overflowed at k = 2,"):
+            smatrix_1d(V, np.array([4.0, 9.0]), derivative=True)
 
 
 def test_levinson_1d_winding_route_is_batched(monkeypatch):
@@ -240,17 +284,26 @@ def test_sweep_1d(monkeypatch):
                            atol=1e-12)
 
 
-@pytest.mark.parametrize("depth, count", [(100.0, 7), (400.0, None),
-                                          (1000.0, None)])
-def test_levinson_1d_deep_wells(depth, count):
-    # the default k_max = 100 is too small past depth 100: the crossing
-    # count aliases on the sweep and the routes disagree, loudly
+@pytest.mark.parametrize("depth, count, grid", [
+    pytest.param(100.0, 7, None, id="100.0-7"),
+    pytest.param(400.0, None, None, id="400.0-None"),
+    pytest.param(1000.0, None, None, id="1000.0-None"),
+    pytest.param(1000.0, 21, {"k_max": 1000.0}, id="1000.0-21-k_max_1000"),
+])
+def test_levinson_1d_deep_wells(depth, count, grid):
+    # the default k_max = 100 is too small past depth 100: arg T(100) is
+    # 3.96 and 9.76 rad at depths 400 and 1000, so the principal cap that
+    # closes the sweep takes the wrong branch and the crossing count reads
+    # the capped loop's true flow, -11 and -17, while the winding route
+    # reads -13 and -21; the routes disagree, loudly.  At k_max = 1000
+    # arg T is near the Born phase, 1 rad at depth 1000, and both routes
+    # read the count
     V = Potential1D.square_well(depth)
     if count is None:
         with pytest.raises(RouteDisagreement):
-            levinson_verify(V, 1)
+            levinson_verify(V, 1, grid)
         return
-    rep = levinson_verify(V, 1)
+    rep = levinson_verify(V, 1, grid)
     assert rep.verdict == "pass"
     assert rep.N == count and rep.sf == -count
 
@@ -275,7 +328,8 @@ def _assembled(monkeypatch, V, d, grid=None):
 def test_levinson_1d_depth_400_route_reads_the_count(monkeypatch):
     # 13 states: with the explicit tail integral V / (2 pi k_max) the
     # winding route reads -13.012 on the default grid, while the verify
-    # still raises because the crossing count aliases on the sweep
+    # still raises: arg T(100) = 3.96 rad lies past pi, so the principal
+    # closing cap takes the wrong branch and the crossing count reads -11
     routes = _assembled(monkeypatch, Potential1D.square_well(400.0),
                         1)["routes"]
     assert abs(routes["regularized"] + 13.0) < levinson.RESIDUAL_TOL
@@ -283,34 +337,39 @@ def test_levinson_1d_depth_400_route_reads_the_count(monkeypatch):
 
 @pytest.mark.parametrize("k_max", [200.0, 400.0])
 def test_levinson_1d_double_well_past_default_k_max(k_max):
-    # with the geodesic from the zero-energy cap into the sweep sampled
-    # too, only 17 of Phillips' 33 initial samples fell on the sweep and
-    # the count aliased to -3; the sweep alone is sampled, as sf-path
-    # samples it
+    # the closed-form crossing count against Phillips' count of the sweep
+    # as sf-path samples it, closed by the closed-form counts of the
+    # zero-energy cap with its geodesic into the sweep, and of the
+    # principal closing cap
     rep = levinson_verify(DOUBLE_WELL, 1, grid={"k_max": k_max})
     assert rep.verdict == "pass"
     assert rep.N == 4 and rep.sf == -4
     sweep = levinson._sweep_1d(DOUBLE_WELL, levinson.DEFAULT_K_MIN, k_max)
-    alone = sf_phillips(sweep)
-    assert rep.sf_regularized.parameters == alone.parameters
-    assert rep.sf_regularized.certificate.breakpoints \
-        == alone.certificate.breakpoints
+    S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
+    trace = -np.pi + np.sum(eig_unitary(S0 @ sweep(0.0))[0])
+    start, end = (eig_unitary(sweep(t))[0] for t in (0.0, 1.0))
+    sampled = (sf_phillips(sweep).value
+               + sflow._generator_flow(trace, start)
+               - sflow._generator_flow(np.sum(end), end))
+    assert rep.sf == sampled
 
 
 def test_levinson_1d_solves_the_zero_energy_equation_once(monkeypatch):
-    # the bound-state count and the resonance statistic share one solution
-    solve = levinson._zero_energy_1d
+    # the bound-state count, the resonance statistic and the end rows of
+    # the crossing count share one carry, at k = 0, k_min and k_max
+    carry = levinson._carry_1d
     calls = []
 
-    def counting(V):
-        calls.append(V)
-        return solve(V)
+    def counting(V, ks):
+        calls.append((V, ks.tolist()))
+        return carry(V, ks)
 
-    monkeypatch.setattr(levinson, "_zero_energy_1d", counting)
-    monkeypatch.setattr(onedim, "_zero_energy_1d", counting)
+    monkeypatch.setattr(levinson, "_carry_1d", counting)
+    monkeypatch.setattr(onedim, "_carry_1d", counting)
     rep = levinson_verify(WELL1, 1)
     assert rep.verdict == "pass" and rep.N == 2
-    assert calls == [WELL1]
+    assert calls == [(WELL1, [0.0, levinson.DEFAULT_K_MIN,
+                              levinson.DEFAULT_K_MAX])]
 
 
 def _k_quad(F, a, b):
@@ -745,29 +804,20 @@ def test_phillips_3d_closing_cap_at_minus_one(hi, flow):
     loop = concatenate(concatenate(cap_into(S(0.0)), UnitaryPath(S)),
                        cap_outof(S(1.0)))
     assert sf_phillips(loop).value == flow
-    rep = levinson._phillips_3d(np.array([lo]), np.array([hi]), np.ones(1),
-                                "none")
+    rep = levinson._phillips_3d(np.array([lo]), np.array([hi]), "none")
     assert rep.value == flow
 
 
 def _capped_count(sweep, zero_cap=None):
     # sflow._capped_count on the sweep; with zero_cap = (Y, S0), on the
-    # geodesic from S0 into the sweep and the sweep, the cap exp(tY) from
-    # Id to S0 counted through its trace
+    # cap exp(tY) from Id to S0, the geodesic from S0 into the sweep and
+    # the sweep, all sampled
     if zero_cap is None:
         return sflow._capped_count(sweep)[0]
     Y, S0 = zero_cap
-    body = concatenate(geodesic_between(S0, sweep(0.0)), sweep)
-    return sflow._capped_count(body, np.trace(-1j * Y).real)[0]
-
-
-def _start_trace(zero_cap, start):
-    # the zero cap exp(tY) and the principal geodesic from S0 to start as
-    # one start cap, counted through the trace of the two: Tr(-iY) plus
-    # the principal angles of S0* start
-    Y, S0 = zero_cap
-    return (np.trace(-1j * Y).real
-            + np.sum(eig_unitary(S0.conj().T @ start)[0]))
+    body = concatenate(concatenate(generator_path(Y),
+                                   geodesic_between(S0, sweep(0.0))), sweep)
+    return sflow._capped_count(body)[0]
 
 
 def _sampled_capped_flow(S_of_t, zero_cap=None):
@@ -790,7 +840,8 @@ def test_capped_flow_closed_form_caps_match_sampled_caps():
     # sweeps S(t) = B W diag(e^{i phi(t)}) W* over 2x2 unitaries, some
     # starting or ending with an eigenvalue at -1, against the loop with
     # every cap sampled; the 1D zero-energy cap closes those from S0, both
-    # with its geodesic into the sweep sampled and as one closed-form cap
+    # with its geodesic into the sweep sampled and as the 1D verify counts
+    # it, in closed form from the det phase, sum phi(t) over the sweep
     rng = np.random.default_rng(11)
     S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
     Q = 0.5 * np.ones((2, 2), dtype=complex)
@@ -817,9 +868,11 @@ def test_capped_flow_closed_form_caps_match_sampled_caps():
         sweep = UnitaryPath(S_of_t)
         assert _capped_count(sweep, cap).value == want
         if cap is not None:
-            # the 1D crossing count's closed-form start cap
-            trace = _start_trace(cap, S_of_t(0.0))
-            assert sflow._capped_count(sweep, trace)[0].value == want
+            # the 1D crossing count: one channel, whose phase 2 arg T is
+            # the det phase sum phi(t) here
+            ends = np.stack([S_of_t(0.0), S_of_t(1.0)])
+            rep = levinson._phillips_1d(0.0, np.sum(dphi) / 2.0, ends, "none")
+            assert rep.value == want
 
 
 def test_capped_count_raises_when_a_cap_misses_its_sample(monkeypatch):

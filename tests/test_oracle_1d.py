@@ -30,7 +30,7 @@ from specflow.scatter import (
     transfer_matrix,
 )
 from specflow.scatter.levinson import K_QUAD_TOL, _winding_1d
-from specflow.scatter.onedim import _transfer_dlam
+from specflow.scatter.onedim import _carry_1d, _transfer_dlam
 from specflow.sflow import _adaptive_gk21
 
 mp = pytest.importorskip("mpmath")
@@ -86,6 +86,18 @@ def test_smatrix_matches_oracle(depth):
     for k in [0.01, 0.3, 1.0, np.sqrt(2.0), 2.7, 10.0, 100.0]:
         assert np.max(np.abs(smatrix_1d(V, k * k)
                              - oracle_smatrix(depth, k))) < 1e-12
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_carry_arg_t_matches_oracle(depth):
+    # the carry's arg T on its absolute branch agrees mod 2 pi with the
+    # phase of the oracle's transmission amplitude
+    V = Potential1D.square_well(depth, HALFWIDTH)
+    ks = np.array([0.01, 1.0, 30.0])
+    arg_t = _carry_1d(V, ks)[3]
+    for k, got in zip(ks, arg_t):
+        want = np.angle(oracle_smatrix(depth, k)[0, 0])
+        assert abs(np.angle(np.exp(1j * (got - want)))) < 1e-12
 
 
 @pytest.mark.parametrize("depth", DEPTHS)

@@ -294,11 +294,72 @@ def test_bound_state_counts():
     assert bound_states_1d(barrier) == 0
 
 
+def _zero_row(V):
+    # the k = 0 row of the carry: (u, u', zeros) of the zero-energy solution
+    u, du, zeros, arg_t = onedim._carry_1d(V, np.zeros(1))
+    assert np.isnan(arg_t[0])
+    return float(u[0]), float(du[0]), int(zeros[0])
+
+
 def _nodes(V):
     # nodes of the zero-energy solution: on the support, and one beyond it
     # where u and u' oppose at the right edge
-    u, du, zeros = onedim._zero_energy_1d(V)
+    u, du, zeros = _zero_row(V)
     return zeros + (1 if u * du < 0 else 0)
+
+
+def _split_well(depth, pieces):
+    edges = np.linspace(-1.0, 1.0, pieces + 1)
+    return Potential1D(segments=tuple(
+        (a, b, -depth) for a, b in zip(edges[:-1].tolist(),
+                                       edges[1:].tolist())))
+
+
+def _barrier(height, pieces):
+    edges = np.linspace(-1.0, 1.0, pieces + 1).tolist()
+    return Potential1D(segments=tuple(
+        (a, b, height) for a, b in zip(edges[:-1], edges[1:])))
+
+
+def _double_well(height):
+    return Potential1D(segments=((-3.0, -1.0, -6.0), (-1.0, 1.0, height),
+                                 (1.0, 3.0, -6.0)))
+
+
+# (u(x_R), u'(x_R), zeros on the support), u scaled to max(|u|, |u'|) = 1,
+# as the dedicated zero-energy solve that the carry's k = 0 row replaced
+# gave them, bit for bit, on the inputs of the node-count tests here
+ZERO_ENERGY_ROWS = [
+    (Potential1D.square_well(2.0), (-1.0, -0.4579526190929861, 1)),
+    (Potential1D.square_well(5.0), (-0.10956057683491256, 1.0, 1)),
+    (Potential1D.square_well(20.0), (-0.42897839130328097, -1.0, 3)),
+    (Potential1D.square_well(400000.0), (-0.0007061330146106357, -1.0, 403)),
+    (Potential1D.square_well(1000000.0), (-0.00039510101168392436, -1.0, 637)),
+    (_split_well(2.0, 2), (-1.0, -0.4579526190929861, 1)),
+    (_split_well(20.0, 2), (-0.42897839130328097, -1.0, 3)),
+    (_split_well(400000.0, 2), (-0.0007061330146106354, -1.0, 403)),
+    (_split_well(1000000.0, 2), (-0.0003951010116839243, -1.0, 637)),
+    (_split_well(2.0, 3), (-1.0, -0.45795261909298646, 1)),
+    (_split_well(20.0, 3), (-0.42897839130328097, -1.0, 3)),
+    (_split_well(400000.0, 3), (-0.0007061330146106351, -1.0, 403)),
+    (_split_well(1000000.0, 3), (-0.00039510101168392436, -1.0, 637)),
+    (_split_well(2.0, 7), (-1.0, -0.45795261909298657, 1)),
+    (_split_well(20.0, 7), (-0.42897839130328114, -1.0, 3)),
+    (_split_well(400000.0, 7), (-0.0007061330146106896, -1.0, 403)),
+    (_split_well(1000000.0, 7), (-0.00039510101168412163, -1.0, 637)),
+    (_barrier(400000.0, 1), (0.0015811388300841895, 1.0, 0)),
+    (_barrier(400000.0, 2000), (0.0015811388300841897, 1.0, 0)),
+    (_barrier(1000000.0, 1), (0.001, 1.0, 0)),
+    (_barrier(1000000.0, 2000), (0.001, 1.0, 0)),
+    (_double_well(0.0), (-0.0030559910035140945, 1.0, 3)),
+    (_double_well(2.0), (-0.14415641568978285, 1.0, 3)),
+    (_double_well(1000000.0), (-1.0, 0.4686474082065482, 3)),
+]
+
+
+@pytest.mark.parametrize("V, row", ZERO_ENERGY_ROWS)
+def test_carry_zero_row_is_the_zero_energy_solve(V, row):
+    assert _zero_row(V) == row
 
 
 @pytest.mark.parametrize("depth, count", [(4e5, 403), (1e6, 637)])
@@ -372,6 +433,37 @@ def test_piece_lookup_matches_a_pass_per_segment():
         scalars = [V(float(p)) for p in x[-9:]]
         assert all(isinstance(p, float) for p in scalars)
         assert np.array_equal(scalars, V(x[-9:]))
+
+
+def _arg_t(V, k):
+    return onedim._carry_1d(V, np.array([k]))[3][0]
+
+
+@pytest.mark.parametrize("V, count", [
+    (Potential1D.square_well(100.0), 7),
+    (Potential1D.square_well(400.0), 13),
+    (Potential1D.square_well(1000.0), 21),
+    (DOUBLE_WELL, 4),
+    (_barrier(50.0, 1), 0),
+    (_barrier(400.0, 1), 0),
+], ids=["well_100", "well_400", "well_1000", "double_well", "barrier_50",
+        "barrier_400"])
+def test_arg_t_near_threshold_reads_the_count(V, count):
+    # Levinson's relation in d = 1 without a resonance, arg T(0+) =
+    # pi (N - 1/2), from one row of the carry: no energy grid to unwind
+    assert round(_arg_t(V, 0.01) / np.pi + 0.5) == count
+
+
+@pytest.mark.parametrize("V", [
+    Potential1D.square_well(2.0), Potential1D.square_well(5.0),
+    Potential1D.square_well(20.0), DOUBLE_WELL, GAUSSIAN_WELL,
+], ids=["well_2", "well_5", "well_20", "double_well", "gaussian"])
+def test_arg_t_high_energy_is_the_born_phase(V):
+    # arg T(k) -> 0 on the absolute branch, as the Born phase
+    # -integral V / 2k
+    k = 1000.0
+    born = -V.integral() / (2.0 * k)
+    assert abs(_arg_t(V, k) - born) < 1e-2 * abs(born)
 
 
 def test_bound_states_asymmetric_double_well():
