@@ -29,67 +29,79 @@ on the 1D wells of half-width 1 and depth 400 and 1000, arg T(100) is
 cap takes the wrong branch and the count reads -11 and -17, the true
 flows of that capped loop, against the winding route's -13 and -21.
 
+One pipeline (`_levinson`) builds every report.  Each dimension gives it
+one record (`_evidence_1d`, `_evidence_3d`): N and the classification
+from the zero-energy row of its carry, the rows phi(k_min) and phi(k_max)
+on the absolute branch, phi(inf) = 0, the exact slope d phi / dk at k_min,
+the caps' angles and the threshold counterterms.  The shared code then
+runs the crossing count, the route formulas (`_table_routes`: a rectangle
+below k_min from the slope, the body, the tail beyond k_max) and the
+assembly, and in d = 3 checks each channel's flow.  No energy grid is
+sampled for rows or slopes: the verify reads k = 0, k_min and k_max.
+
 In d = 1 one carry (`onedim._carry_1d`) at k = 0, k_min and k_max gives
 the bound-state count and the resonance statistic from its zero-energy
-row, and arg T(k_min) and arg T(k_max) on the absolute branch, arg T(inf)
-= 0, from the node count of its real part, with no energy grid.  The caps'
-angles are those of S(k_min) and S(k_max) from one `smatrix_1d` call, each
-checked to rebuild its matrix (`sflow._cap_angles`, CapMismatch).  The
-d = 1 zero-energy cap: without a resonance the scattering matrix tends to
-S0 = [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging
-projection, and closing the path through exp(-i pi t Q) reproduces the
-crossing count -N; the matching integral correction is -1/2, the
-half-unit carried by the cap's winding.  The cap and the principal
-geodesic from S0 into S(k_min) turn by -pi + sum_j theta_j, the theta_j
-the principal angles of S0* S(k_min).  The opposite orientation (+1/2) is
-also reported, as alt_convention_sf, since both bookkeepings appear in the
-literature.
+row, and arg T(k_min) and arg T(k_max) on the absolute branch from the
+node count of its real part.  One `smatrix_1d` call at k_min and k_max,
+with the exact derivative, gives the matrices the caps end on, each
+checked to rebuild its matrix (`sflow._cap_angles`, CapMismatch), and the
+slope d arg T / dk = Tr(S* S') / 2i at k_min.  The d = 1 zero-energy cap:
+without a resonance the scattering matrix tends to S0 = [[0,-1],[-1,0]] =
+exp(-i pi Q) with Q the rank-one averaging projection, and closing the
+path through exp(-i pi t Q) reproduces the crossing count -N; the matching
+integral correction is -1/2, the half-unit carried by the cap's winding.
+The cap and the principal geodesic from S0 into S(k_min) turn by -pi +
+sum_j theta_j, the theta_j the principal angles of S0* S(k_min).  The
+opposite orientation (+1/2) is also reported, as alt_convention_sf,
+since both bookkeepings appear in the literature.
 
-The d = 1 winding integrand (1/2 pi i) Tr(S* S') takes the exact
-k-derivative of S, and the body on [k_min, k_max] runs the one winding
-quadrature of the package, `sflow._adaptive_gk21` (adaptive
-Gauss-Kronrod-21 with QUADPACK's qk21 error estimate), to an absolute
-K_QUAD_TOL with no relative floor; it calls the vectorized integrand once
-per round, on every node of every interval the round refines, and checks
-that round's stack of S for unitarity once.  The tail beyond k_max is the
-first high-energy term, c_1 / k_max with c_1 = integral V / 2 pi.  This
-sampled route and the end rows are the two kinds of evidence the d = 1
-verify compares.  The d = 1 polynomial is zero (P_1 = 0, so P0 = 0), so
-the subtracted route would equal the regularized value exactly: d = 1
-reports two routes, the crossing count and the regularized integral.
-`_sweep_1d`, t -> S(k(t)) on a geometric wavenumber range with the exact
-derivative S'(k) dk/dt, is the path `sf-path --path scattering:FILE`
-counts.
+The d = 1 winding integrand (1/2 pi i) Tr(S* S') = (1/pi) d arg T / dk
+takes the exact k-derivative of S, and its body on [k_min, k_max] runs
+the one winding quadrature of the package, `sflow._adaptive_gk21`
+(adaptive Gauss-Kronrod-21 with QUADPACK's qk21 error estimate), to an
+absolute K_QUAD_TOL with no relative floor; it calls the vectorized
+integrand once per round, on every node of every interval the round
+refines, and checks that round's stack of S for unitarity once.  The tail
+beyond k_max is the first high-energy term, c_1 / k_max with c_1 =
+integral V / 2 pi.  The quadrature stays although the carry's rows would
+telescope the body: it is the one route evidence in either dimension not
+read off the carry, so it is the runtime cross-check of the rows' branch.
+The d = 1 polynomial is zero (P_1 = 0, so P0 = 0) and the regularizing
+insertion is (S - Id)^0 = Id, so the subtracted route would equal the
+regularized value exactly: d = 1 reports two routes, the crossing count
+and the regularized integral.  `_sweep_1d`, t -> S(k(t)) on a geometric
+wavenumber range with the exact derivative S'(k) dk/dt, is the path
+`sf-path --path scattering:FILE` counts.
 
 In d = 3 the S-matrix is diagonal in the partial waves and both integrands
 are exact k-derivatives of functions of the phase shifts: the subtracted
 one of sum_l w_l delta_l / pi + moment k, the regularized one of
 sum_l w_l G(delta_l) / pi with G(x) = e^{4ix}/(4i) - e^{2ix}/i + x.  Each
-route is thus a difference of primitives and reads three things, taken
-once for both (`_end_rows`, `_table_routes`): the row at k_min, the row at
-k_max and the slope d delta / dk at k_min, which the heads below k_min use.
-No phase table is built.  The k_max row is the one choose_lmax sweeps to
-fix the channel range, and the slope is that of a spline through the first
-SLOPE_ROWS rows of the geometric grid, swept up to the cutoff the same
-choose_lmax sweep finds at the top of them.  Every row is on the absolute
-branch, delta_l(inf) = 0, from the node count of its own sweep (radial),
-so the regularized route, body and exact tail together, telescopes to the
-k_min row alone: sum_l w_l (G(0) - G(delta_l(k_min))) / pi plus its head.
-The subtracted route's tail is the first high-energy term left after P_3,
-c_3 / k_max with c_3 = -integral V^2 / 16 pi^2, so that route tests the
-k_max row against the potential's moments.  This leaves less independence
-in d = 3 than the three routes suggest: the regularized route and the
-crossing count are both functions of the end rows.  The independent
-checks are each channel's flow against its zero-energy bound-state count,
-which the 3D pipeline makes once the routes agree, and the subtracted
-route's k_max row against the moments of the potential.
+route is thus a difference of primitives and reads three things: the row
+at k_min, the row at k_max and the slope d delta / dk at k_min, which the
+heads below k_min use.  No phase table is built.  One choose_lmax sweep
+at k_min and k_max (`radial._cutoff_rows`) gives both rows, the channel
+range and the slope, in closed form from the same shell carry: the
+energy derivative of the variable phase is the integral of u^2 over the
+support against the free solution's (`radial._sweep_rows`).  Every row is
+on the absolute branch, delta_l(inf) = 0, from the node count of its own
+sweep, so the regularized route, body and exact tail together,
+telescopes to the k_min row alone: sum_l w_l (G(0) - G(delta_l(k_min))) /
+pi plus its head.  The subtracted route's tail is the first high-energy
+term left after P_3, c_3 / k_max with c_3 = -integral V^2 / 16 pi^2, so
+that route tests the k_max row against the potential's moments.  This
+leaves less independence in d = 3 than the three routes suggest: every
+route reads the carry's rows.  The independent checks are each channel's
+flow against its zero-energy bound-state count, which the 3D pipeline
+makes once the routes agree, and the subtracted route's k_max row
+against the moments of the potential.
 """
 
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
 from ..errors import (
@@ -132,8 +144,6 @@ RESIDUAL_TOL = 0.05
 # costs one batched radial sweep, whose fixed cost outweighs the cut
 # beyond a few bands
 K_BANDS = (2.0, 20.0)
-# the rows at the bottom of the wavenumber grid that fix the slope at k_min
-SLOPE_ROWS = 16
 # the energy beyond which regularization_necessity takes the subtracted tail
 NECESSITY_LAMBDA = 1e3
 
@@ -288,14 +298,19 @@ class LevinsonReport:
 K_QUAD_TOL = 1e-9
 
 
-def _k_integral(F, k_min, k_max, tail):
-    """Integral of the complex, vectorized F over k > 0: adaptive
-    Gauss-Kronrod quadrature on [k_min, k_max], a rectangle estimate of
-    the head below k_min and the given tail beyond k_max.  Returns
-    (integral, quad_error)."""
-    body, err = _adaptive_gk21(F, (k_min, k_max), K_QUAD_TOL, 0.0)
-    head = F(np.array([k_min]))[0] * k_min
-    return body + head + tail, err
+# What a verify reads of one potential, the same record in both dimensions.
+# Channel l weighs 2l + 1 and has phase 2 phi_l (d = 3: the partial waves,
+# phi_l = delta_l; d = 1: one channel, phi_0 = arg T).  lo, hi and slope
+# are phi(k_min), phi(k_max) and d phi / dk at k_min, the rows on the
+# absolute branch, phi(inf) = 0; start and end are the angles through which
+# each channel's caps turn.  correction is the threshold correction of every
+# winding route and counterterm the zero-energy term of the regularized
+# one.  body, when set, is the d = 1 winding quadrature on [k_min, k_max];
+# counts, when set, the d = 3 per-channel bound-state counts that each
+# channel's flow must match.
+_Evidence = namedtuple(
+    "_Evidence", "N classification lo hi slope start end correction data "
+    "counterterm body counts per_wave", defaults=(0.0, None, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -363,56 +378,38 @@ def _sweep_1d(V, k_min=DEFAULT_K_MIN, k_max=DEFAULT_K_MAX):
                        array_derivative=array_derivative, dim=2)
 
 
-def _levinson_1d(V, k_min, k_max):
-    # one carry at k = 0, k_min and k_max serves the bound-state count, the
-    # resonance statistic and the rows arg T(k_min) and arg T(k_max)
+def _evidence_1d(V, k_min, k_max):
+    """The d = 1 record: one channel of weight 1 and phase 2 arg T.
+
+    One carry at k = 0, k_min and k_max gives the bound-state count, the
+    resonance statistic and the rows arg T(k_min) and arg T(k_max).  One
+    `smatrix_1d` call at k_min and k_max gives the matrices the caps end
+    on and the slope d arg T / dk = Tr(S* S') / 2i at k_min.  The closing
+    cap is the principal geodesic into S(k_max) run backwards, and with a
+    resonance the start cap is the principal geodesic into S(k_min).
+    Without one it is the zero cap exp(-i pi t Q) into S0 (trace -pi)
+    followed by the principal geodesic from S0 = S0* into S(k_min), which
+    turns by the angles of S0 S(k_min).  Each cap's angles must rebuild
+    the matrix it ends on (`sflow._cap_angles`).  The body is the winding
+    quadrature, the one route evidence not read off the carry."""
     carry = _carry_1d(V, np.array([0.0, k_min, k_max]))
     N = _bound_state_count(V, carry)
     classification = _classify_1d(_resonance_statistic(V, carry))
-    poly = high_energy_poly(1, V)
-
-    arg_t = carry[3]
-    phillips = _phillips_1d(arg_t[1], arg_t[2],
-                            smatrix_1d(V, np.square([k_min, k_max])),
-                            classification)
-
-    integral, err = _k_integral(_winding_1d(V), k_min, k_max,
-                                poly.tail(k_max))
-    correction = -0.5 if classification == "none" else 0.0
-
-    # P_1 = 0, so a subtracted route would repeat the regularized one
-    routes = {
-        "phillips": complex(phillips.value),
-        "regularized": integral + correction,
-    }
-    return _assemble(
-        dimension=1, N=N, classification=classification,
-        phillips=phillips, routes=routes, raw_integral=float(integral.real),
-        poly=poly, correction=correction,
-        alt_convention_sf=float((integral + 0.5).real)
-        if classification == "none" else None,
-        data={"quad_error": err},
-    )
-
-
-def _phillips_1d(lo, hi, ends, classification):
-    """_phillips for the one channel of d = 1, of phase 2 arg T: lo and hi
-    are arg T(k_min) and arg T(k_max) on one branch, and ends the stack of
-    S(k_min) and S(k_max), on which the caps end.
-
-    The closing cap is the principal geodesic into S(k_max) run backwards,
-    and with a resonance the start cap is the principal geodesic into
-    S(k_min).  Without one it is the zero cap exp(-i pi t Q) into S0
-    (trace -pi) followed by the principal geodesic from S0 = S0* into
-    S(k_min), which turns by the angles of S0 S(k_min).  Each cap's angles
-    must rebuild the matrix it ends on (`sflow._cap_angles`)."""
-    turn = 0.0
+    S, dS = smatrix_1d(V, np.square([k_min, k_max]), derivative=True)
+    slope = np.sum(S[0].conj() * dS[0]).imag / 2.0
+    ends, turn = S, 0.0
     if classification == "none":
         S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-        ends = np.stack([S0 @ ends[0], ends[1]])
-        turn = -np.pi
+        ends, turn = np.stack([S0 @ S[0], S[1]]), -np.pi
     start, end = _cap_angles(ends)
-    return _phillips(lo, hi, turn + np.sum(start), np.sum(end))
+    body, err = _adaptive_gk21(_winding_1d(V), (k_min, k_max), K_QUAD_TOL,
+                               0.0)
+    return _Evidence(
+        N=N, classification=classification,
+        lo=carry[3][1:2], hi=carry[3][2:], slope=np.array([slope]),
+        start=turn + np.sum(start), end=np.sum(end),
+        correction=-0.5 if classification == "none" else 0.0,
+        data={"quad_error": err}, body=body)
 
 
 # ---------------------------------------------------------------------------
@@ -485,79 +482,60 @@ def _reg_primitive(x):
     return np.exp(4j * x) / 4j - np.exp(2j * x) / 1j + x
 
 
-def _table_routes(lo, hi, slope, weights, k_min, k_max, moment, tail):
-    """The subtracted and regularized 3D winding integrals over k > 0 from
+def _table_routes(lo, hi, slope, weights, k_min, k_max, moment, tail,
+                  body=None):
+    """The subtracted and regularized winding integrals over k > 0 from
     the phase shifts' evidence: the rows lo = delta(k_min) and hi =
     delta(k_max), on the absolute branch, and the slope d delta / dk at
     k_min.
 
     Below k_min each integrand is a rectangle read at k_min.  The
     subtracted route adds its body, the difference of sum_l w_l delta_l /
-    pi + moment k between the grid ends, and the given tail; the
-    regularized body and its exact tail telescope to sum_l w_l (G(0) -
-    G(delta_l(k_min))) / pi."""
+    pi + moment k between the grid ends unless body is given (the d = 1
+    winding quadrature), and the given tail; the regularized body and its
+    exact tail telescope to sum_l w_l (G(0) - G(delta_l(k_min))) / pi."""
     head_sub = (slope @ weights / np.pi + moment) * k_min
-    body_sub = float(weights @ (hi - lo)) / np.pi + moment * (k_max - k_min)
+    if body is None:
+        body = float(weights @ (hi - lo)) / np.pi + moment * (k_max - k_min)
     head_reg = (weights @ (slope * (np.exp(2j * lo) - 1.0) ** 2)) \
         / np.pi * k_min
     drop = complex(weights @ (_reg_primitive(0.0) - _reg_primitive(lo)))
-    return head_sub + body_sub + tail, head_reg + drop / np.pi
+    return head_sub + body + tail, head_reg + drop / np.pi
 
 
-def _end_rows(V, k_min, k_max, points):
-    """What the 3D routes read of the phase shifts, each row on the
-    absolute branch: (lo, hi, slope), the rows at k_min and k_max and
-    d delta / dk at k_min.
+def _evidence_3d(V, k_min, k_max):
+    """The d = 3 record: the partial waves, channel l of weight 2l + 1 and
+    phase 2 delta_l.
 
-    The slope is that of a not-a-knot cubic spline in log k through the
-    first SLOPE_ROWS rows of the geometric grid of the given points; lo is
-    the first.  One choose_lmax sweep at the top of those rows and at k_max
-    gives both cutoffs and hi, the row it sweeps at k_max, whose cutoff is
-    lmax.  The low rows are then swept in one batch up to their own
-    cutoff, as `_band_rows` sweeps a band of the table."""
-    ks = np.geomspace(k_min, k_max, points)[:SLOPE_ROWS]
-    cut, ends = _cutoff_rows(V, np.square([ks[-1], k_max]))
-    low = _band_rows(V, ks, int(cut[0]), int(cut[1]))
-    slope = CubicSpline(np.log(ks), low)(np.log(k_min), 1) / k_min
-    return low[0], ends[1], slope
-
-
-def _levinson_3d(V, k_min, k_max, points):
-    lo, hi, slope = _end_rows(V, k_min, k_max, points)
+    One choose_lmax sweep at k_min and k_max (`radial._cutoff_rows`)
+    gives both rows, each over the channels up to its own cutoff and 0.0
+    above, the exact slope at k_min over lo's channels from the same
+    carry, and the channel range, hi's cutoff.  One zero-energy sweep over
+    every channel of the rows gives the bound-state counts and the
+    threshold statistics of channels 0..THRESHOLD_LMAX.
+    Each channel's caps are the principal geodesics into e^{2i
+    delta_l(k_min)} and e^{2i delta_l(k_max)}, and the l = 0
+    s-resonance's start cap first turns by pi through -1."""
+    (low, low_slope), (hi, _) = _cutoff_rows(
+        V, np.square([k_min, k_max]))[1]
     lmax = len(hi) - 1
-    w = 2.0 * np.arange(lmax + 1) + 1.0
-    # one zero-energy sweep serves the bound-state count, over every
-    # channel of the rows, and the threshold statistics of channels
-    # 0..THRESHOLD_LMAX
+    n = min(len(low), lmax + 1)
+    lo, slope = np.zeros((2, lmax + 1))
+    lo[:n], slope[:n] = low[:n], low_slope[:n]
     zero = _zero_energy_radial(V, max(lmax, THRESHOLD_LMAX))
     counts = _channel_counts(V, zero)
     if counts[-1]:
         raise OracleDisagreement(
             f"bound states persist beyond the rows' cutoff l = "
             f"{len(counts) - 1}")
-    mult = 2 * np.arange(len(counts)) + 1
-    N = int(np.sum(mult * counts))
     classification = _classify_3d(
         _threshold_statistics(V, zero)[:THRESHOLD_LMAX + 1])
-    poly = high_energy_poly(3, V)
-
-    I_sub, I_reg = _table_routes(lo, hi, slope, w, k_min, k_max,
-                                 V.integral() / (4.0 * np.pi ** 2),
-                                 poly.tail(k_max))
-
-    # zero-energy scattering matrix on the channel diagonal
     s_rank = 1 if classification == "s_resonance" else 0
-    S0_diag = np.ones(lmax + 1, dtype=complex)
+
+    start = _branch_angles(np.exp(2j * lo))[0]
     if s_rank:
-        S0_diag[0] = -1.0
-    H0 = complex(np.sum(w * counterterm_series(S0_diag - 1.0, 3)))
-    correction = 0.5 * s_rank
-
-    sf_reg = I_reg + H0 / (2j * np.pi) + correction
-    sf_sub = I_sub - poly.P(0.0) / (2j * np.pi) + correction
-
-    phillips = _phillips_3d(lo, hi, classification)
-
+        # exp(i pi t) turns channel 0 from 1 to -1 before its geodesic
+        start[0] = np.pi + _branch_angles(-np.exp(2j * lo[:1]))[0][0]
     # Per-wave statement compares the zero- and infinite-energy limits.
     # delta_0(0+) comes from linear extrapolation in k (the shift is
     # analytic in k at threshold, slope = minus the scattering length);
@@ -569,49 +547,55 @@ def _levinson_3d(V, k_min, k_max, points):
                 # to the first empty channel
                 "channel_counts":
                     counts[:max(9, np.count_nonzero(counts) + 1)].tolist()}
-
-    routes = {
-        "phillips": complex(phillips.value),
-        "regularized": sf_reg,
-        "subtracted": sf_sub,
-    }
-    report = _assemble(
-        dimension=3, N=N, classification=classification,
-        phillips=phillips, routes=routes, raw_integral=float(np.real(I_reg)),
-        poly=poly, correction=correction, per_wave=per_wave,
-        data={"lo": lo, "hi": hi, "slope": slope},
-    )
-    # once the routes agree, each channel's flow must be minus its
-    # zero-energy bound-state count; a channel without a flow has flow 0
-    flows = np.zeros(len(counts), dtype=int)
-    for l, f in phillips.parameters["channels"].items():
-        flows[l] = f
-    bad = np.flatnonzero(flows + counts)
-    if len(bad):
-        raise OracleDisagreement(
-            f"channel flows {flows[bad].tolist()} against bound-state counts "
-            f"{counts[bad].tolist()} at l = {bad.tolist()}")
-    return report
-
-
-def _phillips_3d(lo, hi, classification):
-    """_phillips over the phase-shift rows lo = delta(k_min) and hi =
-    delta(k_max): each channel's caps are the principal geodesics into
-    e^{2i delta_l(k_min)} and e^{2i delta_l(k_max)}, and the l = 0
-    s-resonance's start cap first turns by pi through -1."""
-    start = _branch_angles(np.exp(2j * lo))[0]
-    if classification == "s_resonance":
-        # exp(i pi t) turns channel 0 from 1 to -1 before its geodesic
-        start[0] = np.pi + _branch_angles(-np.exp(2j * lo[:1]))[0][0]
-    return _phillips(lo, hi, start, _branch_angles(np.exp(2j * hi))[0])
+    return _Evidence(
+        N=int((2 * np.arange(len(counts)) + 1) @ counts),
+        classification=classification, lo=lo, hi=hi, slope=slope,
+        start=start, end=_branch_angles(np.exp(2j * hi))[0],
+        correction=0.5 * s_rank, data={"lo": lo, "hi": hi, "slope": slope},
+        # the zero-energy scattering matrix is -1 in an s-resonant channel
+        # 0, of weight 1, and 1 in every other
+        counterterm=complex(counterterm_series(-2.0 * s_rank, 3))
+        / (2j * np.pi), counts=counts, per_wave=per_wave)
 
 
 # ---------------------------------------------------------------------------
 # Assembly and the public entry point
 
 
-def _assemble(dimension, N, classification, phillips, routes, raw_integral,
-              poly, correction, data, alt_convention_sf=None, per_wave=None):
+def _levinson(V, d, k_min, k_max):
+    """The one verify pipeline: the crossing count (`_phillips`) and the
+    winding routes (`_table_routes`) from the record of either dimension,
+    assembled into the report.
+
+    The subtracted integrand is the plain one less d P_d(k^2) / dk / 2 pi
+    i, and P_d is linear in k, so the moment it adds is -P_d(1) / 2 pi i;
+    P_d(0) = 0.  In d = 1 the regularized integrand is the plain one,
+    (S - Id)^0 = Id, and P_1 = 0, so the route is the subtracted formula
+    with the winding quadrature for its body; d = 3 reports both
+    integrals, the regularized one with its zero-energy counterterm."""
+    ev = (_evidence_1d if d == 1 else _evidence_3d)(V, k_min, k_max)
+    poly = high_energy_poly(d, V)
+    phillips = _phillips(ev.lo, ev.hi, ev.start, ev.end)
+    I_sub, I_reg = _table_routes(
+        ev.lo, ev.hi, ev.slope, 2.0 * np.arange(len(ev.lo)) + 1.0, k_min,
+        k_max, np.real(poly.P(1.0) / (-2j * np.pi)), poly.tail(k_max),
+        ev.body)
+    if d == 1:
+        raw, integrals = I_sub, {"regularized": I_sub}
+    else:
+        raw, integrals = I_reg, {"regularized": I_reg + ev.counterterm,
+                                 "subtracted": I_sub}
+    routes = {"phillips": complex(phillips.value),
+              **{name: I + ev.correction for name, I in integrals.items()}}
+    return _assemble(d=d, ev=ev, phillips=phillips, routes=routes,
+                     raw_integral=float(np.real(raw)), poly=poly)
+
+
+def _assemble(d, ev, phillips, routes, raw_integral, poly):
+    """The report, once the routes agree after rounding and within
+    RESIDUAL_TOL; with the record's per-channel counts (d = 3), each
+    channel's flow must then be minus its zero-energy bound-state count,
+    a channel without a flow having flow 0."""
     resid = 0.0
     rounded = {}
     for name, val in routes.items():
@@ -626,19 +610,28 @@ def _assemble(dimension, N, classification, phillips, routes, raw_integral,
     if resid > RESIDUAL_TOL:
         raise RouteDisagreement(
             f"route residual {resid:.3f} exceeds {RESIDUAL_TOL}")
-    sf = rounded["phillips"]
+    if ev.counts is not None:
+        flows = np.zeros(len(ev.counts), dtype=int)
+        channels = phillips.parameters["channels"]
+        flows[list(channels)] = list(channels.values())
+        bad = np.flatnonzero(flows + ev.counts)
+        if len(bad):
+            raise OracleDisagreement(
+                f"channel flows {flows[bad].tolist()} against bound-state "
+                f"counts {ev.counts[bad].tolist()} at l = {bad.tolist()}")
     # only the d = 1 zero-energy cap corrects by a negative amount, the
-    # half-unit it carries
-    n_res = 0.5 if correction < 0.0 else 0.0
-    verdict = "pass" if sf + N == 0 else "fail"
+    # half-unit it carries, and the opposite orientation is reported too
+    half = ev.correction < 0.0
     return LevinsonReport(
-        dimension=dimension, N=N, N_res=n_res, sf_regularized=phillips,
-        raw_integral=raw_integral,
+        dimension=d, N=ev.N, N_res=0.5 if half else 0.0,
+        sf_regularized=phillips, raw_integral=raw_integral,
         polynomial_terms={**poly.coefficients, "P0": poly.P0,
                           "inv_sqrt": poly.inv_sqrt},
-        verdict=verdict, routes=routes, residual=resid,
-        classification=classification, threshold_correction=correction,
-        alt_convention_sf=alt_convention_sf, per_wave=per_wave, data=data)
+        verdict="pass" if rounded["phillips"] + ev.N == 0 else "fail",
+        routes=routes, residual=resid, classification=ev.classification,
+        threshold_correction=ev.correction,
+        alt_convention_sf=raw_integral + 0.5 if half else None,
+        per_wave=ev.per_wave, data=ev.data)
 
 
 def _check_grid(k_min, k_max, points):
@@ -684,9 +677,12 @@ def levinson_verify(V, d, grid=None):
     """Verify the bound-state/spectral-flow relation for -Delta + V.
 
     grid may be None (defaults), an integer (number of wavenumber nodes),
-    or a dict with any of k_min, k_max, points.  The d = 1 route integrates
-    adaptively and has no node count, so a number of points (as an integer
-    or a dict entry) raises InvalidGrid there, as does an unknown key.
+    or a dict with any of k_min, k_max, points.  The verify reads only
+    k_min and k_max; points sets the grid of the phase table
+    (`ChannelData`, the CLI's --csv) and is checked here in d = 3.  The
+    d = 1 route integrates adaptively and has no node count, so a number
+    of points (as an integer or a dict entry) raises InvalidGrid there, as
+    does an unknown key.
     So do wavenumber bounds that are not finite with 0 < k_min < k_max,
     and a number of points that is not an integer >= 2.  A d other than
     the potential's own dimension (1 for Potential1D, 3 for
@@ -694,9 +690,7 @@ def levinson_verify(V, d, grid=None):
     """
     d = _dimension(V, d)
     opts = _grid_options(d, grid)
-    if d == 1:
-        return _levinson_1d(V, opts["k_min"], opts["k_max"])
-    return _levinson_3d(V, opts["k_min"], opts["k_max"], opts["points"])
+    return _levinson(V, d, opts["k_min"], opts["k_max"])
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +713,9 @@ def regularization_necessity(V):
     ks = np.geomspace(data.ks[0], data.ks[-1], 2000)
     dsum = data.ddelta_dk(ks) @ data.weights
     unreg = 2.0 * np.abs(dsum)                       # |Tr(S*S')| d lambda
-    partial = cumulative_trapezoid(unreg, ks, initial=0.0)
+    # the partial trapezoid sums from the first wavenumber
+    partial = np.concatenate([[0.0], np.cumsum(
+        np.diff(ks) * (unreg[1:] + unreg[:-1]) / 2.0)])
     lam = ks ** 2
 
     sel = lam >= lam[-1] / 100.0

@@ -17,9 +17,12 @@ At lam > 0 the coordinates of (u, u') in the free pair at the support
 radius give every row of `phase_shift_rows` on the absolute branch, where
 delta_l(inf) = 0, from the zero count (Pruefer's oscillation count), with
 no unwinding over an energy grid; `phase_shifts_3d` reports the principal
-branch.  At lam = 0 the same carry gives u(R), u'(R) and the zeros inside
-the support, behind the bound-state counts and the threshold statistics
-(`_zero_energy_radial`).
+branch.  The carry also takes the integral of u^2 over the support, shell
+by shell from a closed-form primitive, in the running scale of (u, u'),
+and that integral gives each row's exact slope d delta_l / dk (the energy
+derivative of the variable phase, `_sweep_rows`).  At lam = 0 the same
+carry gives u(R), u'(R) and the zeros inside the support, behind the
+bound-state counts and the threshold statistics (`_zero_energy_radial`).
 """
 
 import numpy as np
@@ -98,12 +101,14 @@ def _coefficients(u, du, pair, r):
     """Coordinates (c1, c2) of the solution with value u and slope du at r
     in a pair (F, F', G, G') at r of negative Wronskian, up to one positive
     factor: u = c1 F + c2 G, c1 = du G - u G' and c2 = u F' - du F, scaled
-    to max(|c1|, |c2|) = 1.
+    to max(|c1|, |c2|) = 1, and that factor, size, the largest of the
+    unscaled |c1| and |c2|.
 
     G overflows only where r lies deep inside the centrifugal barrier,
     where G'/G = -l/r to rounding and the irregular part of any solution
     is smaller than the regular part, from r on, by more than G's own
-    excess over F: there c1 takes the sign of du r + l u and c2 = 0."""
+    excess over F: there c1 takes the sign of du r + l u, c2 = 0 and size
+    is infinite."""
     F, dF, G, dG = pair
     with np.errstate(over="ignore", invalid="ignore"):
         c1 = du * G - u * dG
@@ -114,39 +119,68 @@ def _coefficients(u, du, pair, r):
         c2 = np.where(deep, 0.0, c2)
     scale = np.maximum(np.abs(c1), np.abs(c2))
     scale[scale == 0.0] = 1.0
-    return c1 / scale, c2 / scale
+    return c1 / scale, c2 / scale, np.where(deep, np.inf, scale)
 
 
-def _cross_shell(u, du, w, r0, r1, lmax):
+def _primitive(u, du, w, r):
+    """P(r) with P' = u^2 for the solution of u'' = (l(l+1)/r^2 - w) u with
+    value u and slope du at r, w of one sign for every row (a column):
+    -(u u' + (l(l+1)/r - w r) u^2 - r u'^2) / 2w, whose r-derivative is
+    u^2 by the equation.  Where w = 0 it is r (a^2/(2l+3) + a b +
+    b^2/(1-2l)) with u = a + b split into its parts a = A r^{l+1} and
+    b = B r^-l.  Both vanish at r = 0 on the regular solution."""
+    ell = np.arange(u.shape[1])
+    if w[0] == 0:
+        a = (ell * u + r * du) / (2.0 * ell + 1.0)
+        b = u - a
+        return r * (a * a / (2.0 * ell + 3.0) + a * b
+                    + b * b / (1.0 - 2.0 * ell))
+    w = w[:, None]
+    return -(u * du + (ell * (ell + 1.0) / r - w * r) * u * u
+             - r * du * du) / (2.0 * w)
+
+
+def _cross_shell(u, du, norm, w, r0, r1, lmax):
     """Carry the solutions with values u and slopes du at r0 across the
     shell (r0, r1) of constant w = lam - v, of one sign for every row; at
-    r0 = 0 they start as the regular solution.  Returns (u, du) at r1,
-    scaled by a positive factor per entry to max(|u|, |du|) = 1, and the
-    zeros of each solution on (r0, r1].
+    r0 = 0 they start as the regular solution.  norm is the integral of
+    u^2 over (0, r0) in the scale of (u, du).  Returns (u, du) at r1,
+    scaled by a positive factor per entry to max(|u|, |du|) = 1, the
+    integral of u^2 over (0, r1) in that scale, and the zeros of each
+    solution on (r0, r1].
 
     Where w > 0 the solution is |(c1, c2)| |(F, G)| sin(phi + theta), with
     phi the free Riccati phase of q r and theta the angle of (c1, c2), and
     the zeros are the multiples of pi that phi + theta passes.  Where
     w <= 0 it is monotone between zeros, with at most one, seen as a sign
-    change."""
+    change.  The shell adds P(r1) - P(r0) to the integral (`_primitive`).
+    c1 F + c2 G is the solution times |W| / size, W the pair's Wronskian
+    at r0 and size that of `_coefficients`; so once the pair at r1 is
+    scaled back to the one at r0, by f, and the result by the final
+    scale, the result is the input times |W| / (size f scale)."""
+    ell = np.arange(lmax + 1)
     q = np.sqrt(np.abs(w))[:, None]
     F, dF, G, dG = _shell_pair(w, q, r1, lmax)
     if r0 == 0.0:
-        u1, du1, theta = F, dF, 0.0
+        u1, du1, theta, carried = F, dF, 0.0, 0.0
     else:
         at0 = _shell_pair(w, q, r0, lmax)
-        c1, c2 = _coefficients(u, du, at0, r0)
+        c1, c2, size = _coefficients(u, du, at0, r0)
         theta = np.arctan2(c2, c1)
         # the pairs at r1 are scaled as at r0: G by e^{2 q (r1 - r0)} and
-        # (r1 / r0)^{2l+1} more than F
+        # (r1 / r0)^{2l+1} more than F; span is |W| / f
+        span = q
         if w[0] < 0:
             c2 = c2 * np.exp(-2.0 * q * (r1 - r0))
+            span = np.exp(-q * (r1 - r0)) / np.sqrt(r0 * r1)
         elif w[0] == 0:
-            c2 = c2 * (r0 / r1) ** (2.0 * np.arange(lmax + 1) + 1.0)
+            c2 = c2 * (r0 / r1) ** (2.0 * ell + 1.0)
+            span = (2.0 * ell + 1.0) / r0 * (r0 / r1) ** (ell + 1.0)
         # no irregular part where G may have overflowed
         with np.errstate(over="ignore", invalid="ignore"):
             u1 = c1 * F + np.where(c2 == 0.0, 0.0, c2 * G)
             du1 = c1 * dF + np.where(c2 == 0.0, 0.0, c2 * dG)
+        carried = (span / size) ** 2 * (norm - _primitive(u, du, w, r0))
     neg0, neg1 = np.signbit(u), np.signbit(u1)
     if w[0] > 0:
         zeros = _level(_phase(q * r1, F, G) + theta, neg1)
@@ -159,62 +193,74 @@ def _cross_shell(u, du, w, r0, r1, lmax):
         raise IntegrationFailure("radial shell matching produced non-finite "
                                  "values")
     # a solution below the smallest float is the regular one deep inside
-    # the centrifugal barrier, u ~ r^{l+1}
+    # the centrifugal barrier, u ~ r^{l+1}, whose integral is r / (2l+3)
     flat = scale == 0.0
     scale[flat] = 1.0
-    return (np.where(flat, 1.0, u1 / scale),
-            np.where(flat, (np.arange(lmax + 1) + 1.0) / r1, du1 / scale),
-            zeros)
+    u1 = np.where(flat, 1.0, u1 / scale)
+    du1 = np.where(flat, (ell + 1.0) / r1, du1 / scale)
+    norm = np.where(flat, r1 / (2.0 * ell + 3.0),
+                    carried / scale / scale + _primitive(u1, du1, w, r1))
+    return u1, du1, norm, zeros
 
 
 def _carry(V, lams, lmax):
     """The regular solution at every energy in lams (lam >= 0) carried
     across the shells of V: (u, u') at the support radius, each row scaled
-    by a positive factor, and the zeros of u on (0, R]."""
+    by a positive factor, the integral of u^2 over (0, R] in that scale,
+    and the zeros of u on (0, R]."""
     u = np.ones((len(lams), lmax + 1))
-    du = np.zeros_like(u)
+    du, norm = np.zeros((2,) + u.shape)
     zeros = np.zeros(u.shape, dtype=int)
     for r0, r1, v in V.shells:
         w = lams - v
         for rows in (w > 0, w < 0, w == 0):
             e = np.flatnonzero(rows)
             if len(e):
-                u[e], du[e], z = _cross_shell(u[e], du[e], w[e], r0, r1,
-                                              lmax)
+                u[e], du[e], norm[e], z = _cross_shell(
+                    u[e], du[e], norm[e], w[e], r0, r1, lmax)
                 zeros[e] += z
-    return u, du, zeros
+    return u, du, norm, zeros
 
 
-def _shell_rows(V, lams, lmax):
-    """(principal, branch) of every row, as _sweep_rows returns them.
+def _sweep_rows(V, lams, lmax):
+    """(principal, branch, slope) at every energy in lams: the shifts
+    delta_l in (-pi/2, pi/2], the integers j with delta_l + j pi on the
+    absolute branch, where delta_l(inf) = 0, and d delta_l / dk.
 
     At the support radius R the coordinates (a, b) of the carried solution
     in the free pair (S, C) of k r give u = |(a, b)| |(S, C)| sin(phi +
     delta), delta = atan2(b, a) + 2 pi m, and on the absolute branch,
-    where delta_l(inf) = 0, floor((phi(k R) + delta) / pi) is the zero
-    count on (0, R]; m follows, the sign of u(R) fixing the floor where
-    phi + delta is a multiple of pi to rounding."""
-    u, du, zeros = _carry(V, lams, lmax)
-    k = np.sqrt(lams)[:, None]
-    free = _riccati_pair(k * V.radius, k, lmax)
-    a, b = _coefficients(u, du, free, V.radius)
-    delta = np.arctan2(b, a)
-    m = (zeros - _level(_phase(k * V.radius, free[0], free[2]) + delta,
-                        np.signbit(u))) // 2
-    shift = (delta > np.pi / 2).astype(int) - (delta <= -np.pi / 2)
-    return delta - shift * np.pi, 2 * m + shift
+    floor((phi(k R) + delta) / pi) is the zero count on (0, R]; m follows,
+    the sign of u(R) fixing the floor where phi + delta is a multiple of
+    pi to rounding.
 
-
-def _sweep_rows(V, lams, lmax):
-    """(principal, branch) at every energy in lams: the shifts delta_l in
-    (-pi/2, pi/2] and the integers j with delta_l + j pi on the absolute
-    branch, where delta_l(inf) = 0."""
+    The slope is closed-form too (Calogero's variable phase, differentiated
+    in the energy).  The regular solution u and its lam-derivative u_lam
+    obey (u u_lam' - u' u_lam)' = -u^2 and vanish at r = 0, so at R their
+    Wronskian is -N, N the integral of u^2 over (0, R] that the carry
+    gives.  Beyond R the free pair's lam-derivatives, r f' / 2 lam and
+    (f' + r f'') / 2 lam, make that Wronskian -(a^2 + b^2) k d delta /
+    d lam - P(R), P the primitive of u^2 at w = lam.  So d delta / dk =
+    2 k^2 (N - P(R)) / (c1^2 + c2^2), with (c1, c2) = k (a, b) as
+    `_coefficients` gives them, unscaled; a channel deep inside the
+    barrier at R, whose size is infinite, reads 0."""
     lams = np.asarray(lams, dtype=float)
     bad = lams[~(lams > 0)]
     if bad.size:
         raise EnergyNonpositive(f"scattering energy must be positive, "
                                 f"got {bad[0]}")
-    return _shell_rows(V, lams, lmax)
+    u, du, norm, zeros = _carry(V, lams, lmax)
+    k = np.sqrt(lams)[:, None]
+    free = _riccati_pair(k * V.radius, k, lmax)
+    a, b, size = _coefficients(u, du, free, V.radius)
+    delta = np.arctan2(b, a)
+    m = (zeros - _level(_phase(k * V.radius, free[0], free[2]) + delta,
+                        np.signbit(u))) // 2
+    shift = (delta > np.pi / 2).astype(int) - (delta <= -np.pi / 2)
+    with np.errstate(over="ignore"):
+        size = size ** 2 * (a * a + b * b)
+    return (delta - shift * np.pi, 2 * m + shift,
+            2.0 * k * k * (norm - _primitive(u, du, lams, V.radius)) / size)
 
 
 def phase_shift_rows(V, lams, lmax):
@@ -222,7 +268,7 @@ def phase_shift_rows(V, lams, lmax):
     from one batched sweep, each on the absolute branch where
     delta_l(inf) = 0 (the one Levinson's theorem reads), fixed by counting
     the nodes of the radial solution."""
-    delta, branch = _sweep_rows(V, lams, lmax)
+    delta, branch, _ = _sweep_rows(V, lams, lmax)
     return delta + branch * np.pi
 
 
@@ -248,7 +294,7 @@ def _zero_energy_radial(V, lmax):
     """The zero-energy solution for channels 0..lmax, carried across the
     shells with w = -v: (u(R), u'(R), zeros of u on (0, R]), up to one
     positive factor per channel, which no statistic built on it reads."""
-    u, du, zeros = _carry(V, np.zeros(1), lmax)
+    u, du, _, zeros = _carry(V, np.zeros(1), lmax)
     return u[0], du[0], zeros[0]
 
 
@@ -355,8 +401,8 @@ __all__ = [
 
 def _cutoff_rows(V, lams):
     """choose_lmax for an array of energies, with each energy's row over
-    channels 0..cutoff from the same sweep (as phase_shift_rows gives it):
-    (cutoffs, rows)."""
+    channels 0..cutoff from the same sweep (as phase_shift_rows gives it)
+    and the row's slopes d delta / dk: (cutoffs, [(row, slopes), ...])."""
     # the channel range swept first at each energy
     guess = np.ceil(np.sqrt(lams) * V.radius).astype(int) + 40
     cut = np.full(len(lams), -1)
@@ -365,14 +411,16 @@ def _cutoff_rows(V, lams):
         todo = np.where(cut < 0)[0]
         if len(todo) == 0:
             break
-        rows = phase_shift_rows(V, lams[todo], int(np.max(trial[todo])))
-        for e, row in zip(todo.tolist(), rows):
+        delta, branch, slopes = _sweep_rows(V, lams[todo],
+                                            int(np.max(trial[todo])))
+        for e, row, slope in zip(todo.tolist(), delta + branch * np.pi,
+                                 slopes):
             # the cutoff lies past the last channel at or above tolerance,
             # and at most at the top channel swept for this energy
             large = np.where(np.abs(row[:trial[e] + 1]) >= CHANNEL_TOL)[0]
             if len(large) == 0 or large[-1] + 2 < trial[e]:
                 cut[e] = (0 if len(large) == 0 else int(large[-1]) + 1) + 2
-                out[e] = row[:cut[e] + 1]
+                out[e] = row[:cut[e] + 1], slope[:cut[e] + 1]
     if np.any(cut < 0):
         raise IntegrationFailure(
             f"no angular cutoff found below l = "

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import specflow
 from specflow import cli
 from specflow.cli import main, potential_from_file
 from specflow.rdet import logdet_p_vs_logdet
@@ -15,6 +19,24 @@ def run_lines(argv, capsys):
     rc = main(argv)
     out = capsys.readouterr().out.strip().splitlines()
     return rc, [json.loads(line) for line in out]
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # a fresh interpreter that imports the package, as the console script
+    # does, loads no scipy.integrate: the winding quadrature is the
+    # package's own and the partial integrals of regularization_necessity
+    # a numpy trapezoid rule
+    src = os.path.dirname(os.path.dirname(specflow.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys, specflow.cli; "
+         "print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    loaded = json.loads(out)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.split(".")[:2] == ["scipy",
+                                                          "integrate"]]
 
 
 def test_sf_loop_model(capsys):

@@ -29,13 +29,13 @@ from specflow.scatter import (
     schatten_decay_exponent,
     smatrix_1d,
 )
-from specflow.scatter import levinson, onedim
+from specflow.scatter import levinson, onedim, radial
 from specflow.scatter.levinson import (
     _band_rows,
     _table_routes,
 )
 from specflow import sflow
-from specflow.matcore import eig_unitary
+from specflow.matcore import _branch_angles, eig_unitary
 from specflow.sflow import sf_phillips
 from specflow.upath import (
     UnitaryPath,
@@ -495,10 +495,12 @@ def test_levinson_invalid_grid(V, d, grid, capfd):
 
 
 # the routes of levinson_verify(WELL3, 3); tests/test_oracle_3d.py rebuilds
-# the two integrals from 30-digit rows of the well's closed form
+# the two integrals from 30-digit rows and slopes of the well's closed
+# form, which read -0.9999207733980897 - 8.135370256179663e-06j and
+# -0.9999860187221464
 WELL3_ROUTES = {"phillips": -1.0,
-                "regularized": -0.9999207731398227 - 8.135393808383875e-06j,
-                "subtracted": -0.9999860500934022}
+                "regularized": -0.9999207733980897 - 8.135370256179655e-06j,
+                "subtracted": -0.999986018731483}
 
 
 def test_levinson_3d_single_well():
@@ -584,22 +586,33 @@ def test_levinson_3d_runs_no_quadrature(monkeypatch):
     assert rep.verdict == "pass"
 
 
-def test_levinson_3d_low_rows_take_choose_lmax_cutoff(monkeypatch):
-    # the SLOPE_ROWS low rows are swept once, up to choose_lmax's cutoff at
-    # the top low row, the channel rule of each band of the table; the
-    # k_max row comes from choose_lmax's own sweep
-    calls = []
+def test_levinson_3d_carries_three_energies(monkeypatch):
+    # the rows, the slope, the bound-state counts and the threshold
+    # statistics all come from carries at lambda = 0, k_min^2 and k_max^2
+    carry = radial._carry
+    energies = set()
 
     def recording(V, lams, lmax):
-        calls.append((len(lams), lmax))
-        return phase_shift_rows(V, lams, lmax)
+        energies.update(np.asarray(lams).tolist())
+        return carry(V, lams, lmax)
 
-    V = RadialPotential.square_well(12.0)
-    monkeypatch.setattr(levinson, "phase_shift_rows", recording)
-    levinson._end_rows(V, 1e-2, 100.0, 400)
-    ks = np.geomspace(1e-2, 100.0, 400)[:levinson.SLOPE_ROWS]
-    assert calls == [(levinson.SLOPE_ROWS, choose_lmax(V, ks[-1] ** 2))]
-    assert calls[0][1] == 4
+    monkeypatch.setattr(radial, "_carry", recording)
+    rep = levinson_verify(RadialPotential.square_well(12.0), 3)
+    assert rep.verdict == "pass" and rep.N == 4
+    assert energies == {0.0, 1e-4, 1e4}
+
+
+def test_levinson_3d_points_set_no_verify_grid():
+    # the verify reads k_min, k_max and no grid between them: a coarse
+    # grid gives the default grid's report, while a number of points below
+    # 2 is still refused
+    coarse, default = (levinson_verify(RadialPotential.square_well(12.0), 3,
+                                       grid) for grid in (60, None))
+    assert coarse.to_dict() == default.to_dict()
+    for name in ("lo", "hi", "slope"):
+        assert np.array_equal(coarse.data[name], default.data[name])
+    with pytest.raises(InvalidGrid):
+        levinson_verify(WELL3, 3, grid={"points": 1})
 
 
 def test_levinson_3d_one_zero_energy_sweep(monkeypatch):
@@ -680,7 +693,7 @@ def test_levinson_3d_routes_are_checked_before_channels(monkeypatch):
         levinson_verify(V, 3, grid=grid)
     seen = _assembled(monkeypatch, V, 3, grid)
     flows = seen["phillips"].parameters["channels"]
-    counts = seen["per_wave"]["channel_counts"]
+    counts = seen["ev"].counts
     assert any(flows.get(l, 0) != -c for l, c in enumerate(counts))
 
 
@@ -689,8 +702,9 @@ def test_levinson_3d_routes_are_checked_before_channels(monkeypatch):
     + [(3.0, 150)])
 def test_levinson_3d_coarse_grids(depth, grid):
     # a power law fitted to the subtracted integrand's top octave raised on
-    # these grids, where the spline derivative, not the physics, shapes the
-    # octave; the explicit tail does not read the octave
+    # these grids, where a spline derivative, not the physics, shaped the
+    # octave; the explicit tail reads no octave, and the verify reads no
+    # grid between k_min and k_max
     rep = levinson_verify(RadialPotential.square_well(depth), 3, grid=grid)
     assert rep.verdict == "pass"
     assert rep.N == {3.0: 1, 12.0: 4}[depth]
@@ -804,7 +818,10 @@ def test_phillips_3d_closing_cap_at_minus_one(hi, flow):
     loop = concatenate(concatenate(cap_into(S(0.0)), UnitaryPath(S)),
                        cap_outof(S(1.0)))
     assert sf_phillips(loop).value == flow
-    rep = levinson._phillips_3d(np.array([lo]), np.array([hi]), "none")
+    # the 3D caps turn by the principal angles of their ends
+    start, end = (_branch_angles(np.exp(2j * np.array([x])))[0]
+                  for x in (lo, hi))
+    rep = levinson._phillips(np.array([lo]), np.array([hi]), start, end)
     assert rep.value == flow
 
 
@@ -869,9 +886,12 @@ def test_capped_flow_closed_form_caps_match_sampled_caps():
         assert _capped_count(sweep, cap).value == want
         if cap is not None:
             # the 1D crossing count: one channel, whose phase 2 arg T is
-            # the det phase sum phi(t) here
-            ends = np.stack([S_of_t(0.0), S_of_t(1.0)])
-            rep = levinson._phillips_1d(0.0, np.sum(dphi) / 2.0, ends, "none")
+            # the det phase sum phi(t) here, its start cap turning by -pi
+            # and the angles of S0 S(0), its closing cap by those of S(1)
+            start, end = sflow._cap_angles(
+                np.stack([S0 @ S_of_t(0.0), S_of_t(1.0)]))
+            rep = levinson._phillips(0.0, np.sum(dphi) / 2.0,
+                                     -np.pi + np.sum(start), np.sum(end))
             assert rep.value == want
 
 

@@ -312,19 +312,19 @@ NUMEROV_BRANCHES = {
 
 @pytest.mark.parametrize("name", sorted(CROSS_KERNEL))
 def test_shell_rows_match_numerov(name):
-    # the rows a 3D verify reads, the 16 low rows and the k_max row: the
+    # the 16 lowest rows of the default grid and the k_max row: the
     # principal shifts against a 30-digit shell transfer in mpmath, the
     # branches against those the Numerov kernel gave
     from test_oracle_3d import shell_shift
     V = CROSS_KERNEL[name]
     (low_lmax, low), (top_lmax, top) = NUMEROV_BRANCHES[name]
-    ks = np.geomspace(1e-2, 100.0, 400)[:levinson.SLOPE_ROWS]
+    ks = np.geomspace(1e-2, 100.0, 400)[:16]
     want_top = np.zeros(top_lmax + 1, dtype=int)
     want_top[list(top)] = list(top.values())
     for kk, lmax, branch in ((ks, low_lmax, np.tile(low, (len(ks), 1))),
                              (np.array([100.0]), top_lmax, want_top[None])):
         assert choose_lmax(V, kk[-1] ** 2) == lmax
-        principal, got = radial._sweep_rows(V, kk ** 2, lmax)
+        principal, got, _ = radial._sweep_rows(V, kk ** 2, lmax)
         assert np.array_equal(got, branch)
         want = [[shell_shift(V.shells, k, ell) for ell in range(lmax + 1)]
                 for k in kk]
@@ -342,6 +342,29 @@ def test_split_shell_matches_one_shell():
                                rtol=0.0, atol=1e-12)
     a, b = levinson.levinson_verify(one, 3), levinson.levinson_verify(two, 3)
     assert (a.verdict, a.N) == (b.verdict, b.N) == ("pass", 4)
+
+
+@pytest.mark.parametrize("cut", [0.5, 1e-3])
+def test_split_shell_slopes_match_one_shell(cut, monkeypatch):
+    # the integral of u^2 carried across a boundary inside one shell; at
+    # r = 1e-3 the high channels lie deep inside the centrifugal barrier,
+    # where the irregular part is dropped and so is the integral before r
+    sizes = []
+    coefficients = radial._coefficients
+
+    def recording(u, du, pair, r):
+        out = coefficients(u, du, pair, r)
+        sizes.append(out[2])
+        return out
+
+    one = RadialPotential.square_well(12.0)
+    lams = np.geomspace(1e-4, 1e4, 40)
+    want = radial._sweep_rows(one, lams, 120)[2]
+    monkeypatch.setattr(radial, "_coefficients", recording)
+    two = RadialPotential(shells=((0.0, cut, -12.0), (cut, 1.0, -12.0)))
+    got = radial._sweep_rows(two, lams, 120)[2]
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+    assert np.any(np.isinf(sizes[0])) == (cut < 0.5)
 
 
 def test_radial_potential_array_call_matches_scalar_calls():
