@@ -25,7 +25,7 @@ import numpy as np
 
 from .cayley import cayley, fp_distance, graph_projection, inv_cayley, \
     resolvent_bound_constant
-from .errors import SpecflowError, UnsupportedDimension
+from .errors import PartitionFailure, SpecflowError, UnsupportedDimension
 from .matcore import check_order, gamma_constant, schatten_norm
 from .rdet import _logdet_sides, det_p, unwind_log
 from .scatter import (
@@ -328,13 +328,12 @@ def _cmd_det(args):
     a, b = path.interval
     ts = np.linspace(a, b, args.samples)
     p = check_order("p", args.p, 1, integer=True)
-    dets, rows = [], []
+    rows = []
     for t in ts:
         # one U_t feeds Det_p and both log-derivative sides
         U = path(t)
         lhs, rhs = _logdet_sides(U, path.derivative(t), p)
         d = det_p(U, p)
-        dets.append(d)
         rows.append({
             "t": float(t),
             "det_p": complex(d.value),
@@ -342,8 +341,20 @@ def _cmd_det(args):
             "logderiv": complex(lhs),
             "logderiv_decomposed": complex(rhs),
         })
-    logs = unwind_log(dets)
-    winding = (logs[-1].imag - logs[0].imag) / (2.0 * np.pi)
+    # each step's unwound increment of Im log Det_p must lie within pi/2 of
+    # the trapezoid of its log-derivative, or the sampling has aliased
+    phase = np.imag(unwind_log([row["det_p"] for row in rows]))
+    rate = np.imag([row["logderiv"] for row in rows])
+    trapezoid = np.diff(ts) * (rate[1:] + rate[:-1]) / 2.0
+    off = np.abs(np.diff(phase) - trapezoid) > np.pi / 2.0
+    if off.any():
+        i = int(np.argmax(off))
+        raise PartitionFailure(
+            f"step {i} (t = {ts[i]:.6g} to {ts[i + 1]:.6g}) unwinds Im log "
+            f"Det_p by {phase[i + 1] - phase[i]:+.4f}, the trapezoid of its "
+            f"log-derivative by {trapezoid[i]:+.4f}: the sampling aliases; "
+            f"raise --samples")
+    winding = (phase[-1] - phase[0]) / (2.0 * np.pi)
     return {"p": args.p, "samples": rows, "winding": winding}
 
 

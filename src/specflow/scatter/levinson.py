@@ -37,7 +37,10 @@ the caps' angles and the threshold counterterms.  The shared code then
 runs the crossing count, the route formulas (`_table_routes`: a rectangle
 below k_min from the slope, the body, the tail beyond k_max) and the
 assembly, and in d = 3 checks each channel's flow.  No energy grid is
-sampled for rows or slopes: the verify reads k = 0, k_min and k_max.
+sampled for rows or slopes: the verify reads k = 0, k_min and k_max.  The
+phase table (`ChannelData`, for the CLI's --csv and
+`regularization_necessity`) holds no interpolant either: its rows, and
+its shifts and slopes at any wavenumber, are sweeps of the same carry.
 
 In d = 1 one carry (`onedim._carry_1d`) at k = 0, k_min and k_max gives
 the bound-state count and the resonance statistic from its zero-energy
@@ -102,7 +105,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ..errors import (
     Inconclusive,
@@ -127,6 +129,7 @@ from .radial import (
     THRESHOLD_LMAX,
     _channel_counts,
     _cutoff_rows,
+    _sweep_rows,
     _threshold_statistics,
     _zero_energy_radial,
     choose_lmax,
@@ -433,8 +436,8 @@ def _band_rows(V, ks, cutoff, lmax):
 
 class ChannelData:
     """The phase-shift table: shifts delta_l(k), l = 0..lmax, on the
-    geometric grid of `points` wavenumbers from k_min to k_max, with a
-    log-k cubic spline per channel.
+    geometric grid of `points` wavenumbers from k_min to k_max, and the
+    shifts and slopes d delta_l / dk at any wavenumber, each exact.
 
     Every row is on the absolute branch, delta_l(inf) = 0, fixed by node
     counting (phase_shift_rows), so the table needs no unwinding and each
@@ -443,12 +446,16 @@ class ChannelData:
     sweep over the channels up to its own cutoff, choose_lmax at the
     band's top energy; the table holds 0.0 above it.  One choose_lmax
     sweep over the top energies of the bands that meet the grid gives
-    every cutoff, and lmax is the cutoff at the top of the grid.
+    every cutoff, and lmax is the cutoff at the top of the grid.  `delta`
+    and `ddelta_dk` interpolate nothing: each is one sweep over channels
+    0..lmax at the wavenumbers asked for, the shell carry and its
+    closed-form slope that the verify reads (`radial._sweep_rows`).
     """
 
     def __init__(self, V, k_min, k_max, points):
         tops = [k for k in K_BANDS if k_min <= k < k_max] + [k_max]
         cuts = choose_lmax(V, np.square(tops))
+        self.V = V
         self.lmax = int(cuts[-1])
         self.weights = 2.0 * np.arange(self.lmax + 1) + 1.0
         self.ks = np.geomspace(k_min, k_max, points)
@@ -458,15 +465,16 @@ class ChannelData:
             _band_rows(V, self.ks[band == b], min(int(cuts[b]), self.lmax),
                        self.lmax)
             for b in np.unique(band).tolist()])
-        self._spline = CubicSpline(np.log(self.ks), self.deltas)
-        self._dspline = self._spline.derivative()
 
     def delta(self, k):
-        return self._spline(np.log(k))
+        """delta_l at k: one row per wavenumber for an array k."""
+        return np.reshape(phase_shift_rows(self.V, np.square(np.ravel(k)),
+                                           self.lmax), np.shape(k) + (-1,))
 
     def ddelta_dk(self, k):
         """d delta_l / dk at k: one row per wavenumber for an array k."""
-        return self._dspline(np.log(k)) / np.asarray(k)[..., None]
+        return np.reshape(_sweep_rows(self.V, np.square(np.ravel(k)),
+                                      self.lmax)[2], np.shape(k) + (-1,))
 
     def to_csv(self, path):
         """Write the table as CSV: lambda = k^2, then delta_0..delta_lmax."""
@@ -704,28 +712,29 @@ def regularization_necessity(V):
     |Tr(S* S')| in the upper energy decades (ideally 1/2) and the ratio of
     the subtracted integrand's tail beyond NECESSITY_LAMBDA (reported as
     "Lambda") to the unsubtracted partial integral over the whole grid.
-    Both integrands are read off the spline of the phase table on the
-    default grid of `levinson_verify`, whose DEFAULT_POINTS wavenumbers
-    are each swept once.
+    Both read the rows of the phase table on the default grid of
+    `levinson_verify`, whose DEFAULT_POINTS wavenumbers are each swept
+    once, and no slope: |Tr(S* S')| = 2 |sum_l w_l delta_l'|, so over each
+    grid interval its integral is 2 |Delta sum_l w_l delta_l| where the sum
+    is monotone there and at least that otherwise.  The partial integrals
+    are the running sums of these lower bounds, and the subtracted tail
+    telescopes the same way, 2 pi |Delta sum_l w_l delta_l / pi + moment
+    Delta k| per interval.
     """
     poly = high_energy_poly(3, V)
     data = ChannelData(V, DEFAULT_K_MIN, DEFAULT_K_MAX, DEFAULT_POINTS)
-    ks = np.geomspace(data.ks[0], data.ks[-1], 2000)
-    dsum = data.ddelta_dk(ks) @ data.weights
-    unreg = 2.0 * np.abs(dsum)                       # |Tr(S*S')| d lambda
-    # the partial trapezoid sums from the first wavenumber
-    partial = np.concatenate([[0.0], np.cumsum(
-        np.diff(ks) * (unreg[1:] + unreg[:-1]) / 2.0)])
+    ks, phase = data.ks, data.deltas @ data.weights
+    partial = np.concatenate([[0.0], np.cumsum(2.0 * np.abs(np.diff(phase)))])
     lam = ks ** 2
 
     sel = lam >= lam[-1] / 100.0
     slope, _ = np.polyfit(np.log(lam[sel]), np.log(partial[sel]), 1)
 
+    # the subtracted integrand's moment term, -P_3(1) / 2 pi i
     moment = V.integral() / (4.0 * np.pi ** 2)
-    sub = 2.0 * np.pi * np.abs(dsum / np.pi + moment)
-    k_cut = np.sqrt(NECESSITY_LAMBDA)
-    mask = ks >= k_cut
-    tail_grid = np.trapezoid(sub[mask], ks[mask])
+    mask = ks >= np.sqrt(NECESSITY_LAMBDA)
+    tail_grid = 2.0 * np.pi * np.sum(np.abs(
+        np.diff(phase[mask]) / np.pi + moment * np.diff(ks[mask])))
     tail = tail_grid + 2.0 * np.pi * abs(poly.tail(ks[-1]))
     return {
         "growth_exponent": float(slope),

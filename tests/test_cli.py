@@ -23,9 +23,9 @@ def run_lines(argv, capsys):
 
 def test_import_leaves_scipy_integrate_unloaded():
     # a fresh interpreter that imports the package, as the console script
-    # does, loads no scipy.integrate: the winding quadrature is the
-    # package's own and the partial integrals of regularization_necessity
-    # a numpy trapezoid rule
+    # does, loads no scipy.integrate, scipy.interpolate or scipy.optimize:
+    # the winding quadrature is the package's own, the phase table holds
+    # no spline and regularization_necessity telescopes its rows
     src = os.path.dirname(os.path.dirname(specflow.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
@@ -35,8 +35,9 @@ def test_import_leaves_scipy_integrate_unloaded():
         env=env, capture_output=True, text=True, check=True).stdout
     loaded = json.loads(out)
     assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.split(".")[:2] == ["scipy",
-                                                          "integrate"]]
+    assert not [m for m in loaded if m.split(".")[:2] in (
+        ["scipy", "integrate"], ["scipy", "interpolate"],
+        ["scipy", "optimize"])]
 
 
 def test_sf_loop_model(capsys):
@@ -150,6 +151,25 @@ def test_det_winding(capsys):
     assert len(res["samples"]) == 21
     row = res["samples"][0]
     assert set(row) >= {"t", "det_p", "log_det_p", "logderiv"}
+
+
+@pytest.mark.parametrize("samples, winding", [(3, None), (5, None),
+                                               (9, 3.0)])
+def test_det_refuses_aliased_unwinding(samples, winding, capsys):
+    # the winding-3 loop sampled at 3 and 5 points unwinds to 1 and -1; the
+    # trapezoid of the log-derivative sees the step turn by more, and the
+    # record is a PartitionFailure naming it.  At 9 points every step turns
+    # by 3 pi / 4 and the winding is read
+    rc, recs = run_lines(["det", "--model", "k=3,dim=3", "--p", "1",
+                          "--samples", str(samples)], capsys)
+    res = recs[-1]["result"]
+    if winding is None:
+        assert rc == 2
+        assert res["error"]["type"] == "PartitionFailure"
+        assert res["error"]["message"].startswith("step 0 ")
+    else:
+        assert rc == 0
+        assert abs(res["winding"] - winding) < 1e-10
 
 
 def test_det_samples_each_row_once(capsys, monkeypatch):

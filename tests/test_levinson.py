@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from specflow.errors import (
@@ -527,25 +527,37 @@ def test_levinson_3d_single_well():
 
 
 def _route_integrands(data, moment):
-    # the two 3D winding integrands in k, written out from the table: F_sub
-    # minus the polynomial derivative, F_reg with the (S - Id)^2 insertion
+    # the two 3D winding integrands in k, written out from the carry's
+    # exact shifts and slopes over the table's channels: F_sub minus the
+    # polynomial derivative, F_reg with the (S - Id)^2 insertion.  Each
+    # array of wavenumbers is swept once: F_reg's first quadrature round,
+    # on the nodes of F_sub's, reuses its sweep
     w = data.weights
+    sweeps = {}
+
+    def sweep(k):
+        key = k.tobytes()
+        if key not in sweeps:
+            delta, branch, slope = radial._sweep_rows(data.V, k * k,
+                                                      data.lmax)
+            sweeps[key] = delta + branch * np.pi, slope
+        return sweeps[key]
 
     def F_sub(k):
-        return data.ddelta_dk(k) @ w / np.pi + moment
+        return sweep(k)[1] @ w / np.pi + moment
 
     def F_reg(k):
-        d = data.ddelta_dk(k)
-        return (w @ (d * (np.exp(2j * data.delta(k)) - 1.0) ** 2)) / np.pi
+        delta, d = sweep(k)
+        return (d * (np.exp(2j * delta) - 1.0) ** 2) @ w / np.pi
 
     return F_sub, F_reg
 
 
 @pytest.mark.parametrize("depth", [3.0, 12.0])
 def test_route_bodies_match_quadrature(depth):
-    # quad gets the table's knots as breakpoints: the spline is smooth only
-    # between them, and without them quad's error estimate on the depth-12
-    # regularized body (3.3e-5) falls short of its actual error (3.6e-5)
+    # the shared quadrature runs geometric intervals up to k = 1 and steps
+    # of 2 above, where each delta_l' oscillates in k with period about
+    # pi / R; each round evaluates every new node in one batched sweep
     V = RadialPotential.square_well(depth)
     data = ChannelData(V, 1e-2, 100.0, 400)
     moment = V.integral() / (4.0 * np.pi ** 2)
@@ -560,19 +572,25 @@ def test_route_bodies_match_quadrature(depth):
     def G(x):
         return np.exp(4j * x) / 4j - np.exp(2j * x) / 1j + x
 
-    body_sub = I_sub - F_sub(1e-2) * 1e-2 - tail
-    body_reg = (I_reg - F_reg(1e-2) * 1e-2
+    k_min = np.array([1e-2])
+    body_sub = I_sub - F_sub(k_min)[0] * 1e-2 - tail
+    body_reg = (I_reg - F_reg(k_min)[0] * 1e-2
                 - complex(w @ (G(0.0) - G(hi))) / np.pi)
-    opts = {"points": data.ks[1:-1], "limit": 2000, "epsabs": 1e-12}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        q_sub, err_sub = quad(F_sub, 1e-2, 100.0, **opts)
-        q_reg, err_reg = quad(F_reg, 1e-2, 100.0, complex_func=True, **opts)
-    # quad's estimate covers its own discretisation; 1e-13 allows for the
-    # rounding of the closed forms, sums of ~117 terms of order one
-    assert abs(body_sub - q_sub) <= err_sub + 1e-13
-    assert abs(body_reg.real - q_reg.real) <= err_reg.real + 1e-13
-    assert abs(body_reg.imag - q_reg.imag) <= err_reg.imag + 1e-13
+    edges = np.concatenate([np.geomspace(1e-2, 1.0, 11)[:-1],
+                            np.linspace(1.0, 100.0, 50)])
+    q_sub, err_sub = sflow._adaptive_gk21(F_sub, edges, 1e-12, 0.0)
+    q_reg, err_reg = sflow._adaptive_gk21(F_reg, edges, 1e-12, 0.0)
+    # the estimate covers the quadrature's own discretisation; 1e-13 allows
+    # for the rounding of the closed forms, sums of ~117 terms of order one.
+    # The subtracted body also reads each row's own rounding, weighted: a
+    # row at k_max = 100 is a phase of about k_max R = 100 rad, rounded to
+    # k_max R eps (q = sqrt(k^2 + V0) and k are each rounded), and the
+    # rows there miss the closed form by 3.7e-15, the slopes by 1e-13
+    # relative, so the weighted sum misses by up to 1.3e-11
+    rows = np.finfo(float).eps * 100.0 * np.sum(w)
+    assert abs(body_sub - q_sub.real) <= err_sub + 1e-13 + rows
+    assert abs(body_reg.real - q_reg.real) <= err_reg + 1e-13
+    assert abs(body_reg.imag - q_reg.imag) <= err_reg + 1e-13
 
 
 def test_levinson_3d_runs_no_quadrature(monkeypatch):
@@ -954,7 +972,8 @@ def test_channel_data_sweeps_its_own_grid(monkeypatch):
     assert np.all(np.diff(d3) > -0.5 * np.pi)
 
 
-def test_channel_data_spline_consistency(well3_data):
+def test_channel_data_slope_consistency(well3_data):
+    # the table's slopes are the derivatives of its shifts off the grid
     data = well3_data
     k = 2.3
     h = 1e-5 * k
@@ -1036,8 +1055,10 @@ def test_channel_cutoffs_from_one_sweep(monkeypatch):
 
 
 def test_ddelta_dk_rows(well3_data):
+    # off the grid, a batched sweep's rows are the rows of sweeps at one
+    # wavenumber each
     data = well3_data
-    ks = np.geomspace(data.ks[0], data.ks[-1], 2000)
+    ks = np.geomspace(data.ks[0], data.ks[-1], 60)
     vec = data.ddelta_dk(ks) @ data.weights
     one = np.array([data.weights @ data.ddelta_dk(k) for k in ks])
     assert np.all(np.abs(vec - one) <= 1e-12 * np.abs(one))

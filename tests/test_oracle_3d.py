@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from specflow.scatter import (
+    ChannelData,
     RadialPotential,
     choose_lmax,
     high_energy_poly,
@@ -251,6 +252,17 @@ def test_exact_slopes_match_oracle(depth):
     want = np.array([[oracle_slope(depth, k, ell) for ell in range(top + 1)]
                      for k in ks])
     _assert_slopes(got, want)
+    # the phase table's shifts and slopes off its grid are the same sweep's
+    # over its channels 0..lmax, held to the same bounds
+    table = ChannelData(V, K_MIN, K_MAX, 40)
+    off = np.array([0.013, 0.7, 4.1, 41.0])
+    assert not np.isin(off, table.ks).any()
+    _assert_slopes(table.ddelta_dk(off)[:, :top + 1],
+                   np.array([[oracle_slope(depth, k, ell)
+                              for ell in range(top + 1)] for k in off]))
+    _assert_slopes(table.delta(off)[:, :top + 1],
+                   np.array([[oracle_shift(depth, k, ell)
+                              for ell in range(top + 1)] for k in off]))
 
 
 @pytest.mark.parametrize("name", sorted(SHELLS))
