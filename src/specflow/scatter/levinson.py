@@ -719,7 +719,10 @@ def regularization_necessity(V):
     is monotone there and at least that otherwise.  The partial integrals
     are the running sums of these lower bounds, and the subtracted tail
     telescopes the same way, 2 pi |Delta sum_l w_l delta_l / pi + moment
-    Delta k| per interval.
+    Delta k| per interval.  So "partial_final" and "tail_subtracted" are
+    lower bounds of the integrals they stand for, and "tail_ratio" is a
+    ratio of two lower bounds, not an estimate of the tail: near k_max the
+    grid spacing nears the period pi / R of each delta_l' in k.
     """
     poly = high_energy_poly(3, V)
     data = ChannelData(V, DEFAULT_K_MIN, DEFAULT_K_MAX, DEFAULT_POINTS)

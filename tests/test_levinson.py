@@ -553,6 +553,20 @@ def _route_integrands(data, moment):
     return F_sub, F_reg
 
 
+def _rows_less_closed_form(depth, k, rows):
+    # each row of the radius-1 well at k less the well's 30-digit shift on
+    # the row's own branch; test_oracle_3d imports this module, so its
+    # oracle is imported here
+    mp = pytest.importorskip("mpmath")
+    from test_oracle_3d import _well_principal
+    out = []
+    with mp.workdps(30):
+        for ell, row in enumerate(rows):
+            miss = mp.mpf(row) - _well_principal(depth, mp.mpf(k), ell)
+            out.append(float(miss - mp.pi * mp.nint(miss / mp.pi)))
+    return np.array(out)
+
+
 @pytest.mark.parametrize("depth", [3.0, 12.0])
 def test_route_bodies_match_quadrature(depth):
     # the shared quadrature runs geometric intervals up to k = 1 and steps
@@ -580,15 +594,19 @@ def test_route_bodies_match_quadrature(depth):
                             np.linspace(1.0, 100.0, 50)])
     q_sub, err_sub = sflow._adaptive_gk21(F_sub, edges, 1e-12, 0.0)
     q_reg, err_reg = sflow._adaptive_gk21(F_reg, edges, 1e-12, 0.0)
+    # the subtracted body telescopes the rows themselves, and a row at
+    # k_max = 100 is a difference of phases of about k_max R = 100 rad:
+    # it misses the closed form by up to 6.4e-15, with one sign across
+    # channels (q = sqrt(k^2 + V0) is shared), so the weighted sum misses
+    # the exact slopes' integral by 9.3e-12 (depth 3) and 1.3e-11 (depth
+    # 12).  The reference carries that rounding, each row less the 30-digit
+    # shift of the closed-form well at both ends
+    rounding = (w @ (_rows_less_closed_form(depth, data.ks[-1], hi)
+                     - _rows_less_closed_form(depth, data.ks[0], lo))
+                / np.pi)
     # the estimate covers the quadrature's own discretisation; 1e-13 allows
-    # for the rounding of the closed forms, sums of ~117 terms of order one.
-    # The subtracted body also reads each row's own rounding, weighted: a
-    # row at k_max = 100 is a phase of about k_max R = 100 rad, rounded to
-    # k_max R eps (q = sqrt(k^2 + V0) and k are each rounded), and the
-    # rows there miss the closed form by 3.7e-15, the slopes by 1e-13
-    # relative, so the weighted sum misses by up to 1.3e-11
-    rows = np.finfo(float).eps * 100.0 * np.sum(w)
-    assert abs(body_sub - q_sub.real) <= err_sub + 1e-13 + rows
+    # for the rounding of the closed forms, sums of ~117 terms of order one
+    assert abs(body_sub - q_sub.real - rounding) <= err_sub + 1e-13
     assert abs(body_reg.real - q_reg.real) <= err_reg + 1e-13
     assert abs(body_reg.imag - q_reg.imag) <= err_reg + 1e-13
 
@@ -1058,7 +1076,7 @@ def test_ddelta_dk_rows(well3_data):
     # off the grid, a batched sweep's rows are the rows of sweeps at one
     # wavenumber each
     data = well3_data
-    ks = np.geomspace(data.ks[0], data.ks[-1], 60)
+    ks = np.geomspace(data.ks[0], data.ks[-1], 2000)
     vec = data.ddelta_dk(ks) @ data.weights
     one = np.array([data.weights @ data.ddelta_dk(k) for k in ks])
     assert np.all(np.abs(vec - one) <= 1e-12 * np.abs(one))
