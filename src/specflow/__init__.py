@@ -11,7 +11,14 @@ states it, not a further cross-check.  On top of these sit
 geodesically capped open paths, the Cayley correspondence with self-adjoint
 operators on subspaces, and a scattering-theory application verifying
 Levinson's theorem in one and three dimensions.
+
+The unitary-path core needs numpy alone.  The scattering application,
+`specflow.scatter`, is the part that needs scipy (its Sturm count and
+Riccati-Bessel functions); it is imported, and scipy with it, on first
+access to `specflow.scatter` or on `import specflow.scatter`.
 """
+
+import importlib
 
 from . import errors
 from .cayley import (
@@ -67,7 +74,6 @@ from .upath import (
     geodesic_between,
     model_loop,
 )
-from . import scatter
 
 __version__ = "0.1.0"
 
@@ -118,3 +124,13 @@ __all__ = [
     "unwind_log",
     "xi_endpoint",
 ]
+
+
+def __getattr__(name):
+    if name == "scatter":
+        return importlib.import_module(".scatter", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | {"scatter"})

@@ -13,6 +13,10 @@ sweeps can additionally be exported as CSV.  A JSON config file (--config)
 sets flags of the running subcommand and wins over the command line; any
 other key is an error.  Input errors are error records with exit code 2,
 and SPECFLOW_LOG controls verbosity.
+
+The scattering names are imported in the functions that use them, so the
+subcommands on unitary paths (`sf-loop`, `sf-path` on a model or geodesic
+path, `det`, `cayley`) load no scipy.
 """
 
 import argparse
@@ -28,15 +32,6 @@ from .cayley import cayley, fp_distance, graph_projection, inv_cayley, \
 from .errors import PartitionFailure, SpecflowError, UnsupportedDimension
 from .matcore import check_order, gamma_constant, schatten_norm
 from .rdet import _logdet_sides, det_p, unwind_log
-from .scatter import (
-    ChannelData,
-    Potential1D,
-    RadialPotential,
-    levinson_verify,
-    phase_shifts_3d,
-    smatrix_1d,
-)
-from .scatter.levinson import _grid_options, _sweep_1d
 from .sflow import (DEFAULT_EPSABS, QUAD_EPSREL, sf_alpha, sf_beta, sf_det,
                     sf_open_path, sf_phillips)
 from .upath import geodesic_between, model_loop
@@ -115,6 +110,7 @@ def _load(path, what, parse):
 def _well_potential(dim, spec):
     """Square well of a 'depth=..,halfwidth=..' (d = 1) or
     'depth=..,radius=..' (d = 3) spec; each size defaults to 1."""
+    from .scatter import Potential1D, RadialPotential
     cls, size = ((Potential1D, "halfwidth") if dim == 1
                  else (RadialPotential, "radius"))
     kv = _parse_kv(spec, ("depth", size))
@@ -131,6 +127,7 @@ def potential_from_file(path):
 
 
 def _potential(fh):
+    from .scatter import Potential1D, RadialPotential
     doc = json.load(fh)
     dim = doc.get("dimension", 1)
     if isinstance(dim, bool) or dim not in (1, 3):
@@ -174,6 +171,8 @@ def path_from_spec(spec):
     if kind == "geodesic":
         return geodesic_between(*_load(rest, "endpoint file", _endpoints))
     if kind == "scattering":
+        from .scatter import Potential1D
+        from .scatter.levinson import _sweep_1d
         V = potential_from_file(rest)
         if not isinstance(V, Potential1D):
             raise SpecflowError(f"the scattering sweep needs a 1D potential, "
@@ -244,7 +243,9 @@ def _build_parser(parser_class=argparse.ArgumentParser):
     p.add_argument("--dim", type=int, required=True, choices=[1, 3])
     p.add_argument("--well", help="depth=D,halfwidth=H or depth=D,radius=R")
     p.add_argument("--potential", help="potential file")
-    p.add_argument("--grid", type=int, help="wavenumber nodes (d=3 only)")
+    p.add_argument("--grid", type=int, help="rows of the --csv phase table "
+                   "(d=3 only); checked, but the verify reads only the "
+                   "grid's ends")
     p.add_argument("--csv", help="export the phase-shift table (d=3 only)")
 
     sub.add_parser("selftest", parents=[common],
@@ -379,6 +380,8 @@ def _cmd_cayley(args):
 
 
 def _cmd_levinson(args):
+    from .scatter import ChannelData, levinson_verify
+    from .scatter.levinson import _grid_options
     if bool(args.potential) == bool(args.well):
         raise SpecflowError("need exactly one of --well or --potential")
     if args.potential:
@@ -399,6 +402,8 @@ def _cmd_levinson(args):
 
 
 def _cmd_selftest(args):
+    from .scatter import (Potential1D, RadialPotential, phase_shifts_3d,
+                          smatrix_1d)
     checks = []
 
     loop = model_loop(2, 4)

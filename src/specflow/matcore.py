@@ -27,11 +27,15 @@ decomposition of `scipy.linalg.schur`.
 `abs_power` is the one kernel of |A|^{2x} = (A*A)^x: the winding-form
 trace kernel takes whole powers of A*A with matrix products and reserves
 its SVD for fractional orders.
+
+The module needs numpy alone.  `scipy.linalg` is imported only when one
+of its two rare fallbacks fires: the Schur decomposition of a member that
+`eigh` cannot settle, and the gesvd driver after gesdd fails to converge.
 """
 
+import math
+
 import numpy as np
-from scipy.linalg import schur, svd
-from scipy.special import gammaln
 
 from .errors import DecompositionFailure, InvalidOrder, NonUnitary
 
@@ -79,6 +83,7 @@ def _schur_eig(M):
     """Eigenvalues and Schur vectors (as columns) of one unitary M from
     `scipy.linalg.schur(M, output="complex")`.  Raises DecompositionFailure
     if LAPACK reports an error."""
+    from scipy.linalg import schur
     try:
         T, Z = schur(M, output="complex")
     except np.linalg.LinAlgError as exc:
@@ -178,6 +183,7 @@ def abs_power(A, x):
     try:
         _, s, Vh = np.linalg.svd(A)
     except np.linalg.LinAlgError:
+        from scipy.linalg import svd
         try:
             _, s, Vh = svd(A, lapack_driver="gesvd")
         except np.linalg.LinAlgError as exc:
@@ -230,8 +236,24 @@ def gamma_constant(x):
     """The normalization constant Gamma(x+1) / (sqrt(pi) * Gamma(x+1/2)).
 
     Exact values used as anchors: x=0 -> 1/pi, x=1 -> 2/pi, x=3/2 -> 3/4.
-    Evaluated through log-gamma to stay finite for large x.
+    Up to x = 100 it is a ratio of `math.gamma` values whose arguments are
+    all exact: above x = 1 it takes Gamma(x+1) = x Gamma(x) and
+    Gamma(x+1/2) = (x-1/2) Gamma(x-1/2), since x + 1 and x + 1/2 round
+    where they cross a power of two, an error Gamma's slope magnifies
+    (to 7e-14 at x = 127.3).  Beyond x = 100 it is the asymptotic series
+    sqrt(x/pi) (1 + 1/(8x) + 1/(128x^2) - 5/(1024x^3) - ...), whose seven
+    terms leave 1.2e-17 at x = 100, and which stays finite where Gamma
+    overflows.
     """
     if not (np.isfinite(x) and x >= 0):
         raise InvalidOrder(f"constant defined for finite x >= 0, got {x}")
-    return float(np.exp(gammaln(x + 1.0) - gammaln(x + 0.5)) / np.sqrt(np.pi))
+    x = float(x)
+    if x <= 1.0:
+        return math.gamma(x + 1.0) / (math.sqrt(math.pi) * math.gamma(x + 0.5))
+    if x <= 100.0:
+        return math.gamma(x) / math.gamma(x - 0.5) * (
+            x / ((x - 0.5) * math.sqrt(math.pi)))
+    u = 1.0 / x
+    series = 1.0 + u * (1 / 8 + u * (1 / 128 + u * (-5 / 1024 + u * (
+        -21 / 32768 + u * (399 / 262144 + u * (869 / 4194304))))))
+    return math.sqrt(x / math.pi) * series

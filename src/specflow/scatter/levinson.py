@@ -686,11 +686,12 @@ def levinson_verify(V, d, grid=None):
 
     grid may be None (defaults), an integer (number of wavenumber nodes),
     or a dict with any of k_min, k_max, points.  The verify reads only
-    k_min and k_max; points sets the grid of the phase table
-    (`ChannelData`, the CLI's --csv) and is checked here in d = 3.  The
-    d = 1 route integrates adaptively and has no node count, so a number
-    of points (as an integer or a dict entry) raises InvalidGrid there, as
-    does an unknown key.
+    k_min and k_max.  In d = 3 points is checked here and then ignored:
+    it shapes only the phase table (`ChannelData`, the CLI's --csv), and
+    the report does not depend on it.  The d = 1 route integrates
+    adaptively and has no node count, so a number of points (as an
+    integer or a dict entry) raises InvalidGrid there, as does an unknown
+    key.
     So do wavenumber bounds that are not finite with 0 < k_min < k_max,
     and a number of points that is not an integer >= 2.  A d other than
     the potential's own dimension (1 for Potential1D, 3 for

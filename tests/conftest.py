@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import specflow
 
 
 def haar_unitary(dim, rng):
@@ -8,6 +14,16 @@ def haar_unitary(dim, rng):
     Q, R = np.linalg.qr(X)
     # fix the phase ambiguity so the distribution is exactly Haar
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def run_fresh(code):
+    """Standard output of `code` run in a fresh interpreter that imports
+    this checkout's specflow."""
+    src = os.path.dirname(os.path.dirname(specflow.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 def random_hermitian(dim, rng, scale=1.0):

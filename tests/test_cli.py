@@ -1,18 +1,16 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import specflow
 from specflow import cli
 from specflow.cli import main, potential_from_file
 from specflow.rdet import logdet_p_vs_logdet
 from specflow.upath import UnitaryPath, model_loop
 from specflow.scatter import ChannelData, RadialPotential, levinson
 from specflow.scatter.potentials import CALLABLE_SHELLS
+
+from conftest import run_fresh
 
 
 def run_lines(argv, capsys):
@@ -21,23 +19,62 @@ def run_lines(argv, capsys):
     return rc, [json.loads(line) for line in out]
 
 
+def _loaded_after(statement):
+    """Modules loaded by a fresh interpreter after running `statement`."""
+    return json.loads(run_fresh(f"import json, sys; {statement}; "
+                                "print(json.dumps(sorted(sys.modules)))"))
+
+
+def _scipy_parts(loaded):
+    return {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
 def test_import_leaves_scipy_integrate_unloaded():
-    # a fresh interpreter that imports the package, as the console script
-    # does, loads no scipy.integrate, scipy.interpolate or scipy.optimize:
-    # the winding quadrature is the package's own, the phase table holds
-    # no spline and regularization_necessity telescopes its rows
-    src = os.path.dirname(os.path.dirname(specflow.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run(
-        [sys.executable, "-c", "import json, sys, specflow.cli; "
-         "print(json.dumps(sorted(sys.modules)))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    loaded = json.loads(out)
-    assert "scipy.special" in loaded
+    # the package and its CLI, as the console script imports them, load no
+    # scipy at all: the unitary-path core is numpy-only and the scattering
+    # names are imported where they are used
+    assert not _scipy_parts(_loaded_after("import specflow"))
+    assert not _scipy_parts(_loaded_after("import specflow.cli"))
+    # the scattering backends load the Sturm count's scipy.linalg and the
+    # Riccati-Bessel functions' scipy.special, and no integrate,
+    # interpolate or optimize: the winding quadrature is the package's own,
+    # the phase table holds no spline and regularization_necessity
+    # telescopes its rows
+    loaded = _scipy_parts(_loaded_after("import specflow.scatter"))
+    assert {"scipy.linalg", "scipy.special"} <= loaded
     assert not [m for m in loaded if m.split(".")[:2] in (
         ["scipy", "integrate"], ["scipy", "interpolate"],
         ["scipy", "optimize"])]
+    # specflow.scatter is listed by the package and reached from it on
+    # first access
+    assert run_fresh("import specflow; print('scatter' in dir(specflow), "
+                     "specflow.scatter.levinson_verify.__module__)").split() \
+        == ["True", "specflow.scatter.levinson"]
+
+
+def test_unitary_path_commands_load_no_scipy(tmp_path):
+    # the crossing count, the winding forms, an open geodesic path, the
+    # determinant and the Cayley record run on numpy alone
+    ends = tmp_path / "ends.npz"
+    np.savez(ends, U0=np.diag([np.exp(2.5j), 1.0]),
+             U1=np.diag([np.exp(-2.5j), 1.0]))
+    argvs = [["sf-loop", "--model", "k=2,dim=4"],
+             ["sf-loop", "--model", "k=1,dim=3", "--r", "0.5"],
+             ["sf-path", "--path", f"geodesic:{ends}", "--n", "1"],
+             ["det", "--model", "k=1,dim=3", "--p", "2"],
+             ["cayley", "--model", "k=1,dim=3"]]
+    out = run_fresh(f"""if True:
+        import contextlib, io, json, sys
+        from specflow.cli import main
+        codes = []
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+        print(json.dumps([codes, sorted(sys.modules)]))
+        """)
+    codes, loaded = json.loads(out)
+    assert codes == [0] * len(argvs)
+    assert not _scipy_parts(loaded)
 
 
 def test_sf_loop_model(capsys):

@@ -1,10 +1,13 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import schur
+from scipy.special import gammaln
 
 from specflow import matcore
 from specflow.errors import DecompositionFailure, InvalidOrder, NonUnitary
@@ -18,7 +21,7 @@ from specflow.matcore import (
     schatten_norm,
 )
 
-from conftest import haar_unitary, random_hermitian
+from conftest import haar_unitary, random_hermitian, run_fresh
 
 
 def test_check_unitary_rejects_nonunitary():
@@ -133,9 +136,43 @@ def test_eig_unitary_raises_on_lapack_failure(rng, monkeypatch):
     def failing(a, output):
         raise np.linalg.LinAlgError("Schur form not found")
 
-    monkeypatch.setattr(matcore, "schur", failing)
+    monkeypatch.setattr(scipy.linalg, "schur", failing)
     with pytest.raises(DecompositionFailure):
         eig_unitary(U)
+
+
+def test_eig_unitary_loads_schur_on_demand():
+    # a fresh interpreter: `import specflow` loads no scipy, and the Schur
+    # fallback imports scipy.linalg when eigh fails, returns its pair
+    # bitwise, and still raises DecompositionFailure when schur fails too
+    out = run_fresh("""if True:
+        import json, sys
+        import numpy as np
+        import specflow
+        from specflow import matcore
+        from specflow.errors import DecompositionFailure
+        before = "scipy.linalg" in sys.modules
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+        X = np.random.default_rng(7).normal(size=(2, 5, 5))
+        U, _ = np.linalg.qr(X[0] + 1j * X[1])
+        np.linalg.eigh = failing
+        angles, vecs = specflow.eig_unitary(U)
+        after = "scipy.linalg" in sys.modules
+        import scipy.linalg
+        T, Z = scipy.linalg.schur(U, output="complex")
+        want, order = matcore._branch_angles(np.diag(T))
+        same = (np.array_equal(angles, want[order])
+                and np.array_equal(vecs, Z[:, order]))
+        scipy.linalg.schur = failing
+        try:
+            specflow.eig_unitary(U)
+            raised = False
+        except DecompositionFailure:
+            raised = True
+        print(json.dumps([before, after, same, raised]))
+        """)
+    assert json.loads(out) == [False, True, True, True]
 
 
 def _spectral_unitary(angles, rng):
@@ -389,9 +426,9 @@ def test_abs_power_falls_back_to_gesvd(rng, monkeypatch):
         calls.append(lapack_driver)
         return matcore_svd(M, lapack_driver=lapack_driver)
 
-    matcore_svd = matcore.svd
+    matcore_svd = scipy.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", _gesdd_fails)
-    monkeypatch.setattr(matcore, "svd", gesvd_only)
+    monkeypatch.setattr(scipy.linalg, "svd", gesvd_only)
     got = abs_power(A, 0.75)
     assert calls == ["gesvd"]
     assert np.linalg.norm(got - want, ord=2) < 1e-12
@@ -399,7 +436,7 @@ def test_abs_power_falls_back_to_gesvd(rng, monkeypatch):
 
 def test_abs_power_raises_when_both_drivers_fail(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", _gesdd_fails)
-    monkeypatch.setattr(matcore, "svd", _gesdd_fails)
+    monkeypatch.setattr(scipy.linalg, "svd", _gesdd_fails)
     with pytest.raises(DecompositionFailure):
         abs_power(haar_unitary(3, rng) - np.eye(3), 1.0)
 
@@ -484,3 +521,30 @@ def test_gamma_constant_anchors():
     assert abs(gamma_constant(1.5) - 0.75) < 1e-14
     with pytest.raises(InvalidOrder):
         gamma_constant(-0.5)
+
+
+# the mpmath grid; at r = 7.3 and 127.3, r + 1 crosses a power of two
+GAMMA_ORACLE_ORDERS = [0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 7.3, 10.5,
+                       50.0, 100.25, 127.3, 170.0, 170.5, 200.5, 1000.0]
+
+
+@pytest.mark.parametrize("r", GAMMA_ORACLE_ORDERS)
+def test_gamma_constant_against_mpmath(r):
+    # within 4e-16 of 40-digit mpmath on the math.gamma ratio and on the
+    # asymptotic series alike; the log-gamma form
+    # exp(gammaln(x + 1) - gammaln(x + 1/2)) / sqrt(pi) was off by 1.6e-15 at
+    # r = 7.3, 1.1e-13 at 170 and 2.7e-13 at 1000
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        x = mp.mpf(r)
+        want = mp.gamma(x + 1) / (mp.sqrt(mp.pi) * mp.gamma(x + 0.5))
+        err = float(abs(gamma_constant(r) - want) / want)
+    assert err <= 4e-16
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0])
+def test_gamma_constant_keeps_the_log_gamma_values(r):
+    # bitwise the log-gamma form's value where the beta engine's pinned
+    # loops read it
+    assert gamma_constant(r) == float(
+        np.exp(gammaln(r + 1.0) - gammaln(r + 0.5)) / np.sqrt(np.pi))
