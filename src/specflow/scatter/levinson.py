@@ -36,45 +36,49 @@ on the absolute branch, phi(inf) = 0, the exact slope d phi / dk at k_min,
 the caps' angles and the threshold counterterms.  The shared code then
 runs the crossing count, the route formulas (`_table_routes`: a rectangle
 below k_min from the slope, the body, the tail beyond k_max) and the
-assembly, and in d = 3 checks each channel's flow.  No energy grid is
-sampled for rows or slopes: the verify reads k = 0, k_min and k_max.  The
+assembly, and in d = 3 checks each channel's flow.  The routes read the
+rows and slopes at k = 0, k_min and k_max alone; in d = 1 the sampled
+check of the rows' branch reads more wavenumbers between them.  The
 phase table (`ChannelData`, for the CLI's --csv and
 `regularization_necessity`) holds no interpolant either: its rows, and
 its shifts and slopes at any wavenumber, are sweeps of the same carry.
 
-In d = 1 one carry (`onedim._carry_1d`) at k = 0, k_min and k_max gives
-the bound-state count and the resonance statistic from its zero-energy
-row, and arg T(k_min) and arg T(k_max) on the absolute branch from the
-node count of its real part.  One `smatrix_1d` call at k_min and k_max,
-with the exact derivative, gives the matrices the caps end on, each
-checked to rebuild its matrix (`sflow._cap_angles`, CapMismatch), and the
-slope d arg T / dk = Tr(S* S') / 2i at k_min.  The d = 1 zero-energy cap:
-without a resonance the scattering matrix tends to S0 = [[0,-1],[-1,0]] =
-exp(-i pi Q) with Q the rank-one averaging projection, and closing the
-path through exp(-i pi t Q) reproduces the crossing count -N; the matching
-integral correction is -1/2, the half-unit carried by the cap's winding.
+In d = 1 one carry (`onedim._carry_1d`) at k = 0 and a geometric grid
+from k_min to k_max gives the bound-state count and the resonance
+statistic from its zero-energy row, and arg T on the absolute branch from
+the node count of its real part.  One `smatrix_1d` call on the grid, with
+the exact derivative, gives the matrices the caps end on, S(k_min) and
+S(k_max), each checked to rebuild its matrix (`sflow._cap_angles`,
+CapMismatch), and the slope d arg T / dk = Tr(S* S') / 2i at k_min.  The
+d = 1 zero-energy cap: without a resonance the scattering matrix tends to
+S0 = [[0,-1],[-1,0]] = exp(-i pi Q) with Q the rank-one averaging
+projection, and closing the path through exp(-i pi t Q) reproduces the
+crossing count -N; the matching integral correction is -1/2, the
+half-unit carried by the cap's winding.
 The cap and the principal geodesic from S0 into S(k_min) turn by -pi +
 sum_j theta_j, the theta_j the principal angles of S0* S(k_min).  The
 opposite orientation (+1/2) is also reported, as alt_convention_sf,
 since both bookkeepings appear in the literature.
 
 The d = 1 winding integrand (1/2 pi i) Tr(S* S') = (1/pi) d arg T / dk
-takes the exact k-derivative of S, and its body on [k_min, k_max] runs
-the one winding quadrature of the package, `sflow._adaptive_gk21`
-(adaptive Gauss-Kronrod-21 with QUADPACK's qk21 error estimate), to an
-absolute K_QUAD_TOL with no relative floor; it calls the vectorized
-integrand once per round, on every node of every interval the round
-refines, and checks that round's stack of S for unitarity once.  The tail
-beyond k_max is the first high-energy term, c_1 / k_max with c_1 =
-integral V / 2 pi.  The quadrature stays although the carry's rows would
-telescope the body: it is the one route evidence in either dimension not
-read off the carry, so it is the runtime cross-check of the rows' branch.
-The d = 1 polynomial is zero (P_1 = 0, so P0 = 0) and the regularizing
-insertion is (S - Id)^0 = Id, so the subtracted route would equal the
-regularized value exactly: d = 1 reports two routes, the crossing count
-and the regularized integral.  `_sweep_1d`, t -> S(k(t)) on a geometric
-wavenumber range with the exact derivative S'(k) dk/dt, is the path
-`sf-path --path scattering:FILE` counts.
+is an exact differential, so its body on [k_min, k_max] is (arg T(k_max)
+- arg T(k_min)) / pi, read off the carry's rows once a sampled check of
+their branch accepts it (`_branch_check`), the one piece of evidence in
+either dimension not taken from the carry alone.  Every sample's stack
+of S must be unitary and have det S = e^{2i arg T}; each step between
+samples must turn the phase 2 arg T by at most pi / 2 and by its cubic
+Hermite integral from the exact slopes Im Tr(S* S') at its ends, else it
+is bisected.  A row off its branch by pi fails every step next to it, so
+the check raises instead of passing a wrong count.  Each round of the
+check makes one carry call and one `smatrix_1d` call on its new
+wavenumbers.  The tail beyond k_max is the first high-energy term,
+c_1 / k_max with c_1 = integral V / 2 pi.  The d = 1 polynomial is zero
+(P_1 = 0, so P0 = 0) and the regularizing insertion is (S - Id)^0 = Id,
+so the subtracted route would equal the regularized value exactly: d = 1
+reports two routes, the crossing count and the regularized integral.
+`_sweep_1d`, t -> S(k(t)) on a geometric wavenumber range with the exact
+derivative S'(k) dk/dt, is the path `sf-path --path scattering:FILE`
+counts.
 
 In d = 3 the S-matrix is diagonal in the partial waves and both integrands
 are exact k-derivatives of functions of the phase shifts: the subtracted
@@ -108,6 +112,7 @@ import numpy as np
 
 from ..errors import (
     Inconclusive,
+    IntegrationFailure,
     InvalidGrid,
     OracleDisagreement,
     RouteDisagreement,
@@ -115,7 +120,7 @@ from ..errors import (
 )
 from ..matcore import _branch_angles, check_unitary
 from ..rdet import counterterm_series
-from ..sflow import SpectralFlowReport, _adaptive_gk21, _cap_angles
+from ..sflow import SpectralFlowReport, _cap_angles
 from ..upath import UnitaryPath
 from .onedim import (
     _bound_state_count,
@@ -142,6 +147,14 @@ DEFAULT_K_MIN = 1e-2
 DEFAULT_K_MAX = 100.0
 DEFAULT_POINTS = 400
 RESIDUAL_TOL = 0.05
+# the sampled check of the d = 1 rows (`_branch_check`): the first round's
+# geometric wavenumbers per decade, the tolerance in rad on det S against
+# e^{2i arg T} at each sample and on each step's phase increment against
+# its Hermite prediction, and the sample budget
+BODY_PER_DECADE = 2
+BODY_DET_TOL = 1e-8
+BODY_STEP_TOL = 0.1
+BODY_SAMPLES = 4096
 # upper wavenumber edges of the bands of a phase table that share one
 # angular cutoff (the top of the grid closes the last band); each band
 # costs one batched radial sweep, whose fixed cost outweighs the cut
@@ -297,10 +310,6 @@ class LevinsonReport:
         }
 
 
-# the body's absolute tolerance on the summed error estimates
-K_QUAD_TOL = 1e-9
-
-
 # What a verify reads of one potential, the same record in both dimensions.
 # Channel l weighs 2l + 1 and has phase 2 phi_l (d = 3: the partial waves,
 # phi_l = delta_l; d = 1: one channel, phi_0 = arg T).  lo, hi and slope
@@ -308,12 +317,11 @@ K_QUAD_TOL = 1e-9
 # absolute branch, phi(inf) = 0; start and end are the angles through which
 # each channel's caps turn.  correction is the threshold correction of every
 # winding route and counterterm the zero-energy term of the regularized
-# one.  body, when set, is the d = 1 winding quadrature on [k_min, k_max];
-# counts, when set, the d = 3 per-channel bound-state counts that each
-# channel's flow must match.
+# one.  counts, when set, are the d = 3 per-channel bound-state counts that
+# each channel's flow must match.
 _Evidence = namedtuple(
     "_Evidence", "N classification lo hi slope start end correction data "
-    "counterterm body counts per_wave", defaults=(0.0, None, None, None))
+    "counterterm counts per_wave", defaults=(0.0, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +358,6 @@ def _phillips(lo, hi, start, end):
 # ---------------------------------------------------------------------------
 # d = 1
 
-def _winding_1d(V):
-    """The d = 1 winding integrand in k, (1/2 pi i) Tr(S* dS/dk), as a
-    function of an array of wavenumbers: one kernel call with the exact
-    dS/dk serves them all."""
-    def F(ks):
-        S, dS = smatrix_1d(V, ks * ks, derivative=True)
-        check_unitary(S)
-        return np.sum(S.conj() * dS, axis=(1, 2)) / (2j * np.pi)
-    return F
-
-
 def _sweep_1d(V, k_min=DEFAULT_K_MIN, k_max=DEFAULT_K_MAX):
     """The 1D scattering sweep t -> S(k(t)), t in [0, 1], over the
     geometric wavenumbers k(t) = k_min (k_max / k_min)^t, with the exact
@@ -381,38 +378,100 @@ def _sweep_1d(V, k_min=DEFAULT_K_MIN, k_max=DEFAULT_K_MAX):
                        array_derivative=array_derivative, dim=2)
 
 
+def _checked_rows(V, ks, arg_t):
+    """S at the wavenumbers ks with the exact slope of its phase, d (2 arg
+    T) / dk = Im Tr(S* S'), from one `smatrix_1d` call.  The stack of S
+    must be unitary, and det S = e^{2i arg T} for the carry's rows arg_t,
+    within BODY_DET_TOL rad at each k (RouteDisagreement names the first
+    k that misses)."""
+    S, dS = smatrix_1d(V, ks * ks, derivative=True)
+    check_unitary(S)
+    det = S[:, 0, 0] * S[:, 1, 1] - S[:, 0, 1] * S[:, 1, 0]
+    miss = np.abs(np.angle(det * np.exp(-2j * arg_t)))
+    bad = np.flatnonzero(~(miss <= BODY_DET_TOL))
+    if len(bad):
+        raise RouteDisagreement(
+            f"det S misses e^(2i arg T) of the carry by {miss[bad[0]]:.3e} "
+            f"rad at k = {ks[bad[0]]:.6g}")
+    return S, np.sum(S.conj() * dS, axis=(1, 2)).imag
+
+
+def _branch_check(V, ks, arg_t, slope):
+    """The sampled check of the carry's rows between k_min = ks[0] and
+    k_max = ks[-1], from the rows arg_t and phase slopes at the increasing
+    wavenumbers ks; returns the number of samples taken, the given ones
+    included.
+
+    A step [k0, k1] between neighbouring samples is accepted when the
+    rows' increment of the phase, 2 (arg T(k1) - arg T(k0)), is the cubic
+    Hermite integral of its exact end slopes s0 and s1, h (s0 + s1) / 2 +
+    h^2 (s0 - s1) / 12, within BODY_STEP_TOL, and that prediction is at
+    most pi / 2: a row off its branch by pi, or a turn that the slopes
+    miss, fails the step.  Each round samples the geometric midpoints of
+    the failing steps in one carry call and one `_checked_rows` call.
+    Past BODY_SAMPLES samples, or at a midpoint that falls on an end of
+    its step, IntegrationFailure names the worst step."""
+    while True:
+        h = np.diff(ks)
+        predicted = h * (slope[:-1] + slope[1:]) / 2.0 \
+            + h * h * (slope[:-1] - slope[1:]) / 12.0
+        miss = np.abs(2.0 * np.diff(arg_t) - predicted)
+        bad = ~((miss <= BODY_STEP_TOL) & (np.abs(predicted) <= np.pi / 2))
+        if not bad.any():
+            return len(ks)
+        k0, k1 = ks[:-1][bad], ks[1:][bad]
+        mid = np.sqrt(k0 * k1)
+        if len(ks) + len(mid) > BODY_SAMPLES or np.any(
+                (mid <= k0) | (mid >= k1)):
+            worst = np.argmax(miss[bad])
+            raise IntegrationFailure(
+                f"the carry's rows miss the slopes' prediction by "
+                f"{miss[bad][worst]:.3e} rad on [{k0[worst]:.9g}, "
+                f"{k1[worst]:.9g}] after {len(ks)} samples")
+        am = _carry_1d(V, mid)[3]
+        order = np.argsort(np.concatenate([ks, mid]))
+        ks, arg_t, slope = (np.concatenate(pair)[order] for pair in (
+            (ks, mid), (arg_t, am), (slope, _checked_rows(V, mid, am)[1])))
+
+
 def _evidence_1d(V, k_min, k_max):
     """The d = 1 record: one channel of weight 1 and phase 2 arg T.
 
-    One carry at k = 0, k_min and k_max gives the bound-state count, the
-    resonance statistic and the rows arg T(k_min) and arg T(k_max).  One
-    `smatrix_1d` call at k_min and k_max gives the matrices the caps end
-    on and the slope d arg T / dk = Tr(S* S') / 2i at k_min.  The closing
-    cap is the principal geodesic into S(k_max) run backwards, and with a
-    resonance the start cap is the principal geodesic into S(k_min).
-    Without one it is the zero cap exp(-i pi t Q) into S0 (trace -pi)
-    followed by the principal geodesic from S0 = S0* into S(k_min), which
-    turns by the angles of S0 S(k_min).  Each cap's angles must rebuild
-    the matrix it ends on (`sflow._cap_angles`).  The body is the winding
-    quadrature, the one route evidence not read off the carry."""
-    carry = _carry_1d(V, np.array([0.0, k_min, k_max]))
+    The first round samples a geometric grid from k_min to k_max,
+    BODY_PER_DECADE wavenumbers per decade.  One carry at k = 0 and the
+    grid gives the bound-state count and the resonance statistic from its
+    zero-energy row, and arg T on the absolute branch at every sample;
+    one `smatrix_1d` call on the grid gives the matrices the caps end on,
+    S(k_min) and S(k_max), and the slope d arg T / dk = Tr(S* S') / 2i at
+    every sample, k_min's for the head.  The closing cap is the principal
+    geodesic into S(k_max) run backwards, and with a resonance the start
+    cap is the principal geodesic into S(k_min).  Without one it is the
+    zero cap exp(-i pi t Q) into S0 (trace -pi) followed by the principal
+    geodesic from S0 = S0* into S(k_min), which turns by the angles of S0
+    S(k_min).  Each cap's angles must rebuild the matrix it ends on
+    (`sflow._cap_angles`).  The body, (arg T(k_max) - arg T(k_min)) / pi,
+    is read off the rows once `_branch_check` has accepted every step
+    between them, the one piece of evidence not taken from the carry
+    alone."""
+    ks = np.geomspace(k_min, k_max, 1 + int(np.ceil(
+        BODY_PER_DECADE * np.log10(k_max / k_min))))
+    carry = _carry_1d(V, np.concatenate([[0.0], ks]))
     N = _bound_state_count(V, carry)
     classification = _classify_1d(_resonance_statistic(V, carry))
-    S, dS = smatrix_1d(V, np.square([k_min, k_max]), derivative=True)
-    slope = np.sum(S[0].conj() * dS[0]).imag / 2.0
-    ends, turn = S, 0.0
+    arg_t = carry[3][1:]
+    S, slope = _checked_rows(V, ks, arg_t)
+    samples = _branch_check(V, ks, arg_t, slope)
+    ends, turn = S[[0, -1]], 0.0
     if classification == "none":
         S0 = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-        ends, turn = np.stack([S0 @ S[0], S[1]]), -np.pi
+        ends, turn = np.stack([S0 @ S[0], S[-1]]), -np.pi
     start, end = _cap_angles(ends)
-    body, err = _adaptive_gk21(_winding_1d(V), (k_min, k_max), K_QUAD_TOL,
-                               0.0)
     return _Evidence(
         N=N, classification=classification,
-        lo=carry[3][1:2], hi=carry[3][2:], slope=np.array([slope]),
+        lo=arg_t[:1], hi=arg_t[-1:], slope=slope[:1] / 2.0,
         start=turn + np.sum(start), end=np.sum(end),
         correction=-0.5 if classification == "none" else 0.0,
-        data={"quad_error": err}, body=body)
+        data={"samples": samples})
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +549,7 @@ def _reg_primitive(x):
     return np.exp(4j * x) / 4j - np.exp(2j * x) / 1j + x
 
 
-def _table_routes(lo, hi, slope, weights, k_min, k_max, moment, tail,
-                  body=None):
+def _table_routes(lo, hi, slope, weights, k_min, k_max, moment, tail):
     """The subtracted and regularized winding integrals over k > 0 from
     the phase shifts' evidence: the rows lo = delta(k_min) and hi =
     delta(k_max), on the absolute branch, and the slope d delta / dk at
@@ -499,12 +557,11 @@ def _table_routes(lo, hi, slope, weights, k_min, k_max, moment, tail,
 
     Below k_min each integrand is a rectangle read at k_min.  The
     subtracted route adds its body, the difference of sum_l w_l delta_l /
-    pi + moment k between the grid ends unless body is given (the d = 1
-    winding quadrature), and the given tail; the regularized body and its
-    exact tail telescope to sum_l w_l (G(0) - G(delta_l(k_min))) / pi."""
+    pi + moment k between the grid ends, and the given tail; the
+    regularized body and its exact tail telescope to sum_l w_l (G(0) -
+    G(delta_l(k_min))) / pi."""
     head_sub = (slope @ weights / np.pi + moment) * k_min
-    if body is None:
-        body = float(weights @ (hi - lo)) / np.pi + moment * (k_max - k_min)
+    body = float(weights @ (hi - lo)) / np.pi + moment * (k_max - k_min)
     head_reg = (weights @ (slope * (np.exp(2j * lo) - 1.0) ** 2)) \
         / np.pi * k_min
     drop = complex(weights @ (_reg_primitive(0.0) - _reg_primitive(lo)))
@@ -578,16 +635,15 @@ def _levinson(V, d, k_min, k_max):
     The subtracted integrand is the plain one less d P_d(k^2) / dk / 2 pi
     i, and P_d is linear in k, so the moment it adds is -P_d(1) / 2 pi i;
     P_d(0) = 0.  In d = 1 the regularized integrand is the plain one,
-    (S - Id)^0 = Id, and P_1 = 0, so the route is the subtracted formula
-    with the winding quadrature for its body; d = 3 reports both
+    (S - Id)^0 = Id, and P_1 = 0, so the route is the subtracted formula,
+    its body (arg T(k_max) - arg T(k_min)) / pi; d = 3 reports both
     integrals, the regularized one with its zero-energy counterterm."""
     ev = (_evidence_1d if d == 1 else _evidence_3d)(V, k_min, k_max)
     poly = high_energy_poly(d, V)
     phillips = _phillips(ev.lo, ev.hi, ev.start, ev.end)
     I_sub, I_reg = _table_routes(
         ev.lo, ev.hi, ev.slope, 2.0 * np.arange(len(ev.lo)) + 1.0, k_min,
-        k_max, np.real(poly.P(1.0) / (-2j * np.pi)), poly.tail(k_max),
-        ev.body)
+        k_max, np.real(poly.P(1.0) / (-2j * np.pi)), poly.tail(k_max))
     if d == 1:
         raw, integrals = I_sub, {"regularized": I_sub}
     else:
@@ -674,8 +730,9 @@ def _grid_options(d, grid):
         raise InvalidGrid(f"unknown grid keys {unknown}; expected any of "
                           f"{sorted(opts)}")
     if d == 1 and "points" in grid:
-        raise InvalidGrid("the d = 1 route integrates adaptively and takes "
-                          "no number of grid points; pass k_min or k_max")
+        raise InvalidGrid("the d = 1 route chooses its own samples and "
+                          "takes no number of grid points; pass k_min or "
+                          "k_max")
     opts.update(grid)
     _check_grid(**opts)
     return opts
@@ -688,10 +745,10 @@ def levinson_verify(V, d, grid=None):
     or a dict with any of k_min, k_max, points.  The verify reads only
     k_min and k_max.  In d = 3 points is checked here and then ignored:
     it shapes only the phase table (`ChannelData`, the CLI's --csv), and
-    the report does not depend on it.  The d = 1 route integrates
-    adaptively and has no node count, so a number of points (as an
-    integer or a dict entry) raises InvalidGrid there, as does an unknown
-    key.
+    the report does not depend on it.  The d = 1 route chooses its own
+    samples between k_min and k_max and has no node count, so a number of
+    points (as an integer or a dict entry) raises InvalidGrid there, as
+    does an unknown key.
     So do wavenumber bounds that are not finite with 0 < k_min < k_max,
     and a number of points that is not an integer >= 2.  A d other than
     the potential's own dimension (1 for Potential1D, 3 for

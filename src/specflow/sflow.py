@@ -27,32 +27,33 @@ the log-derivative of Det_p is Tr(U* U' (Id - U)^{p-1}), which is the alpha
 integrand at n = p - 1, so `sf_det` is that alpha integral and not a
 cross-check.
 
-Every winding integral, here and in `scatter.levinson`, runs one
-quadrature, `_adaptive_gk21`: adaptive Gauss-Kronrod-21 bisection with
-QUADPACK's qk21 error estimate, which evaluates the complex integrand once
-per node and refines on the modulus of its error.  The winding engines stop
-at a summed estimate of max(epsabs, 1.49e-8 |I|), I the un-normalised
-integral, and report that estimate as `quad_error`: it bounds the error of
-the real and of the imaginary part alike.  The flow is read off Im I, and
-|I| is close to |Im I|; Re I, zero in theory, only feeds the report's
-imaginary-part warning.  Past QUAD_LIMIT intervals, the one limit of every
-winding integral, the quadrature raises IntegrationFailure.
+Every winding integral runs one quadrature, `_adaptive_gk21`: adaptive
+Gauss-Kronrod-21 bisection with QUADPACK's qk21 error estimate, which
+evaluates the complex integrand once per node and refines on the modulus of
+its error.  The winding engines stop at a summed estimate of max(epsabs,
+1.49e-8 |I|), I the un-normalised integral, and report that estimate as
+`quad_error`: it bounds the error of the real and of the imaginary part
+alike.  The flow is read off Im I, and |I| is close to |Im I|; Re I, zero in
+theory, only feeds the report's imaginary-part warning.  Past QUAD_LIMIT
+intervals, the one limit of every winding integral, the quadrature raises
+IntegrationFailure.
 
 For open paths, geodesic endpoint caps e^{tY} (principal log generators)
 close the path, and the Theta/Xi endpoint integrals express the capped flow
-as integral-over-the-path plus endpoint corrections.  A cap's crossing
-count has a closed form in its generator's spectrum (`_generator_flow`);
+as integral-over-the-path plus endpoint corrections.  A cap's crossing count
+has a closed form in its generator's spectrum (`_generator_flow`);
 Phillips' count is additive under concatenation, so the caps are added to
 the count of the sampled path instead of being sampled themselves.  One
-routine, `_capped_count`, closes an open path with caps from and back to
-Id and counts it for `sf_open_path`; `_cap_angles`, which it reads the
-end eigenangles with, guards each principal cap with CapMismatch, and
-`scatter.levinson` guards its caps with it too.  The Levinson crossing
-counts sample no path: a capped loop's flow is its det winding, which
-they read off end rows on an absolute branch.  A capped count is the flow
-of the loop the principal caps close, whatever the physics at the far
-end: the 1D sweep of the depth-400 well at k_max = 100 ends with arg T =
-3.96 rad, past pi, and its capped loop truly has flow -11, not -13.
+routine, `_capped_count`, closes an open path with caps from and back to Id
+and counts it for `sf_open_path`, decomposing the path's two end samples
+once for the caps and for Phillips' count; `_checked_caps` guards each
+principal cap with CapMismatch, and `scatter.levinson` guards its caps with
+it too, through `_cap_angles`.  The Levinson crossing counts sample no path:
+a capped loop's flow is its det winding, which they read off end rows on an
+absolute branch.  A capped count is the flow of the loop the principal caps
+close, whatever the physics at the far end: the 1D sweep of the depth-400
+well at k_max = 100 ends with arg T = 3.96 rad, past pi, and its capped
+loop truly has flow -11, not -13.
 """
 
 from dataclasses import dataclass, field, replace
@@ -409,7 +410,11 @@ def _cap_angles(U):
     matrices two caps end on, (start, end), decomposed as one stack (and
     checked once).  Each cap, rebuilt from its angles and eigenvectors,
     must end on its matrix (CapMismatch names the cap that misses)."""
-    angles, vecs = eig_unitary(U)
+    return _checked_caps(U, *eig_unitary(U))
+
+
+def _checked_caps(U, angles, vecs):
+    """`_cap_angles` on the decomposition (angles, vecs) of U."""
     cap_ends = (vecs * np.exp(1j * angles)[:, None, :]) @ vecs.conj().mT
     gaps = np.linalg.norm(cap_ends - U, ord=2, axis=(-2, -1))
     for which, gap in zip(("start", "end"), gaps):
@@ -425,13 +430,18 @@ def _capped_count(path):
 
     `sf_phillips` counts the sampled path and the caps add their
     closed-form counts (`_generator_flow`), read off the eigenangles of
-    the path's end samples (`_cap_angles`).  Returns the report, carrying
-    the capped count as value and raw, and the (start, end) eigenangles.
+    the path's end samples (`_checked_caps`).  The two end samples are
+    decomposed once, as one stack, and Phillips' count starts from that
+    decomposition.  Returns the report, carrying the capped count as
+    value and raw, and the (start, end) eigenangles.
     """
-    start, end = _cap_angles(path._evaluate(path.interval))
+    U = path._evaluate(path.interval)
+    angles, vecs = eig_unitary(U)
+    start, end = _checked_caps(U, angles, vecs)
     caps = (_generator_flow(np.sum(start), start)
             - _generator_flow(np.sum(end), end))
-    report = sf_phillips(path)
+    report = sf_phillips(
+        path, _samples=dict(zip(path.interval, zip(angles, vecs.mT))))
     value = report.value + caps
     return replace(report, value=value, raw=complex(value)), (start, end)
 
@@ -625,7 +635,7 @@ def _certify(samples, t0, t1):
     return step, ok, eps, margin, arcs
 
 
-def sf_phillips(path):
+def sf_phillips(path, *, _samples=None):
     """Spectral flow by eigenvalue-crossing counting.
 
     The interval is refined until the matched eigenangle motion between
@@ -649,8 +659,12 @@ def sf_phillips(path):
     other refinement order.  PartitionFailure is raised before a round
     that would take more than MAX_SAMPLES samples, and when a midpoint
     falls on an end of its step.  The sample cache, a dict of the
-    decompositions by parameter, is released on return.
+    decompositions by parameter, is released on return.  `_samples` is
+    internal: a cache that already holds the decompositions at some
+    parameters, which are not sampled again (`_capped_count` passes the
+    path's two ends).
     """
+    samples = {} if _samples is None else _samples
     if not path.finite:
         raise PartitionFailure("compactify the path to a finite interval first")
     a, b = path.interval
@@ -658,11 +672,11 @@ def sf_phillips(path):
 
     grid = set(np.linspace(a, b, INITIAL_SAMPLES))
     grid.update(path.breakpoints)
-    new = np.array(sorted(grid))
-    t0, t1 = new[:-1], new[1:]
+    ts = np.array(sorted(grid))
+    t0, t1 = ts[:-1], ts[1:]
+    new = ts[[t not in samples for t in ts.tolist()]]
 
     # refine until each step moves little and leaves an arc free
-    samples = {}
     panels = []
     while True:
         _sample(path, new, chunk, samples)

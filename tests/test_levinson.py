@@ -175,37 +175,32 @@ def test_levinson_1d_single_well():
     json.dumps(rep.to_dict())
 
 
-@pytest.mark.parametrize("V, pinned, quad_error", [
+@pytest.mark.parametrize("V, pinned, samples", [
     (DOUBLE_WELL,
      {"phillips": -4.0,
-      "regularized": -4.000005751097031 + 2.4940673978155744e-17j},
-     4.450292435298566e-10),
+      "regularized": -4.000005751097031 + 2.4940673978155744e-17j}, 39),
     (GAUSSIAN_WELL,
      {"phillips": -2.0,
-      "regularized": -2.000062817459451 + 3.2779416775792827e-16j},
-     1.6836220379978194e-12),
+      "regularized": -2.000062817459451 + 3.2779416775792827e-16j}, 23),
     # a generated potential, N = 0, on whose sampled sweep a capped
     # Phillips count aliases to -1
     (GENERATED,
      {"phillips": 0.0,
       "regularized": -4.2004641930493136e-05 - 1.0861684076938605e-16j},
-     4.410409900990278e-10),
+     75),
 ], ids=["double_well", "gaussian_200_segments", "generated_five_segments"])
-def test_levinson_1d_multi_segment_pins(V, pinned, quad_error):
-    # several segments, multiplied in a fixed pairwise tree; the winding
-    # integrand takes the exact dS/dk, so rounding in S reaches the routes
-    # unamplified, and a change in the tree or in the quadrature's
-    # refinement shows here; a refinement change moves the error estimate
-    # by O(1) relative, which a relative pin sees whatever the estimate's
-    # size.  The estimate is a difference of O(1) values, so a new tree
-    # moves it in the fourth digit (the Gaussian's, by 5e-4 relative) while
-    # the routes move by 2e-14
+def test_levinson_1d_multi_segment_pins(V, pinned, samples):
+    # several segments, multiplied in a fixed pairwise tree; the routes
+    # read the carry's rows and the exact dS/dk at k_min, so rounding in S
+    # reaches them unamplified, and a change in the tree, the carry or the
+    # sampled check's acceptance of a step shows here: the routes are
+    # pinned at 1e-12 and the sampled check's count of samples exactly
     rep = levinson_verify(V, 1)
     assert rep.verdict == "pass"
     assert set(rep.routes) == set(pinned)
     for name, want in pinned.items():
         assert abs(rep.routes[name] - want) < 1e-12
-    assert abs(rep.data["quad_error"] - quad_error) < 1e-6 * quad_error
+    assert rep.data["samples"] == samples
 
 
 def test_levinson_1d_samples_no_path(monkeypatch):
@@ -239,22 +234,36 @@ def test_levinson_1d_overflowed_transfer_product_is_non_unitary():
 
 
 def test_levinson_1d_winding_route_is_batched(monkeypatch):
-    # the winding integrand evaluates whole quadrature rounds per kernel
-    # call: head, tail and every GK21 round of a depth-20 verify take at
-    # most 40 calls, where scalar quadrature made about 1,400
+    # the sampled check of the rows takes each round in one carry call and
+    # one smatrix_1d call, with the exact dS/dk, on the same new
+    # wavenumbers: the first round's carry call also carries k = 0, and
+    # the first round's S also gives the caps and the slope at k_min
     calls = []
-    smatrix = levinson.smatrix_1d
+    smatrix, carry = levinson.smatrix_1d, levinson._carry_1d
 
-    def counting(V, lam, derivative=False):
-        if derivative:
-            calls.append(len(lam))
+    def counting_smatrix(V, lam, derivative=False):
+        calls.append(("smatrix", derivative, np.sqrt(lam).tolist()))
         return smatrix(V, lam, derivative)
 
-    monkeypatch.setattr(levinson, "smatrix_1d", counting)
+    def counting_carry(V, ks):
+        calls.append(("carry", None, ks.tolist()))
+        return carry(V, ks)
+
+    monkeypatch.setattr(levinson, "smatrix_1d", counting_smatrix)
+    monkeypatch.setattr(levinson, "_carry_1d", counting_carry)
     rep = levinson_verify(Potential1D.square_well(20.0), 1)
     assert rep.verdict == "pass" and rep.N == 3
-    assert len(calls) <= 40
-    assert sum(calls) >= 21 + 25 + 1
+    kinds = [kind for kind, _, _ in calls]
+    rounds = len(calls) // 2
+    assert rounds >= 2 and kinds == ["carry", "smatrix"] * rounds
+    assert all(derivative for kind, derivative, _ in calls[1::2])
+    assert calls[0][2][0] == 0.0
+    grid = np.geomspace(levinson.DEFAULT_K_MIN, levinson.DEFAULT_K_MAX, 9)
+    assert np.array_equal(calls[0][2][1:], grid)
+    for (_, _, ks), (_, _, smatrix_ks) in zip(calls[::2], calls[1::2]):
+        assert np.allclose(smatrix_ks, ks[len(ks) - len(smatrix_ks):],
+                           rtol=1e-15, atol=0)
+    assert sum(len(ks) for _, _, ks in calls[1::2]) == rep.data["samples"]
 
 
 def test_sweep_1d(monkeypatch):
@@ -335,12 +344,13 @@ def test_levinson_1d_depth_400_route_reads_the_count(monkeypatch):
     assert abs(routes["regularized"] + 13.0) < levinson.RESIDUAL_TOL
 
 
-@pytest.mark.parametrize("k_max", [200.0, 400.0])
+@pytest.mark.parametrize("k_max", [200.0, 400.0, 1000.0])
 def test_levinson_1d_double_well_past_default_k_max(k_max):
     # the closed-form crossing count against Phillips' count of the sweep
     # as sf-path samples it, closed by the closed-form counts of the
     # zero-energy cap with its geodesic into the sweep, and of the
-    # principal closing cap
+    # principal closing cap.  At k_max = 1000 the winding quadrature the
+    # body used to run needed more than QUAD_LIMIT intervals
     rep = levinson_verify(DOUBLE_WELL, 1, grid={"k_max": k_max})
     assert rep.verdict == "pass"
     assert rep.N == 4 and rep.sf == -4
@@ -354,9 +364,106 @@ def test_levinson_1d_double_well_past_default_k_max(k_max):
     assert rep.sf == sampled
 
 
+def _generated_1d(draws):
+    # the generated 1D potentials: numpy default_rng(0), and per draw
+    # n = integers(1, 6) segments, edges = sort(uniform(-3, 3, n + 1)),
+    # U = uniform(0, 2.5) and values = uniform(-1, 0.3, n) 10^U
+    rng = np.random.default_rng(0)
+    out = {}
+    for i in range(max(draws) + 1):
+        n = rng.integers(1, 6)
+        edges = np.sort(rng.uniform(-3.0, 3.0, n + 1))
+        scale = 10.0 ** rng.uniform(0.0, 2.5)
+        values = rng.uniform(-1.0, 0.3, n) * scale
+        if i in draws:
+            out[i] = Potential1D(segments=tuple(zip(
+                edges[:-1].tolist(), edges[1:].tolist(), values.tolist())))
+    return out
+
+
+@pytest.mark.parametrize("draw, count", [(9, 21), (96, 19), (131, 15),
+                                         (136, 18)])
+def test_levinson_1d_generated_past_default_k_max(draw, count):
+    # arg T(100) lies past pi on these four, so on the default grid the
+    # principal closing cap takes the wrong branch and the verify raises;
+    # at k_max = 1000 it passes, where the winding quadrature the body used
+    # to run needed more than QUAD_LIMIT intervals
+    V = _generated_1d({draw})[draw]
+    with pytest.raises(RouteDisagreement):
+        levinson_verify(V, 1)
+    rep = levinson_verify(V, 1, grid={"k_max": 1000.0})
+    assert rep.verdict == "pass"
+    assert rep.N == count and rep.sf == -count
+
+
+def _recorded_rows(monkeypatch, shift=None):
+    # every wavenumber k > 0 the verify carries and its row arg T(k), with
+    # shift(k, arg_t) added to the rows the verify reads
+    carry = levinson._carry_1d
+    rows = {}
+
+    def recording(V, ks):
+        out = carry(V, ks)
+        arg_t = out[3] if shift is None else out[3] + shift(ks, out[3])
+        rows.update((k, a) for k, a in zip(ks.tolist(), arg_t.tolist())
+                    if k > 0.0)
+        return out[:3] + (arg_t,)
+
+    monkeypatch.setattr(levinson, "_carry_1d", recording)
+    return rows
+
+
+def test_levinson_1d_narrow_resonance(monkeypatch):
+    # GENERATED has a resonance of width 3.3e-4 at k = 1.301, through which
+    # arg T climbs by about 2.9 rad between the default grid's samples 1
+    # and 3.16.  The carry's rows decide each step: the check bisects until
+    # no step's phase turns by more than pi / 2 and the tolerance, and the
+    # verify passes with N = 0.  It is draw 159 of the generated law
+    assert _generated_1d({159})[159].segments == GENERATED.segments
+    rows = _recorded_rows(monkeypatch)
+    rep = levinson_verify(GENERATED, 1)
+    assert rep.verdict == "pass" and rep.N == 0 and rep.sf == 0
+    assert len(rows) == rep.data["samples"]
+    ks = np.array(sorted(rows))
+    phase = 2.0 * np.array([rows[k] for k in ks])
+    assert np.max(np.abs(np.diff(phase))) <= np.pi / 2 + levinson.BODY_STEP_TOL
+    inside = ks[(ks > 1.2995) & (ks < 1.3025)]
+    assert len(inside) >= 5
+    assert phase[ks == inside[-1]] - phase[ks == inside[0]] > 2.0
+
+
+def test_levinson_1d_branch_slip_is_refused(monkeypatch):
+    # a row off its branch by pi past the resonance leaves det S and every
+    # cap unchanged, and would move both routes by one unit alike, to the
+    # wrong integer; the step across the slip never matches the slopes'
+    # prediction, and the check gives up loudly, as it does on the true
+    # rows when the sample budget cannot resolve the resonance
+    _recorded_rows(monkeypatch, lambda ks, arg_t: np.where(
+        ks > 1.3011, np.pi, 0.0))
+    with pytest.raises(IntegrationFailure, match=r"on \[1\.3011"):
+        levinson_verify(GENERATED, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(levinson, "BODY_SAMPLES", 40)
+    with pytest.raises(IntegrationFailure, match=r"after 3\d samples$"):
+        levinson_verify(GENERATED, 1)
+
+
+def test_levinson_1d_det_check_names_the_wavenumber(monkeypatch):
+    # a row that is not the phase of det S / 2 at a sample is refused
+    # there, before any step is judged
+    _recorded_rows(monkeypatch, lambda ks, arg_t: np.where(
+        ks == 1.0, 1e-6, 0.0))
+    with pytest.raises(RouteDisagreement,
+                       match=r"misses e\^\(2i arg T\) of the carry by "
+                             r"2\.000e-06 rad at k = 1$"):
+        levinson_verify(DOUBLE_WELL, 1)
+
+
 def test_levinson_1d_solves_the_zero_energy_equation_once(monkeypatch):
     # the bound-state count, the resonance statistic and the end rows of
-    # the crossing count share one carry, at k = 0, k_min and k_max
+    # the crossing count share one carry: the k = 0 row rides in the first
+    # round's call, with the geometric grid from k_min to k_max, and no
+    # later round of the sampled check carries k = 0 again
     carry = levinson._carry_1d
     calls = []
 
@@ -368,13 +475,19 @@ def test_levinson_1d_solves_the_zero_energy_equation_once(monkeypatch):
     monkeypatch.setattr(onedim, "_carry_1d", counting)
     rep = levinson_verify(WELL1, 1)
     assert rep.verdict == "pass" and rep.N == 2
-    assert calls == [(WELL1, [0.0, levinson.DEFAULT_K_MIN,
-                              levinson.DEFAULT_K_MAX])]
+    assert all(V is WELL1 for V, _ in calls)
+    first = calls[0][1]
+    assert first[0] == 0.0
+    assert first[1] == levinson.DEFAULT_K_MIN
+    assert first[-1] == levinson.DEFAULT_K_MAX
+    later = [k for _, ks in calls[1:] for k in ks]
+    assert all(levinson.DEFAULT_K_MIN < k < levinson.DEFAULT_K_MAX
+               for k in later)
 
 
 def _k_quad(F, a, b):
-    # the shared winding quadrature as the d = 1 body runs it
-    return sflow._adaptive_gk21(F, (a, b), levinson.K_QUAD_TOL, 0.0)
+    # the shared winding quadrature at the engines' default tolerance
+    return sflow._adaptive_gk21(F, (a, b), sflow.DEFAULT_EPSABS, 0.0)
 
 
 def test_gk21_rule():
@@ -391,8 +504,6 @@ def test_gk21_rule():
 
 
 def test_adaptive_gk21():
-    # levinson's body quadrature is the shared one
-    assert levinson._adaptive_gk21 is sflow._adaptive_gk21
     calls = []
 
     def f(k):
@@ -405,7 +516,7 @@ def test_adaptive_gk21():
     body, err = _k_quad(F, 1e-2, 10.0)
     exact, _ = quad(f, 1e-2, 10.0, complex_func=True, epsabs=1e-13,
                     epsrel=1e-13, limit=1000)
-    assert err <= levinson.K_QUAD_TOL
+    assert err <= sflow.DEFAULT_EPSABS
     assert abs(body - exact) <= err
     assert all(n % 21 == 0 for n in calls)
 
@@ -453,7 +564,7 @@ def test_levinson_grid_and_dimension_validation():
         levinson_verify(WELL3, 5)
     with pytest.raises(TypeError):
         levinson_verify(WELL1, 1, grid="fine")
-    # the adaptive d = 1 route has no node count to set
+    # the d = 1 route chooses its own samples: no node count to set
     with pytest.raises(InvalidGrid):
         levinson_verify(WELL1, 1, grid=200)
     # any integer type is a number of points, numpy's too
@@ -612,14 +723,16 @@ def test_route_bodies_match_quadrature(depth):
 
 
 def test_levinson_3d_runs_no_quadrature(monkeypatch):
+    # nor does the 1D verify, whose body is read off the checked rows
     def refuse(*args, **kwargs):
-        raise AssertionError("the 3D routes must not call the quadrature "
+        raise AssertionError("the routes must not call the quadrature "
                              "or build the phase table")
 
-    monkeypatch.setattr(levinson, "_adaptive_gk21", refuse)
+    monkeypatch.setattr(sflow, "_adaptive_gk21", refuse)
     monkeypatch.setattr(levinson, "ChannelData", refuse)
     rep = levinson_verify(WELL3, 3, grid=200)
     assert rep.verdict == "pass"
+    assert levinson_verify(DOUBLE_WELL, 1).verdict == "pass"
 
 
 def test_levinson_3d_carries_three_energies(monkeypatch):

@@ -29,9 +29,8 @@ from specflow.scatter import (
     smatrix_1d,
     transfer_matrix,
 )
-from specflow.scatter.levinson import K_QUAD_TOL, _winding_1d
+from specflow.scatter.levinson import _evidence_1d
 from specflow.scatter.onedim import _carry_1d, _transfer_dlam
-from specflow.sflow import _adaptive_gk21
 
 mp = pytest.importorskip("mpmath")
 
@@ -102,9 +101,11 @@ def test_carry_arg_t_matches_oracle(depth):
 
 @pytest.mark.parametrize("depth", DEPTHS)
 def test_winding_body_matches_oracle(depth):
+    # the verify's body, (arg T(k_max) - arg T(k_min)) / pi off the carry's
+    # rows once the sampled check has accepted every step between them
     V = Potential1D.square_well(depth, HALFWIDTH)
-    body, err = _adaptive_gk21(_winding_1d(V), (1e-2, 100.0), K_QUAD_TOL, 0.0)
-    assert err <= 1e-9
+    ev = _evidence_1d(V, 1e-2, 100.0)
+    body = float(ev.hi[0] - ev.lo[0]) / np.pi
     assert abs(body - oracle_body(depth, 1e-2, 100.0)) < 1e-11
 
 

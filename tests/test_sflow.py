@@ -725,23 +725,48 @@ def test_open_path_matches_sampled_caps(rng):
 
 
 def test_open_path_samples_the_path_only(monkeypatch):
-    # the Phillips route runs on the path itself, generator paths too
+    # the Phillips route runs on the path itself, generator paths too,
+    # starting from the decomposition of its two end samples
     path = generator_path(np.diag([3j * np.pi, -0.5j]))
     seen = []
     real = sflow.sf_phillips
 
-    def recording(p):
-        seen.append(p)
-        return real(p)
+    def recording(p, **kwargs):
+        seen.append((p, sorted(kwargs["_samples"])))
+        return real(p, **kwargs)
 
     monkeypatch.setattr(sflow, "sf_phillips", recording)
     report = sf_open_path(path, n=1)
-    assert seen == [path]
+    assert seen == [(path, [0.0, 1.0])]
     # one and a half counterclockwise turns, closed by the principal cap:
     # one crossing of -1
     assert report.value == 1
     assert report.certificate.breakpoints[0] == 0.0
     assert report.certificate.breakpoints[-1] == 1.0
+
+
+def test_open_path_decomposes_each_end_once(monkeypatch):
+    # the caps and Phillips' count share one decomposition of the two end
+    # samples, and the report is the one sf_phillips' own sampling gives
+    path = geodesic_between(np.diag(np.exp([2.5j, 0.0, 0.3j])),
+                            np.diag(np.exp([-2.5j, 0.0, -0.3j])))
+    ends = [path(0.0), path(1.0)]
+    decomposed = []
+    real = sflow.eig_unitary
+
+    def recording(U):
+        decomposed.extend(np.reshape(U, (-1, 3, 3)))
+        return real(U)
+
+    monkeypatch.setattr(sflow, "eig_unitary", recording)
+    report = sf_open_path(path, n=1)
+    for end in ends:
+        assert sum(np.array_equal(U, end) for U in decomposed) == 1
+    monkeypatch.undo()
+    alone = sf_phillips(path)
+    assert report.value == alone.value == 1
+    assert report.certificate == alone.certificate
+    assert report.parameters.keys() >= {"n", "quad_error"}
 
 
 def test_generator_path_flow():
