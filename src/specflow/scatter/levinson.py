@@ -30,13 +30,16 @@ cap takes the wrong branch and the count reads -11 and -17, the true
 flows of that capped loop, against the winding route's -13 and -21.
 
 One pipeline (`_levinson`) builds every report.  Each dimension gives it
-one record (`_evidence_1d`, `_evidence_3d`): N and the classification
-from the zero-energy row of its carry, the rows phi(k_min) and phi(k_max)
-on the absolute branch, phi(inf) = 0, the exact slope d phi / dk at k_min,
-the caps' angles and the threshold counterterms.  The shared code then
-runs the crossing count, the route formulas (`_table_routes`: a rectangle
-below k_min from the slope, the body, the tail beyond k_max) and the
-assembly, and in d = 3 checks each channel's flow.  The routes read the
+one record (`_evidence_1d`, `_evidence_3d`): the channels' bound-state
+counts and the classification from the zero-energy row of its carry, the
+rows phi(k_min) and phi(k_max) on the absolute branch, phi(inf) = 0, the
+exact slope d phi / dk at k_min, the caps' angles and the threshold
+counterterms.  The shared code then runs the crossing count, the route
+formulas (`_table_routes`: a rectangle below k_min from the slope, the
+body, the tail beyond k_max) and the assembly, which checks each
+channel's flow against its count and sums N = sum_l (2l + 1) N_l.  Both
+dimensions classify the threshold by one rule (`_classify`), d = 1 its
+resonance statistic as channel 0.  The routes read the
 rows and slopes at k = 0, k_min and k_max alone; in d = 1 the sampled
 check of the rows' branch reads more wavenumbers between them.  The
 phase table (`ChannelData`, for the CLI's --csv and
@@ -99,9 +102,9 @@ term left after P_3, c_3 / k_max with c_3 = -integral V^2 / 16 pi^2, so
 that route tests the k_max row against the potential's moments.  This
 leaves less independence in d = 3 than the three routes suggest: every
 route reads the carry's rows.  The independent checks are each channel's
-flow against its zero-energy bound-state count, which the 3D pipeline
-makes once the routes agree, and the subtracted route's k_max row
-against the moments of the potential.
+flow against its zero-energy bound-state count, which the pipeline makes
+in both dimensions once the routes agree, and the subtracted route's
+k_max row against the moments of the potential.
 """
 
 import numbers
@@ -132,11 +135,10 @@ from .onedim import (
 from .radial import (
     CHANNEL_TOL,
     THRESHOLD_LMAX,
-    _channel_counts,
+    _bound_channels,
     _cutoff_rows,
     _sweep_rows,
     _threshold_statistics,
-    _zero_energy_radial,
     choose_lmax,
     phase_shift_rows,
     threshold_statistics_radial,
@@ -237,27 +239,22 @@ def resonance_detect(V, d):
     details.
     """
     if _dimension(V, d) == 1:
-        return _classify_1d(resonance_statistic_1d(V))
-    return _classify_3d(threshold_statistics_radial(V))
+        return _classify(resonance_statistic_1d(V))
+    return _classify(threshold_statistics_radial(V))
 
 
-def _classify_1d(s):
-    """resonance_detect's d = 1 verdict from the resonance statistic."""
-    if RES_TOL / 2.0 <= s <= 2.0 * RES_TOL:
-        raise Inconclusive(
-            f"1D resonance statistic {s:.3e} in the band "
-            f"[{RES_TOL / 2:.1e}, {2 * RES_TOL:.1e}]")
-    return "s_resonance" if s < RES_TOL / 2.0 else "none"
-
-
-def _classify_3d(sig):
-    """resonance_detect's d = 3 verdict from the threshold statistics of
-    channels 0..THRESHOLD_LMAX."""
+def _classify(sig):
+    """resonance_detect's verdict from the threshold statistics of channels
+    0..len(sig) - 1: d = 3 reads channels 0..THRESHOLD_LMAX, and d = 1 its
+    resonance statistic, a scalar, as channel 0."""
+    sig = np.atleast_1d(sig)
     in_band = (sig >= RES_TOL / 2.0) & (sig <= 2.0 * RES_TOL)
     if np.any(in_band):
         ls = np.where(in_band)[0].tolist()
+        stats = ", ".join(f"{x:.3e}" for x in sig[ls])
         raise Inconclusive(
-            f"threshold statistic in the band for l = {ls}")
+            f"threshold statistic {stats} in the band "
+            f"[{RES_TOL / 2:.1e}, {2 * RES_TOL:.1e}] for l = {ls}")
     if sig[0] < RES_TOL / 2.0:
         return "s_resonance"
     if np.any(sig[1:] < RES_TOL / 2.0):
@@ -277,6 +274,7 @@ class LevinsonReport:
     sf_regularized: SpectralFlowReport
     raw_integral: float
     polynomial_terms: dict
+    # "pass": a failed check raises, so no other verdict is returned
     verdict: str
     routes: dict
     residual: float
@@ -315,13 +313,13 @@ class LevinsonReport:
 # phi_l = delta_l; d = 1: one channel, phi_0 = arg T).  lo, hi and slope
 # are phi(k_min), phi(k_max) and d phi / dk at k_min, the rows on the
 # absolute branch, phi(inf) = 0; start and end are the angles through which
-# each channel's caps turn.  correction is the threshold correction of every
-# winding route and counterterm the zero-energy term of the regularized
-# one.  counts, when set, are the d = 3 per-channel bound-state counts that
-# each channel's flow must match.
+# each channel's caps turn.  counts are the channels' bound-state counts,
+# which their flows must match, and N = sum_l (2l + 1) counts_l.
+# correction is the threshold correction of every winding route and
+# counterterm the zero-energy term of the regularized one.
 _Evidence = namedtuple(
-    "_Evidence", "N classification lo hi slope start end correction data "
-    "counterterm counts per_wave", defaults=(0.0, None, None))
+    "_Evidence", "counts classification lo hi slope start end correction "
+    "data counterterm per_wave", defaults=(0.0, None))
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +454,8 @@ def _evidence_1d(V, k_min, k_max):
     ks = np.geomspace(k_min, k_max, 1 + int(np.ceil(
         BODY_PER_DECADE * np.log10(k_max / k_min))))
     carry = _carry_1d(V, np.concatenate([[0.0], ks]))
-    N = _bound_state_count(V, carry)
-    classification = _classify_1d(_resonance_statistic(V, carry))
+    counts = np.array([_bound_state_count(V, carry)])
+    classification = _classify(_resonance_statistic(V, carry))
     arg_t = carry[3][1:]
     S, slope = _checked_rows(V, ks, arg_t)
     samples = _branch_check(V, ks, arg_t, slope)
@@ -467,7 +465,7 @@ def _evidence_1d(V, k_min, k_max):
         ends, turn = np.stack([S0 @ S[0], S[-1]]), -np.pi
     start, end = _cap_angles(ends)
     return _Evidence(
-        N=N, classification=classification,
+        counts=counts, classification=classification,
         lo=arg_t[:1], hi=arg_t[-1:], slope=slope[:1] / 2.0,
         start=turn + np.sum(start), end=np.sum(end),
         correction=-0.5 if classification == "none" else 0.0,
@@ -576,8 +574,9 @@ def _evidence_3d(V, k_min, k_max):
     gives both rows, each over the channels up to its own cutoff and 0.0
     above, the exact slope at k_min over lo's channels from the same
     carry, and the channel range, hi's cutoff.  One zero-energy sweep over
-    every channel of the rows gives the bound-state counts and the
-    threshold statistics of channels 0..THRESHOLD_LMAX.
+    the channels the potential can bind (`radial._bound_channels`) gives
+    the bound-state counts, padded with zeros to the rows' channels, and
+    the threshold statistics of channels 0..THRESHOLD_LMAX.
     Each channel's caps are the principal geodesics into e^{2i
     delta_l(k_min)} and e^{2i delta_l(k_max)}, and the l = 0
     s-resonance's start cap first turns by pi through -1."""
@@ -587,13 +586,12 @@ def _evidence_3d(V, k_min, k_max):
     n = min(len(low), lmax + 1)
     lo, slope = np.zeros((2, lmax + 1))
     lo[:n], slope[:n] = low[:n], low_slope[:n]
-    zero = _zero_energy_radial(V, max(lmax, THRESHOLD_LMAX))
-    counts = _channel_counts(V, zero)
-    if counts[-1]:
+    counts, zero = _bound_channels(V)
+    if np.any(counts[lmax:]):
         raise OracleDisagreement(
-            f"bound states persist beyond the rows' cutoff l = "
-            f"{len(counts) - 1}")
-    classification = _classify_3d(
+            f"bound states persist beyond the rows' cutoff l = {lmax}")
+    counts = np.pad(counts, (0, max(0, lmax + 1 - len(counts))))
+    classification = _classify(
         _threshold_statistics(V, zero)[:THRESHOLD_LMAX + 1])
     s_rank = 1 if classification == "s_resonance" else 0
 
@@ -613,14 +611,13 @@ def _evidence_3d(V, k_min, k_max):
                 "channel_counts":
                     counts[:max(9, np.count_nonzero(counts) + 1)].tolist()}
     return _Evidence(
-        N=int((2 * np.arange(len(counts)) + 1) @ counts),
-        classification=classification, lo=lo, hi=hi, slope=slope,
-        start=start, end=_branch_angles(np.exp(2j * hi))[0],
+        counts=counts, classification=classification, lo=lo, hi=hi,
+        slope=slope, start=start, end=_branch_angles(np.exp(2j * hi))[0],
         correction=0.5 * s_rank, data={"lo": lo, "hi": hi, "slope": slope},
         # the zero-energy scattering matrix is -1 in an s-resonant channel
         # 0, of weight 1, and 1 in every other
         counterterm=complex(counterterm_series(-2.0 * s_rank, 3))
-        / (2j * np.pi), counts=counts, per_wave=per_wave)
+        / (2j * np.pi), per_wave=per_wave)
 
 
 # ---------------------------------------------------------------------------
@@ -657,9 +654,8 @@ def _levinson(V, d, k_min, k_max):
 
 def _assemble(d, ev, phillips, routes, raw_integral, poly):
     """The report, once the routes agree after rounding and within
-    RESIDUAL_TOL; with the record's per-channel counts (d = 3), each
-    channel's flow must then be minus its zero-energy bound-state count,
-    a channel without a flow having flow 0."""
+    RESIDUAL_TOL and each channel's flow is minus its zero-energy
+    bound-state count, a channel without a flow having flow 0."""
     resid = 0.0
     rounded = {}
     for name, val in routes.items():
@@ -674,26 +670,25 @@ def _assemble(d, ev, phillips, routes, raw_integral, poly):
     if resid > RESIDUAL_TOL:
         raise RouteDisagreement(
             f"route residual {resid:.3f} exceeds {RESIDUAL_TOL}")
-    if ev.counts is not None:
-        flows = np.zeros(len(ev.counts), dtype=int)
-        channels = phillips.parameters["channels"]
-        flows[list(channels)] = list(channels.values())
-        bad = np.flatnonzero(flows + ev.counts)
-        if len(bad):
-            raise OracleDisagreement(
-                f"channel flows {flows[bad].tolist()} against bound-state "
-                f"counts {ev.counts[bad].tolist()} at l = {bad.tolist()}")
+    flows = np.zeros(len(ev.counts), dtype=int)
+    channels = phillips.parameters["channels"]
+    flows[list(channels)] = list(channels.values())
+    bad = np.flatnonzero(flows + ev.counts)
+    if len(bad):
+        raise OracleDisagreement(
+            f"channel flows {flows[bad].tolist()} against bound-state "
+            f"counts {ev.counts[bad].tolist()} at l = {bad.tolist()}")
     # only the d = 1 zero-energy cap corrects by a negative amount, the
     # half-unit it carries, and the opposite orientation is reported too
     half = ev.correction < 0.0
     return LevinsonReport(
-        dimension=d, N=ev.N, N_res=0.5 if half else 0.0,
+        dimension=d, N=int((2 * np.arange(len(ev.counts)) + 1) @ ev.counts),
+        N_res=0.5 if half else 0.0,
         sf_regularized=phillips, raw_integral=raw_integral,
         polynomial_terms={**poly.coefficients, "P0": poly.P0,
                           "inv_sqrt": poly.inv_sqrt},
-        verdict="pass" if rounded["phillips"] + ev.N == 0 else "fail",
-        routes=routes, residual=resid, classification=ev.classification,
-        threshold_correction=ev.correction,
+        verdict="pass", routes=routes, residual=resid,
+        classification=ev.classification, threshold_correction=ev.correction,
         alt_convention_sf=raw_integral + 0.5 if half else None,
         per_wave=ev.per_wave, data=ev.data)
 

@@ -348,20 +348,16 @@ def _channel_counts(V, zero):
     """bound_state_channels over the channels of one zero-energy sweep,
     zero = _zero_energy_radial(V, lmax)."""
     u, du, changes = zero
-    node_counts = changes + _tail_zero_radial(u, du, V.radius)
-
-    out = np.zeros(len(u), dtype=int)
-    fd_counts = _bound_states_fd_radial(V, range(len(u)))
-    for ell, n_fd in enumerate(fd_counts):
-        n_nodes = int(node_counts[ell])
-        if n_fd != n_nodes:
+    nodes = changes + _tail_zero_radial(u, du, V.radius)
+    for ell, n_fd in enumerate(_bound_states_fd_radial(V, range(len(u)))):
+        if n_fd != nodes[ell]:
             raise OracleDisagreement(
                 f"channel l={ell}: the finite-difference Sturm count finds "
-                f"{n_fd} bound states, node counting finds {n_nodes}")
-        if n_nodes == 0:
+                f"{n_fd} bound states, node counting finds {nodes[ell]}")
+        if n_fd == 0:
             break
-        out[ell] = n_nodes
-    return out
+    # channels past the first empty one hold none (N_l is nonincreasing)
+    return nodes * (np.arange(len(u)) <= ell)
 
 
 def bound_state_channels(V, lmax=8):
@@ -375,17 +371,32 @@ def bound_state_channels(V, lmax=8):
     return _channel_counts(V, _zero_energy_radial(V, lmax))
 
 
+def _bound_channels(V):
+    """(counts, zero): the zero-energy sweep zero = _zero_energy_radial(V,
+    lmax) and its bound-state counts over channels 0..lmax, lmax the larger
+    of 8 and the first channel the potential cannot bind.  Channel l's
+    effective potential v + l(l+1)/r^2 is nonnegative on all of (0, inf)
+    once l(l+1) >= R^2 max(0, -min v), so it holds no bound state, and a
+    count there is a solver fault (OracleDisagreement)."""
+    bind = V.radius ** 2 * max(0.0, -min(v for _, _, v in V.shells))
+    top = max(8, int(np.sqrt(bind)))
+    while top * (top + 1) < bind:
+        top += 1
+    zero = _zero_energy_radial(V, top)
+    counts = _channel_counts(V, zero)
+    if counts[-1]:
+        raise OracleDisagreement(
+            f"channel l={len(counts) - 1} holds {counts[-1]} bound states, "
+            f"though l(l+1) >= R^2 max(-V) = {bind:.6g} binds none")
+    return counts, zero
+
+
 def bound_states_radial(V):
-    """N = sum_l (2l+1) N_l for -Delta + V in three dimensions.  The
-    channel range doubles from l = 8 until its last channel is empty;
-    N_l is nonincreasing in l, so every channel beyond it is empty too."""
-    lmax = 8
-    counts = bound_state_channels(V, lmax)
-    while counts[-1]:
-        lmax *= 2
-        counts = bound_state_channels(V, lmax)
-    mult = 2 * np.arange(lmax + 1) + 1
-    return int(np.sum(mult * counts))
+    """N = sum_l (2l+1) N_l for -Delta + V in three dimensions, over the
+    channels of one zero-energy sweep (`_bound_channels`): every channel
+    beyond it holds no bound state."""
+    counts = _bound_channels(V)[0]
+    return int((2 * np.arange(len(counts)) + 1) @ counts)
 
 
 __all__ = [

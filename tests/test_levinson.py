@@ -15,6 +15,7 @@ from specflow.errors import (
     NonUnitary,
     OracleDisagreement,
     RouteDisagreement,
+    SpecflowError,
     UnsupportedDimension,
 )
 from specflow.scatter import (
@@ -765,23 +766,29 @@ def test_levinson_3d_points_set_no_verify_grid():
 
 
 def test_levinson_3d_one_zero_energy_sweep(monkeypatch):
-    # the bound-state count and the threshold statistics read one sweep
+    # the bound-state counts and the threshold statistics read one sweep
+    # over channels 0..max(8, l), l the first channel with l(l+1) >= R^2
+    # depth, which the well cannot bind: 9 channels at depth 3 and 15 at
+    # depth 200 (14 * 15 = 210), not the rows' 100-odd
     calls = []
 
     def counting(V, lmax):
         calls.append(lmax)
         return _zero_energy_radial(V, lmax)
 
-    monkeypatch.setattr(levinson, "_zero_energy_radial", counting)
-    rep = levinson_verify(WELL3, 3, grid=200)
-    lmax = len(rep.data["hi"]) - 1
-    assert calls == [lmax]
-    assert rep.classification == "none"
-    # the statistics of channels 0..3 do not depend on the sweep's cutoff
-    assert np.array_equal(
-        levinson._threshold_statistics(WELL3, _zero_energy_radial(
-            WELL3, lmax))[:4],
-        threshold_statistics_radial(WELL3))
+    monkeypatch.setattr(radial, "_zero_energy_radial", counting)
+    for depth, top in ((3.0, 8), (200.0, 14)):
+        calls.clear()
+        V = RadialPotential.square_well(depth)
+        rep = levinson_verify(V, 3, grid=200)
+        assert calls == [top]
+        assert len(rep.data["hi"]) > top + 1
+        assert rep.classification == "none"
+        # the statistics of channels 0..3 do not depend on the sweep's
+        # cutoff
+        assert np.array_equal(levinson._threshold_statistics(
+            V, _zero_energy_radial(V, top))[:4],
+            threshold_statistics_radial(V))
 
 
 @pytest.mark.parametrize("depth, N", [(50.0, 29), (100.0, 69), (200.0, 205)])
@@ -813,7 +820,7 @@ def test_levinson_3d_channel_flows_against_counts(monkeypatch):
     # the depth-12 well holds one state each in l = 0 and 1 (N = 4); a
     # count that puts all four in l = 0 keeps N, so the routes agree with
     # it, and only the per-channel check sees the channels disagree
-    counts = levinson._channel_counts
+    counts = radial._channel_counts
 
     def misplaced(V, zero):
         out = counts(V, zero)
@@ -821,10 +828,38 @@ def test_levinson_3d_channel_flows_against_counts(monkeypatch):
         out[:2] = [4, 0]
         return out
 
-    monkeypatch.setattr(levinson, "_channel_counts", misplaced)
+    monkeypatch.setattr(radial, "_channel_counts", misplaced)
     with pytest.raises(OracleDisagreement, match=re.escape(
             "channel flows [-1, -1] against bound-state counts [4, 0] at "
             "l = [0, 1]")):
+        levinson_verify(RadialPotential.square_well(12.0), 3)
+
+
+def test_levinson_1d_channel_flow_against_count(monkeypatch):
+    # the 1D record is one channel of weight 1, and its flow is checked as
+    # a 3D channel's is: a count of N + 1 on the depth-5 well (N = 2)
+    # raises, where a verdict of "fail" used to be returned
+    count = levinson._bound_state_count
+    monkeypatch.setattr(levinson, "_bound_state_count",
+                        lambda V, carry: count(V, carry) + 1)
+    with pytest.raises(OracleDisagreement, match=re.escape(
+            "channel flows [-2] against bound-state counts [3] at "
+            "l = [0]")):
+        levinson_verify(WELL1, 1)
+
+
+def test_levinson_3d_counts_beyond_short_rows(monkeypatch):
+    # rows that stop at l = 1 leave the depth-12 well's l = 1 state at
+    # their top channel, which the flows cannot see
+    rows = levinson._cutoff_rows
+
+    def short(V, lams):
+        cut, out = rows(V, lams)
+        return cut, [(row[:2], slope[:2]) for row, slope in out]
+
+    monkeypatch.setattr(levinson, "_cutoff_rows", short)
+    with pytest.raises(OracleDisagreement, match=re.escape(
+            "bound states persist beyond the rows' cutoff l = 1")):
         levinson_verify(RadialPotential.square_well(12.0), 3)
 
 
@@ -887,6 +922,60 @@ def test_levinson_3d_resonant_well():
     pw = rep.per_wave
     assert pw["expected_drop"] == np.pi / 2.0
     assert abs(pw["delta0_drop"] - np.pi / 2.0) < 1e-2 * np.pi
+
+
+def _square_well_count(mp, dim, depth):
+    """The 30-digit bound-state count of the square well of this float
+    depth and half-width (d = 1) or radius (d = 3) 1, with x = sqrt(depth):
+    in d = 1 the n >= 0 with n pi / 2 < x; in d = 3 the zeros of cos below
+    x for l = 0 and of j_{l-1} below x for l >= 1, each of weight 2l + 1."""
+    with mp.workdps(30):
+        x = mp.sqrt(mp.mpf(depth))
+
+        def below(zero):
+            # the number of m >= 1 with zero(m) < x, zero increasing
+            n = 0
+            while zero(n + 1) < x:
+                n += 1
+            return n
+
+        if dim == 1:
+            return below(lambda m: (m - 1) * mp.pi / 2)
+        N = below(lambda m: (2 * m - 1) * mp.pi / 2)
+        for ell in range(1, 100):
+            n = below(lambda m: mp.besseljzero(ell - 0.5, m))
+            if n == 0:
+                return N
+            N += (2 * ell + 1) * n
+
+
+# the threshold set's runs that pass: (d, m, relative offset)
+THRESHOLD_PASSING = {
+    (1, 2, 0.0), (1, 2, -1e-8), (1, 2, -1e-2), (1, 3, 1e-2), (1, 3, -1e-2),
+    (3, 1, 0.0), (3, 1, -1e-8), (3, 2, 1e-8), (3, 2, 1e-4), (3, 2, 1e-2),
+    (3, 2, -1e-2), (3, 3, 0.0), (3, 3, -1e-8), (3, 3, 1e-2), (3, 3, -1e-2)}
+
+
+def test_threshold_set_counts_or_raises():
+    # square wells at the depths (m pi / 2)^2, m = 1, 2, 3, where a bound
+    # state enters, and at relative offsets +-1e-8, +-1e-6, +-1e-4 and
+    # +-1e-2, in both dimensions: 54 runs.  Each either passes with the
+    # 30-digit count or raises a typed error; none reports a wrong N
+    mp = pytest.importorskip("mpmath")
+    passing = set()
+    for dim, well in ((1, Potential1D), (3, RadialPotential)):
+        for m in (1, 2, 3):
+            for rel in (0.0, 1e-8, -1e-8, 1e-6, -1e-6, 1e-4, -1e-4, 1e-2,
+                        -1e-2):
+                depth = (m * np.pi / 2) ** 2 * (1 + rel)
+                try:
+                    rep = levinson_verify(well.square_well(depth), dim)
+                except SpecflowError:
+                    continue
+                N = _square_well_count(mp, dim, depth)
+                assert (rep.verdict, rep.N, rep.sf) == ("pass", N, -N)
+                passing.add((dim, m, rel))
+    assert passing == THRESHOLD_PASSING
 
 
 def test_levinson_3d_exact_second_s_threshold():

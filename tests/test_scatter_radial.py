@@ -1,8 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import spherical_jn, spherical_yn
 
-from specflow.errors import EnergyNonpositive, SpecflowError
+from specflow.errors import (
+    EnergyNonpositive,
+    OracleDisagreement,
+    SpecflowError,
+)
 from specflow.scatter import (
     ChannelData,
     RadialPotential,
@@ -193,9 +199,35 @@ def test_deep_well_counts_past_l_8():
 
 
 def test_very_deep_well_widens_its_cutoff():
-    # channels 9 and 10 hold states, so the count widens its channel range
-    # past l = 8 to the Bessel-zero count of test_deep_well_counts_past_l_8
+    # channels 9 and 10 hold states, so the count's channel range reaches
+    # past l = 8, to the Bessel-zero count of test_deep_well_counts_past_l_8
     assert bound_states_radial(RadialPotential.square_well(200.0)) == 205
+
+
+@pytest.mark.parametrize("depth, top, N", [
+    (50.0, 8, 29), (100.0, 10, 69), (200.0, 14, 205)])
+def test_bound_states_radial_one_sweep(monkeypatch, depth, top, N):
+    # one zero-energy sweep over channels 0..max(8, l), l the first channel
+    # with l(l+1) >= R^2 depth, whose effective potential is nonnegative
+    calls = []
+
+    def counting(V, lmax):
+        calls.append(lmax)
+        return _zero_energy_radial(V, lmax)
+
+    monkeypatch.setattr(radial, "_zero_energy_radial", counting)
+    assert bound_states_radial(RadialPotential.square_well(depth)) == N
+    assert calls == [top]
+
+
+def test_bound_states_radial_top_channel_guard(monkeypatch):
+    # a count in the top channel swept, which the potential cannot bind,
+    # is a solver fault, not a reason to sweep further
+    monkeypatch.setattr(radial, "_channel_counts",
+                        lambda V, zero: np.ones(len(zero[0]), dtype=int))
+    with pytest.raises(OracleDisagreement, match=re.escape(
+            "channel l=8 holds 1 bound states")):
+        bound_states_radial(WELL3)
 
 
 def test_threshold_statistics():
