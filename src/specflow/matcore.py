@@ -34,6 +34,7 @@ of its two rare fallbacks fires: the Schur decomposition of a member that
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def schatten_norm(A, p):
 
     p may be any real >= 1 or np.inf (operator norm).
     """
-    if not (p == np.inf or p >= 1):
+    if not (isinstance(p, numbers.Real) and (p == np.inf or p >= 1)):
         raise InvalidOrder(f"Schatten order must be >= 1 or inf, got {p}")
     s = np.linalg.svd(np.asarray(A, dtype=complex), compute_uv=False)
     if p == np.inf:
@@ -177,9 +178,8 @@ def abs_power(A, x):
     then tried, and DecompositionFailure raised if it fails too.
     """
     A = np.asarray(A, dtype=complex)
-    if not (np.isfinite(x) and x >= 0):
-        raise InvalidOrder(f"power must be finite and >= 0, got {x} "
-                           f"(negative powers of a singular A diverge)")
+    # negative powers of a singular A diverge
+    x = check_order("power", x, 0)
     try:
         _, s, Vh = np.linalg.svd(A)
     except np.linalg.LinAlgError:
@@ -194,19 +194,21 @@ def abs_power(A, x):
 
 
 def check_order(name, order, least, integer=False):
-    """Return a regularisation order checked to be finite and >= `least`
-    (and >= 0).
+    """Return a regularisation order checked to be a finite real number
+    >= `least` (and >= 0).
 
     With `integer` the order must also be a whole number and is returned
     as an int, else as a float.  This is the one order check behind the
-    winding forms, endpoint integrals, determinants and Cayley identities;
-    `least` is compared with a 1e-12 allowance for rounding in
-    Schatten-derived bounds such as (p - 1)/2.
+    winding forms, endpoint integrals, determinants, Cayley identities,
+    `abs_power` and `gamma_constant`; a string, None or a complex number
+    fails it before any comparison.  `least` is compared with a 1e-12
+    allowance for rounding in Schatten-derived bounds such as (p - 1)/2.
     """
-    if not np.isfinite(order) or order < 0 or order < least - 1e-12 \
+    if not isinstance(order, numbers.Real) or not math.isfinite(order) \
+            or order < 0 or order < least - 1e-12 \
             or (integer and order != int(order)):
         kind = "an integer >= " if integer else ">= "
-        raise InvalidOrder(f"{name} must be {kind}{least}, got {order}")
+        raise InvalidOrder(f"{name} must be {kind}{least}, got {order!r}")
     return int(order) if integer else float(order)
 
 
@@ -245,9 +247,7 @@ def gamma_constant(x):
     terms leave 1.2e-17 at x = 100, and which stays finite where Gamma
     overflows.
     """
-    if not (np.isfinite(x) and x >= 0):
-        raise InvalidOrder(f"constant defined for finite x >= 0, got {x}")
-    x = float(x)
+    x = check_order("x", x, 0)
     if x <= 1.0:
         return math.gamma(x + 1.0) / (math.sqrt(math.pi) * math.gamma(x + 0.5))
     if x <= 100.0:

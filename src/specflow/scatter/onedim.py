@@ -23,19 +23,22 @@ The same entries carry one solution across each segment in one exact
 step at every energy, lam = 0 included (`_carry_1d`), as `radial._carry`
 does per shell: f = e^{-ikx} left of the support, whose real part's zeros
 are counted per segment, from the Pruefer angle where lam exceeds the
-segment's value and as a sign change elsewhere.  At lam = 0 it is the
-zero-energy solution, behind the node count of `bound_states_1d`, which a
-Sturm count of the finite-difference operator (`_fd_count`, shared with
-`radial`) cross-checks, and the zero-energy resonance statistic.  At
-lam > 0 the zero count puts arg f on its continuous branch (Calogero's
-variable phase), and with it arg T on the absolute branch, arg T(inf) =
-0, at each k on its own: det S = e^{2i arg T}, and arg T(0+) = pi (N -
-1/2) without a resonance, so one row reads the count that a sampled path
-through S would have to unwind.  At k = 100 the half-width-1 wells of
-depth 400 and 1000 still have arg T = 3.96 and 9.76 rad, past pi: a
-principal cap there closes a loop whose flow is -11 and -17, not -13 and
--21.  Also here: the Nyström discretization of the free-resolvent
-Birman-Schwinger determinant.
+segment's value and as a sign change elsewhere.  Its states at the
+segment ends are the prefix products of the steps, which an inclusive
+doubling scan over the segments forms for all energies at once with the
+same elementwise 2x2 product `_mul`, in about log2(segments) array
+steps.  At lam = 0 it is the zero-energy solution, behind the node count
+of `bound_states_1d`, which a Sturm count of the finite-difference
+operator (`_fd_count`, shared with `radial`) cross-checks, and the
+zero-energy resonance statistic.  At lam > 0 the zero count puts arg f
+on its continuous branch (Calogero's variable phase), and with it arg T
+on the absolute branch, arg T(inf) = 0, at each k on its own:
+det S = e^{2i arg T}, and arg T(0+) = pi (N - 1/2) without a resonance,
+so one row reads the count that a sampled path through S would have to
+unwind.  At k = 100 the half-width-1 wells of depth 400 and 1000 still
+have arg T = 3.96 and 9.76 rad, past pi: a principal cap there closes a
+loop whose flow is -11 and -17, not -13 and -21.  Also here: the Nyström
+discretization of the free-resolvent Birman-Schwinger determinant.
 """
 
 import numpy as np
@@ -349,15 +352,20 @@ def _carry_1d(V, ks):
     absolute branch, where arg T(inf) = 0, and NaN at k = 0.  At k = 0, f
     is the zero-energy solution u = 1, u' = 0 left of the support.
 
-    Each segment is one exact step, its transfer matrix at lam = k^2, and
-    (Re f, Re f', Im f, Im f') is rescaled to a largest entry of 1 after
-    it.  On an evanescent segment (v > lam) the step is divided by
-    cosh(kappa d), its entries 1, tanh(kappa d)/kappa and kappa
-    tanh(kappa d), so no barrier overflows.  Where lam > v the Pruefer
-    angle of (q u, u') advances by exactly q d, and the zeros are the
-    multiples of pi that it passes, the sign of u deciding at a multiple
-    (`_level`).  Elsewhere u is monotone or linear between zeros, with at
-    most one, seen as a sign change.
+    Each segment is one exact step, its transfer matrix T_j at lam = k^2.
+    The states at the segment ends, T_j ... T_0 F with F the columns
+    (Re f, Im f) at x_L, are prefix products of an associative operation,
+    so an inclusive doubling scan over the stack F, T_0, ..., T_{m-1}
+    (Hillis and Steele, Commun. ACM 29, 1986) forms them for all
+    wavenumbers at once in ceil(log2(m + 1)) levels of `_mul`, each level
+    followed by a rescale of every prefix it formed to a largest entry of
+    1, a positive factor that changes no sign or angle read here.  On an
+    evanescent segment (v > lam) the step is divided by cosh(kappa d), its
+    entries 1, tanh(kappa d)/kappa and kappa tanh(kappa d), so no barrier
+    overflows.  Where lam > v the Pruefer angle of (q u, u') advances by
+    exactly q d, and the zeros are the multiples of pi that it passes, the
+    sign of u deciding at a multiple (`_level`).  Elsewhere u is monotone
+    or linear between zeros, with at most one, seen as a sign change.
 
     The Wronskian of Re f and Im f is -k, so arg f decreases strictly (the
     variable-phase construction; Calogero, Variable Phase Approach to
@@ -377,25 +385,20 @@ def _carry_1d(V, ks):
     kappa = np.sqrt((v - lams)[ev])
     t = np.tanh(kappa * np.broadcast_to(d, ev.shape)[ev])
     c[ev], s[ev], g[ev] = 1.0, t / kappa, kappa * t
-    # (Re f, Re f', Im f, Im f') at the left edge, and then at the right
-    # end of every segment, one wavenumber at a time in floats
+    # the columns (Re f, Re f') and (Im f, Im f') at the left edge, then the
+    # steps: level h of the scan multiplies each prefix past the h-th by
+    # the one h places before it, all wavenumbers at once, and leaves the
+    # rows (Re f, Re f', Im f, Im f') at each segment's left end and at x_R
     x_left, x_right = V.support
     cos, sin = np.cos(ks * x_left), np.sin(ks * x_left)
-    starts = np.array([cos, -ks * sin, -sin, -ks * cos]).T
-    states = []
-    for state, cj, sj, gj in zip(starts.tolist(), c.T.tolist(), s.T.tolist(),
-                                 g.T.tolist()):
-        u, du, w, dw = state
-        for ci, si, gi in zip(cj, sj, gj):
-            u, du = ci * u + si * du, gi * u + ci * du
-            w, dw = ci * w + si * dw, gi * w + ci * dw
-            scale = max(abs(u), abs(du), abs(w), abs(dw))
-            u, du, w, dw = u / scale, du / scale, w / scale, dw / scale
-            state += u, du, w, dw
-        states.append(state)
-    # rows (Re f, Re f', Im f, Im f') at the left end of every segment and
-    # at the right edge, one column per wavenumber
-    us, dus, ws, dws = np.array(states).reshape(len(ks), -1, 4).T
+    X = np.concatenate([np.array([[cos, -sin], [-ks * sin, -ks * cos]])[None],
+                        np.array([[c, s], [g, c]]).transpose(2, 0, 1, 3)])
+    h = 1
+    while h < len(X):
+        X[h:] = _mul(X[h:], X[:-h])
+        X[h:] /= np.abs(X[h:]).max(axis=(1, 2), keepdims=True)
+        h *= 2
+    (us, ws), (dus, dws) = X.transpose(1, 2, 0, 3)
     neg = np.signbit(us)
     q = np.sqrt(np.maximum(lams - v, 0.0))
     angle = np.arctan2(q * us[:-1], dus[:-1])

@@ -20,6 +20,9 @@ from specflow.matcore import (
     principal_log_unitary,
     schatten_norm,
 )
+from specflow.rdet import det_p
+from specflow.sflow import sf_alpha
+from specflow.upath import model_loop
 
 from conftest import haar_unitary, random_hermitian, run_fresh
 
@@ -499,11 +502,15 @@ def test_principal_log_exponentiates_back(dim, seed):
     lambda x: schatten_norm(np.eye(2), x),
     lambda x: abs_power(np.eye(2), x),
     gamma_constant,
-], ids=["schatten_norm", "abs_power", "gamma_constant"])
+    lambda x: det_p(np.eye(2), x),
+    lambda x: sf_alpha(model_loop(1, 2), n=x),
+], ids=["schatten_norm", "abs_power", "gamma_constant", "det_p", "sf_alpha"])
 def test_nan_orders_are_invalid(call):
-    # each order check is written so that NaN fails it
-    with pytest.raises(InvalidOrder):
-        call(np.nan)
+    # each order check is written so that NaN fails it, and so does an
+    # order that is not a real number, before any comparison
+    for order in (np.nan, "1", None, 1 + 0j):
+        with pytest.raises(InvalidOrder):
+            call(order)
 
 
 @pytest.mark.parametrize("call", [

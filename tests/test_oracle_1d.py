@@ -31,6 +31,7 @@ from specflow.scatter import (
 )
 from specflow.scatter.levinson import _evidence_1d
 from specflow.scatter.onedim import _carry_1d, _transfer_dlam
+from test_levinson import _generated_1d
 
 mp = pytest.importorskip("mpmath")
 
@@ -87,16 +88,42 @@ def test_smatrix_matches_oracle(depth):
                              - oracle_smatrix(depth, k))) < 1e-12
 
 
-@pytest.mark.parametrize("depth", DEPTHS)
-def test_carry_arg_t_matches_oracle(depth):
+# the carry's oracle inputs and the bound on arg T: the square wells, and
+# within 2e-12 the multi-segment wells and generated draws, draw 25 being
+# where the carry's arg T moves most when its segment product associates
+# another way
+CARRY_INPUTS = (
+    [pytest.param(Potential1D.square_well(depth, HALFWIDTH), 1e-12,
+                  id=str(depth)) for depth in DEPTHS]
+    + [pytest.param(DOUBLE_WELL, 2e-12, id="double_well"),
+       pytest.param(GAUSSIAN_WELL, 2e-12, id="gaussian_200_segments")]
+    + [pytest.param(V, 2e-12, id=f"draw_{i}") for i, V in
+       _generated_1d({0, 25, 36, 76, 199}).items()])
+
+
+def oracle_arg_t(V, k):
+    """arg T at k > 0, mod 2 pi, from the oracle's M(k^2): the solution
+    that is e^{-ikx} left of the support is e^{-ikx} / T + B e^{ikx} right
+    of it, so 1/T = e^{ik x_R} (ik f - f') / 2ik at x_R."""
+    with mp.workdps(40):
+        k = mp.mpf(k)
+        x_left, x_right = (mp.mpf(x) for x in V.support)
+        M = oracle_transfer(V, k * k)
+        e = mp.exp(-1j * k * x_left)
+        f, df = (row[0] * e - 1j * k * row[1] * e for row in M)
+        return float(-mp.arg(mp.exp(1j * k * x_right) * (1j * k * f - df)
+                             / (2j * k)))
+
+
+@pytest.mark.parametrize("V, tol", CARRY_INPUTS)
+def test_carry_arg_t_matches_oracle(V, tol):
     # the carry's arg T on its absolute branch agrees mod 2 pi with the
     # phase of the oracle's transmission amplitude
-    V = Potential1D.square_well(depth, HALFWIDTH)
-    ks = np.array([0.01, 1.0, 30.0])
+    ks = np.array([0.01, 0.0215, 0.1, 1.0, 30.0])
     arg_t = _carry_1d(V, ks)[3]
     for k, got in zip(ks, arg_t):
-        want = np.angle(oracle_smatrix(depth, k)[0, 0])
-        assert abs(np.angle(np.exp(1j * (got - want)))) < 1e-12
+        want = oracle_arg_t(V, k)
+        assert abs(np.angle(np.exp(1j * (got - want)))) < tol, k
 
 
 @pytest.mark.parametrize("depth", DEPTHS)
@@ -132,12 +159,13 @@ def test_winding_tail_matches_oracle(depth):
 def oracle_transfer(V, lam):
     """M(lam) of V multiplied left to right in mpmath, each segment's
     matrix [[cos(qd), sin(qd)/q], [-q sin(qd), cos(qd)]] with q^2 = lam - v
-    and d the segment length the kernel takes."""
+    and d the segment length the kernel takes; sin(qd)/q is its limit d
+    where q = 0."""
     M = [[mp.mpf(1), mp.mpf(0)], [mp.mpf(0), mp.mpf(1)]]
     for x0, x1, v in V.segments:
         d = mp.mpf(x1 - x0)
         q = mp.sqrt(mp.mpc(lam - mp.mpf(v)))
-        c, s = mp.cos(q * d), mp.sin(q * d) / q
+        c, s = mp.cos(q * d), mp.sin(q * d) / q if q else d
         T = [[c, s], [-q * q * s, c]]
         M = [[T[i][0] * M[0][j] + T[i][1] * M[1][j] for j in range(2)]
              for i in range(2)]
