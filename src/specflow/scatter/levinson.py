@@ -571,21 +571,20 @@ def _evidence_3d(V, k_min, k_max):
     phase 2 delta_l.
 
     One choose_lmax sweep at k_min and k_max (`radial._cutoff_rows`)
-    gives both rows, each over the channels up to its own cutoff and 0.0
-    above, the exact slope at k_min over lo's channels from the same
-    carry, and the channel range, hi's cutoff.  One zero-energy sweep over
-    the channels the potential can bind (`radial._bound_channels`) gives
-    the bound-state counts, padded with zeros to the rows' channels, and
-    the threshold statistics of channels 0..THRESHOLD_LMAX.
+    gives both rows as one array, each 0.0 above its own cutoff, the
+    exact slopes at k_min from the same carry, 0.0 above lo's cutoff, and
+    the channel range, hi's cutoff, to which the rows and the slopes are
+    sliced.  One zero-energy sweep over the channels the potential can
+    bind (`radial._bound_channels`) gives the bound-state counts, padded
+    with zeros to the rows' channels, and the threshold statistics of
+    channels 0..THRESHOLD_LMAX.
     Each channel's caps are the principal geodesics into e^{2i
     delta_l(k_min)} and e^{2i delta_l(k_max)}, and the l = 0
     s-resonance's start cap first turns by pi through -1."""
-    (low, low_slope), (hi, _) = _cutoff_rows(
-        V, np.square([k_min, k_max]))[1]
-    lmax = len(hi) - 1
-    n = min(len(low), lmax + 1)
-    lo, slope = np.zeros((2, lmax + 1))
-    lo[:n], slope[:n] = low[:n], low_slope[:n]
+    cut, rows, slopes = _cutoff_rows(V, np.square([k_min, k_max]))
+    lmax = int(cut[1])
+    lo, hi = rows[:, :lmax + 1]
+    slope = slopes[0, :lmax + 1]
     counts, zero = _bound_channels(V)
     if np.any(counts[lmax:]):
         raise OracleDisagreement(

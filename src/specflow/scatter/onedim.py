@@ -222,14 +222,14 @@ def _smatrix_dk(V, ks, derivative=True):
     X = _mul(inv, B)
     # X's columns are the incoming directions and its rows the unknowns,
     # X = [[r-, t], [t, r+]]: S swaps X's rows
-    S = np.moveaxis(X[::-1], -1, 0)
+    S = X[::-1].transpose(2, 0, 1)
     if not derivative:
         return S, None
     dMW = _mul(2.0 * ks * P[1], WL) + _mul(P[0], dWL)
     dA = np.stack([dMW[:, 0], -dWR[:, 1]], axis=1)
     dB = np.stack([-dMW[:, 1], dWR[:, 0]], axis=1)
     dX = _mul(inv, dB - _mul(dA, X))
-    return S, np.moveaxis(dX[::-1], -1, 0)
+    return S, dX[::-1].transpose(2, 0, 1)
 
 
 def transfer_matrix(V, lam):
@@ -237,7 +237,7 @@ def transfer_matrix(V, lam):
     matrix for a scalar energy lam, one per energy for a 1-D array."""
     lams = np.asarray(lam, dtype=float)
     M = _transfer_dlam(V, lams.reshape(-1))[0]
-    return np.moveaxis(M, -1, 0).reshape(lams.shape + (2, 2)).astype(complex)
+    return M.transpose(2, 0, 1).reshape(lams.shape + (2, 2)).astype(complex)
 
 
 def smatrix_1d(V, lam, derivative=False):

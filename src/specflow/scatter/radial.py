@@ -23,6 +23,13 @@ and that integral gives each row's exact slope d delta_l / dk (the energy
 derivative of the variable phase, `_sweep_rows`).  At lam = 0 the same
 carry gives u(R), u'(R) and the zeros inside the support, behind the
 bound-state counts and the threshold statistics (`_zero_energy_radial`).
+
+One rule sizes every channel range the package sweeps on its own: at
+energy lam, channel l is classically forbidden on the whole support once
+l(l+1) >= R^2 max(0, lam - min V), since then l(l+1)/r^2 >= lam - V(r)
+for every r < R (`_forbidden_channel`).  At lam = 0 no such channel holds
+a bound state (`_bound_channels`); at lam > 0 the shifts fall off past
+it, and the rows are swept 40 channels further (`_cutoff_rows`).
 """
 
 import numpy as np
@@ -371,23 +378,29 @@ def bound_state_channels(V, lmax=8):
     return _channel_counts(V, _zero_energy_radial(V, lmax))
 
 
+def _forbidden_channel(V, lams):
+    """The first channel classically forbidden on the whole support at
+    each energy of lams: the first l with l(l+1) >= R^2 max(0, lam - min
+    v).  There l(l+1)/r^2 >= lam - v(r) for every r < R, in that channel
+    and every one above it.  floor(sqrt(x)) is that l or one below it."""
+    x = V.radius ** 2 * np.maximum(0.0, lams - min(v for _, _, v in V.shells))
+    ell = np.floor(np.sqrt(x)).astype(int)
+    return ell + (ell * (ell + 1.0) < x)
+
+
 def _bound_channels(V):
     """(counts, zero): the zero-energy sweep zero = _zero_energy_radial(V,
     lmax) and its bound-state counts over channels 0..lmax, lmax the larger
-    of 8 and the first channel the potential cannot bind.  Channel l's
-    effective potential v + l(l+1)/r^2 is nonnegative on all of (0, inf)
-    once l(l+1) >= R^2 max(0, -min v), so it holds no bound state, and a
-    count there is a solver fault (OracleDisagreement)."""
-    bind = V.radius ** 2 * max(0.0, -min(v for _, _, v in V.shells))
-    top = max(8, int(np.sqrt(bind)))
-    while top * (top + 1) < bind:
-        top += 1
-    zero = _zero_energy_radial(V, top)
+    of 8 and the first channel forbidden at lam = 0 (`_forbidden_channel`).
+    That channel's effective potential v + l(l+1)/r^2 is nonnegative on
+    all of (0, inf), so it holds no bound state, and a count there is a
+    solver fault (OracleDisagreement)."""
+    zero = _zero_energy_radial(V, max(8, int(_forbidden_channel(V, 0.0))))
     counts = _channel_counts(V, zero)
     if counts[-1]:
         raise OracleDisagreement(
             f"channel l={len(counts) - 1} holds {counts[-1]} bound states, "
-            f"though l(l+1) >= R^2 max(-V) = {bind:.6g} binds none")
+            f"though l(l+1) >= R^2 max(0, -min V) binds none")
     return counts, zero
 
 
@@ -411,32 +424,26 @@ __all__ = [
 
 
 def _cutoff_rows(V, lams):
-    """choose_lmax for an array of energies, with each energy's row over
-    channels 0..cutoff from the same sweep (as phase_shift_rows gives it)
-    and the row's slopes d delta / dk: (cutoffs, [(row, slopes), ...])."""
-    # the channel range swept first at each energy
-    guess = np.ceil(np.sqrt(lams) * V.radius).astype(int) + 40
-    cut = np.full(len(lams), -1)
-    out = [None] * len(lams)
-    for trial in (guess, 4 * guess):
-        todo = np.where(cut < 0)[0]
-        if len(todo) == 0:
-            break
-        delta, branch, slopes = _sweep_rows(V, lams[todo],
-                                            int(np.max(trial[todo])))
-        for e, row, slope in zip(todo.tolist(), delta + branch * np.pi,
-                                 slopes):
-            # the cutoff lies past the last channel at or above tolerance,
-            # and at most at the top channel swept for this energy
-            large = np.where(np.abs(row[:trial[e] + 1]) >= CHANNEL_TOL)[0]
-            if len(large) == 0 or large[-1] + 2 < trial[e]:
-                cut[e] = (0 if len(large) == 0 else int(large[-1]) + 1) + 2
-                out[e] = row[:cut[e] + 1], slope[:cut[e] + 1]
-    if np.any(cut < 0):
-        raise IntegrationFailure(
-            f"no angular cutoff found below l = "
-            f"{4 * int(guess[cut < 0][0])}")
-    return cut, out
+    """choose_lmax for an array of energies, with each energy's row (as
+    phase_shift_rows gives it) and the row's slopes d delta / dk from the
+    same sweep: (cutoffs, rows, slopes), the rows and slopes 0.0 above each
+    energy's cutoff.  One sweep runs each energy up to 40 channels past
+    its first classically forbidden one (`_forbidden_channel`), where
+    the shifts fall off; a row still at or above tolerance within two
+    channels of that top has no cutoff (IntegrationFailure)."""
+    top = _forbidden_channel(V, lams) + 40
+    delta, branch, slopes = _sweep_rows(V, lams, int(np.max(top)))
+    rows = delta + branch * np.pi
+    ell = np.arange(rows.shape[1])
+    # the last channel at or above tolerance, up to each energy's top
+    last = np.max(np.where((np.abs(rows) >= CHANNEL_TOL)
+                           & (ell <= top[:, None]), ell, -1), axis=1)
+    if np.any(last + 2 >= top):
+        raise IntegrationFailure(f"no angular cutoff found below l = "
+                                 f"{int(top[last + 2 >= top][0])}")
+    cut = last + 3
+    keep = ell <= cut[:, None]
+    return cut, np.where(keep, rows, 0.0), np.where(keep, slopes, 0.0)
 
 
 def choose_lmax(V, lam_max):
@@ -445,10 +452,16 @@ def choose_lmax(V, lam_max):
     absolute branch, so a channel that holds N_l bound states reads
     about N_l pi at low energy, not a small principal value.
 
+    The sweep at lam_max runs 40 channels past the first channel that
+    is classically forbidden on the whole support, the first l with
+    l(l+1) >= R^2 max(0, lam_max - min V), the rule that also bounds the
+    bound-state channels at lam = 0; a shift still at tolerance near that
+    top raises IntegrationFailure.
+
     lam_max may also be an array of energies: all of them are swept in one
-    batch and the cutoffs come back as an int array.  Each
-    energy reads only its own channels 0..trial, which the sweep computes
-    exactly as a sweep over those channels alone would.
+    batch and the cutoffs come back as an int array.  Each energy reads
+    only its own channels, which the sweep computes exactly as a sweep
+    over those channels alone would.
     """
     cut = _cutoff_rows(V, np.atleast_1d(np.asarray(lam_max, dtype=float)))[0]
     return int(cut[0]) if np.ndim(lam_max) == 0 else cut

@@ -904,8 +904,8 @@ def test_levinson_3d_counts_beyond_short_rows(monkeypatch):
     rows = levinson._cutoff_rows
 
     def short(V, lams):
-        cut, out = rows(V, lams)
-        return cut, [(row[:2], slope[:2]) for row, slope in out]
+        cut, row, slope = rows(V, lams)
+        return np.minimum(cut, 1), row[:, :2], slope[:, :2]
 
     monkeypatch.setattr(levinson, "_cutoff_rows", short)
     with pytest.raises(OracleDisagreement, match=re.escape(

@@ -255,6 +255,47 @@ def test_choose_lmax_scales_with_energy():
     assert both.tolist() == [20, 116, choose_lmax(WELL3, 4.0)]
 
 
+@pytest.mark.parametrize("depth", [3.0, 12.0, 30.0])
+def test_cutoff_rows_sweep_the_bench_wells_once(monkeypatch, depth):
+    # the verify's rows at k_min = 0.01 and k_max = 100 come from one
+    # sweep, 40 channels past l = 100, the first l with l(l+1) >= 1e4 +
+    # depth
+    calls = []
+    sweep = radial._sweep_rows
+
+    def recording(V, lams, lmax):
+        calls.append(lmax)
+        return sweep(V, lams, lmax)
+
+    monkeypatch.setattr(radial, "_sweep_rows", recording)
+    radial._cutoff_rows(RadialPotential.square_well(depth),
+                        np.square([1e-2, 100.0]))
+    assert calls == [140]
+
+
+@pytest.mark.parametrize("depth, lmax", [(3e4, 166), (1e5, 307)])
+def test_choose_lmax_deep_wells(depth, lmax):
+    # the well's depth, not only the wavenumber, sizes the sweep: at
+    # k = 0.01 neither cutoff lies within kR + 160 channels
+    assert choose_lmax(RadialPotential.square_well(depth), 1e-4) == lmax
+
+
+def test_forbidden_channel_matches_integer_search():
+    # the first l with l(l+1) >= x, for x of that form, perfect squares,
+    # their float neighbours and random values
+    m = np.arange(400.0)
+    forms = [m * (m + 1.0), m * m]
+    x = np.concatenate(forms + [np.nextafter(f, np.inf) for f in forms]
+                       + [np.nextafter(f, 0.0) for f in forms]
+                       + [np.random.default_rng(0).uniform(0.0, 1e5, 400)])
+    free = RadialPotential(shells=((0.0, 1.0, 0.0),))
+    want = [next(l for l in range(500) if l * (l + 1) >= v) for v in x]
+    assert radial._forbidden_channel(free, x).tolist() == want
+    # at lam = 0 the rule reads the depth: R^2 depth = 2.25 * 12
+    well = RadialPotential.square_well(12.0, radius=1.5)
+    assert int(radial._forbidden_channel(well, 0.0)) == 5
+
+
 # Phase shifts of channels 0..3 on the principal branch, from the 30-digit
 # closed form `oracle_shift` of tests/test_oracle_3d.py.  A square well
 # is one shell, whose rows are closed-form too.
