@@ -25,11 +25,14 @@ carry gives u(R), u'(R) and the zeros inside the support, behind the
 bound-state counts and the threshold statistics (`_zero_energy_radial`).
 
 One rule sizes every channel range the package sweeps on its own: at
-energy lam, channel l is classically forbidden on the whole support once
-l(l+1) >= R^2 max(0, lam - min V), since then l(l+1)/r^2 >= lam - V(r)
-for every r < R (`_forbidden_channel`).  At lam = 0 no such channel holds
-a bound state (`_bound_channels`); at lam > 0 the shifts fall off past
-it, and the rows are swept 40 channels further (`_cutoff_rows`).
+energy lam, channel l is classically forbidden on all of (0, R] once
+l(l+1) >= R^2 max(0, lam - min(0, min V)), the minimum taken over the
+shells and the exterior's V = 0, since then l(l+1)/r^2 >= lam - V(r) for
+every r <= R (`_forbidden_channel`).  At lam = 0 no such channel holds a
+bound state (`_bound_channels`); at lam > 0 neither the potential nor
+the free wave reaches it inside R, so the shifts fall off past it, on a
+barrier as in a well, and the rows are swept 40 channels further
+(`_cutoff_rows`).
 """
 
 import numpy as np
@@ -379,11 +382,14 @@ def bound_state_channels(V, lmax=8):
 
 
 def _forbidden_channel(V, lams):
-    """The first channel classically forbidden on the whole support at
-    each energy of lams: the first l with l(l+1) >= R^2 max(0, lam - min
-    v).  There l(l+1)/r^2 >= lam - v(r) for every r < R, in that channel
-    and every one above it.  floor(sqrt(x)) is that l or one below it."""
-    x = V.radius ** 2 * np.maximum(0.0, lams - min(v for _, _, v in V.shells))
+    """The first channel classically forbidden on all of (0, R] at each
+    energy of lams: the first l with l(l+1) >= R^2 max(0, lam - min(0,
+    min v)), the minimum over the shells and the exterior's V = 0.  There
+    l(l+1)/r^2 >= lam - v(r) for every r <= R, in that channel and every
+    one above it; on a barrier the rule still reaches kR, where the free
+    wave's shifts are O(1).  floor(sqrt(x)) is that l or one below it."""
+    low = min(0.0, min(v for _, _, v in V.shells))
+    x = V.radius ** 2 * np.maximum(0.0, lams - low)
     ell = np.floor(np.sqrt(x)).astype(int)
     return ell + (ell * (ell + 1.0) < x)
 
@@ -428,9 +434,10 @@ def _cutoff_rows(V, lams):
     phase_shift_rows gives it) and the row's slopes d delta / dk from the
     same sweep: (cutoffs, rows, slopes), the rows and slopes 0.0 above each
     energy's cutoff.  One sweep runs each energy up to 40 channels past
-    its first classically forbidden one (`_forbidden_channel`), where
-    the shifts fall off; a row still at or above tolerance within two
-    channels of that top has no cutoff (IntegrationFailure)."""
+    its first channel classically forbidden on (0, R], the exterior's
+    V = 0 included (`_forbidden_channel`), where the shifts fall off; a
+    row still at or above tolerance within two channels of that top has
+    no cutoff (IntegrationFailure)."""
     top = _forbidden_channel(V, lams) + 40
     delta, branch, slopes = _sweep_rows(V, lams, int(np.max(top)))
     rows = delta + branch * np.pi
@@ -453,10 +460,11 @@ def choose_lmax(V, lam_max):
     about N_l pi at low energy, not a small principal value.
 
     The sweep at lam_max runs 40 channels past the first channel that
-    is classically forbidden on the whole support, the first l with
-    l(l+1) >= R^2 max(0, lam_max - min V), the rule that also bounds the
-    bound-state channels at lam = 0; a shift still at tolerance near that
-    top raises IntegrationFailure.
+    is classically forbidden on all of (0, R], the first l with
+    l(l+1) >= R^2 max(0, lam_max - min(0, min V)), the minimum over the
+    shells and the exterior's V = 0, so at least about kR on a barrier;
+    the same rule bounds the bound-state channels at lam = 0.  A shift
+    still at tolerance near that top raises IntegrationFailure.
 
     lam_max may also be an array of energies: all of them are swept in one
     batch and the cutoffs come back as an int array.  Each energy reads

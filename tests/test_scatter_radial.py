@@ -280,6 +280,18 @@ def test_choose_lmax_deep_wells(depth, lmax):
     assert choose_lmax(RadialPotential.square_well(depth), 1e-4) == lmax
 
 
+@pytest.mark.parametrize("height, k, lmax", [(2e4, 100.0, 122),
+                                             (1e3, 31.0, 46)])
+def test_choose_lmax_barriers(height, k, lmax):
+    # below the barrier's top the free wave still reaches R in every
+    # channel up to about kR, so the exterior's V = 0, not the barrier,
+    # sizes the sweep; the cutoffs are those of the wavenumber-only guess
+    # ceil(kR) + 40 that the rule replaced
+    V = RadialPotential(shells=((0.0, 1.0, height),))
+    assert int(radial._forbidden_channel(V, k * k)) == round(k)
+    assert choose_lmax(V, k * k) == lmax
+
+
 def test_forbidden_channel_matches_integer_search():
     # the first l with l(l+1) >= x, for x of that form, perfect squares,
     # their float neighbours and random values
